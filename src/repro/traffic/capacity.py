@@ -93,17 +93,25 @@ class LinkLoadMap:
 
     def add_path(self, path: Path, demand: float) -> None:
         """Route ``demand`` along every link of ``path``."""
-        if demand <= 0.0:
-            return
-        for a, b in path.hops():
-            link = Link.of(a, b)
-            self._loads[link] = self._loads.get(link, 0.0) + demand
+        self.add_links([Link.of(a, b) for a, b in path.hops()], demand)
 
     def add_link(self, link: Link, demand: float) -> None:
         """Add ``demand`` to one link."""
+        self.add_links((link,), demand)
+
+    def add_links(self, links: Iterable[Link], demand: float) -> None:
+        """Add ``demand`` to every link of ``links``, in order."""
         if demand <= 0.0:
             return
-        self._loads[link] = self._loads.get(link, 0.0) + demand
+        loads = self._loads
+        for link in links:
+            loads[link] = loads.get(link, 0.0) + demand
+
+    def copy(self) -> "LinkLoadMap":
+        """An independent map over the same topology with the same loads."""
+        clone = LinkLoadMap(self.topo)
+        clone._loads = dict(self._loads)
+        return clone
 
     def merge_loads(self, loads: Dict[Link, float]) -> None:
         """Fold a per-link load dict in (sorted-key order, deterministic)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..baselines import Oracle
@@ -36,14 +36,15 @@ from ..core import RTRConfig
 from ..eval.cases import CaseSet, TestCase
 from ..eval.metrics import CaseRecord
 from ..eval.runner import EvaluationRunner
-from ..failures import FailureScenario, LocalView
+from ..failures import FailureScenario
 from ..routing import RoutingTable, SPTCache
+from ..simulator import RecoveryResult
 from ..topology import Link, Topology
 from ..te.metrics import overload_attribution
 from ..te.penalty import LinkPenalty
 from .capacity import DEFAULT_HEADROOM, LinkLoadMap, provision_capacities
 from .flows import FlowSet
-from .metrics import TrafficScenarioRecord, safe_div
+from .metrics import TrafficScenarioRecord, check_accounting, safe_div
 
 log = obs.get_logger(__name__)
 
@@ -74,6 +75,47 @@ class PairClassification:
     unrouted_demand: float
 
 
+@dataclass(frozen=True)
+class _GroupPlan:
+    """One recovery case and the traffic behind it, as every scheme sees it."""
+
+    #: (initiator, destination) — the :class:`TestCase` this group runs as.
+    key: Tuple[int, int]
+    pairs: Tuple[DisruptedPair, ...]
+    #: Surviving default-path links source -> initiator, one tuple per pair.
+    prefixes: Tuple[Tuple[Link, ...], ...]
+    #: ``fsum`` of the member pairs' demand, and their flow count.
+    demand: float
+    flows: int
+
+    def add_load(self, loads: LinkLoadMap, result: RecoveryResult) -> None:
+        """Post-recovery load of this group under one scheme's ``result``.
+
+        The surviving prefix up to the initiator carries each pair's
+        traffic either way; the recovery path carries the group onward
+        only when delivery succeeded.  Every consumer of a window plan
+        accumulates through here, in (pair, link) then path order — the
+        order is what keeps the float sums of all of them bit-identical.
+        """
+        for pair, prefix in zip(self.pairs, self.prefixes):
+            loads.add_links(prefix, pair.demand)
+        if result.delivered and result.path is not None:
+            loads.add_path(result.path, self.demand)
+
+
+@dataclass(frozen=True)
+class _WindowPlan:
+    """The scheme-independent half of one convergence window's weighting.
+
+    ``groups`` is sorted by key; ``intact`` is the background load of the
+    pairs the failure left alone and is never written to — each consumer
+    starts from ``intact.copy()`` and replays ``groups`` in order.
+    """
+
+    intact: LinkLoadMap
+    groups: Tuple[_GroupPlan, ...]
+
+
 def classify_pairs(
     topo: Topology,
     routing: RoutingTable,
@@ -88,7 +130,12 @@ def classify_pairs(
     destination (a node's verdict settles every pair routed through it),
     mirroring :func:`repro.eval.cases.count_failed_routing_paths`.
     """
-    view = LocalView(scenario)
+    # The per-hop probe is two lookups: a (node, next hop) pair is a tree
+    # edge, hence an interned adjacency, and ``failed_links`` includes every
+    # link of a failed router — one flag answers "can this hop carry traffic".
+    pair_lid = topo.csr().pair_lid
+    link_failed = scenario.failed_link_flags()
+    failed_nodes = scenario.failed_nodes
     disrupted: List[DisruptedPair] = []
     intact: Dict[int, Dict[int, float]] = {}
     failed_demand: List[float] = []
@@ -107,15 +154,16 @@ def classify_pairs(
 
     for destination in sorted(by_destination):
         tree = routing.tree_to(destination)
+        parent = tree.parent
         verdict: Dict[int, Optional[int]] = {
-            destination: None if scenario.is_node_live(destination) else destination
+            destination: destination if destination in failed_nodes else None
         }
         # A failed destination never terminates a walk cleanly: every
         # adjacency into it is down, so the last live hop is the
         # initiator.  The sentinel above is never consulted in that case.
         for batch in by_destination[destination]:
             source = batch.source
-            if not scenario.is_node_live(source):
+            if source in failed_nodes:
                 failed_demand.append(batch.demand)
                 failed_flows += batch.flows
                 continue
@@ -127,8 +175,8 @@ def classify_pairs(
             outcome: Optional[int] = None
             while node not in verdict:
                 chain.append(node)
-                nxt = tree.next_hop(node)
-                if nxt is None or not view.is_neighbor_reachable(node, nxt):
+                nxt = parent.get(node)
+                if nxt is None or link_failed[pair_lid[(node, nxt)]]:
                     # nxt is None only at the tree root, and a live,
                     # reached destination is pre-seeded — so this is the
                     # first broken adjacency: ``node`` initiates recovery.
@@ -245,42 +293,44 @@ class TrafficEngine:
     def run_scenario(
         self, scenario: FailureScenario, scenario_index: int = 0
     ) -> Dict[str, TrafficScenarioRecord]:
-        """One failure event: classify, batch, recover, weight."""
+        """One failure event: classify, plan, recover, weight."""
         with obs.span("traffic.scenario", index=scenario_index):
-            classification = classify_pairs(
-                self.topo, self.routing, scenario, self.flow_set
-            )
+            with obs.span("traffic.classify"):
+                classification = classify_pairs(
+                    self.topo, self.routing, scenario, self.flow_set
+                )
             obs.inc("traffic.pairs.disrupted", len(classification.disrupted))
             obs.inc(
                 "traffic.flows.disrupted",
                 sum(p.flows for p in classification.disrupted),
             )
-            groups = self._group_pairs(classification.disrupted)
-            cases = self._cases_for_groups(scenario, groups)
-            case_set = CaseSet(
-                topo=self.topo,
-                routing=self.routing,
-                scenarios=[scenario],
-                cases=cases,
-            )
+            with obs.span("traffic.plan"):
+                plan = self._plan_window(classification)
+            cases = self._cases_for_groups(scenario, plan.groups)
             if self.congestion_aware:
-                records = self._run_cases_congestion_aware(
-                    scenario, cases, groups, classification
-                )
+                records = self._run_cases_congestion_aware(scenario, cases, plan)
             else:
                 # One convergence window per scenario: planning schemes
                 # have the whole window's walks executed through a single
                 # WalkBatch inside the runner (DESIGN.md §15).
-                records = self.runner.run(case_set)
+                records = self.runner.run(
+                    CaseSet(
+                        topo=self.topo,
+                        routing=self.routing,
+                        scenarios=[scenario],
+                        cases=cases,
+                    )
+                )
             out: Dict[str, TrafficScenarioRecord] = {}
             for approach in self.approaches:
-                out[approach] = self._weight_records(
-                    approach,
-                    scenario_index,
-                    classification,
-                    groups,
-                    records[approach],
-                )
+                with obs.span("traffic.weight", approach=approach):
+                    out[approach] = self._weight_records(
+                        approach,
+                        scenario_index,
+                        classification,
+                        plan,
+                        records[approach],
+                    )
         return out
 
     def run_sweep(
@@ -302,8 +352,7 @@ class TrafficEngine:
         self,
         scenario: FailureScenario,
         cases: Sequence[TestCase],
-        groups: Dict[Tuple[int, int], List[DisruptedPair]],
-        classification: PairClassification,
+        plan: _WindowPlan,
     ) -> Dict[str, List[CaseRecord]]:
         """Run cases with live load feedback into path selection.
 
@@ -315,23 +364,22 @@ class TrafficEngine:
         snapshot of everything routed so far, so each recovery steers
         around the links earlier ones loaded — including the same
         initiator's own previous recoveries.  State is per-scenario (the
-        map starts from intact loads), which keeps serial and sharded
-        sweeps identical.
+        map starts from a copy of the window's intact loads), which keeps
+        serial and sharded sweeps identical.
 
         This path never batches walks: each case's route depends on the
         loads of every earlier delivery, so compiling a window of plans
         up front would read stale penalties.
         """
         config = self.rtr_config if self.rtr_config is not None else RTRConfig()
-        for _ in cases:
-            obs.inc("eval.cases")
+        obs.inc("eval.cases", len(cases))
         records: Dict[str, List[CaseRecord]] = {}
         for name in self.approaches:
             instance = self.runner.schemes[name].instantiate(scenario)
             set_penalty = getattr(instance.protocol, "set_link_penalty", None)
-            loads = self._intact_loads(classification)
+            loads = plan.intact.copy()
             out: List[CaseRecord] = []
-            for case in cases:
+            for case, group in zip(cases, plan.groups):
                 obs.inc(self.runner._case_counters[name])
                 if set_penalty is not None:
                     set_penalty(
@@ -343,13 +391,11 @@ class TrafficEngine:
                         )
                     )
                 result = self.runner._recover_one(instance, name, case)
-                group = groups[(case.initiator, case.destination)]
-                group_demand = math.fsum(p.demand for p in group)
                 if (
                     self.utilization_cap is not None
                     and result.delivered
                     and result.path is not None
-                    and self._exceeds_cap(loads, result.path, group_demand)
+                    and self._exceeds_cap(loads, result.path, group.demand)
                 ):
                     # Admission control: delivering this group would push a
                     # link past the cap, so the initiator sheds it instead
@@ -364,10 +410,7 @@ class TrafficEngine:
                         admission_dropped=True,
                     )
                 out.append(CaseRecord(case=case, result=result))
-                for pair in group:
-                    self._add_prefix_load(loads, pair)
-                if result.delivered and result.path is not None:
-                    loads.add_path(result.path, group_demand)
+                group.add_load(loads, result)
             records[name] = out
         return records
 
@@ -407,25 +450,40 @@ class TrafficEngine:
             )
         return loads
 
-    @staticmethod
-    def _group_pairs(
-        disrupted: Sequence[DisruptedPair],
-    ) -> Dict[Tuple[int, int], List[DisruptedPair]]:
-        """Pairs keyed by their shared (initiator, destination) case."""
-        groups: Dict[Tuple[int, int], List[DisruptedPair]] = {}
-        for pair in disrupted:
-            groups.setdefault((pair.initiator, pair.destination), []).append(pair)
-        return groups
+    def _plan_window(self, classification: PairClassification) -> _WindowPlan:
+        """Everything of one window's demand weighting no scheme can change.
+
+        Built once per :meth:`run_scenario` and handed down as a value —
+        never kept on the engine, because a prefix depends on the
+        window's initiator and would go stale at the next scenario.
+        """
+        by_case: Dict[Tuple[int, int], List[DisruptedPair]] = {}
+        for pair in classification.disrupted:
+            by_case.setdefault((pair.initiator, pair.destination), []).append(pair)
+        groups = []
+        for key in sorted(by_case):
+            pairs = tuple(by_case[key])
+            groups.append(
+                _GroupPlan(
+                    key=key,
+                    pairs=pairs,
+                    prefixes=tuple(self._prefix_links(pair) for pair in pairs),
+                    demand=math.fsum(p.demand for p in pairs),
+                    flows=sum(p.flows for p in pairs),
+                )
+            )
+        return _WindowPlan(
+            intact=self._intact_loads(classification), groups=tuple(groups)
+        )
 
     def _cases_for_groups(
-        self,
-        scenario: FailureScenario,
-        groups: Dict[Tuple[int, int], List[DisruptedPair]],
+        self, scenario: FailureScenario, groups: Sequence[_GroupPlan]
     ) -> List[TestCase]:
-        """One :class:`TestCase` per group, classified by the oracle."""
+        """One :class:`TestCase` per group (same order), classified by the oracle."""
         oracle = Oracle(self.topo, scenario, cache=self.cache)
         cases: List[TestCase] = []
-        for initiator, destination in sorted(groups):
+        for group in groups:
+            initiator, destination = group.key
             trigger = self.routing.next_hop(initiator, destination)
             assert trigger is not None  # the walk crossed this adjacency
             optimal = oracle.optimal_cost(initiator, destination)
@@ -446,7 +504,7 @@ class TrafficEngine:
         approach: str,
         scenario_index: int,
         classification: PairClassification,
-        groups: Dict[Tuple[int, int], List[DisruptedPair]],
+        plan: _WindowPlan,
         case_records: Sequence[CaseRecord],
     ) -> TrafficScenarioRecord:
         """Multiply per-case outcomes by their member pairs' traffic."""
@@ -470,15 +528,13 @@ class TrafficEngine:
         delivered_flows = 0
 
         # Surviving pairs keep their default paths.
-        loads = self._intact_loads(classification)
+        loads = plan.intact.copy()
 
-        for key in sorted(groups):
-            record = by_case[key]
-            group = groups[key]
-            group_demand = math.fsum(p.demand for p in group)
-            group_flows = sum(p.flows for p in group)
+        for group in plan.groups:
+            record = by_case[group.key]
+            group_demand = group.demand
             disrupted_demand.append(group_demand)
-            disrupted_flows += group_flows
+            disrupted_flows += group.flows
             if record.case.recoverable:
                 recoverable_demand.append(group_demand)
             else:
@@ -486,7 +542,7 @@ class TrafficEngine:
             result = record.result
             if result.delivered:
                 delivered_demand.append(group_demand)
-                delivered_flows += group_flows
+                delivered_flows += group.flows
                 if record.case.recoverable:
                     delivered_recoverable.append(group_demand)
                 stretch = record.stretch()
@@ -506,19 +562,13 @@ class TrafficEngine:
             # still in flight (§IV-B delay model): rate × window.
             if result.phase1_duration > 0.0:
                 phase1_loss.append(group_demand * result.phase1_duration)
-            # Post-recovery load: the surviving prefix up to the initiator
-            # carries the pair's traffic either way; the recovery path
-            # carries it onward only when delivery succeeded.
-            for pair in group:
-                self._add_prefix_load(loads, pair)
-            if result.delivered and result.path is not None:
-                loads.add_path(result.path, group_demand)
+            group.add_load(loads, result)
 
         overloaded = loads.overloaded_links()
         record = TrafficScenarioRecord(
             utilization_hist=loads.utilization_cdf(),
             overload_attribution=self._attribute_overloads(
-                loads, overloaded, groups, by_case
+                loads, overloaded, plan, by_case
             ),
             approach=approach,
             scenario_index=scenario_index,
@@ -546,6 +596,7 @@ class TrafficEngine:
             overload_demand=loads.overload_demand(),
             admission_dropped_demand=math.fsum(admission_dropped),
         )
+        check_accounting(record)
         obs.inc(f"traffic.demand.delivered.{approach}", record.delivered_demand)
         obs.observe("traffic.max_utilization", record.max_utilization)
         if overloaded:
@@ -560,7 +611,7 @@ class TrafficEngine:
         self,
         loads: LinkLoadMap,
         overloaded: Sequence[Tuple[Link, float]],
-        groups: Dict[Tuple[int, int], List[DisruptedPair]],
+        plan: _WindowPlan,
         by_case: Dict[Tuple[int, int], CaseRecord],
     ) -> Tuple:
         """Top-k overload attribution (empty when nothing is overloaded).
@@ -578,41 +629,32 @@ class TrafficEngine:
             link: {} for link in top
         }
 
-        def charge(link: Link, source: int, destination: int, demand: float) -> None:
+        def charge(link: Link, pair: DisruptedPair) -> None:
             per_pair = contributions[link]
-            key = (source, destination)
-            per_pair[key] = per_pair.get(key, 0.0) + demand
+            key = (pair.source, pair.destination)
+            per_pair[key] = per_pair.get(key, 0.0) + pair.demand
 
-        for key in sorted(groups):
-            group = groups[key]
-            for pair in group:
-                for link in self._prefix_links(pair):
+        for group in plan.groups:
+            for pair, prefix in zip(group.pairs, group.prefixes):
+                for link in prefix:
                     if link in top:
-                        charge(link, pair.source, pair.destination, pair.demand)
-            result = by_case[key].result
+                        charge(link, pair)
+            result = by_case[group.key].result
             if result.delivered and result.path is not None:
                 for a, b in result.path.hops():
                     link = Link.of(a, b)
                     if link in top:
-                        for pair in group:
-                            charge(
-                                link, pair.source, pair.destination, pair.demand
-                            )
+                        for pair in group.pairs:
+                            charge(link, pair)
         return overload_attribution(loads, contributions)
 
-    def _prefix_links(self, pair: DisruptedPair) -> Iterator[Link]:
+    def _prefix_links(self, pair: DisruptedPair) -> Tuple[Link, ...]:
         """Links of the surviving default-path prefix source -> initiator."""
-        if pair.source == pair.initiator:
-            return
-        tree = self.routing.tree_to(pair.destination)
+        parent = self.routing.tree_to(pair.destination).parent
+        links = []
         node = pair.source
         while node != pair.initiator:
-            nxt = tree.next_hop(node)
-            assert nxt is not None  # the classification walk got through
-            yield Link.of(node, nxt)
+            nxt = parent[node]  # the classification walk got through
+            links.append(Link.of(node, nxt))
             node = nxt
-
-    def _add_prefix_load(self, loads: LinkLoadMap, pair: DisruptedPair) -> None:
-        """Load the surviving default-path prefix source -> initiator."""
-        for link in self._prefix_links(pair):
-            loads.add_link(link, pair.demand)
+        return tuple(links)

@@ -26,10 +26,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from ..errors import SimulationError
 from ..te.metrics import (
     merge_histograms,
     utilization_percentile,
 )
+
+#: Relative slack of the accounting identities: every side is an ``fsum``
+#: over a different partition of the same group demands, so honest records
+#: differ by rounding only.
+ACCOUNTING_TOLERANCE = 1e-9
 
 
 def safe_div(numerator: float, denominator: float) -> float:
@@ -94,6 +100,36 @@ class TrafficScenarioRecord:
     #: Demand shed by utilization-cap admission control (congestion-aware
     #: sweeps only; counted inside the drop totals, reported separately).
     admission_dropped_demand: float = 0.0
+
+
+def check_accounting(record: TrafficScenarioRecord) -> None:
+    """Raise :class:`SimulationError` unless the record's demand adds up.
+
+    Disrupted demand splits exactly into recoverable and irrecoverable;
+    a scheme cannot deliver more recoverable demand than exists; and
+    delivered and admission-shed groups are disjoint subsets of the
+    disrupted ones.  A record breaking any of these would otherwise
+    surface as a plausible-looking rate in a published row.
+    """
+    disrupted = record.disrupted_demand
+    slack = ACCOUNTING_TOLERANCE * max(1.0, disrupted)
+    split = record.recoverable_demand + record.irrecoverable_demand
+    handled = record.delivered_demand + record.admission_dropped_demand
+    if abs(split - disrupted) > slack:
+        broken = f"recoverable + irrecoverable demand {split!r} != disrupted {disrupted!r}"
+    elif record.delivered_recoverable_demand > record.recoverable_demand + slack:
+        broken = (
+            f"delivered recoverable demand {record.delivered_recoverable_demand!r}"
+            f" > recoverable {record.recoverable_demand!r}"
+        )
+    elif handled > disrupted + slack:
+        broken = f"delivered + admission-dropped demand {handled!r} > disrupted {disrupted!r}"
+    else:
+        return
+    raise SimulationError(
+        f"traffic accounting broken for {record.approach} "
+        f"scenario {record.scenario_index}: {broken}"
+    )
 
 
 @dataclass
@@ -174,7 +210,12 @@ def summarize_traffic(
     Sums use :func:`math.fsum` over the records in the order given —
     callers keep scenario order stable so serial and parallel sweeps
     produce bit-identical summaries.  Empty input yields an all-zero row.
+    Raises :class:`SimulationError` on a record whose demand does not add
+    up (:func:`check_accounting`) — records also arrive from checkpoints
+    and worker processes, not only from the engine that checked them.
     """
+    for record in records:
+        check_accounting(record)
     approach = records[0].approach if records else ""
     total_demand = math.fsum(r.total_demand for r in records)
     disrupted = math.fsum(r.disrupted_demand for r in records)

@@ -131,3 +131,39 @@ class TestParallelMerge:
         assert parallel_out == serial_out
         for key in DETERMINISTIC_COUNTERS:
             assert merged.get(key) == serial.get(key), key
+
+
+@pytest.mark.obs
+class TestTrafficWindowSpans:
+    """Demand weighting reports where a traffic window's time goes."""
+
+    def test_window_and_approach_granularity_only(self, paper_topo, paper_scenario):
+        from repro.traffic import TrafficEngine, aggregate_flows, uniform_matrix
+
+        flow_set = aggregate_flows(uniform_matrix(paper_topo, total_demand=100.0), 10_000)
+        approaches = ("RTR", "FCP", "OSPF")
+        off = TrafficEngine(paper_topo, flow_set, approaches=approaches).run_sweep(
+            [paper_scenario, paper_scenario]
+        )
+        assert obs.tracer.aggregate_snapshot() == {}
+
+        obs.enable()
+        obs.reset()
+        on = TrafficEngine(paper_topo, flow_set, approaches=approaches).run_sweep(
+            [paper_scenario, paper_scenario]
+        )
+        assert on == off
+        counts = {}
+        for path, data in obs.tracer.aggregate_snapshot().items():
+            parent, _, leaf = path.rpartition("/")
+            if leaf.startswith("traffic.") and leaf != "traffic.scenario":
+                assert parent.endswith("traffic.scenario"), path
+                assert data["total_s"] > 0.0
+                counts[leaf] = counts.get(leaf, 0) + data["count"]
+        # Two windows: one classification and one plan each, one weighting
+        # pass per approach — nothing per pair or per hop.
+        assert counts == {
+            "traffic.classify": 2,
+            "traffic.plan": 2,
+            "traffic.weight": 2 * len(approaches),
+        }

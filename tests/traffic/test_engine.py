@@ -1,17 +1,21 @@
 """Tests for repro.traffic.engine (classification + batched weighting)."""
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.routing import RoutingTable
 from repro.traffic import (
     TrafficEngine,
     aggregate_flows,
     classify_pairs,
     gravity_matrix,
+    summarize_traffic,
     uniform_matrix,
 )
+from repro.traffic.metrics import check_accounting
 
 
 @pytest.fixture()
@@ -95,3 +99,60 @@ class TestTrafficEngine:
         out = engine.run_sweep([paper_scenario, paper_scenario])
         assert [r.scenario_index for r in out["RTR"]] == [0, 1]
         assert set(out) == {"RTR", "FCP"}
+
+
+class TestAccountingIdentity:
+    """A record whose demand does not add up is an error, not a table row."""
+
+    @pytest.fixture()
+    def record(self, paper_topo, paper_scenario, flow_set):
+        engine = TrafficEngine(paper_topo, flow_set, approaches=("RTR",))
+        return engine.run_scenario(paper_scenario, 4)["RTR"]
+
+    def test_honest_record_passes(self, record):
+        check_accounting(record)
+        assert summarize_traffic([record]).scenarios == 1
+
+    @pytest.mark.parametrize(
+        "doctor, complaint",
+        [
+            (
+                lambda r: {"recoverable_demand": r.recoverable_demand + 1.0},
+                "recoverable + irrecoverable demand",
+            ),
+            (
+                lambda r: {
+                    "delivered_recoverable_demand": r.recoverable_demand * (1 + 1e-6)
+                },
+                "delivered recoverable demand",
+            ),
+            (
+                lambda r: {"admission_dropped_demand": r.disrupted_demand},
+                "delivered + admission-dropped demand",
+            ),
+        ],
+    )
+    def test_doctored_record_raises_one_line(self, record, doctor, complaint):
+        broken = dataclasses.replace(record, **doctor(record))
+        for check in (check_accounting, lambda r: summarize_traffic([record, r])):
+            with pytest.raises(SimulationError) as caught:
+                check(broken)
+            message = str(caught.value)
+            assert complaint in message and "RTR scenario 4" in message
+            assert "\n" not in message
+
+    def test_rounding_slack_is_relative(self, record):
+        nudged = dataclasses.replace(
+            record, recoverable_demand=record.recoverable_demand * (1 + 1e-12)
+        )
+        check_accounting(nudged)
+
+    def test_engine_checks_every_record_it_emits(
+        self, paper_topo, paper_scenario, flow_set, monkeypatch
+    ):
+        """The check sits on the engine's own output path, not only the summary's."""
+        engine = TrafficEngine(paper_topo, flow_set, approaches=("RTR", "FCP"))
+        checked = []
+        monkeypatch.setattr("repro.traffic.engine.check_accounting", checked.append)
+        out = engine.run_scenario(paper_scenario)
+        assert checked == [out["RTR"], out["FCP"]]
