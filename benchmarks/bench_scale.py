@@ -34,7 +34,6 @@ Usage::
 from __future__ import annotations
 
 import os
-import random
 import sys
 import time
 from pathlib import Path
@@ -62,11 +61,6 @@ SIZES = tuple(
 
 #: Roots per size for the per-tree timings (spread over the node range).
 N_ROOTS = 8
-
-#: Route walks per timed walk-plane batch (one convergence window's worth
-#: at internet scale), and the topology size the acceptance row pins.
-WALK_PLANE_ROUTES = 4096
-WALK_PLANE_NODES = 10_000
 
 TRAFFIC_PINNED = dict(
     topologies=("scale:50000",),
@@ -101,149 +95,6 @@ def time_single_source(topo, roots, backend: str) -> tuple:
     finally:
         del os.environ["REPRO_KERNEL"]
     return wall, [fingerprint(t) for t in trees]
-
-
-def walk_plane_routes(topo, count: int, seed: int) -> list:
-    """``count`` shortest-path source routes toward one hub destination.
-
-    One tree, many sources — the shape of a convergence window's
-    deliveries funneling to a destination.  Compiled once; both backends
-    replay the same routes.
-    """
-    nodes = sorted(topo.nodes())
-    dest = nodes[len(nodes) // 2]
-    tree = shortest_path_tree(topo, dest)
-    rng = random.Random(seed)
-    # Farthest sources first: long walks are where a sweep spends its
-    # hops, and ties are shuffled so the batch is not one subtree.
-    ranked = sorted(
-        (s for s in tree.dist if s != dest),
-        key=lambda s: (-tree.dist[s], rng.random()),
-    )
-    routes = []
-    for source in ranked[: count * 2]:
-        route = [source]
-        while route[-1] != dest:
-            route.append(tree.parent[route[-1]])
-        routes.append(route)
-        if len(routes) == count:
-            break
-    return routes
-
-
-def time_walk_plane(topo, routes, mode: str) -> tuple:
-    """(wall seconds, outcome fingerprints) for one walk backend.
-
-    Packets, accountings, and the request queue are built outside the
-    timed region; the clock covers only ``WalkBatch.execute``.
-    """
-    from repro.failures import FailureScenario, LocalView
-    from repro.simulator import (
-        ForwardingEngine,
-        Packet,
-        RecoveryAccounting,
-        WalkBatch,
-    )
-
-    engine = ForwardingEngine(topo, LocalView(FailureScenario(topo)))
-    os.environ["REPRO_WALK"] = mode
-    try:
-        if mode == "numpy":
-            # Warm the per-topology arc index (built once, cached on the
-            # CSR view) so the timed region measures steady-state batches.
-            warm = WalkBatch(engine)
-            warm.add_route(
-                Packet(source=routes[0][0], destination=routes[0][-1]),
-                routes[0],
-                RecoveryAccounting(),
-            )
-            warm.execute()
-        packets = [Packet(source=r[0], destination=r[-1]) for r in routes]
-        accs = [RecoveryAccounting() for _ in routes]
-        batch = WalkBatch(engine)
-        handles = [
-            batch.add_route(p, r, a) for p, r, a in zip(packets, routes, accs)
-        ]
-        t0 = time.perf_counter()
-        batch.execute()
-        wall = time.perf_counter() - t0
-        prints = [
-            (
-                batch.result(h).delivered,
-                p.at,
-                a.hops_traveled,
-                a.clock.hex(),
-            )
-            for h, p, a in zip(handles, packets, accs)
-        ]
-    finally:
-        del os.environ["REPRO_WALK"]
-    return wall, prints
-
-
-def bench_walk_plane(write: bool, lines: list) -> bool:
-    """The 10k-node walk-plane microbench; returns True on parity failure.
-
-    Runs on a 100x100 grid rather than the ``scale:`` expander: both are
-    10k nodes, but the expander's hop diameter is ~6 while the grid's is
-    ~200 — recovery walks long enough to show what batching the walk
-    phase buys (the expander amortizes nothing over 5-hop walks).
-    """
-    from repro.topology import grid_topology
-
-    n = WALK_PLANE_NODES
-    side = int(round(n**0.5))
-    topo = grid_topology(side, side)
-    assert topo.node_count == n
-    routes = walk_plane_routes(topo, WALK_PLANE_ROUTES, seed=1)
-    hops = sum(len(r) - 1 for r in routes)
-    params = dict(nodes=n, seed=0, routes=len(routes), hops=hops)
-
-    wall_py, prints_py = time_walk_plane(topo, routes, "python")
-    record_bench(
-        f"walk_plane_python@{n}",
-        wall_py,
-        len(routes),
-        0,
-        config_hash=config_hash(dict(params, backend="python")),
-        path=BENCH_SCALE_JSON,
-        extra=dict(nodes=n, links=topo.link_count, hops=hops, kernel="python"),
-        write_file=write,
-    )
-    if not numpy_available():
-        lines.append(
-            f"{n:>7} nodes  walk plane: {len(routes)} routes / {hops} hops  "
-            f"python {wall_py * 1e3:8.2f} ms  (numpy unavailable)"
-        )
-        return False
-
-    wall_np, prints_np = time_walk_plane(topo, routes, "numpy")
-    failed = prints_np != prints_py
-    if failed:
-        print(f"scale-bench: FAIL — walk-plane backend mismatch at {n} nodes")
-    speedup = wall_py / wall_np if wall_np > 0 else float("inf")
-    record_bench(
-        f"walk_plane_numpy@{n}",
-        wall_np,
-        len(routes),
-        0,
-        config_hash=config_hash(dict(params, backend="numpy")),
-        path=BENCH_SCALE_JSON,
-        extra=dict(
-            nodes=n,
-            links=topo.link_count,
-            hops=hops,
-            kernel="numpy",
-            speedup_vs_python=round(speedup, 2),
-        ),
-        write_file=write,
-    )
-    lines.append(
-        f"{n:>7} nodes  walk plane: {len(routes)} routes / {hops} hops  "
-        f"python {wall_py * 1e3:8.2f} ms  numpy {wall_np * 1e3:8.2f} ms  "
-        f"({speedup:.1f}x)"
-    )
-    return failed
 
 
 def main(argv: list) -> int:
@@ -330,9 +181,6 @@ def main(argv: list) -> int:
                 f"python {wall_py / len(roots) * 1e3:8.2f} ms/root  "
                 f"(numpy unavailable)"
             )
-
-    if WALK_PLANE_NODES in SIZES:
-        failed = bench_walk_plane(write, lines) or failed
 
     if 50_000 in SIZES:
         from repro.eval.experiments import traffic_weighted_table3

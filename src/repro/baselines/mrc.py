@@ -31,8 +31,8 @@ from ..simulator import (
     RecoveryAccounting,
     RecoveryResult,
     TableWalkSpec,
-    WalkBatch,
     WalkPlan,
+    run_plan,
     table_walk_hop_budget,
 )
 from ..topology import Link, Topology
@@ -92,7 +92,7 @@ class BackupConfiguration:
     def tree(self, destination: int) -> Dict[int, int]:
         """The (cached) next-hop map toward ``destination``.
 
-        This is the table the batched walk plane consumes directly: a
+        This is the table the walk plane consumes directly: a
         :class:`~repro.simulator.TableWalkSpec` over it is equivalent to
         per-hop :meth:`next_hop` calls, because the table-walk semantics
         check the destination *before* the lookup.
@@ -334,11 +334,7 @@ class MRC:
     ) -> RecoveryResult:
         """Forward one packet with at most one configuration switch."""
         plan = self.plan_recovery(initiator, destination, trigger_neighbor)
-        if plan.immediate is not None:
-            return plan.immediate
-        batch = WalkBatch(self.engine)
-        handle = batch.add(plan.spec, plan.packet, plan.accounting)
-        return plan.finish(batch.execute().result(handle))
+        return run_plan(self.engine, plan)
 
     def plan_supported(self) -> bool:
         """MRC cases always compile to one table walk.

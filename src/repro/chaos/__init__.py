@@ -14,13 +14,6 @@ from .plan import FaultPlan, SecondaryFailure, SecondaryRepair
 from .runtime import ChaosRuntime
 from .degraded import DegradedLocalView
 from .engine import ChaosForwardingEngine
-from .lowering import (
-    NULL_STEP_MASKS,
-    NullStepMasks,
-    RuntimeStepMasks,
-    lower_walk_faults,
-    walk_context_vector_safe,
-)
 
 __all__ = [
     "FaultPlan",
@@ -29,9 +22,4 @@ __all__ = [
     "ChaosRuntime",
     "DegradedLocalView",
     "ChaosForwardingEngine",
-    "NULL_STEP_MASKS",
-    "NullStepMasks",
-    "RuntimeStepMasks",
-    "lower_walk_faults",
-    "walk_context_vector_safe",
 ]

@@ -28,8 +28,7 @@ from ..simulator.delays import DelayModel
 from ..simulator.engine import ForwardingEngine
 from ..simulator.stats import RecoveryAccounting
 from ..simulator.trace import ForwardingTrace
-from ..topology import Topology
-from .lowering import RuntimeStepMasks
+from ..topology import Link, Topology
 from .runtime import ChaosRuntime
 
 log = obs.get_logger(__name__)
@@ -48,12 +47,15 @@ class ChaosForwardingEngine(ForwardingEngine):
     ) -> None:
         super().__init__(topo, view, delay_model, trace)
         self.runtime = runtime
-        # The injected-loss decision (and its message) lives in the walk
-        # plane's lowering so batch and per-packet paths share it.
-        self._step_masks = RuntimeStepMasks(runtime)
 
     def _chaos_check(self, packet: Packet, next_node: int) -> Optional[str]:
-        return self._step_masks.drop_reason(packet, next_node)
+        # One seeded loss draw per prospective transmission, in walk order.
+        if self.runtime.sample_packet_loss():
+            return (
+                f"recovery packet lost on link "
+                f"{Link.of(packet.at, next_node)} (injected loss)"
+            )
+        return None
 
     def forward_one_hop(
         self, packet: Packet, next_node: int, accounting: RecoveryAccounting

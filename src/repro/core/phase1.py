@@ -188,8 +188,7 @@ def run_phase1(
         return next_node
 
     # The sweep mutates header/constraint state every hop, so it compiles
-    # to an opaque callback spec — the plane always runs it on the
-    # reference backend.
+    # to an opaque callback spec.
     batch = WalkBatch(engine)
     handle = batch.add_callback_walk(
         packet, decide, accounting, on_overrun="raise" if strict else "truncate"

@@ -52,8 +52,8 @@ from ..simulator import (
     RecoveryAccounting,
     RecoveryResult,
     SourceRouteSpec,
-    WalkBatch,
     WalkPlan,
+    run_plan,
 )
 from ..topology import Link, Topology
 from .phase1 import Phase1Result, run_phase1
@@ -311,11 +311,7 @@ class RTR:
         """
         if self.plan_supported():
             plan = self.plan_recovery(initiator, destination, trigger_neighbor)
-            if plan.immediate is not None:
-                return plan.immediate
-            batch = WalkBatch(self.engine)
-            handle = batch.add(plan.spec, plan.packet, plan.accounting)
-            return plan.finish(batch.execute().result(handle))
+            return run_plan(self.engine, plan)
         return self._recover_ladder(initiator, destination, trigger_neighbor)
 
     def plan_supported(self) -> bool:

@@ -24,7 +24,6 @@ from .metrics import (
 )
 from .runner import ALL_APPROACHES, EvaluationRunner
 from .statistics import mean_interval, rate_row, rates_overlap, wilson_interval
-from . import episodes
 from . import experiments
 from . import motivation
 from . import parallel
@@ -60,7 +59,6 @@ __all__ = [
     "rate_row",
     "rates_overlap",
     "wilson_interval",
-    "episodes",
     "experiments",
     "motivation",
     "parallel",

@@ -171,16 +171,13 @@ def _gather_records(
     approaches: Sequence[str],
     jobs: Optional[int],
     shards_per_topology: Optional[int],
-    chunksize: int,
 ) -> Dict[str, Dict[str, List[CaseRecord]]]:
     """Fan (topology, shard) tasks out and reassemble serial-order records.
 
     Pool mechanics (worker obs snapshots, parent-side serial retry,
     sorted snapshot merge) live in :func:`repro.eval.sharding.run_sharded`.
-    ``chunksize`` is kept for API compatibility; tasks are submitted
-    individually so per-shard failures stay isolated.
+    Tasks are submitted individually so per-shard failures stay isolated.
     """
-    del chunksize  # submit() isolates failures; batching would pool them
     workers = jobs if jobs is not None else (os.cpu_count() or 1)
     n_shards = shards_per_topology if shards_per_topology is not None else workers
     n_shards = max(1, n_shards)
@@ -430,7 +427,6 @@ def parallel_table3(
     approaches: Sequence[str] = ALL_APPROACHES,
     jobs: Optional[int] = None,
     shards_per_topology: Optional[int] = None,
-    chunksize: int = 1,
 ) -> Dict[str, Dict]:
     """Table III via case-sharded process-pool execution.
 
@@ -438,7 +434,7 @@ def parallel_table3(
     :func:`~repro.eval.experiments.table3_recoverable` for the same seed.
     """
     merged = _gather_records(
-        topologies, n_cases, 0, seed, approaches, jobs, shards_per_topology, chunksize
+        topologies, n_cases, 0, seed, approaches, jobs, shards_per_topology
     )
     results: Dict[str, Dict] = {}
     pooled: Dict[str, List[CaseRecord]] = {a: [] for a in approaches}
@@ -464,7 +460,6 @@ def parallel_table4(
     approaches: Sequence[str] = ("RTR", "FCP"),
     jobs: Optional[int] = None,
     shards_per_topology: Optional[int] = None,
-    chunksize: int = 1,
 ) -> Dict[str, Dict]:
     """Table IV via case-sharded process-pool execution.
 
@@ -473,7 +468,7 @@ def parallel_table4(
     seed, including the headline ``Savings`` entry.
     """
     merged = _gather_records(
-        topologies, 0, n_cases, seed, approaches, jobs, shards_per_topology, chunksize
+        topologies, 0, n_cases, seed, approaches, jobs, shards_per_topology
     )
     results: Dict[str, Dict] = {}
     pooled: Dict[str, List[CaseRecord]] = {a: [] for a in approaches}

@@ -108,9 +108,8 @@ class EvaluationRunner:
 
         Within one convergence window, schemes that compile cases into
         walk plans (:meth:`~repro.schemes.SchemeInstance.can_plan`) have
-        all their walks executed through one :class:`WalkBatch` — the
-        vectorized backend then advances the whole window's packets
-        together.  Everything else runs the classic per-case loop.
+        all their walks executed through one :class:`WalkBatch`, in case
+        order.  Everything else runs the classic per-case loop.
         """
         records: Dict[str, List[CaseRecord]] = {a: [] for a in self.approaches}
         for scenario_index, cases in sorted(case_set.by_scenario().items()):

@@ -2,13 +2,6 @@
 
 from .model import FailureScenario
 from .detection import LocalView
-from .hello import (
-    BFD_TIMERS,
-    FAST_OSPF_TIMERS,
-    OSPF_TIMERS,
-    DetectionModel,
-    HelloConfig,
-)
 from .scenarios import (
     PAPER_RADIUS_RANGE,
     circle_scenarios,
@@ -21,11 +14,6 @@ from .scenarios import (
 __all__ = [
     "FailureScenario",
     "LocalView",
-    "BFD_TIMERS",
-    "FAST_OSPF_TIMERS",
-    "OSPF_TIMERS",
-    "DetectionModel",
-    "HelloConfig",
     "PAPER_RADIUS_RANGE",
     "circle_scenarios",
     "fixed_radius_scenarios",

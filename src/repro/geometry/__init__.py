@@ -2,14 +2,13 @@
 
 Everything RTR needs from the plane: points and counterclockwise angle
 arithmetic for the right-hand sweeping rule, segments and proper-crossing
-predicates for the ``cross_link`` constraints, failure-area regions, convex
-hulls, and precomputation of per-link crossing sets.
+predicates for the ``cross_link`` constraints, failure-area regions, and
+precomputation of per-link crossing sets.
 """
 
 from .point import EPSILON, TWO_PI, Point, ccw_angle, centroid, orientation
 from .segment import Segment, intersection_point, segments_cross, segments_intersect
 from .region import Circle, FailureRegion, HalfPlane, Polygon, UnionRegion
-from .hull import convex_hull, polygon_contains
 from .planarity import compute_cross_links, crossing_pairs, is_planar_embedding
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "HalfPlane",
     "Polygon",
     "UnionRegion",
-    "convex_hull",
-    "polygon_contains",
     "compute_cross_links",
     "crossing_pairs",
     "is_planar_embedding",

@@ -70,23 +70,14 @@ def numpy_run_count() -> int:
     return _NUMPY_RUNS
 
 
-def env_backend_mode(env_var: str, modes: Sequence[str], error: type) -> str:
-    """Validated backend mode from ``env_var`` (first of ``modes`` when unset).
-
-    Shared by ``REPRO_KERNEL`` (routing kernels) and ``REPRO_WALK`` (the
-    batched walk plane) so both dispatch variables parse identically.
-    """
-    mode = os.environ.get(env_var, modes[0]).strip().lower() or modes[0]
-    if mode not in modes:
-        raise error(
-            f"invalid {env_var}={mode!r}; expected one of {', '.join(modes)}"
-        )
-    return mode
-
-
 def kernel_mode() -> str:
     """The validated ``REPRO_KERNEL`` setting (``auto`` when unset)."""
-    return env_backend_mode(KERNEL_ENV, _MODES, RoutingError)
+    mode = os.environ.get(KERNEL_ENV, "auto").strip().lower() or "auto"
+    if mode not in _MODES:
+        raise RoutingError(
+            f"invalid {KERNEL_ENV}={mode!r}; expected one of {', '.join(_MODES)}"
+        )
+    return mode
 
 
 def numpy_available() -> bool:

@@ -39,17 +39,7 @@ from .walkspec import (
     WalkPlan,
 )
 
-# batch pulls in topology.npcsr and (lazily) chaos.lowering; import it last
-# so the engine/spec layers above never see a partially-initialized package.
-from .batch import (
-    AUTO_MIN_WALK_BATCH,
-    WALK_ENV,
-    WalkBatch,
-    batched_walk_count,
-    numpy_walks_available,
-    run_table_walk,
-    walk_mode,
-)
+from .batch import WalkBatch, run_plan, run_table_walk
 
 __all__ = [
     "BYTES_PER_ID",
@@ -84,11 +74,7 @@ __all__ = [
     "TableWalkOutcome",
     "TableWalkSpec",
     "WalkPlan",
-    "AUTO_MIN_WALK_BATCH",
-    "WALK_ENV",
     "WalkBatch",
-    "batched_walk_count",
-    "numpy_walks_available",
+    "run_plan",
     "run_table_walk",
-    "walk_mode",
 ]

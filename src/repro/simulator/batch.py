@@ -1,93 +1,49 @@
-"""The batched walk plane: backend-dispatched packet-walk mechanics.
+"""The walk plane: packet-walk mechanics behind the scheme decision layer.
 
 This is the mechanics half of the forwarding plane's decision/mechanics
 split (DESIGN.md §15).  Schemes compile each case into a walk spec
 (:mod:`repro.simulator.walkspec`); a :class:`WalkBatch` executes any mix
-of specs and hands each caller its outcome:
+of specs — one packet at a time, in insertion order, through the
+:class:`~repro.simulator.engine.ForwardingEngine` loops and the
+table-walk loop below — and hands each caller its outcome.
+:func:`run_plan` is the batch-of-one form a scheme's own ``recover``
+uses.
 
-* the **reference backend** runs one packet at a time through the
-  existing :class:`~repro.simulator.engine.ForwardingEngine` loops (and
-  the table-walk loop below) — bit-identical by construction, and the
-  only backend chaos-degraded walks ever use, because per-step fault
-  draws are order-dependent (:mod:`repro.chaos.lowering`);
-* the **numpy backend** advances all eligible packets over CSR arrays —
-  route hops are resolved with one vectorized arc lookup and blocked-arc
-  scan, table walks advance in lockstep one hop per step — and then
-  *replays* each packet's delay accounting sequentially (same float
-  additions in the same order), so clocks, header timelines, and
-  outcomes are byte-identical to the reference.
-
-Backend selection mirrors ``REPRO_KERNEL`` (DESIGN.md §12) through the
-``REPRO_WALK`` environment variable:
-
-* ``auto`` (default) — numpy when importable, the batch has at least
-  :data:`AUTO_MIN_WALK_BATCH` eligible walks, and the context is
-  vector-safe (reference engine, ground-truth view, no trace, the
-  constant-delay paper model); reference otherwise.
-* ``python`` — always the reference backend.
-* ``numpy`` — force the vector path for every *eligible* walk (batches
-  of one included); ineligible walks — callback specs, degraded
-  contexts, traces, non-constant delay models — always stay on the
-  reference backend.  Raises when numpy is not importable.
-
-Observability: every walk executed through the plane increments
-``simulator.walks.batched`` (vector path) or ``simulator.walks.fallback``
-(reference path — the engine entry points count themselves, so direct
-per-packet calls are visible too), and each batch records its size in the
+Observability: every walk increments ``simulator.walks.executed`` (the
+engine entry points count themselves, so direct per-packet calls are
+visible too), and each batch records its size in the
 ``simulator.walks.batch_size`` histogram.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .. import obs
 from ..errors import SimulationError
-from ..topology.npcsr import numpy_or_none, numpy_view
-from .delays import PaperDelayModel
-from .engine import ForwardingEngine, RouteOutcome
+from .engine import ForwardingEngine
 from .packet import Packet
-from .stats import RecoveryAccounting
+from .stats import RecoveryAccounting, RecoveryResult
 from .walkspec import (
     CallbackWalkSpec,
     SourceRouteSpec,
     TableWalkOutcome,
     TableWalkSpec,
+    WalkPlan,
 )
-
-#: Environment variable selecting the walk backend.
-WALK_ENV = "REPRO_WALK"
-
-_WALK_MODES = ("auto", "python", "numpy")
-
-#: ``auto`` only vectorizes batches with at least this many eligible
-#: walks — below it the per-batch numpy setup rivals the reference loop.
-AUTO_MIN_WALK_BATCH = 16
 
 #: Histogram bucket edges for the per-execute batch-size distribution.
 BATCH_SIZE_EDGES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 
-#: Walks executed on the vector backend in this process — lets tests
-#: assert the numpy path actually ran, symmetric with
-#: ``routing.kernels.numpy_run_count``.
-_BATCHED_RUNS = 0
-
 
 def batched_walk_count() -> int:
-    """Number of walks executed on the vector backend by this process."""
-    return _BATCHED_RUNS
+    """Walks executed by a vectorized engine in this process: always 0.
 
-
-def walk_mode() -> str:
-    """The validated ``REPRO_WALK`` setting (``auto`` when unset)."""
-    from ..routing.kernels import env_backend_mode
-
-    return env_backend_mode(WALK_ENV, _WALK_MODES, SimulationError)
-
-
-def numpy_walks_available() -> bool:
-    """Whether the vector walk backend can be used in this process."""
-    return numpy_or_none() is not None
+    There is one walk engine (DESIGN.md §15).  The accessor stays because
+    ``benchmarks/e2e`` resolves it by name for its ``simulator.walks_batched``
+    layer metric.
+    """
+    return 0
 
 
 def run_table_walk(
@@ -98,7 +54,7 @@ def run_table_walk(
     budget: int,
     accounting: RecoveryAccounting,
 ) -> TableWalkOutcome:
-    """Reference table walk: one packet, one next-hop table.
+    """Table walk: one packet, one next-hop table.
 
     Exactly the historical MRC loop: destination check before table
     lookup, an unreachable table hop drops (MRC may switch configurations
@@ -108,7 +64,7 @@ def run_table_walk(
     matching the historical per-scheme behaviour; a chaos engine still
     advances the hop clock through ``forward_one_hop``.
     """
-    obs.inc("simulator.walks.fallback")
+    obs.inc("simulator.walks.executed")
     visited = [packet.at]
     view = engine.view
     for _ in range(budget):
@@ -141,96 +97,6 @@ def run_table_walk(
     )
 
 
-class _WalkRequest:
-    __slots__ = ("spec", "packet", "accounting")
-
-    def __init__(self, spec, packet: Packet, accounting: RecoveryAccounting):
-        self.spec = spec
-        self.packet = packet
-        self.accounting = accounting
-
-
-class _PairIndex:
-    """Vectorized ``(node, neighbor) -> link id`` lookup for one CSR view.
-
-    Built once per topology version and cached on the view
-    (``CSRView.walk_np``): arc keys ``u_pos * n + v_pos`` sorted with
-    their link ids, so a whole batch of route hops resolves with one
-    ``searchsorted``.
-    """
-
-    __slots__ = ("np", "ids", "keys", "lids", "n", "m")
-
-    def __init__(self, csr) -> None:
-        np = numpy_or_none()
-        assert np is not None
-        mirror = numpy_view(csr)
-        assert mirror is not None
-        self.np = np
-        self.ids = mirror.ids
-        self.n = csr.n
-        deg = np.diff(mirror.indptr)
-        u = np.repeat(np.arange(csr.n, dtype=np.int64), deg)
-        keys = u * np.int64(csr.n) + mirror.nbr
-        order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        self.lids = mirror.lid[order]
-        self.m = int(len(keys))
-
-    def positions(self, nodes):
-        """(positions, valid) for an array of node ids."""
-        np = self.np
-        pos = np.searchsorted(self.ids, nodes)
-        clipped = np.minimum(pos, len(self.ids) - 1)
-        valid = self.ids[clipped] == nodes
-        return clipped, valid
-
-    def arc_lids(self, pos_u, pos_v):
-        """(lids, found) for arrays of endpoint positions."""
-        np = self.np
-        keys = pos_u * np.int64(self.n) + pos_v
-        j = np.searchsorted(self.keys, keys)
-        jc = np.minimum(j, self.m - 1)
-        found = self.keys[jc] == keys
-        return self.lids[jc], found
-
-
-def _pair_index(csr) -> _PairIndex:
-    cached = csr.walk_np
-    if cached is None:
-        cached = _PairIndex(csr)
-        csr.walk_np = cached
-    return cached
-
-
-def _replay_hops(
-    packet: Packet,
-    accounting: RecoveryAccounting,
-    hops: int,
-    hop_delay: float,
-    header_bytes: int,
-    final_node: int,
-) -> None:
-    """Apply ``hops`` constant-delay hops exactly as ``record_hop`` would.
-
-    The loop performs the same sequential float additions in the same
-    order as per-hop ``clock += delay``, so the clock and every timeline
-    entry are bit-identical to the reference backend.  Locals are bound
-    once — this runs per packet and is the vector path's Python floor.
-    """
-    if hops <= 0:
-        return
-    clock = accounting.clock
-    append = accounting.header_timeline.append
-    for _ in range(hops):
-        clock += hop_delay
-        append((clock, header_bytes))
-    accounting.clock = clock
-    accounting.hops_traveled += hops
-    packet.at = final_node
-    packet.recovery_hops += hops
-
-
 class WalkBatch:
     """Executes a batch of walk specs under one forwarding context.
 
@@ -240,16 +106,16 @@ class WalkBatch:
         h = batch.add(spec, packet, accounting)
         outcome = batch.execute().result(h)
 
-    ``execute`` runs every request exactly once; ineligible or demoted
-    requests run on the reference backend *in insertion order* (the
-    property seeded fault streams rely on).  A request that raises has
-    its exception captured and re-raised from :meth:`result`, so one bad
-    case cannot poison its batch neighbours.
+    ``execute`` runs every request exactly once, *in insertion order* —
+    the property seeded fault streams rely on: a chaos engine draws once
+    per prospective hop in walk order.  A request that raises has its
+    exception captured and re-raised from :meth:`result`, so one bad case
+    cannot poison its batch neighbours.
     """
 
     def __init__(self, engine: Optional[ForwardingEngine]) -> None:
         self.engine = engine
-        self._requests: List[_WalkRequest] = []
+        self._requests: List[Tuple[object, Packet, RecoveryAccounting]] = []
         self._results: Optional[List[object]] = None
 
     # -- request builders ----------------------------------------------
@@ -260,7 +126,7 @@ class WalkBatch:
             raise SimulationError("WalkBatch already executed; create a new batch")
         if self.engine is None:
             raise SimulationError("WalkBatch has no engine to execute walks with")
-        self._requests.append(_WalkRequest(spec, packet, accounting))
+        self._requests.append((spec, packet, accounting))
         return len(self._requests) - 1
 
     def add_route(
@@ -308,17 +174,9 @@ class WalkBatch:
             return self
         obs.observe("simulator.walks.batch_size", len(requests), BATCH_SIZE_EDGES)
 
-        vector_idx = self._select_vector_requests()
-        if vector_idx:
-            vector_idx = set(self._execute_vector(vector_idx, results))
-        # Reference pass, in insertion order: everything the vector path
-        # did not (or could not) take.  Order matters — seeded fault
-        # streams draw once per prospective hop in walk order.
         for i, request in enumerate(requests):
-            if i in vector_idx:
-                continue
             try:
-                results[i] = self._run_reference(request)
+                results[i] = self._run(*request)
             except Exception as exc:  # noqa: BLE001 — re-raised in result()
                 results[i] = _CapturedError(exc)
         return self
@@ -332,365 +190,23 @@ class WalkBatch:
             raise outcome.exc
         return outcome
 
-    # -- backend selection ---------------------------------------------
-
-    def _select_vector_requests(self) -> List[int]:
-        mode = walk_mode()
-        if mode == "python":
-            return []
-        if mode == "numpy" and not numpy_walks_available():
-            raise SimulationError(
-                f"{WALK_ENV}=numpy but numpy is not importable; "
-                "install numpy or unset the variable"
-            )
-        if not self._vector_context_ok():
-            return []
-        eligible = [
-            i
-            for i, request in enumerate(self._requests)
-            if isinstance(request.spec, (SourceRouteSpec, TableWalkSpec))
-        ]
-        if mode == "auto" and (
-            not numpy_walks_available() or len(eligible) < AUTO_MIN_WALK_BATCH
-        ):
-            return []
-        return eligible
-
-    def _vector_context_ok(self) -> bool:
-        from ..chaos.lowering import walk_context_vector_safe
-
-        engine = self.engine
-        if not walk_context_vector_safe(engine):
-            return False
-        if engine.trace is not None:
-            return False
-        # Only the constant paper model has a closed-form per-hop delay
-        # the replay can reuse; distance models vary per link.
-        return type(engine.delay_model) is PaperDelayModel
-
-    # -- reference backend ---------------------------------------------
-
-    def _run_reference(self, request: _WalkRequest):
-        spec = request.spec
+    def _run(self, spec, packet: Packet, accounting: RecoveryAccounting):
         engine = self.engine
         if isinstance(spec, SourceRouteSpec):
-            return engine.follow_source_route_outcome(
-                request.packet, spec.route, request.accounting
-            )
+            return engine.follow_source_route_outcome(packet, spec.route, accounting)
         if isinstance(spec, TableWalkSpec):
             return run_table_walk(
-                engine,
-                request.packet,
-                spec.next_hops,
-                spec.destination,
-                spec.budget,
-                request.accounting,
+                engine, packet, spec.next_hops, spec.destination, spec.budget, accounting
             )
         if isinstance(spec, CallbackWalkSpec):
             return engine.walk_outcome(
-                request.packet,
+                packet,
                 spec.decide,
-                request.accounting,
+                accounting,
                 max_hops=spec.max_hops,
                 on_overrun=spec.on_overrun,
             )
         raise SimulationError(f"unknown walk spec {type(spec).__name__}")
-
-    # -- vector backend -------------------------------------------------
-
-    def _execute_vector(self, indices: List[int], results: List[object]) -> List[int]:
-        """Run eligible requests vectorized; returns the handled indices."""
-        global _BATCHED_RUNS
-        engine = self.engine
-        delay = engine.delay_model.router_delay + engine.delay_model.propagation
-        csr = engine.topo.csr()
-        pidx = _pair_index(csr)
-        np = pidx.np
-        flags = np.frombuffer(
-            engine.view.scenario.failed_link_flags(), dtype=np.uint8
-        )
-
-        routes: List[int] = []
-        tables: List[int] = []
-        for i in indices:
-            spec = self._requests[i].spec
-            if isinstance(spec, SourceRouteSpec):
-                request = self._requests[i]
-                # Validation the reference would raise on (empty route,
-                # start mismatch) demotes to the reference backend so the
-                # exact exception comes from the canonical code path.
-                if not spec.route or spec.route[0] != request.packet.at:
-                    continue
-                routes.append(i)
-            else:
-                tables.append(i)
-
-        handled: List[int] = []
-        if routes:
-            handled.extend(
-                self._routes_vector(routes, results, pidx, flags, delay)
-            )
-        if tables:
-            handled.extend(
-                self._tables_vector(tables, results, pidx, flags, delay)
-            )
-        if handled:
-            _BATCHED_RUNS += len(handled)
-            obs.inc("simulator.walks.batched", len(handled))
-        return handled
-
-    def _routes_vector(
-        self, indices: List[int], results: List[object], pidx, flags, delay: float
-    ) -> List[int]:
-        np = pidx.np
-        requests = self._requests
-        cat_list: List[int] = []
-        lens = np.empty(len(indices), dtype=np.int64)
-        for k, i in enumerate(indices):
-            route = requests[i].spec.route
-            cat_list.extend(route)
-            lens[k] = len(route)
-        cat = np.asarray(cat_list, dtype=np.int64)
-        pos, ok_node = pidx.positions(cat)
-
-        ends = np.cumsum(lens)
-        pair_mask = np.ones(len(cat), dtype=bool)
-        pair_mask[ends - 1] = False
-        pu = np.flatnonzero(pair_mask)
-        lids, found = pidx.arc_lids(pos[pu], pos[pu + 1])
-        ok_pair = found & ok_node[pu] & ok_node[pu + 1]
-        blocked = (flags[lids] != 0) & ok_pair
-
-        pair_counts = lens - 1
-        pair_ends = np.cumsum(pair_counts)
-        pair_starts = pair_ends - pair_counts
-        # Requests whose route names an unknown node or non-adjacent hop
-        # demote to the reference backend for its exact error semantics.
-        bad = np.zeros(len(indices), dtype=bool)
-        bad_pos = np.flatnonzero(~ok_pair)
-        if len(bad_pos):
-            bad_req = np.searchsorted(pair_ends, bad_pos, side="right")
-            bad[bad_req] = True
-
-        block_pos = np.flatnonzero(blocked)
-        first_from = np.searchsorted(block_pos, pair_starts)
-
-        handled: List[int] = []
-        for k, i in enumerate(indices):
-            if bad[k]:
-                continue
-            request = requests[i]
-            route = request.spec.route
-            npairs = int(pair_counts[k])
-            j = int(first_from[k])
-            if j < len(block_pos) and block_pos[j] < pair_ends[k]:
-                hops = int(block_pos[j] - pair_starts[k])
-                delivered = False
-            else:
-                hops = npairs
-                delivered = True
-            header_bytes = request.packet.header.recovery_bytes()
-            _replay_hops(
-                request.packet,
-                request.accounting,
-                hops,
-                delay,
-                header_bytes,
-                route[hops],
-            )
-            if delivered:
-                results[i] = RouteOutcome(delivered=True, drop_node=None)
-            else:
-                results[i] = RouteOutcome(
-                    delivered=False,
-                    drop_node=route[hops],
-                    drop_reason=(
-                        f"route hop {route[hops]} -> {route[hops + 1]} is "
-                        f"unreachable (failure missed by phase 1)"
-                    ),
-                )
-            handled.append(i)
-        return handled
-
-    def _tables_vector(
-        self, indices: List[int], results: List[object], pidx, flags, delay: float
-    ) -> List[int]:
-        np = pidx.np
-        requests = self._requests
-        groups: Dict[Tuple[int, int, int], List[int]] = {}
-        for i in indices:
-            spec = requests[i].spec
-            key = (id(spec.next_hops), spec.destination, spec.budget)
-            groups.setdefault(key, []).append(i)
-
-        handled: List[int] = []
-        for (_, destination, budget), members in groups.items():
-            spec = requests[members[0]].spec
-            compiled = self._compile_table(spec.next_hops, pidx)
-            if compiled is None:
-                continue  # table names a non-adjacent hop: reference path
-            nh_pos, nh_lid = compiled
-            dest_arr, dest_ok = pidx.positions(
-                np.asarray([destination], dtype=np.int64)
-            )
-            starts, starts_ok = pidx.positions(
-                np.asarray([requests[i].packet.at for i in members], dtype=np.int64)
-            )
-            if not bool(dest_ok[0]) or not bool(starts_ok.all()):
-                continue
-            dest_pos = int(dest_arr[0])
-            self._lockstep_tables(
-                members,
-                results,
-                pidx,
-                flags,
-                delay,
-                nh_pos,
-                nh_lid,
-                starts,
-                dest_pos,
-                budget,
-            )
-            handled.extend(members)
-        return handled
-
-    @staticmethod
-    def _compile_table(next_hops, pidx):
-        np = pidx.np
-        if not next_hops:
-            nh_pos = np.full(pidx.n, -1, dtype=np.int64)
-            return nh_pos, nh_pos
-        nodes = np.fromiter(next_hops.keys(), dtype=np.int64, count=len(next_hops))
-        hops = np.fromiter(next_hops.values(), dtype=np.int64, count=len(next_hops))
-        pos_u, ok_u = pidx.positions(nodes)
-        pos_v, ok_v = pidx.positions(hops)
-        lids, found = pidx.arc_lids(pos_u, pos_v)
-        if not bool((ok_u & ok_v & found).all()):
-            return None
-        nh_pos = np.full(pidx.n, -1, dtype=np.int64)
-        nh_lid = np.full(pidx.n, -1, dtype=np.int64)
-        nh_pos[pos_u] = pos_v
-        nh_lid[pos_u] = lids
-        return nh_pos, nh_lid
-
-    def _lockstep_tables(
-        self,
-        members: List[int],
-        results: List[object],
-        pidx,
-        flags,
-        delay: float,
-        nh_pos,
-        nh_lid,
-        starts,
-        dest_pos: int,
-        budget: int,
-    ) -> None:
-        np = pidx.np
-        requests = self._requests
-        count = len(members)
-        cur = starts.astype(np.int64, copy=True)
-        active = np.arange(count, dtype=np.int64)
-        # 1 reached / 2 stuck / 3 blocked / 4 truncated
-        status = np.zeros(count, dtype=np.int8)
-        block_next = np.full(count, -1, dtype=np.int64)
-        hist_who: List[object] = []
-        hist_pos: List[object] = []
-        steps = 0
-        while active.size:
-            if steps == budget:
-                status[active] = 4
-                break
-            c = cur[active]
-            reached = c == dest_pos
-            if reached.any():
-                status[active[reached]] = 1
-                active = active[~reached]
-                c = cur[active]
-                if not active.size:
-                    break
-            nxt = nh_pos[c]
-            stuck = nxt < 0
-            if stuck.any():
-                status[active[stuck]] = 2
-                keep = ~stuck
-                active = active[keep]
-                c = c[keep]
-                nxt = nxt[keep]
-                if not active.size:
-                    break
-            lids = nh_lid[c]
-            blocked = flags[lids] != 0
-            if blocked.any():
-                hit = active[blocked]
-                status[hit] = 3
-                block_next[hit] = nxt[blocked]
-                keep = ~blocked
-                active = active[keep]
-                nxt = nxt[keep]
-                if not active.size:
-                    break
-            cur[active] = nxt
-            hist_who.append(active.copy())
-            hist_pos.append(nxt.copy())
-            steps += 1
-
-        # Reconstruct per-packet hop sequences from the step history.
-        seqs: List[List[int]] = [[] for _ in range(count)]
-        if hist_who:
-            all_who = np.concatenate(hist_who)
-            all_pos = np.concatenate(hist_pos)
-            all_step = np.concatenate(
-                [np.full(len(w), s, dtype=np.int64) for s, w in enumerate(hist_who)]
-            )
-            order = np.lexsort((all_step, all_who))
-            nodes_sorted = pidx.ids[all_pos[order]].tolist()
-            counts = np.bincount(all_who, minlength=count)
-            offset = 0
-            for k in range(count):
-                c_k = int(counts[k])
-                seqs[k] = nodes_sorted[offset : offset + c_k]
-                offset += c_k
-
-        for k, i in enumerate(members):
-            request = requests[i]
-            packet = request.packet
-            start_node = packet.at
-            seq = seqs[k]
-            visited = [start_node] + seq
-            final = visited[-1]
-            header_bytes = packet.header.recovery_bytes()
-            _replay_hops(
-                packet, request.accounting, len(seq), delay, header_bytes, final
-            )
-            code = int(status[k])
-            if code == 1:
-                results[i] = TableWalkOutcome(visited=visited, reached=True)
-            elif code == 2:
-                results[i] = TableWalkOutcome(
-                    visited=visited,
-                    reached=False,
-                    drop_node=final,
-                    drop_reason=f"no table next hop at {final}",
-                )
-            elif code == 3:
-                nxt_id = int(pidx.ids[block_next[k]])
-                results[i] = TableWalkOutcome(
-                    visited=visited,
-                    reached=False,
-                    drop_node=final,
-                    drop_reason=f"table hop {final} -> {nxt_id} is unreachable",
-                )
-            else:
-                results[i] = TableWalkOutcome(
-                    visited=visited,
-                    reached=False,
-                    drop_node=final,
-                    drop_reason=(
-                        f"table walk exceeded {budget} hops without terminating"
-                    ),
-                    truncated=True,
-                )
 
 
 class _CapturedError:
@@ -698,3 +214,12 @@ class _CapturedError:
 
     def __init__(self, exc: BaseException) -> None:
         self.exc = exc
+
+
+def run_plan(engine: Optional[ForwardingEngine], plan: WalkPlan) -> RecoveryResult:
+    """Run one compiled case to its result through a batch of one."""
+    if plan.immediate is not None:
+        return plan.immediate
+    batch = WalkBatch(engine)
+    handle = batch.add(plan.spec, plan.packet, plan.accounting)
+    return plan.finish(batch.execute().result(handle))

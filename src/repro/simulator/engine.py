@@ -140,7 +140,7 @@ class ForwardingEngine:
         ``truncated=True`` so degraded-mode callers can retry or fall back
         instead of aborting a whole experiment sweep.
         """
-        obs.inc("simulator.walks.fallback")
+        obs.inc("simulator.walks.executed")
         if on_overrun not in ("raise", "truncate"):
             raise ValueError(f"unknown on_overrun mode {on_overrun!r}")
         budget = (
@@ -215,7 +215,7 @@ class ForwardingEngine:
         a chaos-injected loss is reported with ``lost=True`` so callers
         can retransmit instead of learning a phantom failure.
         """
-        obs.inc("simulator.walks.fallback")
+        obs.inc("simulator.walks.executed")
         if not route:
             raise SimulationError(
                 f"source route is empty: packet {packet.packet_id} at "

@@ -1,12 +1,11 @@
 """Walk specs — the decision layer's contract with the walk plane.
 
 A recovery scheme's ``recover`` used to interleave *deciding* where a
-packet goes with *mechanically walking* it there.  The batched forwarding
-plane (:mod:`repro.simulator.batch`) splits that: each scheme compiles
-its per-case decision into one of three specs, and the mechanics layer
-executes any mix of them — per packet on the reference
-:class:`~repro.simulator.engine.ForwardingEngine`, or vectorized over CSR
-arrays when ``REPRO_WALK`` selects the numpy backend.
+packet goes with *mechanically walking* it there.  The walk plane
+(:mod:`repro.simulator.batch`) splits that: each scheme compiles its
+per-case decision into one of three specs, and the mechanics layer
+executes any mix of them, per packet, on the
+:class:`~repro.simulator.engine.ForwardingEngine`.
 
 * :class:`SourceRouteSpec` — an explicit node sequence (RTR phase-2 and
   r3 source-routed delivery, FCP's per-attempt routes).
@@ -15,8 +14,7 @@ arrays when ``REPRO_WALK`` selects the numpy backend.
   lowers to this shape).
 * :class:`CallbackWalkSpec` — an opaque per-hop decision function for
   genuinely stateful walks (RTR phase-1's sweeping rule mutates header
-  and constraint state every hop); always executed on the reference
-  backend.
+  and constraint state every hop).
 
 :class:`WalkPlan` packages one compiled case: either an ``immediate``
 :class:`~repro.simulator.stats.RecoveryResult` (walk-free schemes, early
@@ -63,7 +61,7 @@ class TableWalkSpec:
 
 @dataclass
 class CallbackWalkSpec:
-    """An opaque stateful walk — reference backend only."""
+    """An opaque stateful walk driven by a per-hop decision function."""
 
     decide: "NextHopFn"
     max_hops: Optional[int] = None

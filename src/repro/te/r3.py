@@ -55,8 +55,8 @@ from ..simulator import (
     RecoveryHeader,
     RecoveryResult,
     SourceRouteSpec,
-    WalkBatch,
     WalkPlan,
+    run_plan,
 )
 from ..topology import Link, Topology
 from .penalty import (
@@ -174,11 +174,7 @@ class _R3Protocol:
         self, initiator: int, destination: int, trigger_neighbor: int
     ) -> RecoveryResult:
         plan = self.plan_recovery(initiator, destination, trigger_neighbor)
-        if plan.immediate is not None:
-            return plan.immediate
-        batch = WalkBatch(self.engine)
-        handle = batch.add(plan.spec, plan.packet, plan.accounting)
-        return plan.finish(batch.execute().result(handle))
+        return run_plan(self.engine, plan)
 
     def plan_supported(self) -> bool:
         """Splicing consults the local view, so plans may only be deferred

@@ -67,7 +67,6 @@ class CSRView:
         "n",
         "lid_size",
         "np_cache",
-        "walk_np",
     )
 
     def __init__(self, topo: "Topology", version: int) -> None:
@@ -113,9 +112,6 @@ class CSRView:
         #: populated by ``npcsr.numpy_view`` (or preinstalled by the
         #: shared-memory attach path).  ``None`` until first use.
         self.np_cache = None
-        #: Lazily built pair-index cache for the batched walk plane
-        #: (``repro.simulator.batch._pair_index``).  ``None`` until first use.
-        self.walk_np = None
 
     # ------------------------------------------------------------------
     # Exclusion flags and signatures

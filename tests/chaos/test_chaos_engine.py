@@ -86,6 +86,37 @@ class TestPacketLoss:
         assert counts[0] == counts[1]
 
 
+    def test_loss_stream_pinned(self, ring8):
+        # One seeded draw per prospective hop, in walk order: any change
+        # to when or how often the loss RNG is drawn moves these strings.
+        engine, runtime = make_chaos_engine(
+            ring8, FaultPlan(seed=2012, packet_loss_rate=0.2)
+        )
+        routes, walks = "", ""
+        for i in range(50):
+            start = i % 8
+            route = [(start + k) % 8 for k in range(4)]
+            outcome = engine.follow_source_route_outcome(
+                Packet(source=start, destination=route[-1]), route, RecoveryAccounting()
+            )
+            routes += "1" if outcome.lost else "0"
+        for i in range(50):
+            start = i % 8
+            stop = (start + 5) % 8
+            outcome = engine.walk_outcome(
+                Packet(source=start, destination=stop),
+                lambda n, p, stop=stop: None if n == stop else (n - 1) % 8,
+                RecoveryAccounting(),
+            )
+            walks += "1" if outcome.lost else "0"
+        assert routes == "01010110011111111111011001111000111000010101101011"
+        assert walks == "11010101000100001110001110001010011001100000111111"
+        assert (runtime.packets_lost, runtime.hops) == (55, 186)
+        assert outcome.drop_reason == (
+            "recovery packet lost on link e6,7 (injected loss)"
+        )
+
+
 class TestHeaderCorruption:
     def test_collecting_header_truncated(self, ring8):
         engine, runtime = make_chaos_engine(

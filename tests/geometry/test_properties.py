@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import (
@@ -10,8 +10,6 @@ from repro.geometry import (
     Point,
     Segment,
     ccw_angle,
-    convex_hull,
-    polygon_contains,
     segments_cross,
     segments_intersect,
 )
@@ -98,20 +96,3 @@ class TestCircleProperties:
         assert circle.crosses(s) == (
             s.distance_to_point(center) <= radius + 1e-9
         )
-
-
-class TestHullProperties:
-    @settings(max_examples=50)
-    @given(st.lists(points, min_size=3, max_size=30))
-    def test_hull_contains_all_points(self, pts):
-        hull = convex_hull(pts)
-        if len(hull) < 3:
-            return
-        for p in pts:
-            assert polygon_contains(hull, p)
-
-    @settings(max_examples=50)
-    @given(st.lists(points, min_size=1, max_size=30))
-    def test_hull_vertices_are_input_points(self, pts):
-        hull = convex_hull(pts)
-        assert set(hull) <= set(pts)

@@ -1,30 +1,33 @@
-"""Unit tests for the batched walk plane (repro.simulator.batch).
+"""Unit tests for the walk plane (repro.simulator.batch).
 
-Backend dispatch, parity of the vector backend against the reference
-loops (clocks compared bit-exactly via ``float.hex``), per-request error
-capture, and the observability surface.
+Batch lifecycle, insertion-order execution, per-request error capture,
+the table-walk semantics (clocks compared bit-exactly via ``float.hex``),
+``run_plan``, and the observability surface.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.errors import ForwardingLoopError, SimulationError
+from repro.chaos import ChaosForwardingEngine, ChaosRuntime, FaultPlan
+from repro.errors import SimulationError, UnknownLinkError
 from repro.failures import FailureScenario, LocalView
 from repro.simulator import (
     ForwardingEngine,
     Packet,
     RecoveryAccounting,
+    RecoveryResult,
+    SourceRouteSpec,
     WalkBatch,
-    batched_walk_count,
-    numpy_walks_available,
-    walk_mode,
+    WalkPlan,
+    run_plan,
 )
-from repro.simulator import batch as batch_module
+from repro.simulator.batch import batched_walk_count
 from repro.topology import Link
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_walks_available(), reason="numpy not importable"
-)
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def make_engine(topo, failed_nodes=(), failed_links=()):
@@ -32,283 +35,12 @@ def make_engine(topo, failed_nodes=(), failed_links=()):
     return ForwardingEngine(topo, LocalView(scenario))
 
 
-def route_fingerprint(packet, acc, outcome):
-    return (
-        packet.at,
-        packet.recovery_hops,
-        acc.hops_traveled,
-        acc.clock.hex(),
-        [(t.hex(), b) for t, b in acc.header_timeline],
-        outcome.delivered,
-        outcome.drop_node,
-        outcome.drop_reason,
-    )
-
-
-def table_fingerprint(packet, acc, outcome):
-    return (
-        packet.at,
-        acc.hops_traveled,
-        acc.clock.hex(),
-        [(t.hex(), b) for t, b in acc.header_timeline],
-        tuple(outcome.visited),
-        outcome.reached,
-        outcome.drop_node,
-        outcome.drop_reason,
-        outcome.truncated,
-    )
-
-
-def run_route(engine, route, monkeypatch, mode, start=None):
-    monkeypatch.setenv("REPRO_WALK", mode)
-    packet = Packet(source=route[0] if start is None else start, destination=route[-1])
-    acc = RecoveryAccounting()
-    batch = WalkBatch(engine)
-    handle = batch.add_route(packet, route, acc)
-    outcome = batch.execute().result(handle)
-    return route_fingerprint(packet, acc, outcome)
-
-
-def run_table(engine, start, table, destination, budget, monkeypatch, mode):
-    monkeypatch.setenv("REPRO_WALK", mode)
+def run_table(engine, start, table, destination, budget):
     packet = Packet(source=start, destination=destination)
     acc = RecoveryAccounting()
     batch = WalkBatch(engine)
     handle = batch.add_table_walk(packet, table, destination, budget, acc)
-    outcome = batch.execute().result(handle)
-    return table_fingerprint(packet, acc, outcome)
-
-
-class TestDispatch:
-    def test_walk_mode_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WALK", raising=False)
-        assert walk_mode() == "auto"
-
-    def test_invalid_mode_rejected(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "fortran")
-        batch = WalkBatch(make_engine(ring8))
-        batch.add_route(Packet(source=0, destination=1), [0, 1], RecoveryAccounting())
-        with pytest.raises(SimulationError):
-            batch.execute()
-
-    def test_python_mode_never_vectorizes(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "python")
-        engine = make_engine(ring8)
-        batch = WalkBatch(engine)
-        handles = []
-        for _ in range(batch_module.AUTO_MIN_WALK_BATCH + 4):
-            handles.append(
-                batch.add_route(
-                    Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-                )
-            )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before
-        assert all(batch.result(h).delivered for h in handles)
-
-    @needs_numpy
-    def test_numpy_mode_vectorizes_a_batch_of_one(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        batch = WalkBatch(make_engine(ring8))
-        handle = batch.add_route(
-            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-        )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before + 1
-        assert batch.result(handle).delivered
-
-    @needs_numpy
-    def test_auto_below_threshold_stays_reference(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "auto")
-        batch = WalkBatch(make_engine(ring8))
-        batch.add_route(
-            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-        )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before
-
-    @needs_numpy
-    def test_auto_at_threshold_vectorizes(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "auto")
-        batch = WalkBatch(make_engine(ring8))
-        n = batch_module.AUTO_MIN_WALK_BATCH
-        for _ in range(n):
-            batch.add_route(
-                Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-            )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before + n
-
-    def test_numpy_mode_without_numpy_raises(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        monkeypatch.setattr(batch_module, "numpy_walks_available", lambda: False)
-        batch = WalkBatch(make_engine(ring8))
-        batch.add_route(
-            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-        )
-        with pytest.raises(SimulationError, match="REPRO_WALK=numpy"):
-            batch.execute()
-
-    @needs_numpy
-    def test_callback_specs_never_vectorize(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        batch = WalkBatch(make_engine(ring8))
-        handle = batch.add_callback_walk(
-            Packet(source=0, destination=0),
-            lambda node, pkt: (node + 1) if node < 3 else None,
-            RecoveryAccounting(),
-        )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before
-        assert batch.result(handle).visited == [0, 1, 2, 3]
-
-    @needs_numpy
-    def test_chaos_context_never_vectorizes(self, ring8, monkeypatch):
-        from repro.chaos import ChaosForwardingEngine, ChaosRuntime, FaultPlan
-
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        scenario = FailureScenario(ring8)
-        plan = FaultPlan(seed=7, packet_loss_rate=0.0)
-        runtime = ChaosRuntime(plan, scenario)
-        engine = ChaosForwardingEngine(
-            ring8, LocalView(scenario), runtime,
-            make_engine(ring8).delay_model,
-        )
-        batch = WalkBatch(engine)
-        handle = batch.add_route(
-            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-        )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before
-        assert batch.result(handle).delivered
-
-
-@needs_numpy
-class TestVectorParity:
-    """Bit-identical outcomes: numpy backend vs the reference loops."""
-
-    def test_route_delivered(self, ring8, monkeypatch):
-        route = [0, 1, 2, 3]
-        ref = run_route(make_engine(ring8), route, monkeypatch, "python")
-        vec = run_route(make_engine(ring8), route, monkeypatch, "numpy")
-        assert vec == ref
-        assert vec[5] is True  # delivered
-
-    def test_route_blocked_midway(self, ring8, monkeypatch):
-        failed = [Link.of(2, 3)]
-        route = [0, 1, 2, 3, 4]
-        ref = run_route(
-            make_engine(ring8, failed_links=failed), route, monkeypatch, "python"
-        )
-        vec = run_route(
-            make_engine(ring8, failed_links=failed), route, monkeypatch, "numpy"
-        )
-        assert vec == ref
-        assert "route hop 2 -> 3 is unreachable" in vec[7]
-
-    def test_route_invalid_start_demotes_to_reference_error(
-        self, ring8, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        batch = WalkBatch(make_engine(ring8))
-        handle = batch.add_route(
-            Packet(source=0, destination=2), [1, 2], RecoveryAccounting()
-        )
-        before = batched_walk_count()
-        batch.execute()
-        assert batched_walk_count() == before
-        with pytest.raises(ForwardingLoopError):
-            batch.result(handle)
-
-    @pytest.mark.parametrize(
-        "table, destination, budget, expect",
-        [
-            ({0: 1, 1: 2}, 2, 40, "reached"),
-            ({0: 1}, 2, 40, "stuck"),
-            ({0: 1, 1: 0}, 2, 5, "truncated"),
-        ],
-    )
-    def test_table_walk_statuses(
-        self, tiny_line, monkeypatch, table, destination, budget, expect
-    ):
-        ref = run_table(
-            make_engine(tiny_line), 0, table, destination, budget, monkeypatch, "python"
-        )
-        vec = run_table(
-            make_engine(tiny_line), 0, table, destination, budget, monkeypatch, "numpy"
-        )
-        assert vec == ref
-        reached, truncated = vec[5], vec[8]
-        assert reached == (expect == "reached")
-        assert truncated == (expect == "truncated")
-
-    def test_table_walk_blocked_hop(self, tiny_line, monkeypatch):
-        failed = [Link.of(1, 2)]
-        args = (0, {0: 1, 1: 2}, 2, 40)
-        ref = run_table(
-            make_engine(tiny_line, failed_links=failed), *args, monkeypatch, "python"
-        )
-        vec = run_table(
-            make_engine(tiny_line, failed_links=failed), *args, monkeypatch, "numpy"
-        )
-        assert vec == ref
-        assert "table hop 1 -> 2 is unreachable" in vec[7]
-
-    def test_table_walk_destination_on_budget_boundary(self, tiny_line, monkeypatch):
-        # Reaching the destination on exactly the budget-th hop truncates
-        # in the scalar loop (the destination check happens at the top of
-        # the next iteration, which never runs); lockstep must match.
-        args = (0, {0: 1, 1: 2}, 2, 2)
-        ref = run_table(make_engine(tiny_line), *args, monkeypatch, "python")
-        vec = run_table(make_engine(tiny_line), *args, monkeypatch, "numpy")
-        assert vec == ref
-        assert vec[8] is True  # truncated despite sitting on the destination
-
-    def test_table_with_non_adjacent_hop_demotes(self, tiny_line, monkeypatch):
-        # A table naming a non-adjacent hop cannot compile to arc lookups;
-        # the request demotes so the reference raises its exact error.
-        from repro.errors import UnknownLinkError
-
-        before = batched_walk_count()
-        for mode in ("python", "numpy"):
-            with pytest.raises(UnknownLinkError):
-                run_table(
-                    make_engine(tiny_line), 0, {0: 2}, 2, 40, monkeypatch, mode
-                )
-        assert batched_walk_count() == before
-
-    def test_mixed_batch(self, ring8, monkeypatch):
-        # Routes, tables, and a callback in one batch under numpy: each
-        # outcome identical to a fresh python-mode batch.
-        def scenario(mode):
-            monkeypatch.setenv("REPRO_WALK", mode)
-            engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
-            batch = WalkBatch(engine)
-            prints = []
-            p1, a1 = Packet(source=0, destination=3), RecoveryAccounting()
-            h1 = batch.add_route(p1, [0, 1, 2, 3], a1)
-            p2, a2 = Packet(source=3, destination=6), RecoveryAccounting()
-            h2 = batch.add_route(p2, [3, 4, 5, 6], a2)
-            p3, a3 = Packet(source=0, destination=4), RecoveryAccounting()
-            h3 = batch.add_table_walk(p3, {i: i + 1 for i in range(4)}, 4, 40, a3)
-            p4, a4 = Packet(source=7, destination=7), RecoveryAccounting()
-            h4 = batch.add_callback_walk(
-                p4, lambda node, pkt: None, a4
-            )
-            batch.execute()
-            prints.append(route_fingerprint(p1, a1, batch.result(h1)))
-            prints.append(route_fingerprint(p2, a2, batch.result(h2)))
-            prints.append(table_fingerprint(p3, a3, batch.result(h3)))
-            prints.append(tuple(batch.result(h4).visited))
-            return prints
-
-        assert scenario("numpy") == scenario("python")
+    return packet, acc, batch.execute().result(handle)
 
 
 class TestLifecycle:
@@ -341,8 +73,7 @@ class TestLifecycle:
                 Packet(source=0, destination=1), [0, 1], RecoveryAccounting()
             )
 
-    def test_exceptions_are_captured_per_request(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "python")
+    def test_exceptions_are_captured_per_request(self, ring8):
         batch = WalkBatch(make_engine(ring8))
 
         def exploding(node, pkt):
@@ -359,6 +90,156 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="synthetic walk crash"):
             batch.result(bad)
 
+    def test_requests_execute_in_insertion_order(self, ring8):
+        # A chaos engine draws its seeded loss stream once per prospective
+        # hop, so one batch must lose exactly the packets the same walks
+        # lose when driven one by one in the order they were added.
+        def chaos_engine():
+            scenario = FailureScenario(ring8)
+            runtime = ChaosRuntime(FaultPlan(seed=3, packet_loss_rate=0.3), scenario)
+            return ChaosForwardingEngine(ring8, LocalView(scenario), runtime)
+
+        routes = [[(s + k) % 8 for k in range(4)] for s in range(8)]
+
+        def circle(node, pkt):
+            return None if node == pkt.destination else (node + 1) % 8
+
+        engine = chaos_engine()
+        one_by_one = []
+        for route in routes:
+            start, end = route[0], route[-1]
+            one_by_one.append(
+                engine.follow_source_route_outcome(
+                    Packet(source=start, destination=end), route, RecoveryAccounting()
+                ).lost
+            )
+            one_by_one.append(
+                engine.walk_outcome(
+                    Packet(source=start, destination=end), circle, RecoveryAccounting()
+                ).lost
+            )
+
+        batch = WalkBatch(chaos_engine())
+        handles = []
+        for route in routes:
+            start, end = route[0], route[-1]
+            handles.append(
+                batch.add_route(
+                    Packet(source=start, destination=end), route, RecoveryAccounting()
+                )
+            )
+            handles.append(
+                batch.add_callback_walk(
+                    Packet(source=start, destination=end), circle, RecoveryAccounting()
+                )
+            )
+        batch.execute()
+        batched = [batch.result(h).lost for h in handles]
+        assert batched == one_by_one
+        assert any(batched) and not all(batched)
+
+    def test_mixed_batch(self, ring8):
+        # Routes, a table and a callback in one batch: each request gets
+        # its own outcome type and its own accounting.
+        engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
+        batch = WalkBatch(engine)
+        p1, a1 = Packet(source=0, destination=3), RecoveryAccounting()
+        h1 = batch.add_route(p1, [0, 1, 2, 3], a1)
+        p2, a2 = Packet(source=3, destination=6), RecoveryAccounting()
+        h2 = batch.add_route(p2, [3, 4, 5, 6], a2)
+        p3, a3 = Packet(source=0, destination=4), RecoveryAccounting()
+        h3 = batch.add_table_walk(p3, {i: i + 1 for i in range(4)}, 4, 40, a3)
+        p4, a4 = Packet(source=7, destination=7), RecoveryAccounting()
+        h4 = batch.add_callback_walk(p4, lambda node, pkt: None, a4)
+        batch.execute()
+
+        assert batch.result(h1).delivered and (p1.at, a1.hops_traveled) == (3, 3)
+        blocked = batch.result(h2)
+        assert not blocked.delivered and blocked.drop_node == 4
+        assert (p2.at, a2.hops_traveled) == (4, 1)
+        table = batch.result(h3)
+        assert table.reached and table.visited == [0, 1, 2, 3, 4]
+        assert 0.0 < a2.clock < a1.clock < a3.clock  # 1, 3 and 4 hops
+        assert batch.result(h4).visited == [7] and a4.hops_traveled == 0
+
+
+class TestTableWalk:
+    @pytest.mark.parametrize(
+        "table, destination, budget, expect",
+        [
+            ({0: 1, 1: 2}, 2, 40, "reached"),
+            ({0: 1}, 2, 40, "stuck"),
+            ({0: 1, 1: 0}, 2, 5, "truncated"),
+        ],
+    )
+    def test_table_walk_statuses(self, tiny_line, table, destination, budget, expect):
+        packet, acc, outcome = run_table(
+            make_engine(tiny_line), 0, table, destination, budget
+        )
+        assert outcome.reached == (expect == "reached")
+        assert outcome.truncated == (expect == "truncated")
+        assert outcome.visited[-1] == packet.at
+        assert acc.hops_traveled == len(outcome.visited) - 1
+        assert len(acc.header_timeline) == acc.hops_traveled
+        if expect == "stuck":
+            assert outcome.drop_reason == "no table next hop at 1"
+        if expect == "truncated":
+            assert acc.hops_traveled == budget
+
+    def test_table_walk_blocked_hop(self, tiny_line):
+        engine = make_engine(tiny_line, failed_links=[Link.of(1, 2)])
+        packet, acc, outcome = run_table(engine, 0, {0: 1, 1: 2}, 2, 40)
+        assert not outcome.reached and outcome.drop_node == 1
+        assert "table hop 1 -> 2 is unreachable" in outcome.drop_reason
+        assert (packet.at, acc.hops_traveled) == (1, 1)
+
+    def test_table_walk_destination_on_budget_boundary(self, tiny_line):
+        # Reaching the destination on exactly the budget-th hop truncates:
+        # the destination check happens at the top of the next iteration,
+        # which never runs.
+        packet, _, outcome = run_table(make_engine(tiny_line), 0, {0: 1, 1: 2}, 2, 2)
+        assert packet.at == 2
+        assert outcome.truncated and not outcome.reached
+
+    def test_table_with_non_adjacent_hop_raises(self, tiny_line):
+        with pytest.raises(UnknownLinkError):
+            run_table(make_engine(tiny_line), 0, {0: 2}, 2, 40)
+
+
+class TestRunPlan:
+    def test_immediate_plan_needs_no_engine(self):
+        done = RecoveryResult(
+            approach="X", delivered=False, path=None, accounting=RecoveryAccounting()
+        )
+        assert run_plan(None, WalkPlan(immediate=done)) is done
+
+    def test_delivered_route_reaches_finish(self, ring8):
+        packet, acc = Packet(source=0, destination=2), RecoveryAccounting()
+        plan = WalkPlan(
+            spec=SourceRouteSpec(route=[0, 1, 2]),
+            packet=packet,
+            accounting=acc,
+            finish=lambda outcome: RecoveryResult(
+                approach="X", delivered=outcome.delivered, path=None, accounting=acc
+            ),
+        )
+        result = run_plan(make_engine(ring8), plan)
+        assert result.delivered and packet.at == 2
+        assert result.accounting.hops_traveled == 2
+
+    def test_finish_exception_propagates(self, ring8):
+        def finish(outcome):
+            raise RuntimeError("synthetic finish crash")
+
+        plan = WalkPlan(
+            spec=SourceRouteSpec(route=[0, 1]),
+            packet=Packet(source=0, destination=1),
+            accounting=RecoveryAccounting(),
+            finish=finish,
+        )
+        with pytest.raises(RuntimeError, match="synthetic finish crash"):
+            run_plan(make_engine(ring8), plan)
+
 
 class TestObservability:
     @pytest.fixture(autouse=True)
@@ -371,8 +252,7 @@ class TestObservability:
         if not prior:
             obs.disable()
 
-    def test_fallback_counter_and_batch_histogram(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "python")
+    def test_executed_counter_and_batch_histogram(self, ring8):
         batch = WalkBatch(make_engine(ring8))
         for _ in range(3):
             batch.add_route(
@@ -380,27 +260,13 @@ class TestObservability:
             )
         batch.execute()
         metrics = obs.snapshot()["metrics"]
-        assert metrics["counters"]["simulator.walks.fallback"] == 3
+        assert metrics["counters"]["simulator.walks.executed"] == 3
         hist = metrics["histograms"]["simulator.walks.batch_size"]
         assert hist["count"] == 1 and hist["sum"] == 3.0
 
-    @needs_numpy
-    def test_batched_counter(self, ring8, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK", "numpy")
-        batch = WalkBatch(make_engine(ring8))
-        for _ in range(2):
-            batch.add_route(
-                Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
-            )
-        batch.execute()
-        counters = obs.snapshot()["metrics"]["counters"]
-        assert counters["simulator.walks.batched"] == 2
-        assert "simulator.walks.fallback" not in counters
-
-    def test_counters_visible_in_obs_report(self, ring8, monkeypatch):
+    def test_counters_visible_in_obs_report(self, ring8):
         # The `repro obs report` rendering must surface the walk-plane
-        # counters and the batch-size histogram.
-        monkeypatch.setenv("REPRO_WALK", "python")
+        # counter and the batch-size histogram.
         batch = WalkBatch(make_engine(ring8))
         batch.add_route(
             Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
@@ -413,5 +279,36 @@ class TestObservability:
             "events": [],
         }
         text = obs.render_report(run)
-        assert "simulator.walks.fallback" in text
+        assert "simulator.walks.executed" in text
         assert "simulator.walks.batch_size" in text
+
+
+class TestOneWalkEngine:
+    """Source scans: the removed second engine and its knob stay removed."""
+
+    def test_walk_and_chaos_layers_do_not_import_numpy(self):
+        pattern = re.compile(r"^\s*(from|import)\s.*\b(numpy|npcsr)\b", re.MULTILINE)
+        offenders = [
+            str(path.relative_to(ROOT))
+            for package in ("simulator", "chaos")
+            for path in (ROOT / "src" / "repro" / package).rglob("*.py")
+            if pattern.search(path.read_text())
+        ]
+        assert offenders == []
+
+    def test_batched_walk_count_stays_resolvable(self):
+        # benchmarks/e2e/metrics.py binds this accessor by name.
+        assert batched_walk_count() == 0
+
+    def test_walk_backend_variable_is_gone(self):
+        scanned = [ROOT / "README.md", ROOT / "DESIGN.md"]
+        for folder in ("src", "docs", ".github"):
+            scanned.extend(
+                path
+                for path in (ROOT / folder).rglob("*")
+                if path.is_file() and path.suffix in (".py", ".md", ".yml", ".json")
+            )
+        offenders = [
+            str(path.relative_to(ROOT)) for path in scanned if "REPRO_WALK" in path.read_text()
+        ]
+        assert offenders == []

@@ -1,9 +1,11 @@
-"""Walk-plane backend parity: the ISSUE's bit-identity property suite.
+"""Path parity: the window-batched runner against per-case ``recover``.
 
 Random topologies x every registered scheme x chaos on/off, swept through
-both ``REPRO_WALK`` backends — the full result streams must be
-bit-identical (floats compared via ``float.hex``).  Plus the golden
-Table III/IV snapshot byte-parity under ``REPRO_WALK=numpy``.
+the two ways a case can run — ``EvaluationRunner.run`` (one
+:class:`~repro.simulator.WalkBatch` per convergence window for schemes
+that compile plans) and a plain ``instantiate`` -> ``recover`` loop.  The
+full result streams must be bit-identical (floats compared via
+``float.hex``).  Plus the golden Table III/IV snapshot byte check.
 """
 
 import random
@@ -13,12 +15,7 @@ import pytest
 from repro.chaos import FaultPlan, SecondaryFailure
 from repro.eval import EvaluationRunner, generate_cases
 from repro.schemes import scheme_names
-from repro.simulator import batched_walk_count, numpy_walks_available
 from repro.topology.generators import geometric_isp
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_walks_available(), reason="numpy not importable"
-)
 
 ALL_SCHEMES = scheme_names()
 
@@ -40,12 +37,11 @@ def _hex(value):
     return float(value).hex()
 
 
-def fingerprint(record):
-    """Every observable bit of one CaseRecord, floats by hex."""
-    result = record.result
+def fingerprint(case, result):
+    """Every observable bit of one case's result, floats by hex."""
     acc = result.accounting
     return (
-        (record.case.initiator, record.case.destination, record.case.trigger),
+        (case.initiator, case.destination, case.trigger),
         result.approach,
         result.status,
         result.delivered,
@@ -66,63 +62,63 @@ def fingerprint(record):
     )
 
 
-def sweep(topo, case_set, fault_plan, mode, monkeypatch):
-    monkeypatch.setenv("REPRO_WALK", mode)
-    runner = EvaluationRunner(
+def make_runner(topo, case_set, fault_plan):
+    return EvaluationRunner(
         topo,
         routing=case_set.routing,
         approaches=ALL_SCHEMES,
         fault_plan=fault_plan,
+        isolate_errors=False,
     )
-    records = runner.run(case_set)
+
+
+def runner_sweep(topo, case_set, fault_plan):
+    records = make_runner(topo, case_set, fault_plan).run(case_set)
     return {
-        name: [fingerprint(r) for r in records[name]] for name in ALL_SCHEMES
+        name: [fingerprint(r.case, r.result) for r in records[name]]
+        for name in ALL_SCHEMES
     }
 
 
-@needs_numpy
+def per_case_sweep(topo, case_set, fault_plan):
+    """(fingerprints, names of schemes the runner would have batched)."""
+    schemes = make_runner(topo, case_set, fault_plan).schemes
+    prints = {name: [] for name in ALL_SCHEMES}
+    planned = set()
+    for index, cases in sorted(case_set.by_scenario().items()):
+        for name in ALL_SCHEMES:
+            instance = schemes[name].instantiate(case_set.scenarios[index])
+            if instance.can_plan():
+                planned.add(name)
+            for case in cases:
+                prints[name].append(fingerprint(case, instance.recover(case)))
+    return prints, planned
+
+
 @pytest.mark.parametrize("chaos", sorted(CHAOS_PLANS))
 @pytest.mark.parametrize("nodes,links,seed", RANDOM_TOPOLOGIES)
-def test_backends_bit_identical_across_schemes(
-    nodes, links, seed, chaos, monkeypatch
-):
+def test_runner_matches_per_case_recover(nodes, links, seed, chaos):
     topo = geometric_isp(nodes, links, random.Random(seed), name=f"rand{seed}")
     case_set = generate_cases(topo, random.Random(seed + 1), 24, 6)
     plan = CHAOS_PLANS[chaos]
-    before = batched_walk_count()
-    ref = sweep(topo, case_set, plan, "python", monkeypatch)
-    assert batched_walk_count() == before  # python mode never vectorizes
-    vec = sweep(topo, case_set, plan, "numpy", monkeypatch)
+    batched = runner_sweep(topo, case_set, plan)
+    per_case, planned = per_case_sweep(topo, case_set, plan)
     for name in ALL_SCHEMES:
-        assert vec[name] == ref[name], f"{name} diverged under REPRO_WALK=numpy"
+        assert batched[name] == per_case[name], f"{name} diverged between paths"
+    # The runner must really have taken the window-batched path for some
+    # scheme — otherwise this compares the per-case loop with itself.
+    assert "MRC" in planned
     if plan is None:
-        # The clean sweep must actually exercise the vector backend —
-        # otherwise this parity test silently tests nothing.
-        assert batched_walk_count() > before
+        assert {"RTR", "r3"} <= planned
 
 
-@needs_numpy
-def test_auto_matches_python_on_large_window(monkeypatch):
-    topo = geometric_isp(32, 52, random.Random(5), name="rand5")
-    case_set = generate_cases(topo, random.Random(6), 32, 2)
-    ref = sweep(topo, case_set, None, "python", monkeypatch)
-    auto = sweep(topo, case_set, None, "auto", monkeypatch)
-    assert auto == ref
-
-
-@needs_numpy
-def test_golden_snapshot_byte_parity_under_numpy(monkeypatch):
-    """Table III/IV + Fig. 7 golden sweep, byte-identical when vectorized."""
+def test_golden_snapshot_byte_parity():
+    """Table III/IV + Fig. 7 golden sweep: byte-identical canonical JSON,
+    not just the structural diff ``tests/eval/test_golden.py`` checks."""
     import json
 
-    from repro.eval.golden import compute_snapshot, diff_against_golden, load_snapshot
+    from repro.eval.golden import compute_snapshot, load_snapshot
 
-    monkeypatch.setenv("REPRO_WALK", "numpy")
-    assert diff_against_golden() == {}
-    # Byte-level, not just structural: identical canonical JSON.
-    monkeypatch.setenv("REPRO_WALK", "python")
-    py = json.dumps(compute_snapshot(), sort_keys=True).encode()
-    monkeypatch.setenv("REPRO_WALK", "numpy")
-    np_bytes = json.dumps(compute_snapshot(), sort_keys=True).encode()
-    assert np_bytes == py
-    assert json.loads(py)["table3"].keys() == load_snapshot()["table3"].keys()
+    computed = json.dumps(compute_snapshot(), sort_keys=True).encode()
+    stored = json.dumps(load_snapshot(), sort_keys=True).encode()
+    assert computed == stored
