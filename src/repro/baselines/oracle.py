@@ -17,8 +17,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..failures import FailureScenario
-from ..routing import Path, SPTCache
+from ..routing import Path, ShortestPathTree, SPTCache
 from ..topology import Topology
+from ..topology.csr import Exclusion
 
 APPROACH_NAME = "Oracle"
 
@@ -26,10 +27,11 @@ APPROACH_NAME = "Oracle"
 class Oracle:
     """Ground-truth shortest-path recovery for one failure scenario.
 
-    Queries go through an :class:`~repro.routing.SPTCache` (a private one
-    unless a shared cache is passed in), so classifying every destination
-    of one initiator costs a single full Dijkstra on ``G - E2`` instead of
-    one early-terminated run per destination.
+    Every answer about one initiator is read from one forward tree of
+    ``G - E2`` (:meth:`tree_from`), fetched through an
+    :class:`~repro.routing.SPTCache` (a private one unless a shared cache
+    is passed in) — classifying all its destinations costs one cache probe
+    and at most one Dijkstra; only :meth:`recovery_path` builds a path.
     """
 
     def __init__(
@@ -41,26 +43,38 @@ class Oracle:
         self.topo = topo
         self.scenario = scenario
         self.cache = cache if cache is not None else SPTCache()
-        self._excluded_nodes = set(scenario.failed_nodes)
-        self._excluded_links = set(scenario.failed_links)
+        # The last initiator's tree and the exclusion it was fetched with.
+        self._tree: Optional[ShortestPathTree] = None
+        self._fetched_with: Optional[Exclusion] = None
 
-    def recovery_path(self, initiator: int, destination: int) -> Optional[Path]:
-        """The true shortest initiator -> destination path in ``G - E2``."""
-        if destination in self._excluded_nodes or initiator in self._excluded_nodes:
-            return None
-        return self.cache.shortest_path_or_none(
-            self.topo,
-            initiator,
-            destination,
-            excluded_nodes=self._excluded_nodes,
-            excluded_links=self._excluded_links,
-        )
+    def tree_from(self, initiator: int) -> ShortestPathTree:
+        """Forward tree of ``G - E2`` from ``initiator`` (shared, read-only).
 
-    def is_recoverable(self, initiator: int, destination: int) -> bool:
-        """Whether any live path exists (§IV-A's case 2)."""
-        return self.recovery_path(initiator, destination) is not None
+        ``tree.dist`` is the optimal cost of every recoverable destination.
+        Consecutive queries about one initiator reuse it without a cache
+        probe; a topology mutation (a new prepared exclusion) fetches again.
+        """
+        exclusion = self.scenario.exclusion()
+        tree = self._tree
+        stale = exclusion is not self._fetched_with
+        if tree is None or tree.root != initiator or stale:
+            tree = self.cache.forward_tree(self.topo, initiator, exclusion=exclusion)
+            self._tree, self._fetched_with = tree, exclusion
+        return tree
 
     def optimal_cost(self, initiator: int, destination: int) -> Optional[float]:
         """Cost of the optimal recovery path, or ``None`` if irrecoverable."""
-        path = self.recovery_path(initiator, destination)
-        return path.cost if path is not None else None
+        failed = self.scenario.failed_nodes
+        if destination in failed or initiator in failed:
+            return None
+        return self.tree_from(initiator).dist.get(destination)
+
+    def is_recoverable(self, initiator: int, destination: int) -> bool:
+        """Whether any live path exists (§IV-A's case 2)."""
+        return self.optimal_cost(initiator, destination) is not None
+
+    def recovery_path(self, initiator: int, destination: int) -> Optional[Path]:
+        """The true shortest initiator -> destination path in ``G - E2``."""
+        if self.optimal_cost(initiator, destination) is None:
+            return None
+        return self.tree_from(initiator).path_from(destination)

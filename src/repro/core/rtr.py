@@ -201,6 +201,7 @@ class RTR:
         self._phase1_cache: Dict[int, Phase1Result] = {}
         self._phase2_cache: Dict[int, Phase2Engine] = {}
         self._reconverge_at: Optional[float] = None
+        self._oracle = None  # ground truth of the reconvergence fallback
         #: Current load-penalty snapshot (:mod:`repro.te`); consulted by
         #: phase 2 only when ``config.congestion_aware`` is set.
         self._penalty = None
@@ -643,9 +644,9 @@ class RTR:
         wait = self._reconvergence_time()
         if wait > accounting.clock:
             accounting.advance_clock(wait - accounting.clock)
-        path = Oracle(self.topo, self.scenario, cache=self.sp_cache).recovery_path(
-            initiator, destination
-        )
+        if self._oracle is None:
+            self._oracle = Oracle(self.topo, self.scenario, cache=self.sp_cache)
+        path = self._oracle.recovery_path(initiator, destination)
         delivered = path is not None
         return RecoveryResult(
             approach=APPROACH_NAME,

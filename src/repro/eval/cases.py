@@ -14,7 +14,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .. import obs
 from ..baselines import Oracle
+from ..errors import SimulationError
 from ..failures import (
     PAPER_RADIUS_RANGE,
     FailureScenario,
@@ -190,13 +192,17 @@ def generate_cases(
 
     Mirrors the paper's setup: random circles, all resulting distinct test
     cases collected, until ``n_recoverable`` recoverable and
-    ``n_irrecoverable`` irrecoverable cases exist.  ``cache`` (optional)
-    shares oracle/routing trees with the rest of a sweep.
+    ``n_irrecoverable`` irrecoverable cases exist — the last area's cases
+    are classified only up to the one that fills the quotas.  ``cache``
+    (optional) shares oracle/routing trees with the rest of a sweep.
+    Raises :class:`SimulationError` when ``max_scenarios`` areas do not
+    meet the quotas (a short set would silently thin a table row).
     """
     routing = routing if routing is not None else RoutingTable(topo, cache=cache)
     case_set = CaseSet(topo=topo, routing=routing)
     got_rec = 0
     got_irr = 0
+    enumerated = 0
     for _ in range(max_scenarios):
         if got_rec >= n_recoverable and got_irr >= n_irrecoverable:
             break
@@ -208,6 +214,7 @@ def generate_cases(
         index = len(case_set.scenarios)
         scenario_used = False
         for case in enumerate_scenario_cases(topo, routing, scenario, index, cache):
+            enumerated += 1
             if case.recoverable:
                 if got_rec >= n_recoverable:
                     continue
@@ -218,8 +225,18 @@ def generate_cases(
                 got_irr += 1
             case_set.cases.append(case)
             scenario_used = True
+            if got_rec >= n_recoverable and got_irr >= n_irrecoverable:
+                break
         if scenario_used:
             case_set.scenarios.append(scenario)
         # An unused scenario would leave a hole in the index sequence;
         # drop it entirely instead.
+    obs.inc("eval.case_gen.enumerated", enumerated)  # classifier attempts
+    obs.inc("eval.case_gen.kept", len(case_set.cases))  # ... and useful ones
+    if got_rec < n_recoverable or got_irr < n_irrecoverable:
+        raise SimulationError(
+            f"generate_cases: asked for {n_recoverable} recoverable / "
+            f"{n_irrecoverable} irrecoverable cases, got {got_rec} / {got_irr} "
+            f"after {max_scenarios} failure areas"
+        )
     return case_set

@@ -39,9 +39,10 @@ class LocalView:
         # Hot path: a present (node, neighbor) pair proves both nodes exist
         # and are adjacent, and the scenario's failed links include every
         # link of a failed router — one interned-id probe answers it all.
-        lid = self.topo.csr().pair_lid.get((node, neighbor))
+        failed = self.scenario.exclusion()
+        lid = failed.csr.pair_lid.get((node, neighbor))
         if lid is not None:
-            return not self.scenario.failed_link_flags()[lid]
+            return not failed.link_flags[lid]
         if not self.topo.has_node(node):
             raise UnknownNodeError(node)
         if not self.topo.has_node(neighbor):

@@ -13,6 +13,7 @@ from typing import FrozenSet, Iterable, Optional, Set
 from ..errors import TopologyError
 from ..geometry import FailureRegion
 from ..topology import Link, Topology
+from ..topology.csr import Exclusion
 
 
 class FailureScenario:
@@ -27,7 +28,7 @@ class FailureScenario:
     ) -> None:
         self.topo = topo
         self.region = region
-        self._failed_lid_flags = None
+        self._exclusion: Optional[Exclusion] = None
         self.failed_nodes: FrozenSet[int] = frozenset(failed_nodes)
         for node in self.failed_nodes:
             if not topo.has_node(node):
@@ -68,6 +69,20 @@ class FailureScenario:
         """Whether ``link`` can still carry traffic."""
         return link not in self.failed_links
 
+    def exclusion(self) -> Exclusion:
+        """``E2`` prepared for the routing kernels (cached per CSR view).
+
+        One object carries the :class:`~repro.routing.SPTCache` signature
+        and the flag arrays of this scenario; a topology mutation installs
+        a new CSR view and the next call prepares against it.
+        """
+        csr = self.topo.csr()
+        cached = self._exclusion
+        if cached is None or cached.csr is not csr:
+            cached = Exclusion(csr, self.failed_nodes, self.failed_links)
+            self._exclusion = cached
+        return cached
+
     def failed_link_flags(self) -> bytearray:
         """0/1 flags over interned link ids, 1 = failed (cached per CSR view).
 
@@ -75,13 +90,7 @@ class FailureScenario:
         router, ``flags[lid]`` alone answers "can this adjacency carry
         traffic" — the hot probe of local failure detection.
         """
-        csr = self.topo.csr()
-        cached = self._failed_lid_flags
-        if cached is not None and cached[0] is csr:
-            return cached[1]
-        flags = csr.link_flags(self.failed_links)
-        self._failed_lid_flags = (csr, flags)
-        return flags
+        return self.exclusion().link_flags
 
     def live_nodes(self) -> Set[int]:
         """All surviving nodes."""

@@ -12,7 +12,11 @@ of once per flow.
 
 Exclusion signatures are compact integer bitmasks over the CSR view's
 dense node indices and interned link ids — two exclusion sets collide on
-a key iff they exclude exactly the same elements of this topology.
+a key iff they exclude exactly the same elements of this topology.  A
+query names its exclusion as node/link sets or as an already prepared
+:class:`~repro.topology.csr.Exclusion` (``exclusion=``, which then wins);
+sets are prepared at the entry, so both forms share one key and one path,
+and a prepared probe is a tuple build plus a dict lookup.
 
 Correctness: a full tree answers every point query the early-terminating
 Dijkstra would (same distances, same parent chains — parents of settled
@@ -27,11 +31,12 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .. import obs
 from ..errors import NoPathError, RoutingError
 from ..topology import Link, Topology
+from ..topology.csr import Exclusion
 from .dijkstra import _dijkstra_csr
 from .paths import Path
 from .spt import ShortestPathTree
@@ -94,12 +99,19 @@ class SPTCache:
         topo: Topology,
         root: int,
         toward_root: bool,
-        excluded_nodes: Optional[Iterable[int]],
-        excluded_links: Optional[Iterable[Link]],
+        excluded_nodes: Optional[Set[int]],
+        excluded_links: Optional[Set[Link]],
+        exclusion: Optional[Exclusion],
     ) -> ShortestPathTree:
         csr = topo.csr()
-        node_mask = csr.node_mask(excluded_nodes) if excluded_nodes else 0
-        link_mask = csr.link_mask(excluded_links) if excluded_links else 0
+        if exclusion is None:
+            if excluded_nodes or excluded_links:
+                exclusion = Exclusion(csr, excluded_nodes or (), excluded_links or ())
+        elif exclusion.csr is not csr:
+            # Prepared for another view (the topology mutated): translate again.
+            exclusion = Exclusion(csr, exclusion.nodes, exclusion.links)
+        node_mask = exclusion.node_mask if exclusion is not None else 0
+        link_mask = exclusion.link_mask if exclusion is not None else 0
         key = (id(topo), csr.version, toward_root, root, node_mask, link_mask)
         entry = self._entries.get(key)
         if entry is not None:
@@ -118,8 +130,8 @@ class SPTCache:
             obs.inc("spt_cache.collisions")
         self.misses += 1
         obs.inc("spt_cache.misses")
-        node_excl = csr.node_flags(excluded_nodes) if excluded_nodes else None
-        link_excl = csr.link_flags(excluded_links) if excluded_links else None
+        node_excl = exclusion.node_flags if node_mask else None
+        link_excl = exclusion.link_flags if link_mask else None
         tree = _dijkstra_csr(topo, root, toward_root, node_excl, link_excl)
         self._entries[key] = (topo, tree)
         if len(self._entries) > self.max_entries:
@@ -142,9 +154,12 @@ class SPTCache:
         source: int,
         excluded_nodes: Optional[Set[int]] = None,
         excluded_links: Optional[Set[Link]] = None,
+        exclusion: Optional[Exclusion] = None,
     ) -> ShortestPathTree:
         """Cached equivalent of :func:`~repro.routing.shortest_path_tree`."""
-        return self._tree(topo, source, False, excluded_nodes, excluded_links)
+        return self._tree(
+            topo, source, False, excluded_nodes, excluded_links, exclusion
+        )
 
     def reverse_tree(
         self,
@@ -152,9 +167,12 @@ class SPTCache:
         destination: int,
         excluded_nodes: Optional[Set[int]] = None,
         excluded_links: Optional[Set[Link]] = None,
+        exclusion: Optional[Exclusion] = None,
     ) -> ShortestPathTree:
         """Cached equivalent of :func:`~repro.routing.reverse_shortest_path_tree`."""
-        return self._tree(topo, destination, True, excluded_nodes, excluded_links)
+        return self._tree(
+            topo, destination, True, excluded_nodes, excluded_links, exclusion
+        )
 
     def shortest_path(
         self,
@@ -163,13 +181,18 @@ class SPTCache:
         destination: int,
         excluded_nodes: Optional[Set[int]] = None,
         excluded_links: Optional[Set[Link]] = None,
+        exclusion: Optional[Exclusion] = None,
     ) -> Path:
         """Cached equivalent of :func:`~repro.routing.shortest_path`."""
         if source == destination:
+            if exclusion is not None:
+                excluded_nodes = exclusion.nodes
             if excluded_nodes and source in excluded_nodes:
                 raise NoPathError(source, destination)
             return Path((source,), 0.0)
-        tree = self.forward_tree(topo, source, excluded_nodes, excluded_links)
+        tree = self.forward_tree(
+            topo, source, excluded_nodes, excluded_links, exclusion
+        )
         if not tree.reaches(destination):
             raise NoPathError(source, destination)
         return tree.path_from(destination)
@@ -181,11 +204,12 @@ class SPTCache:
         destination: int,
         excluded_nodes: Optional[Set[int]] = None,
         excluded_links: Optional[Set[Link]] = None,
+        exclusion: Optional[Exclusion] = None,
     ) -> Optional[Path]:
         """Cached equivalent of :func:`~repro.routing.shortest_path_or_none`."""
         try:
             return self.shortest_path(
-                topo, source, destination, excluded_nodes, excluded_links
+                topo, source, destination, excluded_nodes, excluded_links, exclusion
             )
         except NoPathError:
             return None

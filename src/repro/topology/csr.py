@@ -24,6 +24,7 @@ topology version and invalidates it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -167,3 +168,32 @@ class CSRView:
 
     def __repr__(self) -> str:
         return f"CSRView(nodes={self.n}, arcs={len(self.nbr)}, v={self.version})"
+
+
+class Exclusion:
+    """One ``G - E`` exclusion, translated once against one :class:`CSRView`.
+
+    The bitmask signature (what :class:`~repro.routing.SPTCache` keys on)
+    is computed up front; the 0/1 flag arrays the kernels index are built
+    on first use and kept, so a cache hit never pays for them.  Valid only
+    for the view it names: holders compare ``csr`` by identity.
+    """
+
+    def __init__(
+        self, csr: CSRView, nodes: Iterable[int] = (), links: Iterable["Link"] = ()
+    ) -> None:
+        self.csr = csr
+        self.nodes = nodes
+        self.links = links
+        self.node_mask = csr.node_mask(nodes)
+        self.link_mask = csr.link_mask(links)
+
+    @cached_property
+    def node_flags(self) -> bytearray:
+        """0/1 flags over dense node indices, 1 = excluded."""
+        return self.csr.node_flags(self.nodes)
+
+    @cached_property
+    def link_flags(self) -> bytearray:
+        """0/1 flags over interned link ids, 1 = excluded."""
+        return self.csr.link_flags(self.links)

@@ -30,6 +30,20 @@ class TestOracle:
         assert not oracle.is_recoverable(0, 2)
         assert oracle.is_recoverable(0, 1)
 
+    def test_one_cache_probe_answers_every_destination(
+        self, paper_topo, paper_scenario
+    ):
+        oracle = Oracle(paper_topo, paper_scenario)
+        for destination in paper_topo.nodes():
+            cost = oracle.optimal_cost(6, destination)
+            path = oracle.recovery_path(6, destination)
+            assert (path.cost if path is not None else None) == cost
+            assert oracle.is_recoverable(6, destination) == (cost is not None)
+            if path is not None:
+                assert (path.source, path.destination) == (6, destination)
+        assert oracle.cache.hits + oracle.cache.misses == 1
+        assert oracle.tree_from(6).dist[17] == 4
+
     def test_failed_initiator_irrecoverable(self, paper_topo, paper_scenario):
         oracle = Oracle(paper_topo, paper_scenario)
         assert oracle.recovery_path(10, 17) is None

@@ -114,6 +114,20 @@ class TestReconvergenceFallback:
         # Waiting out IGP reconvergence dwarfs RTR's tens-of-milliseconds.
         assert result.accounting.clock > 1.0
 
+    def test_fallbacks_of_one_initiator_share_one_oracle_tree(self, grid_scenario):
+        topo, scenario = grid_scenario
+        plan = FaultPlan(seed=0, packet_loss_rate=1.0)
+        rtr = RTR(topo, scenario, fault_plan=plan)
+        first = rtr.recover(12, 14, 13)
+        oracle = rtr._oracle
+        probes = rtr.sp_cache.hits + rtr.sp_cache.misses
+        second = rtr.recover(12, 19, 13)
+        assert first.fallback and second.fallback
+        assert rtr._oracle is oracle
+        # The second ground-truth path is read off the first one's tree.
+        assert rtr.sp_cache.hits + rtr.sp_cache.misses == probes
+        assert second.path.cost == oracle.optimal_cost(12, 19)
+
     def test_fallback_disabled_reports_plain_drop(self, grid_scenario):
         topo, scenario = grid_scenario
         plan = FaultPlan(seed=0, packet_loss_rate=1.0)
