@@ -21,18 +21,23 @@ Asserted on every full run (the ISSUE acceptance bars):
   (it currently *gains* — the SS III-D re-invocations recover more than
   admission control sheds).
 
-Rows are merged into ``benchmarks/BENCH_congestion.json`` keyed by
-``variant@topology+lossRATE`` and mirrored to ``REPRO_STORE`` when set,
-so scheme-vs-utilization rankings are queryable with ``repro query
-trend`` across PRs.
+Rows are keyed ``variant@topology+lossRATE``.  Without ``--update`` (the
+gate mode, what CI runs) they go to the ``REPRO_STORE`` run store only —
+``repro query regress`` compares their ``wall_s`` against the checked-in
+``benchmarks/BENCH_congestion.json`` — and every *simulated* column of
+every produced row (:data:`SIMULATED_COLUMNS`: what the sweep computed,
+not how long it took) must equal the committed row, or the script exits
+1 naming row and column: "the simulation did not change" is a gate, not
+an eyeballed diff.  With ``--update`` the rows are merged into the file
+(``perf_smoke.py`` / ``bench_traffic_weighted.py`` convention).
 
 ``REPRO_CONGESTION_SMOKE=1`` (the CI mode) keeps the full AS7018 cross
 and its assertions but skips the heavier ``scale:10000`` sweep.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_congestion.py
     REPRO_CONGESTION_SMOKE=1 PYTHONPATH=src python benchmarks/bench_congestion.py
+    PYTHONPATH=src python benchmarks/bench_congestion.py --update
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _bench_utils import emit, record_bench
+from _bench_utils import emit, load_bench_json, record_bench
 
 from repro.chaos import FaultPlan
 from repro.core import RTRConfig
@@ -79,6 +84,19 @@ UTILIZATION_CAP = 1.5
 
 #: Allowed demand-recovery cost of congestion awareness (Table III points).
 MAX_RECOVERY_COST_PCT = 2.0
+
+#: Row columns the sweep *computes*: identical on every machine and every
+#: run of one commit, so any difference from the committed row is a
+#: behaviour change (``wall_s`` / ``git_sha`` / ``python`` are not).
+SIMULATED_COLUMNS = (
+    "demand_recovery_rate_pct",
+    "max_utilization",
+    "utilization_p99",
+    "congestion_free_pct",
+    "admission_dropped_demand",
+    "sp_computations",
+    "cases",
+)
 
 #: variant -> (approach name, congestion-aware?).  The cap applies only
 #: to the congestion-aware rows; the blind rows are the baselines whose
@@ -122,8 +140,28 @@ def run_variant(
     return summarize_traffic(records[approach]).as_dict(), wall, sp
 
 
-def sweep_topology(pinned: dict, loss_rates, lines: list, variants=VARIANTS) -> dict:
-    """All variants x chaos rungs on one topology; returns row dict."""
+def drifted_columns(name: str, entry: dict, committed: dict) -> list:
+    """One line per simulated column of ``entry`` that left its committed row."""
+    base = committed.get(name)
+    if base is None:
+        return [f"{name}: no committed row (record it with --update)"]
+    return [
+        f"{name}: {column} is {entry.get(column)!r}, committed {base.get(column)!r}"
+        for column in SIMULATED_COLUMNS
+        if entry.get(column) != base.get(column)
+    ]
+
+
+def sweep_topology(
+    pinned: dict, loss_rates, lines: list, drift: list, update: bool, variants=VARIANTS
+) -> dict:
+    """All variants x chaos rungs on one topology; returns row dict.
+
+    Every recorded row is compared with the trajectory file as it stood
+    before this sweep; differing simulated columns are appended to
+    ``drift``.  The file itself is only written when ``update`` is set.
+    """
+    committed = load_bench_json(BENCH_CONGESTION_JSON)
     name = pinned["topology"]
     topo = _build_topology(name, pinned["seed"])
     matrix = generate_matrix(
@@ -139,7 +177,7 @@ def sweep_topology(pinned: dict, loss_rates, lines: list, variants=VARIANTS) -> 
             )
             rows[(variant, loss_rate)] = row
             bench_name = f"congestion_{variant}@{name}+loss{loss_rate:g}"
-            record_bench(
+            entry = record_bench(
                 bench_name,
                 wall_s=wall,
                 cases=pinned["n_scenarios"],
@@ -159,7 +197,9 @@ def sweep_topology(pinned: dict, loss_rates, lines: list, variants=VARIANTS) -> 
                     "congestion_free_pct": row["congestion_free_pct"],
                     "admission_dropped_demand": row["admission_dropped_demand"],
                 },
+                write_file=update,
             )
+            drift.extend(drifted_columns(bench_name, entry, committed))
             lines.append(
                 f"{name:12s} loss={loss_rate:<5g} {variant:12s} "
                 f"recovery {row['demand_recovery_rate_pct']:5.1f}%  "
@@ -175,8 +215,10 @@ def sweep_topology(pinned: dict, loss_rates, lines: list, variants=VARIANTS) -> 
 def main(argv: list) -> int:
     failed = False
     lines: list = []
+    update = "--update" in argv
+    drift: list = []
 
-    rows = sweep_topology(AS7018, LOSS_RATES, lines)
+    rows = sweep_topology(AS7018, LOSS_RATES, lines, drift, update)
     rtr = rows[("rtr", 0.0)]
     penalty = rows[("rtr+penalty", 0.0)]
 
@@ -221,12 +263,23 @@ def main(argv: list) -> int:
             f"{[v[0] for v in scale_variants]} (r3 offline planning is "
             "O(links) Dijkstras at this size)"
         )
-        sweep_topology(SCALE, (0.0,), lines, variants=scale_variants)
+        sweep_topology(SCALE, (0.0,), lines, drift, update, variants=scale_variants)
 
     emit("bench_congestion", "\n".join(lines))
+    if drift and not update:
+        # Gate mode: the sweep is deterministic, so a simulated column
+        # that moved is a behaviour change someone has to own.
+        for line in drift:
+            print(f"congestion-bench: FAIL — simulated column moved — {line}")
+        failed = True
     if failed:
         return 1
-    print(f"congestion-bench: OK (trajectory: {BENCH_CONGESTION_JSON.name})")
+    where = (
+        f"{BENCH_CONGESTION_JSON.name} rewritten"
+        if update
+        else f"simulated columns equal {BENCH_CONGESTION_JSON.name}; rows in the run store"
+    )
+    print(f"congestion-bench: OK ({where})")
     return 0
 
 

@@ -92,7 +92,7 @@ class Phase2Engine:
         #: across every scenario of a sweep.  ``sp_computations`` below is
         #: the §IV *recorded* charge and is unaffected by cache hits.
         self.cache = cache
-        #: Optional :class:`repro.te.penalty.LinkPenalty` snapshot.  When
+        #: Optional (live) :class:`repro.te.penalty.LinkPenalty`.  When
         #: set (congestion-aware mode), recomputation minimizes the
         #: load-penalized metric instead of the base metric; recovery
         #: paths are re-costed back to base before leaving this engine.

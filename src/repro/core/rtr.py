@@ -202,12 +202,12 @@ class RTR:
         self._phase2_cache: Dict[int, Phase2Engine] = {}
         self._reconverge_at: Optional[float] = None
         self._oracle = None  # ground truth of the reconvergence fallback
-        #: Current load-penalty snapshot (:mod:`repro.te`); consulted by
+        #: Current (live) load penalty (:mod:`repro.te`); consulted by
         #: phase 2 only when ``config.congestion_aware`` is set.
         self._penalty = None
 
     def set_link_penalty(self, penalty) -> None:
-        """Install a :class:`repro.te.penalty.LinkPenalty` snapshot.
+        """Install the (live) :class:`repro.te.penalty.LinkPenalty` to route under.
 
         Invalidates cached phase-2 engines: their trees were selected
         under the previous load picture.  Phase-1 walks stay cached — the

@@ -10,7 +10,6 @@ next hop is unreachable.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterable, Iterator, Mapping, Optional
 
 from ..errors import UnknownNodeError
@@ -118,39 +117,41 @@ class RoutingTable:
         along its default next-hop chain, and each tree edge accumulates
         the total demand crossing it.  One reverse-SPT traversal serves
         all sources of the root (the traffic layer's batched alternative
-        to walking ``path(source, destination)`` per pair), and sources
-        are processed in decreasing (distance, id) order so float sums
-        have a fixed order regardless of dict iteration.
+        to walking ``path(source, destination)`` per pair).
+
+        Only flow-carrying nodes are visited — the sources' next-hop
+        chains, each followed until it joins one already seen — so the
+        cost is O(touched), not O(tree), when demand reaches few of the
+        tree's nodes (sampled matrices at scale).  They are processed in
+        (distance desc, id asc) order: distance strictly decreases along
+        every next hop, so a node's inflow is complete before it is
+        forwarded, and every float sum and the result's key order are
+        fixed regardless of dict iteration (executable spec: the heap
+        sweep in ``tests/routing/reference_edge_loads.py``).
         """
         tree = self.tree_to(destination)
-        carry: Dict[int, float] = {}
-        for source, demand in demands.items():
-            if source == destination or demand <= 0.0 or not tree.reaches(source):
-                continue
-            carry[source] = carry.get(source, 0.0) + demand
+        dist = tree.dist
+        parent = tree.parent
+        carry: Dict[int, float] = {
+            source: demand
+            for source, demand in demands.items()
+            if source != destination and demand > 0.0 and source in dist
+        }
+        touched = set(carry)
+        for node in carry:
+            node = parent[node]
+            while node != destination and node not in touched:
+                touched.add(node)
+                node = parent[node]
+        csr = self.topo.csr()
+        pair_lid = csr.pair_lid
+        links = csr.links
         loads: Dict[Link, float] = {}
-        # Only nodes that carry flow matter, and distance strictly
-        # decreases along every next hop, so a max-distance heap visits
-        # exactly the flow-carrying nodes in the same (distance desc,
-        # id asc) order a full-tree sweep would — identical float
-        # accumulation order at a fraction of the work when demand
-        # touches few of the tree's nodes (sampled matrices at scale).
-        heap = [(-tree.distance(node), node) for node in carry]
-        heapq.heapify(heap)
-        queued = {node for _, node in heap}
-        while heap:
-            _, node = heapq.heappop(heap)
-            flow = carry.get(node, 0.0)
-            if flow <= 0.0:
-                continue
-            nxt = tree.next_hop(node)
-            if nxt is None:
-                continue
-            link = Link.of(node, nxt)
-            loads[link] = loads.get(link, 0.0) + flow
+        for _, node in sorted((-dist[node], node) for node in touched):
+            flow = carry[node]
+            nxt = parent[node]
+            # A tree edge is an interned adjacency, and no two nodes share one.
+            loads[links[pair_lid[(node, nxt)]]] = flow
             if nxt != destination:
                 carry[nxt] = carry.get(nxt, 0.0) + flow
-                if nxt not in queued:
-                    queued.add(nxt)
-                    heapq.heappush(heap, (-tree.distance(nxt), nxt))
         return loads

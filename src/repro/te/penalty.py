@@ -24,8 +24,10 @@ piling onto them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, TYPE_CHECKING
+from typing import Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
+from .. import obs
+from ..errors import SimulationError
 from ..routing import Path
 from ..topology import Link, Topology
 
@@ -64,20 +66,35 @@ def penalty_units(
 
 
 class LinkPenalty:
-    """An immutable per-link penalty snapshot for one routing decision.
+    """Per-link penalty units of one load picture, as the kernels read them.
 
     Built from observed (or virtual) link loads against provisioned
     capacities; consumed by the penalized shortest-path kernels as a
     lid-indexed unit array.  Links without capacity annotations carry no
     penalty — on an unprovisioned topology the penalized metric
     degenerates to the base metric (scaled), by construction.
+
+    A penalty is *live*: whoever built it owns it and may :meth:`refresh`
+    it in place as its loads grow (the congestion-aware case loop of
+    :class:`~repro.traffic.TrafficEngine` keeps one per window and
+    approach).  A holder handed one reads ``units`` / :meth:`lid_units`
+    at decision time and must not keep anything derived from it across a
+    refresh — RTR's ``set_link_penalty`` drops its phase-2 engines (and
+    their trees) on every call, which is what makes handing over the same
+    object before each case safe.  Copy ``units`` to keep a snapshot.
     """
 
-    __slots__ = ("units", "quant", "_lid_cache")
+    __slots__ = ("units", "quant", "_shape", "_lid_cache")
 
     def __init__(self, units: Dict[Link, int], quant: int = PENALTY_QUANT) -> None:
         self.units = {link: u for link, u in units.items() if u > 0}
         self.quant = quant
+        #: ``(alpha, exponent, clip)`` every unit of this penalty is derived with.
+        self._shape = (
+            DEFAULT_PENALTY_ALPHA,
+            DEFAULT_PENALTY_EXPONENT,
+            DEFAULT_UTILIZATION_CLIP,
+        )
         self._lid_cache: Optional[List[int]] = None
 
     @classmethod
@@ -90,26 +107,57 @@ class LinkPenalty:
         clip: float = DEFAULT_UTILIZATION_CLIP,
         quant: int = PENALTY_QUANT,
     ) -> "LinkPenalty":
-        """Snapshot the penalty of a per-link load map (sorted, stable)."""
-        units: Dict[Link, int] = {}
+        """The penalty of a per-link load map (sorted, stable)."""
+        obs.inc("te.penalty.builds")
+        penalty = cls({}, quant)
+        penalty._shape = (alpha, exponent, clip)
         for link in sorted(loads):
-            capacity = topo.link_capacity(link)
-            if capacity is None or capacity <= 0.0:
-                continue
-            u = penalty_units(
-                loads[link] / capacity, alpha, exponent, clip, quant
-            )
+            u = penalty._units_at(topo, link, loads[link])
             if u > 0:
-                units[link] = u
-        return cls(units, quant)
+                penalty.units[link] = u
+        return penalty
 
     @classmethod
     def from_load_map(cls, load_map: "LinkLoadMap", **kwargs) -> "LinkPenalty":
-        """Snapshot a :class:`~repro.traffic.capacity.LinkLoadMap`."""
+        """The penalty of a :class:`~repro.traffic.capacity.LinkLoadMap`."""
         return cls.from_loads(load_map.topo, load_map.loads(), **kwargs)
 
+    def _units_at(self, topo: Topology, link: Link, load: float) -> int:
+        """Units of ``link`` carrying ``load`` — the one place they are derived."""
+        capacity = topo.link_capacity(link)
+        if capacity is None or capacity <= 0.0:
+            return 0
+        return penalty_units(load / capacity, *self._shape, self.quant)
+
+    def refresh(self, load_map: "LinkLoadMap", links: Sequence[Link]) -> None:
+        """Re-derive ``links`` (those whose load changed): units and lid array."""
+        topo = load_map.topo
+        pair_lid = topo.csr().pair_lid
+        for link in links:
+            u = self._units_at(topo, link, load_map.load(link))
+            if u > 0:
+                self.units[link] = u
+            else:
+                self.units.pop(link, None)
+            if self._lid_cache is not None:
+                self._lid_cache[pair_lid[(link.u, link.v)]] = u
+        obs.inc("te.penalty.links_refreshed", len(links))
+
+    def check_against(self, load_map: "LinkLoadMap") -> None:
+        """Raise unless a from-scratch build of ``load_map`` equals this penalty."""
+        topo = load_map.topo
+        fresh = LinkPenalty.from_loads(topo, load_map.loads(), *self._shape, self.quant)
+        for link in sorted(fresh.units.keys() | self.units.keys()):
+            held, rebuilt = self.units.get(link, 0), fresh.units.get(link, 0)
+            if held != rebuilt:
+                raise SimulationError(
+                    f"live link penalty drifted at {link}: {held} units, rebuilt {rebuilt}"
+                )
+        if self.lid_units(topo) != fresh.lid_units(topo):
+            raise SimulationError("live link penalty: lid array out of step with units")
+
     def is_null(self) -> bool:
-        """Whether this snapshot penalizes nothing (base metric)."""
+        """Whether nothing is penalized right now (base metric)."""
         return not self.units
 
     def max_units(self) -> int:
@@ -117,11 +165,11 @@ class LinkPenalty:
         return max(self.units.values(), default=0)
 
     def lid_units(self, topo: Topology) -> List[int]:
-        """The lid-indexed unit array the kernels consume (cached).
+        """The lid-indexed unit array the kernels consume (built once).
 
-        The cache is sound because snapshots are immutable and bound to
-        one topology version: congestion-aware drivers build a fresh
-        snapshot per routing decision instead of mutating this one.
+        The array is this penalty's own and :meth:`refresh` writes to it,
+        so it always mirrors ``units`` — pass it to a kernel, do not keep
+        it.  Bound to one topology version, like the penalty itself.
         """
         if self._lid_cache is None:
             csr = topo.csr()

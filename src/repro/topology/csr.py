@@ -53,6 +53,9 @@ class CSRView:
         Arc -> interned link id (the topology's dense header link index).
     pair_lid:
         ``(u, v)`` node-id pair (both directions) -> interned link id.
+    links:
+        Interned link id -> the topology's own ``Link`` (``None`` once
+        retired); ``links[pair_lid[(u, v)]]`` is ``Link.of(u, v)``, unbuilt.
     """
 
     __slots__ = (
@@ -65,6 +68,7 @@ class CSRView:
         "wrev",
         "lid",
         "pair_lid",
+        "links",
         "n",
         "lid_size",
         "np_cache",
@@ -105,6 +109,7 @@ class CSRView:
         self.wrev = wrev
         self.lid = lid
         self.pair_lid = pair_lid
+        self.links = tuple(topo._links)
         self.n = len(ids)
         #: One past the largest interned link id (retired ids included, so
         #: flag arrays stay indexable by any id ever handed out).

@@ -84,23 +84,32 @@ class _GroupPlan:
     pairs: Tuple[DisruptedPair, ...]
     #: Surviving default-path links source -> initiator, one tuple per pair.
     prefixes: Tuple[Tuple[Link, ...], ...]
+    #: The distinct links of ``prefixes`` (first-seen order).
+    prefix_links: Tuple[Link, ...]
     #: ``fsum`` of the member pairs' demand, and their flow count.
     demand: float
     flows: int
 
-    def add_load(self, loads: LinkLoadMap, result: RecoveryResult) -> None:
-        """Post-recovery load of this group under one scheme's ``result``.
+    def add_load(self, loads: LinkLoadMap, path_links: Sequence[Link]) -> None:
+        """Post-recovery load of this group, delivered along ``path_links``.
 
         The surviving prefix up to the initiator carries each pair's
         traffic either way; the recovery path carries the group onward
-        only when delivery succeeded.  Every consumer of a window plan
-        accumulates through here, in (pair, link) then path order — the
-        order is what keeps the float sums of all of them bit-identical.
+        only when delivery succeeded (:func:`_delivered_links`).  Every
+        consumer of a window plan accumulates through here, in (pair,
+        link) then path order — the order is what keeps the float sums
+        of all of them bit-identical.
         """
         for pair, prefix in zip(self.pairs, self.prefixes):
             loads.add_links(prefix, pair.demand)
-        if result.delivered and result.path is not None:
-            loads.add_path(result.path, self.demand)
+        loads.add_links(path_links, self.demand)
+
+
+def _delivered_links(result: RecoveryResult) -> Tuple[Link, ...]:
+    """Links of the path ``result`` delivered on; empty when it did not."""
+    if not result.delivered or result.path is None:
+        return ()
+    return tuple(Link.of(a, b) for a, b in result.path.hops())
 
 
 @dataclass(frozen=True)
@@ -142,10 +151,7 @@ def classify_pairs(
     failed_flows = 0
     unrouted: List[float] = []
 
-    # verdict[v]: None = path from v survives; otherwise the initiator id.
-    by_destination: Dict[int, List] = {}
-    for batch in flow_set.batches():
-        by_destination.setdefault(batch.destination, []).append(batch)
+    by_destination = flow_set.by_destination()
 
     # One batched multi-source kernel call computes every destination
     # tree the loop below would otherwise solve one heap run at a time
@@ -155,20 +161,22 @@ def classify_pairs(
     for destination in sorted(by_destination):
         tree = routing.tree_to(destination)
         parent = tree.parent
+        dist = tree.dist
+        # verdict[v]: None = path from v survives; otherwise the initiator id.
         verdict: Dict[int, Optional[int]] = {
             destination: destination if destination in failed_nodes else None
         }
         # A failed destination never terminates a walk cleanly: every
         # adjacency into it is down, so the last live hop is the
         # initiator.  The sentinel above is never consulted in that case.
-        for batch in by_destination[destination]:
-            source = batch.source
+        intact_here: Dict[int, float] = {}
+        for source, demand, flows in by_destination[destination]:
             if source in failed_nodes:
-                failed_demand.append(batch.demand)
-                failed_flows += batch.flows
+                failed_demand.append(demand)
+                failed_flows += flows
                 continue
-            if not tree.reaches(source):
-                unrouted.append(batch.demand)
+            if source not in dist:
+                unrouted.append(demand)
                 continue
             chain: List[int] = []
             node = source
@@ -188,17 +196,19 @@ def classify_pairs(
             for visited in chain:
                 verdict[visited] = outcome
             if outcome is None:
-                intact.setdefault(destination, {})[source] = batch.demand
+                intact_here[source] = demand
             else:
                 disrupted.append(
                     DisruptedPair(
                         source=source,
                         destination=destination,
                         initiator=outcome,
-                        demand=batch.demand,
-                        flows=batch.flows,
+                        demand=demand,
+                        flows=flows,
                     )
                 )
+        if intact_here:
+            intact[destination] = intact_here
     return PairClassification(
         disrupted=disrupted,
         intact_by_destination=intact,
@@ -360,12 +370,14 @@ class TrafficEngine:
         per-case error isolation) but runs each approach's cases
         sequentially against a *live* :class:`LinkLoadMap`: before every
         case, schemes exposing ``set_link_penalty`` (duck typed — RTR
-        does) receive a fresh :class:`~repro.te.penalty.LinkPenalty`
-        snapshot of everything routed so far, so each recovery steers
-        around the links earlier ones loaded — including the same
-        initiator's own previous recoveries.  State is per-scenario (the
-        map starts from a copy of the window's intact loads), which keeps
-        serial and sharded sweeps identical.
+        does) are handed the :class:`~repro.te.penalty.LinkPenalty` of
+        everything routed so far, so each recovery steers around the
+        links earlier ones loaded — including the same initiator's own
+        previous recoveries.  It is built once per (window, approach),
+        refreshed after each group on just the links that group loaded,
+        and checked against a from-scratch build when the window ends.
+        State is per-scenario (the map starts from a copy of the window's
+        intact loads), which keeps serial and sharded sweeps identical.
 
         This path never batches walks: each case's route depends on the
         loads of every earlier delivery, so compiling a window of plans
@@ -378,25 +390,20 @@ class TrafficEngine:
             instance = self.runner.schemes[name].instantiate(scenario)
             set_penalty = getattr(instance.protocol, "set_link_penalty", None)
             loads = plan.intact.copy()
+            penalty = None if set_penalty is None else LinkPenalty.from_load_map(
+                loads,
+                alpha=config.penalty_alpha,
+                exponent=config.penalty_exponent,
+                clip=config.penalty_utilization_clip,
+            )
             out: List[CaseRecord] = []
             for case, group in zip(cases, plan.groups):
                 obs.inc(self.runner._case_counters[name])
-                if set_penalty is not None:
-                    set_penalty(
-                        LinkPenalty.from_load_map(
-                            loads,
-                            alpha=config.penalty_alpha,
-                            exponent=config.penalty_exponent,
-                            clip=config.penalty_utilization_clip,
-                        )
-                    )
+                if penalty is not None:
+                    set_penalty(penalty)
                 result = self.runner._recover_one(instance, name, case)
-                if (
-                    self.utilization_cap is not None
-                    and result.delivered
-                    and result.path is not None
-                    and self._exceeds_cap(loads, result.path, group.demand)
-                ):
+                path_links = _delivered_links(result)
+                if self._exceeds_cap(loads, path_links, group.demand):
                     # Admission control: delivering this group would push a
                     # link past the cap, so the initiator sheds it instead
                     # (early discard — zero transmission waste).
@@ -409,24 +416,29 @@ class TrafficEngine:
                         drop_packet_bytes=0,
                         admission_dropped=True,
                     )
+                    path_links = ()
                 out.append(CaseRecord(case=case, result=result))
-                group.add_load(loads, result)
+                group.add_load(loads, path_links)
+                if penalty is not None:
+                    penalty.refresh(loads, group.prefix_links + path_links)
+            if penalty is not None:
+                penalty.check_against(loads)
             records[name] = out
         return records
 
     def _exceeds_cap(
-        self, loads: LinkLoadMap, path, demand: float
+        self, loads: LinkLoadMap, path_links: Sequence[Link], demand: float
     ) -> bool:
-        """Would routing ``demand`` along ``path`` breach the cap anywhere?
+        """Would routing ``demand`` over ``path_links`` breach the cap anywhere?
 
         Links without a provisioned capacity are never capped (their
         utilization is undefined); a small tolerance keeps admitting
         demand that lands exactly on the cap.
         """
         cap = self.utilization_cap
-        assert cap is not None
-        for a, b in path.hops():
-            link = Link.of(a, b)
+        if cap is None:
+            return False
+        for link in path_links:
             capacity = self.topo.link_capacity(link)
             if capacity is None or capacity <= 0.0:
                 continue
@@ -463,11 +475,15 @@ class TrafficEngine:
         groups = []
         for key in sorted(by_case):
             pairs = tuple(by_case[key])
+            prefixes = tuple(self._prefix_links(pair) for pair in pairs)
             groups.append(
                 _GroupPlan(
                     key=key,
                     pairs=pairs,
-                    prefixes=tuple(self._prefix_links(pair) for pair in pairs),
+                    prefixes=prefixes,
+                    prefix_links=tuple(
+                        dict.fromkeys(link for prefix in prefixes for link in prefix)
+                    ),
                     demand=math.fsum(p.demand for p in pairs),
                     flows=sum(p.flows for p in pairs),
                 )
@@ -562,7 +578,7 @@ class TrafficEngine:
             # still in flight (§IV-B delay model): rate × window.
             if result.phase1_duration > 0.0:
                 phase1_loss.append(group_demand * result.phase1_duration)
-            group.add_load(loads, result)
+            group.add_load(loads, _delivered_links(result))
 
         overloaded = loads.overloaded_links()
         record = TrafficScenarioRecord(
@@ -639,22 +655,20 @@ class TrafficEngine:
                 for link in prefix:
                     if link in top:
                         charge(link, pair)
-            result = by_case[group.key].result
-            if result.delivered and result.path is not None:
-                for a, b in result.path.hops():
-                    link = Link.of(a, b)
-                    if link in top:
-                        for pair in group.pairs:
-                            charge(link, pair)
+            for link in _delivered_links(by_case[group.key].result):
+                if link in top:
+                    for pair in group.pairs:
+                        charge(link, pair)
         return overload_attribution(loads, contributions)
 
     def _prefix_links(self, pair: DisruptedPair) -> Tuple[Link, ...]:
         """Links of the surviving default-path prefix source -> initiator."""
         parent = self.routing.tree_to(pair.destination).parent
+        csr = self.topo.csr()
         links = []
         node = pair.source
         while node != pair.initiator:
             nxt = parent[node]  # the classification walk got through
-            links.append(Link.of(node, nxt))
+            links.append(csr.links[csr.pair_lid[(node, nxt)]])
             node = nxt
         return tuple(links)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import EvaluationError
 from .matrix import TrafficMatrix
@@ -46,17 +46,29 @@ class FlowBatch:
 class FlowSet:
     """A flow population apportioned over OD pairs."""
 
-    __slots__ = ("matrix", "n_flows", "_batches", "_by_pair")
+    __slots__ = ("matrix", "n_flows", "_batches", "_by_pair", "_by_destination")
 
     def __init__(self, matrix: TrafficMatrix, batches: List[FlowBatch]) -> None:
         self.matrix = matrix
         self.n_flows = sum(b.flows for b in batches)
         self._batches = batches
         self._by_pair: Dict[Pair, FlowBatch] = {b.pair: b for b in batches}
+        self._by_destination: Optional[Dict[int, List[Tuple[int, float, int]]]] = None
 
     def batches(self) -> Iterator[FlowBatch]:
         """Batches in sorted (source, destination) order."""
         return iter(self._batches)
+
+    def by_destination(self) -> Dict[int, List[Tuple[int, float, int]]]:
+        """Destination -> its ``(source, demand, flows)`` rows, :meth:`batches` order.
+
+        Built on first use and shared by every later call — do not mutate.
+        """
+        if self._by_destination is None:
+            self._by_destination = index = {}
+            for b in self._batches:
+                index.setdefault(b.destination, []).append((b.source, b.demand, b.flows))
+        return self._by_destination
 
     def batch(self, source: int, destination: int) -> FlowBatch:
         """The batch of one pair (zero-flow batch when the pair is absent)."""

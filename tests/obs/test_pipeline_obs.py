@@ -167,3 +167,27 @@ class TestTrafficWindowSpans:
             "traffic.plan": 2,
             "traffic.weight": 2 * len(approaches),
         }
+
+    def test_live_penalty_useful_over_attempted(self, paper_topo, paper_scenario):
+        """Builds per window, not per group: a slide back shows without a profiler."""
+        from repro.traffic import TrafficEngine, aggregate_flows, uniform_matrix
+
+        flow_set = aggregate_flows(uniform_matrix(paper_topo, total_demand=100.0), 10_000)
+        windows = [paper_scenario, paper_scenario]
+        obs.enable()
+        obs.reset()
+        TrafficEngine(
+            paper_topo,
+            flow_set,
+            approaches=("RTR", "r3"),
+            congestion_aware=True,
+            utilization_cap=1.5,
+        ).run_sweep(windows)
+        counters = obs.snapshot()["metrics"]["counters"]
+        groups = counters["eval.cases.scheme.RTR"]
+        assert groups > 2 * len(windows), "the window must hold more groups than builds"
+        # RTR's seed build and the end-of-window guard; r3 takes no penalty.
+        assert counters["te.penalty.builds"] == 2 * len(windows)
+        # O(touched): a handful of links per group, never the whole topology.
+        refreshed = counters["te.penalty.links_refreshed"]
+        assert groups <= refreshed < groups * paper_topo.link_count / 2

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.errors import SimulationError, UnknownLinkError
 from repro.geometry import Point
 from repro.routing import Path, penalized_shortest_path_tree, shortest_path_tree
 from repro.te.penalty import (
@@ -24,6 +25,7 @@ from repro.te.penalty import (
     total_units,
 )
 from repro.topology import Link, Topology, npcsr
+from repro.traffic.capacity import LinkLoadMap
 
 numpy_missing = npcsr.numpy_or_none() is None
 needs_numpy = pytest.mark.skipif(numpy_missing, reason="numpy not installed")
@@ -98,6 +100,74 @@ class TestLinkPenalty:
     def test_total_units_fingerprint(self):
         assert total_units({Link.of(0, 1): 3, Link.of(1, 2): 4}) == 7
         assert total_units({}) == 0
+
+
+class TestLivePenalty:
+    """``refresh`` keeps a penalty equal to a rebuild; ``check_against`` proves it."""
+
+    SHAPE = dict(alpha=3.0, exponent=1.5, clip=1.2, quant=16)
+
+    @pytest.fixture
+    def loaded(self, square):
+        for link in square.links():
+            square.set_link_capacity(link, 10.0)
+        loads = LinkLoadMap(square)
+        loads.add_link(Link.of(0, 1), 6.0)
+        return loads
+
+    @pytest.mark.parametrize("array_built", [False, True])
+    def test_refresh_equals_rebuild_with_the_remembered_shape(
+        self, square, loaded, array_built
+    ):
+        penalty = LinkPenalty.from_load_map(loaded, **self.SHAPE)
+        if array_built:
+            penalty.lid_units(square)
+        loaded.add_link(Link.of(0, 1), 3.0)  # a penalized link moves up
+        loaded.add_link(Link.of(2, 3), 9.0)  # an idle link becomes penalized
+        touched = (Link.of(0, 1), Link.of(2, 3), Link.of(1, 2))  # (1,2) stays idle
+        penalty.refresh(loaded, touched)
+        fresh = LinkPenalty.from_load_map(loaded, **self.SHAPE)
+        assert penalty.units == fresh.units
+        assert set(penalty.units) == {Link.of(0, 1), Link.of(2, 3)}
+        assert penalty.lid_units(square) == fresh.lid_units(square)
+        penalty.check_against(loaded)
+
+    def test_refresh_drops_a_link_that_falls_idle(self, square, loaded):
+        penalty = LinkPenalty.from_load_map(loaded)
+        array = penalty.lid_units(square)
+        idle = LinkLoadMap(square)
+        penalty.refresh(idle, (Link.of(0, 1),))
+        assert penalty.is_null() and not any(array)
+        penalty.check_against(idle)
+
+    def test_links_outside_the_topology_are_refused_like_from_loads(self, square, loaded):
+        penalty = LinkPenalty.from_load_map(loaded)
+        loaded.add_link(Link.of(0, 2), 50.0)  # a diagonal the square does not have
+        with pytest.raises(UnknownLinkError):
+            penalty.refresh(loaded, (Link.of(0, 2),))
+        with pytest.raises(UnknownLinkError):
+            LinkPenalty.from_load_map(loaded)
+
+    def test_check_names_the_first_drifting_link(self, square, loaded):
+        penalty = LinkPenalty.from_load_map(loaded)
+        loaded.add_link(Link.of(2, 3), 9.0)
+        loaded.add_link(Link.of(1, 2), 9.0)  # both moved, neither refreshed
+        with pytest.raises(SimulationError, match=r"drifted at e1,2: 0 units") as err:
+            penalty.check_against(loaded)
+        assert "\n" not in str(err.value)
+        penalty.refresh(loaded, (Link.of(1, 2), Link.of(2, 3)))
+        penalty.check_against(loaded)
+
+    def test_check_catches_a_stale_lid_array(self, square, loaded):
+        penalty = LinkPenalty.from_load_map(loaded)
+        penalty.lid_units(square)[square.csr().pair_lid[(2, 3)]] = 7
+        with pytest.raises(SimulationError, match="lid array"):
+            penalty.check_against(loaded)
+
+    def test_hand_built_penalty_refreshes_with_the_defaults(self, square, loaded):
+        penalty = LinkPenalty({})
+        penalty.refresh(loaded, tuple(loaded.loads()))
+        assert penalty.units == LinkPenalty.from_load_map(loaded).units
 
 
 class TestPenalizedTree:
