@@ -328,6 +328,9 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     bad = _apply_spt_cache_entries(args)
     if bad is not None:
         return bad
+    if args.jobs is not None and args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     if args.headroom is not None and args.headroom <= 0.0:
         print(f"error: headroom must be > 0, got {args.headroom}", file=sys.stderr)
         return 2
@@ -360,37 +363,26 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     with obs.run_context(
         "traffic", seed=args.seed, config=config, topologies=topologies
     ) as manifest:
+        options = dict(
+            seed=args.seed,
+            model=args.model,
+            total_demand=args.demand,
+            n_flows=args.flows,
+            approaches=approaches,
+            congestion_aware=args.congestion_aware,
+            headroom=args.headroom,
+            utilization_cap=args.utilization_cap,
+        )
         if args.parallel:
             from .eval.parallel import parallel_traffic
 
             table = parallel_traffic(
-                topologies,
-                args.scenarios,
-                seed=args.seed,
-                model=args.model,
-                total_demand=args.demand,
-                n_flows=args.flows,
-                approaches=approaches,
-                jobs=args.jobs,
-                congestion_aware=args.congestion_aware,
-                headroom=args.headroom,
-                utilization_cap=args.utilization_cap,
+                topologies, args.scenarios, jobs=args.jobs, **options
             )
         else:
             from .eval.experiments import traffic_weighted_table3
 
-            table = traffic_weighted_table3(
-                topologies,
-                n_scenarios=args.scenarios,
-                seed=args.seed,
-                model=args.model,
-                total_demand=args.demand,
-                n_flows=args.flows,
-                approaches=approaches,
-                congestion_aware=args.congestion_aware,
-                headroom=args.headroom,
-                utilization_cap=args.utilization_cap,
-            )
+            table = traffic_weighted_table3(topologies, args.scenarios, **options)
         print(format_nested_table(table))
     if manifest is not None and manifest.artifacts_dir:
         print(f"obs artifacts: {manifest.artifacts_dir}", file=sys.stderr)

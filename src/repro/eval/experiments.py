@@ -11,8 +11,20 @@ areas per radius; the defaults here are laptop-sized, and
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TYPE_CHECKING,
+    Tuple,
+)
 
 from .. import obs
 from ..failures import FailureScenario, circle_scenarios, fixed_radius_scenarios
@@ -36,29 +48,40 @@ from .metrics import (
 )
 from .runner import ALL_APPROACHES, EvaluationRunner
 
+if TYPE_CHECKING:  # pragma: no cover - repro.traffic imports this package
+    from ..traffic import TrafficEngine
+
 DEFAULT_TOPOLOGIES: Tuple[str, ...] = tuple(isp_catalog.names())
 
 
-#: Built topologies are immutable during evaluation (failures are modeled
-#: as exclusion sets, never as mutations), so drivers in one process share
-#: a single instance per (name, seed) — the CSR view and precomputed
-#: cross-link sets are then built once instead of once per driver call.
-_TOPOLOGY_CACHE: Dict[Tuple[str, int], Topology] = {}
-
-
+@lru_cache(maxsize=None)
 def _build_topology(name: str, seed: int) -> Topology:
     """Resolve any topology spec (catalog AS, ``grid:``, ``scale:``, ``file:``).
 
-    Catalog names remain the common case; routing through
-    :func:`~repro.topology.specs.topology_from_spec` lets every
-    experiment run on generated internet-scale or file-loaded graphs too.
+    Built topologies are immutable during evaluation (failures are modeled
+    as exclusion sets, never as mutations), so drivers — and shard workers
+    — in one process share a single instance per (name, seed): the CSR
+    view and precomputed cross-link sets are built once, not once per
+    driver call.
     """
-    key = (name, seed)
-    topo = _TOPOLOGY_CACHE.get(key)
-    if topo is None:
-        topo = topology_from_spec(name, seed=seed)
-        _TOPOLOGY_CACHE[key] = topo
-    return topo
+    return topology_from_spec(name, seed=seed)
+
+
+def generate_case_set(
+    name: str, n_recoverable: int, n_irrecoverable: int, seed: int
+) -> Tuple[Topology, CaseSet, SPTCache]:
+    """The deterministic case draw of one ``(topology, counts, seed)``.
+
+    Shared by the serial drivers and every shard worker.  The returned
+    SPT pool served case generation (oracle classification) and should
+    serve the protocol runs too; all of them route on the same scenario
+    exclusions.
+    """
+    topo = _build_topology(name, seed)
+    rng = random.Random(seed * 7_919 + 13)
+    cache = SPTCache()
+    case_set = generate_cases(topo, rng, n_recoverable, n_irrecoverable, cache=cache)
+    return topo, case_set, cache
 
 
 def _cases_and_records(
@@ -69,13 +92,8 @@ def _cases_and_records(
     approaches: Sequence[str],
 ) -> Tuple[CaseSet, Dict[str, List[CaseRecord]]]:
     with obs.span("eval.sweep", topology=name):
-        topo = _build_topology(name, seed)
-        rng = random.Random(seed * 7_919 + 13)
-        # One SPT pool serves case generation (oracle classification) and the
-        # protocol runs; all of them route on the same scenario exclusions.
-        cache = SPTCache()
-        case_set = generate_cases(
-            topo, rng, n_recoverable, n_irrecoverable, cache=cache
+        topo, case_set, cache = generate_case_set(
+            name, n_recoverable, n_irrecoverable, seed
         )
         runner = EvaluationRunner(
             topo, routing=case_set.routing, approaches=approaches, sp_cache=cache
@@ -94,6 +112,85 @@ def _split_records(
         recoverable[approach] = [r for r in recs if r.case.recoverable]
         irrecoverable[approach] = [r for r in recs if not r.case.recoverable]
     return recoverable, irrecoverable
+
+
+# ----------------------------------------------------------------------
+# Records -> table reductions, shared by the serial and sharded drivers
+# ----------------------------------------------------------------------
+
+#: ``(topology, {approach -> records})`` pairs in table row order.  The
+#: serial drivers pass a generator, so each topology is swept and
+#: summarized before the next one is built.
+RecordsByTopology = Iterable[Tuple[str, Mapping[str, Sequence]]]
+
+
+def _rows_and_overall(
+    per_topology: RecordsByTopology,
+    approaches: Sequence[str],
+    summarize: Callable,
+    keep: Optional[Callable[[CaseRecord], bool]] = None,
+) -> Tuple[Dict[str, Dict], Dict]:
+    """Per-topology rows plus an ``Overall`` row, and the ``Overall``
+    summary objects.  ``Overall`` summarizes the records of every
+    topology pooled together; it is not an average of the rows."""
+    rows: Dict[str, Dict] = {}
+    pooled: Dict[str, list] = {a: [] for a in approaches}
+    for name, records in per_topology:
+        row = {}
+        for a in approaches:
+            kept = records[a] if keep is None else [r for r in records[a] if keep(r)]
+            row[a] = summarize(kept).as_dict()
+            pooled[a].extend(kept)
+        rows[name] = row
+    overall = {a: summarize(pooled[a]) for a in approaches}
+    rows["Overall"] = {a: overall[a].as_dict() for a in approaches}
+    return rows, overall
+
+
+def table3_from_records(
+    per_topology: RecordsByTopology, approaches: Sequence[str]
+) -> Dict[str, Dict]:
+    """Table III from raw records: recoverable cases per topology + ``Overall``."""
+    rows, _ = _rows_and_overall(
+        per_topology, approaches, summarize_recoverable, lambda r: r.case.recoverable
+    )
+    return rows
+
+
+def table4_from_records(
+    per_topology: RecordsByTopology, approaches: Sequence[str]
+) -> Dict[str, Dict]:
+    """Table IV from raw records: irrecoverable cases per topology +
+    ``Overall``, and the headline ``Savings`` of RTR over FCP when both ran."""
+    rows, overall = _rows_and_overall(
+        per_topology,
+        approaches,
+        summarize_irrecoverable,
+        lambda r: not r.case.recoverable,
+    )
+    if "RTR" in overall and "FCP" in overall:
+        rows["Savings"] = {
+            f"{what}_saved_pct": round(
+                100.0
+                * savings_ratio(
+                    getattr(overall["FCP"], f"avg_wasted_{what}"),
+                    getattr(overall["RTR"], f"avg_wasted_{what}"),
+                ),
+                1,
+            )
+            for what in ("computation", "transmission")
+        }
+    return rows
+
+
+def traffic_table_from_records(
+    per_topology: RecordsByTopology, approaches: Sequence[str]
+) -> Dict[str, Dict]:
+    """Traffic-weighted table from per-scenario records, per topology + ``Overall``."""
+    from ..traffic import summarize_traffic
+
+    rows, _ = _rows_and_overall(per_topology, approaches, summarize_traffic)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -162,20 +259,13 @@ def table3_recoverable(
     Returns ``topology -> {approach -> summary row}`` plus an ``Overall``
     entry aggregated across every topology, as the paper's last row.
     """
-    per_topo: Dict[str, Dict] = {}
-    pooled: Dict[str, List[CaseRecord]] = {a: [] for a in approaches}
-    for name in topologies:
-        case_set, records = _cases_and_records(name, n_cases, 0, seed, approaches)
-        rec, _irr = _split_records(case_set, records)
-        per_topo[name] = {
-            a: summarize_recoverable(rec[a]).as_dict() for a in approaches
-        }
-        for a in approaches:
-            pooled[a].extend(rec[a])
-    per_topo["Overall"] = {
-        a: summarize_recoverable(pooled[a]).as_dict() for a in approaches
-    }
-    return per_topo
+    return table3_from_records(
+        (
+            (name, _cases_and_records(name, n_cases, 0, seed, approaches)[1])
+            for name in topologies
+        ),
+        approaches,
+    )
 
 
 def fig8_stretch(
@@ -380,6 +470,59 @@ def traffic_scenario_list(
     return list(islice(circle_scenarios(topo, rng), n_scenarios))
 
 
+class TrafficSweep(NamedTuple):
+    """Everything one topology's traffic sweep is a function of.
+
+    Picklable and hashable: the serial driver builds its engine from it,
+    shard tasks carry it and pool workers memoize on it.  ``None`` means
+    the :mod:`repro.traffic` / module default.
+    """
+
+    name: str
+    n_scenarios: int
+    seed: int
+    model: str
+    total_demand: Optional[float]
+    n_flows: Optional[int]
+    approaches: Tuple[str, ...]
+    congestion_aware: bool
+    headroom: Optional[float]
+    utilization_cap: Optional[float]
+
+    def build(self) -> Tuple["TrafficEngine", List[FailureScenario]]:
+        """The provisioned engine and the scenario sequence of the sweep."""
+        from ..traffic import (
+            DEFAULT_HEADROOM,
+            DEFAULT_TOTAL_DEMAND,
+            TrafficEngine,
+            aggregate_flows,
+            generate_matrix,
+        )
+
+        topo = _build_topology(self.name, self.seed)
+        matrix = generate_matrix(
+            topo,
+            self.model,
+            total_demand=(
+                DEFAULT_TOTAL_DEMAND if self.total_demand is None else self.total_demand
+            ),
+            seed=self.seed,
+        )
+        flow_set = aggregate_flows(
+            matrix, DEFAULT_TRAFFIC_FLOWS if self.n_flows is None else self.n_flows
+        )
+        scenarios = traffic_scenario_list(topo, self.seed, self.n_scenarios)
+        engine = TrafficEngine(
+            topo,
+            flow_set,
+            approaches=self.approaches,
+            congestion_aware=self.congestion_aware,
+            headroom=DEFAULT_HEADROOM if self.headroom is None else self.headroom,
+            utilization_cap=self.utilization_cap,
+        )
+        return engine, scenarios
+
+
 def traffic_weighted_table3(
     topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
     n_scenarios: int = DEFAULT_TRAFFIC_SCENARIOS,
@@ -407,45 +550,28 @@ def traffic_weighted_table3(
     ``utilization_cap`` admission control); ``headroom`` overrides the
     capacity provisioning factor.
     """
-    from ..traffic import (
-        DEFAULT_HEADROOM,
-        DEFAULT_TOTAL_DEMAND,
-        TrafficEngine,
-        TrafficScenarioRecord,
-        aggregate_flows,
-        generate_matrix,
-        summarize_traffic,
-    )
+    approaches = tuple(approaches)
 
-    demand = DEFAULT_TOTAL_DEMAND if total_demand is None else total_demand
-    headroom = DEFAULT_HEADROOM if headroom is None else headroom
-    per_topo: Dict[str, Dict] = {}
-    pooled: Dict[str, List[TrafficScenarioRecord]] = {a: [] for a in approaches}
-    for name in topologies:
+    def records_of(name: str) -> Dict[str, list]:
         with obs.span("traffic.sweep", topology=name):
-            topo = _build_topology(name, seed)
-            matrix = generate_matrix(topo, model, total_demand=demand, seed=seed)
-            flow_set = aggregate_flows(matrix, n_flows)
-            obs.inc("traffic.flows.total", flow_set.n_flows)
-            scenarios = traffic_scenario_list(topo, seed, n_scenarios)
-            engine = TrafficEngine(
-                topo,
-                flow_set,
-                approaches=approaches,
-                congestion_aware=congestion_aware,
-                headroom=headroom,
-                utilization_cap=utilization_cap,
-            )
-            records = engine.run_sweep(scenarios)
-        per_topo[name] = {
-            a: summarize_traffic(records[a]).as_dict() for a in approaches
-        }
-        for a in approaches:
-            pooled[a].extend(records[a])
-    per_topo["Overall"] = {
-        a: summarize_traffic(pooled[a]).as_dict() for a in approaches
-    }
-    return per_topo
+            engine, scenarios = TrafficSweep(
+                name,
+                n_scenarios,
+                seed,
+                model,
+                total_demand,
+                n_flows,
+                approaches,
+                congestion_aware,
+                headroom,
+                utilization_cap,
+            ).build()
+            obs.inc("traffic.flows.total", engine.flow_set.n_flows)
+            return engine.run_sweep(scenarios)
+
+    return traffic_table_from_records(
+        ((name, records_of(name)) for name in topologies), approaches
+    )
 
 
 def table4_wasted_summary(
@@ -456,35 +582,10 @@ def table4_wasted_summary(
 ) -> Dict[str, Dict]:
     """Table IV: avg/max wasted computation and transmission, plus the
     headline savings of §I (83.1 % computation, 75.6 % transmission)."""
-    per_topo: Dict[str, Dict] = {}
-    pooled: Dict[str, List[CaseRecord]] = {a: [] for a in approaches}
-    for name in topologies:
-        case_set, records = _cases_and_records(name, 0, n_cases, seed, approaches)
-        _, irr = _split_records(case_set, records)
-        per_topo[name] = {
-            a: summarize_irrecoverable(irr[a]).as_dict() for a in approaches
-        }
-        for a in approaches:
-            pooled[a].extend(irr[a])
-    overall = {a: summarize_irrecoverable(pooled[a]) for a in approaches}
-    per_topo["Overall"] = {a: overall[a].as_dict() for a in approaches}
-    if "RTR" in overall and "FCP" in overall:
-        per_topo["Savings"] = {
-            "computation_saved_pct": round(
-                100.0
-                * savings_ratio(
-                    overall["FCP"].avg_wasted_computation,
-                    overall["RTR"].avg_wasted_computation,
-                ),
-                1,
-            ),
-            "transmission_saved_pct": round(
-                100.0
-                * savings_ratio(
-                    overall["FCP"].avg_wasted_transmission,
-                    overall["RTR"].avg_wasted_transmission,
-                ),
-                1,
-            ),
-        }
-    return per_topo
+    return table4_from_records(
+        (
+            (name, _cases_and_records(name, 0, n_cases, seed, approaches)[1])
+            for name in topologies
+        ),
+        approaches,
+    )

@@ -3,69 +3,50 @@
 The paper's evaluation is 10,000 + 10,000 cases on each of eight
 topologies.  Fanning out one task per topology caps the useful worker
 count at the catalog size (8), so these wrappers shard *within* each
-topology as well: every topology's case list is split into seed-stable
-chunks on scenario boundaries, and each (topology, shard) pair becomes
-one process-pool task — a 32-core box is saturated even on a
-single-topology run.
+topology as well: every topology's case list (or scenario list, for
+traffic sweeps) is split into contiguous seed-stable chunks, and each
+(topology, shard) pair becomes one process-pool task — a 32-core box is
+saturated even on a single-topology run.
 
-Determinism: case generation depends only on ``(name, counts, seed)``;
-per-case results depend only on (topology, scenario, case, approach
-config), and a shard always contains whole scenarios, so each scenario's
-protocol state (phase-1 walks, phase-2 trees, FCP headers) is built
-exactly as the serial runner builds it.  Workers return raw
-:class:`~repro.eval.metrics.CaseRecord` lists; the parent reassembles
-them in serial order and feeds the *same* summary code paths as the
-serial drivers — Table III / Table IV output is bit-identical to
-:func:`~repro.eval.experiments.table3_recoverable` /
-:func:`~repro.eval.experiments.table4_wasted_summary` for the same seed
-(asserted by tests).
+Determinism: topology, case set, demand matrix, flows and scenario list
+are pure functions of the task arguments (the generators are
+process-independent), and per-case results depend only on (topology,
+scenario, case, approach config).  A shard always contains whole
+scenarios, so each scenario's protocol state (phase-1 walks, phase-2
+trees, FCP headers) is built exactly as the serial runner builds it.
+Workers return raw record lists; the parent concatenates them in shard
+order — which *is* serial order — and hands them to the record → table
+reductions the serial drivers call
+(:func:`~repro.eval.experiments.table3_from_records` and siblings), so
+serial and sharded tables are equal by construction (and asserted by
+tests).
 
-Workers memoize the generated case set per process (a
+Workers memoize what they build per process (a
 :class:`~concurrent.futures.ProcessPoolExecutor` reuses processes), so
-the per-topology generation cost is paid once per worker, not once per
-shard.
-
-Large topologies skip the per-worker rebuild entirely: the parent
-exports the graph's flat arrays into one ``multiprocessing``
-shared-memory block (:mod:`repro.topology.shm`) and ships workers a
-small picklable spec; each worker attaches the block and its numpy CSR
-mirror aliases the shared pages zero-copy.  ``REPRO_SHM=off|force``
-overrides the node-count threshold; without numpy the rebuild path is
-used unchanged.
+topology build, case generation and engine provisioning are paid once
+per worker, not once per shard.
 """
 
 from __future__ import annotations
 
 import os
-import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..routing import SPTCache
-from ..topology.shm import (
-    ShmTopologySpec,
-    TopologyExport,
-    attach_topology,
-    export_topology,
-    shm_eligible,
-    shm_mode,
-    shm_supported,
+from .cases import CaseSet, TestCase
+from .experiments import (
+    TrafficSweep,
+    generate_case_set,
+    table3_from_records,
+    table4_from_records,
+    traffic_table_from_records,
 )
-from .cases import CaseSet, TestCase, generate_cases
-from .metrics import (
-    CaseRecord,
-    savings_ratio,
-    summarize_irrecoverable,
-    summarize_recoverable,
-)
+from .metrics import CaseRecord
 from .runner import ALL_APPROACHES, EvaluationRunner
-from .sharding import ShardTask, run_sharded
+from .sharding import run_sharded
 
-# Module-level workers: ProcessPoolExecutor requires picklable callables.
-
-#: Per-process memo of generated case sets, keyed by the generation
-#: parameters.  Pool processes handle many shards of the same topology;
-#: only the first pays the generation cost.
-_WORKER_STATE: Dict[tuple, tuple] = {}
+# Module-level work functions: ProcessPoolExecutor requires picklable
+# callables.  They also serve run_sharded's parent-side serial retry.
 
 
 def shard_cases(case_set: CaseSet, n_shards: int) -> List[List[TestCase]]:
@@ -92,129 +73,6 @@ def shard_cases(case_set: CaseSet, n_shards: int) -> List[List[TestCase]]:
     return shards
 
 
-def _shared_exports(
-    topologies: Sequence[str], seed: int
-) -> Dict[str, TopologyExport]:
-    """Export each eligible topology once for a parallel run.
-
-    Callers must release every export in a ``finally`` — the exports are
-    refcounted, so overlapping runs (and ``run_sharded``'s pool-rebuild
-    retry rounds, which all happen within one export's lifetime) share
-    blocks instead of duplicating them.
-    """
-    exports: Dict[str, TopologyExport] = {}
-    if not shm_supported() or shm_mode() == "off":
-        return exports
-    from .experiments import _build_topology
-
-    for name in topologies:
-        topo = _build_topology(name, seed)
-        if shm_eligible(topo):
-            exports[name] = export_topology(topo)
-    return exports
-
-
-def _worker_topology(name: str, seed: int, shm_spec: Optional[ShmTopologySpec]):
-    if shm_spec is not None:
-        return attach_topology(shm_spec)
-    from .experiments import _build_topology
-
-    return _build_topology(name, seed)
-
-
-def _worker_case_set(
-    name: str,
-    n_recoverable: int,
-    n_irrecoverable: int,
-    seed: int,
-    shm_spec: Optional[ShmTopologySpec] = None,
-) -> tuple:
-    key = (name, n_recoverable, n_irrecoverable, seed)
-    state = _WORKER_STATE.get(key)
-    if state is None:
-        topo = _worker_topology(name, seed, shm_spec)
-        rng = random.Random(seed * 7_919 + 13)
-        cache = SPTCache()
-        case_set = generate_cases(
-            topo, rng, n_recoverable, n_irrecoverable, cache=cache
-        )
-        state = (topo, case_set, cache)
-        _WORKER_STATE[key] = state
-    return state
-
-
-def _run_shard(
-    name: str,
-    n_rec: int,
-    n_irr: int,
-    seed: int,
-    approaches: Tuple[str, ...],
-    shard_index: int,
-    n_shards: int,
-    shm_spec: Optional[ShmTopologySpec] = None,
-) -> Dict[str, List[CaseRecord]]:
-    """Run one (topology, shard) chunk — shared by workers and the
-    parent-side serial retry (which must not touch obs state)."""
-    topo, case_set, cache = _worker_case_set(name, n_rec, n_irr, seed, shm_spec)
-    shard = shard_cases(case_set, n_shards)[shard_index]
-    runner = EvaluationRunner(
-        topo, routing=case_set.routing, approaches=approaches, sp_cache=cache
-    )
-    return runner.run_cases(case_set, shard)
-
-
-def _gather_records(
-    topologies: Sequence[str],
-    n_recoverable: int,
-    n_irrecoverable: int,
-    seed: int,
-    approaches: Sequence[str],
-    jobs: Optional[int],
-    shards_per_topology: Optional[int],
-) -> Dict[str, Dict[str, List[CaseRecord]]]:
-    """Fan (topology, shard) tasks out and reassemble serial-order records.
-
-    Pool mechanics (worker obs snapshots, parent-side serial retry,
-    sorted snapshot merge) live in :func:`repro.eval.sharding.run_sharded`.
-    Tasks are submitted individually so per-shard failures stay isolated.
-    """
-    workers = jobs if jobs is not None else (os.cpu_count() or 1)
-    n_shards = shards_per_topology if shards_per_topology is not None else workers
-    n_shards = max(1, n_shards)
-    approaches = tuple(approaches)
-    exports = _shared_exports(topologies, seed)
-    try:
-        tasks: List[ShardTask] = [
-            (
-                (name, s),
-                _run_shard,
-                (
-                    name,
-                    n_recoverable,
-                    n_irrecoverable,
-                    seed,
-                    approaches,
-                    s,
-                    n_shards,
-                    exports[name].spec if name in exports else None,
-                ),
-            )
-            for name in topologies
-            for s in range(n_shards)
-        ]
-        by_shard = run_sharded(tasks, span_name="eval.parallel", workers=workers)
-    finally:
-        for export in exports.values():
-            export.release()
-    merged: Dict[str, Dict[str, List[CaseRecord]]] = {}
-    for name in topologies:
-        merged[name] = {a: [] for a in approaches}
-        for s in range(n_shards):
-            for a in approaches:
-                merged[name][a].extend(by_shard[(name, s)][a])
-    return merged
-
-
 def shard_scenario_indices(n_scenarios: int, n_shards: int) -> List[List[int]]:
     """Split ``range(n_scenarios)`` into contiguous balanced chunks.
 
@@ -234,101 +92,103 @@ def shard_scenario_indices(n_scenarios: int, n_shards: int) -> List[List[int]]:
     return shards
 
 
-#: Per-process memo of traffic engines, keyed by the full generation
-#: parameter tuple — matrix, flow apportionment, capacities, and the
-#: scenario list are all deterministic functions of the key.
-_TRAFFIC_WORKER_STATE: Dict[tuple, tuple] = {}
+#: Per-process memos: pool processes handle many shards of the same
+#: topology; only the first pays for the case draw / engine provisioning.
+_worker_case_set = lru_cache(maxsize=None)(generate_case_set)
+_worker_traffic = lru_cache(maxsize=None)(TrafficSweep.build)
 
 
-def _worker_traffic_engine(
+def _run_case_shard(
     name: str,
-    model: str,
-    total_demand: float,
-    n_flows: int,
+    n_rec: int,
+    n_irr: int,
     seed: int,
-    n_scenarios: int,
-    approaches: Tuple[str, ...],
-    shm_spec: Optional[ShmTopologySpec] = None,
-    congestion_aware: bool = False,
-    headroom: Optional[float] = None,
-    utilization_cap: Optional[float] = None,
-) -> tuple:
-    key = (
-        name,
-        model,
-        total_demand,
-        n_flows,
-        seed,
-        n_scenarios,
-        approaches,
-        congestion_aware,
-        headroom,
-        utilization_cap,
-    )
-    state = _TRAFFIC_WORKER_STATE.get(key)
-    if state is None:
-        from ..traffic import (
-            DEFAULT_HEADROOM,
-            TrafficEngine,
-            aggregate_flows,
-            generate_matrix,
-        )
-        from .experiments import traffic_scenario_list
-
-        topo = _worker_topology(name, seed, shm_spec)
-        matrix = generate_matrix(topo, model, total_demand=total_demand, seed=seed)
-        flow_set = aggregate_flows(matrix, n_flows)
-        scenarios = traffic_scenario_list(topo, seed, n_scenarios)
-        engine = TrafficEngine(
-            topo,
-            flow_set,
-            approaches=approaches,
-            congestion_aware=congestion_aware,
-            headroom=DEFAULT_HEADROOM if headroom is None else headroom,
-            utilization_cap=utilization_cap,
-        )
-        state = (engine, scenarios)
-        _TRAFFIC_WORKER_STATE[key] = state
-    return state
-
-
-def _run_traffic_shard(
-    name: str,
-    model: str,
-    total_demand: float,
-    n_flows: int,
-    seed: int,
-    n_scenarios: int,
     approaches: Tuple[str, ...],
     shard_index: int,
     n_shards: int,
-    shm_spec: Optional[ShmTopologySpec] = None,
-    congestion_aware: bool = False,
-    headroom: Optional[float] = None,
-    utilization_cap: Optional[float] = None,
-) -> Dict[str, list]:
-    """Run one (topology, scenario-shard) chunk — shared by workers and
-    the parent-side serial retry (which must not touch obs state)."""
-    engine, scenarios = _worker_traffic_engine(
-        name,
-        model,
-        total_demand,
-        n_flows,
-        seed,
-        n_scenarios,
-        approaches,
-        shm_spec,
-        congestion_aware,
-        headroom,
-        utilization_cap,
+) -> Dict[str, List[CaseRecord]]:
+    """Run the cases of one (topology, shard) chunk."""
+    topo, case_set, cache = _worker_case_set(name, n_rec, n_irr, seed)
+    shard = shard_cases(case_set, n_shards)[shard_index]
+    runner = EvaluationRunner(
+        topo, routing=case_set.routing, approaches=approaches, sp_cache=cache
     )
-    indices = shard_scenario_indices(n_scenarios, n_shards)[shard_index]
-    records: Dict[str, list] = {a: [] for a in approaches}
-    for index in indices:
+    return runner.run_cases(case_set, shard)
+
+
+def _run_traffic_shard(
+    sweep: TrafficSweep, shard_index: int, n_shards: int
+) -> Dict[str, list]:
+    """Run the scenarios of one (topology, scenario-shard) chunk."""
+    engine, scenarios = _worker_traffic(sweep)
+    records: Dict[str, list] = {a: [] for a in sweep.approaches}
+    for index in shard_scenario_indices(sweep.n_scenarios, n_shards)[shard_index]:
         per_approach = engine.run_scenario(scenarios[index], index)
-        for a in approaches:
+        for a in sweep.approaches:
             records[a].append(per_approach[a])
     return records
+
+
+def _gather(
+    span_name: str,
+    work: Callable[..., Dict[str, list]],
+    work_args: Sequence[Tuple[str, tuple]],
+    jobs: Optional[int],
+    shards_per_topology: Optional[int],
+    max_shards: Optional[int] = None,
+) -> Iterator[Tuple[str, Dict[str, list]]]:
+    """Fan ``work(*args, shard, n_shards)`` out per (topology, shard) and
+    yield ``(topology, {approach -> records in serial order})``.
+
+    ``work_args`` is one ``(topology, args)`` pair per table row.  Pool
+    mechanics (worker obs snapshots, requeue, parent-side serial retry,
+    sorted snapshot merge) live in :func:`repro.eval.sharding.run_sharded`;
+    tasks are submitted individually so per-shard failures stay isolated.
+    """
+    workers = jobs if jobs is not None else (os.cpu_count() or 1)
+    n_shards = shards_per_topology if shards_per_topology is not None else workers
+    if max_shards is not None:
+        n_shards = min(n_shards, max_shards)
+    n_shards = max(1, n_shards)
+    by_shard = run_sharded(
+        [
+            ((name, s), work, (*args, s, n_shards))
+            for name, args in work_args
+            for s in range(n_shards)
+        ],
+        span_name=span_name,
+        workers=workers,
+    )
+    for name, _ in work_args:
+        shards = [by_shard[(name, s)] for s in range(n_shards)]
+        yield name, {a: [r for shard in shards for r in shard[a]] for a in shards[0]}
+
+
+def _sharded_table(
+    from_records: Callable[..., Dict[str, Dict]],
+    topologies: Sequence[str],
+    n_recoverable: int,
+    n_irrecoverable: int,
+    seed: int,
+    approaches: Sequence[str],
+    jobs: Optional[int],
+    shards_per_topology: Optional[int],
+) -> Dict[str, Dict]:
+    """One case-sharded table: gather the records, apply the serial reduction."""
+    approaches = tuple(approaches)
+    return from_records(
+        _gather(
+            "eval.parallel",
+            _run_case_shard,
+            [
+                (name, (name, n_recoverable, n_irrecoverable, seed, approaches))
+                for name in topologies
+            ],
+            jobs,
+            shards_per_topology,
+        ),
+        approaches,
+    )
 
 
 def parallel_traffic(
@@ -349,75 +209,37 @@ def parallel_traffic(
 
     Each (topology, scenario-shard) pair is one pool task; every
     per-scenario :class:`~repro.traffic.TrafficScenarioRecord` is a pure
-    function of ``(topology, matrix, flows, scenario)``, so the parent's
-    merge in scenario order feeds :func:`~repro.traffic.summarize_traffic`
-    the exact record sequence of the serial driver — output is
-    bit-identical to
-    :func:`~repro.eval.experiments.traffic_weighted_table3` for the same
-    arguments (asserted by tests).  Failed shards are retried serially in
-    the parent; worker obs snapshots merge in sorted (topology, shard)
-    order.
+    function of ``(topology, matrix, flows, scenario)``, so the output
+    equals :func:`~repro.eval.experiments.traffic_weighted_table3` for
+    the same arguments (asserted by tests).
     """
-    from ..traffic import (
-        DEFAULT_TOTAL_DEMAND,
-        merge_scenario_records,
-        summarize_traffic,
-    )
-    from .experiments import DEFAULT_TRAFFIC_FLOWS
-
-    demand = DEFAULT_TOTAL_DEMAND if total_demand is None else total_demand
-    flows = DEFAULT_TRAFFIC_FLOWS if n_flows is None else n_flows
     approaches = tuple(approaches)
-    workers = jobs if jobs is not None else (os.cpu_count() or 1)
-    n_shards = shards_per_topology if shards_per_topology is not None else workers
-    n_shards = max(1, min(n_shards, max(1, n_scenarios)))
-    exports = _shared_exports(topologies, seed)
-    try:
-        tasks: List[ShardTask] = [
-            (
-                (name, s),
-                _run_traffic_shard,
-                (
-                    name,
-                    model,
-                    demand,
-                    flows,
-                    seed,
-                    n_scenarios,
-                    approaches,
-                    s,
-                    n_shards,
-                    exports[name].spec if name in exports else None,
-                    congestion_aware,
-                    headroom,
-                    utilization_cap,
-                ),
-            )
-            for name in topologies
-            for s in range(n_shards)
-        ]
-        by_shard = run_sharded(tasks, span_name="traffic.parallel", workers=workers)
-    finally:
-        for export in exports.values():
-            export.release()
-    results: Dict[str, Dict] = {}
-    pooled: Dict[str, list] = {a: [] for a in approaches}
-    for name in topologies:
-        merged = {
-            a: merge_scenario_records(
-                [by_shard[(name, s)][a] for s in range(n_shards)]
-            )
-            for a in approaches
-        }
-        results[name] = {
-            a: summarize_traffic(merged[a]).as_dict() for a in approaches
-        }
-        for a in approaches:
-            pooled[a].extend(merged[a])
-    results["Overall"] = {
-        a: summarize_traffic(pooled[a]).as_dict() for a in approaches
-    }
-    return results
+    sweeps = [
+        TrafficSweep(
+            name,
+            n_scenarios,
+            seed,
+            model,
+            total_demand,
+            n_flows,
+            approaches,
+            congestion_aware,
+            headroom,
+            utilization_cap,
+        )
+        for name in topologies
+    ]
+    return traffic_table_from_records(
+        _gather(
+            "traffic.parallel",
+            _run_traffic_shard,
+            [(sweep.name, (sweep,)) for sweep in sweeps],
+            jobs,
+            shards_per_topology,
+            max_shards=n_scenarios,
+        ),
+        approaches,
+    )
 
 
 def parallel_table3(
@@ -430,27 +252,19 @@ def parallel_table3(
 ) -> Dict[str, Dict]:
     """Table III via case-sharded process-pool execution.
 
-    Output is bit-identical to
-    :func:`~repro.eval.experiments.table3_recoverable` for the same seed.
+    Output equals :func:`~repro.eval.experiments.table3_recoverable` for
+    the same seed.
     """
-    merged = _gather_records(
-        topologies, n_cases, 0, seed, approaches, jobs, shards_per_topology
+    return _sharded_table(
+        table3_from_records,
+        topologies,
+        n_cases,
+        0,
+        seed,
+        approaches,
+        jobs,
+        shards_per_topology,
     )
-    results: Dict[str, Dict] = {}
-    pooled: Dict[str, List[CaseRecord]] = {a: [] for a in approaches}
-    for name in topologies:
-        recoverable = {
-            a: [r for r in merged[name][a] if r.case.recoverable] for a in approaches
-        }
-        results[name] = {
-            a: summarize_recoverable(recoverable[a]).as_dict() for a in approaches
-        }
-        for a in approaches:
-            pooled[a].extend(recoverable[a])
-    results["Overall"] = {
-        a: summarize_recoverable(pooled[a]).as_dict() for a in approaches
-    }
-    return results
 
 
 def parallel_table4(
@@ -463,44 +277,16 @@ def parallel_table4(
 ) -> Dict[str, Dict]:
     """Table IV via case-sharded process-pool execution.
 
-    Output is bit-identical to
-    :func:`~repro.eval.experiments.table4_wasted_summary` for the same
-    seed, including the headline ``Savings`` entry.
+    Output equals :func:`~repro.eval.experiments.table4_wasted_summary`
+    for the same seed, including the headline ``Savings`` entry.
     """
-    merged = _gather_records(
-        topologies, 0, n_cases, seed, approaches, jobs, shards_per_topology
+    return _sharded_table(
+        table4_from_records,
+        topologies,
+        0,
+        n_cases,
+        seed,
+        approaches,
+        jobs,
+        shards_per_topology,
     )
-    results: Dict[str, Dict] = {}
-    pooled: Dict[str, List[CaseRecord]] = {a: [] for a in approaches}
-    for name in topologies:
-        irrecoverable = {
-            a: [r for r in merged[name][a] if not r.case.recoverable]
-            for a in approaches
-        }
-        results[name] = {
-            a: summarize_irrecoverable(irrecoverable[a]).as_dict() for a in approaches
-        }
-        for a in approaches:
-            pooled[a].extend(irrecoverable[a])
-    overall = {a: summarize_irrecoverable(pooled[a]) for a in approaches}
-    results["Overall"] = {a: overall[a].as_dict() for a in approaches}
-    if "RTR" in overall and "FCP" in overall:
-        results["Savings"] = {
-            "computation_saved_pct": round(
-                100.0
-                * savings_ratio(
-                    overall["FCP"].avg_wasted_computation,
-                    overall["RTR"].avg_wasted_computation,
-                ),
-                1,
-            ),
-            "transmission_saved_pct": round(
-                100.0
-                * savings_ratio(
-                    overall["FCP"].avg_wasted_transmission,
-                    overall["RTR"].avg_wasted_transmission,
-                ),
-                1,
-            ),
-        }
-    return results

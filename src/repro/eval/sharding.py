@@ -101,6 +101,8 @@ def run_sharded(
     happened.  The fan-out runs under one ``span_name`` span with a
     ``shards`` attribute.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     results: Dict[Hashable, Any] = {}

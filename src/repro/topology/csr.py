@@ -115,8 +115,7 @@ class CSRView:
         #: flag arrays stay indexable by any id ever handed out).
         self.lid_size = len(topo._links)
         #: Lazily built :class:`~repro.topology.npcsr.NumpyCSR` mirror —
-        #: populated by ``npcsr.numpy_view`` (or preinstalled by the
-        #: shared-memory attach path).  ``None`` until first use.
+        #: populated by ``npcsr.numpy_view``.  ``None`` until first use.
         self.np_cache = None
 
     # ------------------------------------------------------------------

@@ -21,10 +21,6 @@ contiguous buffers instead of per-element Python bytecode:
 * ``unit`` — whether every directed cost is exactly 1.0, which turns
   Dijkstra into BFS and unlocks the O(arcs) frontier-wave kernel.
 
-The mirror can also *wrap* externally owned buffers (the shared-memory
-handoff of :mod:`repro.topology.shm` attaches worker-side views without
-copying); in that case the arrays alias the shared segment.
-
 Everything degrades gracefully without numpy: :func:`numpy_or_none`
 returns ``None`` and no mirror is ever built.
 """
@@ -72,28 +68,18 @@ class NumpyCSR:
         "lid_size",
     )
 
-    def __init__(
-        self,
-        n: int,
-        indptr,
-        nbr,
-        wfwd,
-        wrev,
-        lid,
-        ids,
-        lid_size: int,
-    ) -> None:
+    def __init__(self, view: "CSRView") -> None:
         np = _np
         assert np is not None, "NumpyCSR requires numpy"
-        self.n = n
-        self.m = int(len(nbr))
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.nbr = np.ascontiguousarray(nbr, dtype=np.int64)
-        self.wfwd = np.ascontiguousarray(wfwd, dtype=np.float64)
-        self.wrev = np.ascontiguousarray(wrev, dtype=np.float64)
-        self.lid = np.ascontiguousarray(lid, dtype=np.int64)
-        self.ids = np.ascontiguousarray(ids, dtype=np.int64)
-        self.lid_size = lid_size
+        n = self.n = view.n
+        self.m = len(view.nbr)
+        self.indptr = np.ascontiguousarray(view.indptr, dtype=np.int64)
+        self.nbr = np.ascontiguousarray(view.nbr, dtype=np.int64)
+        self.wfwd = np.ascontiguousarray(view.wfwd, dtype=np.float64)
+        self.wrev = np.ascontiguousarray(view.wrev, dtype=np.float64)
+        self.lid = np.ascontiguousarray(view.lid, dtype=np.int64)
+        self.ids = np.ascontiguousarray(view.ids, dtype=np.int64)
+        self.lid_size = view.lid_size
         self.deg = np.diff(self.indptr)
         self.node_arc = np.repeat(
             np.arange(self.n, dtype=np.int64), self.deg
@@ -122,20 +108,6 @@ class NumpyCSR:
             self.exact = True
             self.unit = True
 
-    @classmethod
-    def from_view(cls, view: "CSRView") -> "NumpyCSR":
-        """Build the mirror from a list-backed CSR view (one copy)."""
-        return cls(
-            view.n,
-            view.indptr,
-            view.nbr,
-            view.wfwd,
-            view.wrev,
-            view.lid,
-            view.ids,
-            view.lid_size,
-        )
-
     def node_flags(self, flags: Optional[bytearray]):
         """A ``bool`` array view of a node exclusion flag array (or None)."""
         if flags is None:
@@ -156,13 +128,12 @@ def numpy_view(view: "CSRView") -> Optional[NumpyCSR]:
     """The cached numpy mirror of ``view`` (``None`` without numpy).
 
     The mirror is built once per CSR view (hence once per topology
-    version) and cached on the view itself; a prebuilt mirror installed
-    by the shared-memory attach path is honoured as-is.
+    version) and cached on the view itself.
     """
     if _np is None:
         return None
     cached = view.np_cache
     if cached is None:
-        cached = NumpyCSR.from_view(view)
+        cached = NumpyCSR(view)
         view.np_cache = cached
     return cached

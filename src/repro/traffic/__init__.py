@@ -48,7 +48,6 @@ from .engine import (
 from .metrics import (
     TrafficScenarioRecord,
     TrafficWeightedSummary,
-    merge_scenario_records,
     safe_div,
     summarize_traffic,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "classify_pairs",
     "TrafficScenarioRecord",
     "TrafficWeightedSummary",
-    "merge_scenario_records",
     "safe_div",
     "summarize_traffic",
 ]

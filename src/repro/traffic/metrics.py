@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..te.metrics import (
@@ -274,12 +274,3 @@ def summarize_traffic(
             r.admission_dropped_demand for r in records
         ),
     )
-
-
-def merge_scenario_records(
-    shards: Sequence[Sequence[TrafficScenarioRecord]],
-) -> List[TrafficScenarioRecord]:
-    """Concatenate per-shard record lists and restore scenario order."""
-    merged = [record for shard in shards for record in shard]
-    merged.sort(key=lambda r: r.scenario_index)
-    return merged

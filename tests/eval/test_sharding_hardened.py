@@ -105,6 +105,11 @@ class TestBoundedRetries:
         with pytest.raises(ValueError, match="max_attempts"):
             run_sharded([], span_name="test.shard", workers=1, max_attempts=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_validated(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_sharded([(0, _ok, (0,))], span_name="test.shard", workers=workers)
+
 
 class TestShardDurationHistogram:
     def test_every_shard_observes_its_duration(self):

@@ -201,6 +201,21 @@ class TestTrafficCommand:
         assert code == 2
         assert "unknown traffic model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        code = main(
+            [
+                "traffic",
+                "--topos", "AS209",
+                "--scenarios", "1",
+                "--flows", "1000",
+                "--parallel",
+                "--jobs", jobs,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+
 
 class TestObsReportErrors:
     def test_missing_run_dir(self, capsys, tmp_path):
