@@ -35,7 +35,7 @@ from ..simulator import (
 )
 from ..topology import Link, Topology
 from .phase1 import Phase1Result, _record_failures_at
-from .sweep import neighbor_sweep_order
+from .sweep import sweep_order
 
 
 def run_exhaustive_phase1(
@@ -79,7 +79,7 @@ def run_exhaustive_phase1(
         # Deterministic neighbor order: reuse the sweep ordering relative
         # to the previous hop (or the trigger at the very start).
         reference = stack[-1] if stack else trigger_neighbor
-        for _angle, _tb, nb in neighbor_sweep_order(topo, current, reference):
+        for nb in sweep_order(topo, current, reference):
             if nb in visited:
                 continue
             if not view.is_neighbor_reachable(current, nb):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, Optional, Set
 
 from ..errors import TopologyError
-from ..geometry import FailureRegion
+from ..geometry import FailureRegion, SpatialGrid
 from ..topology import Link, Topology
 from ..topology.csr import Exclusion
 
@@ -42,11 +42,16 @@ class FailureScenario:
 
     @classmethod
     def from_region(cls, topo: Topology, region: FailureRegion) -> "FailureScenario":
-        """Apply a geometric failure area to a topology (§II-A semantics)."""
-        failed_nodes = {n for n in topo.nodes() if region.contains(topo.position(n))}
-        cut_links = {
-            link for link in topo.links() if region.crosses(topo.segment(link))
-        }
+        """Apply a geometric failure area to a topology (§II-A semantics).
+
+        Only the routers and links that meet the region's search boxes are
+        tested (:func:`region_index`).  They come in ``topo.nodes()`` and
+        link-index order, so the sets are built by the same insertion
+        sequence as a scan of every router and link.
+        """
+        nodes, links = region_index(topo).query(region.search_boxes())
+        failed_nodes = {n for n in nodes if region.contains(topo.position(n))}
+        cut_links = {link for link in links if region.crosses(topo.segment(link))}
         return cls(topo, failed_nodes, cut_links, region=region)
 
     @classmethod
@@ -138,3 +143,15 @@ class FailureScenario:
             f"FailureScenario(nodes={len(self.failed_nodes)}, "
             f"links={len(self.failed_links)})"
         )
+
+
+def region_index(topo: Topology) -> SpatialGrid:
+    """The grid over ``topo``'s routers and links (built once per CSR view)."""
+    csr = topo.csr()
+    grid = csr.grid_cache
+    if grid is None:
+        grid = csr.grid_cache = SpatialGrid(
+            [(node, topo.position(node)) for node in topo.nodes()],
+            [(link, topo.segment(link)) for link in topo.links()],
+        )
+    return grid

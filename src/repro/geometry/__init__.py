@@ -2,7 +2,8 @@
 
 Everything RTR needs from the plane: points and counterclockwise angle
 arithmetic for the right-hand sweeping rule, segments and proper-crossing
-predicates for the ``cross_link`` constraints, failure-area regions, and
+predicates for the ``cross_link`` constraints, failure-area regions, a
+uniform grid that narrows region tests to nearby routers and links, and
 precomputation of per-link crossing sets.
 """
 
@@ -10,6 +11,7 @@ from .point import EPSILON, TWO_PI, Point, ccw_angle, centroid, orientation
 from .segment import Segment, intersection_point, segments_cross, segments_intersect
 from .region import Circle, FailureRegion, HalfPlane, Polygon, UnionRegion
 from .planarity import compute_cross_links, crossing_pairs, is_planar_embedding
+from .spatial import SpatialGrid
 
 __all__ = [
     "EPSILON",
@@ -27,6 +29,7 @@ __all__ = [
     "HalfPlane",
     "Polygon",
     "UnionRegion",
+    "SpatialGrid",
     "compute_cross_links",
     "crossing_pairs",
     "is_planar_embedding",

@@ -12,7 +12,9 @@ small region algebra:
 * :class:`UnionRegion` — unions, for multiple simultaneous failure areas.
 
 Every region answers two questions:  does it contain a point (a router has
-failed), and does a segment cross it (a link has failed).
+failed), and does a segment cross it (a link has failed).  Its search boxes
+bound where either answer can be yes, so a topology only tests the routers
+and links near the area (:mod:`repro.geometry.spatial`).
 """
 
 from __future__ import annotations
@@ -40,6 +42,16 @@ class FailureRegion(ABC):
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """``(min_x, min_y, max_x, max_y)``; infinite for unbounded regions."""
 
+    def search_boxes(self) -> List[Tuple[float, float, float, float]]:
+        """Boxes outside which neither ``contains`` nor ``crosses`` holds.
+
+        Padded by the predicates' own tolerance.  The default is the
+        infinite box — every router and link gets tested — which is right
+        for unbounded regions and safe for any subclass.
+        """
+        inf = math.inf
+        return [(-inf, -inf, inf, inf)]
+
     def union(self, other: "FailureRegion") -> "UnionRegion":
         """The union of this region and ``other``."""
         return UnionRegion([self, other])
@@ -53,6 +65,10 @@ class Circle(FailureRegion):
     """
 
     def __init__(self, center: Point, radius: float) -> None:
+        if not _finite(center):
+            raise ValueError(f"circle center must be finite, got {center!r}")
+        if not math.isfinite(radius):
+            raise ValueError(f"radius must be finite, got {radius}")
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         self.center = center
@@ -71,17 +87,30 @@ class Circle(FailureRegion):
         cx, cy, r = self.center.x, self.center.y, self.radius
         return (cx - r, cy - r, cx + r, cy + r)
 
+    def search_boxes(self) -> List[Tuple[float, float, float, float]]:
+        # Both predicates accept a distance up to r + EPSILON, and a link
+        # shorter than EPSILON is measured from one endpoint: 2 * EPSILON.
+        cx, cy, r = self.center.x, self.center.y, self.radius + 2 * EPSILON
+        return [(cx - r, cy - r, cx + r, cy + r)]
+
     def area(self) -> float:
         """Area of the disc."""
         return math.pi * self.radius * self.radius
 
 
 class Polygon(FailureRegion):
-    """A simple (non self-intersecting) polygon, convex or not."""
+    """A simple (non self-intersecting) polygon, convex or not.
+
+    Keeps the infinite search box: ``crosses`` thresholds cross products,
+    so its tolerance zone grows with 1 / edge length and 1 / link length,
+    and no fixed pad of the bounding box covers it.
+    """
 
     def __init__(self, vertices: Sequence[Point]) -> None:
         if len(vertices) < 3:
             raise ValueError("a polygon needs at least 3 vertices")
+        if not _finite(*vertices):
+            raise ValueError("polygon vertices must be finite")
         self.vertices: List[Point] = list(vertices)
 
     def __repr__(self) -> str:
@@ -137,6 +166,8 @@ class HalfPlane(FailureRegion):
     """
 
     def __init__(self, anchor: Point, normal: Point) -> None:
+        if not _finite(anchor, normal):
+            raise ValueError("half-plane anchor and normal must be finite")
         if normal.norm() <= EPSILON:
             raise ValueError("normal vector must be non-zero")
         self.anchor = anchor
@@ -189,3 +220,11 @@ class UnionRegion(FailureRegion):
             max(b[2] for b in boxes),
             max(b[3] for b in boxes),
         )
+
+    def search_boxes(self) -> List[Tuple[float, float, float, float]]:
+        return [box for r in self.regions for box in r.search_boxes()]
+
+
+def _finite(*points: Point) -> bool:
+    """Whether every coordinate of ``points`` is a finite float."""
+    return all(math.isfinite(v) for p in points for v in p)

@@ -72,6 +72,8 @@ class CSRView:
         "n",
         "lid_size",
         "np_cache",
+        "sweep_cache",
+        "grid_cache",
     )
 
     def __init__(self, topo: "Topology", version: int) -> None:
@@ -117,6 +119,12 @@ class CSRView:
         #: Lazily built :class:`~repro.topology.npcsr.NumpyCSR` mirror —
         #: populated by ``npcsr.numpy_view``.  ``None`` until first use.
         self.np_cache = None
+        #: Lazily built :class:`~repro.core.sweep.SweepTable` (the rotation
+        #: system of the right-hand rule) — populated by ``sweep_table``.
+        self.sweep_cache = None
+        #: Lazily built :class:`~repro.geometry.spatial.SpatialGrid` over
+        #: node points and link segments — populated by ``region_index``.
+        self.grid_cache = None
 
     # ------------------------------------------------------------------
     # Exclusion flags and signatures

@@ -2,7 +2,10 @@
 
 import math
 
+import pytest
+
 from repro.core import first_hop, neighbor_sweep_order, select_next_hop
+from repro.errors import UnknownLinkError
 from repro.failures import FailureScenario, LocalView
 from repro.geometry import Point
 from repro.topology import Link, Topology
@@ -47,6 +50,15 @@ class TestSweepOrder:
         topo = plus_topology()
         order = [nb for _, _, nb in neighbor_sweep_order(topo, 0, 1, clockwise=True)]
         assert order == [4, 3, 2, 1]
+
+    def test_non_adjacent_reference_rejected(self, grid5):
+        # The sweeping line starts on a link; node 24 is across the grid.
+        with pytest.raises(UnknownLinkError):
+            neighbor_sweep_order(grid5, 0, 24)
+
+    def test_self_reference_rejected(self, grid5):
+        with pytest.raises(UnknownLinkError):
+            neighbor_sweep_order(grid5, 0, 0)
 
 
 class TestSelectNextHop:

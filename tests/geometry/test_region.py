@@ -39,6 +39,14 @@ class TestCircle:
         with pytest.raises(ValueError):
             Circle(Point(0, 0), -1)
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            Circle(Point(200, 200), math.nan)
+        with pytest.raises(ValueError):
+            Circle(Point(math.nan, 0), 50)
+        with pytest.raises(ValueError):
+            Circle(Point(0, 0), math.inf)
+
     def test_zero_radius_is_a_point(self):
         c = Circle(Point(3, 3), 0)
         assert c.contains(Point(3, 3))
@@ -55,6 +63,10 @@ class TestPolygon:
     def test_requires_three_vertices(self):
         with pytest.raises(ValueError):
             Polygon([Point(0, 0), Point(1, 1)])
+
+    def test_non_finite_vertex_rejected(self):
+        with pytest.raises(ValueError):
+            Polygon([Point(0, 0), Point(math.nan, 1), Point(1, 0)])
 
     def test_contains_interior(self):
         square = Polygon([Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)])
@@ -122,6 +134,12 @@ class TestHalfPlane:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             HalfPlane(Point(0, 0), Point(0, 0))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            HalfPlane(Point(math.inf, 0), Point(1, 0))
+        with pytest.raises(ValueError):
+            HalfPlane(Point(0, 0), Point(math.nan, 1))
 
     def test_unbounded_bbox(self):
         box = HalfPlane(Point(0, 0), Point(1, 0)).bounding_box()
