@@ -50,7 +50,7 @@ class Oracle:
     def tree_from(self, initiator: int) -> ShortestPathTree:
         """Forward tree of ``G - E2`` from ``initiator`` (shared, read-only).
 
-        ``tree.dist`` is the optimal cost of every recoverable destination.
+        ``tree.cost_to(d)`` is the optimal cost of every recoverable ``d``.
         Consecutive queries about one initiator reuse it without a cache
         probe; a topology mutation (a new prepared exclusion) fetches again.
         """
@@ -67,7 +67,7 @@ class Oracle:
         failed = self.scenario.failed_nodes
         if destination in failed or initiator in failed:
             return None
-        return self.tree_from(initiator).dist.get(destination)
+        return self.tree_from(initiator).cost_to(destination)
 
     def is_recoverable(self, initiator: int, destination: int) -> bool:
         """Whether any live path exists (§IV-A's case 2)."""

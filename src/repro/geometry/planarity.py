@@ -128,20 +128,6 @@ def segments_cross_raw(
     return False
 
 
-def _expand_ranges(np, starts, counts):
-    """Concatenate ``arange(start, start+count)`` per row, vectorized."""
-    keep = counts > 0
-    starts, counts = starts[keep], counts[keep]
-    if len(starts) == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(out)
-
-
 def _cross_mask(np, a, b):
     """Vectorized :func:`segments_cross_raw` over two coordinate bundles.
 
@@ -204,6 +190,9 @@ def _candidate_pairs(np, coords, minx, miny, maxx, maxy):
     of boxes they overlap, which avoids flooding the grid with huge
     bbox rectangles.
     """
+    # Imported here: repro.topology imports this package at load time.
+    from ..topology.npcsr import expand_ranges
+
     span = np.maximum(maxx - minx, maxy - miny)
     x0, x1 = float(minx.min()), float(maxx.max())
     y0, y1 = float(miny.min()), float(maxy.max())
@@ -226,7 +215,7 @@ def _candidate_pairs(np, coords, minx, miny, maxx, maxy):
         width = ix1 - ix0 + 1
         cells_per = width * (iy1 - iy0 + 1)
         member = np.repeat(np.arange(len(short)), cells_per)
-        local = _expand_ranges(np, np.zeros(len(short), dtype=np.int64), cells_per)
+        local = expand_ranges(np.zeros(len(short), dtype=np.int64), cells_per)
         cell_ids = (iy0[member] + local // width[member]) * g + (
             ix0[member] + local % width[member]
         )
@@ -239,7 +228,7 @@ def _candidate_pairs(np, coords, minx, miny, maxx, maxy):
         group_start[boundaries] = boundaries
         np.maximum.accumulate(group_start, out=group_start)
         local_rank = np.arange(len(cell_ids)) - group_start
-        firsts = member[_expand_ranges(np, group_start, local_rank)]
+        firsts = member[expand_ranges(group_start, local_rank)]
         seconds = np.repeat(member, local_rank)
         pair_lo.append(np.minimum(firsts, seconds))
         pair_hi.append(np.maximum(firsts, seconds))

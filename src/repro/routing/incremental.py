@@ -20,6 +20,12 @@ Like the core Dijkstra, the relax loops run on the flat-array CSR view:
 removed links become a 0/1 flag array over interned link ids, removed
 nodes a flag array over dense node indices, and neighbor iteration walks
 the parallel arc arrays instead of re-deriving ``Link`` objects.
+
+Where the numpy kernels serve the graph (:func:`repro.routing.kernels.
+select_backend`), the update is instead the fresh numpy tree of
+``G - removed`` from the same root: each whole-array pass costs O(arcs)
+however small the damage, and copying and repairing 20k-entry dicts
+costs more than that pass.  The heap repair below stays the reference.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ def updated_tree(
     ``tree`` must be a valid SPT of ``topo`` (forward or reverse); it is not
     modified.  Removed nodes lose all incident links and are dropped from
     the result.  Affected nodes that cannot be reattached become
-    unreachable (absent from ``dist``).
+    unreachable (absent from ``dist``).  Values are the fresh tree's; the
+    heap repair appends reattached nodes to ``dist`` in settle order,
+    while on numpy views the result is the fresh tree, in id order.
     """
     if not obs.enabled():
         return _updated_tree_kernel(topo, tree, removed_links, removed_nodes)
@@ -68,12 +76,28 @@ def _updated_tree_kernel(
     removed_nodes: Iterable[int] = (),
 ) -> ShortestPathTree:
     csr = topo.csr()
+    removed_node_set: Set[int] = set(removed_nodes)
+    if tree.root in removed_node_set:
+        # The root itself failed: nothing is reachable.
+        return ShortestPathTree(tree.root, {}, {}, tree.toward_root)
+    backend, np_view = kernels.select_backend(csr)
+    if backend == "numpy":
+        # A whole-array kernel touches every arc whatever the damage, so
+        # repairing the tree saves nothing over a fresh tree of
+        # ``G - removed`` — which is what the repair must equal.
+        return kernels.dijkstra_numpy(
+            topo,
+            np_view,
+            tree.root,
+            tree.toward_root,
+            csr.node_flags(removed_node_set),
+            csr.link_flags(removed_links),
+        )
+
     pos, ids = csr.pos, csr.ids
     indptr, nbr, lid = csr.indptr, csr.nbr, csr.lid
     wfwd, wrev = csr.wfwd, csr.wrev
     pair_lid = csr.pair_lid
-
-    removed_node_set: Set[int] = set(removed_nodes)
     removed_link_flags = csr.link_flags(removed_links)
     node_removed = bytearray(csr.n)
     for node in removed_node_set:
@@ -85,9 +109,6 @@ def _updated_tree_kernel(
             removed_link_flags[lid[arc]] = 1
 
     new = tree.copy()
-    if new.root in removed_node_set:
-        # The root itself failed: nothing is reachable.
-        return ShortestPathTree(new.root, {}, {}, new.toward_root)
 
     # 1. Directly affected: nodes whose tree edge to the parent was removed.
     directly_affected = set(n for n in removed_node_set if n in new.dist)
@@ -116,15 +137,7 @@ def _updated_tree_kernel(
         del new.parent[node]
     affected -= removed_node_set  # failed nodes are gone for good
 
-    # 3. Reattach via a Dijkstra seeded from the intact boundary.  Large
-    # affected regions route through the masked-fixpoint numpy reattach
-    # (bit-identical, see repro.routing.kernels); localized failures stay
-    # on the boundary-seeded heap below, which only touches the region.
-    backend, np_view = kernels.incremental_backend(csr, len(affected))
-    if backend == "numpy":
-        return kernels.reattach_numpy(
-            topo, np_view, new, affected, node_removed, removed_link_flags
-        )
+    # 3. Reattach via a Dijkstra seeded from the intact boundary.
     toward_root = new.toward_root
     heap: List[tuple] = []
     best: Dict[int, float] = {}
@@ -194,4 +207,4 @@ def incremental_distance(
 ) -> Optional[float]:
     """Post-failure distance between ``node`` and the root, or ``None``."""
     new = updated_tree(topo, tree, removed_links, removed_nodes)
-    return new.dist.get(node)
+    return new.cost_to(node)

@@ -29,16 +29,20 @@ iterating a gather + ``np.minimum.reduceat`` relaxation to fixpoint
 (or an O(arcs) frontier BFS when every cost is 1), parents by a single
 arg-min pass over the converged distances.  DESIGN.md §12 spells out the
 argument; the golden and property tests enforce it.
+
+Trees leave these kernels as arrays
+(:meth:`~repro.routing.spt.ShortestPathTree.from_arrays`); the
+reference-shaped dicts are built only if a caller reads them.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..errors import RoutingError, UnknownNodeError
-from ..topology.npcsr import NumpyCSR, numpy_or_none, numpy_view
+from ..topology.npcsr import NumpyCSR, expand_ranges, numpy_or_none, numpy_view
 from .spt import ShortestPathTree
 
 #: Environment variable selecting the kernel backend.
@@ -47,13 +51,6 @@ KERNEL_ENV = "REPRO_KERNEL"
 #: ``auto`` only picks numpy at or above this node count — below it the
 #: per-call numpy overhead rivals the whole pure-Python run.
 AUTO_MIN_NODES = 1024
-
-#: ``auto`` only routes an incremental-SPT reattach through numpy when the
-#: affected subtree has at least this many nodes *and* is at least this
-#: fraction of the graph — each numpy sweep touches every arc, so small
-#: localized failures are better served by the boundary-seeded heap.
-AUTO_MIN_AFFECTED = 1024
-AUTO_MIN_AFFECTED_FRAC = 0.125
 
 _MODES = ("auto", "python", "numpy")
 
@@ -112,29 +109,6 @@ def select_backend(csr, target: Optional[int] = None) -> Tuple[str, Optional[Num
         return "python", None
     if mode == "auto" and (not numpy_available() or csr.n < AUTO_MIN_NODES):
         return "python", None
-    view = _eligible_view(csr)
-    if view is None:
-        return "python", None
-    return "numpy", view
-
-
-def incremental_backend(csr, affected_count: int) -> Tuple[str, Optional[NumpyCSR]]:
-    """Backend for an incremental-SPT reattach over ``affected_count`` nodes."""
-    mode = kernel_mode()
-    if mode == "python":
-        return "python", None
-    if mode == "numpy" and not numpy_available():
-        raise RoutingError(
-            f"{KERNEL_ENV}=numpy but numpy is not importable; "
-            "install the [fast] extra or unset the variable"
-        )
-    if mode == "auto":
-        if (
-            not numpy_available()
-            or affected_count < AUTO_MIN_AFFECTED
-            or affected_count < csr.n * AUTO_MIN_AFFECTED_FRAC
-        ):
-            return "python", None
     view = _eligible_view(csr)
     if view is None:
         return "python", None
@@ -212,38 +186,24 @@ def _parent_pass(np, view: NumpyCSR, dist, weights, usable):
     return np.where(best < view.n, best, -1)
 
 
-def _ranges_to_indices(np, starts, counts):
-    """Concatenate ``arange(starts[i], starts[i] + counts[i])`` vectorized.
-
-    Zero-length ranges are dropped up front — with them present the
-    difference-scatter below would write twice to one boundary slot.
-    """
-    keep = counts > 0
-    starts, counts = starts[keep], counts[keep]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(counts)
-    out[0] = starts[0]
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
-    return np.cumsum(out)
-
-
 def _bfs_unit(np, view: NumpyCSR, root_index: int, node_excl, link_excl):
     """Distances by frontier-wave BFS — valid only when every cost is 1.
 
     O(arcs) total work: each wave expands only the arcs *out of* the
     frontier (scatter direction), so the wave masks differ from the
     gather masks — here the *neighbor* endpoint is the relaxation target.
+    The next frontier is the unvisited targets scattered into a boolean
+    mark array and read back with ``flatnonzero``: sorted and unique, as
+    ``np.unique`` would give, without a sort per wave.
     """
     n = view.n
     dist = np.full(n, _INF)
-    visited = np.zeros(n, dtype=bool)
-    if node_excl is not None:
+    if node_excl is None:
+        unvisited = np.ones(n, dtype=bool)
+    else:
         # Excluded nodes can never be entered; pre-marking them visited
         # bars every wave from claiming them.
-        visited |= np.frombuffer(bytes(node_excl), dtype=np.uint8) != 0
+        unvisited = np.frombuffer(bytes(node_excl), dtype=np.uint8) == 0
     link_bad = None
     if link_excl is not None:
         flags = np.frombuffer(bytes(link_excl), dtype=np.uint8)
@@ -251,40 +211,37 @@ def _bfs_unit(np, view: NumpyCSR, root_index: int, node_excl, link_excl):
     # The root is always usable (the reference kernel pins dist[root]=0
     # and relaxes its out-arcs even when the root itself is excluded).
     dist[root_index] = 0.0
-    visited[root_index] = True
+    unvisited[root_index] = False
+    mark = np.zeros(n, dtype=bool)
     frontier = np.array([root_index], dtype=np.int64)
     level = 0.0
     while frontier.size:
-        arcs = _ranges_to_indices(np, view.indptr[frontier], view.deg[frontier])
-        if link_bad is not None and arcs.size:
+        arcs = expand_ranges(view.indptr[frontier], view.deg[frontier])
+        if link_bad is not None:
             arcs = arcs[~link_bad[arcs]]
         targets = view.nbr[arcs]
-        targets = np.unique(targets)
-        targets = targets[~visited[targets]]
+        mark[targets[unvisited[targets]]] = True
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
         level += 1.0
-        dist[targets] = level
-        visited[targets] = True
-        frontier = targets
+        dist[frontier] = level
+        unvisited[frontier] = False
     return dist
 
 
-def _sweep(np, view: NumpyCSR, dist, weights, usable, update_mask=None, pin=None):
+def _sweep(np, view: NumpyCSR, dist, weights, usable, pin):
     """Iterate gather relaxations to fixpoint; returns converged ``dist``.
 
-    ``update_mask`` restricts which rows may change (incremental reattach);
-    ``pin`` is a node index whose distance is held at its seed value.
-    Converges in at most eccentricity+1 sweeps; with positive costs the
-    bound ``n + 1`` can never be hit (asserted defensively).
+    ``pin`` is the root's node index, whose distance is held at its seed
+    value.  Converges in at most eccentricity+1 sweeps; with positive
+    costs the bound ``n + 1`` can never be hit (asserted defensively).
     """
     masked = weights if usable is None else np.where(usable, weights, _INF)
     for _ in range(view.n + 1):
         gathered = dist[view.nbr] + masked
         reduced = _segment_min(np, gathered, view)
         new = np.minimum(dist, reduced)
-        if pin is not None:
-            new[pin] = dist[pin]
-        if update_mask is not None:
-            new = np.where(update_mask, new, dist)
+        new[pin] = dist[pin]
         if np.array_equal(new, dist):
             return dist
         dist = new
@@ -311,25 +268,6 @@ def _solve_arrays(np, view: NumpyCSR, root_index: int, toward_root, node_excl, l
     return dist, parent
 
 
-def _tree_from_arrays(csr, root: int, dist, parent, toward_root: bool) -> ShortestPathTree:
-    """Build a ShortestPathTree bit-identical to the reference kernel's.
-
-    The reference inserts nodes in ascending dense-index order (== id
-    order) and stores plain Python floats; ``tolist`` preserves both the
-    exact bits and that insertion order.
-    """
-    np = numpy_or_none()
-    ids = csr.ids  # python list, index -> id
-    reach = np.flatnonzero(np.isfinite(dist))
-    keys = [ids[i] for i in reach.tolist()]
-    dist_map: Dict[int, float] = dict(zip(keys, dist[reach].tolist()))
-    parent_map: Dict[int, Optional[int]] = {
-        k: (ids[p] if p >= 0 else None)
-        for k, p in zip(keys, parent[reach].tolist())
-    }
-    return ShortestPathTree(root, dist_map, parent_map, toward_root)
-
-
 def dijkstra_numpy(
     topo,
     view: NumpyCSR,
@@ -349,7 +287,7 @@ def dijkstra_numpy(
     if obs.enabled():
         obs.inc("dijkstra.numpy_runs")
     dist, parent = _solve_arrays(np, view, root_index, toward_root, node_excl, link_excl)
-    return _tree_from_arrays(csr, root, dist, parent, toward_root)
+    return ShortestPathTree.from_arrays(csr, root, dist, parent, toward_root)
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +375,7 @@ def penalized_numpy(
     dist = _sweep(np, view, dist, weights, usable, pin=root_index)
     parent = _parent_pass(np, view, dist, weights, usable)
     parent[root_index] = -1
-    return _tree_from_arrays(csr, root, dist, parent, toward_root=False)
+    return ShortestPathTree.from_arrays(csr, root, dist, parent, toward_root=False)
 
 
 # ----------------------------------------------------------------------
@@ -555,8 +493,12 @@ def batched_trees(
         dist_mat, parent_mat = batched_dijkstra_arrays(
             topo, roots, toward_root, node_excl, link_excl, view=view
         )
+        # Row copies: a row view would keep the whole (R, n) matrix alive
+        # for as long as any one tree lives.
         return [
-            _tree_from_arrays(csr, root, dist_mat[i], parent_mat[i], toward_root)
+            ShortestPathTree.from_arrays(
+                csr, root, dist_mat[i].copy(), parent_mat[i].copy(), toward_root
+            )
             for i, root in enumerate(roots)
         ]
     return [
@@ -564,65 +506,3 @@ def batched_trees(
         for root in roots
     ]
 
-
-# ----------------------------------------------------------------------
-# Incremental-SPT reattach
-# ----------------------------------------------------------------------
-
-
-def reattach_numpy(
-    topo,
-    view: NumpyCSR,
-    new: ShortestPathTree,
-    affected: Iterable[int],
-    node_removed: bytearray,
-    removed_link_flags: bytearray,
-) -> ShortestPathTree:
-    """Numpy reattach step of the incremental SPT update.
-
-    ``new`` is the tree copy with every affected node already deleted;
-    ``affected`` are the (alive) nodes to reattach.  Computes the same
-    boundary-seeded Dijkstra as the reference reattach loop as a
-    masked fixpoint: intact distances are fixed seeds, only affected rows
-    may change, removed links/nodes are masked out.  Results (values and
-    ``new.dist`` insertion order — ascending (distance, id), the heap's
-    settle order) are bit-identical to the reference loop.
-    """
-    global _NUMPY_RUNS
-    np = numpy_or_none()
-    csr = topo.csr()
-    pos, ids = csr.pos, csr.ids
-    _NUMPY_RUNS += 1
-    if obs.enabled():
-        obs.inc("spt.incremental_numpy")
-
-    n = view.n
-    aff_mask = np.zeros(n, dtype=bool)
-    for node in affected:
-        aff_mask[pos[node]] = True
-
-    dist = np.full(n, _INF)
-    for node, d in new.dist.items():
-        dist[pos[node]] = d
-
-    weights = _gather_weights(view, new.toward_root)
-    usable = _gather_usable(view, None, removed_link_flags)
-    # Arcs into removed nodes can never relax; arcs *from* removed nodes
-    # die on their own (a removed node's distance is +inf).
-    removed_arr = np.frombuffer(bytes(node_removed), dtype=np.uint8) != 0
-    if removed_arr.any():
-        owner_ok = ~removed_arr[view.node_arc]
-        usable = owner_ok if usable is None else (usable & owner_ok)
-
-    dist = _sweep(np, view, dist, weights, usable, update_mask=aff_mask)
-    parent = _parent_pass(np, view, dist, weights, usable)
-
-    # Insert reattached nodes in the reference heap's settle order:
-    # ascending (distance, id) — id order equals index order.
-    reattached = np.flatnonzero(aff_mask & np.isfinite(dist))
-    order = np.lexsort((reattached, dist[reattached]))
-    for i in reattached[order].tolist():
-        node = ids[i]
-        new.dist[node] = float(dist[i])
-        new.parent[node] = ids[parent[i]] if parent[i] >= 0 else None
-    return new

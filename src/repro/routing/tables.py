@@ -68,8 +68,7 @@ class RoutingTable:
 
     def distance(self, source: int, destination: int) -> Optional[float]:
         """Shortest-path cost, or ``None`` if unreachable."""
-        tree = self.tree_to(destination)
-        return tree.dist.get(source)
+        return self.tree_to(destination).cost_to(source)
 
     def destinations(self) -> Iterator[int]:
         """All possible destinations (every node)."""

@@ -43,6 +43,24 @@ def numpy_or_none():
     return _np
 
 
+def expand_ranges(starts, counts):
+    """Concatenate ``arange(starts[i], starts[i] + counts[i])``, vectorized.
+
+    Zero-length ranges are dropped up front — with them present the
+    difference-scatter below would write twice to one boundary slot.
+    """
+    np = _np
+    keep = counts > 0
+    starts, counts = starts[keep], counts[keep]
+    if len(starts) == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(counts)
+    out = np.ones(int(ends[-1]), dtype=np.int64)
+    out[0] = starts[0]
+    out[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
+    return np.cumsum(out)
+
+
 class NumpyCSR:
     """Contiguous numpy buffers mirroring one :class:`CSRView`.
 
