@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, Optional, Set
 
 from ..errors import TopologyError
-from ..geometry import FailureRegion, SpatialGrid
+from ..geometry import FailureRegion
 from ..topology import Link, Topology
-from ..topology.csr import Exclusion
+from ..topology.csr import Exclusion, region_index
 
 
 class FailureScenario:
@@ -45,7 +45,7 @@ class FailureScenario:
         """Apply a geometric failure area to a topology (§II-A semantics).
 
         Only the routers and links that meet the region's search boxes are
-        tested (:func:`region_index`).  They come in ``topo.nodes()`` and
+        tested (:func:`~repro.topology.csr.region_index`).  They come in ``topo.nodes()`` and
         link-index order, so the sets are built by the same insertion
         sequence as a scan of every router and link.
         """
@@ -144,14 +144,3 @@ class FailureScenario:
             f"links={len(self.failed_links)})"
         )
 
-
-def region_index(topo: Topology) -> SpatialGrid:
-    """The grid over ``topo``'s routers and links (built once per CSR view)."""
-    csr = topo.csr()
-    grid = csr.grid_cache
-    if grid is None:
-        grid = csr.grid_cache = SpatialGrid(
-            [(node, topo.position(node)) for node in topo.nodes()],
-            [(link, topo.segment(link)) for link in topo.links()],
-        )
-    return grid

@@ -5,15 +5,18 @@ it.  A region can only contain a point, or cut a segment, inside its own
 box, so :meth:`FailureScenario.from_region
 <repro.failures.model.FailureScenario.from_region>` asks this grid for
 the routers and links that meet the region's search boxes and runs the
-exact predicates on those alone.
+exact predicates on those alone.  §III-C's cross-link precompute
+(:func:`~repro.geometry.planarity.compute_cross_links`) pairs the
+segments that share a cell (:meth:`SpatialGrid.segment_cells`).
 
 Cells are square, about four points each; coordinates beyond the points'
 extent clamp to the border cells.  A point lives in the cell that
 contains it.  A segment lives in the cells along its path — one run of
 cells per grid row (or column) it crosses — so a long backbone link does
-not occupy every cell of its bounding box.  Keys come back in the order
-they were added: callers that build sets from them insert in the same
-order as a full scan would.
+not occupy every cell of its bounding box.  Paths are padded by the
+touch tolerance ``EPSILON``: two segments that cross, or touch within
+it, share a cell.  Keys come back in the order they were added: callers
+that build sets from them insert in the same order as a full scan would.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from .point import Point
+from .point import EPSILON, Point
 from .segment import Segment
 
 #: ``(min_x, min_y, max_x, max_y)``.
@@ -52,9 +55,10 @@ class SpatialGrid:
         self.width = span / side if span > 0 else 1.0
         self.cols = int(span_x / self.width) + 1
         self.rows = int(span_y / self.width) + 1
-        #: Margin for float rounding in coordinate arithmetic at this map's
-        #: magnitude — orders of magnitude above a few ulps of it.
-        self.slack = 1e-12 * (1.0 + max(map(abs, xs + ys)))
+        #: The predicates' touch tolerance plus a margin for float rounding
+        #: in coordinate arithmetic at this map's magnitude (orders of
+        #: magnitude above a few ulps of it).
+        self.slack = EPSILON + 1e-12 * (1.0 + max(map(abs, xs + ys)))
 
         point_cells: List[List[int]] = [[] for _ in range(self.cols * self.rows)]
         for index, (_key, p) in enumerate(points):
@@ -142,6 +146,14 @@ class SpatialGrid:
             [point_keys[i] for i in sorted(point_hits)],
             [segment_keys[i] for i in sorted(segment_hits)],
         )
+
+    def segment_cells(self) -> Tuple[List[int], List[int]]:
+        """The segments of every cell, packed: ``(start, items)``.
+
+        Cell ``c`` holds ``items[start[c] : start[c + 1]]``, ascending
+        indices into :attr:`segment_keys`, each at most once.
+        """
+        return self._segment_start, self._segment_items
 
     def __repr__(self) -> str:
         return (

@@ -27,6 +27,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Iterable, List, Tuple, TYPE_CHECKING
 
+from ..geometry import SpatialGrid
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import Link, Topology
 
@@ -74,6 +76,7 @@ class CSRView:
         "np_cache",
         "sweep_cache",
         "grid_cache",
+        "cross_cache",
     )
 
     def __init__(self, topo: "Topology", version: int) -> None:
@@ -123,8 +126,12 @@ class CSRView:
         #: system of the right-hand rule) — populated by ``sweep_table``.
         self.sweep_cache = None
         #: Lazily built :class:`~repro.geometry.spatial.SpatialGrid` over
-        #: node points and link segments — populated by ``region_index``.
+        #: node points and link segments — populated by :func:`region_index`.
         self.grid_cache = None
+        #: Lazily built §III-C crossing map (link -> links across it),
+        #: computed on ``grid_cache`` — populated by
+        #: ``Topology.all_cross_links``.
+        self.cross_cache = None
 
     # ------------------------------------------------------------------
     # Exclusion flags and signatures
@@ -180,6 +187,23 @@ class CSRView:
 
     def __repr__(self) -> str:
         return f"CSRView(nodes={self.n}, arcs={len(self.nbr)}, v={self.version})"
+
+
+def region_index(topo: "Topology") -> SpatialGrid:
+    """The grid over ``topo``'s routers and links (built once per CSR view).
+
+    Both of its users read it: failure areas
+    (:meth:`~repro.failures.model.FailureScenario.from_region`) and the
+    cross-link precompute (:meth:`~repro.topology.graph.Topology.all_cross_links`).
+    """
+    csr = topo.csr()
+    grid = csr.grid_cache
+    if grid is None:
+        grid = csr.grid_cache = SpatialGrid(
+            [(node, topo.position(node)) for node in topo.nodes()],
+            [(link, topo.segment(link)) for link in topo.links()],
+        )
+    return grid
 
 
 class Exclusion:

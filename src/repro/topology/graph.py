@@ -14,6 +14,7 @@ per-link *cross-link* sets that §III-C says routers precompute.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, TYPE_CHECKING
 
 from ..errors import TopologyError, UnknownLinkError, UnknownNodeError
@@ -73,7 +74,6 @@ class Topology:
         #: metadata for the traffic layer: capacities never affect routing,
         #: so mutating them does not bump the version or the CSR view.
         self._capacities: Dict[Link, float] = {}
-        self._cross_links: Optional[Dict[Link, Set[Link]]] = None
         #: Bumped on every structural mutation; keys the CSR view cache.
         self._version: int = 0
         self._csr: Optional["CSRView"] = None
@@ -87,9 +87,10 @@ class Topology:
         if node in self._coords and self._adjacency[node]:
             # Moving a connected node would silently invalidate the embedding.
             raise TopologyError(f"node {node} already exists with incident links")
+        if not (math.isfinite(position.x) and math.isfinite(position.y)):
+            raise TopologyError(f"node {node} has a non-finite position: {position}")
         self._coords[node] = position
         self._adjacency.setdefault(node, {})
-        self._cross_links = None
         self._version += 1
 
     def add_link(
@@ -103,8 +104,9 @@ class Topology:
         for node in (a, b):
             if node not in self._coords:
                 raise UnknownNodeError(node)
-        if cost <= 0 or (reverse_cost is not None and reverse_cost <= 0):
-            raise TopologyError(f"link costs must be positive: {a}-{b}")
+        for c in (cost, cost if reverse_cost is None else reverse_cost):
+            if not (0 < c < math.inf):
+                raise TopologyError(f"link costs must be positive and finite: {a}-{b}")
         link = Link.of(a, b)
         if link in self._link_index:
             raise TopologyError(f"link {link} already exists")
@@ -112,7 +114,6 @@ class Topology:
         self._adjacency[b][a] = float(cost if reverse_cost is None else reverse_cost)
         self._link_index[link] = len(self._links)
         self._links.append(link)
-        self._cross_links = None
         self._version += 1
         return link
 
@@ -131,7 +132,6 @@ class Topology:
         index = self._link_index.pop(link)
         self._links[index] = None  # type: ignore[call-overload]
         self._capacities.pop(link, None)
-        self._cross_links = None
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -264,21 +264,24 @@ class Topology:
     # ------------------------------------------------------------------
 
     def cross_links(self, link: Link) -> Set[Link]:
-        """Links that geometrically cross ``link`` (cached after first call)."""
-        if self._cross_links is None:
-            pairs = [(lk, self.segment(lk)) for lk in self.links()]
-            self._cross_links = compute_cross_links(pairs)
+        """Links that geometrically cross ``link`` (cached per CSR view)."""
         try:
-            return self._cross_links[link]
+            return self.all_cross_links()[link]
         except KeyError:
             raise UnknownLinkError(link) from None
 
     def all_cross_links(self) -> Dict[Link, Set[Link]]:
-        """The complete precomputed crossing map."""
-        if self._cross_links is None:
+        """The complete precomputed crossing map (cached per CSR view).
+
+        Computed on the view's spatial grid, the one failure areas query.
+        """
+        csr = self.csr()
+        if csr.cross_cache is None:
+            from .csr import region_index
+
             pairs = [(lk, self.segment(lk)) for lk in self.links()]
-            self._cross_links = compute_cross_links(pairs)
-        return self._cross_links
+            csr.cross_cache = compute_cross_links(pairs, region_index(self))
+        return csr.cross_cache
 
     def is_planar_embedding(self) -> bool:
         """Whether no two links cross in this embedding."""

@@ -6,7 +6,6 @@ synthetic ISP topologies are structurally sane before any experiment runs.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
 from ..errors import TopologyError
@@ -16,22 +15,14 @@ from .graph import Topology
 def validate(topo: Topology) -> None:
     """Raise :class:`TopologyError` if ``topo`` violates a basic invariant.
 
-    Checks: at least two nodes, connectivity, positive per-direction costs,
-    consistent adjacency, and finite coordinates.
+    Checks: at least two nodes and connectivity.  Finite coordinates and
+    positive, finite per-direction costs are enforced by
+    :meth:`Topology.add_node` / :meth:`Topology.add_link` themselves.
     """
     if topo.node_count < 2:
         raise TopologyError(f"{topo.name}: fewer than 2 nodes")
     if not topo.is_connected():
         raise TopologyError(f"{topo.name}: not connected")
-    for node in topo.nodes():
-        pos = topo.position(node)
-        if not (math.isfinite(pos.x) and math.isfinite(pos.y)):
-            raise TopologyError(f"{topo.name}: node {node} has non-finite position")
-    for link in topo.links():
-        for a, b in ((link.u, link.v), (link.v, link.u)):
-            cost = topo.cost(a, b)
-            if not (math.isfinite(cost) and cost > 0):
-                raise TopologyError(f"{topo.name}: bad cost on {link}: {cost}")
 
 
 def degree_histogram(topo: Topology) -> Dict[int, int]:

@@ -1,0 +1,52 @@
+"""Test-only reference for ``compute_cross_links`` — the executable spec.
+
+This is the pure-Python min-x sweep :func:`repro.geometry.compute_cross_links`
+ran before it paired the links that share a spatial-grid cell, kept
+verbatim: links sorted by the left edge of their bounding box, every
+later link whose box overlaps tested with :func:`segments_cross_raw`.  It
+uses no grid, so it cannot miss a candidate; ``test_planarity_np.py``
+requires the production map to equal this one.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Hashable, Sequence, Set, Tuple
+
+from repro.geometry import Segment
+from repro.geometry.planarity import segments_cross_raw
+
+
+def _bbox(segment: Segment) -> Tuple[float, float, float, float]:
+    return (
+        min(segment.a.x, segment.b.x),
+        min(segment.a.y, segment.b.y),
+        max(segment.a.x, segment.b.x),
+        max(segment.a.y, segment.b.y),
+    )
+
+
+def reference_cross_links(
+    links: Sequence[Tuple[Hashable, Segment]],
+) -> Dict[Hashable, Set[Hashable]]:
+    """Map every link key to the set of link keys that properly cross it."""
+    result: Dict[Hashable, Set[Hashable]] = {key: set() for key, _ in links}
+    boxes = [_bbox(seg) for _, seg in links]
+    coords = [(seg.a.x, seg.a.y, seg.b.x, seg.b.y) for _, seg in links]
+    order = sorted(range(len(links)), key=lambda i: boxes[i][0])
+    for idx, i in enumerate(order):
+        key_i = links[i][0]
+        ax, ay, bx, by = coords[i]
+        _minx_i, miny_i, maxx_i, maxy_i = boxes[i]
+        crossings_i = result[key_i]
+        for j in order[idx + 1 :]:
+            box_j = boxes[j]
+            if box_j[0] > maxx_i:
+                break  # every later link starts right of seg_i's box
+            if box_j[3] < miny_i or maxy_i < box_j[1]:
+                continue  # x-ranges overlap by construction; check y only
+            cx, cy, dx, dy = coords[j]
+            if segments_cross_raw(ax, ay, bx, by, cx, cy, dx, dy):
+                key_j = links[j][0]
+                crossings_i.add(key_j)
+                result[key_j].add(key_i)
+    return result

@@ -1,34 +1,41 @@
-"""The vectorized cross-link pass must match the Python sweep exactly."""
+"""The grid relation behind ``compute_cross_links`` equals the reference sweep.
+
+``reference_cross_links.py`` tests every pair of links whose bounding
+boxes overlap.  The production map tests only links that share a
+``SpatialGrid`` cell — as arrays when numpy is importable, pair by pair
+otherwise — so both must equal the reference on the inputs where a cell
+filter can go wrong: the catalog, ``scale:2000`` (long backbone
+uplinks), ``grid:6x7`` (collinear lattice links), random soups of mixed
+lengths, hypothesis soups of collinear overlaps, T-touches, shared
+endpoints and zero-length segments, and a touch within ``EPSILON``
+across a cell border.  ``TestVectorizedParity`` is the numpy half and is
+skipped without numpy; ``TestPythonParity`` runs the same inputs with
+numpy hidden.
+"""
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import planarity
-from repro.geometry.planarity import (
-    NUMPY_CROSS_MIN_LINKS,
-    compute_cross_links,
-)
-from repro.geometry.point import Point
+from repro.geometry.planarity import compute_cross_links
+from repro.geometry.point import EPSILON, Point
 from repro.geometry.segment import Segment
+from repro.topology import Link, Topology, isp_catalog, topology_from_spec
+from repro.topology.csr import region_index
 
-pytestmark = pytest.mark.skipif(
-    planarity._np is None, reason="vectorized cross-link pass requires numpy"
-)
+from .reference_cross_links import reference_cross_links
 
-
-def python_sweep(links, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "python")
-    try:
-        return compute_cross_links(links)
-    finally:
-        monkeypatch.delenv("REPRO_KERNEL")
+needs_numpy = pytest.mark.skipif(planarity._np is None, reason="vectorized pairing requires numpy")
 
 
 def random_links(seed, n, long_every=7):
-    """Short segments with a sprinkle of long diagonals (both classes)."""
+    """Short segments with a sprinkle of long diagonals."""
     rng = random.Random(seed)
     links = []
     for i in range(n):
@@ -46,24 +53,79 @@ def random_links(seed, n, long_every=7):
     return links
 
 
-class TestVectorizedParity:
+@lru_cache(maxsize=None)
+def shared(spec: str, seed: int = 0) -> Topology:
+    """One topology per (spec, seed) for the module; tests must not mutate it."""
+    return topology_from_spec(spec, seed=seed)
+
+
+def topology_links(topo: Topology):
+    return [(link, topo.segment(link)) for link in topo.links()]
+
+
+@lru_cache(maxsize=None)
+def reference_of(spec: str, seed: int = 0):
+    return reference_cross_links(topology_links(shared(spec, seed)))
+
+
+def near_touch_topology() -> Topology:
+    """Two links whose boxes overlap and whose gap (7e-10) straddles a cell border.
+
+    Six points on the unit square give 0.5-wide cells.  Link ``a`` ends
+    2e-10 left of the border x = 0.5.  Link ``b`` is nearly vertical: it
+    passes 5e-10 right of the border at the height of that endpoint and
+    crosses the border only in the next row up, so without padding the
+    two links share no cell.
+    """
+    topo = Topology("near-touch")
+    for node, (x, y) in enumerate(
+        [(0.0, 0.0), (1.0, 1.0), (0.2, 0.3), (0.5 - 2e-10, 0.3),
+         (0.5 + 7.5e-10, 0.1), (0.5 - 2.5e-10, 0.9)]
+    ):
+        topo.add_node(node, Point(x, y))
+    topo.add_link(2, 3)
+    topo.add_link(4, 5)
+    return topo
+
+
+lattice = st.builds(Point, st.integers(0, 6).map(float), st.integers(0, 6).map(float))
+soups = st.tuples(
+    st.lists(st.tuples(lattice, lattice), max_size=25),
+    st.sampled_from([1.0, 0.01, 137.0]),
+)
+
+
+class _Parity:
+    """Every parity input; a subclass says how the map is computed."""
+
+    def cross(self, links, grid=None):
+        return compute_cross_links(links, grid)
+
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_mixed_lengths(self, seed, monkeypatch):
+    def test_random_mixed_lengths(self, seed):
         links = random_links(seed, 20 + seed * 25)
-        assert python_sweep(links, monkeypatch) == (
-            planarity._compute_cross_links_numpy(links)
-        )
+        assert self.cross(links) == reference_cross_links(links)
 
-    def test_scale_topology_embedding(self, monkeypatch):
-        from repro.topology.scale import scale_topology
+    def test_scale_topology_embedding(self):
+        topo = shared("scale:2000")
+        links = topology_links(topo)
+        assert self.cross(links, region_index(topo)) == reference_of("scale:2000")
+        assert self.cross(links) == reference_of("scale:2000")
 
-        topo = scale_topology(1500, seed=4)
-        links = [(lk, topo.segment(lk)) for lk in topo.links()]
-        assert python_sweep(links, monkeypatch) == (
-            planarity._compute_cross_links_numpy(links)
-        )
+    def test_grid_lattice(self):
+        topo = shared("grid:6x7")
+        assert self.cross(topology_links(topo), region_index(topo)) == reference_of("grid:6x7")
 
-    def test_touch_and_shared_endpoint_cases(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", isp_catalog.names())
+    def test_catalog(self, name, seed):
+        topo = shared(name, seed)
+        want = reference_of(name, seed)
+        assert self.cross(topology_links(topo), region_index(topo)) == want
+        if name == "AS3549":  # the densest crossing map: own grid too
+            assert self.cross(topology_links(topo)) == want
+
+    def test_touch_and_shared_endpoint_cases(self):
         links = [
             ((0, 1), Segment(Point(0, 0), Point(10, 0))),
             ((1, 2), Segment(Point(10, 0), Point(10, 10))),  # shares endpoint
@@ -72,58 +134,80 @@ class TestVectorizedParity:
             ((4, 5), Segment(Point(3, 3), Point(7, 7))),  # disjoint
             ((5, 6), Segment(Point(0, -4), Point(4, 0))),  # T-touch on 0-1
         ]
-        assert python_sweep(links, monkeypatch) == (
-            planarity._compute_cross_links_numpy(links)
-        )
+        assert self.cross(links) == reference_cross_links(links)
 
-    def test_degenerate_point_segment(self, monkeypatch):
+    def test_degenerate_point_segment(self):
         links = [
             ((0, 1), Segment(Point(0, 0), Point(10, 0))),
             ((1, 2), Segment(Point(5, 0), Point(5, 0))),  # zero length, on 0-1
             ((2, 3), Segment(Point(5, 3), Point(5, 3))),  # zero length, off it
         ]
-        assert python_sweep(links, monkeypatch) == (
-            planarity._compute_cross_links_numpy(links)
-        )
+        assert self.cross(links) == reference_cross_links(links)
+
+    def test_near_touch_across_a_cell_border(self):
+        topo = near_touch_topology()
+        grid = region_index(topo)
+        a, b = Link.of(2, 3), Link.of(4, 5)
+        end = topo.position(3)
+        nearest = topo.segment(b).closest_point_to(end)
+        assert end.x < grid.x0 + grid.width == 0.5 < nearest.x  # a cell border between
+        assert 0 < topo.segment(b).distance_to_point(end) < EPSILON
+        links = topology_links(topo)
+        assert reference_cross_links(links) == {a: {b}, b: {a}}
+        assert self.cross(links, grid) == {a: {b}, b: {a}}
+        assert self.cross(links) == {a: {b}, b: {a}}
+
+
+@needs_numpy
+class TestVectorizedParity(_Parity):
+    def test_topology_map_is_cached_on_the_grid_relation(self):
+        topo = shared("AS3549")
+        assert topo.all_cross_links() == reference_of("AS3549")
+        assert topo.all_cross_links() is topo.csr().cross_cache
+
+
+def without_numpy(links, grid=None):
+    saved, planarity._np = planarity._np, None
+    try:
+        return compute_cross_links(links, grid)
+    finally:
+        planarity._np = saved
+
+
+class TestPythonParity(_Parity):
+    def cross(self, links, grid=None):
+        return without_numpy(links, grid)
+
+
+@pytest.mark.parametrize(
+    "cross",
+    [
+        pytest.param(compute_cross_links, id="numpy", marks=needs_numpy),
+        pytest.param(without_numpy, id="python"),
+    ],
+)
+@settings(max_examples=60, deadline=None)
+@given(soups)
+def test_segment_soups(cross, soup):
+    ends, scale = soup
+    links = [
+        (i, Segment(Point(p.x * scale, p.y * scale), Point(q.x * scale, q.y * scale)))
+        for i, (p, q) in enumerate(ends)
+    ]
+    assert cross(links) == reference_cross_links(links)
 
 
 class TestDispatch:
-    def test_small_inputs_use_python_sweep(self, monkeypatch):
-        """Below the threshold the reference path runs even with numpy."""
-        calls = []
-        monkeypatch.setattr(
-            planarity,
-            "_compute_cross_links_numpy",
-            lambda links: calls.append(1),
-        )
-        links = random_links(0, 10)
-        compute_cross_links(links)
-        assert not calls
-
-    def test_large_inputs_dispatch_to_numpy(self, monkeypatch):
-        hit = []
-        real = planarity._compute_cross_links_numpy
-        monkeypatch.setattr(
-            planarity,
-            "_compute_cross_links_numpy",
-            lambda links: (hit.append(1), real(links))[1],
-        )
-        links = random_links(1, NUMPY_CROSS_MIN_LINKS, long_every=50)
-        compute_cross_links(links)
-        assert hit
-
-    def test_kernel_env_forces_python(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        monkeypatch.setattr(
-            planarity,
-            "_compute_cross_links_numpy",
-            lambda links: pytest.fail("numpy path ran under REPRO_KERNEL=python"),
-        )
-        links = random_links(2, NUMPY_CROSS_MIN_LINKS, long_every=50)
-        compute_cross_links(links)
-
     def test_no_numpy_falls_back(self, monkeypatch):
         monkeypatch.setattr(planarity, "_np", None)
+        monkeypatch.setattr(
+            planarity, "_crossings_numpy", lambda *a: pytest.fail("numpy pairing ran")
+        )
         links = random_links(3, 30)
-        ref = python_sweep(links, monkeypatch)
-        assert compute_cross_links(links) == ref
+        assert compute_cross_links(links) == reference_cross_links(links)
+
+    def test_grid_must_hold_the_links(self):
+        topo = shared("grid:6x7")
+        links = topology_links(topo)
+        with pytest.raises(ValueError):
+            compute_cross_links(links[1:], region_index(topo))

@@ -1,5 +1,7 @@
 """Tests for repro.topology.graph."""
 
+import math
+
 import pytest
 
 from repro.errors import TopologyError, UnknownLinkError, UnknownNodeError
@@ -61,6 +63,23 @@ class TestTopologyConstruction:
         triangle.add_node(3, Point(200, 200))
         with pytest.raises(TopologyError):
             triangle.add_link(0, 3, cost=0)
+
+    @pytest.mark.parametrize(
+        "cost, reverse_cost",
+        [(math.nan, None), (math.inf, None), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_non_finite_cost_rejected(self, triangle, cost, reverse_cost):
+        triangle.add_node(3, Point(200, 200))
+        with pytest.raises(TopologyError):
+            triangle.add_link(0, 3, cost=cost, reverse_cost=reverse_cost)
+        assert not triangle.has_link(0, 3)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_position_rejected(self, x, y):
+        topo = Topology()
+        with pytest.raises(TopologyError):
+            topo.add_node(0, Point(x, y))
+        assert not topo.has_node(0)
 
     def test_move_connected_node_rejected(self, triangle):
         with pytest.raises(TopologyError):

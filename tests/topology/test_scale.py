@@ -132,6 +132,22 @@ class TestLoader:
         loaded = topology_from_spec(f"file:{path}")
         assert topology_to_dict(loaded) == topology_to_dict(topo)
 
+    @pytest.mark.parametrize(
+        "x, cost", [("NaN", "1.0"), ("3.0", "Infinity"), ("-Infinity", "1.0"), ("3.0", "NaN")]
+    )
+    def test_non_finite_json_is_usage_error(self, tmp_path, x, cost):
+        # json accepts these literals; the topology must not.
+        path = tmp_path / "t.json"
+        path.write_text(
+            '{"format": 1, "nodes": ['
+            f'{{"id": 0, "x": 0.0, "y": 0.0}}, {{"id": 1, "x": {x}, "y": 5.0}}, '
+            '{"id": 2, "x": 10.0, "y": 0.0}, {"id": 3, "x": 10.0, "y": 10.0}], "links": ['
+            '{"u": 0, "v": 2, "cost": 1.0, "reverse_cost": 1.0}, '
+            f'{{"u": 1, "v": 3, "cost": {cost}, "reverse_cost": 1.0}}]}}'
+        )
+        with pytest.raises(EvaluationError, match="cannot load topology"):
+            topology_from_spec(f"file:{path}")
+
     def test_sniffing(self, tmp_path):
         assert sniff_graph_format(tmp_path / "x.graphml", "") == "graphml"
         assert sniff_graph_format(tmp_path / "x.json", "") == "json"

@@ -39,12 +39,12 @@ class TestValidate:
             validate(topo)
 
     def test_non_finite_position_rejected(self):
+        # A topology cannot hold one: add_node refuses it.
         topo = Topology("inf")
         topo.add_node(0, Point(0, 0))
-        topo.add_node(1, Point(float("inf"), 0))
-        topo.add_link(0, 1)
         with pytest.raises(TopologyError):
-            validate(topo)
+            topo.add_node(1, Point(float("inf"), 0))
+        assert topo.node_count == 1
 
 
 class TestStats:
