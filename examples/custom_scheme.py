@@ -23,8 +23,10 @@ import random
 import sys
 
 from repro.errors import SimulationError
+from repro.failures import LocalView
 from repro.schemes import RecoveryScheme, SchemeInstance, register_scheme
-from repro.simulator import RecoveryAccounting, RecoveryResult
+from repro.simulator import RecoveryAccounting, RecoveryResult, WalkPlan
+from repro.topology import Link
 
 # ---- the scheme: everything between these rules is the <50-line ask ----
 
@@ -33,13 +35,12 @@ class _DetourRouter:
     """Per-scenario state: one local view, one shared SPT cache."""
 
     def __init__(self, scheme: "DetourScheme", scenario) -> None:
-        from repro.failures import LocalView
-
         self.scheme = scheme
         self.scenario = scenario
         self.view = LocalView(scenario)
 
-    def recover(self, initiator, destination, trigger_neighbor) -> RecoveryResult:
+    def plan_recovery(self, initiator, destination, trigger_neighbor) -> WalkPlan:
+        # No walk: the plan carries the result (walking schemes add a spec).
         if initiator in self.scenario.failed_nodes:
             raise SimulationError(f"initiator {initiator} failed in this scenario")
         accounting = RecoveryAccounting()
@@ -50,17 +51,17 @@ class _DetourRouter:
         )
         # The detour survives only if it dodges the failures the
         # initiator could not see.
-        from repro.topology import Link
-
         delivered = path is not None and not (
             self.scenario.failed_nodes.intersection(path.nodes)
             or any(Link.of(a, b) in self.scenario.failed_links for a, b in path.hops())
         )
-        return RecoveryResult(
-            approach=DetourScheme.name,
-            delivered=delivered,
-            path=path if delivered else None,
-            accounting=accounting,
+        return WalkPlan(
+            immediate=RecoveryResult(
+                approach=DetourScheme.name,
+                delivered=delivered,
+                path=path if delivered else None,
+                accounting=accounting,
+            )
         )
 
 

@@ -18,10 +18,10 @@ shortest-path calculations on irrecoverable destinations.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Union
 
 from ..errors import SimulationError
-from ..failures import FailureScenario, LocalView
+from ..failures import FailureScenario, LocalView, find_initiator
 from ..routing import Path, RoutingTable, SPTCache
 from ..simulator import (
     DEFAULT_DELAY_MODEL,
@@ -33,7 +33,9 @@ from ..simulator import (
     RecoveryAccounting,
     RecoveryHeader,
     RecoveryResult,
-    WalkBatch,
+    TableWalkSpec,
+    WalkPlan,
+    run_plan,
 )
 from ..topology import Link, Topology
 
@@ -71,6 +73,17 @@ class FCP:
         trigger_neighbor: Optional[int] = None,
     ) -> RecoveryResult:
         """Deliver one packet from ``initiator`` with failure-carrying headers."""
+        return run_plan(
+            self.engine, self.plan_recovery(initiator, destination, trigger_neighbor)
+        )
+
+    def plan_recovery(
+        self,
+        initiator: int,
+        destination: int,
+        trigger_neighbor: Optional[int] = None,
+    ) -> WalkPlan:
+        """Compile one FCP case into its first attempt (:meth:`_attempt_plan`)."""
         if not self.scenario.is_node_live(initiator):
             raise SimulationError(f"initiator {initiator} has failed")
         if trigger_neighbor is None:
@@ -85,96 +98,78 @@ class FCP:
                 f"invoked on failure only"
             )
 
-        accounting = RecoveryAccounting()
         header = RecoveryHeader(mode=Mode.SOURCE_ROUTED, rec_init=initiator)
         # The initiator *encountered* the failed default next hop: that link
         # is the first entry carried in the header.
         header.record_failed(Link.of(initiator, trigger_neighbor))
         packet = Packet(source=initiator, destination=destination, header=header)
+        return self._attempt_plan(packet, RecoveryAccounting(), [initiator], 1)
 
-        current = initiator
-        traveled_path: List[int] = [initiator]
-        # Each attempt's route runs through the walk plane — but only on a
-        # plain engine.  FCP's wandering historically forwards with bare
-        # ``forward_one_hop`` calls and never samples the per-hop loss
-        # stream; the plane's route walk would, so chaos engines keep the
-        # inline loop to stay seed-identical.
-        plain_engine = type(self.engine) is ForwardingEngine
-        for _ in range(self.max_recomputations):
-            carried: Set[Link] = set(header.failed_links)
-            local = set(self.view.locally_failed_links(current))
-            accounting.count_sp(1)
-            route = self.cache.shortest_path_or_none(
-                self.topo, current, destination, excluded_links=carried | local
+    def _attempt_plan(
+        self,
+        packet: Packet,
+        accounting: RecoveryAccounting,
+        traveled: List[int],
+        attempt: int,
+    ) -> WalkPlan:
+        """One attempt: recompute from the packet's node, walk the route.
+
+        The route compiles to a next-hop table over its own hops, so the
+        walk stops at the first failed link.  A table walk does not sample
+        the chaos loss stream: FCP's wandering forwards data packets, not
+        recovery transmissions.  The continuation carries the failed link
+        in the header and recomputes from where the packet stopped.
+        """
+        if attempt > self.max_recomputations:
+            raise SimulationError(
+                f"FCP exceeded {self.max_recomputations} recomputations"
             )
-            if route is None:
-                # Out of options: discard here (§IV-D's late discard).
-                return self._dropped(
-                    accounting, packet, traveled_path, drop_node=current
-                )
-            header.source_route = list(route.nodes)
+        header = packet.header
+        current = packet.at
+        carried: Set[Link] = set(header.failed_links)
+        local = set(self.view.locally_failed_links(current))
+        accounting.count_sp(1)
+        route = self.cache.shortest_path_or_none(
+            self.topo, current, packet.destination, excluded_links=carried | local
+        )
+        if route is None:
+            # Out of options: discard here (§IV-D's late discard).
+            return WalkPlan(immediate=self._dropped(accounting, packet))
+        nodes = list(route.nodes)
+        header.source_route = nodes
+        next_hops = dict(zip(nodes, nodes[1:]))
 
-            if plain_engine:
-                hops_before = accounting.hops_traveled
-                batch = WalkBatch(self.engine)
-                handle = batch.add_route(packet, list(route.nodes), accounting)
-                outcome = batch.execute().result(handle)
-                hops = accounting.hops_traveled - hops_before
-                traveled_path.extend(route.nodes[1 : 1 + hops])
-                if not outcome.delivered:
-                    header.record_failed(
-                        Link.of(outcome.drop_node, route.nodes[hops + 1])
-                    )
-                    current = outcome.drop_node
-                    continue
-            else:
-                hit_failure = False
-                for node, nxt in route.hops():
-                    if not self.view.is_neighbor_reachable(node, nxt):
-                        header.record_failed(Link.of(node, nxt))
-                        current = node
-                        hit_failure = True
-                        break
-                    self.engine.forward_one_hop(packet, nxt, accounting)
-                    traveled_path.append(nxt)
-                if hit_failure:
-                    continue
+        def finish(outcome) -> Union[RecoveryResult, WalkPlan]:
+            traveled.extend(outcome.visited[1:])
+            if not outcome.reached:
+                drop = outcome.drop_node
+                header.record_failed(Link.of(drop, next_hops[drop]))
+                return self._attempt_plan(packet, accounting, traveled, attempt + 1)
             return RecoveryResult(
                 approach=APPROACH_NAME,
                 delivered=True,
-                path=Path(
-                    tuple(traveled_path),
-                    _hop_cost(self.topo, traveled_path),
-                ),
+                path=Path(tuple(traveled), _hop_cost(self.topo, traveled)),
                 accounting=accounting,
             )
-        raise SimulationError(
-            f"FCP exceeded {self.max_recomputations} recomputations"
+
+        return WalkPlan(
+            spec=TableWalkSpec(
+                next_hops=next_hops, destination=packet.destination, budget=len(nodes)
+            ),
+            packet=packet,
+            accounting=accounting,
+            finish=finish,
         )
 
     def recover_flow(self, source: int, destination: int) -> RecoveryResult:
         """Recover the failed default path, like :meth:`RTR.recover_flow`."""
-        initiator, trigger = self.find_initiator(source, destination)
+        initiator, trigger = find_initiator(
+            self.view, self.routing, source, destination
+        )
         return self.recover(initiator, destination, trigger)
 
-    def find_initiator(self, source: int, destination: int) -> tuple:
-        """First node on the pre-failure path whose next hop is unreachable."""
-        if not self.scenario.is_node_live(source):
-            raise SimulationError(f"source {source} has failed")
-        path = self.routing.path(source, destination)
-        if path is None:
-            raise SimulationError(f"no pre-failure route {source} -> {destination}")
-        for node, nxt in path.hops():
-            if not self.view.is_neighbor_reachable(node, nxt):
-                return node, nxt
-        raise SimulationError(f"default path {source} -> {destination} did not fail")
-
     def _dropped(
-        self,
-        accounting: RecoveryAccounting,
-        packet: Packet,
-        traveled_path: List[int],
-        drop_node: int,
+        self, accounting: RecoveryAccounting, packet: Packet
     ) -> RecoveryResult:
         return RecoveryResult(
             approach=APPROACH_NAME,

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .. import obs
 from ..errors import SimulationError, UnknownNodeError
-from ..failures import FailureScenario, LocalView
+from ..failures import FailureScenario, LocalView, find_initiator
 from ..routing import Path, RoutingTable
 from ..simulator import (
     DEFAULT_DELAY_MODEL,
@@ -333,19 +333,9 @@ class MRC:
         trigger_neighbor: Optional[int] = None,
     ) -> RecoveryResult:
         """Forward one packet with at most one configuration switch."""
-        plan = self.plan_recovery(initiator, destination, trigger_neighbor)
-        return run_plan(self.engine, plan)
-
-    def plan_supported(self) -> bool:
-        """MRC cases always compile to one table walk.
-
-        Safe even under a chaos engine/view swap: compilation touches only
-        static state (routing table, ground-truth liveness, the
-        configurations), so deferring the walk never reorders the seeded
-        fault draws — those happen inside the walk itself, in batch
-        insertion order.
-        """
-        return True
+        return run_plan(
+            self.engine, self.plan_recovery(initiator, destination, trigger_neighbor)
+        )
 
     def plan_recovery(
         self,
@@ -408,13 +398,10 @@ class MRC:
 
     def recover_flow(self, source: int, destination: int) -> RecoveryResult:
         """Recover the failed default path, like :meth:`RTR.recover_flow`."""
-        path = self.routing.path(source, destination)
-        if path is None:
-            raise SimulationError(f"no pre-failure route {source} -> {destination}")
-        for node, nxt in path.hops():
-            if not self.view.is_neighbor_reachable(node, nxt):
-                return self.recover(node, destination, nxt)
-        raise SimulationError(f"default path {source} -> {destination} did not fail")
+        initiator, trigger = find_initiator(
+            self.view, self.routing, source, destination
+        )
+        return self.recover(initiator, destination, trigger)
 
     def _dropped(
         self, accounting: RecoveryAccounting, traveled: List[int]

@@ -4,7 +4,7 @@ from .sweep import first_hop, neighbor_sweep_order, select_next_hop
 from .constraints import CrossLinkState
 from .phase1 import Phase1Result, run_phase1
 from .exhaustive import run_exhaustive_phase1
-from .phase2 import Phase2Engine, Phase2Result, run_phase2
+from .phase2 import Phase2Engine, Phase2Result
 from .rtr import APPROACH_NAME, RTR, RTRConfig
 from .multiarea import MultiAreaResult, MultiAreaRTR
 
@@ -18,7 +18,6 @@ __all__ = [
     "run_exhaustive_phase1",
     "Phase2Engine",
     "Phase2Result",
-    "run_phase2",
     "APPROACH_NAME",
     "RTR",
     "RTRConfig",

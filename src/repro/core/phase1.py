@@ -19,6 +19,7 @@ from typing import List, Optional
 from ..errors import SimulationError
 from ..failures import LocalView
 from ..simulator import (
+    CallbackWalkSpec,
     ForwardingEngine,
     Mode,
     Packet,
@@ -190,8 +191,10 @@ def run_phase1(
     # The sweep mutates header/constraint state every hop, so it compiles
     # to an opaque callback spec.
     batch = WalkBatch(engine)
-    handle = batch.add_callback_walk(
-        packet, decide, accounting, on_overrun="raise" if strict else "truncate"
+    handle = batch.add(
+        CallbackWalkSpec(decide=decide, on_overrun="raise" if strict else "truncate"),
+        packet,
+        accounting,
     )
     outcome = batch.execute().result(handle)
     if strict and outcome.lost:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Set
 
 from .. import obs
-from ..failures import LocalView
 from ..routing import (
     Path,
     ShortestPathTree,
@@ -33,14 +32,7 @@ from ..routing import (
     shortest_path_tree,
     updated_tree,
 )
-from ..simulator import (
-    ForwardingEngine,
-    Mode,
-    Packet,
-    RecoveryAccounting,
-    RecoveryHeader,
-    WalkBatch,
-)
+from ..simulator import Mode, Packet, RecoveryAccounting, RecoveryHeader
 from ..topology import Link, Topology
 from .phase1 import Phase1Result
 
@@ -225,25 +217,3 @@ def phase2_result_from_outcome(
         lost=outcome.lost,
     )
 
-
-def run_phase2(
-    topo: Topology,
-    view: LocalView,
-    engine: ForwardingEngine,
-    phase2: Phase2Engine,
-    destination: int,
-    accounting: RecoveryAccounting,
-) -> Phase2Result:
-    """Compute the recovery path for ``destination`` and deliver one packet.
-
-    Shortest-path computations are *not* counted here: the paper charges
-    one calculation per test case (§IV-C), which the caller records.
-    """
-    route, header, packet = compile_phase2_delivery(phase2, destination)
-    if route is None:
-        return no_route_result(phase2)
-    before = accounting.hops_traveled
-    batch = WalkBatch(engine)
-    handle = batch.add_route(packet, list(route.nodes), accounting)
-    outcome = batch.execute().result(handle)
-    return phase2_result_from_outcome(route, header, before, accounting, outcome)

@@ -18,7 +18,9 @@ Degraded mode
 Given a :class:`~repro.chaos.FaultPlan`, the instance swaps in a
 :class:`~repro.chaos.DegradedLocalView` and a
 :class:`~repro.chaos.ChaosForwardingEngine` and climbs a graceful
-fallback ladder instead of aborting:
+fallback ladder instead of aborting.  Rungs 2 and 3 are the ``finish``
+continuation of each phase-2 delivery plan: the walk outcome decides
+whether the next plan is a resend, a recomputation, or none.
 
 1. a lost or truncated phase-1 walk is retried with exponential backoff
    (``max_phase1_retries``);
@@ -42,7 +44,7 @@ from typing import Dict, Optional
 
 from .. import obs
 from ..errors import SimulationError
-from ..failures import FailureScenario, LocalView
+from ..failures import FailureScenario, LocalView, find_initiator
 from ..routing import LinkStateProtocol, RoutingTable, SPTCache
 from ..simulator import (
     DEFAULT_DELAY_MODEL,
@@ -63,7 +65,6 @@ from .phase2 import (
     compile_phase2_delivery,
     no_route_result,
     phase2_result_from_outcome,
-    run_phase2,
 )
 
 APPROACH_NAME = "RTR"
@@ -310,20 +311,9 @@ class RTR:
         next hop toward ``destination`` — which must be unreachable,
         otherwise RTR would never have been invoked.
         """
-        if self.plan_supported():
-            plan = self.plan_recovery(initiator, destination, trigger_neighbor)
-            return run_plan(self.engine, plan)
-        return self._recover_ladder(initiator, destination, trigger_neighbor)
-
-    def plan_supported(self) -> bool:
-        """Whether cases compile to single-walk plans (:meth:`plan_recovery`).
-
-        The degraded-mode ladder is adaptive — resends and re-invocations
-        depend on each walk's outcome — so it cannot be expressed as one
-        walk spec; chaos runs (and §III-D re-invocation configs) always go
-        through :meth:`recover`'s sequential path.
-        """
-        return self.chaos is None and self.config.max_phase2_reinvocations == 0
+        return run_plan(
+            self.engine, self.plan_recovery(initiator, destination, trigger_neighbor)
+        )
 
     def plan_recovery(
         self,
@@ -331,13 +321,12 @@ class RTR:
         destination: int,
         trigger_neighbor: Optional[int] = None,
     ) -> WalkPlan:
-        """Compile one recovery test case into a :class:`WalkPlan`.
+        """Compile one recovery test case into its first :class:`WalkPlan`.
 
-        The decision half of :meth:`recover`: phase 1 (cached per
-        initiator), the phase-2 route computation, and the §IV accounting
-        seed all happen here; the returned plan carries either the finished
-        result or the delivery walk for a :class:`WalkBatch` to execute.
-        Only valid when :meth:`plan_supported` is true.
+        Phase 1 (cached per initiator), the phase-2 route computation, and
+        the §IV accounting seed all happen here; the returned plan carries
+        either the finished result or the first delivery walk, whose
+        ``finish`` climbs the rest of the ladder (:meth:`_delivery_plan`).
         """
         trigger_neighbor, immediate = self._check_case(
             initiator, destination, trigger_neighbor
@@ -355,30 +344,61 @@ class RTR:
                     initiator, destination, phase1, accounting
                 )
             )
+        return self._delivery_plan(phase2, destination, accounting)
 
+    def _delivery_plan(
+        self,
+        phase2: Phase2Engine,
+        destination: int,
+        accounting: RecoveryAccounting,
+        resends: int = 0,
+        reinvocations: int = 0,
+    ) -> WalkPlan:
+        """One phase-2 delivery attempt; its ``finish`` is the §III-D ladder.
+
+        A *lost* packet (injected loss) is resent along the same route
+        after a backoff (``max_phase2_resends``).  A packet discarded at a
+        failure phase 1 missed teaches the initiator that link, and the
+        route recomputed with the grown ``E1`` is the next plan
+        (``max_phase2_reinvocations``, each one more on-demand SP
+        calculation).  Anything else folds into the case result.
+        """
         with obs.span("rtr.phase2", destination=destination):
             route, header, packet = compile_phase2_delivery(phase2, destination)
         if route is None:
-            obs.inc("rtr.phase2.attempts")
             return WalkPlan(
                 immediate=self._finish_phase2(
-                    initiator, destination, phase1, accounting,
-                    no_route_result(phase2),
+                    phase2, destination, accounting, no_route_result(phase2)
                 )
             )
 
         hops_before = accounting.hops_traveled
+        config = self.config
 
-        def finish(walk_outcome) -> RecoveryResult:
-            obs.inc("rtr.phase2.attempts")
-            if walk_outcome.delivered:
-                obs.inc("rtr.phase2.delivered")
+        def finish(walk_outcome):
             outcome = phase2_result_from_outcome(
                 route, header, hops_before, accounting, walk_outcome
             )
-            return self._finish_phase2(
-                initiator, destination, phase1, accounting, outcome
-            )
+            if outcome.lost:
+                if resends < config.max_phase2_resends:
+                    accounting.count_retry()
+                    accounting.advance_clock(config.retry_backoff_s * (2**resends))
+                    return self._delivery_plan(
+                        phase2, destination, accounting, resends + 1, reinvocations
+                    )
+            elif not outcome.delivered:
+                learned = _missed_link(outcome)
+                if (
+                    reinvocations < config.max_phase2_reinvocations
+                    and learned is not None
+                    and phase2.learn_failed_link(learned)
+                ):
+                    accounting.count_retry()
+                    accounting.count_sp(1)
+                    return self._delivery_plan(
+                        phase2, destination, accounting, resends, reinvocations + 1
+                    )
+            return self._finish_phase2(phase2, destination, accounting, outcome)
 
         return WalkPlan(
             spec=SourceRouteSpec(route=list(route.nodes)),
@@ -470,42 +490,14 @@ class RTR:
             retries=accounting.retransmissions,
         )
 
-    def _recover_ladder(
-        self,
-        initiator: int,
-        destination: int,
-        trigger_neighbor: Optional[int],
-    ) -> RecoveryResult:
-        """The sequential path: per-walk outcomes steer resends/re-invocations."""
-        trigger_neighbor, immediate = self._check_case(
-            initiator, destination, trigger_neighbor
-        )
-        if immediate is not None:
-            return immediate
-
-        phase1 = self.phase1_for(initiator, trigger_neighbor)
-        phase2 = self.phase2_for(initiator, trigger_neighbor)
-        accounting = self._seed_case_accounting(phase1)
-
-        if not phase1.complete:
-            return self._incomplete_result(
-                initiator, destination, phase1, accounting
-            )
-
-        outcome = self._phase2_ladder(phase2, destination, accounting)
-        return self._finish_phase2(
-            initiator, destination, phase1, accounting, outcome
-        )
-
     def _finish_phase2(
         self,
-        initiator: int,
+        phase2: Phase2Engine,
         destination: int,
-        phase1: Phase1Result,
         accounting: RecoveryAccounting,
         outcome: Phase2Result,
     ) -> RecoveryResult:
-        """Fold a phase-2 outcome into the final per-case result.
+        """Fold the last phase-2 outcome into the final per-case result.
 
         Wasted transmission (§IV-D): ``h`` is the hops from the recovery
         initiator to the node discarding the packet.  The phase-1 walk is
@@ -515,7 +507,10 @@ class RTR:
         failure.  When no route exists, packets die at the initiator
         itself (h = 0), which is exactly the early discard of §II-C.
         """
+        initiator, phase1 = phase2.initiator, phase2.phase1
+        obs.inc("rtr.phase2.attempts")
         if outcome.delivered:
+            obs.inc("rtr.phase2.delivered")
             drop_hops = 0
             drop_bytes = 0
         elif outcome.route is None:
@@ -557,62 +552,6 @@ class RTR:
             drop_packet_bytes=drop_bytes,
             retries=accounting.retransmissions,
         )
-
-    def _phase2_ladder(
-        self,
-        phase2: Phase2Engine,
-        destination: int,
-        accounting: RecoveryAccounting,
-    ) -> Phase2Result:
-        """Phase-2 delivery with bounded resends and re-invocations.
-
-        A *lost* packet (injected loss) is resent along the same route; a
-        packet discarded at a failure phase 1 missed teaches the initiator
-        that link and re-invokes the recomputation with the grown ``E1``
-        (each re-invocation is one more on-demand SP calculation).
-        """
-        with obs.span("rtr.phase2", destination=destination):
-            outcome = self._phase2_ladder_inner(phase2, destination, accounting)
-        obs.inc("rtr.phase2.attempts")
-        if outcome.delivered:
-            obs.inc("rtr.phase2.delivered")
-        return outcome
-
-    def _phase2_ladder_inner(
-        self,
-        phase2: Phase2Engine,
-        destination: int,
-        accounting: RecoveryAccounting,
-    ) -> Phase2Result:
-        resends = 0
-        reinvocations = 0
-        outcome = run_phase2(
-            self.topo, self.view, self.engine, phase2, destination, accounting
-        )
-        while not outcome.delivered and outcome.route is not None:
-            if outcome.lost:
-                if resends >= self.config.max_phase2_resends:
-                    break
-                resends += 1
-                accounting.count_retry()
-                accounting.advance_clock(
-                    self.config.retry_backoff_s * (2 ** (resends - 1))
-                )
-            else:
-                learned = _missed_link(outcome)
-                if (
-                    reinvocations >= self.config.max_phase2_reinvocations
-                    or learned is None
-                    or not phase2.learn_failed_link(learned)
-                ):
-                    break
-                reinvocations += 1
-                accounting.count_retry()
-                accounting.count_sp(1)
-            outcome = run_phase2(
-                self.topo, self.view, self.engine, phase2, destination, accounting
-            )
-        return outcome
 
     def _fallback_result(
         self,
@@ -681,25 +620,9 @@ class RTR:
         return self.recover(initiator, destination, trigger)
 
     def find_initiator(self, source: int, destination: int) -> tuple:
-        """The node on the default path that detects the failure.
-
-        Returns ``(initiator, unreachable_next_hop)``.  Raises when the
-        source failed, when there is no pre-failure route, or when the
-        default path did not fail at all (RTR is never invoked then).
-        """
-        if not self.scenario.is_node_live(source):
-            raise SimulationError(f"source {source} has failed; nothing to recover")
-        path = self.routing.path(source, destination)
-        if path is None:
-            raise SimulationError(
-                f"no pre-failure route {source} -> {destination}"
-            )
-        for node, nxt in path.hops():
-            if not self.view.is_neighbor_reachable(node, nxt):
-                return node, nxt
-        raise SimulationError(
-            f"default path {source} -> {destination} did not fail"
-        )
+        """``(initiator, unreachable_next_hop)`` of a failed default path
+        (:func:`repro.failures.find_initiator`)."""
+        return find_initiator(self.view, self.routing, source, destination)
 
 
 def _missed_link(outcome: Phase2Result) -> Optional[Link]:

@@ -28,7 +28,7 @@ from ..chaos import FaultPlan
 from ..core import RTRConfig
 from ..routing import RoutingTable, SPTCache
 from ..schemes import SchemeInstance, build_schemes, validate_names
-from ..simulator import RecoveryAccounting, RecoveryResult, WalkBatch
+from ..simulator import RecoveryAccounting, RecoveryResult
 from ..topology import Topology
 from .cases import CaseSet, TestCase
 from .metrics import CaseRecord
@@ -105,11 +105,8 @@ class EvaluationRunner:
         """Run every case under every approach.
 
         Returns ``approach -> [CaseRecord]`` with records in case order.
-
-        Within one convergence window, schemes that compile cases into
-        walk plans (:meth:`~repro.schemes.SchemeInstance.can_plan`) have
-        all their walks executed through one :class:`WalkBatch`, in case
-        order.  Everything else runs the classic per-case loop.
+        One convergence window at a time, each scheme runs its cases one
+        by one, each to its result: plan, walk, finish.
         """
         records: Dict[str, List[CaseRecord]] = {a: [] for a in self.approaches}
         for scenario_index, cases in sorted(case_set.by_scenario().items()):
@@ -119,56 +116,11 @@ class EvaluationRunner:
             for name in self.approaches:
                 instance = instances[name]
                 counter = self._case_counters[name]
-                if instance.can_plan():
-                    results = self._run_batched(instance, name, cases, counter)
-                else:
-                    results = []
-                    for case in cases:
-                        obs.inc(counter)
-                        results.append(self._recover_one(instance, name, case))
-                records[name].extend(
-                    CaseRecord(case=case, result=result)
-                    for case, result in zip(cases, results)
-                )
+                for case in cases:
+                    obs.inc(counter)
+                    result = self._recover_one(instance, name, case)
+                    records[name].append(CaseRecord(case=case, result=result))
         return records
-
-    def _run_batched(
-        self,
-        instance: SchemeInstance,
-        name: str,
-        cases: Sequence[TestCase],
-        counter: str,
-    ) -> List[RecoveryResult]:
-        """Compile every case to a plan, run all walks in one batch."""
-        batch = WalkBatch(instance.walk_engine())
-        pending: List[object] = []
-        for case in cases:
-            obs.inc(counter)
-            try:
-                plan = instance.plan(case)
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                if not self.isolate_errors:
-                    raise
-                pending.append(self._error_result(name, case, exc))
-                continue
-            if plan.immediate is not None:
-                pending.append(plan.immediate)
-            else:
-                pending.append((plan, batch.add(plan.spec, plan.packet, plan.accounting)))
-        batch.execute()
-        results: List[RecoveryResult] = []
-        for case, entry in zip(cases, pending):
-            if not isinstance(entry, tuple):
-                results.append(entry)
-                continue
-            plan, handle = entry
-            try:
-                results.append(plan.finish(batch.result(handle)))
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                if not self.isolate_errors:
-                    raise
-                results.append(self._error_result(name, case, exc))
-        return results
 
     def _recover_one(
         self, instance: SchemeInstance, name: str, case: TestCase

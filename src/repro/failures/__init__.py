@@ -1,7 +1,7 @@
 """Failure substrate: ground-truth scenarios and local detection."""
 
 from .model import FailureScenario
-from .detection import LocalView
+from .detection import LocalView, find_initiator
 from .scenarios import (
     PAPER_RADIUS_RANGE,
     circle_scenarios,
@@ -14,6 +14,7 @@ from .scenarios import (
 __all__ = [
     "FailureScenario",
     "LocalView",
+    "find_initiator",
     "PAPER_RADIUS_RANGE",
     "circle_scenarios",
     "fixed_radius_scenarios",

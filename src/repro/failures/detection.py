@@ -13,9 +13,9 @@ keeps the information asymmetry of the paper honest.  A neighbor ``v`` of
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from ..errors import UnknownLinkError, UnknownNodeError
+from ..errors import SimulationError, UnknownLinkError, UnknownNodeError
 from ..topology import Link
 from .model import FailureScenario
 
@@ -79,3 +79,26 @@ class LocalView:
     def is_isolated(self, node: int) -> bool:
         """Whether ``node`` has no reachable neighbor left."""
         return not self.reachable_neighbors(node)
+
+
+def find_initiator(
+    view: LocalView, routing, source: int, destination: int
+) -> Tuple[int, int]:
+    """The recovery initiator of the default path ``source -> destination``.
+
+    Walks the pre-failure path (``routing.path``) to the first node whose
+    next hop ``view`` sees as unreachable — the router that invokes
+    recovery (§II-B) — and returns ``(initiator, unreachable_next_hop)``.
+    Raises :class:`SimulationError` when the source failed, when there is
+    no pre-failure route, or when the default path did not fail (no
+    scheme is invoked then).
+    """
+    if not view.scenario.is_node_live(source):
+        raise SimulationError(f"source {source} has failed; nothing to recover")
+    path = routing.path(source, destination)
+    if path is None:
+        raise SimulationError(f"no pre-failure route {source} -> {destination}")
+    for node, nxt in path.hops():
+        if not view.is_neighbor_reachable(node, nxt):
+            return node, nxt
+    raise SimulationError(f"default path {source} -> {destination} did not fail")

@@ -15,8 +15,9 @@ each timescale:
    protocol state a router would hold until the IGP reconverges (RTR's
    phase-1 walks and phase-2 trees, FCP's header machinery);
 3. :meth:`SchemeInstance.recover` — once per **packet pair** (one
-   :class:`~repro.eval.cases.TestCase`): run a single recovery attempt
-   and return the existing :class:`~repro.simulator.RecoveryResult`.
+   :class:`~repro.eval.cases.TestCase`): compile the case into a
+   :class:`~repro.simulator.WalkPlan`, walk it, finish it, and return
+   the existing :class:`~repro.simulator.RecoveryResult`.
 
 Drivers (:class:`~repro.eval.runner.EvaluationRunner`, the traffic
 engine, the parallel shards) speak only this contract, so adding a
@@ -30,6 +31,7 @@ from typing import TYPE_CHECKING, ClassVar, Optional
 
 from ..errors import EvaluationError
 from ..routing import RoutingTable, SPTCache
+from ..simulator import run_plan
 from ..topology import Topology
 
 if TYPE_CHECKING:  # typing only — repro.eval imports this package
@@ -46,10 +48,11 @@ class SchemeLifecycleError(EvaluationError):
 class SchemeInstance:
     """Per-scenario state of one scheme: one IGP convergence window.
 
-    The default implementation adapts the repository's protocol objects
-    (:class:`~repro.core.RTR`, :class:`~repro.baselines.FCP`, ...), which
-    all expose ``recover(initiator, destination, trigger_neighbor)``.
-    Schemes with a different shape override :meth:`recover` directly.
+    Adapts a protocol object (:class:`~repro.core.RTR`,
+    :class:`~repro.baselines.FCP`, ...) whose one recovery entry point is
+    ``plan_recovery(initiator, destination, trigger_neighbor)`` returning
+    a :class:`~repro.simulator.WalkPlan`; a protocol that walks packets
+    also exposes the ``engine`` its plans walk on.
     """
 
     def __init__(self, scheme_name: str, protocol: object) -> None:
@@ -57,43 +60,20 @@ class SchemeInstance:
         self.protocol = protocol
 
     def recover(self, case: "TestCase") -> "RecoveryResult":
-        """Run one recovery attempt for ``case`` and return its result."""
-        return self.protocol.recover(  # type: ignore[attr-defined]
-            case.initiator, case.destination, case.trigger
+        """Run one recovery attempt for ``case``: plan, walk, finish."""
+        protocol = self.protocol
+        return run_plan(
+            getattr(protocol, "engine", None),
+            protocol.plan_recovery(  # type: ignore[attr-defined]
+                case.initiator, case.destination, case.trigger
+            ),
         )
 
-    def can_plan(self) -> bool:
-        """Whether :meth:`plan` may replace :meth:`recover` for this window.
-
-        True when the protocol compiles cases into walk plans
-        (``plan_recovery``) and its optional ``plan_supported()`` gate —
-        schemes pin themselves to the sequential path under chaos or
-        adaptive configs — currently holds.
-        """
-        protocol = self.protocol
-        cls = type(protocol)
-        if getattr(cls, "plan_recovery", None) is None:
-            return False
-        # A subclass overriding recover() without re-deriving plan_recovery
-        # has custom per-case behaviour the plans would silently bypass —
-        # such protocols stay on the sequential path.
-        for klass in cls.__mro__:
-            if "plan_recovery" in klass.__dict__:
-                break
-            if "recover" in klass.__dict__:
-                return False
-        gate = getattr(protocol, "plan_supported", None)
-        return bool(gate()) if gate is not None else True
-
     def plan(self, case: "TestCase"):
-        """Compile ``case`` into a :class:`~repro.simulator.WalkPlan`."""
+        """Compile ``case`` into its first :class:`~repro.simulator.WalkPlan`."""
         return self.protocol.plan_recovery(  # type: ignore[attr-defined]
             case.initiator, case.destination, case.trigger
         )
-
-    def walk_engine(self):
-        """The forwarding engine batched walks of this instance run on."""
-        return getattr(self.protocol, "engine", None)
 
     def degrade(self, plan: "FaultPlan", runtime: "ChaosRuntime") -> bool:
         """Swap this instance's world for a fault-injected one.

@@ -27,27 +27,22 @@ class _OracleProtocol:
     def __init__(self, oracle: Oracle) -> None:
         self.oracle = oracle
 
-    def recover(
+    def plan_recovery(
         self, initiator: int, destination: int, trigger_neighbor: int
-    ) -> RecoveryResult:
+    ) -> WalkPlan:
+        """Walk-free scheme: the whole case resolves at compile time."""
         if initiator in self.oracle.scenario.failed_nodes:
             raise SimulationError(f"initiator {initiator} failed in this scenario")
         accounting = RecoveryAccounting()
         accounting.count_sp(1)
         path = self.oracle.recovery_path(initiator, destination)
-        return RecoveryResult(
-            approach=OracleScheme.name,
-            delivered=path is not None,
-            path=path,
-            accounting=accounting,
-        )
-
-    def plan_recovery(
-        self, initiator: int, destination: int, trigger_neighbor: int
-    ) -> WalkPlan:
-        """Walk-free scheme: the whole case resolves at compile time."""
         return WalkPlan(
-            immediate=self.recover(initiator, destination, trigger_neighbor)
+            immediate=RecoveryResult(
+                approach=OracleScheme.name,
+                delivered=path is not None,
+                path=path,
+                accounting=accounting,
+            )
         )
 
 

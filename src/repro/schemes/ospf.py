@@ -32,9 +32,10 @@ class _OSPFProtocol:
         self.oracle = oracle
         self.converged_at = converged_at
 
-    def recover(
+    def plan_recovery(
         self, initiator: int, destination: int, trigger_neighbor: int
-    ) -> RecoveryResult:
+    ) -> WalkPlan:
+        """Walk-free scheme: the whole case resolves at compile time."""
         if initiator in self.oracle.scenario.failed_nodes:
             raise SimulationError(f"initiator {initiator} failed in this scenario")
         accounting = RecoveryAccounting()
@@ -43,23 +44,17 @@ class _OSPFProtocol:
         # so no on-demand shortest-path computations are charged.
         accounting.advance_clock(self.converged_at)
         path = self.oracle.recovery_path(initiator, destination)
-        return RecoveryResult(
-            approach=OSPFScheme.name,
-            delivered=path is not None,
-            path=path,
-            accounting=accounting,
-            # The pre-recovery outage window: traffic launched before the
-            # IGP converges is lost, which is the paper's Fig. 2 motivation
-            # for reacting faster than reconvergence.
-            phase1_duration=self.converged_at,
-        )
-
-    def plan_recovery(
-        self, initiator: int, destination: int, trigger_neighbor: int
-    ) -> WalkPlan:
-        """Walk-free scheme: the whole case resolves at compile time."""
         return WalkPlan(
-            immediate=self.recover(initiator, destination, trigger_neighbor)
+            immediate=RecoveryResult(
+                approach=OSPFScheme.name,
+                delivered=path is not None,
+                path=path,
+                accounting=accounting,
+                # The pre-recovery outage window: traffic launched before
+                # the IGP converges is lost, which is the paper's Fig. 2
+                # motivation for reacting faster than reconvergence.
+                phase1_duration=self.converged_at,
+            )
         )
 
 

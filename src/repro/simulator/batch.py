@@ -1,18 +1,16 @@
 """The walk plane: packet-walk mechanics behind the scheme decision layer.
 
 This is the mechanics half of the forwarding plane's decision/mechanics
-split (DESIGN.md §15).  Schemes compile each case into a walk spec
-(:mod:`repro.simulator.walkspec`); a :class:`WalkBatch` executes any mix
-of specs — one packet at a time, in insertion order, through the
+split (DESIGN.md §15).  Schemes compile each case into walk plans
+(:mod:`repro.simulator.walkspec`); :func:`run_plan` runs one case to its
+result — plan, walk, finish, and again while ``finish`` returns a next
+plan.  Each walk executes through a :class:`WalkBatch` on the
 :class:`~repro.simulator.engine.ForwardingEngine` loops and the
-table-walk loop below — and hands each caller its outcome.
-:func:`run_plan` is the batch-of-one form a scheme's own ``recover``
-uses.
+table-walk loop below.
 
 Observability: every walk increments ``simulator.walks.executed`` (the
 engine entry points count themselves, so direct per-packet calls are
-visible too), and each batch records its size in the
-``simulator.walks.batch_size`` histogram.
+visible too).
 """
 
 from __future__ import annotations
@@ -31,10 +29,6 @@ from .walkspec import (
     TableWalkSpec,
     WalkPlan,
 )
-
-#: Histogram bucket edges for the per-execute batch-size distribution.
-BATCH_SIZE_EDGES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
-
 
 def batched_walk_count() -> int:
     """Walks executed by a vectorized engine in this process: always 0.
@@ -118,8 +112,6 @@ class WalkBatch:
         self._requests: List[Tuple[object, Packet, RecoveryAccounting]] = []
         self._results: Optional[List[object]] = None
 
-    # -- request builders ----------------------------------------------
-
     def add(self, spec, packet: Packet, accounting: RecoveryAccounting) -> int:
         """Queue one spec; returns the handle to pass to :meth:`result`."""
         if self._results is not None:
@@ -129,39 +121,6 @@ class WalkBatch:
         self._requests.append((spec, packet, accounting))
         return len(self._requests) - 1
 
-    def add_route(
-        self, packet: Packet, route: List[int], accounting: RecoveryAccounting
-    ) -> int:
-        return self.add(SourceRouteSpec(route=list(route)), packet, accounting)
-
-    def add_table_walk(
-        self,
-        packet: Packet,
-        next_hops,
-        destination: int,
-        budget: int,
-        accounting: RecoveryAccounting,
-    ) -> int:
-        return self.add(
-            TableWalkSpec(next_hops=next_hops, destination=destination, budget=budget),
-            packet,
-            accounting,
-        )
-
-    def add_callback_walk(
-        self,
-        packet: Packet,
-        decide,
-        accounting: RecoveryAccounting,
-        max_hops: Optional[int] = None,
-        on_overrun: str = "raise",
-    ) -> int:
-        return self.add(
-            CallbackWalkSpec(decide=decide, max_hops=max_hops, on_overrun=on_overrun),
-            packet,
-            accounting,
-        )
-
     # -- execution ------------------------------------------------------
 
     def execute(self) -> "WalkBatch":
@@ -170,10 +129,6 @@ class WalkBatch:
         requests = self._requests
         results: List[object] = [None] * len(requests)
         self._results = results
-        if not requests:
-            return self
-        obs.observe("simulator.walks.batch_size", len(requests), BATCH_SIZE_EDGES)
-
         for i, request in enumerate(requests):
             try:
                 results[i] = self._run(*request)
@@ -217,9 +172,15 @@ class _CapturedError:
 
 
 def run_plan(engine: Optional[ForwardingEngine], plan: WalkPlan) -> RecoveryResult:
-    """Run one compiled case to its result through a batch of one."""
-    if plan.immediate is not None:
-        return plan.immediate
-    batch = WalkBatch(engine)
-    handle = batch.add(plan.spec, plan.packet, plan.accounting)
-    return plan.finish(batch.execute().result(handle))
+    """Run one case to its result: walk each plan, then let it finish.
+
+    A plan's ``finish`` may return the next plan of the same case; each
+    walk is a batch of one, executed in the order the case asks for it.
+    """
+    while isinstance(plan, WalkPlan):
+        if plan.immediate is not None:
+            return plan.immediate
+        batch = WalkBatch(engine)
+        handle = batch.add(plan.spec, plan.packet, plan.accounting)
+        plan = plan.finish(batch.execute().result(handle))
+    return plan

@@ -1,31 +1,30 @@
 """Walk specs — the decision layer's contract with the walk plane.
 
-A recovery scheme's ``recover`` used to interleave *deciding* where a
-packet goes with *mechanically walking* it there.  The walk plane
-(:mod:`repro.simulator.batch`) splits that: each scheme compiles its
-per-case decision into one of three specs, and the mechanics layer
-executes any mix of them, per packet, on the
+A recovery scheme decides where a packet goes; the walk plane
+(:mod:`repro.simulator.batch`) moves it there.  Each scheme compiles a
+case into one of three specs, which the mechanics layer executes on the
 :class:`~repro.simulator.engine.ForwardingEngine`.
 
 * :class:`SourceRouteSpec` — an explicit node sequence (RTR phase-2 and
-  r3 source-routed delivery, FCP's per-attempt routes).
+  r3 source-routed delivery).
 * :class:`TableWalkSpec` — a next-hop table indexed by current node
-  (MRC backup-configuration trees; any ``RoutingTable``/SPT next-hop map
-  lowers to this shape).
+  (MRC backup-configuration trees, each FCP attempt's route).
 * :class:`CallbackWalkSpec` — an opaque per-hop decision function for
   genuinely stateful walks (RTR phase-1's sweeping rule mutates header
   and constraint state every hop).
 
-:class:`WalkPlan` packages one compiled case: either an ``immediate``
-:class:`~repro.simulator.stats.RecoveryResult` (walk-free schemes, early
-discards) or a spec plus a ``finish`` continuation that folds the walk
-outcome into the scheme's result.
+:class:`WalkPlan` packages one compiled step of a case: either an
+``immediate`` :class:`~repro.simulator.stats.RecoveryResult` (walk-free
+schemes, early discards) or a spec plus a ``finish`` continuation.
+``finish`` folds the walk outcome into the scheme's result, or returns
+the next plan when the scheme reacts to the outcome (RTR's resends and
+§III-D re-invocations, FCP's recomputations).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Union
 
 from .packet import Packet
 from .stats import RecoveryAccounting
@@ -84,7 +83,7 @@ class TableWalkOutcome:
 
 @dataclass
 class WalkPlan:
-    """One compiled recovery case: an immediate result or a spec+finish."""
+    """One compiled step of a case: an immediate result or a spec+finish."""
 
     #: Set when the case needs no walk (walk-free scheme, early discard,
     #: or an isolated error result) — ``spec``/``finish`` are unused then.
@@ -93,5 +92,8 @@ class WalkPlan:
     packet: Optional[Packet] = None
     accounting: Optional[RecoveryAccounting] = None
     #: Folds the walk outcome (RouteOutcome / TableWalkOutcome /
-    #: WalkOutcome) into the scheme's RecoveryResult.
-    finish: Optional[Callable[[object], "RecoveryResult"]] = field(default=None)
+    #: WalkOutcome) into the scheme's RecoveryResult, or returns the next
+    #: plan of the same case.
+    finish: Optional[Callable[[object], Union["RecoveryResult", "WalkPlan"]]] = field(
+        default=None
+    )

@@ -173,16 +173,8 @@ class _R3Protocol:
     def recover(
         self, initiator: int, destination: int, trigger_neighbor: int
     ) -> RecoveryResult:
-        plan = self.plan_recovery(initiator, destination, trigger_neighbor)
-        return run_plan(self.engine, plan)
-
-    def plan_supported(self) -> bool:
-        """Splicing consults the local view, so plans may only be deferred
-        on the pristine world: a degraded view's answers depend on the
-        shared hop clock, which other batched walks advance."""
-        return (
-            type(self.engine) is ForwardingEngine
-            and type(self.view) is LocalView
+        return run_plan(
+            self.engine, self.plan_recovery(initiator, destination, trigger_neighbor)
         )
 
     def plan_recovery(

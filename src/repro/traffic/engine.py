@@ -320,9 +320,9 @@ class TrafficEngine:
             if self.congestion_aware:
                 records = self._run_cases_congestion_aware(scenario, cases, plan)
             else:
-                # One convergence window per scenario: planning schemes
-                # have the whole window's walks executed through a single
-                # WalkBatch inside the runner (DESIGN.md §15).
+                # One convergence window per scenario; the runner takes
+                # its cases one at a time, plan -> walk -> finish
+                # (DESIGN.md §15).
                 records = self.runner.run(
                     CaseSet(
                         topo=self.topo,
@@ -379,9 +379,9 @@ class TrafficEngine:
         State is per-scenario (the map starts from a copy of the window's
         intact loads), which keeps serial and sharded sweeps identical.
 
-        This path never batches walks: each case's route depends on the
-        loads of every earlier delivery, so compiling a window of plans
-        up front would read stale penalties.
+        As in the runner, each case runs to its result before the next is
+        compiled — here that is required, since a case's route depends on
+        the loads of every earlier delivery.
         """
         config = self.rtr_config if self.rtr_config is not None else RTRConfig()
         obs.inc("eval.cases", len(cases))

@@ -82,6 +82,20 @@ class TestCompleteness:
         assert result.sp_computations == 1
 
 
+class TestRecomputationBudget:
+    def test_exceeding_max_recomputations_raises(self, grid5):
+        # 12 -> 14 first tries 12-7-8-9-14, learns e8,9 at node 8 and
+        # recomputes 8-13-14: two attempts.
+        scenario = FailureScenario(
+            grid5, failed_links=[Link.of(12, 13), Link.of(8, 9)]
+        )
+        result = FCP(grid5, scenario, max_recomputations=2).recover(12, 14, 13)
+        assert result.delivered and result.sp_computations == 2
+        assert list(result.path.nodes) == [12, 7, 8, 13, 14]
+        with pytest.raises(SimulationError, match="FCP exceeded 1 recomputations"):
+            FCP(grid5, scenario, max_recomputations=1).recover(12, 14, 13)
+
+
 class TestOverheadShape:
     def test_multiple_recomputations_under_area_failure(self):
         # FCP discovers failures one at a time; with a large area it must

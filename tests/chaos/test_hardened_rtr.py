@@ -11,6 +11,7 @@ import pytest
 from repro.chaos import FaultPlan, SecondaryFailure
 from repro.core import RTR, RTRConfig
 from repro.failures import FailureScenario
+from repro.simulator import RecoveryResult, WalkPlan, run_plan
 from repro.topology import Link, grid_topology
 
 
@@ -99,6 +100,53 @@ class TestReinvocation:
         assert result.accounting.sp_computations == 1
         assert result.drop_hops == 1
         assert result.wasted_transmission() > 0
+
+
+class TestPlanContinuation:
+    """Resends and re-invocations are the next plan a delivery's finish returns."""
+
+    @staticmethod
+    def first_step(rtr, plan):
+        """Walk ``plan`` once; return (walk outcome, what finish returned)."""
+        outcome = rtr.engine.follow_source_route_outcome(
+            plan.packet, plan.spec.route, plan.accounting
+        )
+        return outcome, plan.finish(outcome)
+
+    def test_lost_packet_resends_along_the_same_route(self, grid_scenario):
+        topo, scenario = grid_scenario
+        # Seed 8 at 10% loss: the walk lands, the first phase-2 packet dies.
+        rtr = RTR(topo, scenario, fault_plan=FaultPlan(seed=8, packet_loss_rate=0.1))
+        plan = rtr.plan_recovery(12, 14, 13)
+        assert rtr.phase1_for(12, 13).retries == 0
+        outcome, resend = self.first_step(rtr, plan)
+        assert outcome.lost
+        assert isinstance(resend, WalkPlan)
+        assert resend.spec.route == plan.spec.route == [12, 7, 8, 9, 14]
+        result = run_plan(rtr.engine, resend)
+        assert result.status == "delivered"
+        assert result.retries == 1
+        assert result.accounting.sp_computations == 1
+
+    def test_missed_failure_reinvokes_with_a_new_route(self, grid_scenario):
+        topo, scenario = grid_scenario
+        rtr = RTR(topo, scenario, fault_plan=TestReinvocation.PLAN)
+        plan = rtr.plan_recovery(12, 14, 13)
+        outcome, recomputed = self.first_step(rtr, plan)
+        assert not outcome.lost and outcome.drop_node == 7
+        assert isinstance(recomputed, WalkPlan)
+        assert Link.of(7, 8) in rtr.phase2_for(12, 13).known_failed
+        result = run_plan(rtr.engine, recomputed)
+        assert result.status == "delivered"
+        assert result.retries == 1
+        assert result.accounting.sp_computations == 2
+
+    def test_paper_config_finishes_after_one_walk(self, grid_scenario):
+        topo, scenario = grid_scenario
+        rtr = RTR(topo, scenario, config=RTRConfig(), fault_plan=TestReinvocation.PLAN)
+        _, result = self.first_step(rtr, rtr.plan_recovery(12, 14, 13))
+        assert isinstance(result, RecoveryResult)
+        assert result.status == "dropped"
 
 
 class TestReconvergenceFallback:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core import Phase2Engine, run_phase1, run_phase2
+from repro.core import Phase2Engine, run_phase1
+from repro.core.phase2 import (
+    compile_phase2_delivery,
+    no_route_result,
+    phase2_result_from_outcome,
+)
 from repro.failures import FailureScenario, LocalView
 from repro.simulator import ForwardingEngine, RecoveryAccounting
 from repro.topology import Link
@@ -56,12 +61,22 @@ class TestPhase2Engine:
         assert p2.recovery_path(2) is None
 
 
+def deliver(engine, p2, destination, accounting):
+    """One phase-2 delivery attempt: compile, walk the route, fold."""
+    route, header, packet = compile_phase2_delivery(p2, destination)
+    if route is None:
+        return no_route_result(p2)
+    before = accounting.hops_traveled
+    walk = engine.follow_source_route_outcome(packet, list(route.nodes), accounting)
+    return phase2_result_from_outcome(route, header, before, accounting, walk)
+
+
 class TestRunPhase2:
     def test_delivery_on_clean_route(self, paper_setup):
         topo, _, view, engine, phase1 = paper_setup
         p2 = Phase2Engine(topo, 6, phase1)
         acc = RecoveryAccounting()
-        outcome = run_phase2(topo, view, engine, p2, 17, acc)
+        outcome = deliver(engine, p2, 17, acc)
         assert outcome.delivered
         assert outcome.drop_node is None
         assert outcome.hops_traveled == 4
@@ -73,7 +88,7 @@ class TestRunPhase2:
         engine = ForwardingEngine(tiny_line, view)
         phase1 = run_phase1(tiny_line, view, 1, 2, engine)
         p2 = Phase2Engine(tiny_line, 1, phase1)
-        outcome = run_phase2(tiny_line, view, engine, p2, 2, RecoveryAccounting())
+        outcome = deliver(engine, p2, 2, RecoveryAccounting())
         assert not outcome.delivered
         assert outcome.drop_node == 1
         assert outcome.hops_traveled == 0
@@ -103,6 +118,6 @@ class TestRunPhase2:
         route = p2.recovery_path(16)
         assert route is not None
         if any(not scenario.is_link_live(Link.of(a, b)) for a, b in route.hops()):
-            outcome = run_phase2(grid5, view, engine, p2, 16, RecoveryAccounting())
+            outcome = deliver(engine, p2, 16, RecoveryAccounting())
             assert not outcome.delivered
             assert outcome.drop_node is not None

@@ -39,8 +39,7 @@ class TestErrorIsolation:
                 raise RuntimeError("synthetic per-case crash")
             return original(self, initiator, destination, trigger_neighbor)
 
-        # Patch the plan-compile path (what the batched runner drives);
-        # recover() funnels through it too, so both paths are covered.
+        # Patch the plan-compile step every case runs through.
         monkeypatch.setattr(rtr_module.RTR, "plan_recovery", flaky)
         runner = EvaluationRunner(topo, routing=case_set.routing, approaches=("RTR",))
         records = runner.run(case_set)["RTR"]
@@ -109,7 +108,7 @@ class TestChaosSweep:
         # Fault plans now wrap every scheme (see tests/schemes/
         # test_fault_wrapping.py for baselines being perturbed), but
         # packet loss specifically models recovery-packet drops in the
-        # walk driver — FCP forwards through its own loop, so a
+        # walk driver — FCP forwards through table walks, so a
         # loss-only plan must not change its outcomes.
         plan = FaultPlan(seed=42, packet_loss_rate=0.2)
         chaotic = EvaluationRunner(

@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.errors import UnknownLinkError, UnknownNodeError
-from repro.failures import FailureScenario, LocalView
+from repro.baselines import FCP, MRC
+from repro.core import RTR
+from repro.errors import SimulationError, UnknownLinkError, UnknownNodeError
+from repro.failures import FailureScenario, LocalView, find_initiator
+from repro.geometry import Point
 from repro.topology import Link
+from repro.topology.examples import PAPER_FAILURE_REGION, paper_figure_topology
 
 
 class TestLocalView:
@@ -78,3 +82,41 @@ class TestLocalView:
         first = view.unreachable_neighbors(11)
         second = view.unreachable_neighbors(11)
         assert first == second
+
+
+def _paper_with_island():
+    """The paper example plus node 99, which no link reaches."""
+    topo = paper_figure_topology()
+    topo.add_node(99, Point(1000.0, 1000.0))
+    return topo, FailureScenario.from_region(topo, PAPER_FAILURE_REGION)
+
+
+PROTOCOLS = {
+    "RTR": RTR,
+    "FCP": FCP,
+    "MRC": lambda topo, scenario: MRC(topo, scenario, configurations=[]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+class TestRecoverFlowInitiator:
+    """Every ``recover_flow`` finds its initiator one way, with one set of errors."""
+
+    @pytest.mark.parametrize(
+        "source, destination, message",
+        [
+            (10, 17, "source 10 has failed; nothing to recover"),
+            (7, 99, "no pre-failure route 7 -> 99"),
+            (1, 2, "default path 1 -> 2 did not fail"),
+        ],
+        ids=["failed-source", "no-route", "path-intact"],
+    )
+    def test_rejections(self, name, source, destination, message):
+        protocol = PROTOCOLS[name](*_paper_with_island())
+        with pytest.raises(SimulationError) as info:
+            protocol.recover_flow(source, destination)
+        assert str(info.value) == message
+
+    def test_initiator_is_the_detecting_node(self, name):
+        protocol = PROTOCOLS[name](*_paper_with_island())
+        assert find_initiator(protocol.view, protocol.routing, 7, 17) == (6, 11)

@@ -79,27 +79,17 @@ class TestSchemeContract:
         assert sweep() == sweep()
 
     def test_per_case_errors_are_isolated(self, name, topo, case_set, monkeypatch):
-        # Crash the 2nd case regardless of which execution path the runner
-        # picks: recover() for per-case schemes, plan() for batched ones.
+        # Crash the 2nd case: every case runs through recover().
         original_recover = SchemeInstance.recover
-        original_plan = SchemeInstance.plan
         calls = {"n": 0}
 
-        def _tick():
+        def flaky_recover(self, case):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("synthetic conformance crash")
-
-        def flaky_recover(self, case):
-            _tick()
             return original_recover(self, case)
 
-        def flaky_plan(self, case):
-            _tick()
-            return original_plan(self, case)
-
         monkeypatch.setattr(SchemeInstance, "recover", flaky_recover)
-        monkeypatch.setattr(SchemeInstance, "plan", flaky_plan)
         runner = EvaluationRunner(
             topo, routing=case_set.routing, approaches=(name,)
         )

@@ -63,7 +63,7 @@ class TestFaultsReachBaselines:
 
     def test_loss_only_plan_spares_non_walk_schemes(self, topo, case_set):
         # Packet loss models recovery-packet drops in the walk/source-route
-        # drivers; FCP forwards hop-by-hop through its own loop, so a
+        # drivers; FCP forwards hop-by-hop through table walks, so a
         # loss-only plan leaves it untouched while detection-level faults
         # (above) do perturb it.
         plan = FaultPlan(seed=42, packet_loss_rate=0.2)

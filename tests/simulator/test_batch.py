@@ -2,7 +2,7 @@
 
 Batch lifecycle, insertion-order execution, per-request error capture,
 the table-walk semantics (clocks compared bit-exactly via ``float.hex``),
-``run_plan``, and the observability surface.
+``run_plan`` and its continuations, and the observability surface.
 """
 
 import re
@@ -15,11 +15,13 @@ from repro.chaos import ChaosForwardingEngine, ChaosRuntime, FaultPlan
 from repro.errors import SimulationError, UnknownLinkError
 from repro.failures import FailureScenario, LocalView
 from repro.simulator import (
+    CallbackWalkSpec,
     ForwardingEngine,
     Packet,
     RecoveryAccounting,
     RecoveryResult,
     SourceRouteSpec,
+    TableWalkSpec,
     WalkBatch,
     WalkPlan,
     run_plan,
@@ -39,15 +41,17 @@ def run_table(engine, start, table, destination, budget):
     packet = Packet(source=start, destination=destination)
     acc = RecoveryAccounting()
     batch = WalkBatch(engine)
-    handle = batch.add_table_walk(packet, table, destination, budget, acc)
+    handle = batch.add(TableWalkSpec(table, destination, budget), packet, acc)
     return packet, acc, batch.execute().result(handle)
 
 
 class TestLifecycle:
     def test_result_before_execute_raises(self, ring8):
         batch = WalkBatch(make_engine(ring8))
-        handle = batch.add_route(
-            Packet(source=0, destination=1), [0, 1], RecoveryAccounting()
+        handle = batch.add(
+            SourceRouteSpec([0, 1]),
+            Packet(source=0, destination=1),
+            RecoveryAccounting(),
         )
         with pytest.raises(SimulationError):
             batch.result(handle)
@@ -56,8 +60,10 @@ class TestLifecycle:
         batch = WalkBatch(make_engine(ring8))
         batch.execute()
         with pytest.raises(SimulationError):
-            batch.add_route(
-                Packet(source=0, destination=1), [0, 1], RecoveryAccounting()
+            batch.add(
+                SourceRouteSpec([0, 1]),
+                Packet(source=0, destination=1),
+                RecoveryAccounting(),
             )
 
     def test_double_execute_raises(self, ring8):
@@ -69,8 +75,10 @@ class TestLifecycle:
     def test_add_without_engine_raises(self):
         batch = WalkBatch(None)
         with pytest.raises(SimulationError):
-            batch.add_route(
-                Packet(source=0, destination=1), [0, 1], RecoveryAccounting()
+            batch.add(
+                SourceRouteSpec([0, 1]),
+                Packet(source=0, destination=1),
+                RecoveryAccounting(),
             )
 
     def test_exceptions_are_captured_per_request(self, ring8):
@@ -79,11 +87,15 @@ class TestLifecycle:
         def exploding(node, pkt):
             raise RuntimeError("synthetic walk crash")
 
-        bad = batch.add_callback_walk(
-            Packet(source=0, destination=0), exploding, RecoveryAccounting()
+        bad = batch.add(
+            CallbackWalkSpec(exploding),
+            Packet(source=0, destination=0),
+            RecoveryAccounting(),
         )
-        good = batch.add_route(
-            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
+        good = batch.add(
+            SourceRouteSpec([0, 1, 2]),
+            Packet(source=0, destination=2),
+            RecoveryAccounting(),
         )
         batch.execute()
         assert batch.result(good).delivered
@@ -124,13 +136,17 @@ class TestLifecycle:
         for route in routes:
             start, end = route[0], route[-1]
             handles.append(
-                batch.add_route(
-                    Packet(source=start, destination=end), route, RecoveryAccounting()
+                batch.add(
+                    SourceRouteSpec(route),
+                    Packet(source=start, destination=end),
+                    RecoveryAccounting(),
                 )
             )
             handles.append(
-                batch.add_callback_walk(
-                    Packet(source=start, destination=end), circle, RecoveryAccounting()
+                batch.add(
+                    CallbackWalkSpec(circle),
+                    Packet(source=start, destination=end),
+                    RecoveryAccounting(),
                 )
             )
         batch.execute()
@@ -144,13 +160,13 @@ class TestLifecycle:
         engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
         batch = WalkBatch(engine)
         p1, a1 = Packet(source=0, destination=3), RecoveryAccounting()
-        h1 = batch.add_route(p1, [0, 1, 2, 3], a1)
+        h1 = batch.add(SourceRouteSpec([0, 1, 2, 3]), p1, a1)
         p2, a2 = Packet(source=3, destination=6), RecoveryAccounting()
-        h2 = batch.add_route(p2, [3, 4, 5, 6], a2)
+        h2 = batch.add(SourceRouteSpec([3, 4, 5, 6]), p2, a2)
         p3, a3 = Packet(source=0, destination=4), RecoveryAccounting()
-        h3 = batch.add_table_walk(p3, {i: i + 1 for i in range(4)}, 4, 40, a3)
+        h3 = batch.add(TableWalkSpec({i: i + 1 for i in range(4)}, 4, 40), p3, a3)
         p4, a4 = Packet(source=7, destination=7), RecoveryAccounting()
-        h4 = batch.add_callback_walk(p4, lambda node, pkt: None, a4)
+        h4 = batch.add(CallbackWalkSpec(lambda node, pkt: None), p4, a4)
         batch.execute()
 
         assert batch.result(h1).delivered and (p1.at, a1.hops_traveled) == (3, 3)
@@ -227,6 +243,40 @@ class TestRunPlan:
         assert result.delivered and packet.at == 2
         assert result.accounting.hops_traveled == 2
 
+    def test_finish_may_return_the_next_plan(self, ring8):
+        # A continuation: the first walk's finish hands back a second plan
+        # for the same packet; run_plan walks it and returns its result.
+        engine = make_engine(ring8, failed_links=[Link.of(2, 3)])
+        packet, acc = Packet(source=0, destination=5), RecoveryAccounting()
+        outcomes = []
+
+        def second(outcome):
+            outcomes.append(outcome)
+            return RecoveryResult(
+                approach="X", delivered=outcome.delivered, path=None, accounting=acc
+            )
+
+        def first(outcome):
+            outcomes.append(outcome)
+            return WalkPlan(
+                spec=SourceRouteSpec([packet.at, 1, 0, 7, 6, 5]),
+                packet=packet,
+                accounting=acc,
+                finish=second,
+            )
+
+        plan = WalkPlan(
+            spec=SourceRouteSpec([0, 1, 2, 3, 4, 5]),
+            packet=packet,
+            accounting=acc,
+            finish=first,
+        )
+        result = run_plan(engine, plan)
+        assert [o.delivered for o in outcomes] == [False, True]
+        assert outcomes[0].drop_node == 2
+        assert result.delivered and packet.at == 5
+        assert acc.hops_traveled == 2 + 5  # 0-1-2, then 2-1-0-7-6-5
+
     def test_finish_exception_propagates(self, ring8):
         def finish(outcome):
             raise RuntimeError("synthetic finish crash")
@@ -252,24 +302,28 @@ class TestObservability:
         if not prior:
             obs.disable()
 
-    def test_executed_counter_and_batch_histogram(self, ring8):
+    def test_executed_counter_counts_every_walk(self, ring8):
         batch = WalkBatch(make_engine(ring8))
         for _ in range(3):
-            batch.add_route(
-                Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
+            batch.add(
+                SourceRouteSpec([0, 1, 2]),
+                Packet(source=0, destination=2),
+                RecoveryAccounting(),
             )
         batch.execute()
         metrics = obs.snapshot()["metrics"]
         assert metrics["counters"]["simulator.walks.executed"] == 3
-        hist = metrics["histograms"]["simulator.walks.batch_size"]
-        assert hist["count"] == 1 and hist["sum"] == 3.0
+        # Every case's walks run one by one: no batch-size histogram.
+        assert "simulator.walks.batch_size" not in metrics["histograms"]
 
     def test_counters_visible_in_obs_report(self, ring8):
         # The `repro obs report` rendering must surface the walk-plane
-        # counter and the batch-size histogram.
+        # counter.
         batch = WalkBatch(make_engine(ring8))
-        batch.add_route(
-            Packet(source=0, destination=2), [0, 1, 2], RecoveryAccounting()
+        batch.add(
+            SourceRouteSpec([0, 1, 2]),
+            Packet(source=0, destination=2),
+            RecoveryAccounting(),
         )
         batch.execute()
         run = {
@@ -280,7 +334,6 @@ class TestObservability:
         }
         text = obs.render_report(run)
         assert "simulator.walks.executed" in text
-        assert "simulator.walks.batch_size" in text
 
 
 class TestOneWalkEngine:
