@@ -3,8 +3,10 @@
 Times three workloads on `scale:` topologies of growing size (1k / 10k /
 50k nodes by default):
 
-* **single-source Dijkstra** under both kernel backends (the pure-Python
-  reference and the vectorized CSR kernel), parity-checked per root;
+* **single-source Dijkstra** on both kernels the backend selector picks
+  between (the pure-Python reference ``_dijkstra_csr_kernel`` and the
+  vectorized ``dijkstra_numpy``), called directly and parity-checked per
+  root;
 * **batched multi-source Dijkstra** (`batched_dijkstra_arrays`), the
   array-level path the traffic engine's `RoutingTable.warm` rides;
 * **traffic-weighted Table III** (`scale:50000` only) — the end-to-end
@@ -43,12 +45,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _bench_utils import emit, record_bench
 
 from repro.obs import config_hash
-from repro.routing import dijkstra_run_count, shortest_path_tree
+from repro.routing import dijkstra_run_count
+from repro.routing.dijkstra import _dijkstra_csr_kernel
 from repro.routing.kernels import (
     batched_dijkstra_arrays,
+    dijkstra_numpy,
     numpy_available,
-    select_backend,
 )
+from repro.topology.npcsr import numpy_view
 from repro.topology.scale import scale_topology
 
 BENCH_SCALE_JSON = Path(__file__).parent / "BENCH_scale.json"
@@ -86,14 +90,18 @@ def spread_roots(topo, count: int) -> list:
 
 
 def time_single_source(topo, roots, backend: str) -> tuple:
-    """(wall seconds, fingerprints) for one backend over ``roots``."""
-    os.environ["REPRO_KERNEL"] = backend
-    try:
-        t0 = time.perf_counter()
-        trees = [shortest_path_tree(topo, r) for r in roots]
-        wall = time.perf_counter() - t0
-    finally:
-        del os.environ["REPRO_KERNEL"]
+    """(wall seconds, fingerprints) for one kernel over ``roots``.
+
+    The numpy timing includes building the graph's numpy mirror, which the
+    first numpy tree on a graph pays.
+    """
+    t0 = time.perf_counter()
+    if backend == "numpy":
+        view = numpy_view(topo.csr())
+        trees = [dijkstra_numpy(topo, view, r, False, None, None) for r in roots]
+    else:
+        trees = [_dijkstra_csr_kernel(topo, r, False, None, None) for r in roots]
+    wall = time.perf_counter() - t0
     return wall, [fingerprint(t) for t in trees]
 
 
@@ -144,15 +152,9 @@ def main(argv: list) -> int:
                 write_file=write,
             )
 
-            os.environ["REPRO_KERNEL"] = "numpy"
-            try:
-                backend, view = select_backend(topo.csr())
-                assert backend == "numpy"
-                t0 = time.perf_counter()
-                batched_dijkstra_arrays(topo, roots, view=view)
-                wall_batch = time.perf_counter() - t0
-            finally:
-                del os.environ["REPRO_KERNEL"]
+            t0 = time.perf_counter()
+            batched_dijkstra_arrays(topo, roots)
+            wall_batch = time.perf_counter() - t0
             speedup = (wall_py / len(roots)) / (wall_batch / len(roots))
             record_bench(
                 f"dijkstra_batched@{n}",

@@ -68,29 +68,6 @@ def _usage_error(exc: BaseException) -> int:
     return 2
 
 
-def _apply_spt_cache_entries(args: argparse.Namespace) -> Optional[int]:
-    """Export ``--spt-cache-entries`` so every cache the sweep builds sees it.
-
-    The drivers construct their ``SPTCache`` pools internally (one per
-    topology, plus per-worker pools in parallel runs), so the capacity
-    rides on :data:`repro.routing.cache.SPT_CACHE_ENV` — pool workers
-    inherit the environment.  Returns 2 (usage error) on a bad value.
-    """
-    entries = getattr(args, "spt_cache_entries", None)
-    if entries is None:
-        return None
-    if entries < 1:
-        print(
-            f"error: --spt-cache-entries must be >= 1, got {entries}",
-            file=sys.stderr,
-        )
-        return 2
-    from .routing.cache import SPT_CACHE_ENV
-
-    os.environ[SPT_CACHE_ENV] = str(entries)
-    return None
-
-
 def _scenario_from_args(topo: Topology, args: argparse.Namespace) -> FailureScenario:
     if args.cx is not None and args.cy is not None and args.radius is not None:
         region = Circle(Point(args.cx, args.cy), args.radius)
@@ -219,9 +196,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    bad = _apply_spt_cache_entries(args)
-    if bad is not None:
-        return bad
 
     name = args.experiment
     config = {"experiment": name, "cases": n, "topologies": list(topologies)}
@@ -325,9 +299,6 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    bad = _apply_spt_cache_entries(args)
-    if bad is not None:
-        return bad
     if args.jobs is not None and args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
@@ -684,12 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument("--cases", type=int, default=150)
     ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument(
-        "--spt-cache-entries",
-        type=int,
-        help="LRU capacity of the shortest-path-tree pools (default 1024); "
-        "raise for large scale: topologies if routing.sptcache.evictions grows",
-    )
     ev.add_argument("--topos", help="comma-separated topology specs: AS names, grid:RxC, scale:N, file:PATH (default: the AS catalog)")
     ev.add_argument(
         "--approaches",
@@ -724,11 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenarios", type=int, default=10, help="failure events per topology"
     )
     traffic.add_argument("--seed", type=int, default=0)
-    traffic.add_argument(
-        "--spt-cache-entries",
-        type=int,
-        help="LRU capacity of the shortest-path-tree pools (default 1024)",
-    )
     traffic.add_argument("--topos", help="comma-separated topology specs: AS names, grid:RxC, scale:N, file:PATH (default: the AS catalog)")
     traffic.add_argument(
         "--approaches", default="RTR,FCP", help="comma-separated approach names"

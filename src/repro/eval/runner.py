@@ -52,26 +52,12 @@ class EvaluationRunner:
         fault_plan: Optional[FaultPlan] = None,
         isolate_errors: bool = True,
         sp_cache: Optional[SPTCache] = None,
-        spt_cache_entries: Optional[int] = None,
     ) -> None:
         validate_names(approaches)
         self.topo = topo
         #: Sweep-wide SPT pool shared by every per-scenario scheme
         #: instance; pre-failure trees in particular are scenario-invariant.
-        #: ``spt_cache_entries`` sizes the pool when the runner builds its
-        #: own cache — at 50k+ nodes each tree is megabytes, so the sweep
-        #: driver (or ``--spt-cache-entries``) trades memory against
-        #: recomputation; watch ``routing.sptcache.evictions`` for thrash.
-        if sp_cache is not None:
-            self.sp_cache = sp_cache
-        elif spt_cache_entries is not None:
-            if spt_cache_entries < 1:
-                raise ValueError(
-                    f"spt_cache_entries must be >= 1, got {spt_cache_entries}"
-                )
-            self.sp_cache = SPTCache(max_entries=spt_cache_entries)
-        else:
-            self.sp_cache = SPTCache()
+        self.sp_cache = sp_cache if sp_cache is not None else SPTCache()
         self.routing = routing if routing is not None else RoutingTable(topo)
         self.approaches = tuple(approaches)
         self.rtr_config = rtr_config

@@ -29,47 +29,22 @@ underlying tree never changes reported metrics.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, Optional, Set, Tuple
 
 from .. import obs
-from ..errors import NoPathError, RoutingError
+from ..errors import NoPathError
 from ..topology import Link, Topology
 from ..topology.csr import Exclusion
 from .dijkstra import _dijkstra_csr
 from .paths import Path
 from .spt import ShortestPathTree
 
-#: Default LRU capacity.  Trees are O(nodes) dicts; at catalog sizes
-#: (≤ a few hundred nodes) this bounds the cache to tens of megabytes.
-#: At 50k+ nodes each tree is megabytes — size deliberately via
-#: :data:`SPT_CACHE_ENV` or the ``--spt-cache-entries`` CLI flag.
+#: Default LRU capacity.  Trees are O(nodes); at catalog sizes (≤ a few
+#: hundred nodes) this bounds the cache to tens of megabytes.  No sweep
+#: the repo runs evicts at this size — a 2-scenario ``scale:50000``
+#: traffic run takes 172 misses and 0 evictions (EXPERIMENTS.md).
 DEFAULT_MAX_ENTRIES = 1024
-
-#: Environment override for the default capacity of caches the sweep
-#: drivers build internally.  Environment-based so it reaches pool
-#: workers (which inherit ``os.environ``) without widening every driver
-#: signature.
-SPT_CACHE_ENV = "REPRO_SPT_CACHE_ENTRIES"
-
-
-def default_max_entries() -> int:
-    """Capacity for caches constructed without an explicit ``max_entries``."""
-    raw = os.environ.get(SPT_CACHE_ENV, "").strip()
-    if not raw:
-        return DEFAULT_MAX_ENTRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise RoutingError(
-            f"invalid {SPT_CACHE_ENV}={raw!r}; expected a positive integer"
-        ) from None
-    if value < 1:
-        raise RoutingError(
-            f"invalid {SPT_CACHE_ENV}={raw!r}; expected a positive integer"
-        )
-    return value
 
 
 class SPTCache:
@@ -81,10 +56,10 @@ class SPTCache:
 
     __slots__ = ("max_entries", "hits", "misses", "evictions", "_entries")
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        self.max_entries = (
-            default_max_entries() if max_entries is None else max_entries
-        )
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
+        if max_entries < 1:
+            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -139,8 +114,7 @@ class SPTCache:
             self.evictions += 1
             obs.inc("spt_cache.evictions")
             # Canonical eviction-pressure counter: sustained growth on a
-            # large sweep means the pool is thrashing and ``max_entries``
-            # should be raised (``--spt-cache-entries`` at the CLI).
+            # large sweep means the pool is thrashing.
             obs.inc("routing.sptcache.evictions")
         return tree
 

@@ -19,9 +19,9 @@ forwarding built from per-destination reverse trees is loop-free even among
 equal-cost alternatives.
 
 Large graphs dispatch to the vectorized numpy kernels in
-:mod:`repro.routing.kernels` (``REPRO_KERNEL`` selects the backend; the
-default ``auto`` keeps small graphs and targeted queries here).  The numpy
-kernels are bit-identical to this reference on the graphs they accept.
+:mod:`repro.routing.kernels` (:func:`~repro.routing.kernels.select_backend`
+keeps small graphs and targeted queries here).  The numpy kernels are
+bit-identical to this reference on the graphs they accept.
 """
 
 from __future__ import annotations
@@ -279,10 +279,10 @@ def penalized_shortest_path_tree(
     penalty units (see :class:`repro.te.penalty.LinkPenalty`); ``quant``
     is the integer quantization base, so zero units everywhere yields the
     base-metric SPT with all distances scaled by ``quant``.  The backend
-    follows ``REPRO_KERNEL`` (the numpy kernel is bit-identical to the
-    reference on exact graphs); a ``target`` early-exit always stays on
-    the reference kernel, like the base dispatcher.  Tree distances are
-    in penalized units — re-cost paths with
+    is the base dispatcher's (:func:`~repro.routing.kernels.select_backend`,
+    bit-identical numpy on large exact graphs), kept on the reference
+    kernel when the penalized products could exceed 2**53.  Tree
+    distances are in penalized units — re-cost paths with
     :func:`repro.te.penalty.recost_path` before comparing against
     base-metric optima.
     """
@@ -290,12 +290,10 @@ def penalized_shortest_path_tree(
     _RUN_COUNT += 1
     csr = topo.csr()
     link_excl = csr.link_flags(excluded_links) if excluded_links else None
-    max_units = int(max(link_units, default=0))
-    if target is not None:
-        backend, np_view = "python", None
-    else:
-        backend, np_view = kernels.penalized_backend(csr, quant, max_units)
-    if backend == "numpy":
+    backend, np_view = kernels.select_backend(csr, target)
+    if backend == "numpy" and kernels.penalized_eligible(
+        np_view, quant, int(max(link_units, default=0))
+    ):
         kernel = lambda: kernels.penalized_numpy(  # noqa: E731
             topo, np_view, source, link_units, quant, None, link_excl
         )

@@ -3,21 +3,17 @@
 The heap-based pure-Python kernel in :mod:`repro.routing.dijkstra` is the
 *reference*: every golden byte in the repo is pinned to its output.  This
 module adds numpy kernels that reproduce that output **bit for bit** on
-the graphs where that equivalence is provable, plus the policy that
+the graphs where that equivalence is provable, plus the rule that
 decides which backend a given computation uses.
 
-Backend selection (``REPRO_KERNEL`` environment variable):
-
-* ``auto`` (default) — numpy when it is importable, the graph has at
-  least :data:`AUTO_MIN_NODES` nodes, the costs are *exact* (strictly
-  positive integers, see :class:`~repro.topology.npcsr.NumpyCSR`), and
-  the query has no early-termination target; pure Python otherwise.
-* ``python`` — always the reference kernel.
-* ``numpy`` — force numpy for every *eligible* computation (small graphs
-  included).  Ineligible computations — non-integral costs, targeted
-  early-exit queries — always stay on the reference kernel, because the
-  vectorized kernels cannot reproduce them exactly.  Raises
-  :class:`~repro.errors.RoutingError` when numpy is not importable.
+Backend selection (:func:`select_backend`) is one rule: numpy when the
+query has no early-termination target, the graph has at least
+:data:`AUTO_MIN_NODES` nodes, and its costs are *exact* (strictly
+positive integers, see :class:`~repro.topology.npcsr.NumpyCSR`) — which
+also requires numpy to be importable; the reference kernel otherwise.
+Below the threshold the per-call numpy overhead rivals the whole
+pure-Python run; targeted queries and non-integral costs have no exact
+vectorized equivalent.
 
 Why bit-identical is achievable: with strictly positive integer costs,
 every distance is an exactly-representable integer, so the reference
@@ -37,7 +33,6 @@ reference-shaped dicts are built only if a caller reads them.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -45,14 +40,9 @@ from ..errors import RoutingError, UnknownNodeError
 from ..topology.npcsr import NumpyCSR, expand_ranges, numpy_or_none, numpy_view
 from .spt import ShortestPathTree
 
-#: Environment variable selecting the kernel backend.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: ``auto`` only picks numpy at or above this node count — below it the
-#: per-call numpy overhead rivals the whole pure-Python run.
+#: Numpy only runs at or above this node count — below it the per-call
+#: numpy overhead rivals the whole pure-Python run.
 AUTO_MIN_NODES = 1024
-
-_MODES = ("auto", "python", "numpy")
 
 _INF = float("inf")
 
@@ -65,16 +55,6 @@ _NUMPY_RUNS = 0
 def numpy_run_count() -> int:
     """Number of numpy kernel runs (per-root) performed by this process."""
     return _NUMPY_RUNS
-
-
-def kernel_mode() -> str:
-    """The validated ``REPRO_KERNEL`` setting (``auto`` when unset)."""
-    mode = os.environ.get(KERNEL_ENV, "auto").strip().lower() or "auto"
-    if mode not in _MODES:
-        raise RoutingError(
-            f"invalid {KERNEL_ENV}={mode!r}; expected one of {', '.join(_MODES)}"
-        )
-    return mode
 
 
 def numpy_available() -> bool:
@@ -94,20 +74,12 @@ def select_backend(csr, target: Optional[int] = None) -> Tuple[str, Optional[Num
     """Resolve the backend for one single-source computation.
 
     Returns ``("python", None)`` or ``("numpy", mirror)``.  ``target`` is
-    the early-exit destination, which always forces the reference kernel
-    (a partially settled tree has no whole-array equivalent).
+    the early-exit destination, which always keeps the reference kernel
+    (a partially settled tree has no whole-array equivalent).  The node
+    count is checked before the mirror is built, so small graphs never
+    pay for one.
     """
-    mode = kernel_mode()
-    if mode == "python":
-        return "python", None
-    if mode == "numpy" and not numpy_available():
-        raise RoutingError(
-            f"{KERNEL_ENV}=numpy but numpy is not importable; "
-            "install the [fast] extra or unset the variable"
-        )
-    if target is not None:
-        return "python", None
-    if mode == "auto" and (not numpy_available() or csr.n < AUTO_MIN_NODES):
+    if target is not None or csr.n < AUTO_MIN_NODES:
         return "python", None
     view = _eligible_view(csr)
     if view is None:
@@ -295,47 +267,18 @@ def dijkstra_numpy(
 # ----------------------------------------------------------------------
 
 
-def penalized_eligible(view: Optional[NumpyCSR], quant: int, max_units: int) -> bool:
-    """Whether the penalized weights stay exactly representable.
+def penalized_eligible(view: NumpyCSR, quant: int, max_units: int) -> bool:
+    """Whether the penalized weights of an exact view stay exactly representable.
 
     The congestion-aware metric multiplies every base cost by
     ``quant + units(link)`` (all integers), so the bit-identical sweep
     argument of DESIGN.md §12 holds iff the worst simple-path sum of
     *penalized* costs still fits below 2**53.
     """
-    if view is None or not view.exact:
-        return False
     if view.m == 0:
         return True
     worst_base = max(float(view.wfwd.max()), float(view.wrev.max()))
     return worst_base * (quant + max_units) * max(view.n, 1) < 2.0**53
-
-
-def penalized_backend(
-    csr, quant: int, max_units: int
-) -> Tuple[str, Optional[NumpyCSR]]:
-    """Resolve the backend for one penalized-metric computation.
-
-    Mirrors :func:`select_backend`: ``REPRO_KERNEL=python`` forces the
-    reference kernel, ``numpy`` forces numpy for eligible graphs (and
-    errors when numpy is absent), ``auto`` picks numpy at scale.
-    Ineligible penalized weights (non-exact base costs, or products too
-    large for exact float64 sums) always stay on the reference kernel.
-    """
-    mode = kernel_mode()
-    if mode == "python":
-        return "python", None
-    if mode == "numpy" and not numpy_available():
-        raise RoutingError(
-            f"{KERNEL_ENV}=numpy but numpy is not importable; "
-            "install the [fast] extra or unset the variable"
-        )
-    if mode == "auto" and (not numpy_available() or csr.n < AUTO_MIN_NODES):
-        return "python", None
-    view = _eligible_view(csr)
-    if not penalized_eligible(view, quant, max_units):
-        return "python", None
-    return "numpy", view
 
 
 def penalized_numpy(
@@ -402,9 +345,9 @@ def batched_dijkstra_arrays(
     dense indices, -1 for roots/unreached.  Unit-cost graphs run one
     O(arcs) BFS per root into the preallocated output; general integer
     graphs run dense chunked sweeps (:data:`BATCH_CHUNK` roots at a time)
-    so the per-sweep work is one (chunk x arcs) gather.  Requires the
-    numpy backend (callers fall back to per-root reference trees via
-    ``REPRO_KERNEL=python``).
+    so the per-sweep work is one (chunk x arcs) gather.  Requires numpy
+    and exact costs (:func:`batched_trees` falls back to per-root
+    reference trees otherwise).
     """
     global _NUMPY_RUNS
     np = numpy_or_none()

@@ -11,8 +11,8 @@ kernels accept).  Because the penalized weight is the base weight times
 an integer, the bit-identical sweep argument of DESIGN.md §12 carries
 over unchanged: the numpy penalized kernel
 (:func:`repro.routing.kernels.penalized_numpy`) reproduces the reference
-heap kernel (:func:`repro.routing.dijkstra.penalized_shortest_path_tree`
-with ``REPRO_KERNEL=python``) bit for bit.
+heap kernel (:func:`repro.routing.dijkstra._penalized_csr_kernel`) bit for
+bit.
 
 With zero units everywhere the penalized SPT equals the base SPT (all
 distances scaled by ``QUANT``), so an idle network routes exactly as the

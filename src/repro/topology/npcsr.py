@@ -31,7 +31,7 @@ from typing import Optional, TYPE_CHECKING
 
 try:  # numpy is an optional extra (``pip install repro[fast]``)
     import numpy as _np
-except Exception:  # pragma: no cover - exercised via REPRO_KERNEL tests
+except Exception:  # pragma: no cover - tests hide numpy by patching _np
     _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -125,18 +125,6 @@ class NumpyCSR:
         else:
             self.exact = True
             self.unit = True
-
-    def node_flags(self, flags: Optional[bytearray]):
-        """A ``bool`` array view of a node exclusion flag array (or None)."""
-        if flags is None:
-            return None
-        return _np.frombuffer(bytes(flags), dtype=_np.uint8).astype(bool)
-
-    def link_flags(self, flags: Optional[bytearray]):
-        """A ``bool`` array view of a link exclusion flag array (or None)."""
-        if flags is None:
-            return None
-        return _np.frombuffer(bytes(flags), dtype=_np.uint8).astype(bool)
 
     def __repr__(self) -> str:
         return f"NumpyCSR(nodes={self.n}, arcs={self.m}, exact={self.exact})"

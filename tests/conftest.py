@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from repro.failures import FailureScenario
 from repro.geometry import Circle, Point
+from repro.routing import kernels
 from repro.topology import Topology, grid_topology, ring_topology
 from repro.topology.examples import (
     PAPER_FAILURE_REGION,
@@ -20,6 +22,30 @@ from repro.topology.examples import (
 def rng() -> random.Random:
     """A deterministic RNG; tests must not depend on global random state."""
     return random.Random(0xC0FFEE)
+
+
+class KernelBackend:
+    """Moves the numpy node-count threshold so one backend serves every query.
+
+    ``use("numpy")`` lowers :data:`repro.routing.kernels.AUTO_MIN_NODES` to
+    0, so every exact graph runs the vectorized kernels; ``use("python")``
+    raises it past any graph, so everything runs the reference kernel.
+    Targeted queries and non-integral costs stay on the reference kernel
+    either way, as they do in production.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self._monkeypatch = monkeypatch
+
+    def use(self, backend: str) -> None:
+        threshold = {"numpy": 0, "python": sys.maxsize}[backend]
+        self._monkeypatch.setattr(kernels, "AUTO_MIN_NODES", threshold)
+
+
+@pytest.fixture
+def kernel_backend(monkeypatch) -> KernelBackend:
+    """Pin the SPT kernel backend for one test (restored afterwards)."""
+    return KernelBackend(monkeypatch)
 
 
 @pytest.fixture

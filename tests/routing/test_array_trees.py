@@ -210,8 +210,8 @@ class TestArrayTrees:
         _, dist, parent = tree._arrays
         assert not dist.flags.writeable and not parent.flags.writeable
 
-    def test_batched_trees_own_their_rows(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+    def test_batched_trees_own_their_rows(self, kernel_backend):
+        kernel_backend.use("numpy")
         topo = scale_topology(200, seed=2)
         roots = sorted(topo.nodes())[:5]
         for tree in kernels.batched_trees(topo, roots, toward_root=True):
@@ -254,16 +254,16 @@ class TestUpdatedTreeOnNumpyViews:
         [lambda: scale_topology(400, seed=8), lambda: random_int_topology(21, n=60, extra=70)],
         ids=["unit", "int"],
     )
-    def test_fresh_tree_equals_reference(self, monkeypatch, factory, toward_root):
+    def test_fresh_tree_equals_reference(self, kernel_backend, factory, toward_root):
         topo = factory()
         csr = topo.csr()
         root, cases = removal_cases(topo, random.Random(17))
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
+        kernel_backend.use("python")
         base = _dijkstra_csr_kernel(topo, root, toward_root, None, None)
         for label, links, removed in cases:
-            monkeypatch.setenv(kernels.KERNEL_ENV, "python")
+            kernel_backend.use("python")
             heap = updated_tree(topo, base, links, removed)
-            monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+            kernel_backend.use("numpy")
             before = kernels.numpy_run_count()
             got = updated_tree(topo, base, links, removed)
             if label == "root":
@@ -281,8 +281,7 @@ class TestUpdatedTreeOnNumpyViews:
             assert dict(hexed(heap.dist.items())) == dict(hexed(got.dist.items())), label
             assert heap.parent == got.parent, label
 
-    def test_auto_picks_the_fresh_tree_at_scale(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "auto")
+    def test_auto_picks_the_fresh_tree_at_scale(self):
         topo = scale_topology(kernels.AUTO_MIN_NODES + 100, seed=1)
         root = sorted(topo.nodes())[3]
         base = array_tree(topo, root, False)

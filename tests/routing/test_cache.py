@@ -11,6 +11,7 @@ from repro.routing import (
     shortest_path,
     shortest_path_tree,
 )
+from repro.routing.cache import DEFAULT_MAX_ENTRIES
 from repro.topology import Link, geometric_isp
 
 
@@ -153,32 +154,22 @@ class TestCacheBehavior:
 class TestCapacityPlumbing:
     """The scale satellite: sizing the pool and watching eviction pressure."""
 
-    def test_env_sets_default_capacity(self, monkeypatch):
-        from repro.routing.cache import SPT_CACHE_ENV
-
-        monkeypatch.setenv(SPT_CACHE_ENV, "7")
-        assert SPTCache().max_entries == 7
-        # An explicit argument always wins over the environment.
+    def test_default_capacity(self):
+        assert SPTCache().max_entries == DEFAULT_MAX_ENTRIES == 1024
         assert SPTCache(max_entries=3).max_entries == 3
-        monkeypatch.delenv(SPT_CACHE_ENV)
-        assert SPTCache().max_entries == 1024
 
-    def test_env_rejects_garbage(self, monkeypatch):
-        from repro.errors import RoutingError
-        from repro.routing.cache import SPT_CACHE_ENV
-
-        for bad in ("zero", "-1", "0"):
-            monkeypatch.setenv(SPT_CACHE_ENV, bad)
-            with pytest.raises(RoutingError, match=SPT_CACHE_ENV):
-                SPTCache()
+    def test_rejects_nonpositive_capacity(self):
+        # A capacity below 1 would evict every tree right after storing it.
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=f"max_entries must be >= 1, got {bad}"):
+                SPTCache(max_entries=bad)
 
     def test_runner_exposes_capacity(self, topo):
         from repro.eval.runner import EvaluationRunner
 
-        runner = EvaluationRunner(topo, spt_cache_entries=5)
-        assert runner.sp_cache.max_entries == 5
-        with pytest.raises(ValueError):
-            EvaluationRunner(topo, spt_cache_entries=0)
+        assert EvaluationRunner(topo).sp_cache.max_entries == DEFAULT_MAX_ENTRIES
+        pool = SPTCache(max_entries=5)
+        assert EvaluationRunner(topo, sp_cache=pool).sp_cache is pool
 
     def test_eviction_pressure_counter(self, topo):
         from repro import obs

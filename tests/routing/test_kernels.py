@@ -9,9 +9,13 @@ enforces the promise three ways:
   catalog topologies and on pinned Table III sweeps;
 * *property* — randomized connected graphs with asymmetric strictly
   positive integer costs, random exclusion sets, both orientations;
-* *policy* — ``REPRO_KERNEL`` validation, auto-mode thresholds, the
-  no-numpy degradation path, and the always-python cases (targets,
-  non-integral costs).
+* *policy* — the node-count threshold, the no-numpy degradation path,
+  and the always-python cases (targets, non-integral costs).
+
+Both backends are pinned with the ``kernel_backend`` fixture
+(``tests/conftest.py``), which moves the node-count threshold;
+``test_forced_numpy_actually_runs`` proves that pinning numpy really runs
+the vectorized kernel, so the parity suites compare two kernels.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import random
 
 import pytest
 
-from repro.errors import RoutingError
 from repro.geometry import Point
 from repro.routing import (
     RoutingTable,
@@ -72,39 +75,23 @@ def random_int_topology(seed: int, n: int = 40, extra: int = 50) -> Topology:
     return topo
 
 
-def both_backends(monkeypatch, fn):
+def both_backends(kernel_backend, fn):
     """Run ``fn()`` under forced python, then forced numpy; return both."""
-    monkeypatch.setenv(kernels.KERNEL_ENV, "python")
+    kernel_backend.use("python")
     reference = fn()
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+    kernel_backend.use("numpy")
     vectorized = fn()
     return reference, vectorized
 
 
 class TestKernelPolicy:
-    def test_invalid_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "turbo")
-        with pytest.raises(RoutingError, match="REPRO_KERNEL"):
-            kernels.kernel_mode()
-
-    def test_unset_means_auto(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-        assert kernels.kernel_mode() == "auto"
-
-    def test_auto_keeps_small_graphs_on_python(self, monkeypatch, grid5):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "auto")
+    def test_auto_keeps_small_graphs_on_python(self, grid5):
         backend, view = kernels.select_backend(grid5.csr())
         assert backend == "python" and view is None
 
-    def test_forced_numpy_without_numpy_raises(self, monkeypatch, grid5):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-        monkeypatch.setattr(npcsr, "_np", None)
-        with pytest.raises(RoutingError, match="not importable"):
-            kernels.select_backend(grid5.csr())
-
-    def test_no_numpy_auto_degrades_to_python(self, monkeypatch):
-        """The whole routing stack works with numpy absent under auto."""
-        monkeypatch.setenv(kernels.KERNEL_ENV, "auto")
+    def test_no_numpy_auto_degrades_to_python(self, monkeypatch, kernel_backend):
+        """The whole routing stack works with numpy absent, at any size."""
+        kernel_backend.use("numpy")
         monkeypatch.setattr(npcsr, "_np", None)
         topo = scale_topology(64, seed=1)
         backend, _ = kernels.select_backend(topo.csr())
@@ -112,8 +99,8 @@ class TestKernelPolicy:
         tree = shortest_path_tree(topo, next(iter(topo.nodes())))
         assert len(tree.dist) == topo.node_count
 
-    def test_forced_python_never_runs_numpy(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
+    def test_forced_python_never_runs_numpy(self, kernel_backend):
+        kernel_backend.use("python")
         topo = scale_topology(64, seed=2)
         before = kernels.numpy_run_count()
         for root in list(topo.nodes())[:5]:
@@ -121,14 +108,14 @@ class TestKernelPolicy:
         assert kernels.numpy_run_count() == before
 
     @needs_numpy
-    def test_target_queries_stay_python(self, monkeypatch, grid5):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+    def test_target_queries_stay_python(self, kernel_backend, grid5):
+        kernel_backend.use("numpy")
         backend, _ = kernels.select_backend(grid5.csr(), target=3)
         assert backend == "python"
 
     @needs_numpy
-    def test_non_integral_costs_stay_python(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+    def test_non_integral_costs_stay_python(self, kernel_backend):
+        kernel_backend.use("numpy")
         topo = Topology("frac")
         topo.add_node(0, Point(0, 0))
         topo.add_node(1, Point(1, 0))
@@ -137,8 +124,8 @@ class TestKernelPolicy:
         assert backend == "python"
 
     @needs_numpy
-    def test_forced_numpy_actually_runs(self, monkeypatch, grid5):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+    def test_forced_numpy_actually_runs(self, kernel_backend, grid5):
+        kernel_backend.use("numpy")
         before = kernels.numpy_run_count()
         shortest_path_tree(grid5, 0)
         assert kernels.numpy_run_count() == before + 1
@@ -147,7 +134,7 @@ class TestKernelPolicy:
 @needs_numpy
 class TestGoldenParity:
     @pytest.mark.parametrize("name", ["AS1239", "AS3356", "AS7018"])
-    def test_catalog_trees_bit_identical(self, monkeypatch, name):
+    def test_catalog_trees_bit_identical(self, kernel_backend, name):
         topo = isp_catalog.build(name, seed=0)
         nodes = sorted(topo.nodes())
         roots = nodes[:: max(1, len(nodes) // 6)][:6]
@@ -159,10 +146,10 @@ class TestGoldenParity:
                 out.append(tree_fingerprint(reverse_shortest_path_tree(topo, root)))
             return out
 
-        reference, vectorized = both_backends(monkeypatch, run)
+        reference, vectorized = both_backends(kernel_backend, run)
         assert reference == vectorized
 
-    def test_catalog_trees_with_exclusions(self, monkeypatch):
+    def test_catalog_trees_with_exclusions(self, kernel_backend):
         topo = isp_catalog.build("AS1239", seed=0)
         rng = random.Random(7)
         nodes = sorted(topo.nodes())
@@ -184,10 +171,10 @@ class TestGoldenParity:
                 for root, en, el in cases
             ]
 
-        reference, vectorized = both_backends(monkeypatch, run)
+        reference, vectorized = both_backends(kernel_backend, run)
         assert reference == vectorized
 
-    def test_pinned_table3_sweep_identical(self, monkeypatch):
+    def test_pinned_table3_sweep_identical(self, kernel_backend):
         """The exact acceptance gate: a pinned Table III sweep, both backends."""
         from repro.eval.experiments import table3_recoverable
 
@@ -196,10 +183,10 @@ class TestGoldenParity:
                 table3_recoverable(("AS1239",), n_cases=16, seed=0), sort_keys=True
             )
 
-        reference, vectorized = both_backends(monkeypatch, run)
+        reference, vectorized = both_backends(kernel_backend, run)
         assert reference == vectorized
 
-    def test_pinned_table4_sweep_identical(self, monkeypatch):
+    def test_pinned_table4_sweep_identical(self, kernel_backend):
         from repro.eval.experiments import table4_wasted_summary
 
         def run():
@@ -207,14 +194,14 @@ class TestGoldenParity:
                 table4_wasted_summary(("AS3356",), n_cases=12, seed=1), sort_keys=True
             )
 
-        reference, vectorized = both_backends(monkeypatch, run)
+        reference, vectorized = both_backends(kernel_backend, run)
         assert reference == vectorized
 
 
 @needs_numpy
 class TestPropertyParity:
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_integer_graphs_agree(self, monkeypatch, seed):
+    def test_random_integer_graphs_agree(self, kernel_backend, seed):
         topo = random_int_topology(seed)
         rng = random.Random(seed * 31 + 1)
         nodes = sorted(topo.nodes())
@@ -240,11 +227,11 @@ class TestPropertyParity:
             el = frozenset(rng.sample(links, 4))
             rng_state.append((root, en, el, rng.random() < 0.5))
 
-        reference, vectorized = both_backends(monkeypatch, run)
+        reference, vectorized = both_backends(kernel_backend, run)
         assert reference == vectorized
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_unit_cost_graphs_agree(self, monkeypatch, seed):
+    def test_unit_cost_graphs_agree(self, kernel_backend, seed):
         """Unit costs exercise the O(arcs) BFS fast path."""
         rng = random.Random(seed)
         topo = scale_topology(200 + seed * 37, seed=seed)
@@ -254,24 +241,24 @@ class TestPropertyParity:
         def run():
             return [tree_fingerprint(shortest_path_tree(topo, r)) for r in roots]
 
-        reference, vectorized = both_backends(monkeypatch, run)
+        reference, vectorized = both_backends(kernel_backend, run)
         assert reference == vectorized
 
 
 @needs_numpy
 class TestBatchedKernel:
-    def test_batched_matches_per_root(self, monkeypatch):
+    def test_batched_matches_per_root(self, kernel_backend):
         topo = random_int_topology(11, n=60, extra=80)
         roots = sorted(topo.nodes())[::7]
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+        kernel_backend.use("numpy")
         batched = [tree_fingerprint(t) for t in batched_trees(topo, roots, toward_root=True)]
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
+        kernel_backend.use("python")
         serial = [
             tree_fingerprint(reverse_shortest_path_tree(topo, r)) for r in roots
         ]
         assert batched == serial
 
-    def test_batched_with_exclusions(self, monkeypatch):
+    def test_batched_with_exclusions(self, kernel_backend):
         topo = scale_topology(300, seed=9)
         rng = random.Random(5)
         nodes = sorted(topo.nodes())
@@ -279,14 +266,14 @@ class TestBatchedKernel:
         roots = rng.sample(nodes, 5)
         en = tuple(v for v in rng.sample(nodes, 3) if v not in roots)
         el = tuple(rng.sample(links, 4))
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+        kernel_backend.use("numpy")
         batched = [
             tree_fingerprint(t)
             for t in batched_trees(
                 topo, roots, toward_root=False, excluded_nodes=en, excluded_links=el
             )
         ]
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
+        kernel_backend.use("python")
         serial = [
             tree_fingerprint(
                 shortest_path_tree(
@@ -297,22 +284,22 @@ class TestBatchedKernel:
         ]
         assert batched == serial
 
-    def test_batched_falls_back_without_numpy(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "auto")
+    def test_batched_falls_back_without_numpy(self, monkeypatch, kernel_backend):
+        kernel_backend.use("numpy")
         monkeypatch.setattr(npcsr, "_np", None)
         topo = scale_topology(64, seed=3)
         roots = sorted(topo.nodes())[:4]
         trees = batched_trees(topo, roots, toward_root=True)
         assert [t.root for t in trees] == roots
 
-    def test_routing_table_warm_parity(self, monkeypatch):
+    def test_routing_table_warm_parity(self, kernel_backend):
         topo = scale_topology(400, seed=6)
         dsts = sorted(topo.nodes())[::37][:8]
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+        kernel_backend.use("numpy")
         warmed = RoutingTable(topo)
         assert warmed.warm(dsts) == len(dsts)
         assert warmed.warm(dsts) == 0  # idempotent
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
+        kernel_backend.use("python")
         lazy = RoutingTable(topo)
         for d in dsts:
             assert tree_fingerprint(warmed.tree_to(d)) == tree_fingerprint(
@@ -323,7 +310,7 @@ class TestBatchedKernel:
 @needs_numpy
 class TestIncrementalParity:
     @pytest.mark.parametrize("seed", range(4))
-    def test_reattach_matches_python(self, monkeypatch, seed):
+    def test_reattach_matches_python(self, kernel_backend, seed):
         topo = random_int_topology(seed + 40, n=50, extra=60)
         rng = random.Random(seed)
         root = rng.choice(sorted(topo.nodes()))
@@ -337,22 +324,22 @@ class TestIncrementalParity:
         def run():
             return updated_tree(topo, base, removed_links, removed_nodes)
 
-        reference, vectorized = both_backends(monkeypatch, run)
+        reference, vectorized = both_backends(kernel_backend, run)
         # Same values; the heap repair appends reattached nodes in settle
         # order, the numpy path is the fresh tree in id order.
         assert dict(tree_fingerprint(reference)[0]) == dict(
             tree_fingerprint(vectorized)[0]
         )
         assert reference.parent == vectorized.parent
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
+        kernel_backend.use("python")
         fresh = shortest_path_tree(
             topo, root, excluded_nodes=removed_nodes, excluded_links=removed_links
         )
         assert tree_fingerprint(vectorized) == tree_fingerprint(fresh)
 
-    def test_forced_python_keeps_the_heap_repair(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
+    def test_forced_python_keeps_the_heap_repair(self, kernel_backend):
         topo = scale_topology(kernels.AUTO_MIN_NODES + 100, seed=5)
+        kernel_backend.use("python")
         root = max(sorted(topo.nodes()), key=topo.degree)
         base = shortest_path_tree(topo, root)
         removed = [Link.of(root, min(topo.neighbors(root)))]

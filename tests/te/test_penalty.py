@@ -8,13 +8,11 @@ base kernels make in tests/routing/test_kernels.py.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.errors import SimulationError, UnknownLinkError
 from repro.geometry import Point
-from repro.routing import Path, penalized_shortest_path_tree, shortest_path_tree
+from repro.routing import Path, kernels, penalized_shortest_path_tree, shortest_path_tree
 from repro.te.penalty import (
     DEFAULT_PENALTY_ALPHA,
     DEFAULT_UTILIZATION_CLIP,
@@ -205,26 +203,37 @@ class TestPenalizedTree:
         assert tree.path_from(1).nodes == (0, 3, 2, 1)
 
     @needs_numpy
-    def test_numpy_python_bit_parity(self, grid5):
+    def test_numpy_python_bit_parity(self, grid5, kernel_backend):
         csr = grid5.csr()
         units = [0] * csr.lid_size
         # A deterministic non-trivial load pattern over every third lid.
         for lid in range(0, csr.lid_size, 3):
             units[lid] = penalty_units(0.5 + (lid % 7) / 4.0)
+        roots = sorted(grid5.nodes())[::5]
         trees = {}
         for backend in ("python", "numpy"):
-            os.environ["REPRO_KERNEL"] = backend
-            try:
-                roots = sorted(grid5.nodes())[::5]
-                trees[backend] = [
-                    penalized_shortest_path_tree(grid5, r, units, PENALTY_QUANT)
-                    for r in roots
-                ]
-            finally:
-                del os.environ["REPRO_KERNEL"]
+            kernel_backend.use(backend)
+            before = kernels.numpy_run_count()
+            trees[backend] = [
+                penalized_shortest_path_tree(grid5, r, units, PENALTY_QUANT)
+                for r in roots
+            ]
+            ran = kernels.numpy_run_count() - before
+            assert ran == (len(roots) if backend == "numpy" else 0)
         for py, np_ in zip(trees["python"], trees["numpy"]):
             assert py.dist == np_.dist  # exact float equality, bit parity
             assert py.parent == np_.parent
+
+    @needs_numpy
+    def test_inexact_penalized_sums_stay_python(self, grid5, kernel_backend):
+        # Penalized path sums that could reach 2**53 have no exact
+        # vectorized equivalent, whatever the base selector says.
+        kernel_backend.use("numpy")
+        units = [0] * grid5.csr().lid_size
+        units[0] = 2**50
+        before = kernels.numpy_run_count()
+        penalized_shortest_path_tree(grid5, 0, units, PENALTY_QUANT)
+        assert kernels.numpy_run_count() == before
 
 
 class TestRecostPath:
