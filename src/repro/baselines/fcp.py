@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Union
 
+from ..chaos import FaultPlan, forwarding_world
 from ..errors import SimulationError
-from ..failures import FailureScenario, LocalView, find_initiator
+from ..failures import FailureScenario, find_initiator
 from ..routing import Path, RoutingTable, SPTCache
 from ..simulator import (
     DEFAULT_DELAY_MODEL,
     DEFAULT_PAYLOAD_BYTES,
     DelayModel,
-    ForwardingEngine,
     Mode,
     Packet,
     RecoveryAccounting,
@@ -53,12 +53,14 @@ class FCP:
         delay_model: DelayModel = DEFAULT_DELAY_MODEL,
         max_recomputations: int = 10_000,
         cache: Optional[SPTCache] = None,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.topo = topo
         self.scenario = scenario
-        self.view = LocalView(scenario)
         self.routing = routing if routing is not None else RoutingTable(topo)
-        self.engine = ForwardingEngine(topo, self.view, delay_model)
+        self.view, self.engine = forwarding_world(
+            topo, scenario, fault_plan, delay_model
+        )
         self.max_recomputations = max_recomputations
         # Recomputations from the same node with the same carried failure
         # set recur across destinations of one scenario; the cached tree is

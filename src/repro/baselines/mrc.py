@@ -20,13 +20,13 @@ import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from .. import obs
+from ..chaos import FaultPlan, forwarding_world
 from ..errors import SimulationError, UnknownNodeError
-from ..failures import FailureScenario, LocalView, find_initiator
+from ..failures import FailureScenario, find_initiator
 from ..routing import Path, RoutingTable
 from ..simulator import (
     DEFAULT_DELAY_MODEL,
     DelayModel,
-    ForwardingEngine,
     Packet,
     RecoveryAccounting,
     RecoveryResult,
@@ -302,17 +302,19 @@ class MRC:
         routing: Optional[RoutingTable] = None,
         delay_model: DelayModel = DEFAULT_DELAY_MODEL,
         seed: int = 0,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.topo = topo
         self.scenario = scenario
-        self.view = LocalView(scenario)
         self.routing = routing if routing is not None else RoutingTable(topo)
         self.configurations = (
             configurations
             if configurations is not None
             else generate_configurations(topo, seed=seed)
         )
-        self.engine = ForwardingEngine(topo, self.view, delay_model)
+        self.view, self.engine = forwarding_world(
+            topo, scenario, fault_plan, delay_model
+        )
 
     def _config_isolating(self, node: int) -> Optional[BackupConfiguration]:
         for config in self.configurations:

@@ -15,10 +15,10 @@ one shortest-path calculation, and the phase-2 delivery attempt.
 
 Degraded mode
 -------------
-Given a :class:`~repro.chaos.FaultPlan`, the instance swaps in a
-:class:`~repro.chaos.DegradedLocalView` and a
-:class:`~repro.chaos.ChaosForwardingEngine` and climbs a graceful
-fallback ladder instead of aborting.  Rungs 2 and 3 are the ``finish``
+Given a :class:`~repro.chaos.FaultPlan`, the instance builds its
+degraded view and engine with :func:`~repro.chaos.forwarding_world`
+(as every walking scheme does) and climbs a graceful fallback ladder
+instead of aborting.  Rungs 2 and 3 are the ``finish``
 continuation of each phase-2 delivery plan: the walk outcome decides
 whether the next plan is a resend, a recomputation, or none.
 
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .. import obs
+from ..chaos import ChaosRuntime, FaultPlan, forwarding_world
 from ..errors import SimulationError
 from ..failures import FailureScenario, LocalView, find_initiator
 from ..routing import LinkStateProtocol, RoutingTable, SPTCache
@@ -50,7 +51,6 @@ from ..simulator import (
     DEFAULT_DELAY_MODEL,
     DEFAULT_PAYLOAD_BYTES,
     DelayModel,
-    ForwardingEngine,
     RecoveryAccounting,
     RecoveryResult,
     SourceRouteSpec,
@@ -107,12 +107,6 @@ class RTRConfig:
     #: in recovery-path selection.  Strictly off by default — the paper's
     #: metric, and every pinned golden sweep, is load-oblivious.
     congestion_aware: bool = False
-    #: Penalty strength at utilization 1.0 (see ``repro.te.penalty``).
-    penalty_alpha: float = 8.0
-    #: Penalty superlinearity exponent.
-    penalty_exponent: float = 2.0
-    #: Utilization beyond this adds no further penalty.
-    penalty_utilization_clip: float = 2.0
 
     def __post_init__(self) -> None:
         if self.delay_model is None:
@@ -128,12 +122,6 @@ class RTRConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if self.penalty_alpha < 0:
-            raise ValueError("penalty_alpha must be >= 0")
-        if self.penalty_exponent <= 0:
-            raise ValueError("penalty_exponent must be > 0")
-        if self.penalty_utilization_clip <= 0:
-            raise ValueError("penalty_utilization_clip must be > 0")
 
     @classmethod
     def hardened(cls, **overrides) -> "RTRConfig":
@@ -162,7 +150,7 @@ class RTR:
         scenario: FailureScenario,
         routing: Optional[RoutingTable] = None,
         config: Optional[RTRConfig] = None,
-        fault_plan: Optional[object] = None,
+        fault_plan: Optional[FaultPlan] = None,
         sp_cache: Optional[SPTCache] = None,
     ) -> None:
         self.topo = topo
@@ -174,31 +162,19 @@ class RTR:
         #: The consistent pre-failure routing view (§II-A); used to find the
         #: default next hop that triggers recovery.
         self.routing = routing if routing is not None else RoutingTable(topo)
-        self.chaos = None
-        if fault_plan is not None and not fault_plan.is_null():
-            from ..chaos import (
-                ChaosForwardingEngine,
-                ChaosRuntime,
-                DegradedLocalView,
-            )
-
-            self.config = config or RTRConfig.hardened()
-            self.chaos = ChaosRuntime(fault_plan, scenario)
-            self.view: LocalView = DegradedLocalView(
-                scenario, fault_plan, self.chaos
-            )
-            self.engine: ForwardingEngine = ChaosForwardingEngine(
-                topo, self.view, self.chaos, self.config.delay_model
-            )
-            #: Ground truth for telling "really reachable" apart from
-            #: "failure not yet detected" (the simulator may consult it;
-            #: the protocol never does).
-            self._truth_view = LocalView(scenario)
-        else:
-            self.config = config or RTRConfig()
-            self.view = LocalView(scenario)
-            self.engine = ForwardingEngine(topo, self.view, self.config.delay_model)
-            self._truth_view = self.view
+        faulted = fault_plan is not None and not fault_plan.is_null()
+        self.config = config or (RTRConfig.hardened() if faulted else RTRConfig())
+        self.view, self.engine = forwarding_world(
+            topo, scenario, fault_plan, self.config.delay_model
+        )
+        #: The injectors' shared runtime (``None`` in the idealized world).
+        self.chaos: Optional[ChaosRuntime] = (
+            self.engine.runtime if faulted else None  # type: ignore[attr-defined]
+        )
+        #: Ground truth for telling "really reachable" apart from
+        #: "failure not yet detected" (the simulator may consult it;
+        #: the protocol never does).
+        self._truth_view = LocalView(scenario) if faulted else self.view
         self._phase1_cache: Dict[int, Phase1Result] = {}
         self._phase2_cache: Dict[int, Phase2Engine] = {}
         self._reconverge_at: Optional[float] = None

@@ -16,7 +16,7 @@ experiments individual cases *will* hit pathological corners.  With
 and recorded as an ``error`` :class:`~repro.eval.metrics.CaseRecord`
 instead of aborting the whole sweep; pass a
 :class:`~repro.chaos.FaultPlan` to run every scheme under injected
-faults (schemes wrap in :class:`~repro.schemes.FaultedScheme`).
+faults (each scheme receives it at construction).
 """
 
 from __future__ import annotations
@@ -61,9 +61,8 @@ class EvaluationRunner:
         self.routing = routing if routing is not None else RoutingTable(topo)
         self.approaches = tuple(approaches)
         self.rtr_config = rtr_config
-        #: Fault injection applied to *every* scheme via the
-        #: :class:`~repro.schemes.FaultedScheme` wrapper (RTR keeps its
-        #: native hardened ladder; baselines get the degraded view/engine).
+        #: Fault injection every scheme is constructed with (RTR also
+        #: switches to its hardened ladder under it).
         self.fault_plan = fault_plan
         #: Catch per-case scheme crashes and record them as ``error``
         #: results instead of aborting the sweep.

@@ -13,7 +13,6 @@ from .dijkstra import (
 from .cache import SPTCache
 from .incremental import incremental_distance, updated_tree
 from .tables import RoutingTable
-from .source_route import BYTES_PER_ENTRY, SourceRoute
 from .linkstate import ConvergenceConfig, ConvergenceReport, LinkStateProtocol
 from .flooding import FloodingReport, FloodingSimulator, Lsa
 
@@ -30,8 +29,6 @@ __all__ = [
     "incremental_distance",
     "updated_tree",
     "RoutingTable",
-    "BYTES_PER_ENTRY",
-    "SourceRoute",
     "ConvergenceConfig",
     "ConvergenceReport",
     "LinkStateProtocol",

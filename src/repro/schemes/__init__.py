@@ -19,7 +19,6 @@ from .registry import (
     unknown_scheme_error,
     validate_names,
 )
-from .faults import FaultedScheme
 
 # Built-in schemes self-register on import, in the paper's comparison order.
 from .rtr import RTRScheme
@@ -53,7 +52,6 @@ __all__ = [
     "scheme_names",
     "unknown_scheme_error",
     "validate_names",
-    "FaultedScheme",
     "RTRScheme",
     "FCPScheme",
     "MRCScheme",

@@ -29,16 +29,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar, Optional
 
+from .. import obs
+from ..chaos import ChaosForwardingEngine, FaultPlan
 from ..errors import EvaluationError
 from ..routing import RoutingTable, SPTCache
 from ..simulator import run_plan
 from ..topology import Topology
 
 if TYPE_CHECKING:  # typing only — repro.eval imports this package
-    from ..chaos import ChaosRuntime, FaultPlan
     from ..eval.cases import TestCase
     from ..failures import FailureScenario
     from ..simulator import RecoveryResult
+
+log = obs.get_logger(__name__)
 
 
 class SchemeLifecycleError(EvaluationError):
@@ -75,33 +78,6 @@ class SchemeInstance:
             case.initiator, case.destination, case.trigger
         )
 
-    def degrade(self, plan: "FaultPlan", runtime: "ChaosRuntime") -> bool:
-        """Swap this instance's world for a fault-injected one.
-
-        The generic hook behind :class:`~repro.schemes.faults.FaultedScheme`
-        for schemes without native degraded-mode support: the protocol's
-        ``view``/``engine`` pair is replaced by a
-        :class:`~repro.chaos.DegradedLocalView` and a
-        :class:`~repro.chaos.ChaosForwardingEngine` sharing one runtime,
-        so detection faults, secondary flaps, and the hop clock perturb
-        the scheme exactly as they would RTR.  Returns ``False`` when the
-        scheme has no forwarding surface to degrade (e.g. the oracle).
-        """
-        from ..chaos import ChaosForwardingEngine, DegradedLocalView
-
-        protocol = self.protocol
-        view = getattr(protocol, "view", None)
-        engine = getattr(protocol, "engine", None)
-        scenario = getattr(protocol, "scenario", None)
-        if view is None or engine is None or scenario is None:
-            return False
-        degraded = DegradedLocalView(scenario, plan, runtime)
-        protocol.view = degraded  # type: ignore[attr-defined]
-        protocol.engine = ChaosForwardingEngine(  # type: ignore[attr-defined]
-            protocol.topo, degraded, runtime, engine.delay_model
-        )
-        return True
-
 
 class RecoveryScheme:
     """Base class of every registered recovery scheme.
@@ -111,12 +87,21 @@ class RecoveryScheme:
     constructor must accept (and is free to ignore) arbitrary keyword
     options — drivers pass one shared option bag to every scheme so that
     e.g. ``rtr_config`` can ride through a generic runner untouched.
+
+    The one option no walking scheme may ignore is ``fault_plan``: each
+    :meth:`_instantiate` hands :attr:`fault_plan` to its protocol's
+    constructor, which builds its view and engine with
+    :func:`~repro.chaos.forwarding_world`.
     """
 
     #: Registry key and ``--approaches`` name of this scheme.
     name: ClassVar[str] = ""
 
-    def __init__(self, **options: object) -> None:
+    def __init__(
+        self, fault_plan: Optional[FaultPlan] = None, **options: object
+    ) -> None:
+        #: Fault injection every instance of this scheme runs under.
+        self.fault_plan = fault_plan
         self.options = options
         self.topo: Optional[Topology] = None
         self.routing: Optional[RoutingTable] = None
@@ -141,28 +126,37 @@ class RecoveryScheme:
     # -- stage 2: once per convergence window --------------------------
 
     def instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
-        """Build the per-scenario protocol state of one convergence window."""
+        """Build the per-scenario protocol state of one convergence window.
+
+        A scheme whose protocol has no chaos engine under a non-null
+        :attr:`fault_plan` (the oracle and OSPF have no forwarding
+        surface) runs unperturbed — loudly: counted and logged, never
+        silently.
+        """
         if not self._prepared:
             raise SchemeLifecycleError(
                 f"scheme {self.name!r} was instantiated before prepare(); "
                 "call prepare(topo, routing, sp_cache) once per topology first"
             )
-        return self._instantiate(scenario)
+        instance = self._instantiate(scenario)
+        plan = self.fault_plan
+        if (
+            plan is not None
+            and not plan.is_null()
+            and not isinstance(
+                getattr(instance.protocol, "engine", None), ChaosForwardingEngine
+            )
+        ):
+            obs.inc(f"chaos.degrade.unsupported.{self.name}")
+            log.warning(
+                "scheme %s has no degradable forwarding surface; "
+                "FaultPlan has no effect on it",
+                self.name,
+            )
+        return instance
 
     def _instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
         raise NotImplementedError
-
-    def instantiate_degraded(
-        self, scenario: "FailureScenario", plan: "FaultPlan"
-    ) -> Optional[SchemeInstance]:
-        """Native fault-injected instantiation, or ``None`` (the default).
-
-        Schemes with their own degraded-mode machinery (RTR's hardened
-        retry ladder) override this; for everyone else
-        :class:`~repro.schemes.faults.FaultedScheme` falls back to the
-        generic :meth:`SchemeInstance.degrade` view/engine swap.
-        """
-        return None
 
     # -- introspection -------------------------------------------------
 

@@ -21,5 +21,11 @@ class FCPScheme(RecoveryScheme):
     def _instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
         return SchemeInstance(
             self.name,
-            FCP(self.topo, scenario, routing=self.routing, cache=self.sp_cache),
+            FCP(
+                self.topo,
+                scenario,
+                routing=self.routing,
+                cache=self.sp_cache,
+                fault_plan=self.fault_plan,
+            ),
         )

@@ -40,5 +40,6 @@ class MRCScheme(RecoveryScheme):
                 scenario,
                 configurations=self._configurations(),
                 routing=self.routing,
+                fault_plan=self.fault_plan,
             ),
         )

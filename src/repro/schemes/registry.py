@@ -14,7 +14,7 @@ from __future__ import annotations
 import difflib
 import importlib
 import os
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, Sequence, Tuple, Type
 
 from .base import RecoveryScheme
 
@@ -105,24 +105,12 @@ def create_scheme(name: str, **options: object) -> RecoveryScheme:
 
 
 def build_schemes(
-    names: Sequence[str],
-    fault_plan: Optional[object] = None,
-    **options: object,
+    names: Sequence[str], **options: object
 ) -> Dict[str, RecoveryScheme]:
-    """Construct one scheme per name, fault-wrapped when a plan is given.
+    """Construct one scheme per name with one shared option bag.
 
-    The returned dict preserves ``names`` order.  ``fault_plan`` (a
-    :class:`~repro.chaos.FaultPlan`) applies to *every* scheme via
-    :class:`~repro.schemes.faults.FaultedScheme` — schemes with native
-    degraded-mode support (RTR) keep their own machinery, the rest get
-    the generic degraded view/engine swap.
+    The returned dict preserves ``names`` order.  A ``fault_plan`` option
+    (a :class:`~repro.chaos.FaultPlan`) reaches every scheme's
+    constructor like any other option.
     """
-    from .faults import FaultedScheme
-
-    schemes: Dict[str, RecoveryScheme] = {}
-    for name in names:
-        scheme = create_scheme(name, **options)
-        if fault_plan is not None and not fault_plan.is_null():  # type: ignore[attr-defined]
-            scheme = FaultedScheme(scheme, fault_plan)
-        schemes[name] = scheme
-    return schemes
+    return {name: create_scheme(name, **options) for name in names}

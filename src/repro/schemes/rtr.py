@@ -9,7 +9,6 @@ from .base import RecoveryScheme, SchemeInstance
 from .registry import register_scheme
 
 if TYPE_CHECKING:
-    from ..chaos import FaultPlan
     from ..failures import FailureScenario
 
 
@@ -20,39 +19,20 @@ class RTRScheme(RecoveryScheme):
     name = "RTR"
 
     def __init__(
-        self,
-        rtr_config: Optional[RTRConfig] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        **options: object,
+        self, rtr_config: Optional[RTRConfig] = None, **options: object
     ) -> None:
         super().__init__(**options)
         self.rtr_config = rtr_config
-        #: Plan set when constructed directly with one (bypassing the
-        #: :class:`~repro.schemes.faults.FaultedScheme` wrapper).
-        self.fault_plan = fault_plan
-
-    def _new_rtr(self, scenario: "FailureScenario", fault_plan) -> RTR:
-        return RTR(
-            self.topo,
-            scenario,
-            routing=self.routing,
-            config=self.rtr_config,
-            fault_plan=fault_plan,
-            sp_cache=self.sp_cache,
-        )
 
     def _instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
-        return SchemeInstance(self.name, self._new_rtr(scenario, self.fault_plan))
-
-    def instantiate_degraded(
-        self, scenario: "FailureScenario", plan: "FaultPlan"
-    ) -> SchemeInstance:
-        """Native degraded mode: RTR's own hardened ladder.
-
-        The phase-1 retry/backoff and phase-2 resend/re-invocation knobs
-        are RTR-specific (they live in :class:`~repro.core.RTRConfig` and
-        default to :meth:`RTRConfig.hardened` under faults), so the
-        fault wrapper hands the plan to RTR itself instead of applying
-        the generic view/engine swap.
-        """
-        return SchemeInstance(self.name, self._new_rtr(scenario, plan))
+        return SchemeInstance(
+            self.name,
+            RTR(
+                self.topo,
+                scenario,
+                routing=self.routing,
+                config=self.rtr_config,
+                fault_plan=self.fault_plan,
+                sp_cache=self.sp_cache,
+            ),
+        )

@@ -9,15 +9,14 @@ protocol pays delays and header bytes identically.
 Walks and source-routed deliveries report through :class:`WalkOutcome`
 and :class:`RouteOutcome` so degraded-mode callers (``repro.chaos``) can
 distinguish a completed walk from a truncated or lost one without
-catching exceptions; the classic :meth:`ForwardingEngine.walk` /
-:meth:`ForwardingEngine.follow_source_route` entry points keep their
-strict raise-on-anomaly semantics.
+catching exceptions; the strict :meth:`ForwardingEngine.walk` raises on
+any anomaly instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from .. import obs
 from ..errors import ForwardingLoopError, SimulationError
@@ -247,16 +246,6 @@ class ForwardingEngine:
                 )
             self.forward_one_hop(packet, next_node, accounting)
         return RouteOutcome(delivered=True, drop_node=None)
-
-    def follow_source_route(
-        self,
-        packet: Packet,
-        route: List[int],
-        accounting: RecoveryAccounting,
-    ) -> Tuple[bool, Optional[int]]:
-        """Compatibility wrapper returning ``(delivered, drop_node)``."""
-        outcome = self.follow_source_route_outcome(packet, route, accounting)
-        return outcome.delivered, outcome.drop_node
 
     def _record_drop(
         self,

@@ -19,11 +19,10 @@ This scheme reproduces that shape on the repository's lifecycle:
   demand already planned onto each link — successive detours spread
   around links that earlier detours loaded, which is what bounds
   post-recovery congestion;
-* :meth:`R3Scheme._instantiate` (once per convergence window) binds the
-  scenario view and forwarding engine — the protocol exposes the
-  ``view``/``engine``/``scenario`` surface, so the chaos
-  :class:`~repro.schemes.faults.FaultedScheme` wrapper degrades it like
-  any other scheme;
+* :meth:`R3Scheme._instantiate` (once per convergence window) hands the
+  scheme's ``fault_plan`` to the protocol, which builds its view and
+  forwarding engine with :func:`~repro.chaos.forwarding_world` like
+  every other walking scheme;
 * ``recover`` (once per case) splices detours into the pre-failure
   default path — recursively up to ``r3_k`` nested failures, with a
   cycle guard — compresses transient loops, and source-routes the
@@ -41,14 +40,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .. import obs
+from ..chaos import FaultPlan, forwarding_world
 from ..errors import SimulationError
-from ..failures import LocalView
 from ..routing import Path, RoutingTable, penalized_shortest_path_tree
 from ..schemes.base import RecoveryScheme, SchemeInstance
 from ..schemes.registry import register_scheme
 from ..simulator import (
-    DEFAULT_DELAY_MODEL,
-    ForwardingEngine,
     Mode,
     Packet,
     RecoveryAccounting,
@@ -109,6 +106,7 @@ class _R3Protocol:
         detours: Dict[Link, Tuple[int, ...]],
         bypasses: Dict[Tuple[int, int, int], Tuple[int, ...]],
         max_depth: int,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.topo = topo
         self.scenario = scenario
@@ -116,8 +114,7 @@ class _R3Protocol:
         self.detours = detours
         self.bypasses = bypasses
         self.max_depth = max_depth
-        self.view = LocalView(scenario)
-        self.engine = ForwardingEngine(topo, self.view, DEFAULT_DELAY_MODEL)
+        self.view, self.engine = forwarding_world(topo, scenario, fault_plan)
 
     def _splice(
         self, segment: Tuple[int, ...], start: int, depth: int, protecting: frozenset
@@ -358,5 +355,6 @@ class R3Scheme(RecoveryScheme):
                 self.detours,
                 self.bypasses,
                 self.r3_k,
+                fault_plan=self.fault_plan,
             ),
         )

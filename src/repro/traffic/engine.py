@@ -383,18 +383,14 @@ class TrafficEngine:
         compiled — here that is required, since a case's route depends on
         the loads of every earlier delivery.
         """
-        config = self.rtr_config if self.rtr_config is not None else RTRConfig()
         obs.inc("eval.cases", len(cases))
         records: Dict[str, List[CaseRecord]] = {}
         for name in self.approaches:
             instance = self.runner.schemes[name].instantiate(scenario)
             set_penalty = getattr(instance.protocol, "set_link_penalty", None)
             loads = plan.intact.copy()
-            penalty = None if set_penalty is None else LinkPenalty.from_load_map(
-                loads,
-                alpha=config.penalty_alpha,
-                exponent=config.penalty_exponent,
-                clip=config.penalty_utilization_clip,
+            penalty = (
+                None if set_penalty is None else LinkPenalty.from_load_map(loads)
             )
             out: List[CaseRecord] = []
             for case, group in zip(cases, plan.groups):

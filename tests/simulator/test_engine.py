@@ -65,8 +65,8 @@ class TestFollowSourceRoute:
         engine = make_engine(ring8)
         packet = Packet(source=0, destination=3)
         acc = RecoveryAccounting()
-        delivered, drop = engine.follow_source_route(packet, [0, 1, 2, 3], acc)
-        assert delivered and drop is None
+        outcome = engine.follow_source_route_outcome(packet, [0, 1, 2, 3], acc)
+        assert outcome.delivered and outcome.drop_node is None
         assert packet.at == 3
         assert acc.hops_traveled == 3
 
@@ -74,32 +74,30 @@ class TestFollowSourceRoute:
         engine = make_engine(ring8, failed_links=[Link.of(2, 3)])
         packet = Packet(source=0, destination=3)
         acc = RecoveryAccounting()
-        delivered, drop = engine.follow_source_route(packet, [0, 1, 2, 3], acc)
-        assert not delivered
-        assert drop == 2
+        outcome = engine.follow_source_route_outcome(packet, [0, 1, 2, 3], acc)
+        assert not outcome.delivered
+        assert outcome.drop_node == 2
         assert acc.hops_traveled == 2
 
     def test_route_must_start_at_packet(self, ring8):
         engine = make_engine(ring8)
         packet = Packet(source=0, destination=3)
         with pytest.raises(ForwardingLoopError):
-            engine.follow_source_route(packet, [1, 2, 3], RecoveryAccounting())
+            engine.follow_source_route_outcome(packet, [1, 2, 3], RecoveryAccounting())
 
     def test_drop_at_failed_destination_predecessor(self, ring8):
         engine = make_engine(ring8, failed_nodes=[3])
         packet = Packet(source=0, destination=3)
-        delivered, drop = engine.follow_source_route(
+        outcome = engine.follow_source_route_outcome(
             packet, [0, 1, 2, 3], RecoveryAccounting()
         )
-        assert not delivered and drop == 2
+        assert not outcome.delivered and outcome.drop_node == 2
 
     def test_empty_route_raises_descriptive_error(self, ring8):
         # Regression: an empty route used to die with an IndexError on
         # route[0]; it must be a SimulationError naming the packet.
         engine = make_engine(ring8)
         packet = Packet(source=0, destination=3)
-        with pytest.raises(SimulationError, match="source route is empty"):
-            engine.follow_source_route(packet, [], RecoveryAccounting())
         with pytest.raises(SimulationError, match="source route is empty"):
             engine.follow_source_route_outcome(packet, [], RecoveryAccounting())
 

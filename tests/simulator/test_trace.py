@@ -19,7 +19,7 @@ class TestTracing:
         engine, trace = traced_engine(ring8)
         packet = Packet(source=0, destination=3)
         acc = RecoveryAccounting()
-        engine.follow_source_route(packet, [0, 1, 2, 3], acc)
+        engine.follow_source_route_outcome(packet, [0, 1, 2, 3], acc)
         assert len(trace) == 3
         assert [e.sender for e in trace.events] == [0, 1, 2]
         assert [e.receiver for e in trace.events] == [1, 2, 3]
@@ -28,7 +28,7 @@ class TestTracing:
         engine, trace = traced_engine(ring8)
         packet = Packet(source=0, destination=2)
         acc = RecoveryAccounting()
-        engine.follow_source_route(packet, [0, 1, 2], acc)
+        engine.follow_source_route_outcome(packet, [0, 1, 2], acc)
         assert [e.time for e in trace.events] == [t for t, _ in acc.header_timeline]
 
     def test_no_trace_by_default(self, ring8):
@@ -40,7 +40,9 @@ class TestTracing:
         engine, trace = traced_engine(ring8)
         for _ in range(2):
             packet = Packet(source=0, destination=2)
-            engine.follow_source_route(packet, [0, 1, 2], RecoveryAccounting())
+            engine.follow_source_route_outcome(
+                packet, [0, 1, 2], RecoveryAccounting()
+            )
         ids = {e.packet_id for e in trace.events}
         assert len(ids) == 2
         first = trace.hops_of_packet(min(ids))
@@ -73,14 +75,14 @@ class TestTraceQueries:
     def test_duration_and_totals(self, ring8):
         engine, trace = traced_engine(ring8)
         packet = Packet(source=0, destination=2)
-        engine.follow_source_route(packet, [0, 1, 2], RecoveryAccounting())
+        engine.follow_source_route_outcome(packet, [0, 1, 2], RecoveryAccounting())
         assert trace.duration() == pytest.approx(2 * 1.8e-3)
         assert trace.total_recovery_bytes() == 0  # default header
 
     def test_to_rows(self, ring8):
         engine, trace = traced_engine(ring8)
         packet = Packet(source=0, destination=1)
-        engine.follow_source_route(packet, [0, 1], RecoveryAccounting())
+        engine.follow_source_route_outcome(packet, [0, 1], RecoveryAccounting())
         rows = trace.to_rows()
         assert rows[0]["from"] == 0 and rows[0]["to"] == 1
         assert rows[0]["link"] == "e0,1"
@@ -96,7 +98,7 @@ class TestSpanCorrelation:
     def test_span_id_is_none_when_obs_disabled(self, ring8):
         engine, trace = traced_engine(ring8)
         packet = Packet(source=0, destination=1)
-        engine.follow_source_route(packet, [0, 1], RecoveryAccounting())
+        engine.follow_source_route_outcome(packet, [0, 1], RecoveryAccounting())
         assert trace.events[0].span_id is None
         assert trace.to_rows()[0]["span_id"] is None
 
@@ -108,7 +110,9 @@ class TestSpanCorrelation:
         with obs.temporarily_enabled():
             obs.reset()
             with obs.span("delivery") as span:
-                engine.follow_source_route(packet, [0, 1, 2], RecoveryAccounting())
+                engine.follow_source_route_outcome(
+                    packet, [0, 1, 2], RecoveryAccounting()
+                )
             span_id = span.span_id
         assert [e.span_id for e in trace.events] == [span_id, span_id]
 
@@ -117,7 +121,7 @@ class TestSpanCorrelation:
 
         engine, trace = traced_engine(ring8)
         packet = Packet(source=0, destination=2)
-        engine.follow_source_route(packet, [0, 1, 2], RecoveryAccounting())
+        engine.follow_source_route_outcome(packet, [0, 1, 2], RecoveryAccounting())
         for event, row in zip(trace.events, trace.to_rows()):
             rebuilt = HopEvent(
                 time=row["time_ms"] / 1000.0,

@@ -23,7 +23,6 @@ from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines import Oracle
-from repro.core import RTRConfig
 from repro.eval.cases import CaseSet, TestCase
 from repro.eval.metrics import CaseRecord
 from repro.failures import FailureScenario, LocalView
@@ -178,7 +177,6 @@ def _run_congestion_aware(
     groups: Groups,
     classification: PairClassification,
 ) -> Dict[str, List[CaseRecord]]:
-    config = engine.rtr_config if engine.rtr_config is not None else RTRConfig()
     records: Dict[str, List[CaseRecord]] = {}
     for name in engine.approaches:
         instance = engine.runner.schemes[name].instantiate(scenario)
@@ -187,14 +185,7 @@ def _run_congestion_aware(
         out: List[CaseRecord] = []
         for case in cases:
             if set_penalty is not None:
-                set_penalty(
-                    LinkPenalty.from_load_map(
-                        loads,
-                        alpha=config.penalty_alpha,
-                        exponent=config.penalty_exponent,
-                        clip=config.penalty_utilization_clip,
-                    )
-                )
+                set_penalty(LinkPenalty.from_load_map(loads))
             result = engine.runner._recover_one(instance, name, case)
             group = groups[(case.initiator, case.destination)]
             group_demand = math.fsum(p.demand for p in group)
