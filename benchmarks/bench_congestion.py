@@ -5,9 +5,9 @@ Sweeps four recovery variants over the pinned AS7018 traffic workload
 a packet-loss chaos ladder:
 
 * **rtr** — the paper's protocol, congestion-blind (the 3.11x headline);
-* **rtr+penalty** — congestion-aware phase 2 (`RTRConfig(congestion_aware)`,
-  load-penalized selection + per-case feedback) with utilization-cap 1.5
-  admission control;
+* **rtr+penalty** — congestion-aware phase 2 (RTR instantiated with the
+  window's live `LinkPenalty`: load-penalized selection + per-case
+  feedback) with utilization-cap 1.5 admission control;
 * **r3** — precomputed protection routing (`repro.te.r3`) under the same
   live-load loop and cap;
 * **ospf** — the reconvergence baseline, congestion-blind.

@@ -71,7 +71,8 @@ class DetourScheme(RecoveryScheme):
 
     name = "Detour"
 
-    def _instantiate(self, scenario) -> SchemeInstance:
+    def _instantiate(self, scenario, penalty) -> SchemeInstance:
+        # Load-oblivious: the window's live link penalty is not consulted.
         return SchemeInstance(self.name, _DetourRouter(self, scenario))
 
 

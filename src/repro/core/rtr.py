@@ -40,7 +40,7 @@ the paper's idealized design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .. import obs
 from ..chaos import ChaosRuntime, FaultPlan, forwarding_world
@@ -66,6 +66,9 @@ from .phase2 import (
     no_route_result,
     phase2_result_from_outcome,
 )
+
+if TYPE_CHECKING:  # typing only
+    from ..te.penalty import LinkPenalty
 
 APPROACH_NAME = "RTR"
 
@@ -103,10 +106,6 @@ class RTRConfig:
     #: When the whole ladder fails, model traffic waiting out IGP
     #: reconvergence instead of reporting a plain drop.
     fallback_to_reconvergence: bool = False
-    #: Congestion-aware phase 2 (:mod:`repro.te`): penalize loaded links
-    #: in recovery-path selection.  Strictly off by default — the paper's
-    #: metric, and every pinned golden sweep, is load-oblivious.
-    congestion_aware: bool = False
 
     def __post_init__(self) -> None:
         if self.delay_model is None:
@@ -142,6 +141,11 @@ class RTR:
     The instance owns the per-initiator phase-1 cache and per-initiator
     phase-2 trees, mirroring the state a real router would keep during one
     IGP convergence window.
+
+    Handed a live :class:`~repro.te.penalty.LinkPenalty`, phase 2 routes
+    in the load-penalized metric and drops its engines whenever the
+    penalty's ``version`` has moved (their trees chose under older load);
+    phase-1 walks stay cached, as the sweep is load-oblivious.
     """
 
     def __init__(
@@ -152,6 +156,7 @@ class RTR:
         config: Optional[RTRConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         sp_cache: Optional[SPTCache] = None,
+        penalty: Optional["LinkPenalty"] = None,
     ) -> None:
         self.topo = topo
         self.scenario = scenario
@@ -177,21 +182,11 @@ class RTR:
         self._truth_view = LocalView(scenario) if faulted else self.view
         self._phase1_cache: Dict[int, Phase1Result] = {}
         self._phase2_cache: Dict[int, Phase2Engine] = {}
+        #: The live load penalty phase 2 routes under (``None``: base metric).
+        self.penalty = penalty
+        self._phase2_version = 0  # penalty version the engines were built under
         self._reconverge_at: Optional[float] = None
         self._oracle = None  # ground truth of the reconvergence fallback
-        #: Current (live) load penalty (:mod:`repro.te`); consulted by
-        #: phase 2 only when ``config.congestion_aware`` is set.
-        self._penalty = None
-
-    def set_link_penalty(self, penalty) -> None:
-        """Install the (live) :class:`repro.te.penalty.LinkPenalty` to route under.
-
-        Invalidates cached phase-2 engines: their trees were selected
-        under the previous load picture.  Phase-1 walks stay cached — the
-        collection sweep is load-oblivious by design.
-        """
-        self._penalty = penalty
-        self._phase2_cache.clear()
 
     # ------------------------------------------------------------------
 
@@ -258,6 +253,10 @@ class RTR:
 
     def phase2_for(self, initiator: int, trigger_neighbor: int) -> Phase2Engine:
         """The (cached) phase-2 engine of ``initiator``."""
+        penalty = self.penalty
+        if penalty is not None and penalty.version != self._phase2_version:
+            self._phase2_cache.clear()
+            self._phase2_version = penalty.version
         engine = self._phase2_cache.get(initiator)
         if engine is None:
             phase1 = self.phase1_for(initiator, trigger_neighbor)
@@ -268,7 +267,7 @@ class RTR:
                 phase1,
                 use_incremental=self.config.use_incremental,
                 cache=self.sp_cache,
-                penalty=self._penalty if self.config.congestion_aware else None,
+                penalty=penalty,
             )
             self._phase2_cache[initiator] = engine
         return engine

@@ -11,17 +11,20 @@ in the registry — built-in, OSPF baseline, or a plugin loaded via
 ``REPRO_SCHEME_MODULES`` — runs here with zero runner edits.
 
 Robustness: a sweep is thousands of cases, and in degraded-mode
-experiments individual cases *will* hit pathological corners.  With
-``isolate_errors`` (the default) a scheme crash on one case is caught
-and recorded as an ``error`` :class:`~repro.eval.metrics.CaseRecord`
-instead of aborting the whole sweep; pass a
-:class:`~repro.chaos.FaultPlan` to run every scheme under injected
-faults (each scheme receives it at construction).
+experiments individual cases *will* hit pathological corners.  A scheme
+crash on one case is caught and recorded as an ``error``
+:class:`~repro.eval.metrics.CaseRecord` instead of aborting the whole
+sweep; pass a :class:`~repro.chaos.FaultPlan` to run every scheme under
+injected faults (each scheme receives it at construction).
+
+Load enters the way faults do, at instantiation: the ``load`` hook of
+:meth:`EvaluationRunner.run` hands each scheme its live
+:class:`~repro.te.penalty.LinkPenalty` (DESIGN.md §14).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..chaos import FaultPlan
@@ -32,6 +35,14 @@ from ..simulator import RecoveryAccounting, RecoveryResult
 from ..topology import Topology
 from .cases import CaseSet, TestCase
 from .metrics import CaseRecord
+
+if TYPE_CHECKING:  # typing only
+    from ..te.penalty import LinkPenalty
+
+#: ``settle(position, result) -> result``, after each case of a live window.
+Settle = Callable[[int, RecoveryResult], RecoveryResult]
+#: ``load(name) -> (penalty, settle)`` of one approach over one window.
+LoadHook = Callable[[str], Tuple[Optional["LinkPenalty"], Optional[Settle]]]
 
 #: Default comparison set, in the paper's Table III order.
 ALL_APPROACHES = ("RTR", "FCP", "MRC")
@@ -50,7 +61,6 @@ class EvaluationRunner:
         rtr_config: Optional[RTRConfig] = None,
         mrc_seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
-        isolate_errors: bool = True,
         sp_cache: Optional[SPTCache] = None,
     ) -> None:
         validate_names(approaches)
@@ -64,9 +74,6 @@ class EvaluationRunner:
         #: Fault injection every scheme is constructed with (RTR also
         #: switches to its hardened ladder under it).
         self.fault_plan = fault_plan
-        #: Catch per-case scheme crashes and record them as ``error``
-        #: results instead of aborting the sweep.
-        self.isolate_errors = isolate_errors
         self.schemes = build_schemes(
             self.approaches,
             fault_plan=fault_plan,
@@ -79,66 +86,60 @@ class EvaluationRunner:
             name: f"eval.cases.scheme.{name}" for name in self.approaches
         }
 
-    def _instances(self, scenario_index: int, case_set: CaseSet) -> Dict[str, SchemeInstance]:
-        scenario = case_set.scenarios[scenario_index]
-        return {
-            name: scheme.instantiate(scenario)
-            for name, scheme in self.schemes.items()
-        }
-
-    def run(self, case_set: CaseSet) -> Dict[str, List[CaseRecord]]:
+    def run(
+        self, case_set: CaseSet, load: Optional[LoadHook] = None
+    ) -> Dict[str, List[CaseRecord]]:
         """Run every case under every approach.
 
         Returns ``approach -> [CaseRecord]`` with records in case order.
         One convergence window at a time, each scheme runs its cases one
         by one, each to its result: plan, walk, finish.
+
+        ``load``, when given, is asked once per window and approach for
+        that approach's ``(penalty, settle)``: the instance is built with
+        ``penalty``, and ``settle`` sees every result before it is
+        recorded and before the next case is planned.
         """
         records: Dict[str, List[CaseRecord]] = {a: [] for a in self.approaches}
         for scenario_index, cases in sorted(case_set.by_scenario().items()):
-            instances = self._instances(scenario_index, case_set)
-            for case in cases:
-                obs.inc("eval.cases")
+            scenario = case_set.scenarios[scenario_index]
+            obs.inc("eval.cases", len(cases))
             for name in self.approaches:
-                instance = instances[name]
+                penalty, settle = load(name) if load is not None else (None, None)
+                instance = self.schemes[name].instantiate(scenario, penalty=penalty)
                 counter = self._case_counters[name]
-                for case in cases:
+                for position, case in enumerate(cases):
                     obs.inc(counter)
                     result = self._recover_one(instance, name, case)
+                    if settle is not None:
+                        result = settle(position, result)
                     records[name].append(CaseRecord(case=case, result=result))
         return records
 
     def _recover_one(
         self, instance: SchemeInstance, name: str, case: TestCase
     ) -> RecoveryResult:
-        """Run one case, isolating per-case crashes when configured."""
-        if not self.isolate_errors:
-            return instance.recover(case)
+        """Run one case; a crash is logged and becomes its ``error`` result."""
         try:
             return instance.recover(case)
         except Exception as exc:  # noqa: BLE001 — isolation is the point
-            return self._error_result(name, case, exc)
-
-    def _error_result(
-        self, name: str, case: TestCase, exc: Exception
-    ) -> RecoveryResult:
-        """Record one isolated per-case crash as an ``error`` result."""
-        obs.inc("eval.errors")
-        log.warning(
-            "%s crashed on case %s -> %s (trigger %s): %s: %s",
-            name,
-            case.initiator,
-            case.destination,
-            case.trigger,
-            type(exc).__name__,
-            exc,
-        )
-        return RecoveryResult(
-            approach=name,
-            delivered=False,
-            path=None,
-            accounting=RecoveryAccounting(),
-            error=f"{type(exc).__name__}: {exc}",
-        )
+            obs.inc("eval.errors")
+            log.warning(
+                "%s crashed on case %s -> %s (trigger %s): %s: %s",
+                name,
+                case.initiator,
+                case.destination,
+                case.trigger,
+                type(exc).__name__,
+                exc,
+            )
+            return RecoveryResult(
+                approach=name,
+                delivered=False,
+                path=None,
+                accounting=RecoveryAccounting(),
+                error=f"{type(exc).__name__}: {exc}",
+            )
 
     def run_cases(
         self, case_set: CaseSet, cases: Sequence[TestCase]

@@ -11,9 +11,11 @@ each timescale:
    build whatever per-topology state the scheme precomputes (MRC's
    backup configurations, for example);
 2. :meth:`RecoveryScheme.instantiate` — once per **convergence window**
-   (one :class:`~repro.failures.FailureScenario`): build the per-scenario
-   protocol state a router would hold until the IGP reconverges (RTR's
-   phase-1 walks and phase-2 trees, FCP's header machinery);
+   (one :class:`~repro.failures.FailureScenario`, and the window's live
+   :class:`~repro.te.penalty.LinkPenalty` when it routes under load):
+   build the per-scenario protocol state a router would hold until the
+   IGP reconverges (RTR's phase-1 walks and phase-2 trees, FCP's header
+   machinery);
 3. :meth:`SchemeInstance.recover` — once per **packet pair** (one
    :class:`~repro.eval.cases.TestCase`): compile the case into a
    :class:`~repro.simulator.WalkPlan`, walk it, finish it, and return
@@ -40,6 +42,7 @@ if TYPE_CHECKING:  # typing only — repro.eval imports this package
     from ..eval.cases import TestCase
     from ..failures import FailureScenario
     from ..simulator import RecoveryResult
+    from ..te.penalty import LinkPenalty
 
 log = obs.get_logger(__name__)
 
@@ -61,13 +64,14 @@ class SchemeInstance:
     def __init__(self, scheme_name: str, protocol: object) -> None:
         self.scheme_name = scheme_name
         self.protocol = protocol
+        #: The forwarding engine the plans walk on (``None``: walk-free).
+        self.engine = getattr(protocol, "engine", None)
 
     def recover(self, case: "TestCase") -> "RecoveryResult":
         """Run one recovery attempt for ``case``: plan, walk, finish."""
-        protocol = self.protocol
         return run_plan(
-            getattr(protocol, "engine", None),
-            protocol.plan_recovery(  # type: ignore[attr-defined]
+            self.engine,
+            self.protocol.plan_recovery(  # type: ignore[attr-defined]
                 case.initiator, case.destination, case.trigger
             ),
         )
@@ -91,7 +95,9 @@ class RecoveryScheme:
     The one option no walking scheme may ignore is ``fault_plan``: each
     :meth:`_instantiate` hands :attr:`fault_plan` to its protocol's
     constructor, which builds its view and engine with
-    :func:`~repro.chaos.forwarding_world`.
+    :func:`~repro.chaos.forwarding_world`.  Load enters the same way, as
+    the ``penalty`` argument of :meth:`_instantiate`; a scheme that does
+    not route on load ignores it.
     """
 
     #: Registry key and ``--approaches`` name of this scheme.
@@ -125,9 +131,13 @@ class RecoveryScheme:
 
     # -- stage 2: once per convergence window --------------------------
 
-    def instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
+    def instantiate(
+        self, scenario: "FailureScenario", penalty: Optional["LinkPenalty"] = None
+    ) -> SchemeInstance:
         """Build the per-scenario protocol state of one convergence window.
 
+        ``penalty`` is the window's live load picture (``None``: route on
+        the base metric); its holder refreshes it in place between cases.
         A scheme whose protocol has no chaos engine under a non-null
         :attr:`fault_plan` (the oracle and OSPF have no forwarding
         surface) runs unperturbed — loudly: counted and logged, never
@@ -138,14 +148,12 @@ class RecoveryScheme:
                 f"scheme {self.name!r} was instantiated before prepare(); "
                 "call prepare(topo, routing, sp_cache) once per topology first"
             )
-        instance = self._instantiate(scenario)
+        instance = self._instantiate(scenario, penalty)
         plan = self.fault_plan
         if (
             plan is not None
             and not plan.is_null()
-            and not isinstance(
-                getattr(instance.protocol, "engine", None), ChaosForwardingEngine
-            )
+            and not isinstance(instance.engine, ChaosForwardingEngine)
         ):
             obs.inc(f"chaos.degrade.unsupported.{self.name}")
             log.warning(
@@ -155,7 +163,9 @@ class RecoveryScheme:
             )
         return instance
 
-    def _instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
+    def _instantiate(
+        self, scenario: "FailureScenario", penalty: Optional["LinkPenalty"]
+    ) -> SchemeInstance:
         raise NotImplementedError
 
     # -- introspection -------------------------------------------------

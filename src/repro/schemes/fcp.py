@@ -18,7 +18,7 @@ class FCPScheme(RecoveryScheme):
 
     name = "FCP"
 
-    def _instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
+    def _instantiate(self, scenario: "FailureScenario", penalty: object) -> SchemeInstance:
         return SchemeInstance(
             self.name,
             FCP(

@@ -32,7 +32,7 @@ class MRCScheme(RecoveryScheme):
             self._configs = generate_configurations(self.topo, seed=self.mrc_seed)
         return self._configs
 
-    def _instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
+    def _instantiate(self, scenario: "FailureScenario", penalty: object) -> SchemeInstance:
         return SchemeInstance(
             self.name,
             MRC(

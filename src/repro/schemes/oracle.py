@@ -52,7 +52,7 @@ class OracleScheme(RecoveryScheme):
 
     name = "Oracle"
 
-    def _instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
+    def _instantiate(self, scenario: "FailureScenario", penalty: object) -> SchemeInstance:
         cache: Optional[SPTCache] = self.sp_cache
         return SchemeInstance(
             self.name, _OracleProtocol(Oracle(self.topo, scenario, cache=cache))

@@ -64,7 +64,7 @@ class OSPFScheme(RecoveryScheme):
 
     name = "OSPF"
 
-    def _instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
+    def _instantiate(self, scenario: "FailureScenario", penalty: object) -> SchemeInstance:
         report = LinkStateProtocol(self.topo).apply_failure(
             set(scenario.failed_nodes), set(scenario.failed_links)
         )

@@ -10,6 +10,7 @@ from .registry import register_scheme
 
 if TYPE_CHECKING:
     from ..failures import FailureScenario
+    from ..te.penalty import LinkPenalty
 
 
 @register_scheme
@@ -24,7 +25,9 @@ class RTRScheme(RecoveryScheme):
         super().__init__(**options)
         self.rtr_config = rtr_config
 
-    def _instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
+    def _instantiate(
+        self, scenario: "FailureScenario", penalty: Optional["LinkPenalty"]
+    ) -> SchemeInstance:
         return SchemeInstance(
             self.name,
             RTR(
@@ -34,5 +37,6 @@ class RTRScheme(RecoveryScheme):
                 config=self.rtr_config,
                 fault_plan=self.fault_plan,
                 sp_cache=self.sp_cache,
+                penalty=penalty,
             ),
         )

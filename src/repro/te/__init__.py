@@ -7,8 +7,9 @@ on AS7018).  This subsystem makes recovery *congestion-aware*:
 
 * :mod:`repro.te.penalty` — an integer-quantized load-penalized link
   metric that composes with both shortest-path kernel backends;
-  RTR phase-2 selection uses it when ``RTRConfig(congestion_aware=True)``
-  (strictly off by default — all pinned golden sweeps stay byte-identical);
+  RTR phase-2 selection uses it when instantiated with a live
+  ``LinkPenalty`` (a congestion-aware ``TrafficEngine`` window; strictly
+  off by default — all pinned golden sweeps stay byte-identical);
 * :mod:`repro.te.r3` — an R3-style protection-routing scheme
   (``@register_scheme("r3")``): offline, protection detours planned
   against a virtual-demand set covering single-link failures; online,

@@ -75,20 +75,22 @@ class LinkPenalty:
     degenerates to the base metric (scaled), by construction.
 
     A penalty is *live*: whoever built it owns it and may :meth:`refresh`
-    it in place as its loads grow (the congestion-aware case loop of
-    :class:`~repro.traffic.TrafficEngine` keeps one per window and
-    approach).  A holder handed one reads ``units`` / :meth:`lid_units`
-    at decision time and must not keep anything derived from it across a
-    refresh — RTR's ``set_link_penalty`` drops its phase-2 engines (and
-    their trees) on every call, which is what makes handing over the same
-    object before each case safe.  Copy ``units`` to keep a snapshot.
+    it in place as its loads grow (a congestion-aware
+    :class:`~repro.traffic.TrafficEngine` window keeps one per approach
+    and hands it to the scheme at instantiation).  A holder reads
+    ``units`` / :meth:`lid_units` at decision time and keys anything it
+    derives from them by :attr:`version`, which every refresh bumps — RTR
+    drops its phase-2 engines (and their trees) whenever the version has
+    moved.  Copy ``units`` to keep a snapshot.
     """
 
-    __slots__ = ("units", "quant", "_shape", "_lid_cache")
+    __slots__ = ("units", "quant", "version", "_shape", "_lid_cache")
 
     def __init__(self, units: Dict[Link, int], quant: int = PENALTY_QUANT) -> None:
         self.units = {link: u for link, u in units.items() if u > 0}
         self.quant = quant
+        #: Bumped by every :meth:`refresh`, even one that changes nothing.
+        self.version = 0
         #: ``(alpha, exponent, clip)`` every unit of this penalty is derived with.
         self._shape = (
             DEFAULT_PENALTY_ALPHA,
@@ -141,6 +143,7 @@ class LinkPenalty:
                 self.units.pop(link, None)
             if self._lid_cache is not None:
                 self._lid_cache[pair_lid[(link.u, link.v)]] = u
+        self.version += 1
         obs.inc("te.penalty.links_refreshed", len(links))
 
     def check_against(self, load_map: "LinkLoadMap") -> None:

@@ -344,7 +344,7 @@ class R3Scheme(RecoveryScheme):
             len(self.bypasses),
         )
 
-    def _instantiate(self, scenario: "FailureScenario") -> SchemeInstance:
+    def _instantiate(self, scenario: "FailureScenario", penalty: object) -> SchemeInstance:
         assert self.topo is not None and self.routing is not None
         return SchemeInstance(
             self.name,

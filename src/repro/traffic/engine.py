@@ -35,7 +35,7 @@ from ..chaos import FaultPlan
 from ..core import RTRConfig
 from ..eval.cases import CaseSet, TestCase
 from ..eval.metrics import CaseRecord
-from ..eval.runner import EvaluationRunner
+from ..eval.runner import EvaluationRunner, LoadHook, Settle
 from ..failures import FailureScenario
 from ..routing import RoutingTable, SPTCache
 from ..simulator import RecoveryResult
@@ -267,16 +267,15 @@ class TrafficEngine:
         #: (the R3/Enhanced-MRC guarantee) necessarily sheds the overflow.
         self.utilization_cap = utilization_cap
         if congestion_aware:
-            # Congestion-aware sweeps flip the RTR phase-2 metric on and
-            # feed live load snapshots to any scheme that accepts them.
-            # Penalized detours stray from the shortest corridor and hit
-            # failures phase 1 missed more often, so §III-D re-invocations
-            # (learn the link from the drop, recompute) are enabled unless
-            # the caller configured their own budget.
+            # Every scheme of a congestion-aware sweep is built with the
+            # window's live load penalty (:meth:`_load_hook`).  Penalized
+            # detours stray from the shortest corridor and hit failures
+            # phase 1 missed more often, so §III-D re-invocations (learn
+            # the link from the drop, recompute) are enabled unless the
+            # caller configured their own budget.
             base_config = rtr_config if rtr_config is not None else RTRConfig()
             rtr_config = replace(
                 base_config,
-                congestion_aware=True,
                 max_phase2_reinvocations=max(
                     base_config.max_phase2_reinvocations, 3
                 ),
@@ -317,20 +316,14 @@ class TrafficEngine:
             with obs.span("traffic.plan"):
                 plan = self._plan_window(classification)
             cases = self._cases_for_groups(scenario, plan.groups)
-            if self.congestion_aware:
-                records = self._run_cases_congestion_aware(scenario, cases, plan)
-            else:
-                # One convergence window per scenario; the runner takes
-                # its cases one at a time, plan -> walk -> finish
-                # (DESIGN.md §15).
-                records = self.runner.run(
-                    CaseSet(
-                        topo=self.topo,
-                        routing=self.routing,
-                        scenarios=[scenario],
-                        cases=cases,
-                    )
-                )
+            # One convergence window per scenario; the runner takes its
+            # cases one at a time, plan -> walk -> finish (DESIGN.md §15),
+            # settling each into the live load when the sweep has one.
+            live: List[Tuple[LinkPenalty, LinkLoadMap]] = []
+            window = CaseSet(self.topo, self.routing, [scenario], cases)
+            records = self.runner.run(window, load=self._load_hook(plan, live))
+            for penalty, loads in live:
+                penalty.check_against(loads)
             out: Dict[str, TrafficScenarioRecord] = {}
             for approach in self.approaches:
                 with obs.span("traffic.weight", approach=approach):
@@ -358,51 +351,35 @@ class TrafficEngine:
 
     # ------------------------------------------------------------------
 
-    def _run_cases_congestion_aware(
-        self,
-        scenario: FailureScenario,
-        cases: Sequence[TestCase],
-        plan: _WindowPlan,
-    ) -> Dict[str, List[CaseRecord]]:
-        """Run cases with live load feedback into path selection.
+    def _load_hook(
+        self, plan: _WindowPlan, live: List[Tuple[LinkPenalty, LinkLoadMap]]
+    ) -> Optional[LoadHook]:
+        """The runner's load hook for one window (``None`` when blind).
 
-        Mirrors :meth:`EvaluationRunner.run` (same obs counters, same
-        per-case error isolation) but runs each approach's cases
-        sequentially against a *live* :class:`LinkLoadMap`: before every
-        case, schemes exposing ``set_link_penalty`` (duck typed — RTR
-        does) are handed the :class:`~repro.te.penalty.LinkPenalty` of
-        everything routed so far, so each recovery steers around the
-        links earlier ones loaded — including the same initiator's own
-        previous recoveries.  It is built once per (window, approach),
-        refreshed after each group on just the links that group loaded,
-        and checked against a from-scratch build when the window ends.
-        State is per-scenario (the map starts from a copy of the window's
-        intact loads), which keeps serial and sharded sweeps identical.
-
-        As in the runner, each case runs to its result before the next is
-        compiled — here that is required, since a case's route depends on
-        the loads of every earlier delivery.
+        Every approach gets its own loads, copied from the window's intact
+        background, and a :class:`~repro.te.penalty.LinkPenalty` built
+        from them once; the scheme is instantiated with it.  ``settle``
+        admits each result against the cap, adds the group's load and
+        refreshes the penalty on just the links that group loaded, so the
+        next recovery steers around them.  ``live`` collects every
+        ``(penalty, loads)`` for the end-of-window check.  State is per
+        window, which keeps serial and sharded sweeps identical.
         """
-        obs.inc("eval.cases", len(cases))
-        records: Dict[str, List[CaseRecord]] = {}
-        for name in self.approaches:
-            instance = self.runner.schemes[name].instantiate(scenario)
-            set_penalty = getattr(instance.protocol, "set_link_penalty", None)
+        if not self.congestion_aware:
+            return None
+
+        def load(name: str) -> Tuple[LinkPenalty, Settle]:
             loads = plan.intact.copy()
-            penalty = (
-                None if set_penalty is None else LinkPenalty.from_load_map(loads)
-            )
-            out: List[CaseRecord] = []
-            for case, group in zip(cases, plan.groups):
-                obs.inc(self.runner._case_counters[name])
-                if penalty is not None:
-                    set_penalty(penalty)
-                result = self.runner._recover_one(instance, name, case)
+            penalty = LinkPenalty.from_load_map(loads)
+            live.append((penalty, loads))
+
+            def settle(position: int, result: RecoveryResult) -> RecoveryResult:
+                group = plan.groups[position]
                 path_links = _delivered_links(result)
                 if self._exceeds_cap(loads, path_links, group.demand):
-                    # Admission control: delivering this group would push a
-                    # link past the cap, so the initiator sheds it instead
-                    # (early discard — zero transmission waste).
+                    # Admission control: delivering this group would push
+                    # a link past the cap, so the initiator sheds it
+                    # instead (early discard — zero transmission waste).
                     obs.inc("traffic.admission.dropped")
                     result = replace(
                         result,
@@ -413,14 +390,13 @@ class TrafficEngine:
                         admission_dropped=True,
                     )
                     path_links = ()
-                out.append(CaseRecord(case=case, result=result))
                 group.add_load(loads, path_links)
-                if penalty is not None:
-                    penalty.refresh(loads, group.prefix_links + path_links)
-            if penalty is not None:
-                penalty.check_against(loads)
-            records[name] = out
-        return records
+                penalty.refresh(loads, group.prefix_links + path_links)
+                return result
+
+            return penalty, settle
+
+        return load
 
     def _exceeds_cap(
         self, loads: LinkLoadMap, path_links: Sequence[Link], demand: float

@@ -50,19 +50,6 @@ class TestErrorIsolation:
         assert "RuntimeError: synthetic per-case crash" in errors[0].result.error
         assert not errors[0].delivered
 
-    def test_isolation_can_be_disabled(self, topo, case_set, monkeypatch):
-        from repro.core import rtr as rtr_module
-
-        def always_crash(self, *args, **kwargs):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(rtr_module.RTR, "plan_recovery", always_crash)
-        runner = EvaluationRunner(
-            topo, routing=case_set.routing, approaches=("RTR",), isolate_errors=False
-        )
-        with pytest.raises(RuntimeError):
-            runner.run(case_set)
-
 
 class TestChaosSweep:
     def test_acceptance_sweep_completes_with_valid_statuses(self, topo, case_set):

@@ -18,6 +18,7 @@ from repro.schemes import (
     scheme_names,
 )
 from repro.simulator import RecoveryResult
+from repro.te.penalty import LinkPenalty
 from repro.topology import isp_catalog
 
 ALL_SCHEMES = scheme_names()
@@ -98,6 +99,22 @@ class TestSchemeContract:
         errors = [r for r in records if r.status == "error"]
         assert len(errors) >= 1
         assert "synthetic conformance crash" in errors[0].result.error
+
+    def test_null_penalty_changes_nothing(self, name, topo, case_set):
+        """``instantiate(scenario, penalty=LinkPenalty({}))`` == ``instantiate(scenario)``.
+
+        A live penalty with no loaded link routes on the base metric, and
+        one that is never refreshed drops nothing a scheme cached.
+        """
+
+        def stream(penalty):
+            runner = EvaluationRunner(
+                topo, routing=case_set.routing, approaches=(name,)
+            )
+            records = runner.run(case_set, load=lambda _name: (penalty, None))
+            return [r.result for r in records[name]]
+
+        assert stream(LinkPenalty({})) == stream(None)
 
     def test_emits_per_scheme_case_counter(self, name, topo, case_set):
         obs.enable()

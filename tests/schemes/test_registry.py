@@ -84,7 +84,7 @@ class TestRegistration:
         class RTRScheme(RecoveryScheme):  # same qualname trick won't apply
             name = "Transient"
 
-            def _instantiate(self, scenario):
+            def _instantiate(self, scenario, penalty):
                 return SchemeInstance(self.name, object())
 
         try:

@@ -13,7 +13,9 @@ Nothing here is shared between approaches, so it cannot go stale and it
 cannot reorder a float sum; ``test_window_plan.py`` requires the engine's
 records to equal these ``float.hex`` for ``float.hex``.  It deliberately
 uses the engine only for its *inputs* (topology, routing table, flow
-set, runner) — never its classification, grouping or weighting code.
+set, runner) — never its classification, grouping or weighting code,
+and runs its congestion-aware cases on a fresh scheme instance each,
+built with a fresh ``LinkPenalty`` of the loads routed so far.
 """
 
 from __future__ import annotations
@@ -177,16 +179,20 @@ def _run_congestion_aware(
     groups: Groups,
     classification: PairClassification,
 ) -> Dict[str, List[CaseRecord]]:
+    """Every case on a fresh instance built with a from-scratch penalty.
+
+    Nothing survives from one case to the next but the loads themselves:
+    no live penalty, no phase-2 engine — the engine's version-keyed drops
+    have to be invisible against this.
+    """
     records: Dict[str, List[CaseRecord]] = {}
     for name in engine.approaches:
-        instance = engine.runner.schemes[name].instantiate(scenario)
-        set_penalty = getattr(instance.protocol, "set_link_penalty", None)
+        scheme = engine.runner.schemes[name]
         loads = _intact_loads(engine, classification)
         out: List[CaseRecord] = []
         for case in cases:
-            if set_penalty is not None:
-                set_penalty(LinkPenalty.from_load_map(loads))
-            result = engine.runner._recover_one(instance, name, case)
+            penalty = LinkPenalty.from_load_map(loads)
+            result = scheme.instantiate(scenario, penalty=penalty).recover(case)
             group = groups[(case.initiator, case.destination)]
             group_demand = math.fsum(p.demand for p in group)
             if (

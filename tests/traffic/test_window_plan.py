@@ -1,13 +1,13 @@
 """The per-window demand-weighting plan against its executable spec.
 
 ``reference_weighter`` rebuilds every load from scratch per approach —
-and, congestion-aware, a fresh ``LinkPenalty`` per case; the engine
-shares one scheme-independent plan per window and keeps one live penalty
-per (window, approach).  These tests pin that the sharing is invisible
-(bit-identical records; the live penalty equal to a rebuild after every
-group), that it happens (one ``edge_loads_to`` pass per intact
-destination, however many schemes), and that the plan cannot leak
-between windows.
+and, congestion-aware, a fresh instance and ``LinkPenalty`` per case; the
+engine shares one scheme-independent plan per window and keeps one live
+penalty per (window, approach).  These tests pin that the sharing is
+invisible (bit-identical records; the live penalty equal to a rebuild
+after every group), that it happens (one ``edge_loads_to`` pass per
+intact destination, however many schemes), and that the plan cannot
+leak between windows.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.failures import FailureScenario, circle_scenarios
 from repro.geometry import Circle, Point
@@ -121,8 +122,9 @@ def test_records_equal_reference_weighter(network, mode, monkeypatch):
         pairs = classify_pairs(topo, engine.routing, scenario, flow_set).disrupted
         groups += len({(p.initiator, p.destination) for p in pairs})
     assert disrupted > 0, "the parity test must weight something"
-    # Only RTR takes a penalty: one refresh (and one rebuild check) per group.
-    assert len(refreshes) == (groups if mode == "congestion-aware" else 0)
+    # Every approach owns a live penalty: one refresh (and one rebuild
+    # check) per group and approach.
+    assert len(refreshes) == (groups * len(SCHEMES) if mode == "congestion-aware" else 0)
     assert any(built for _, built in refreshes) == (mode == "congestion-aware")
 
 
@@ -153,6 +155,36 @@ def test_live_penalty_from_a_blind_start(monkeypatch):
     first = nulls.index(False)
     assert not any(built for _, built in refreshes[: first + 1])
     assert any(built for _, built in refreshes[first + 1 :])
+
+
+@pytest.mark.parametrize(
+    "mode, engines, tree_builds",
+    [("blind", 17, 17), ("congestion-aware", 102, 105)],
+)
+def test_phase2_engines_drop_once_per_load_version(mode, engines, tree_builds):
+    """When RTR drops its phase-2 engines, pinned on the paper topology.
+
+    Blind, an engine lives for its whole window: one per initiator.
+    Congestion-aware, every group refreshes the live penalty, so every
+    case starts with no engines — exactly as often as clearing them
+    before every case would; the three extra trees are §III-D
+    re-invocations.
+    """
+    topo, flow_set, scenarios = paper_inputs()
+    engine = TrafficEngine(topo, flow_set, approaches=("RTR",), **MODES[mode])
+    prior = obs.enabled()
+    obs.enable()
+    obs.reset()
+    try:
+        engine.run_sweep(scenarios)
+        counters = obs.snapshot()["metrics"]["counters"]
+    finally:
+        obs.reset()
+        if not prior:
+            obs.disable()
+    assert counters["eval.cases.scheme.RTR"] == 102
+    assert counters["rtr.phase2.engines"] == engines
+    assert counters["rtr.phase2.tree_builds"] == tree_builds
 
 
 def test_window_end_guard_refuses_a_penalty_that_stopped_following(monkeypatch):
