@@ -8,7 +8,7 @@ a packet-loss chaos ladder:
 * **rtr+penalty** — congestion-aware phase 2 (RTR instantiated with the
   window's live `LinkPenalty`: load-penalized selection + per-case
   feedback) with utilization-cap 1.5 admission control;
-* **r3** — precomputed protection routing (`repro.te.r3`) under the same
+* **r3** — precomputed protection routing (`repro.schemes.r3`) under the same
   live-load loop and cap;
 * **ospf** — the reconvergence baseline, congestion-blind.
 

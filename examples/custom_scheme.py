@@ -42,7 +42,7 @@ class _DetourRouter:
     def plan_recovery(self, initiator, destination, trigger_neighbor) -> WalkPlan:
         # No walk: the plan carries the result (walking schemes add a spec).
         if initiator in self.scenario.failed_nodes:
-            raise SimulationError(f"initiator {initiator} failed in this scenario")
+            raise SimulationError(f"recovery initiator {initiator} has failed")
         accounting = RecoveryAccounting()
         accounting.count_sp(1)
         known = set(self.view.locally_failed_links(initiator))

@@ -77,7 +77,9 @@ from .simulator import (
 )
 from .chaos import DegradedLocalView, FaultPlan, SecondaryFailure
 from .core import MultiAreaRTR, RTR, RTRConfig
-from .baselines import FCP, MRC, Oracle
+from .schemes.fcp import FCP
+from .schemes.mrc import MRC
+from .schemes.oracle import Oracle
 
 __version__ = "1.0.0"
 

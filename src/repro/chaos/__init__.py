@@ -4,7 +4,7 @@ The idealized evaluation world of §II-A (instant perfect detection,
 lossless recovery packets, a frozen failure set) is exactly what this
 package lets experiments relax.  Compose a :class:`FaultPlan` out of the
 four injector families and pass it at construction — to a protocol
-(:class:`~repro.core.rtr.RTR`, :class:`~repro.baselines.FCP`, ...), to
+(:class:`~repro.core.rtr.RTR`, :class:`~repro.schemes.fcp.FCP`, ...), to
 :func:`~repro.schemes.create_scheme`, or to
 :class:`~repro.eval.runner.EvaluationRunner`.  Every walking protocol
 builds its view and engine with :func:`forwarding_world`, so the same

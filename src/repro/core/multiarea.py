@@ -17,7 +17,7 @@ from typing import List, Optional, Set
 
 from ..errors import SimulationError
 from ..failures import FailureScenario, LocalView
-from ..routing import RoutingTable, shortest_path_or_none
+from ..routing import RoutingTable
 from ..simulator import ForwardingEngine, RecoveryAccounting
 from ..topology import Link, Topology
 from .phase1 import run_phase1
@@ -114,7 +114,7 @@ class MultiAreaRTR:
             known_failed.update(phase1.all_known_failed_links())
 
             accounting.count_sp(1)
-            route = shortest_path_or_none(
+            route = self.routing.cache.shortest_path_or_none(
                 self.topo, initiator, destination, excluded_links=known_failed
             )
             if route is None:

@@ -29,7 +29,6 @@ from ..routing import (
     ShortestPathTree,
     SPTCache,
     penalized_shortest_path_tree,
-    shortest_path_tree,
     updated_tree,
 )
 from ..simulator import Mode, Packet, RecoveryAccounting, RecoveryHeader
@@ -80,10 +79,11 @@ class Phase2Engine:
         self.initiator = initiator
         self.phase1 = phase1
         self.use_incremental = use_incremental
-        #: Shared tree pool; the pre-failure SPT in particular is identical
-        #: across every scenario of a sweep.  ``sp_computations`` below is
-        #: the §IV *recorded* charge and is unaffected by cache hits.
-        self.cache = cache
+        #: Tree pool (a private one unless a shared one is passed in); the
+        #: pre-failure SPT in particular is identical across every scenario
+        #: of a sweep.  ``sp_computations`` below is the §IV *recorded*
+        #: charge and is unaffected by cache hits.
+        self.cache = cache if cache is not None else SPTCache()
         #: Optional (live) :class:`repro.te.penalty.LinkPenalty`.  When
         #: set (congestion-aware mode), recomputation minimizes the
         #: load-penalized metric instead of the base metric; recovery
@@ -110,16 +110,9 @@ class Phase2Engine:
             # The initiator already has its pre-failure SPT from normal
             # link-state operation; only the incremental update is the
             # on-demand recovery computation.
-            if self.cache is not None:
-                pre_failure = self.cache.forward_tree(self.topo, self.initiator)
-            else:
-                pre_failure = shortest_path_tree(self.topo, self.initiator)
+            pre_failure = self.cache.forward_tree(self.topo, self.initiator)
             return updated_tree(self.topo, pre_failure, removed_links=self.known_failed)
-        if self.cache is not None:
-            return self.cache.forward_tree(
-                self.topo, self.initiator, excluded_links=self.known_failed
-            )
-        return shortest_path_tree(
+        return self.cache.forward_tree(
             self.topo, self.initiator, excluded_links=self.known_failed
         )
 

@@ -545,7 +545,7 @@ class RTR:
         ``G - E2`` — along the true post-failure shortest path, but only
         after convergence-timescale delay.
         """
-        from ..baselines import Oracle
+        from ..schemes.oracle import Oracle
 
         obs.inc("rtr.fallbacks")
         log.warning(

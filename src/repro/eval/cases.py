@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import obs
-from ..baselines import Oracle
+from ..schemes.oracle import Oracle
 from ..errors import SimulationError
 from ..failures import (
     PAPER_RADIUS_RANGE,

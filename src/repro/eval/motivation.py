@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..baselines import Oracle
+from ..schemes.oracle import Oracle
 from ..core import RTR
 from ..failures import FailureScenario, LocalView, random_circle
 from ..routing import ConvergenceConfig, LinkStateProtocol

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..baselines import Oracle
+from ..schemes.oracle import Oracle
 from ..core import RTR, RTRConfig
 from ..failures import LocalView, fixed_radius_scenarios
 from ..routing import RoutingTable

@@ -15,7 +15,6 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional
 from ..errors import UnknownNodeError
 from ..topology import Link, Topology
 from .cache import SPTCache
-from .dijkstra import reverse_shortest_path_tree
 from .kernels import batched_trees
 from .paths import Path
 from .spt import ShortestPathTree
@@ -24,13 +23,15 @@ from .spt import ShortestPathTree
 class RoutingTable:
     """Lazily computed all-pairs next hops over one topology snapshot.
 
-    An optional shared :class:`~repro.routing.cache.SPTCache` lets several
+    Every tree comes from :attr:`cache`, an
+    :class:`~repro.routing.cache.SPTCache`: a shared one lets several
     tables (and the recovery protocols) reuse one pool of trees.
     """
 
     def __init__(self, topo: Topology, cache: Optional[SPTCache] = None) -> None:
         self.topo = topo
-        self._cache = cache
+        #: The tree pool: the one passed in, or a private one.
+        self.cache = cache if cache is not None else SPTCache()
         self._trees: Dict[int, ShortestPathTree] = {}
 
     def tree_to(self, destination: int) -> ShortestPathTree:
@@ -39,10 +40,7 @@ class RoutingTable:
             raise UnknownNodeError(destination)
         tree = self._trees.get(destination)
         if tree is None:
-            if self._cache is not None:
-                tree = self._cache.reverse_tree(self.topo, destination)
-            else:
-                tree = reverse_shortest_path_tree(self.topo, destination)
+            tree = self.cache.reverse_tree(self.topo, destination)
             self._trees[destination] = tree
         return tree
 
@@ -94,12 +92,11 @@ class RoutingTable:
                 missing.append(dst)
         if not missing:
             return 0
-        # The shared SPTCache keys by exclusion signature too, so warmed
-        # trees are registered there as well when a cache is attached.
+        # Warmed trees are registered in the cache as well, so later
+        # exclusion-free probes of a shared pool hit.
         for dst, tree in zip(missing, batched_trees(self.topo, missing, toward_root=True)):
             self._trees[dst] = tree
-            if self._cache is not None:
-                self._cache.seed_tree(self.topo, dst, tree, toward_root=True)
+            self.cache.seed_tree(self.topo, dst, tree, toward_root=True)
         return len(missing)
 
     def precompute_all(self) -> None:

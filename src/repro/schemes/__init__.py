@@ -26,19 +26,7 @@ from .fcp import FCPScheme
 from .mrc import MRCScheme
 from .ospf import OSPFScheme
 from .oracle import OracleScheme
-
-# The r3 scheme lives in the TE layer (repro.te.r3) but registers here
-# with the built-ins.  Import the *module* (not the class): when
-# repro.te.r3 is imported first, it re-enters this package mid-body and
-# its class does not exist yet — the module object binding is cycle-safe
-# and registration completes when its body resumes.
-from ..te import r3 as _te_r3
-
-
-def __getattr__(name: str):
-    if name == "R3Scheme":
-        return _te_r3.R3Scheme
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .r3 import R3Scheme
 
 __all__ = [
     "RecoveryScheme",

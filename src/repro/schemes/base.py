@@ -55,7 +55,7 @@ class SchemeInstance:
     """Per-scenario state of one scheme: one IGP convergence window.
 
     Adapts a protocol object (:class:`~repro.core.RTR`,
-    :class:`~repro.baselines.FCP`, ...) whose one recovery entry point is
+    :class:`~repro.schemes.fcp.FCP`, ...) whose one recovery entry point is
     ``plan_recovery(initiator, destination, trigger_neighbor)`` returning
     a :class:`~repro.simulator.WalkPlan`; a protocol that walks packets
     also exposes the ``engine`` its plans walk on.

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..baselines import Oracle
 from ..errors import SimulationError
 from ..routing import LinkStateProtocol
 from ..simulator import RecoveryAccounting, RecoveryResult, WalkPlan
 from .base import RecoveryScheme, SchemeInstance
+from .oracle import Oracle
 from .registry import register_scheme
 
 if TYPE_CHECKING:
@@ -37,7 +37,7 @@ class _OSPFProtocol:
     ) -> WalkPlan:
         """Walk-free scheme: the whole case resolves at compile time."""
         if initiator in self.oracle.scenario.failed_nodes:
-            raise SimulationError(f"initiator {initiator} failed in this scenario")
+            raise SimulationError(f"recovery initiator {initiator} has failed")
         accounting = RecoveryAccounting()
         # The packet (conceptually, its successors) waits out the window;
         # route computation happens in the control plane during that wait,

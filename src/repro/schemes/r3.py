@@ -43,8 +43,6 @@ from .. import obs
 from ..chaos import FaultPlan, forwarding_world
 from ..errors import SimulationError
 from ..routing import Path, RoutingTable, penalized_shortest_path_tree
-from ..schemes.base import RecoveryScheme, SchemeInstance
-from ..schemes.registry import register_scheme
 from ..simulator import (
     Mode,
     Packet,
@@ -55,15 +53,18 @@ from ..simulator import (
     WalkPlan,
     run_plan,
 )
-from ..topology import Link, Topology
-from .penalty import (
+from ..te.penalty import (
     DEFAULT_PENALTY_ALPHA,
     DEFAULT_PENALTY_EXPONENT,
     DEFAULT_UTILIZATION_CLIP,
     PENALTY_QUANT,
+    LinkPenalty,
     penalty_units,
     recost_path,
 )
+from ..topology import Link, Topology
+from .base import RecoveryScheme, SchemeInstance
+from .registry import register_scheme
 
 if TYPE_CHECKING:
     from ..failures import FailureScenario
@@ -344,7 +345,9 @@ class R3Scheme(RecoveryScheme):
             len(self.bypasses),
         )
 
-    def _instantiate(self, scenario: "FailureScenario", penalty: object) -> SchemeInstance:
+    def _instantiate(
+        self, scenario: "FailureScenario", penalty: Optional["LinkPenalty"]
+    ) -> SchemeInstance:
         assert self.topo is not None and self.routing is not None
         return SchemeInstance(
             self.name,

@@ -10,11 +10,9 @@ on AS7018).  This subsystem makes recovery *congestion-aware*:
   RTR phase-2 selection uses it when instantiated with a live
   ``LinkPenalty`` (a congestion-aware ``TrafficEngine`` window; strictly
   off by default — all pinned golden sweeps stay byte-identical);
-* :mod:`repro.te.r3` — an R3-style protection-routing scheme
-  (``@register_scheme("r3")``): offline, protection detours planned
-  against a virtual-demand set covering single-link failures; online,
-  per convergence window, reconfiguration by detour splicing — no
-  re-optimization;
+* :mod:`repro.schemes.r3` (not part of this package) — the R3-style
+  protection-routing scheme registered as ``r3``, which plans its
+  detours in the penalized metric above;
 * :mod:`repro.te.metrics` — the congestion evaluation layer:
   post-recovery utilization histograms/CDF (p50/p95/p99/max),
   congestion-free-recovery rate, top-k overload attribution.

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..baselines import Oracle
+from ..schemes.oracle import Oracle
 from ..chaos import FaultPlan
 from ..core import RTRConfig
 from ..eval.cases import CaseSet, TestCase

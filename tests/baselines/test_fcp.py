@@ -1,10 +1,11 @@
-"""Tests for repro.baselines.fcp (Failure-Carrying Packets)."""
+"""Tests for repro.schemes.fcp (Failure-Carrying Packets)."""
 
 import random
 
 import pytest
 
-from repro.baselines import FCP, Oracle
+from repro.schemes.fcp import FCP
+from repro.schemes.oracle import Oracle
 from repro.errors import SimulationError
 from repro.failures import FailureScenario, LocalView, random_circle
 from repro.topology import Link, geometric_isp

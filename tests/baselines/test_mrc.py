@@ -1,15 +1,11 @@
-"""Tests for repro.baselines.mrc (Multiple Routing Configurations)."""
+"""Tests for repro.schemes.mrc (Multiple Routing Configurations)."""
 
 import random
 
 import pytest
 
-from repro.baselines import (
-    MRC,
-    Oracle,
-    generate_configurations,
-    unprotected_nodes,
-)
+from repro.schemes.mrc import MRC, generate_configurations, unprotected_nodes
+from repro.schemes.oracle import Oracle
 from repro.failures import FailureScenario, random_circle
 from repro.topology import Link, geometric_isp, isp_catalog, ring_topology
 

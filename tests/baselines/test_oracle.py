@@ -1,6 +1,6 @@
-"""Tests for repro.baselines.oracle."""
+"""Tests for repro.schemes.oracle."""
 
-from repro.baselines import Oracle
+from repro.schemes.oracle import Oracle
 from repro.failures import FailureScenario
 from repro.topology import Link
 

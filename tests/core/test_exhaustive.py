@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.baselines import Oracle
+from repro.schemes.oracle import Oracle
 from repro.core import RTR, RTRConfig
 from repro.core.exhaustive import run_exhaustive_phase1
 from repro.errors import SimulationError

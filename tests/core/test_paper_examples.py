@@ -88,7 +88,7 @@ class TestFig6Recovery:
         assert list(result.path.nodes) == [6, 5, 12, 18, 17]
 
     def test_recovery_is_optimal(self, paper_topo, paper_scenario):
-        from repro.baselines import Oracle
+        from repro.schemes.oracle import Oracle
 
         rtr = RTR(paper_topo, paper_scenario)
         oracle = Oracle(paper_topo, paper_scenario)

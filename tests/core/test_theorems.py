@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import Oracle
+from repro.schemes.oracle import Oracle
 from repro.core import RTR
 from repro.failures import FailureScenario, LocalView, random_circle
 from repro.geometry import Circle, Point

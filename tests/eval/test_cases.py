@@ -41,7 +41,7 @@ class TestEnumerateScenarioCases:
             assert routing.next_hop(case.initiator, case.destination) == case.trigger
 
     def test_classification_matches_oracle(self, paper_topo, paper_scenario):
-        from repro.baselines import Oracle
+        from repro.schemes.oracle import Oracle
 
         routing = RoutingTable(paper_topo)
         oracle = Oracle(paper_topo, paper_scenario)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.baselines import FCP, MRC
+from repro.schemes.fcp import FCP
+from repro.schemes.mrc import MRC
 from repro.core import RTR
 from repro.errors import SimulationError, UnknownLinkError, UnknownNodeError
 from repro.failures import FailureScenario, LocalView, find_initiator

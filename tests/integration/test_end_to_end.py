@@ -19,7 +19,7 @@ from repro import (
     isp_catalog,
     random_circle,
 )
-from repro.baselines import generate_configurations
+from repro.schemes.mrc import generate_configurations
 from repro.eval import EvaluationRunner, generate_cases, summarize_recoverable
 from repro.failures import LocalView
 from repro.routing import RoutingTable

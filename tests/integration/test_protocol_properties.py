@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import FCP, MRC, Oracle, generate_configurations
+from repro.schemes.fcp import FCP
+from repro.schemes.mrc import MRC, generate_configurations
+from repro.schemes.oracle import Oracle
 from repro.core import RTR, RTRConfig
 from repro.failures import FailureScenario, LocalView, random_circle, random_polygon
 from repro.geometry import Point

@@ -5,8 +5,12 @@ import random
 import pytest
 
 from repro.errors import NoPathError
+from repro.core import RTR, MultiAreaRTR
+from repro.core.phase2 import Phase2Engine
 from repro.routing import (
+    RoutingTable,
     SPTCache,
+    dijkstra_run_count,
     reverse_shortest_path_tree,
     shortest_path,
     shortest_path_tree,
@@ -205,3 +209,24 @@ class TestCapacityPlumbing:
             cache.seed_tree(topo, root, reverse_shortest_path_tree(topo, root))
         assert cache.stats()["size"] == 2
         assert cache.stats()["evictions"] == 2
+
+
+class TestEveryTreeThroughCache:
+    """Routing tables, phase 2 and multi-area chains fetch every tree from a cache."""
+
+    def test_dijkstra_runs_only_on_cache_misses(self, paper_topo, paper_scenario):
+        def runs_match_misses(cache, use):
+            runs, misses = dijkstra_run_count(), cache.misses
+            use()
+            assert dijkstra_run_count() - runs == cache.misses - misses > 0
+
+        table = RoutingTable(paper_topo)
+        runs_match_misses(table.cache, lambda: [table.tree_to(d) for d in (1, 17, 17)])
+
+        phase1 = RTR(paper_topo, paper_scenario).phase1_for(6, 11)
+        for incremental in (True, False):
+            engine = Phase2Engine(paper_topo, 6, phase1, use_incremental=incremental)
+            runs_match_misses(engine.cache, engine.tree)
+
+        chain = MultiAreaRTR(paper_topo, paper_scenario)
+        runs_match_misses(chain.routing.cache, lambda: chain.deliver(7, 17))

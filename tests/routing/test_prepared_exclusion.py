@@ -12,7 +12,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import Oracle
+from repro.schemes.oracle import Oracle
 from repro.failures import FailureScenario, LocalView
 from repro.routing import SPTCache, dijkstra_run_count, shortest_path_tree
 from repro.topology import Link, geometric_isp

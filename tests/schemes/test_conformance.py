@@ -5,12 +5,15 @@ so a newly registered scheme — built-in or plugin — gets lifecycle,
 determinism, error-isolation, and obs-emission coverage for free.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro import obs
+from repro.errors import SimulationError
 from repro.eval import EvaluationRunner, generate_cases
+from repro.routing import SPTCache
 from repro.schemes import (
     SchemeInstance,
     SchemeLifecycleError,
@@ -126,3 +129,18 @@ class TestSchemeContract:
         counters = obs.snapshot()["metrics"]["counters"]
         assert counters[f"eval.cases.scheme.{name}"] == len(case_set.cases)
         assert counters["eval.cases"] == len(case_set.cases)
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_failed_initiator_is_one_error(name, topo, case_set):
+    """Every scheme refuses a dead initiator with the same message."""
+    case = next(
+        c for c in case_set.cases if case_set.scenarios[c.scenario_index].failed_nodes
+    )
+    scenario = case_set.scenarios[case.scenario_index]
+    dead = min(scenario.failed_nodes)
+    scheme = create_scheme(name)
+    scheme.prepare(topo, case_set.routing, SPTCache())
+    instance = scheme.instantiate(scenario)
+    with pytest.raises(SimulationError, match=rf"^recovery initiator {dead} has failed$"):
+        instance.recover(dataclasses.replace(case, initiator=dead))

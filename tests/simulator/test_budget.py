@@ -50,7 +50,7 @@ class TestCallers:
         assert len(exc.value.walk) == walk_hop_budget(ring8.link_count) + 1
 
     def test_mrc_spec_budget_is_helper(self, ring8):
-        from repro.baselines import MRC
+        from repro.schemes.mrc import MRC
         from repro.routing import RoutingTable
 
         scenario = FailureScenario(ring8)

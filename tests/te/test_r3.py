@@ -1,4 +1,4 @@
-"""Tests for repro.te.r3 (offline protection planning, online splicing).
+"""Tests for repro.schemes.r3 (offline protection planning, online splicing).
 
 The conformance suite (tests/schemes) already runs ``r3`` through the
 registry lifecycle/determinism/fault-wrapping contract; this module pins
@@ -13,7 +13,7 @@ import pytest
 
 from repro.routing import RoutingTable, SPTCache, dijkstra_run_count
 from repro.schemes import create_scheme, scheme_names
-from repro.te.r3 import DEFAULT_R3_K, R3Scheme, _strip_loops
+from repro.schemes.r3 import DEFAULT_R3_K, R3Scheme, _strip_loops
 from repro.topology import Link
 
 

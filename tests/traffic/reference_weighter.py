@@ -24,7 +24,7 @@ import math
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.baselines import Oracle
+from repro.schemes.oracle import Oracle
 from repro.eval.cases import CaseSet, TestCase
 from repro.eval.metrics import CaseRecord
 from repro.failures import FailureScenario, LocalView
