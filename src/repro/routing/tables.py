@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Mapping, Optional
 
 from ..errors import UnknownNodeError
-from ..topology import Link, Topology
+from ..topology import Topology
 from .cache import SPTCache
 from .kernels import batched_trees
 from .paths import Path
@@ -106,14 +106,16 @@ class RoutingTable:
 
     def edge_loads_to(
         self, destination: int, demands: Mapping[int, float]
-    ) -> Dict[Link, float]:
+    ) -> Dict[int, float]:
         """Per-link demand flowing toward ``destination``, in one tree pass.
 
         ``demands`` maps source node -> demand rate; every source routes
         along its default next-hop chain, and each tree edge accumulates
         the total demand crossing it.  One reverse-SPT traversal serves
         all sources of the root (the traffic layer's batched alternative
-        to walking ``path(source, destination)`` per pair).
+        to walking ``path(source, destination)`` per pair).  The result is
+        keyed by link id (the CSR view's ``lid``; ``csr.links[lid]`` is the
+        :class:`~repro.topology.Link`), the traffic layer's per-link index.
 
         Only flow-carrying nodes are visited — the sources' next-hop
         chains, each followed until it joins one already seen — so the
@@ -139,15 +141,16 @@ class RoutingTable:
             while node != destination and node not in touched:
                 touched.add(node)
                 node = parent[node]
-        csr = self.topo.csr()
-        pair_lid = csr.pair_lid
-        links = csr.links
-        loads: Dict[Link, float] = {}
-        for _, node in sorted((-dist[node], node) for node in touched):
+        pair_lid = self.topo.csr().pair_lid
+        loads: Dict[int, float] = {}
+        # (distance desc, id asc): a stable sort keeps the id order among
+        # equal distances, reverse=True included — two C-level sorts, no
+        # key tuples.
+        for node in sorted(sorted(touched), key=dist.__getitem__, reverse=True):
             flow = carry[node]
             nxt = parent[node]
             # A tree edge is an interned adjacency, and no two nodes share one.
-            loads[links[pair_lid[(node, nxt)]]] = flow
+            loads[pair_lid[(node, nxt)]] = flow
             if nxt != destination:
                 carry[nxt] = carry.get(nxt, 0.0) + flow
         return loads

@@ -42,15 +42,15 @@ def utilization_histogram(load_map) -> Tuple[int, ...]:
     """Bin every topology link's utilization (idle links count in bin 0).
 
     ``load_map`` is a :class:`~repro.traffic.capacity.LinkLoadMap` (duck
-    typed: needs ``.topo`` and ``.utilization``).  Bin ``i`` covers the
-    half-open interval ``[i·w, (i+1)·w)``; the final bin absorbs
-    everything at or above the last edge.
+    typed: needs ``.utilizations()``, one value per topology link).  Bin
+    ``i`` covers the half-open interval ``[i·w, (i+1)·w)``; the final bin
+    absorbs everything at or above the last edge.
     """
     counts = [0] * HISTOGRAM_BINS
     nbins = len(UTILIZATION_BIN_EDGES)
     width = UTILIZATION_BIN_WIDTH
-    for link in load_map.topo.links():
-        index = int(load_map.utilization(link) / width)
+    for utilization in load_map.utilizations():
+        index = int(utilization / width)
         counts[index if index < nbins else nbins] += 1
     return tuple(counts)
 

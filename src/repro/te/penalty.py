@@ -75,7 +75,7 @@ class LinkPenalty:
     degenerates to the base metric (scaled), by construction.
 
     A penalty is *live*: whoever built it owns it and may :meth:`refresh`
-    it in place as its loads grow (a congestion-aware
+    it in place, by link id, as its loads grow (a congestion-aware
     :class:`~repro.traffic.TrafficEngine` window keeps one per approach
     and hands it to the scheme at instantiation).  A holder reads
     ``units`` / :meth:`lid_units` at decision time and keys anything it
@@ -114,7 +114,7 @@ class LinkPenalty:
         penalty = cls({}, quant)
         penalty._shape = (alpha, exponent, clip)
         for link in sorted(loads):
-            u = penalty._units_at(topo, link, loads[link])
+            u = penalty._units_at(loads[link], topo.link_capacity(link))
             if u > 0:
                 penalty.units[link] = u
         return penalty
@@ -124,27 +124,29 @@ class LinkPenalty:
         """The penalty of a :class:`~repro.traffic.capacity.LinkLoadMap`."""
         return cls.from_loads(load_map.topo, load_map.loads(), **kwargs)
 
-    def _units_at(self, topo: Topology, link: Link, load: float) -> int:
-        """Units of ``link`` carrying ``load`` — the one place they are derived."""
-        capacity = topo.link_capacity(link)
+    def _units_at(self, load: float, capacity: Optional[float]) -> int:
+        """Units of a link carrying ``load`` — the one place they are derived."""
         if capacity is None or capacity <= 0.0:
             return 0
         return penalty_units(load / capacity, *self._shape, self.quant)
 
-    def refresh(self, load_map: "LinkLoadMap", links: Sequence[Link]) -> None:
-        """Re-derive ``links`` (those whose load changed): units and lid array."""
+    def refresh(self, load_map: "LinkLoadMap", lids: Sequence[int]) -> None:
+        """Re-derive the link ids ``lids`` (whose load changed): units and lid array."""
         topo = load_map.topo
-        pair_lid = topo.csr().pair_lid
-        for link in links:
-            u = self._units_at(topo, link, load_map.load(link))
+        links = topo.csr().links
+        loads = load_map.lid_loads()
+        capacities = topo.lid_capacities()
+        lid_cache = self._lid_cache
+        for lid in lids:
+            u = self._units_at(loads[lid], capacities[lid])
             if u > 0:
-                self.units[link] = u
+                self.units[links[lid]] = u
             else:
-                self.units.pop(link, None)
-            if self._lid_cache is not None:
-                self._lid_cache[pair_lid[(link.u, link.v)]] = u
+                self.units.pop(links[lid], None)
+            if lid_cache is not None:
+                lid_cache[lid] = u
         self.version += 1
-        obs.inc("te.penalty.links_refreshed", len(links))
+        obs.inc("te.penalty.links_refreshed", len(lids))
 
     def check_against(self, load_map: "LinkLoadMap") -> None:
         """Raise unless a from-scratch build of ``load_map`` equals this penalty."""

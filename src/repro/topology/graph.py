@@ -70,10 +70,11 @@ class Topology:
         self._adjacency: Dict[int, Dict[int, float]] = {}
         self._link_index: Dict[Link, int] = {}
         self._links: List[Link] = []
-        #: Optional per-link capacity annotations (demand units/s).  Pure
-        #: metadata for the traffic layer: capacities never affect routing,
-        #: so mutating them does not bump the version or the CSR view.
-        self._capacities: Dict[Link, float] = {}
+        #: Optional per-link capacity annotations (demand units/s), indexed
+        #: like ``_links`` (``None`` = not provisioned).  Pure metadata for
+        #: the traffic layer: capacities never affect routing, so mutating
+        #: them does not bump the version or the CSR view.
+        self._capacities: List[Optional[float]] = []
         #: Bumped on every structural mutation; keys the CSR view cache.
         self._version: int = 0
         self._csr: Optional["CSRView"] = None
@@ -114,6 +115,7 @@ class Topology:
         self._adjacency[b][a] = float(cost if reverse_cost is None else reverse_cost)
         self._link_index[link] = len(self._links)
         self._links.append(link)
+        self._capacities.append(None)
         self._version += 1
         return link
 
@@ -131,7 +133,7 @@ class Topology:
         del self._adjacency[b][a]
         index = self._link_index.pop(link)
         self._links[index] = None  # type: ignore[call-overload]
-        self._capacities.pop(link, None)
+        self._capacities[index] = None
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -239,25 +241,34 @@ class Topology:
 
     def set_link_capacity(self, link: Link, capacity: float) -> None:
         """Annotate ``link`` with a carrying capacity (demand units/s)."""
-        if link not in self._link_index:
-            raise UnknownLinkError(link)
+        index = self.link_index(link)
         if capacity <= 0:
             raise TopologyError(f"link capacity must be positive: {link}")
-        self._capacities[link] = float(capacity)
+        self._capacities[index] = float(capacity)
 
     def link_capacity(self, link: Link) -> Optional[float]:
         """Capacity of ``link``, or ``None`` when not provisioned."""
-        if link not in self._link_index:
-            raise UnknownLinkError(link)
-        return self._capacities.get(link)
+        return self._capacities[self.link_index(link)]
 
     def link_capacities(self) -> Dict[Link, float]:
-        """Every provisioned capacity, keyed by link (a copy)."""
-        return dict(self._capacities)
+        """Every provisioned capacity, keyed by link (a copy, index order)."""
+        return {
+            link: capacity
+            for link, capacity in zip(self._links, self._capacities)
+            if capacity is not None
+        }
+
+    def lid_capacities(self) -> List[Optional[float]]:
+        """Capacity per link index (``None`` = not provisioned or retired).
+
+        The topology's own list, not a copy: it follows every later
+        :meth:`set_link_capacity`.  Read it, do not mutate or keep it.
+        """
+        return self._capacities
 
     def clear_link_capacities(self) -> None:
         """Drop every capacity annotation."""
-        self._capacities.clear()
+        self._capacities[:] = [None] * len(self._links)
 
     # ------------------------------------------------------------------
     # Cross links (precomputed per §III-C)
@@ -348,7 +359,7 @@ class Topology:
             clone._adjacency[link.v][link.u] = self._adjacency[link.v][link.u]
             clone._link_index[link] = len(clone._links)
             clone._links.append(link)
-        clone._capacities = dict(self._capacities)
+            clone._capacities.append(self._capacities[self._link_index[link]])
         return clone
 
     def __repr__(self) -> str:

@@ -12,16 +12,18 @@ module provides
   meaningful;
 * :func:`baseline_loads` — per-link demand of a matrix routed on the
   default (pre-failure) shortest paths, one batched reverse-SPT pass per
-  destination;
-* :class:`LinkLoadMap` — an accumulator for post-recovery loads with
-  utilization and overload queries against the annotated capacities.
+  destination (:func:`routed_loads`);
+* :class:`LinkLoadMap` — a link-id-indexed accumulator for post-recovery
+  loads with utilization and overload queries against the annotated
+  capacities.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ..errors import UnknownLinkError
 from ..routing import Path, RoutingTable
 from ..topology import Link, Topology
 from .matrix import TrafficMatrix
@@ -35,24 +37,33 @@ DEFAULT_HEADROOM = 2.0
 IDLE_CAPACITY_FRACTION = 0.25
 
 
-def baseline_loads(
-    topo: Topology, matrix: TrafficMatrix, routing: Optional[RoutingTable] = None
-) -> Dict[Link, float]:
-    """Per-link demand with every pair on its default shortest path.
+def routed_loads(
+    topo: Topology,
+    routing: RoutingTable,
+    by_destination: Mapping[int, Mapping[int, float]],
+) -> LinkLoadMap:
+    """Loads of ``destination -> {source: demand}`` on the default paths.
 
     One :meth:`~repro.routing.RoutingTable.edge_loads_to` pass per
-    destination (batched per-root reuse); destinations are visited in
-    sorted order so float accumulation is deterministic.
+    destination, destinations in sorted order: every link's float sum
+    adds its per-destination loads in that order.
     """
-    routing = routing if routing is not None else RoutingTable(topo)
-    loads: Dict[Link, float] = {}
+    loads = LinkLoadMap(topo)
+    for destination in sorted(by_destination):
+        loads.merge_loads(routing.edge_loads_to(destination, by_destination[destination]))
+    return loads
+
+
+def baseline_loads(
+    topo: Topology, matrix: TrafficMatrix, routing: Optional[RoutingTable] = None
+) -> LinkLoadMap:
+    """Per-link demand with every pair on its default shortest path."""
     by_destination: Dict[int, Dict[int, float]] = {}
     for (src, dst), demand in matrix.items():
         by_destination.setdefault(dst, {})[src] = demand
-    for dst in sorted(by_destination):
-        for link, load in sorted(routing.edge_loads_to(dst, by_destination[dst]).items()):
-            loads[link] = loads.get(link, 0.0) + load
-    return loads
+    return routed_loads(
+        topo, routing if routing is not None else RoutingTable(topo), by_destination
+    )
 
 
 def provision_capacities(
@@ -70,30 +81,49 @@ def provision_capacities(
     """
     if headroom <= 0.0:
         raise ValueError(f"headroom must be > 0, got {headroom}")
-    loads = baseline_loads(topo, matrix, routing)
-    loaded = [headroom * load for load in loads.values() if load > 0.0]
+    loads = baseline_loads(topo, matrix, routing).lid_loads()
+    loaded = [headroom * load for load in loads if load > 0.0]
     mean_capacity = math.fsum(sorted(loaded)) / len(loaded) if loaded else 1.0
     floor = max(IDLE_CAPACITY_FRACTION * mean_capacity, 1e-9)
     capacities: Dict[Link, float] = {}
-    for link in topo.links():
-        capacity = max(headroom * loads.get(link, 0.0), floor)
+    for link, load in zip(topo.csr().links, loads):
+        if link is None:
+            continue
+        capacity = max(headroom * load, floor)
         capacities[link] = capacity
         topo.set_link_capacity(link, capacity)
     return capacities
 
 
 class LinkLoadMap:
-    """Accumulated per-link traffic with utilization/overload queries."""
+    """Accumulated per-link traffic with utilization/overload queries.
 
-    __slots__ = ("topo", "_loads")
+    One float per link id (the CSR view's ``lid``) of the topology as it
+    was when the map was built; capacities are read by lid from
+    :meth:`Topology.lid_capacities`, so a capacity set later is seen by
+    the next query.  Link-level adds check their links and raise
+    :class:`~repro.errors.UnknownLinkError` for one the topology does not
+    have; the traffic layer itself adds by lid (:meth:`add_lids`).  Every
+    link's load is its own float sum in add order — sums of different
+    links never mix, so no query depends on the order links were loaded.
+    """
+
+    __slots__ = ("topo", "_csr", "_loads")
 
     def __init__(self, topo: Topology) -> None:
         self.topo = topo
-        self._loads: Dict[Link, float] = {}
+        self._csr = topo.csr()
+        self._loads: List[float] = [0.0] * self._csr.lid_size
+
+    def _lid(self, a: int, b: int) -> int:
+        lid = self._csr.pair_lid.get((a, b))
+        if lid is None:
+            raise UnknownLinkError(Link.of(a, b))
+        return lid
 
     def add_path(self, path: Path, demand: float) -> None:
         """Route ``demand`` along every link of ``path``."""
-        self.add_links([Link.of(a, b) for a, b in path.hops()], demand)
+        self.add_lids([self._lid(a, b) for a, b in path.hops()], demand)
 
     def add_link(self, link: Link, demand: float) -> None:
         """Add ``demand`` to one link."""
@@ -101,44 +131,63 @@ class LinkLoadMap:
 
     def add_links(self, links: Iterable[Link], demand: float) -> None:
         """Add ``demand`` to every link of ``links``, in order."""
+        self.add_lids([self._lid(link.u, link.v) for link in links], demand)
+
+    def add_lids(self, lids: Iterable[int], demand: float) -> None:
+        """Add ``demand`` to every link id of ``lids``, in order."""
         if demand <= 0.0:
             return
         loads = self._loads
-        for link in links:
-            loads[link] = loads.get(link, 0.0) + demand
+        for lid in lids:
+            loads[lid] += demand
 
-    def copy(self) -> "LinkLoadMap":
+    def merge_loads(self, loads: Mapping[int, float]) -> None:
+        """Fold a lid-keyed load dict in (as ``edge_loads_to`` returns it)."""
+        own = self._loads
+        for lid, load in loads.items():
+            own[lid] += load
+
+    def copy(self) -> LinkLoadMap:
         """An independent map over the same topology with the same loads."""
-        clone = LinkLoadMap(self.topo)
-        clone._loads = dict(self._loads)
+        clone = LinkLoadMap.__new__(LinkLoadMap)
+        clone.topo = self.topo
+        clone._csr = self._csr
+        clone._loads = list(self._loads)
         return clone
 
-    def merge_loads(self, loads: Dict[Link, float]) -> None:
-        """Fold a per-link load dict in (sorted-key order, deterministic)."""
-        for link in sorted(loads):
-            self._loads[link] = self._loads.get(link, 0.0) + loads[link]
+    def lid_loads(self) -> List[float]:
+        """The load per link id — the map's own list: read it, do not keep it."""
+        return self._loads
 
     def load(self, link: Link) -> float:
         """Accumulated demand on ``link``."""
-        return self._loads.get(link, 0.0)
+        return self._loads[self._lid(link.u, link.v)]
 
     def loads(self) -> Dict[Link, float]:
-        """Every nonzero link load (a copy)."""
-        return dict(self._loads)
+        """Every nonzero link load (a copy, lid order)."""
+        return {
+            link: load for link, load in zip(self._csr.links, self._loads) if load
+        }
 
     def utilization(self, link: Link) -> float:
         """Load over capacity (0.0 when the link has no capacity set)."""
-        capacity = self.topo.link_capacity(link)
-        if capacity is None or capacity <= 0.0:
-            return 0.0
-        return self._loads.get(link, 0.0) / capacity
+        lid = self._lid(link.u, link.v)
+        capacity = self.topo.lid_capacities()[lid]
+        return self._loads[lid] / capacity if capacity else 0.0
+
+    def utilizations(self) -> List[float]:
+        """The utilization of every topology link, in lid order (idle: 0.0)."""
+        return [
+            load / capacity if load and capacity else 0.0
+            for link, load, capacity in zip(
+                self._csr.links, self._loads, self.topo.lid_capacities()
+            )
+            if link is not None
+        ]
 
     def max_utilization(self) -> float:
-        """The highest utilization over all loaded links."""
-        best = 0.0
-        for link in sorted(self._loads):
-            best = max(best, self.utilization(link))
-        return best
+        """The highest utilization over all links."""
+        return max(self.utilizations(), default=0.0)
 
     def overloaded_links(
         self, threshold: float = 1.0
@@ -149,33 +198,21 @@ class LinkLoadMap:
         """
         over = [
             (link, util)
-            for link in sorted(self._loads)
-            if (util := self.utilization(link)) > threshold
+            for link, load, capacity in zip(
+                self._csr.links, self._loads, self.topo.lid_capacities()
+            )
+            if load and capacity and (util := load / capacity) > threshold
         ]
         over.sort(key=lambda item: (-item[1], item[0]))
         return over
 
     def overload_demand(self, threshold: float = 1.0) -> float:
         """Total demand above capacity on overloaded links (congestion mass)."""
-        excess = []
-        for link in sorted(self._loads):
-            capacity = self.topo.link_capacity(link)
-            if capacity is None or capacity <= 0.0:
-                continue
-            limit = threshold * capacity
-            if self._loads[link] > limit:
-                excess.append(self._loads[link] - limit)
-        return math.fsum(excess)
-
-    def top_links(self, n: int = 5) -> List[Tuple[Link, float, float]]:
-        """The ``n`` most utilized links as (link, load, utilization)."""
-        ranked = sorted(
-            self._loads, key=lambda link: (-self.utilization(link), link)
+        return math.fsum(
+            load - threshold * capacity
+            for load, capacity in zip(self._loads, self.topo.lid_capacities())
+            if load and capacity and load > threshold * capacity
         )
-        return [
-            (link, self._loads[link], self.utilization(link))
-            for link in ranked[:n]
-        ]
 
     def utilization_cdf(self) -> Tuple[int, ...]:
         """Fixed-bin utilization histogram over *every* topology link.
@@ -188,9 +225,5 @@ class LinkLoadMap:
         return utilization_histogram(self)
 
     def __len__(self) -> int:
-        return len(self._loads)
-
-
-def total_demand(loads: Iterable[float]) -> float:
-    """Fixed-order sum helper (callers pass sorted iterables)."""
-    return math.fsum(loads)
+        """How many links carry load."""
+        return len(self._loads) - self._loads.count(0.0)

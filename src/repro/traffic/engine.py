@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .. import obs
 from ..schemes.oracle import Oracle
@@ -42,15 +42,14 @@ from ..simulator import RecoveryResult
 from ..topology import Link, Topology
 from ..te.metrics import overload_attribution
 from ..te.penalty import LinkPenalty
-from .capacity import DEFAULT_HEADROOM, LinkLoadMap, provision_capacities
+from .capacity import DEFAULT_HEADROOM, LinkLoadMap, provision_capacities, routed_loads
 from .flows import FlowSet
 from .metrics import TrafficScenarioRecord, check_accounting, safe_div
 
 log = obs.get_logger(__name__)
 
 
-@dataclass(frozen=True)
-class DisruptedPair:
+class DisruptedPair(NamedTuple):
     """One OD pair whose default path broke with a live source."""
 
     source: int
@@ -82,34 +81,42 @@ class _GroupPlan:
     #: (initiator, destination) — the :class:`TestCase` this group runs as.
     key: Tuple[int, int]
     pairs: Tuple[DisruptedPair, ...]
-    #: Surviving default-path links source -> initiator, one tuple per pair.
-    prefixes: Tuple[Tuple[Link, ...], ...]
-    #: The distinct links of ``prefixes`` (first-seen order).
-    prefix_links: Tuple[Link, ...]
+    #: Link ids of the surviving default path source -> initiator, one
+    #: tuple per pair.
+    prefixes: Tuple[Tuple[int, ...], ...]
+    #: The distinct link ids of ``prefixes`` (first-seen order).
+    prefix_lids: Tuple[int, ...]
     #: ``fsum`` of the member pairs' demand, and their flow count.
     demand: float
     flows: int
 
-    def add_load(self, loads: LinkLoadMap, path_links: Sequence[Link]) -> None:
-        """Post-recovery load of this group, delivered along ``path_links``.
+    def add_load(self, loads: LinkLoadMap, path_lids: Sequence[int]) -> None:
+        """Post-recovery load of this group, delivered along ``path_lids``.
 
         The surviving prefix up to the initiator carries each pair's
         traffic either way; the recovery path carries the group onward
-        only when delivery succeeded (:func:`_delivered_links`).  Every
+        only when delivery succeeded (:func:`_delivered_lids`).  Every
         consumer of a window plan accumulates through here, in (pair,
         link) then path order — the order is what keeps the float sums
         of all of them bit-identical.
         """
         for pair, prefix in zip(self.pairs, self.prefixes):
-            loads.add_links(prefix, pair.demand)
-        loads.add_links(path_links, self.demand)
+            loads.add_lids(prefix, pair.demand)
+        loads.add_lids(path_lids, self.demand)
 
 
-def _delivered_links(result: RecoveryResult) -> Tuple[Link, ...]:
-    """Links of the path ``result`` delivered on; empty when it did not."""
+def _delivered_lids(
+    result: RecoveryResult, pair_lid: Mapping[Tuple[int, int], int]
+) -> Tuple[int, ...]:
+    """Link ids of the path ``result`` delivered on; empty when it did not.
+
+    Each record's path is converted once; the load, the cap check, the
+    penalty refresh and the overload attribution all read this tuple.
+    """
     if not result.delivered or result.path is None:
         return ()
-    return tuple(Link.of(a, b) for a, b in result.path.hops())
+    nodes = result.path.nodes
+    return tuple(pair_lid[hop] for hop in zip(nodes, nodes[1:]))
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,23 @@ class _WindowPlan:
 
     intact: LinkLoadMap
     groups: Tuple[_GroupPlan, ...]
+
+    def loads_after(self, delivered: Sequence[Tuple[int, ...]]) -> LinkLoadMap:
+        """The window's post-recovery loads, group ``i`` delivered on ``delivered[i]``."""
+        loads = self.intact.copy()
+        for group, path_lids in zip(self.groups, delivered):
+            group.add_load(loads, path_lids)
+        return loads
+
+
+class _LiveLoad(NamedTuple):
+    """One approach's state over a congestion-aware window (:meth:`TrafficEngine._load_hook`)."""
+
+    penalty: LinkPenalty
+    #: The window's load so far: intact background plus every settled group.
+    loads: LinkLoadMap
+    #: Link ids each settled group delivered on, in case order.
+    delivered: List[Tuple[int, ...]]
 
 
 def classify_pairs(
@@ -199,13 +223,7 @@ def classify_pairs(
                 intact_here[source] = demand
             else:
                 disrupted.append(
-                    DisruptedPair(
-                        source=source,
-                        destination=destination,
-                        initiator=outcome,
-                        demand=demand,
-                        flows=flows,
-                    )
+                    DisruptedPair(source, destination, outcome, demand, flows)
                 )
         if intact_here:
             intact[destination] = intact_here
@@ -319,20 +337,31 @@ class TrafficEngine:
             # One convergence window per scenario; the runner takes its
             # cases one at a time, plan -> walk -> finish (DESIGN.md §15),
             # settling each into the live load when the sweep has one.
-            live: List[Tuple[LinkPenalty, LinkLoadMap]] = []
+            live: Dict[str, _LiveLoad] = {}
             window = CaseSet(self.topo, self.routing, [scenario], cases)
             records = self.runner.run(window, load=self._load_hook(plan, live))
-            for penalty, loads in live:
-                penalty.check_against(loads)
+            for held in live.values():
+                held.penalty.check_against(held.loads)
+            pair_lid = self.topo.csr().pair_lid
             out: Dict[str, TrafficScenarioRecord] = {}
             for approach in self.approaches:
                 with obs.span("traffic.weight", approach=approach):
+                    # Records come in case order, which is group order.
+                    case_records = records[approach]
+                    held = live.get(approach)
+                    if held is not None:
+                        delivered = held.delivered
+                    else:
+                        delivered = [
+                            _delivered_lids(r.result, pair_lid) for r in case_records
+                        ]
                     out[approach] = self._weight_records(
                         approach,
                         scenario_index,
                         classification,
                         plan,
-                        records[approach],
+                        case_records,
+                        delivered,
                     )
         return out
 
@@ -352,7 +381,7 @@ class TrafficEngine:
     # ------------------------------------------------------------------
 
     def _load_hook(
-        self, plan: _WindowPlan, live: List[Tuple[LinkPenalty, LinkLoadMap]]
+        self, plan: _WindowPlan, live: Dict[str, _LiveLoad]
     ) -> Optional[LoadHook]:
         """The runner's load hook for one window (``None`` when blind).
 
@@ -362,21 +391,24 @@ class TrafficEngine:
         admits each result against the cap, adds the group's load and
         refreshes the penalty on just the links that group loaded, so the
         next recovery steers around them.  ``live`` collects every
-        ``(penalty, loads)`` for the end-of-window check.  State is per
-        window, which keeps serial and sharded sweeps identical.
+        approach's :class:`_LiveLoad` for the end-of-window check and the
+        weighting.  State is per window, which keeps serial and sharded
+        sweeps identical.
         """
         if not self.congestion_aware:
             return None
+        pair_lid = self.topo.csr().pair_lid
 
         def load(name: str) -> Tuple[LinkPenalty, Settle]:
             loads = plan.intact.copy()
             penalty = LinkPenalty.from_load_map(loads)
-            live.append((penalty, loads))
+            delivered: List[Tuple[int, ...]] = []
+            live[name] = _LiveLoad(penalty, loads, delivered)
 
             def settle(position: int, result: RecoveryResult) -> RecoveryResult:
                 group = plan.groups[position]
-                path_links = _delivered_links(result)
-                if self._exceeds_cap(loads, path_links, group.demand):
+                path_lids = _delivered_lids(result, pair_lid)
+                if self._exceeds_cap(loads, path_lids, group.demand):
                     # Admission control: delivering this group would push
                     # a link past the cap, so the initiator sheds it
                     # instead (early discard — zero transmission waste).
@@ -389,9 +421,10 @@ class TrafficEngine:
                         drop_packet_bytes=0,
                         admission_dropped=True,
                     )
-                    path_links = ()
-                group.add_load(loads, path_links)
-                penalty.refresh(loads, group.prefix_links + path_links)
+                    path_lids = ()
+                group.add_load(loads, path_lids)
+                delivered.append(path_lids)
+                penalty.refresh(loads, group.prefix_lids + path_lids)
                 return result
 
             return penalty, settle
@@ -399,9 +432,9 @@ class TrafficEngine:
         return load
 
     def _exceeds_cap(
-        self, loads: LinkLoadMap, path_links: Sequence[Link], demand: float
+        self, loads: LinkLoadMap, path_lids: Sequence[int], demand: float
     ) -> bool:
-        """Would routing ``demand`` over ``path_links`` breach the cap anywhere?
+        """Would routing ``demand`` over ``path_lids`` breach the cap anywhere?
 
         Links without a provisioned capacity are never capped (their
         utilization is undefined); a small tolerance keeps admitting
@@ -410,29 +443,15 @@ class TrafficEngine:
         cap = self.utilization_cap
         if cap is None:
             return False
-        for link in path_links:
-            capacity = self.topo.link_capacity(link)
+        current = loads.lid_loads()
+        capacities = self.topo.lid_capacities()
+        for lid in path_lids:
+            capacity = capacities[lid]
             if capacity is None or capacity <= 0.0:
                 continue
-            if (loads.load(link) + demand) / capacity > cap + 1e-12:
+            if (current[lid] + demand) / capacity > cap + 1e-12:
                 return True
         return False
-
-    def _intact_loads(self, classification: PairClassification) -> LinkLoadMap:
-        """Default-path loads of the pairs the failure did not disrupt.
-
-        One batched tree pass per destination, destinations in sorted
-        order (deterministic float accumulation).
-        """
-        loads = LinkLoadMap(self.topo)
-        for destination in sorted(classification.intact_by_destination):
-            loads.merge_loads(
-                self.routing.edge_loads_to(
-                    destination,
-                    classification.intact_by_destination[destination],
-                )
-            )
-        return loads
 
     def _plan_window(self, classification: PairClassification) -> _WindowPlan:
         """Everything of one window's demand weighting no scheme can change.
@@ -444,24 +463,40 @@ class TrafficEngine:
         by_case: Dict[Tuple[int, int], List[DisruptedPair]] = {}
         for pair in classification.disrupted:
             by_case.setdefault((pair.initiator, pair.destination), []).append(pair)
+        pair_lid = self.topo.csr().pair_lid
         groups = []
         for key in sorted(by_case):
+            initiator, destination = key
+            parent = self.routing.tree_to(destination).parent
             pairs = tuple(by_case[key])
-            prefixes = tuple(self._prefix_links(pair) for pair in pairs)
+            prefixes = []
+            for pair in pairs:
+                # The surviving default path source -> initiator: the
+                # classification walk got through every hop of it.
+                prefix = []
+                node = pair.source
+                while node != initiator:
+                    nxt = parent[node]
+                    prefix.append(pair_lid[(node, nxt)])
+                    node = nxt
+                prefixes.append(tuple(prefix))
             groups.append(
                 _GroupPlan(
                     key=key,
                     pairs=pairs,
-                    prefixes=prefixes,
-                    prefix_links=tuple(
-                        dict.fromkeys(link for prefix in prefixes for link in prefix)
+                    prefixes=tuple(prefixes),
+                    prefix_lids=tuple(
+                        dict.fromkeys(lid for prefix in prefixes for lid in prefix)
                     ),
                     demand=math.fsum(p.demand for p in pairs),
                     flows=sum(p.flows for p in pairs),
                 )
             )
         return _WindowPlan(
-            intact=self._intact_loads(classification), groups=tuple(groups)
+            intact=routed_loads(
+                self.topo, self.routing, classification.intact_by_destination
+            ),
+            groups=tuple(groups),
         )
 
     def _cases_for_groups(
@@ -494,11 +529,13 @@ class TrafficEngine:
         classification: PairClassification,
         plan: _WindowPlan,
         case_records: Sequence[CaseRecord],
+        delivered: Sequence[Tuple[int, ...]],
     ) -> TrafficScenarioRecord:
-        """Multiply per-case outcomes by their member pairs' traffic."""
-        by_case: Dict[Tuple[int, int], CaseRecord] = {
-            (r.case.initiator, r.case.destination): r for r in case_records
-        }
+        """Multiply per-case outcomes by their member pairs' traffic.
+
+        ``case_records[i]`` is group ``i``'s outcome and ``delivered[i]``
+        the link ids it delivered on.
+        """
         disrupted_demand: List[float] = []
         recoverable_demand: List[float] = []
         irrecoverable_demand: List[float] = []
@@ -515,11 +552,7 @@ class TrafficEngine:
         disrupted_flows = 0
         delivered_flows = 0
 
-        # Surviving pairs keep their default paths.
-        loads = plan.intact.copy()
-
-        for group in plan.groups:
-            record = by_case[group.key]
+        for group, record in zip(plan.groups, case_records):
             group_demand = group.demand
             disrupted_demand.append(group_demand)
             disrupted_flows += group.flows
@@ -550,13 +583,14 @@ class TrafficEngine:
             # still in flight (§IV-B delay model): rate × window.
             if result.phase1_duration > 0.0:
                 phase1_loss.append(group_demand * result.phase1_duration)
-            group.add_load(loads, _delivered_links(result))
 
+        # Surviving pairs keep their default paths.
+        loads = plan.loads_after(delivered)
         overloaded = loads.overloaded_links()
         record = TrafficScenarioRecord(
             utilization_hist=loads.utilization_cdf(),
             overload_attribution=self._attribute_overloads(
-                loads, overloaded, plan, by_case
+                loads, overloaded, plan, delivered
             ),
             approach=approach,
             scenario_index=scenario_index,
@@ -600,7 +634,7 @@ class TrafficEngine:
         loads: LinkLoadMap,
         overloaded: Sequence[Tuple[Link, float]],
         plan: _WindowPlan,
-        by_case: Dict[Tuple[int, int], CaseRecord],
+        delivered: Sequence[Tuple[int, ...]],
     ) -> Tuple:
         """Top-k overload attribution (empty when nothing is overloaded).
 
@@ -612,35 +646,29 @@ class TrafficEngine:
         """
         if not overloaded:
             return ()
-        top = {link for link, _ in overloaded[:3]}
-        contributions: Dict[Link, Dict[Tuple[int, int], float]] = {
-            link: {} for link in top
+        csr = self.topo.csr()
+        # lid -> {(source, destination): demand} of the top links.
+        top: Dict[int, Dict[Tuple[int, int], float]] = {
+            csr.pair_lid[link]: {} for link, _ in overloaded[:3]
         }
 
-        def charge(link: Link, pair: DisruptedPair) -> None:
-            per_pair = contributions[link]
+        def charge(per_pair: Dict[Tuple[int, int], float], pair: DisruptedPair) -> None:
             key = (pair.source, pair.destination)
             per_pair[key] = per_pair.get(key, 0.0) + pair.demand
 
-        for group in plan.groups:
-            for pair, prefix in zip(group.pairs, group.prefixes):
-                for link in prefix:
-                    if link in top:
-                        charge(link, pair)
-            for link in _delivered_links(by_case[group.key].result):
-                if link in top:
+        for group, path_lids in zip(plan.groups, delivered):
+            if not top.keys().isdisjoint(group.prefix_lids):
+                for pair, prefix in zip(group.pairs, group.prefixes):
+                    for lid in prefix:
+                        per_pair = top.get(lid)
+                        if per_pair is not None:
+                            charge(per_pair, pair)
+            for lid in path_lids:
+                per_pair = top.get(lid)
+                if per_pair is not None:
                     for pair in group.pairs:
-                        charge(link, pair)
-        return overload_attribution(loads, contributions)
+                        charge(per_pair, pair)
+        return overload_attribution(
+            loads, {csr.links[lid]: per_pair for lid, per_pair in top.items()}
+        )
 
-    def _prefix_links(self, pair: DisruptedPair) -> Tuple[Link, ...]:
-        """Links of the surviving default-path prefix source -> initiator."""
-        parent = self.routing.tree_to(pair.destination).parent
-        csr = self.topo.csr()
-        links = []
-        node = pair.source
-        while node != pair.initiator:
-            nxt = parent[node]  # the classification walk got through
-            links.append(csr.links[csr.pair_lid[(node, nxt)]])
-            node = nxt
-        return tuple(links)

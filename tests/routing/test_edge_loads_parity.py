@@ -1,10 +1,11 @@
 """``RoutingTable.edge_loads_to`` against its executable spec.
 
-The library sorts the flow-carrying nodes once; ``reference_edge_loads``
-keeps the max-distance heap it replaced.  Equal means equal: the same
-links in the same key order, every load ``float.hex`` for ``float.hex``
-— the result feeds ``LinkLoadMap.merge_loads`` and, through it, every
-published utilization figure.
+The library sorts the flow-carrying nodes once and keys its result by
+link id; ``reference_edge_loads`` keeps the max-distance heap it replaced
+and names every link by ``Link.of``.  Equal means equal: the same links
+in the same key order, every load ``float.hex`` for ``float.hex`` — the
+result feeds ``LinkLoadMap.merge_loads`` and, through it, every published
+utilization figure.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from repro.failures import circle_scenarios
 from repro.routing import RoutingTable
-from repro.topology import grid_topology, topology_from_spec
+from repro.topology import grid_topology, npcsr, topology_from_spec
 from repro.topology.examples import paper_figure_topology
 from repro.traffic import (
     aggregate_flows,
@@ -26,8 +27,10 @@ from .reference_edge_loads import reference_edge_loads_to
 
 
 def assert_same_loads(routing, destination, demands):
-    got = routing.edge_loads_to(destination, demands)
+    """Compare on ``Link`` keys; returns the library's loads keyed by link."""
     want = reference_edge_loads_to(routing, destination, demands)
+    links = routing.topo.csr().links
+    got = {links[lid]: load for lid, load in routing.edge_loads_to(destination, demands).items()}
     assert [(link, load.hex()) for link, load in got.items()] == [
         (link, load.hex()) for link, load in want.items()
     ], f"destination {destination}"
@@ -78,6 +81,27 @@ def test_sparse_sources_on_a_large_grid():
         demands = {source: rng.uniform(0.1, 9.0) for source in sources}
         loads = assert_same_loads(routing, destination, demands)
         assert 0 < len(loads) < 5 * 58  # at most five 58-hop corner-to-corner chains
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_array_backed_trees(kernel_backend, backend):
+    """Both kernels' trees, on a sampled-demand graph past the numpy threshold.
+
+    The numpy kernels hand out array-backed trees: the reference reads
+    them through point queries, ``edge_loads_to`` through ``.dist`` /
+    ``.parent``, which builds the dicts in id order rather than settle
+    order.  The ``(-distance, id)`` sweep must not care.
+    """
+    if backend == "numpy" and npcsr.numpy_or_none() is None:
+        pytest.skip("numpy not installed")
+    kernel_backend.use(backend)
+    topo = topology_from_spec("scale:1500", seed=2)
+    routing = RoutingTable(topo)
+    by_destination = demands_by_destination(generate_matrix(topo, "gravity", seed=2))
+    for destination in sorted(by_destination)[:6]:
+        array_backed = routing.tree_to(destination)._arrays is not None
+        assert array_backed == (backend == "numpy")
+        assert assert_same_loads(routing, destination, by_destination[destination])
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,12 @@ class TestRoutingTable:
             assert walked == list(path.nodes)
 
 
+def by_link(topo, lid_loads):
+    """``edge_loads_to``'s lid-keyed result, keyed by ``Link`` (same order)."""
+    links = topo.csr().links
+    return {links[lid]: load for lid, load in lid_loads.items()}
+
+
 class TestEdgeLoadsTo:
     """The batched per-root load sweep must equal per-path accumulation."""
 
@@ -69,7 +75,7 @@ class TestEdgeLoadsTo:
 
         table = RoutingTable(grid5)
         demands = {n: float(1 + (n * 7) % 5) for n in range(1, 25)}
-        batched = table.edge_loads_to(0, demands)
+        batched = by_link(grid5, table.edge_loads_to(0, demands))
         expected = {}
         for source, demand in demands.items():
             path = table.path(source, 0)
@@ -85,14 +91,14 @@ class TestEdgeLoadsTo:
         from repro.topology import Link
 
         table = RoutingTable(tiny_line)
-        loads = table.edge_loads_to(0, {2: 5.0})
+        loads = by_link(tiny_line, table.edge_loads_to(0, {2: 5.0}))
         assert loads[Link.of(1, 2)] == 5.0
         assert loads[Link.of(0, 1)] == 5.0
 
     def test_unreachable_sources_ignored(self, tiny_line):
         tiny_line.remove_link(1, 2)
         table = RoutingTable(tiny_line)
-        loads = table.edge_loads_to(0, {1: 2.0, 2: 9.0})
+        loads = by_link(tiny_line, table.edge_loads_to(0, {1: 2.0, 2: 9.0}))
         from repro.topology import Link
 
         assert loads == {Link.of(0, 1): 2.0}

@@ -100,6 +100,11 @@ class TestLinkPenalty:
         assert total_units({}) == 0
 
 
+def lids(topo, *links):
+    """The link ids ``refresh`` takes, of ``links``."""
+    return tuple(topo.csr().pair_lid[link] for link in links)
+
+
 class TestLivePenalty:
     """``refresh`` keeps a penalty equal to a rebuild; ``check_against`` proves it."""
 
@@ -122,7 +127,7 @@ class TestLivePenalty:
             penalty.lid_units(square)
         loaded.add_link(Link.of(0, 1), 3.0)  # a penalized link moves up
         loaded.add_link(Link.of(2, 3), 9.0)  # an idle link becomes penalized
-        touched = (Link.of(0, 1), Link.of(2, 3), Link.of(1, 2))  # (1,2) stays idle
+        touched = lids(square, Link.of(0, 1), Link.of(2, 3), Link.of(1, 2))  # (1,2) stays idle
         penalty.refresh(loaded, touched)
         fresh = LinkPenalty.from_load_map(loaded, **self.SHAPE)
         assert penalty.units == fresh.units
@@ -134,17 +139,23 @@ class TestLivePenalty:
         penalty = LinkPenalty.from_load_map(loaded)
         array = penalty.lid_units(square)
         idle = LinkLoadMap(square)
-        penalty.refresh(idle, (Link.of(0, 1),))
+        penalty.refresh(idle, lids(square, Link.of(0, 1)))
         assert penalty.is_null() and not any(array)
         penalty.check_against(idle)
 
     def test_links_outside_the_topology_are_refused_like_from_loads(self, square, loaded):
-        penalty = LinkPenalty.from_load_map(loaded)
-        loaded.add_link(Link.of(0, 2), 50.0)  # a diagonal the square does not have
+        """A link the square does not have is refused where it enters the loads."""
+        before = loaded.loads()
+        diagonal = Link.of(0, 2)
+        with pytest.raises(UnknownLinkError) as err:
+            loaded.add_link(diagonal, 50.0)
+        assert err.value.link == diagonal
+        with pytest.raises(UnknownLinkError) as err:
+            loaded.add_path(Path((1, 0, 2), 2.0), 50.0)
+        assert err.value.link == diagonal
+        assert loaded.loads() == before, "a refused add leaves the loads alone"
         with pytest.raises(UnknownLinkError):
-            penalty.refresh(loaded, (Link.of(0, 2),))
-        with pytest.raises(UnknownLinkError):
-            LinkPenalty.from_load_map(loaded)
+            LinkPenalty.from_loads(square, {diagonal: 50.0})
 
     def test_check_names_the_first_drifting_link(self, square, loaded):
         penalty = LinkPenalty.from_load_map(loaded)
@@ -153,7 +164,7 @@ class TestLivePenalty:
         with pytest.raises(SimulationError, match=r"drifted at e1,2: 0 units") as err:
             penalty.check_against(loaded)
         assert "\n" not in str(err.value)
-        penalty.refresh(loaded, (Link.of(1, 2), Link.of(2, 3)))
+        penalty.refresh(loaded, lids(square, Link.of(1, 2), Link.of(2, 3)))
         penalty.check_against(loaded)
 
     def test_check_catches_a_stale_lid_array(self, square, loaded):
@@ -164,7 +175,7 @@ class TestLivePenalty:
 
     def test_hand_built_penalty_refreshes_with_the_defaults(self, square, loaded):
         penalty = LinkPenalty({})
-        penalty.refresh(loaded, tuple(loaded.loads()))
+        penalty.refresh(loaded, lids(square, *loaded.loads()))
         assert penalty.units == LinkPenalty.from_load_map(loaded).units
 
 

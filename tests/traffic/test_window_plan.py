@@ -71,7 +71,22 @@ def as7018_inputs():
     return topo, flow_set, [next(stream) for _ in range(3)]
 
 
-INPUTS = {"paper": paper_inputs, "AS7018": as7018_inputs}
+def scale_inputs():
+    """Sampled demand on a 1,500-node graph: most link ids stay idle all window.
+
+    The ``traffic_scale`` regime (64 x 64 sampled endpoints, small failure
+    areas) at a size the parity test can afford; MRC's configuration
+    search and RTR's phase 1 in large areas would dominate it otherwise.
+    """
+    topo = topology_from_spec("scale:1500", seed=3)
+    flow_set = aggregate_flows(generate_matrix(topo, "gravity", seed=3), 100_000)
+    stream = circle_scenarios(topo, random.Random(11), radius_range=(10.0, 30.0))
+    return topo, flow_set, [next(stream) for _ in range(3)]
+
+
+INPUTS = {"paper": paper_inputs, "AS7018": as7018_inputs, "scale": scale_inputs}
+#: The schemes each input is weighted under (``SCHEMES`` unless named here).
+INPUT_SCHEMES = {"scale": ("RTR", "FCP")}
 
 
 def checked_penalty(monkeypatch):
@@ -103,18 +118,19 @@ def checked_penalty(monkeypatch):
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("network", sorted(INPUTS))
 def test_records_equal_reference_weighter(network, mode, monkeypatch):
-    """3 scenarios x 5 schemes: every record field, ``float.hex`` for ``float.hex``."""
+    """3 scenarios x every scheme: every record field, ``float.hex`` for ``float.hex``."""
     topo, flow_set, scenarios = INPUTS[network]()
-    engine = TrafficEngine(topo, flow_set, approaches=SCHEMES, **MODES[mode])
-    spec = TrafficEngine(topo, flow_set, approaches=SCHEMES, **MODES[mode])
+    schemes = INPUT_SCHEMES.get(network, SCHEMES)
+    engine = TrafficEngine(topo, flow_set, approaches=schemes, **MODES[mode])
+    spec = TrafficEngine(topo, flow_set, approaches=schemes, **MODES[mode])
     refreshes = checked_penalty(monkeypatch)
     disrupted = 0
     groups = 0
     for index, scenario in enumerate(scenarios):
         got = engine.run_scenario(scenario, index)
         want = reference_run_scenario(spec, scenario, index)
-        assert list(got) == list(want) == list(SCHEMES)
-        for scheme in SCHEMES:
+        assert list(got) == list(want) == list(schemes)
+        for scheme in schemes:
             assert record_hex(got[scheme]) == record_hex(want[scheme]), (
                 f"{network}/{mode} scenario {index} {scheme}"
             )
@@ -124,7 +140,7 @@ def test_records_equal_reference_weighter(network, mode, monkeypatch):
     assert disrupted > 0, "the parity test must weight something"
     # Every approach owns a live penalty: one refresh (and one rebuild
     # check) per group and approach.
-    assert len(refreshes) == (groups * len(SCHEMES) if mode == "congestion-aware" else 0)
+    assert len(refreshes) == (groups * len(schemes) if mode == "congestion-aware" else 0)
     assert any(built for _, built in refreshes) == (mode == "congestion-aware")
 
 
