@@ -28,40 +28,50 @@ from typing import List, Set
 from ..failures import LocalView
 from ..simulator import RecoveryHeader
 from ..topology import Link, Topology
+from ..topology.csr import cross_rows
 
 
 class CrossLinkState:
     """The ``cross_link`` header field and its exclusion semantics.
 
-    Keeps a live :class:`set` alongside the header's insertion-ordered list
-    so exclusion checks are O(candidate's crossing degree).
+    Links are named by id (``topo.csr().pair_lid``).  Two 0/1 flag arrays
+    over the ids shadow the header: ``recorded`` (in ``cross_link``) and
+    ``barred`` (crosses a recorded link).  Crossing is symmetric, so
+    "candidate crosses some recorded link" is exactly "candidate is in the
+    union of the recorded links' crossing rows"; keeping that union as
+    flags makes an exclusion check one index.  The header list only ever
+    grows here, and the flags never clear: a chaos-truncated entry stays
+    in force for the rest of the walk and is not recorded again.
     """
 
     def __init__(self, topo: Topology, header: RecoveryHeader) -> None:
-        self.topo = topo
+        csr = topo.csr()
         self.header = header
-        self._recorded: Set[Link] = set(header.cross_links)
-        # Everything barred by the recorded set, maintained incrementally:
-        # crossing is symmetric, so "candidate crosses some recorded link"
-        # is exactly "candidate is in the union of the recorded links'
-        # crosser sets".  Keeping the union live makes exclusion checks
-        # O(1) instead of one set intersection per candidate.
-        self._excluded: Set[Link] = set()
-        for link in self._recorded:
-            self._excluded |= topo.cross_links(link)
+        self._rows = cross_rows(topo)
+        self._links = csr.links
+        self._pair_lid = csr.pair_lid
+        self.recorded = bytearray(csr.lid_size)
+        self.barred = bytearray(csr.lid_size)
+        for link in header.cross_links:
+            self._mark(topo.link_index(link))
 
-    def record(self, link: Link) -> bool:
-        """Record ``link`` in ``cross_link``; True when newly added."""
-        if link in self._recorded:
+    def _mark(self, lid: int) -> None:
+        self.recorded[lid] = 1
+        barred = self.barred
+        for other in self._rows[lid]:
+            barred[other] = 1
+
+    def record(self, lid: int) -> bool:
+        """Record link ``lid`` in ``cross_link``; True when newly added."""
+        if self.recorded[lid]:
             return False
-        self._recorded.add(link)
-        self._excluded |= self.topo.cross_links(link)
-        self.header.record_cross(link)
+        self._mark(lid)
+        self.header.record_cross(self._links[lid])
         return True
 
-    def is_excluded(self, candidate: Link) -> bool:
-        """Whether ``candidate`` crosses any recorded link (and so is barred)."""
-        return candidate in self._excluded
+    def is_excluded(self, lid: int) -> bool:
+        """Whether link ``lid`` crosses any recorded link (and so is barred)."""
+        return self.barred[lid] == 1
 
     def seed_initiator_links(self, view: LocalView, initiator: int) -> List[Link]:
         """Constraint 1 seeding at the recovery initiator.
@@ -72,23 +82,24 @@ class CrossLinkState:
         """
         recorded: List[Link] = []
         for neighbor in view.unreachable_neighbors(initiator):
-            link = Link.of(initiator, neighbor)
-            if self.topo.cross_links(link) and self.record(link):
-                recorded.append(link)
+            lid = self._pair_lid[(initiator, neighbor)]
+            if self._rows[lid] and self.record(lid):
+                recorded.append(self._links[lid])
         return recorded
 
-    def after_selection(self, selected: Link) -> bool:
-        """Constraint 2 bookkeeping after the sweep picked ``selected``.
+    def after_selection(self, lid: int) -> bool:
+        """Constraint 2 bookkeeping after the sweep picked link ``lid``.
 
-        If a link crosses ``selected`` and is not already excluded by the
-        recorded set, record ``selected`` so that crossing link can never be
-        chosen later.  Returns True when ``selected`` was recorded.
+        If a link crosses the selected one and is not already barred by the
+        recorded set, record the selected link so that crossing link can
+        never be chosen later.  Returns True when it was recorded.
         """
-        for crosser in self.topo.cross_links(selected):
-            if not self.is_excluded(crosser):
-                return self.record(selected)
+        barred = self.barred
+        for crosser in self._rows[lid]:
+            if not barred[crosser]:
+                return self.record(lid)
         return False
 
     def recorded_links(self) -> Set[Link]:
-        """The current contents of ``cross_link`` as a set."""
-        return set(self._recorded)
+        """Every link ever recorded in ``cross_link``, as a set."""
+        return {self._links[lid] for lid, flag in enumerate(self.recorded) if flag}

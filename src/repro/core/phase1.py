@@ -149,12 +149,24 @@ def run_phase1(
 
     previous = {"node": initiator}
     done = {"flag": False}
+    pair_lid = topo.csr().pair_lid
     field_trace: List[tuple] = []
+    # The header fields of the last snapshot: a field whose length and last
+    # entry are unchanged since then is unchanged, so its tuple is reused.
+    # Between two snapshots a field takes at most one chaos truncation
+    # (one per forwarded hop), and it comes before any append: equal
+    # length then means nothing changed or the popped entry came back.
+    last = [(), ()]
+
+    def reuse(entries: List[Link], before: tuple) -> tuple:
+        if len(entries) == len(before) and (not entries or entries[-1] == before[-1]):
+            return before
+        return tuple(entries)
 
     def snapshot(node: int) -> None:
-        field_trace.append(
-            (node, tuple(header.failed_links), tuple(header.cross_links))
-        )
+        last[0] = failed = reuse(header.failed_links, last[0])
+        last[1] = crossed = reuse(header.cross_links, last[1])
+        field_trace.append((node, failed, crossed))
 
     def decide(current: int, pkt: Packet) -> Optional[int]:
         if done["flag"]:
@@ -163,7 +175,7 @@ def run_phase1(
         if current == initiator and pkt.recovery_hops == 0:
             # Initial transmission toward the already-selected first hop.
             if use_constraints:
-                constraints.after_selection(Link.of(initiator, start_hop))
+                constraints.after_selection(pair_lid[(initiator, start_hop)])
             previous["node"] = current
             snapshot(current)
             return start_hop
@@ -183,7 +195,7 @@ def run_phase1(
                 snapshot(current)
                 return None
         if use_constraints:
-            constraints.after_selection(Link.of(current, next_node))
+            constraints.after_selection(pair_lid[(current, next_node)])
         previous["node"] = current
         snapshot(current)
         return next_node

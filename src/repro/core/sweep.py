@@ -31,9 +31,10 @@ from ..geometry import TWO_PI, ccw_angle
 from ..topology import Link, Topology
 from ..topology.csr import CSRView
 
-#: Predicate deciding whether the link from the current node to a candidate
-#: neighbor is excluded by the cross-link constraints.
-ExclusionFn = Callable[[Link], bool]
+#: Predicate deciding, by link id (``topo.csr().pair_lid``), whether the
+#: link from the current node to a candidate neighbor is excluded by the
+#: cross-link constraints.
+ExclusionFn = Callable[[int], bool]
 
 #: Bearings at one node closer than this (to each other, or across the
 #: 0 / 2*pi wrap) make it keep the per-hop key sort.  Anything wider is far
@@ -169,14 +170,17 @@ def select_next_hop(
 ) -> Optional[int]:
     """The live, non-excluded neighbor the sweeping rule selects.
 
-    ``None`` when every neighbor is unreachable or excluded — only possible
-    at an isolated initiator; §III-C notes an interior node can always fall
-    back to its previous hop.
+    ``is_excluded`` is asked about the link id of each live candidate's
+    link.  ``None`` when every neighbor is unreachable or excluded — only
+    possible at an isolated initiator; §III-C notes an interior node can
+    always fall back to its previous hop.
     """
-    for nb in sweep_order(topo, current, reference_neighbor, clockwise):
+    table = sweep_table(topo)
+    pair_lid = table.csr.pair_lid
+    for nb in table.order(topo, current, reference_neighbor, clockwise):
         if not view.is_neighbor_reachable(current, nb):
             continue
-        if is_excluded is not None and is_excluded(Link.of(current, nb)):
+        if is_excluded is not None and is_excluded(pair_lid[(current, nb)]):
             continue
         return nb
     return None

@@ -5,26 +5,30 @@ across it."*  A :class:`~repro.geometry.spatial.SpatialGrid` registers each
 segment in the cells along its path, padded by the touch tolerance, so
 links that cross or touch share a cell.  Pairs within a cell whose bounding
 boxes overlap go to the exact predicate, and any grid over the links gives
-the map of the reference sweep in ``tests/geometry/reference_cross_links.py``.
+the relation of the reference sweep in
+``tests/geometry/reference_cross_links.py``.  The relation comes back as
+rows over input positions (the topology's are link ids, cached per CSR
+view by :func:`repro.topology.csr.cross_rows`).
 
 With numpy, blocks of at most ``_CHUNK`` pairs run through :func:`_cross_mask`,
 which compares *squared* distances with ``EPSILON**2`` where
 :func:`segments_cross_raw` compares ``hypot`` with ``EPSILON`` — equal
 except within one rounding ulp of the tolerance, i.e. for adversarial
-coordinates only.  Without numpy the same cells are paired in Python.
+coordinates only.  Without numpy the same cells are paired in Python and
+the same rows come back.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import hypot
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from .point import EPSILON
 from .segment import Segment
 from .spatial import SpatialGrid
 
-try:  # optional [fast] extra; the Python pairing computes the same map
+try:  # optional [fast] extra; the Python pairing computes the same rows
     import numpy as _np
 except Exception:  # pragma: no cover - exercised by no-numpy CI job
     _np = None
@@ -150,9 +154,10 @@ def _cross_mask(np, a, b):
     return ~shared & (proper | touching)
 
 
-def _crossings_python(coords, start, items):
-    """Crossing index pairs ``(i, j)``, ``i < j``, each pair once."""
+def _rows_python(coords, start, items):
+    """Crossing rows, pairing the links of each cell in Python."""
     boxes = [(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)) for ax, ay, bx, by in coords]
+    rows = [[] for _ in coords]
     tested = set()
     for cell in range(len(start) - 1):
         for i, j in combinations(items[start[cell] : start[cell + 1]], 2):
@@ -162,15 +167,25 @@ def _crossings_python(coords, start, items):
                 continue
             tested.add((i, j))
             if segments_cross_raw(*coords[i], *coords[j]):
-                yield i, j
+                rows[i].append(j)
+                rows[j].append(i)
+    return [tuple(sorted(row)) for row in rows]
 
 
-def _crossings_numpy(coords, start, items):
-    """Crossing index pairs ``(i, j)``, ``i < j``, repeated once per shared cell."""
+def _rows_numpy(coords, start, items):
+    """Crossing rows from blocks of cells paired as arrays.
+
+    A pair found in several shared cells is found once per cell: every
+    found pair is encoded in both directions as ``i * m + j``, and one sort
+    plus a neighbour-difference mask drops the repeats (``np.unique`` costs
+    more here, see EXPERIMENTS.md).  Row ``i`` is then the code range
+    ``[i * m, (i + 1) * m)``.
+    """
     # Imported here: repro.topology imports this package at load time.
     from ..topology.npcsr import expand_ranges
 
     np = _np
+    m = len(coords)
     xy = np.array(coords, dtype=np.float64).reshape(-1, 4).T.copy()  # rows ax, ay, bx, by
     lo_x, hi_x = np.minimum(xy[0], xy[2]), np.maximum(xy[0], xy[2])
     lo_y, hi_y = np.minimum(xy[1], xy[3]), np.maximum(xy[1], xy[3])
@@ -186,6 +201,7 @@ def _crossings_numpy(coords, start, items):
             filled = 0
         filled += pairs
     edges.append(len(counts))
+    found = [np.zeros(0, dtype=np.int64)]
     for c0, c1 in zip(edges, edges[1:]):
         members = items_a[start[c0] : start[c1]]
         # Pair every entry with the entries before it in its own cell.
@@ -200,50 +216,52 @@ def _crossings_numpy(coords, start, items):
         )
         left, right = left[keep], right[keep]
         mask = _cross_mask(np, xy.take(left, axis=1), xy.take(right, axis=1))
-        yield from zip(left[mask].tolist(), right[mask].tolist())
+        left, right = left[mask], right[mask]
+        found += [left * m + right, right * m + left]
+    codes = np.sort(np.concatenate(found))
+    if len(codes):
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    bounds = np.searchsorted(codes, np.arange(m + 1, dtype=np.int64) * m).tolist()
+    others = (codes % m).tolist()
+    return [tuple(others[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def compute_cross_links(
-    links: Sequence[Tuple[LinkKey, Segment]],
+    links: Sequence[Tuple[Hashable, Segment]],
     grid: Optional[SpatialGrid] = None,
-) -> Dict[LinkKey, Set[LinkKey]]:
-    """Map every link key to the set of link keys that properly cross it.
+) -> List[Tuple[int, ...]]:
+    """The crossing relation of ``links`` as one row per input position.
 
-    ``links`` is a sequence of ``(key, segment)`` pairs.  The result is
-    symmetric: ``k2 in result[k1]`` iff ``k1 in result[k2]``.  Links sharing
-    an endpoint never cross (see :func:`repro.geometry.segment.segments_cross`).
-    ``grid``, if given, must hold ``links`` as its segments, in order;
-    otherwise one is built over the links' endpoints.
+    ``links`` is a sequence of ``(key, segment)`` pairs.  Row ``i`` is the
+    sorted tuple of the positions of the links that properly cross link
+    ``i``; the relation is symmetric (``j in rows[i]`` iff ``i in
+    rows[j]``).  Links sharing an endpoint never cross (see
+    :func:`repro.geometry.segment.segments_cross`).  ``grid``, if given,
+    must hold ``links`` as its segments, in order; otherwise one is built
+    over the links' endpoints.
     """
-    keys = [key for key, _ in links]
     if grid is None:
         ends = dict.fromkeys(end for _, segment in links for end in segment)
         grid = SpatialGrid([(end, end) for end in ends], links)
-    elif grid.segment_keys != keys:
+    elif grid.segment_keys != [key for key, _ in links]:
         raise ValueError("grid segments are not these links")
     coords = [(s.a.x, s.a.y, s.b.x, s.b.y) for _, s in links]
-    crossings = _crossings_python if _np is None else _crossings_numpy
-    result: Dict[LinkKey, Set[LinkKey]] = {key: set() for key in keys}
-    for i, j in crossings(coords, *grid.segment_cells()):
-        result[keys[i]].add(keys[j])
-        result[keys[j]].add(keys[i])
-    return result
+    rows = _rows_python if _np is None else _rows_numpy
+    return rows(coords, *grid.segment_cells())
 
 
-def is_planar_embedding(links: Sequence[Tuple[LinkKey, Segment]]) -> bool:
+def is_planar_embedding(links: Sequence[Tuple[Hashable, Segment]]) -> bool:
     """Whether no two links properly cross (a plane embedding)."""
-    crossings = compute_cross_links(links)
-    return all(not others for others in crossings.values())
+    return not any(compute_cross_links(links))
 
 
 def crossing_pairs(
     links: Sequence[Tuple[LinkKey, Segment]],
 ) -> List[Tuple[LinkKey, LinkKey]]:
     """All unordered crossing pairs, each reported once (earlier link first)."""
-    order = {key: index for index, (key, _) in enumerate(links)}
     return [
-        (key, other)
-        for key, others in compute_cross_links(links).items()
-        for other in others
-        if order[key] < order[other]
+        (links[i][0], links[j][0])
+        for i, row in enumerate(compute_cross_links(links))
+        for j in row
+        if i < j
     ]

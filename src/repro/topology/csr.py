@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Iterable, List, Tuple, TYPE_CHECKING
 
-from ..geometry import SpatialGrid
+from ..geometry import SpatialGrid, compute_cross_links
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import Link, Topology
@@ -128,9 +128,9 @@ class CSRView:
         #: Lazily built :class:`~repro.geometry.spatial.SpatialGrid` over
         #: node points and link segments — populated by :func:`region_index`.
         self.grid_cache = None
-        #: Lazily built §III-C crossing map (link -> links across it),
-        #: computed on ``grid_cache`` — populated by
-        #: ``Topology.all_cross_links``.
+        #: Lazily built §III-C crossing rows (link id -> sorted ids of the
+        #: links across it), computed on ``grid_cache`` — populated by
+        #: :func:`cross_rows`.
         self.cross_cache = None
 
     # ------------------------------------------------------------------
@@ -194,7 +194,7 @@ def region_index(topo: "Topology") -> SpatialGrid:
 
     Both of its users read it: failure areas
     (:meth:`~repro.failures.model.FailureScenario.from_region`) and the
-    cross-link precompute (:meth:`~repro.topology.graph.Topology.all_cross_links`).
+    cross-link precompute (:func:`cross_rows`).
     """
     csr = topo.csr()
     grid = csr.grid_cache
@@ -204,6 +204,31 @@ def region_index(topo: "Topology") -> SpatialGrid:
             [(link, topo.segment(link)) for link in topo.links()],
         )
     return grid
+
+
+def cross_rows(topo: "Topology") -> Tuple[Tuple[int, ...], ...]:
+    """The §III-C crossing relation of ``topo`` by link id (once per CSR view).
+
+    ``rows[lid]`` is the sorted tuple of the ids of the links that properly
+    cross link ``lid``; a retired id gets ``()``.  Computed on
+    :func:`region_index`, the grid failure areas query.
+    """
+    csr = topo.csr()
+    rows = csr.cross_cache
+    if rows is None:
+        grid = region_index(topo)
+        rows = compute_cross_links(
+            [(link, topo.segment(link)) for link in grid.segment_keys], grid
+        )
+        if len(rows) < csr.lid_size:
+            # Retired ids are not in the grid: move positions onto ids.
+            lids = [csr.pair_lid[link] for link in grid.segment_keys]
+            by_lid: List[Tuple[int, ...]] = [()] * csr.lid_size
+            for lid, row in zip(lids, rows):
+                by_lid[lid] = tuple(lids[j] for j in row)
+            rows = by_lid
+        rows = csr.cross_cache = tuple(rows)
+    return rows
 
 
 class Exclusion:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..geometry import Circle, Point
+from .csr import cross_rows
 from .graph import Topology
 
 #: Paper node id -> plane position (x grows right, y grows up).
@@ -110,15 +111,12 @@ def planarize(topo: Topology) -> Topology:
     """
     result = topo.copy(name=f"{topo.name}-planarized")
     while True:
-        crossings = result.all_cross_links()
-        worst = None
-        worst_count = 0
-        for link, others in crossings.items():
-            if len(others) > worst_count:
-                worst, worst_count = link, len(others)
-        if worst is None or worst_count == 0:
+        rows = cross_rows(result)
+        worst = max(range(len(rows)), key=lambda lid: len(rows[lid]), default=None)
+        if worst is None or not rows[worst]:
             return result
-        result.remove_link(worst.u, worst.v)
+        link = result.link_at(worst)
+        result.remove_link(link.u, link.v)
 
 
 def paper_planar_topology() -> Topology:

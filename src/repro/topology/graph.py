@@ -18,7 +18,7 @@ import math
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, TYPE_CHECKING
 
 from ..errors import TopologyError, UnknownLinkError, UnknownNodeError
-from ..geometry import Point, Segment, compute_cross_links
+from ..geometry import Point, Segment
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
     from .csr import CSRView
@@ -275,28 +275,22 @@ class Topology:
     # ------------------------------------------------------------------
 
     def cross_links(self, link: Link) -> Set[Link]:
-        """Links that geometrically cross ``link`` (cached per CSR view)."""
-        try:
-            return self.all_cross_links()[link]
-        except KeyError:
-            raise UnknownLinkError(link) from None
+        """Links that geometrically cross ``link``, as a new set.
 
-    def all_cross_links(self) -> Dict[Link, Set[Link]]:
-        """The complete precomputed crossing map (cached per CSR view).
-
-        Computed on the view's spatial grid, the one failure areas query.
+        Built from the link's row of :func:`~repro.topology.csr.cross_rows`
+        (computed once per CSR view); editing the set leaves the relation
+        alone.
         """
-        csr = self.csr()
-        if csr.cross_cache is None:
-            from .csr import region_index
+        from .csr import cross_rows
 
-            pairs = [(lk, self.segment(lk)) for lk in self.links()]
-            csr.cross_cache = compute_cross_links(pairs, region_index(self))
-        return csr.cross_cache
+        links = self.csr().links
+        return {links[lid] for lid in cross_rows(self)[self.link_index(link)]}
 
     def is_planar_embedding(self) -> bool:
         """Whether no two links cross in this embedding."""
-        return all(not s for s in self.all_cross_links().values())
+        from .csr import cross_rows
+
+        return not any(cross_rows(self))
 
     # ------------------------------------------------------------------
     # Connectivity

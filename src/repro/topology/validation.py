@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..errors import TopologyError
+from .csr import cross_rows
 from .graph import Topology
 
 
@@ -56,7 +57,7 @@ def average_link_length(topo: Topology) -> float:
 
 def crossing_count(topo: Topology) -> int:
     """Number of unordered link pairs that properly cross."""
-    return sum(len(s) for s in topo.all_cross_links().values()) // 2
+    return sum(map(len, cross_rows(topo))) // 2
 
 
 def stats(topo: Topology) -> Dict[str, object]:

@@ -10,41 +10,45 @@ def make_state(topo, header=None):
     return CrossLinkState(topo, header or RecoveryHeader())
 
 
+def lid(topo, a, b):
+    return topo.link_index(Link.of(a, b))
+
+
 class TestRecording:
     def test_record_updates_header(self, paper_topo):
         header = RecoveryHeader()
         state = make_state(paper_topo, header)
-        assert state.record(Link.of(6, 11))
+        assert state.record(lid(paper_topo, 6, 11))
         assert header.cross_links == [Link.of(6, 11)]
 
     def test_record_deduplicates(self, paper_topo):
         state = make_state(paper_topo)
-        assert state.record(Link.of(6, 11))
-        assert not state.record(Link.of(6, 11))
+        assert state.record(lid(paper_topo, 6, 11))
+        assert not state.record(lid(paper_topo, 6, 11))
 
     def test_resumes_from_existing_header(self, paper_topo):
         # Multi-area recovery hands a pre-populated header to a new
         # initiator; the state must honour its contents.
         header = RecoveryHeader(cross_links=[Link.of(6, 11)])
         state = make_state(paper_topo, header)
-        assert state.is_excluded(Link.of(5, 12))
+        assert state.is_excluded(lid(paper_topo, 5, 12))
 
 
 class TestExclusion:
     def test_crossing_link_excluded(self, paper_topo):
         state = make_state(paper_topo)
-        state.record(Link.of(6, 11))
-        assert state.is_excluded(Link.of(5, 12))
+        state.record(lid(paper_topo, 6, 11))
+        assert state.is_excluded(lid(paper_topo, 5, 12))
 
     def test_non_crossing_link_allowed(self, paper_topo):
         state = make_state(paper_topo)
-        state.record(Link.of(6, 11))
-        assert not state.is_excluded(Link.of(5, 4))
+        state.record(lid(paper_topo, 6, 11))
+        assert not state.is_excluded(lid(paper_topo, 5, 4))
 
     def test_empty_state_excludes_nothing(self, paper_topo):
         state = make_state(paper_topo)
         for link in paper_topo.links():
-            assert not state.is_excluded(link)
+            assert not state.is_excluded(paper_topo.link_index(link))
 
 
 class TestConstraint1Seeding:
@@ -76,7 +80,7 @@ class TestConstraint2AfterSelection:
     def test_records_when_crossed_by_unexcluded_link(self, paper_topo):
         state = make_state(paper_topo)
         # e12,14 is crossed by e11,15/e11,16, neither excluded yet.
-        assert state.after_selection(Link.of(12, 14))
+        assert state.after_selection(lid(paper_topo, 12, 14))
         assert Link.of(12, 14) in state.recorded_links()
 
     def test_no_record_when_crossers_already_excluded(self):
@@ -94,11 +98,11 @@ class TestConstraint2AfterSelection:
         c = topo.add_link(4, 5)
         assert topo.cross_links(c) == {b}
         state = make_state(topo)
-        state.record(a)
-        assert not state.after_selection(c)
+        state.record(topo.link_index(a))
+        assert not state.after_selection(topo.link_index(c))
         assert state.recorded_links() == {a}
 
     def test_no_record_for_crossing_free_link(self, paper_topo):
         state = make_state(paper_topo)
-        assert not state.after_selection(Link.of(7, 8))
+        assert not state.after_selection(lid(paper_topo, 7, 8))
         assert state.recorded_links() == set()

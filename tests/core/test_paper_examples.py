@@ -122,9 +122,8 @@ class TestFig4Disorder:
 class TestFig6CrossLinkBlocking:
     def test_e14_12_blocks_v11_exits(self, paper_topo):
         # "At v11, e14,12 blocks e11,15 and e11,16."
-        crossings = paper_topo.all_cross_links()
-        assert Link.of(14, 12) in crossings[Link.of(11, 15)]
-        assert Link.of(14, 12) in crossings[Link.of(11, 16)]
+        assert Link.of(14, 12) in paper_topo.cross_links(Link.of(11, 15))
+        assert Link.of(14, 12) in paper_topo.cross_links(Link.of(11, 16))
 
 
 class TestPlanarExample:

@@ -75,9 +75,9 @@ class TestSelectNextHop:
     def test_skips_excluded(self):
         topo = plus_topology()
         view = view_with(topo)
-        blocked = {Link.of(0, 2), Link.of(0, 3)}
+        blocked = {topo.link_index(Link.of(0, 2)), topo.link_index(Link.of(0, 3))}
         chosen = select_next_hop(
-            topo, view, 0, 1, is_excluded=lambda link: link in blocked
+            topo, view, 0, 1, is_excluded=lambda lid: lid in blocked
         )
         assert chosen == 4
 
@@ -111,8 +111,8 @@ class TestSweepGeometry:
         view = LocalView(paper_scenario)
         blocked_by = Link.of(6, 11)
 
-        def excluded(link):
-            return blocked_by in paper_topo.cross_links(link)
+        def excluded(lid):
+            return blocked_by in paper_topo.cross_links(paper_topo.link_at(lid))
 
         assert select_next_hop(paper_topo, view, 5, 6, excluded) == 4
 

@@ -5,12 +5,13 @@ ran before it paired the links that share a spatial-grid cell, kept
 verbatim: links sorted by the left edge of their bounding box, every
 later link whose box overlaps tested with :func:`segments_cross_raw`.  It
 uses no grid, so it cannot miss a candidate; ``test_planarity_np.py``
-requires the production map to equal this one.
+requires the production rows, read as sets by :func:`rows_as_map`, to
+equal this map.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 from repro.geometry import Segment
 from repro.geometry.planarity import segments_cross_raw
@@ -23,6 +24,20 @@ def _bbox(segment: Segment) -> Tuple[float, float, float, float]:
         max(segment.a.x, segment.b.x),
         max(segment.a.y, segment.b.y),
     )
+
+
+def rows_as_map(
+    links: Sequence[Tuple[Hashable, Segment]], rows: List[Tuple[int, ...]]
+) -> Dict[Hashable, Set[Hashable]]:
+    """Crossing rows over positions as the key -> set-of-keys map.
+
+    Asserts the row shape on the way: one row per link, each a sorted
+    tuple of distinct positions.
+    """
+    assert len(rows) == len(links)
+    for row in rows:
+        assert isinstance(row, tuple) and list(row) == sorted(set(row))
+    return {links[i][0]: {links[j][0] for j in row} for i, row in enumerate(rows)}
 
 
 def reference_cross_links(

@@ -8,25 +8,34 @@ from repro.geometry import (
     is_planar_embedding,
 )
 
+from .reference_cross_links import reference_cross_links, rows_as_map
+
 
 def seg(x1, y1, x2, y2) -> Segment:
     return Segment(Point(x1, y1), Point(x2, y2))
 
 
+def crossing_map(links):
+    """The rows of ``compute_cross_links``, checked against the reference."""
+    crossings = rows_as_map(links, compute_cross_links(links))
+    assert crossings == reference_cross_links(links)
+    return crossings
+
+
 class TestComputeCrossLinks:
     def test_simple_x(self):
         links = [("a", seg(0, 0, 10, 10)), ("b", seg(0, 10, 10, 0))]
-        crossings = compute_cross_links(links)
-        assert crossings == {"a": {"b"}, "b": {"a"}}
+        assert compute_cross_links(links) == [(1,), (0,)]
+        assert crossing_map(links) == {"a": {"b"}, "b": {"a"}}
 
     def test_no_crossings(self):
         links = [("a", seg(0, 0, 1, 0)), ("b", seg(0, 1, 1, 1))]
-        crossings = compute_cross_links(links)
-        assert crossings == {"a": set(), "b": set()}
+        assert compute_cross_links(links) == [(), ()]
+        assert crossing_map(links) == {"a": set(), "b": set()}
 
     def test_shared_endpoints_dont_cross(self):
         links = [("a", seg(0, 0, 5, 5)), ("b", seg(5, 5, 10, 0))]
-        crossings = compute_cross_links(links)
+        crossings = crossing_map(links)
         assert crossings == {"a": set(), "b": set()}
 
     def test_one_link_crossing_many(self):
@@ -34,7 +43,8 @@ class TestComputeCrossLinks:
         links = [("h", seg(0, 5, 30, 5))] + [
             (f"v{i}", seg(10 * i + 5, 0, 10 * i + 5, 10)) for i in range(3)
         ]
-        crossings = compute_cross_links(links)
+        assert compute_cross_links(links)[0] == (1, 2, 3)
+        crossings = crossing_map(links)
         assert crossings["h"] == {"v0", "v1", "v2"}
         for i in range(3):
             assert crossings[f"v{i}"] == {"h"}
@@ -45,19 +55,20 @@ class TestComputeCrossLinks:
             ("b", seg(0, 10, 10, 0)),
             ("c", seg(20, 0, 30, 0)),
         ]
-        crossings = compute_cross_links(links)
-        for k, others in crossings.items():
-            for other in others:
-                assert k in crossings[other]
+        rows = compute_cross_links(links)
+        for i, row in enumerate(rows):
+            for j in row:
+                assert i in rows[j]
+        crossing_map(links)
 
     def test_far_apart_links_skipped_by_sweep(self):
         # Exercise the early-exit path with widely separated segments.
         links = [(i, seg(100 * i, 0, 100 * i + 10, 10)) for i in range(20)]
-        crossings = compute_cross_links(links)
+        crossings = crossing_map(links)
         assert all(not s for s in crossings.values())
 
     def test_empty_input(self):
-        assert compute_cross_links([]) == {}
+        assert compute_cross_links([]) == []
 
 
 class TestPlanarityPredicates:
@@ -84,10 +95,9 @@ class TestPaperTopologyCrossings:
     def test_expected_crossings_present(self, paper_topo):
         from repro.topology import Link
 
-        crossings = paper_topo.all_cross_links()
-        assert Link.of(6, 11) in crossings[Link.of(5, 12)]
-        assert Link.of(12, 14) in crossings[Link.of(11, 15)]
-        assert Link.of(12, 14) in crossings[Link.of(11, 16)]
+        assert Link.of(6, 11) in paper_topo.cross_links(Link.of(5, 12))
+        assert Link.of(12, 14) in paper_topo.cross_links(Link.of(11, 15))
+        assert Link.of(12, 14) in paper_topo.cross_links(Link.of(11, 16))
 
     def test_planarized_paper_topology_has_no_crossings(self, paper_planar):
         assert paper_planar.is_planar_embedding()

@@ -1,16 +1,16 @@
 """The grid relation behind ``compute_cross_links`` equals the reference sweep.
 
 ``reference_cross_links.py`` tests every pair of links whose bounding
-boxes overlap.  The production map tests only links that share a
+boxes overlap.  The production rows test only links that share a
 ``SpatialGrid`` cell — as arrays when numpy is importable, pair by pair
-otherwise — so both must equal the reference on the inputs where a cell
-filter can go wrong: the catalog, ``scale:2000`` (long backbone
-uplinks), ``grid:6x7`` (collinear lattice links), random soups of mixed
-lengths, hypothesis soups of collinear overlaps, T-touches, shared
-endpoints and zero-length segments, and a touch within ``EPSILON``
-across a cell border.  ``TestVectorizedParity`` is the numpy half and is
-skipped without numpy; ``TestPythonParity`` runs the same inputs with
-numpy hidden.
+otherwise — so both, read as sets, must equal the reference on the
+inputs where a cell filter can go wrong: the catalog, ``scale:2000``
+(long backbone uplinks), ``grid:6x7`` (collinear lattice links), random
+soups of mixed lengths, hypothesis soups of collinear overlaps,
+T-touches, shared endpoints and zero-length segments, a touch within
+``EPSILON`` across a cell border, and a topology with retired link ids.
+``TestVectorizedParity`` is the numpy half and is skipped without numpy;
+``TestPythonParity`` runs the same inputs with numpy hidden.
 """
 
 from __future__ import annotations
@@ -22,14 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import UnknownLinkError
 from repro.geometry import planarity
 from repro.geometry.planarity import compute_cross_links
 from repro.geometry.point import EPSILON, Point
 from repro.geometry.segment import Segment
 from repro.topology import Link, Topology, isp_catalog, topology_from_spec
-from repro.topology.csr import region_index
+from repro.topology.csr import cross_rows, region_index
 
-from .reference_cross_links import reference_cross_links
+from .reference_cross_links import reference_cross_links, rows_as_map
 
 needs_numpy = pytest.mark.skipif(planarity._np is None, reason="vectorized pairing requires numpy")
 
@@ -96,10 +97,13 @@ soups = st.tuples(
 
 
 class _Parity:
-    """Every parity input; a subclass says how the map is computed."""
+    """Every parity input; a subclass says how the rows are computed."""
 
     def cross(self, links, grid=None):
-        return compute_cross_links(links, grid)
+        return rows_as_map(links, compute_cross_links(links, grid))
+
+    def rows(self, topo):
+        return cross_rows(topo)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_mixed_lengths(self, seed):
@@ -157,13 +161,33 @@ class _Parity:
         assert self.cross(links, grid) == {a: {b}, b: {a}}
         assert self.cross(links) == {a: {b}, b: {a}}
 
+    def test_retired_link_ids(self):
+        topo = shared("AS3549").copy()
+        retired = {topo.link_index(link): link for link in list(topo.links())[::4]}
+        for link in retired.values():
+            topo.remove_link(link.u, link.v)
+        rows = self.rows(topo)
+        assert len(rows) == topo.csr().lid_size
+        assert all(rows[lid] == () for lid in retired)
+        assert all(list(row) == sorted(set(row)) for row in rows)
+        got = {
+            topo.link_at(lid): {topo.link_at(other) for other in row}
+            for lid, row in enumerate(rows)
+            if lid not in retired
+        }
+        assert got == reference_cross_links(topology_links(topo))
+        assert any(got.values())
+        with pytest.raises(UnknownLinkError):
+            topo.cross_links(next(iter(retired.values())))
+
 
 @needs_numpy
 class TestVectorizedParity(_Parity):
     def test_topology_map_is_cached_on_the_grid_relation(self):
         topo = shared("AS3549")
-        assert topo.all_cross_links() == reference_of("AS3549")
-        assert topo.all_cross_links() is topo.csr().cross_cache
+        rows = cross_rows(topo)
+        assert rows_as_map(topology_links(topo), rows) == reference_of("AS3549")
+        assert cross_rows(topo) is rows is topo.csr().cross_cache
 
 
 def without_numpy(links, grid=None):
@@ -176,7 +200,14 @@ def without_numpy(links, grid=None):
 
 class TestPythonParity(_Parity):
     def cross(self, links, grid=None):
-        return without_numpy(links, grid)
+        return rows_as_map(links, without_numpy(links, grid))
+
+    def rows(self, topo):
+        saved, planarity._np = planarity._np, None
+        try:
+            return cross_rows(topo)
+        finally:
+            planarity._np = saved
 
 
 @pytest.mark.parametrize(
@@ -194,17 +225,17 @@ def test_segment_soups(cross, soup):
         (i, Segment(Point(p.x * scale, p.y * scale), Point(q.x * scale, q.y * scale)))
         for i, (p, q) in enumerate(ends)
     ]
-    assert cross(links) == reference_cross_links(links)
+    assert rows_as_map(links, cross(links)) == reference_cross_links(links)
 
 
 class TestDispatch:
     def test_no_numpy_falls_back(self, monkeypatch):
         monkeypatch.setattr(planarity, "_np", None)
         monkeypatch.setattr(
-            planarity, "_crossings_numpy", lambda *a: pytest.fail("numpy pairing ran")
+            planarity, "_rows_numpy", lambda *a: pytest.fail("numpy pairing ran")
         )
         links = random_links(3, 30)
-        assert compute_cross_links(links) == reference_cross_links(links)
+        assert rows_as_map(links, compute_cross_links(links)) == reference_cross_links(links)
 
     def test_grid_must_hold_the_links(self):
         topo = shared("grid:6x7")

@@ -230,3 +230,10 @@ class TestCrossLinksCache:
     def test_unknown_link(self, paper_topo):
         with pytest.raises(UnknownLinkError):
             paper_topo.cross_links(Link.of(1, 18))
+
+    def test_returned_set_is_a_copy(self, paper_topo):
+        crossers = paper_topo.cross_links(Link.of(5, 12))
+        crossers.add(Link.of(1, 2))
+        crossers.discard(Link.of(6, 11))
+        assert paper_topo.cross_links(Link.of(5, 12)) == {Link.of(6, 11)}
+
