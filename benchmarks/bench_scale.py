@@ -3,17 +3,18 @@
 Times three workloads on `scale:` topologies of growing size (1k / 10k /
 50k nodes by default):
 
-* **single-source Dijkstra** on both kernels the backend selector picks
-  between (the pure-Python reference ``_dijkstra_csr_kernel`` and the
-  vectorized ``dijkstra_numpy``), called directly and parity-checked per
-  root;
+* **single-source Dijkstra** on the heap reference ``_dijkstra_csr_kernel``
+  and the vectorized ``dijkstra_numpy``, called directly and
+  parity-checked per root;
 * **batched multi-source Dijkstra** (`batched_dijkstra_arrays`), the
   array-level path the traffic engine's `RoutingTable.warm` rides;
 * **traffic-weighted Table III** (`scale:50000` only) — the end-to-end
   sweep: demand matrix, 1M flows, circular failures, RTR/FCP recovery.
 
-Asserted on every run: numpy and Python single-source trees are
-bit-identical at every size (a correctness bar, not a perf one).  The
+Asserted on every run: numpy trees and the untimed level-order BFS
+trees (``_bfs_csr_kernel``, which serves unit-cost graphs below the numpy
+threshold) are bit-identical to the heap reference at every size — deep,
+many-level unit graphs (a correctness bar, not a perf one).  The
 former in-script speedup and wall-clock bars are retired — the perf gate
 is ``repro query regress``, run by CI against the checked-in trajectory
 after this bench records its measurements (to the ``REPRO_STORE`` run
@@ -46,7 +47,7 @@ from _bench_utils import emit, record_bench
 
 from repro.obs import config_hash
 from repro.routing import dijkstra_run_count
-from repro.routing.dijkstra import _dijkstra_csr_kernel
+from repro.routing.dijkstra import _bfs_csr_kernel, _dijkstra_csr_kernel
 from repro.routing.kernels import (
     batched_dijkstra_arrays,
     dijkstra_numpy,
@@ -125,6 +126,12 @@ def main(argv: list) -> int:
         )
 
         wall_py, prints_py = time_single_source(topo, roots, "python")
+        prints_bfs = [
+            fingerprint(_bfs_csr_kernel(topo, r, False, None, None)) for r in roots
+        ]
+        if prints_bfs != prints_py:
+            print(f"scale-bench: FAIL — level-order BFS mismatch at {n} nodes")
+            failed = True
         record_bench(
             f"dijkstra_python@{n}",
             wall_py,

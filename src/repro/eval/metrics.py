@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..simulator import RecoveryResult
 from .cases import TestCase
-from .cdf import summarize
 
 #: Tolerance when comparing path costs for optimality.
 COST_TOLERANCE = 1e-9
@@ -259,8 +258,3 @@ def savings_ratio(baseline: float, ours: float) -> float:
     if baseline <= 0:
         return 0.0
     return 1.0 - ours / baseline
-
-
-def describe_sample(values: Sequence[float]) -> Dict[str, float]:
-    """Shortcut to :func:`repro.eval.cdf.summarize`."""
-    return summarize(values)

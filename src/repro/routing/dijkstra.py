@@ -18,10 +18,12 @@ tables and recovery paths are reproducible across runs, and hop-by-hop
 forwarding built from per-destination reverse trees is loop-free even among
 equal-cost alternatives.
 
-Large graphs dispatch to the vectorized numpy kernels in
-:mod:`repro.routing.kernels` (:func:`~repro.routing.kernels.select_backend`
-keeps small graphs and targeted queries here).  The numpy kernels are
-bit-identical to this reference on the graphs they accept.
+:func:`~repro.routing.kernels.select_backend` picks one of three kernels
+per tree: the vectorized numpy kernels of :mod:`repro.routing.kernels` on
+large exact graphs, the level-order BFS below on other unit-cost
+(hop-count) graphs, and the heap kernel — the reference — for targeted
+queries and every other cost.  Both alternatives are bit-identical to the
+reference on the graphs they accept.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ def _dijkstra_csr(
         kernel = lambda: kernels.dijkstra_numpy(  # noqa: E731
             topo, np_view, root, toward_root, node_excl, link_excl
         )
+    elif backend == "bfs":
+        kernel = lambda: _bfs_csr_kernel(  # noqa: E731
+            topo, root, toward_root, node_excl, link_excl
+        )
     else:
         kernel = lambda: _dijkstra_csr_kernel(  # noqa: E731
             topo, root, toward_root, node_excl, link_excl, target
@@ -82,6 +88,26 @@ def _dijkstra_csr(
     with obs.span("dijkstra.csr"):
         obs.inc("dijkstra.runs")
         return kernel()
+
+
+def _tree_from_lists(
+    csr, root: int, dist, parent, toward_root: bool
+) -> ShortestPathTree:
+    """The tree of dense ``dist`` / ``parent`` lists (``inf`` / -1 = none).
+
+    Every pure-Python kernel builds its dicts here, in ascending-index
+    (hence ascending-id) order, so their insertion order agrees.
+    """
+    ids = csr.ids
+    dist_map = {}
+    parent_map = {}
+    for i in range(csr.n):
+        d = dist[i]
+        if d != _INF:
+            dist_map[ids[i]] = d
+            p = parent[i]
+            parent_map[ids[i]] = ids[p] if p >= 0 else None
+    return ShortestPathTree(root, dist_map, parent_map, toward_root)
 
 
 def _dijkstra_csr_kernel(
@@ -135,16 +161,63 @@ def _dijkstra_csr_kernel(
                 # Deterministic tie-break: keep the smaller parent id
                 # (index order equals id order by construction).
                 parent[v] = u
-    ids = csr.ids
-    dist_map = {}
-    parent_map = {}
-    for i in range(n):
-        d = dist[i]
-        if d != _INF:
-            dist_map[ids[i]] = d
-            p = parent[i]
-            parent_map[ids[i]] = ids[p] if p >= 0 else None
-    return ShortestPathTree(root, dist_map, parent_map, toward_root)
+    return _tree_from_lists(csr, root, dist, parent, toward_root)
+
+
+def _bfs_csr_kernel(
+    topo: Topology,
+    root: int,
+    toward_root: bool,
+    node_excl: Optional[bytearray],
+    link_excl: Optional[bytearray],
+) -> ShortestPathTree:
+    """Level-order BFS, bit-identical to the heap kernel on a unit view.
+
+    With every cost 1.0 the heap pops in (level, index) order, so each
+    node's parent is the smallest-index usable neighbour one level up.
+    Scanning every frontier in ascending index and letting the first
+    scan claim a node picks exactly that parent; levels are the floats
+    ``k.0`` the heap's sums of 1.0 produce.  DESIGN.md §12 has the
+    argument.  Both orientations relax the same arcs, so ``toward_root``
+    only labels the tree.
+    """
+    csr = topo.csr()
+    root_index = csr.pos.get(root)
+    if root_index is None:
+        raise UnknownNodeError(root)
+
+    indptr = csr.indptr
+    nbr = csr.nbr
+    lid = csr.lid
+
+    n = csr.n
+    dist = [_INF] * n
+    parent = [-1] * n
+    # Excluded nodes start out claimed, so no scan enters them; the root
+    # is pinned and expanded even when excluded, as the heap kernel does.
+    claimed = bytearray(n) if node_excl is None else bytearray(node_excl)
+    claimed[root_index] = 1
+    dist[root_index] = 0.0
+    frontier = [root_index]
+    level = 0.0
+    while frontier:
+        level += 1.0
+        found = []
+        for u in frontier:
+            for i in range(indptr[u], indptr[u + 1]):
+                v = nbr[i]
+                if claimed[v]:
+                    continue
+                if link_excl is not None and link_excl[lid[i]]:
+                    continue
+                claimed[v] = 1
+                dist[v] = level
+                parent[v] = u
+                found.append(v)
+        # Discovery order is not index order; the parent rule needs the latter.
+        found.sort()
+        frontier = found
+    return _tree_from_lists(csr, root, dist, parent, toward_root)
 
 
 def _dijkstra(
@@ -253,16 +326,7 @@ def _penalized_csr_kernel(
                 heappush(heap, (candidate, v))
             elif candidate <= known + 1e-12 and u < parent[v]:
                 parent[v] = u
-    ids = csr.ids
-    dist_map = {}
-    parent_map = {}
-    for i in range(n):
-        d = dist[i]
-        if d != _INF:
-            dist_map[ids[i]] = d
-            p = parent[i]
-            parent_map[ids[i]] = ids[p] if p >= 0 else None
-    return ShortestPathTree(root, dist_map, parent_map, toward_root=False)
+    return _tree_from_lists(csr, root, dist, parent, toward_root=False)
 
 
 def penalized_shortest_path_tree(
@@ -279,9 +343,11 @@ def penalized_shortest_path_tree(
     penalty units (see :class:`repro.te.penalty.LinkPenalty`); ``quant``
     is the integer quantization base, so zero units everywhere yields the
     base-metric SPT with all distances scaled by ``quant``.  The backend
-    is the base dispatcher's (:func:`~repro.routing.kernels.select_backend`,
-    bit-identical numpy on large exact graphs), kept on the reference
-    kernel when the penalized products could exceed 2**53.  Tree
+    is the base dispatcher's numpy choice
+    (:func:`~repro.routing.kernels.select_backend`, bit-identical on large
+    exact graphs), kept on the heap kernel when the penalized products
+    could exceed 2**53 and everywhere else: penalized weights are not
+    unit costs, so the BFS never serves them.  Tree
     distances are in penalized units — re-cost paths with
     :func:`repro.te.penalty.recost_path` before comparing against
     base-metric optima.

@@ -4,16 +4,24 @@ The heap-based pure-Python kernel in :mod:`repro.routing.dijkstra` is the
 *reference*: every golden byte in the repo is pinned to its output.  This
 module adds numpy kernels that reproduce that output **bit for bit** on
 the graphs where that equivalence is provable, plus the rule that
-decides which backend a given computation uses.
+decides which kernel a given computation uses.
 
-Backend selection (:func:`select_backend`) is one rule: numpy when the
-query has no early-termination target, the graph has at least
-:data:`AUTO_MIN_NODES` nodes, and its costs are *exact* (strictly
-positive integers, see :class:`~repro.topology.npcsr.NumpyCSR`) — which
-also requires numpy to be importable; the reference kernel otherwise.
-Below the threshold the per-call numpy overhead rivals the whole
-pure-Python run; targeted queries and non-integral costs have no exact
-vectorized equivalent.
+Backend selection (:func:`select_backend`) is one rule with three
+outcomes, and no setting:
+
+* **numpy** when the query has no early-termination target, the graph
+  has at least :data:`AUTO_MIN_NODES` nodes, and its costs are *exact*
+  (strictly positive integers, see
+  :class:`~repro.topology.npcsr.NumpyCSR`) — which also requires numpy
+  to be importable.  Below the threshold the per-call numpy overhead
+  rivals the whole pure-Python run.
+* **bfs** — the pure-Python level-order kernel of
+  :mod:`repro.routing.dijkstra` — when there is no target and every cost
+  is 1.0 (``CSRView.unit``, hop-count routing, as every built-in
+  generator emits).
+* **heap**, the reference, otherwise: targeted queries and non-unit
+  costs (penalized metrics, weighted ``file:`` graphs) have no exact
+  level-order or vectorized equivalent.
 
 Why bit-identical is achievable: with strictly positive integer costs,
 every distance is an exactly-representable integer, so the reference
@@ -73,18 +81,28 @@ def _eligible_view(csr) -> Optional[NumpyCSR]:
 def select_backend(csr, target: Optional[int] = None) -> Tuple[str, Optional[NumpyCSR]]:
     """Resolve the backend for one single-source computation.
 
-    Returns ``("python", None)`` or ``("numpy", mirror)``.  ``target`` is
-    the early-exit destination, which always keeps the reference kernel
-    (a partially settled tree has no whole-array equivalent).  The node
-    count is checked before the mirror is built, so small graphs never
-    pay for one.
+    Returns ``("numpy", mirror)``, ``("bfs", None)`` or ``("heap", None)``:
+
+    * numpy — no ``target``, at least :data:`AUTO_MIN_NODES` nodes and
+      exact costs;
+    * bfs — no ``target`` and a unit-cost view (``csr.unit``): the
+      pure-Python level-order kernel;
+    * heap — the reference kernel, for everything else.
+
+    ``target`` is the early-exit destination, which always keeps the heap
+    kernel (a partially settled tree has no whole-tree equivalent).  The
+    node count is checked before the mirror is built, so small graphs
+    never pay for one.
     """
-    if target is not None or csr.n < AUTO_MIN_NODES:
-        return "python", None
-    view = _eligible_view(csr)
-    if view is None:
-        return "python", None
-    return "numpy", view
+    if target is not None:
+        return "heap", None
+    if csr.n >= AUTO_MIN_NODES:
+        view = _eligible_view(csr)
+        if view is not None:
+            return "numpy", view
+    if csr.unit:
+        return "bfs", None
+    return "heap", None
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +365,7 @@ def batched_dijkstra_arrays(
     graphs run dense chunked sweeps (:data:`BATCH_CHUNK` roots at a time)
     so the per-sweep work is one (chunk x arcs) gather.  Requires numpy
     and exact costs (:func:`batched_trees` falls back to per-root
-    reference trees otherwise).
+    pure-Python trees otherwise).
     """
     global _NUMPY_RUNS
     np = numpy_or_none()
@@ -424,7 +442,8 @@ def batched_trees(
     """Many single-source trees in one call, bit-identical to the reference.
 
     Uses the batched numpy kernel when eligible; otherwise falls back to
-    per-root reference Dijkstra (same results, just not batched).
+    per-root pure-Python trees, each on the kernel :func:`select_backend`
+    picks (same results, just not batched).
     """
     from . import dijkstra as _dijkstra_mod
 

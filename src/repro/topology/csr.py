@@ -58,6 +58,9 @@ class CSRView:
     links:
         Interned link id -> the topology's own ``Link`` (``None`` once
         retired); ``links[pair_lid[(u, v)]]`` is ``Link.of(u, v)``, unbuilt.
+    unit:
+        Whether every directed cost is exactly 1.0 (hop-count routing):
+        shortest-path trees are then level-order BFS trees.
     """
 
     __slots__ = (
@@ -72,6 +75,7 @@ class CSRView:
         "pair_lid",
         "links",
         "n",
+        "unit",
         "lid_size",
         "np_cache",
         "sweep_cache",
@@ -116,6 +120,7 @@ class CSRView:
         self.pair_lid = pair_lid
         self.links = tuple(topo._links)
         self.n = len(ids)
+        self.unit = wfwd.count(1.0) == len(wfwd) and wrev.count(1.0) == len(wrev)
         #: One past the largest interned link id (retired ids included, so
         #: flag arrays stay indexable by any id ever handed out).
         self.lid_size = len(topo._links)

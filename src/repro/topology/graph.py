@@ -361,16 +361,3 @@ class Topology:
             f"Topology(name={self.name!r}, nodes={self.node_count}, "
             f"links={self.link_count})"
         )
-
-
-def complete_graph_positions(n: int, scale: float = 1000.0) -> Dict[int, Point]:
-    """Positions of ``n`` nodes evenly spaced on a circle (test helper)."""
-    import math
-
-    return {
-        i: Point(
-            scale + scale * math.cos(2 * math.pi * i / n),
-            scale + scale * math.sin(2 * math.pi * i / n),
-        )
-        for i in range(n)
-    }

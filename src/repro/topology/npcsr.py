@@ -18,8 +18,9 @@ contiguous buffers instead of per-element Python bytecode:
   DESIGN.md §12).  All built-in generators (catalog, grid, ring, scale)
   emit unit costs, so the flag is almost always true; a loaded topology
   with fractional or zero costs simply keeps the Python kernels;
-* ``unit`` — whether every directed cost is exactly 1.0, which turns
-  Dijkstra into BFS and unlocks the O(arcs) frontier-wave kernel.
+* ``unit`` — the list view's own flag (every directed cost exactly
+  1.0), which turns Dijkstra into BFS and unlocks the O(arcs)
+  frontier-wave kernel.
 
 Everything degrades gracefully without numpy: :func:`numpy_or_none`
 returns ``None`` and no mirror is ever built.
@@ -117,14 +118,10 @@ class NumpyCSR:
                 worst = max(float(self.wfwd.max()), float(self.wrev.max()))
                 integral = worst * max(n, 1) < 2.0**53
             self.exact = integral
-            self.unit = bool(
-                self.exact
-                and (self.wfwd == 1.0).all()
-                and (self.wrev == 1.0).all()
-            )
         else:
             self.exact = True
-            self.unit = True
+        # All-1.0 costs are integral with path sums of at most n: exact.
+        self.unit = view.unit
 
     def __repr__(self) -> str:
         return f"NumpyCSR(nodes={self.n}, arcs={self.m}, exact={self.exact})"

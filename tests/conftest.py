@@ -29,8 +29,9 @@ class KernelBackend:
 
     ``use("numpy")`` lowers :data:`repro.routing.kernels.AUTO_MIN_NODES` to
     0, so every exact graph runs the vectorized kernels; ``use("python")``
-    raises it past any graph, so everything runs the reference kernel.
-    Targeted queries and non-integral costs stay on the reference kernel
+    raises it past any graph, so everything runs the pure-Python kernels:
+    the level-order BFS on unit-cost graphs, the heap reference otherwise.
+    Targeted queries and non-integral costs stay on the heap kernel
     either way, as they do in production.
     """
 

@@ -1,16 +1,20 @@
-"""Backend parity and policy tests for the vectorized kernels.
+"""Backend parity and policy tests for the SPT kernels.
 
-The numpy kernels (:mod:`repro.routing.kernels`) promise **bit-identical**
-output to the pure-Python reference on every eligible graph.  This module
-enforces the promise three ways:
+The numpy kernels (:mod:`repro.routing.kernels`) and the pure-Python
+level-order BFS promise **bit-identical** output to the heap reference on
+every eligible graph.  This module enforces the promise four ways:
 
+* *level order* — the BFS kernel against the heap kernel, both called
+  directly (no numpy needed), on unit-cost graphs under every exclusion
+  shape and both orientations;
 * *golden* — forced-numpy vs forced-python comparisons of full trees
   (exact float equality, parent maps, and dict insertion order) on the
   catalog topologies and on pinned Table III sweeps;
 * *property* — randomized connected graphs with asymmetric strictly
   positive integer costs, random exclusion sets, both orientations;
 * *policy* — the node-count threshold, the no-numpy degradation path,
-  and the always-python cases (targets, non-integral costs).
+  the always-heap cases (targets, non-unit costs) and the unit-cost
+  graphs that never reach the heap.
 
 Both backends are pinned with the ``kernel_backend`` fixture
 (``tests/conftest.py``), which moves the node-count threshold;
@@ -28,14 +32,23 @@ import pytest
 from repro.geometry import Point
 from repro.routing import (
     RoutingTable,
+    SPTCache,
     reverse_shortest_path_tree,
+    shortest_path,
     shortest_path_tree,
 )
-from repro.routing import kernels
+from repro.routing import dijkstra, kernels
 from repro.routing.incremental import updated_tree
 from repro.routing.kernels import batched_trees
-from repro.topology import Link, Topology, isp_catalog
+from repro.topology import (
+    Link,
+    Topology,
+    isp_catalog,
+    ring_topology,
+    topology_from_spec,
+)
 from repro.topology import npcsr
+from repro.topology.examples import paper_figure_topology, paper_planar_topology
 from repro.topology.scale import scale_topology
 
 numpy_missing = npcsr.numpy_or_none() is None
@@ -75,6 +88,24 @@ def random_int_topology(seed: int, n: int = 40, extra: int = 50) -> Topology:
     return topo
 
 
+def _heap_forbidden(*args, **kwargs):
+    raise AssertionError("the heap kernel ran")
+
+
+@pytest.fixture
+def heap_roots(monkeypatch):
+    """Roots of the heap-kernel runs made while the test runs, in order."""
+    roots = []
+    heap = dijkstra._dijkstra_csr_kernel
+
+    def counting(topo, root, *args, **kwargs):
+        roots.append(root)
+        return heap(topo, root, *args, **kwargs)
+
+    monkeypatch.setattr(dijkstra, "_dijkstra_csr_kernel", counting)
+    return roots
+
+
 def both_backends(kernel_backend, fn):
     """Run ``fn()`` under forced python, then forced numpy; return both."""
     kernel_backend.use("python")
@@ -87,7 +118,7 @@ def both_backends(kernel_backend, fn):
 class TestKernelPolicy:
     def test_auto_keeps_small_graphs_on_python(self, grid5):
         backend, view = kernels.select_backend(grid5.csr())
-        assert backend == "python" and view is None
+        assert backend == "bfs" and view is None
 
     def test_no_numpy_auto_degrades_to_python(self, monkeypatch, kernel_backend):
         """The whole routing stack works with numpy absent, at any size."""
@@ -95,7 +126,7 @@ class TestKernelPolicy:
         monkeypatch.setattr(npcsr, "_np", None)
         topo = scale_topology(64, seed=1)
         backend, _ = kernels.select_backend(topo.csr())
-        assert backend == "python"
+        assert backend == "bfs"
         tree = shortest_path_tree(topo, next(iter(topo.nodes())))
         assert len(tree.dist) == topo.node_count
 
@@ -111,7 +142,7 @@ class TestKernelPolicy:
     def test_target_queries_stay_python(self, kernel_backend, grid5):
         kernel_backend.use("numpy")
         backend, _ = kernels.select_backend(grid5.csr(), target=3)
-        assert backend == "python"
+        assert backend == "heap"
 
     @needs_numpy
     def test_non_integral_costs_stay_python(self, kernel_backend):
@@ -121,7 +152,7 @@ class TestKernelPolicy:
         topo.add_node(1, Point(1, 0))
         topo.add_link(0, 1, cost=0.5)
         backend, _ = kernels.select_backend(topo.csr())
-        assert backend == "python"
+        assert backend == "heap"
 
     @needs_numpy
     def test_forced_numpy_actually_runs(self, kernel_backend, grid5):
@@ -129,6 +160,150 @@ class TestKernelPolicy:
         before = kernels.numpy_run_count()
         shortest_path_tree(grid5, 0)
         assert kernels.numpy_run_count() == before + 1
+
+    def test_unit_catalog_trees_never_reach_the_heap(self, monkeypatch):
+        topo = isp_catalog.build("AS3549", seed=0)
+        monkeypatch.setattr(dijkstra, "_dijkstra_csr_kernel", _heap_forbidden)
+        nodes = sorted(topo.nodes())
+        cut = set(list(topo.links())[::9])
+        for root in nodes:
+            assert shortest_path_tree(topo, root).dist[root] == 0.0
+            assert reverse_shortest_path_tree(topo, root, excluded_links=cut)
+        # The cached path query FCP makes is answered from an untargeted tree.
+        route = SPTCache().shortest_path(topo, nodes[0], nodes[-1], excluded_links=cut)
+        assert route.nodes[0] == nodes[0]
+        assert RoutingTable(topo).next_hop(nodes[1], nodes[-1]) is not None
+
+    def test_target_queries_reach_the_heap(self, heap_roots, grid5):
+        shortest_path_tree(grid5, 0)
+        assert heap_roots == []
+        shortest_path(grid5, 0, 24)
+        assert heap_roots == [0]
+
+    @pytest.mark.parametrize("cost, reverse_cost", [(2.0, 1.0), (1.0, 2.0)])
+    def test_one_cost_2_link_reaches_the_heap(self, heap_roots, cost, reverse_cost):
+        topo = Topology("cost2")
+        for i in range(4):
+            topo.add_node(i, Point(100 * i, 0))
+        topo.add_link(0, 1)
+        topo.add_link(1, 2)
+        topo.add_link(2, 3, cost=cost, reverse_cost=reverse_cost)
+        assert kernels.select_backend(topo.csr()) == ("heap", None)
+        shortest_path_tree(topo, 0)
+        reverse_shortest_path_tree(topo, 3)
+        assert heap_roots == [0, 3]
+
+    def test_adding_a_cost_2_link_flips_back_to_the_heap(self, heap_roots, grid5):
+        shortest_path_tree(grid5, 0)
+        assert heap_roots == []
+        grid5.add_link(0, 24, cost=2.0)
+        tree = shortest_path_tree(grid5, 0)
+        assert heap_roots == [0]
+        assert tree.dist[24] == 2.0 and tree.parent[24] == 0
+
+
+def _frontier_order_graph() -> Topology:
+    """Level 1 is found as [5, 1]; node 9 hangs below both.
+
+    The heap kernel gives 9 the parent 1 (the smaller index).  A BFS that
+    scanned its frontier in discovery order would give it 5.
+    """
+    topo = Topology("frontier-order")
+    for node in (0, 1, 5, 9):
+        topo.add_node(node, Point(node * 100.0, (node % 2) * 100.0))
+    topo.add_link(0, 5)
+    topo.add_link(0, 1)
+    topo.add_link(5, 9)
+    topo.add_link(1, 9)
+    return topo
+
+
+def _level_order_graphs():
+    graphs = [
+        pytest.param(name, seed, id=f"{name}-s{seed}")
+        for name in isp_catalog.names()
+        for seed in (0, 3)
+    ]
+    specs = (
+        "paper-figure",
+        "paper-figure-planar",
+        "scale:300",
+        "grid:6x7",
+        "ring:12",
+        "frontier-order",
+    )
+    graphs += [pytest.param(spec, 0, id=spec) for spec in specs]
+    return graphs
+
+
+def _build(spec: str, seed: int) -> Topology:
+    special = {
+        "paper-figure": paper_figure_topology,
+        "paper-figure-planar": paper_planar_topology,
+        "ring:12": lambda: ring_topology(12),
+        "frontier-order": _frontier_order_graph,
+    }
+    if spec in special:
+        return special[spec]()
+    return topology_from_spec(spec, seed=seed)
+
+
+def _exclusion_cases(topo: Topology, seed: int):
+    """``(label, root, node flags, link flags)`` over every exclusion shape."""
+    rng = random.Random(seed)
+    csr = topo.csr()
+    nodes = sorted(topo.nodes())
+    links = list(topo.links())
+    cases = []
+    for root in [nodes[0]] + rng.sample(nodes, min(3, len(nodes))):
+        others = [v for v in nodes if v != root]
+        near = sorted(topo.neighbors(root))
+        cases += [
+            ("none", root, None, None),
+            ("nodes", root, csr.node_flags(rng.sample(others, len(others) // 6)), None),
+            ("links", root, None, csr.link_flags(rng.sample(links, len(links) // 5))),
+            (
+                "root excluded",
+                root,
+                csr.node_flags([root] + rng.sample(others, min(2, len(others)))),
+                csr.link_flags(rng.sample(links, min(2, len(links)))),
+            ),
+            ("root cut off", root, csr.node_flags(near), None),
+            ("root links cut", root, None, csr.link_flags(Link.of(root, v) for v in near)),
+        ]
+        # A disconnected remainder: the ball around the farthest node.
+        hops = dijkstra._dijkstra_csr_kernel(topo, root, False, None, None).dist
+        far = max(hops, key=lambda v: (hops[v], v))
+        ball = {far, *topo.neighbors(far)}
+        if root not in ball:
+            cut = [link for link in links if (link.u in ball) != (link.v in ball)]
+            cases.append(("remainder", root, None, csr.link_flags(cut)))
+    return cases
+
+
+class TestLevelOrderParity:
+    """The BFS kernel against the heap reference, called directly (no numpy)."""
+
+    @pytest.mark.parametrize("spec, seed", _level_order_graphs())
+    def test_bit_identical_to_the_heap(self, spec, seed):
+        topo = _build(spec, seed)
+        assert topo.csr().unit
+        reached_all = cut_off = 0
+        for label, root, node_excl, link_excl in _exclusion_cases(topo, seed):
+            for toward_root in (False, True):
+                heap = dijkstra._dijkstra_csr_kernel(
+                    topo, root, toward_root, node_excl, link_excl
+                )
+                bfs = dijkstra._bfs_csr_kernel(
+                    topo, root, toward_root, node_excl, link_excl
+                )
+                assert tree_fingerprint(bfs) == tree_fingerprint(heap), (label, root)
+                assert {type(d) for d in bfs.dist.values()} == {float}
+                assert bfs.toward_root is toward_root
+                reached_all += len(heap.dist) == topo.node_count
+                cut_off += len(heap.dist) == 1
+        # The grid really covers whole and partial trees.
+        assert reached_all and cut_off
 
 
 @needs_numpy
