@@ -8,7 +8,6 @@ every possible link before giving up.
 
 from _bench_utils import BASE_CASES, QUICK_TOPOLOGIES, emit, emit_figure
 
-from repro.eval import cdf_at
 from repro.eval import experiments
 from repro.eval.report import format_cdf
 from repro.viz import cdf_chart

@@ -23,7 +23,6 @@ Quickstart::
 
 from .errors import (
     ChaosError,
-    ConfigurationError,
     EvaluationError,
     ForwardingLoopError,
     NoPathError,
@@ -35,7 +34,6 @@ from .errors import (
 from .geometry import (
     Circle,
     FailureRegion,
-    HalfPlane,
     Point,
     Polygon,
     Segment,
@@ -47,7 +45,6 @@ from .topology import (
     geometric_isp,
     grid_topology,
     isp_catalog,
-    ring_topology,
 )
 from .routing import (
     ConvergenceConfig,
@@ -85,7 +82,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ChaosError",
-    "ConfigurationError",
     "EvaluationError",
     "ForwardingLoopError",
     "NoPathError",
@@ -95,7 +91,6 @@ __all__ = [
     "TopologyError",
     "Circle",
     "FailureRegion",
-    "HalfPlane",
     "Point",
     "Polygon",
     "Segment",
@@ -105,7 +100,6 @@ __all__ = [
     "geometric_isp",
     "grid_topology",
     "isp_catalog",
-    "ring_topology",
     "ConvergenceConfig",
     "LinkStateProtocol",
     "Path",

@@ -1,6 +1,6 @@
 """RTR — Reactive Two-phase Rerouting (the paper's contribution)."""
 
-from .sweep import first_hop, neighbor_sweep_order, select_next_hop
+from .sweep import select_next_hop
 from .constraints import CrossLinkState
 from .phase1 import Phase1Result, run_phase1
 from .exhaustive import run_exhaustive_phase1
@@ -9,8 +9,6 @@ from .rtr import APPROACH_NAME, RTR, RTRConfig
 from .multiarea import MultiAreaResult, MultiAreaRTR
 
 __all__ = [
-    "first_hop",
-    "neighbor_sweep_order",
     "select_next_hop",
     "CrossLinkState",
     "Phase1Result",

@@ -140,26 +140,6 @@ def _sweep_angles(
     return entries
 
 
-def neighbor_sweep_order(
-    topo: Topology,
-    current: int,
-    reference_neighbor: int,
-    clockwise: bool = False,
-) -> List[Tuple[float, int, int]]:
-    """Neighbors of ``current`` in sweep order from the reference direction.
-
-    Returns ``(angle, node_id, node)`` triples sorted by counterclockwise
-    angle from the direction of ``reference_neighbor`` (clockwise when
-    ``clockwise`` — the mirror ablation of DESIGN.md §4).  The reference
-    neighbor itself appears with angle ``2*pi``.  Node id breaks exact angle
-    ties deterministically.  Raises :class:`UnknownLinkError` when the
-    reference is not a neighbor: the sweeping line starts on a link.
-    """
-    order = sweep_order(topo, current, reference_neighbor, clockwise)
-    entry = {e[2]: e for e in _sweep_angles(topo, current, reference_neighbor, clockwise)}
-    return [entry[nb] for nb in order]
-
-
 def select_next_hop(
     topo: Topology,
     view: LocalView,
@@ -184,21 +164,3 @@ def select_next_hop(
             continue
         return nb
     return None
-
-
-def first_hop(
-    topo: Topology,
-    view: LocalView,
-    initiator: int,
-    unreachable_next_hop: int,
-    is_excluded: Optional[ExclusionFn] = None,
-    clockwise: bool = False,
-) -> Optional[int]:
-    """Case 1 of §III-B: the initiator's first hop.
-
-    The sweeping line starts at the link to the unreachable default next
-    hop; the rule is otherwise identical to the interior-node case.
-    """
-    return select_next_hop(
-        topo, view, initiator, unreachable_next_hop, is_excluded, clockwise
-    )

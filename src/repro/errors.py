@@ -63,10 +63,6 @@ class ForwardingLoopError(SimulationError):
         self.walk = walk
 
 
-class ConfigurationError(ReproError):
-    """Backup-configuration generation (MRC) could not satisfy its invariants."""
-
-
 class ChaosError(ReproError):
     """A fault-injection plan is malformed or references missing elements."""
 

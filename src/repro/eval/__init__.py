@@ -7,7 +7,7 @@ from .cases import (
     enumerate_scenario_cases,
     generate_cases,
 )
-from .cdf import cdf_at, cdf_points, percentile, sampled_cdf, summarize
+from .cdf import cdf_points, summarize
 from .metrics import (
     CaseRecord,
     IrrecoverableSummary,
@@ -23,7 +23,7 @@ from .metrics import (
     wasted_transmission_values,
 )
 from .runner import ALL_APPROACHES, EvaluationRunner
-from .statistics import mean_interval, rate_row, rates_overlap, wilson_interval
+from .statistics import wilson_interval
 from . import experiments
 from . import motivation
 from . import parallel
@@ -36,10 +36,7 @@ __all__ = [
     "count_failed_routing_paths",
     "enumerate_scenario_cases",
     "generate_cases",
-    "cdf_at",
     "cdf_points",
-    "percentile",
-    "sampled_cdf",
     "summarize",
     "CaseRecord",
     "IrrecoverableSummary",
@@ -55,9 +52,6 @@ __all__ = [
     "wasted_transmission_values",
     "ALL_APPROACHES",
     "EvaluationRunner",
-    "mean_interval",
-    "rate_row",
-    "rates_overlap",
     "wilson_interval",
     "experiments",
     "motivation",

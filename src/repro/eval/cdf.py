@@ -20,41 +20,6 @@ def cdf_points(values: Iterable[float]) -> List[Tuple[float, float]]:
     return points
 
 
-def cdf_at(values: Sequence[float], x: float) -> float:
-    """``P[X <= x]`` of the empirical distribution."""
-    if not values:
-        return 0.0
-    return sum(1 for v in values if v <= x) / len(values)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-quantile (0..1) by nearest-rank (ceil, the classic rule)."""
-    if not values:
-        raise ValueError("percentile of empty data")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    import math
-
-    data = sorted(values)
-    rank = max(1, math.ceil(q * len(data)))
-    return data[min(rank, len(data)) - 1]
-
-
-def sampled_cdf(
-    values: Sequence[float], xs: Iterable[float]
-) -> List[Tuple[float, float]]:
-    """The CDF sampled at the given x positions (for aligned plotting)."""
-    data = sorted(values)
-    n = len(data)
-    out: List[Tuple[float, float]] = []
-    i = 0
-    for x in sorted(xs):
-        while i < n and data[i] <= x:
-            i += 1
-        out.append((x, i / n if n else 0.0))
-    return out
-
-
 def summarize(values: Sequence[float]) -> Dict[str, float]:
     """Mean / min / max / median of a sample (empty-safe)."""
     if not values:

@@ -38,7 +38,6 @@ from .experiments import (
     TrafficSweep,
     generate_case_set,
     table3_from_records,
-    table4_from_records,
     traffic_table_from_records,
 )
 from .metrics import CaseRecord
@@ -164,33 +163,6 @@ def _gather(
         yield name, {a: [r for shard in shards for r in shard[a]] for a in shards[0]}
 
 
-def _sharded_table(
-    from_records: Callable[..., Dict[str, Dict]],
-    topologies: Sequence[str],
-    n_recoverable: int,
-    n_irrecoverable: int,
-    seed: int,
-    approaches: Sequence[str],
-    jobs: Optional[int],
-    shards_per_topology: Optional[int],
-) -> Dict[str, Dict]:
-    """One case-sharded table: gather the records, apply the serial reduction."""
-    approaches = tuple(approaches)
-    return from_records(
-        _gather(
-            "eval.parallel",
-            _run_case_shard,
-            [
-                (name, (name, n_recoverable, n_irrecoverable, seed, approaches))
-                for name in topologies
-            ],
-            jobs,
-            shards_per_topology,
-        ),
-        approaches,
-    )
-
-
 def parallel_traffic(
     topologies: Sequence[str],
     n_scenarios: int,
@@ -255,38 +227,14 @@ def parallel_table3(
     Output equals :func:`~repro.eval.experiments.table3_recoverable` for
     the same seed.
     """
-    return _sharded_table(
-        table3_from_records,
-        topologies,
-        n_cases,
-        0,
-        seed,
+    approaches = tuple(approaches)
+    return table3_from_records(
+        _gather(
+            "eval.parallel",
+            _run_case_shard,
+            [(name, (name, n_cases, 0, seed, approaches)) for name in topologies],
+            jobs,
+            shards_per_topology,
+        ),
         approaches,
-        jobs,
-        shards_per_topology,
-    )
-
-
-def parallel_table4(
-    topologies: Sequence[str],
-    n_cases: int,
-    seed: int = 0,
-    approaches: Sequence[str] = ("RTR", "FCP"),
-    jobs: Optional[int] = None,
-    shards_per_topology: Optional[int] = None,
-) -> Dict[str, Dict]:
-    """Table IV via case-sharded process-pool execution.
-
-    Output equals :func:`~repro.eval.experiments.table4_wasted_summary`
-    for the same seed, including the headline ``Savings`` entry.
-    """
-    return _sharded_table(
-        table4_from_records,
-        topologies,
-        0,
-        n_cases,
-        seed,
-        approaches,
-        jobs,
-        shards_per_topology,
     )

@@ -64,25 +64,6 @@ def format_cdf(
     return "  ".join(parts)
 
 
-def format_status_counts(statuses: Sequence[str]) -> str:
-    """One-line tally of case statuses, in severity order.
-
-    E.g. ``delivered=812  fallback=31  dropped=140  error=0`` for a
-    degraded-mode sweep's quick health readout.
-    """
-    order = ("delivered", "fallback", "dropped", "error")
-    counts = {s: 0 for s in order}
-    extra: Dict[str, int] = {}
-    for s in statuses:
-        if s in counts:
-            counts[s] += 1
-        else:
-            extra[s] = extra.get(s, 0) + 1
-    parts = [f"{s}={counts[s]}" for s in order]
-    parts.extend(f"{s}={n}" for s, n in sorted(extra.items()))
-    return "  ".join(parts)
-
-
 def format_series(
     series: Sequence[Tuple[float, float]], max_points: int = 12
 ) -> str:

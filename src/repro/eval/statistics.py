@@ -2,19 +2,15 @@
 
 The paper reports point estimates over 10,000 cases; reduced-scale runs
 of this reproduction need error bars to be honest about sampling noise.
-Pure-python implementations (no scipy dependency at runtime):
-
-* :func:`wilson_interval` — the Wilson score interval for proportions
-  (recovery rates), well-behaved near 0 and 1 where the normal interval
-  is not;
-* :func:`mean_interval` — normal-approximation interval for sample means
-  (wasted transmission, durations).
+:func:`wilson_interval` is the Wilson score interval for proportions
+(recovery rates), well-behaved near 0 and 1 where the normal interval is
+not — pure Python, no scipy dependency at runtime.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Tuple
 
 from ..errors import EvaluationError
 
@@ -46,49 +42,3 @@ def wilson_interval(
     center = (p + z2 / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-def mean_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float, float]:
-    """``(mean, lo, hi)`` under the normal approximation.
-
-    With fewer than 2 samples the interval collapses to the point.
-    """
-    if not values:
-        raise EvaluationError("mean_interval needs at least one value")
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return (mean, mean, mean)
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    half = _z_for(confidence) * math.sqrt(variance / n)
-    return (mean, mean - half, mean + half)
-
-
-def rate_row(
-    label: str, successes: int, trials: int, confidence: float = 0.95
-) -> Dict[str, object]:
-    """A report row: rate with its Wilson interval, in percent."""
-    lo, hi = wilson_interval(successes, trials, confidence)
-    return {
-        "metric": label,
-        "rate_pct": round(100.0 * successes / trials, 1),
-        "ci_lo_pct": round(100.0 * lo, 1),
-        "ci_hi_pct": round(100.0 * hi, 1),
-        "n": trials,
-    }
-
-
-def rates_overlap(
-    a_successes: int, a_trials: int, b_successes: int, b_trials: int,
-    confidence: float = 0.95,
-) -> bool:
-    """Whether the two proportions' Wilson intervals overlap.
-
-    A quick screen for "is this difference plausibly noise?" — used by the
-    ablation benchmarks when comparing variant recovery rates.
-    """
-    a_lo, a_hi = wilson_interval(a_successes, a_trials, confidence)
-    b_lo, b_hi = wilson_interval(b_successes, b_trials, confidence)
-    return not (a_hi < b_lo or b_hi < a_lo)

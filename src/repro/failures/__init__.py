@@ -8,7 +8,6 @@ from .scenarios import (
     fixed_radius_scenarios,
     multi_area_scenario,
     random_circle,
-    random_polygon,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "fixed_radius_scenarios",
     "multi_area_scenario",
     "random_circle",
-    "random_polygon",
 ]

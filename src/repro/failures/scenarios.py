@@ -3,17 +3,16 @@
 §IV-A: *"the failure area is a circle randomly placed in the 2000 x 2000
 area with a radius randomly selected between 100 and 300"*, and Fig. 11
 sweeps the radius from 20 to 300 in increments of 20.  These generators
-reproduce both settings, plus polygonal and multi-area variants used by the
+reproduce both settings, plus the multi-area variant used by the
 extension examples and tests.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Iterator, Optional, Tuple
 
-from ..geometry import Circle, Point, Polygon, UnionRegion
+from ..geometry import Circle, Point, UnionRegion
 from ..topology import DEFAULT_AREA, Topology
 from .model import FailureScenario
 
@@ -51,26 +50,6 @@ def random_circle(
         Point(rng.uniform(0.0, area), rng.uniform(0.0, area)),
         rng.uniform(lo, hi),
     )
-
-
-def random_polygon(
-    rng: random.Random,
-    mean_radius: float = 200.0,
-    n_vertices: int = 8,
-    area: float = DEFAULT_AREA,
-) -> Polygon:
-    """A random star-shaped polygon — an arbitrary-shape failure area.
-
-    Vertices sit at jittered radii around a random center, ordered by
-    angle, so the polygon is simple (non self-intersecting).
-    """
-    center = Point(rng.uniform(0.0, area), rng.uniform(0.0, area))
-    vertices = []
-    for i in range(n_vertices):
-        angle = 2.0 * math.pi * i / n_vertices
-        r = mean_radius * rng.uniform(0.5, 1.5)
-        vertices.append(Point(center.x + r * math.cos(angle), center.y + r * math.sin(angle)))
-    return Polygon(vertices)
 
 
 def circle_scenarios(

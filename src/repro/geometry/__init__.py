@@ -7,9 +7,9 @@ uniform grid that narrows region tests to nearby routers and links, and
 precomputation of per-link crossing sets.
 """
 
-from .point import EPSILON, TWO_PI, Point, ccw_angle, centroid, orientation
-from .segment import Segment, intersection_point, segments_cross, segments_intersect
-from .region import Circle, FailureRegion, HalfPlane, Polygon, UnionRegion
+from .point import EPSILON, TWO_PI, Point, ccw_angle, orientation
+from .segment import Segment, segments_intersect
+from .region import Circle, FailureRegion, Polygon, UnionRegion
 from .planarity import compute_cross_links, crossing_pairs, is_planar_embedding
 from .spatial import SpatialGrid
 
@@ -18,15 +18,11 @@ __all__ = [
     "TWO_PI",
     "Point",
     "ccw_angle",
-    "centroid",
     "orientation",
     "Segment",
-    "intersection_point",
-    "segments_cross",
     "segments_intersect",
     "Circle",
     "FailureRegion",
-    "HalfPlane",
     "Polygon",
     "UnionRegion",
     "SpatialGrid",

@@ -69,11 +69,14 @@ def segments_cross_raw(
     ax: float, ay: float, bx: float, by: float,
     cx: float, cy: float, dx: float, dy: float,
 ) -> bool:
-    """Raw-coordinate :func:`~repro.geometry.segment.segments_cross`.
+    """Whether segments ``ab`` and ``cd`` *properly* cross.
 
-    Same predicate, same float arithmetic, same tolerance checks — just
-    without Point/Segment allocation per call, for the O(m^2) cross-link
-    precomputation (asserted equivalent by tests).
+    This is the paper's "link across another link": the interiors
+    intersect.  Links that only touch at a shared router do not cross;
+    collinear overlaps and T-junctions without a shared router do.  Raw
+    coordinates, no Point/Segment allocation per call; the Point-level
+    spelling in ``tests/geometry/reference_cross_links.py`` is asserted
+    equal by tests.
     """
     # Segments sharing a (numerically common) endpoint never cross.  This
     # check must come first: the tolerance-window outcomes below assume it.
@@ -236,7 +239,7 @@ def compute_cross_links(
     sorted tuple of the positions of the links that properly cross link
     ``i``; the relation is symmetric (``j in rows[i]`` iff ``i in
     rows[j]``).  Links sharing an endpoint never cross (see
-    :func:`repro.geometry.segment.segments_cross`).  ``grid``, if given,
+    :func:`segments_cross_raw`).  ``grid``, if given,
     must hold ``links`` as its segments, in order; otherwise one is built
     over the links' endpoints.
     """

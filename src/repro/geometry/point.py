@@ -13,7 +13,7 @@ accurate coordinates, so float arithmetic with a small epsilon is adequate.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 #: Tolerance used by all geometric predicates in this package.  The paper's
 #: simulation area is 2000 x 2000, so 1e-9 is far below any meaningful
@@ -97,13 +97,3 @@ def ccw_angle(reference: Point, target: Point) -> float:
     if angle <= EPSILON:
         return TWO_PI
     return angle
-
-
-def centroid(points: Iterator[Point]) -> Point:
-    """Arithmetic mean of a non-empty iterable of points."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("centroid() requires at least one point")
-    sx = sum(p.x for p in pts)
-    sy = sum(p.y for p in pts)
-    return Point(sx / len(pts), sy / len(pts))

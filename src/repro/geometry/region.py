@@ -8,7 +8,6 @@ small region algebra:
 
 * :class:`Circle` — the shape used by the paper's evaluation,
 * :class:`Polygon` — arbitrary simple polygons (convex or not),
-* :class:`HalfPlane` — unbounded areas, e.g. "everything east of a fiber cut",
 * :class:`UnionRegion` — unions, for multiple simultaneous failure areas.
 
 Every region answers two questions:  does it contain a point (a router has
@@ -155,38 +154,6 @@ class Polygon(FailureRegion):
             a, b = self.vertices[i], self.vertices[(i + 1) % n]
             total += a.cross(b)
         return abs(total) / 2.0
-
-
-class HalfPlane(FailureRegion):
-    """All points ``p`` with ``normal . (p - anchor) >= 0``.
-
-    Models unbounded failure areas such as "everything on one side of a
-    severed corridor" — the paper stresses that the area may lie on the
-    border of the network (§III-B), and a half-plane is the extreme case.
-    """
-
-    def __init__(self, anchor: Point, normal: Point) -> None:
-        if not _finite(anchor, normal):
-            raise ValueError("half-plane anchor and normal must be finite")
-        if normal.norm() <= EPSILON:
-            raise ValueError("normal vector must be non-zero")
-        self.anchor = anchor
-        self.normal = normal
-
-    def __repr__(self) -> str:
-        return f"HalfPlane(anchor={self.anchor!r}, normal={self.normal!r})"
-
-    def contains(self, p: Point) -> bool:
-        return self.normal.dot(p - self.anchor) >= -EPSILON
-
-    def crosses(self, segment: Segment) -> bool:
-        # A segment crosses the half-plane iff at least one endpoint is in it
-        # (the half-plane is convex and closed).
-        return self.contains(segment.a) or self.contains(segment.b)
-
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        inf = math.inf
-        return (-inf, -inf, inf, inf)
 
 
 class UnionRegion(FailureRegion):

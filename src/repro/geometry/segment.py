@@ -16,7 +16,7 @@ coordinates.  Two notions of "crossing" matter to RTR:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .point import EPSILON, Point, orientation
 
@@ -57,15 +57,6 @@ class Segment(NamedTuple):
         t = max(0.0, min(1.0, t))
         return self.a + d * t
 
-    def shares_endpoint_with(self, other: "Segment", tol: float = EPSILON) -> bool:
-        """Whether the two segments have a (numerically) common endpoint."""
-        return (
-            self.a.is_close(other.a, tol)
-            or self.a.is_close(other.b, tol)
-            or self.b.is_close(other.a, tol)
-            or self.b.is_close(other.b, tol)
-        )
-
 
 def segments_intersect(s1: Segment, s2: Segment) -> bool:
     """Whether the two closed segments intersect at all (including endpoints)."""
@@ -78,64 +69,11 @@ def segments_intersect(s1: Segment, s2: Segment) -> bool:
         return True
     # Tolerance cases: an endpoint of one segment lying on the other (within
     # EPSILON) intersects even when the orientation sign has not collapsed to
-    # zero yet — this keeps ``segments_cross`` a strict subset of this
-    # predicate for nearly-collinear configurations.
+    # zero yet — this keeps the proper-crossing predicate
+    # (``planarity.segments_cross_raw``) a strict subset of this one for
+    # nearly-collinear configurations.
     if s1.contains_point(s2.a) or s1.contains_point(s2.b):
         return True
     if s2.contains_point(s1.a) or s2.contains_point(s1.b):
         return True
     return False
-
-
-def segments_cross(s1: Segment, s2: Segment) -> bool:
-    """Whether two segments *properly* cross (interior intersection).
-
-    This is the predicate behind the paper's "link across another link":
-    links that only touch at a shared router do not cross.  Collinear
-    overlapping segments are treated as crossing since their interiors
-    intersect.
-    """
-    if s1.shares_endpoint_with(s2):
-        return False
-
-    o1 = orientation(s1.a, s1.b, s2.a)
-    o2 = orientation(s1.a, s1.b, s2.b)
-    o3 = orientation(s2.a, s2.b, s1.a)
-    o4 = orientation(s2.a, s2.b, s1.b)
-
-    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
-        return True
-
-    # An endpoint of one segment lying strictly inside the other also makes
-    # the interiors intersect (e.g. a T-junction without a shared router).
-    for p in (s2.a, s2.b):
-        if s1.contains_point(p) and not (p.is_close(s1.a) or p.is_close(s1.b)):
-            return True
-    for p in (s1.a, s1.b):
-        if s2.contains_point(p) and not (p.is_close(s2.a) or p.is_close(s2.b)):
-            return True
-    return False
-
-
-def intersection_point(s1: Segment, s2: Segment) -> Optional[Point]:
-    """The intersection point of two segments, or ``None``.
-
-    For collinear overlapping segments (which intersect in a sub-segment)
-    an arbitrary common point is returned.
-    """
-    d1 = s1.direction()
-    d2 = s2.direction()
-    denom = d1.cross(d2)
-    if abs(denom) > EPSILON:
-        t = (s2.a - s1.a).cross(d2) / denom
-        u = (s2.a - s1.a).cross(d1) / denom
-        if -EPSILON <= t <= 1.0 + EPSILON and -EPSILON <= u <= 1.0 + EPSILON:
-            return s1.a + d1 * max(0.0, min(1.0, t))
-        return None
-    # Parallel: intersect only if collinear and overlapping.
-    if not segments_intersect(s1, s2):
-        return None
-    for p in (s2.a, s2.b, s1.a, s1.b):
-        if s1.contains_point(p) and s2.contains_point(p):
-            return p
-    return None

@@ -90,7 +90,6 @@ __all__ = [
     "run_report_doc",
     "snapshot",
     "span",
-    "temporarily_enabled",
     "write_run_artifacts",
 ]
 
@@ -118,18 +117,6 @@ def enable() -> None:
 def disable() -> None:
     global _enabled
     _enabled = False
-
-
-@contextmanager
-def temporarily_enabled(active: bool = True):
-    """Scoped enable/disable — test helper, restores the prior state."""
-    global _enabled
-    prior = _enabled
-    _enabled = active
-    try:
-        yield
-    finally:
-        _enabled = prior
 
 
 # ----------------------------------------------------------------------

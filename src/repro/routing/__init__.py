@@ -11,10 +11,9 @@ from .dijkstra import (
     shortest_path_tree,
 )
 from .cache import SPTCache
-from .incremental import incremental_distance, updated_tree
+from .incremental import updated_tree
 from .tables import RoutingTable
 from .linkstate import ConvergenceConfig, ConvergenceReport, LinkStateProtocol
-from .flooding import FloodingReport, FloodingSimulator, Lsa
 
 __all__ = [
     "Path",
@@ -26,13 +25,9 @@ __all__ = [
     "shortest_path",
     "shortest_path_or_none",
     "shortest_path_tree",
-    "incremental_distance",
     "updated_tree",
     "RoutingTable",
     "ConvergenceConfig",
     "ConvergenceReport",
     "LinkStateProtocol",
-    "FloodingReport",
-    "FloodingSimulator",
-    "Lsa",
 ]

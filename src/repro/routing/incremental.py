@@ -31,7 +31,7 @@ costs more than that pass.  The heap repair below stays the reference.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 from .. import obs
 from ..topology import Link, Topology
@@ -197,14 +197,3 @@ def _updated_tree_kernel(
             relax(neighbor, node, d + step)
     return new
 
-
-def incremental_distance(
-    topo: Topology,
-    tree: ShortestPathTree,
-    node: int,
-    removed_links: Iterable[Link] = (),
-    removed_nodes: Iterable[int] = (),
-) -> Optional[float]:
-    """Post-failure distance between ``node`` and the root, or ``None``."""
-    new = updated_tree(topo, tree, removed_links, removed_nodes)
-    return new.cost_to(node)

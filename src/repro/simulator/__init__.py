@@ -13,11 +13,9 @@ from .delays import (
     PAPER_PROPAGATION_S,
     ROUTER_DELAY_S,
     DelayModel,
-    DistanceDelayModel,
     PaperDelayModel,
 )
-from .events import EventQueue
-from .stats import RecoveryAccounting, RecoveryResult, aggregate_results
+from .stats import RecoveryAccounting, RecoveryResult
 from .trace import DropEvent, ForwardingTrace, HopEvent
 from .engine import (
     ForwardingEngine,
@@ -52,12 +50,9 @@ __all__ = [
     "PAPER_PROPAGATION_S",
     "ROUTER_DELAY_S",
     "DelayModel",
-    "DistanceDelayModel",
     "PaperDelayModel",
-    "EventQueue",
     "RecoveryAccounting",
     "RecoveryResult",
-    "aggregate_results",
     "DropEvent",
     "ForwardingTrace",
     "HopEvent",

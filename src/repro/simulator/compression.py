@@ -18,7 +18,7 @@ headers.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 from ..errors import SimulationError
 from ..topology import Link, Topology
@@ -43,23 +43,6 @@ def encode_varint(value: int) -> bytes:
             return bytes(out)
 
 
-def decode_varint(data: bytes, offset: int = 0) -> tuple:
-    """Decode one varint; returns ``(value, next_offset)``."""
-    value = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise SimulationError("truncated varint")
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
-        if shift > 63:
-            raise SimulationError("varint too long")
-
-
 def encode_id_set(ids: Iterable[int]) -> bytes:
     """Compress a set of non-negative ids (sorted delta + varint)."""
     ordered = sorted(set(ids))
@@ -74,31 +57,9 @@ def encode_id_set(ids: Iterable[int]) -> bytes:
     return bytes(out)
 
 
-def decode_id_set(data: bytes) -> List[int]:
-    """Inverse of :func:`encode_id_set`."""
-    if not data:
-        raise SimulationError("empty compressed id field")
-    count = data[0]
-    ids: List[int] = []
-    offset = 1
-    value = 0
-    for i in range(count):
-        delta, offset = decode_varint(data, offset)
-        value = delta if i == 0 else value + delta
-        ids.append(value)
-    if offset != len(data):
-        raise SimulationError("trailing bytes after compressed id field")
-    return ids
-
-
 def compress_links(topo: Topology, links: Sequence[Link]) -> bytes:
     """Compress a list of links via their topology link indices."""
     return encode_id_set(topo.link_index(link) for link in links)
-
-
-def decompress_links(topo: Topology, data: bytes) -> List[Link]:
-    """Inverse of :func:`compress_links` (sorted by link index)."""
-    return [topo.link_at(index) for index in decode_id_set(data)]
 
 
 def compressed_header_bytes(topo: Topology, header: RecoveryHeader) -> int:

@@ -3,9 +3,7 @@
 §IV-B fixes the one-hop delay at 1.8 ms: 100 microseconds through a router
 (99th-percentile single-hop delay on an OC-12 backbone, Papagiannaki et
 al.) plus 1.7 ms propagation for an average 500 km link.
-:class:`PaperDelayModel` reproduces exactly that; :class:`DistanceDelayModel`
-derives propagation from the embedded link length instead, for studies
-where geometry should matter.
+:class:`PaperDelayModel` reproduces exactly that.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ ROUTER_DELAY_S = 100e-6
 
 #: 1.7 ms propagation on an average 500 km link (§IV-B).
 PAPER_PROPAGATION_S = 1.7e-3
-
-#: Propagation speed implied by the paper's numbers: 1.7 ms / 500 km.
-SECONDS_PER_KM = PAPER_PROPAGATION_S / 500.0
 
 
 class DelayModel(ABC):
@@ -45,29 +40,6 @@ class PaperDelayModel(DelayModel):
 
     def hop_delay(self, topo: Topology, link: Link) -> float:
         return self.router_delay + self.propagation
-
-
-class DistanceDelayModel(DelayModel):
-    """Propagation proportional to embedded link length.
-
-    ``km_per_unit`` maps simulation-area coordinates to kilometres; the
-    default calibrates the paper's 2000-unit area so that an average link
-    is a few hundred km, comparable to the fixed model.
-    """
-
-    def __init__(
-        self,
-        km_per_unit: float = 1.0,
-        router_delay: float = ROUTER_DELAY_S,
-        seconds_per_km: float = SECONDS_PER_KM,
-    ) -> None:
-        self.km_per_unit = km_per_unit
-        self.router_delay = router_delay
-        self.seconds_per_km = seconds_per_km
-
-    def hop_delay(self, topo: Topology, link: Link) -> float:
-        km = topo.euclidean_length(link) * self.km_per_unit
-        return self.router_delay + km * self.seconds_per_km
 
 
 #: Shared default instance: the model every experiment uses unless told

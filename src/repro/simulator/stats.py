@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..routing import Path
 
@@ -138,28 +138,3 @@ class RecoveryResult:
             return 0.0
         return float(self.drop_packet_bytes * self.drop_hops)
 
-
-def aggregate_results(results: Sequence[RecoveryResult]) -> Dict[str, float]:
-    """Sweep-level aggregate of raw recovery outcomes.
-
-    Every denominator is guarded: zero results, or zero *delivered*
-    results, yield defined zeros — a sweep where every packet was dropped
-    (or that ran no cases at all) still aggregates instead of raising.
-    """
-    n = len(results)
-    delivered = [r for r in results if r.delivered]
-    costs = [r.path.cost for r in delivered if r.path is not None]
-    sp = [r.sp_computations for r in results]
-    wasted = [r.wasted_transmission() for r in results]
-    phase1 = [r.phase1_duration for r in results if r.phase1_duration > 0.0]
-    return {
-        "results": float(n),
-        "delivered": float(len(delivered)),
-        "delivery_ratio": len(delivered) / n if n else 0.0,
-        "mean_path_cost": math.fsum(costs) / len(costs) if costs else 0.0,
-        "mean_sp_computations": math.fsum(sp) / n if n else 0.0,
-        "total_wasted_transmission": math.fsum(wasted),
-        "mean_phase1_duration": (
-            math.fsum(phase1) / len(phase1) if phase1 else 0.0
-        ),
-    }

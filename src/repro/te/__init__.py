@@ -31,7 +31,6 @@ from .penalty import (
 )
 from .metrics import (
     UTILIZATION_BIN_EDGES,
-    congestion_free,
     merge_histograms,
     overload_attribution,
     utilization_histogram,
@@ -46,7 +45,6 @@ __all__ = [
     "LinkPenalty",
     "recost_path",
     "UTILIZATION_BIN_EDGES",
-    "congestion_free",
     "merge_histograms",
     "overload_attribution",
     "utilization_histogram",

@@ -90,11 +90,6 @@ def utilization_percentile(histogram: Sequence[int], q: float) -> float:
     return UTILIZATION_BIN_EDGES[-1]  # pragma: no cover - cumulative == total
 
 
-def congestion_free(overloaded_links: int) -> bool:
-    """Whether a scenario recovered without overloading any link."""
-    return overloaded_links == 0
-
-
 #: Attribution entry: (link u, link v, utilization,
 #:                     ((source, destination, demand), ... top-k)).
 AttributionEntry = Tuple[int, int, float, Tuple[Tuple[int, int, float], ...]]

@@ -211,11 +211,6 @@ def recost_path(topo: Topology, path: Path) -> Path:
     return Path(path.nodes, cost)
 
 
-def total_units(units: Mapping[Link, int]) -> int:
-    """Σ units — a cheap scalar fingerprint for logs and tests."""
-    return sum(sorted(units.values()))
-
-
 __all__ = [
     "PENALTY_QUANT",
     "DEFAULT_PENALTY_ALPHA",
@@ -224,5 +219,4 @@ __all__ = [
     "LinkPenalty",
     "penalty_units",
     "recost_path",
-    "total_units",
 ]

@@ -22,7 +22,6 @@ from .events import (
     FlapEvent,
     RepairEvent,
     TimelineEvent,
-    event_from_dict,
     event_to_dict,
     events_digest,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "RepairEvent",
     "FlapEvent",
     "event_to_dict",
-    "event_from_dict",
     "events_digest",
     "build_events",
     "HOP_SECONDS",

@@ -13,8 +13,8 @@ Three event kinds advance the network through an outage:
 
 Events are plain frozen dataclasses ordered by ``(time, event_id)``;
 ``event_id`` is assigned in builder-creation order, so the total order
-is deterministic even for simultaneous events.  ``event_to_dict`` /
-``event_from_dict`` round-trip events through JSON for the soak journal.
+is deterministic even for simultaneous events.  ``event_to_dict``
+writes an event as JSON for the soak journal and the digests.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class FlapEvent(TimelineEvent):
 
 
 # ----------------------------------------------------------------------
-# JSON round-trip (soak journal, determinism digests)
+# JSON form (soak journal, determinism digests)
 
 def event_to_dict(event: TimelineEvent) -> Dict[str, object]:
     """A JSON-safe dict fully describing ``event``."""
@@ -128,41 +128,6 @@ def event_to_dict(event: TimelineEvent) -> Dict[str, object]:
     else:  # pragma: no cover - no other kinds exist
         raise TimelineError(f"unknown event type {type(event).__name__}")
     return d
-
-
-def event_from_dict(d: Dict[str, object]) -> TimelineEvent:
-    """Inverse of :func:`event_to_dict`."""
-    kind = d.get("kind")
-    time = float(d["time"])  # type: ignore[arg-type]
-    event_id = int(d["event_id"])  # type: ignore[arg-type]
-    if kind == "failure":
-        return FailureEvent(
-            time=time,
-            event_id=event_id,
-            center=tuple(d["center"]),  # type: ignore[arg-type]
-            radius=float(d["radius"]),  # type: ignore[arg-type]
-            failed_nodes=tuple(d["failed_nodes"]),  # type: ignore[arg-type]
-            cut_links=tuple(tuple(l) for l in d["cut_links"]),  # type: ignore[union-attr]
-            cause=str(d["cause"]),
-            parent_id=d["parent_id"],  # type: ignore[arg-type]
-        )
-    if kind == "repair":
-        link = d.get("link")
-        return RepairEvent(
-            time=time,
-            event_id=event_id,
-            node=d.get("node"),  # type: ignore[arg-type]
-            link=None if link is None else tuple(link),  # type: ignore[arg-type]
-            parent_id=d.get("parent_id"),  # type: ignore[arg-type]
-        )
-    if kind == "flap":
-        return FlapEvent(
-            time=time,
-            event_id=event_id,
-            link=tuple(d["link"]),  # type: ignore[arg-type]
-            down=bool(d["down"]),
-        )
-    raise TimelineError(f"unknown event kind {kind!r}")
 
 
 def events_digest(events: Sequence[TimelineEvent]) -> str:

@@ -5,14 +5,10 @@ from .generators import (
     DEFAULT_AREA,
     geometric_isp,
     grid_topology,
-    random_planar_delaunay_like,
     random_positions,
-    ring_topology,
-    star_topology,
 )
 from . import isp_catalog
 from .io import load_topology, save_topology, topology_from_dict, topology_to_dict
-from .rocketfuel import load_rocketfuel
 from .specs import topology_from_spec
 from . import validation
 
@@ -22,12 +18,8 @@ __all__ = [
     "DEFAULT_AREA",
     "geometric_isp",
     "grid_topology",
-    "random_planar_delaunay_like",
     "random_positions",
-    "ring_topology",
-    "star_topology",
     "isp_catalog",
-    "load_rocketfuel",
     "load_topology",
     "save_topology",
     "topology_from_dict",

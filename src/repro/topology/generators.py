@@ -14,8 +14,8 @@ connected geometric graphs with *exactly* a requested node and link count:
 What matters for RTR's behaviour is size, density, and geometric locality;
 the generator reproduces all three (see DESIGN.md §2).
 
-Deterministic auxiliary generators (:func:`grid_topology`,
-:func:`ring_topology`, :func:`star_topology`) are used throughout the tests.
+:func:`grid_topology` is the deterministic lattice behind the ``grid:``
+spec.
 """
 
 from __future__ import annotations
@@ -145,68 +145,4 @@ def grid_topology(
                 topo.add_link(node, node + 1)
             if r + 1 < rows:
                 topo.add_link(node, node + cols)
-    return topo
-
-
-def ring_topology(n: int, radius: float = 500.0, name: str = "ring") -> Topology:
-    """``n`` nodes on a circle, each linked to its two neighbors."""
-    if n < 3:
-        raise TopologyError("a ring needs at least 3 nodes")
-    topo = Topology(name)
-    cx = cy = radius * 2
-    for i in range(n):
-        angle = 2 * math.pi * i / n
-        topo.add_node(i, Point(cx + radius * math.cos(angle), cy + radius * math.sin(angle)))
-    for i in range(n):
-        topo.add_link(i, (i + 1) % n)
-    return topo
-
-
-def star_topology(n_leaves: int, radius: float = 400.0, name: str = "star") -> Topology:
-    """A hub (node 0) with ``n_leaves`` spokes — the extreme tree-branch case."""
-    if n_leaves < 1:
-        raise TopologyError("a star needs at least 1 leaf")
-    topo = Topology(name)
-    topo.add_node(0, Point(radius, radius))
-    for i in range(1, n_leaves + 1):
-        angle = 2 * math.pi * (i - 1) / n_leaves
-        topo.add_node(i, Point(radius + radius * math.cos(angle), radius + radius * math.sin(angle)))
-        topo.add_link(0, i)
-    return topo
-
-
-def random_planar_delaunay_like(
-    n_nodes: int,
-    rng: random.Random,
-    name: str = "planar",
-    area: float = DEFAULT_AREA,
-) -> Topology:
-    """A connected planar embedded graph (MST + crossing-free local links).
-
-    Used by tests of the planar-graph forwarding rule (§III-B): starts from
-    the Euclidean MST and greedily adds short links that cross nothing.
-    """
-    positions = random_positions(n_nodes, rng, area)
-    topo = Topology(name)
-    for node, pos in positions.items():
-        topo.add_node(node, pos)
-    for u, v in _euclidean_mst_edges(positions):
-        topo.add_link(u, v)
-
-    pairs = [
-        (positions[u].distance_to(positions[v]), u, v)
-        for u in range(n_nodes)
-        for v in range(u + 1, n_nodes)
-        if not topo.has_link(u, v)
-    ]
-    pairs.sort()
-    from ..geometry import Segment, segments_cross
-
-    existing = [topo.segment(link) for link in topo.links()]
-    for dist, u, v in pairs[: 3 * n_nodes]:
-        seg = Segment(positions[u], positions[v])
-        if any(segments_cross(seg, other) for other in existing):
-            continue
-        topo.add_link(u, v)
-        existing.append(seg)
     return topo

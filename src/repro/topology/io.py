@@ -19,12 +19,11 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 from xml.etree import ElementTree
 
 from ..errors import TopologyError
 from ..geometry import Point
-from .generators import DEFAULT_AREA
 from .graph import Topology
 
 FORMAT_VERSION = 1
@@ -145,19 +144,14 @@ def sniff_graph_format(path: Path, text: str) -> str:
     return "edges"
 
 
-def load_graph_file(
-    path: Union[str, Path],
-    seed: int = 0,
-    fmt: Optional[str] = None,
-    area: float = DEFAULT_AREA,
-) -> Topology:
+def load_graph_file(path: Union[str, Path], seed: int = 0) -> Topology:
     """Load a topology from any supported graph file format.
 
-    ``fmt`` forces ``json``/``graphml``/``cch``/``edges``; by default the
-    format is sniffed from the suffix and content.  Non-JSON formats are
-    embedded uniformly at random in the simulation area using ``seed``
-    (the repo's JSON format carries its own exact coordinates) and
-    restricted to the largest connected component.
+    The format is sniffed from the suffix and content
+    (:func:`sniff_graph_format`).  Non-JSON formats are embedded uniformly
+    at random in the simulation area using ``seed`` (the repo's JSON
+    format carries its own exact coordinates) and restricted to the
+    largest connected component.
     """
     from . import rocketfuel
 
@@ -166,18 +160,15 @@ def load_graph_file(
         text = target.read_text()
     except OSError as exc:
         raise TopologyError(f"cannot read {target}: {exc}") from exc
-    fmt = fmt or sniff_graph_format(target, text)
+    fmt = sniff_graph_format(target, text)
     if fmt == "json":
         return topology_from_dict(json.loads(text))
     if fmt == "graphml":
         edges = parse_graphml(text)
     elif fmt == "cch":
         edges = rocketfuel.parse_cch(text.splitlines())
-    elif fmt == "edges":
-        edges = rocketfuel.parse_edge_list(text.splitlines())
     else:
-        raise TopologyError(f"unknown graph format {fmt!r}")
-    rng = random.Random(seed)
+        edges = rocketfuel.parse_edge_list(text.splitlines())
     return rocketfuel.topology_from_edges(
-        edges, rng=rng, name=target.stem, area=area
+        edges, rng=random.Random(seed), name=target.stem
     )

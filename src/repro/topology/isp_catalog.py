@@ -96,11 +96,6 @@ def build(name: str, seed: int = 0) -> Topology:
     return topo
 
 
-def build_all(seed: int = 0, include_extended: bool = False) -> Dict[str, Topology]:
-    """Build every catalog topology (Table II order)."""
-    return {n: build(n, seed) for n in names(include_extended)}
-
-
 def summary_rows(include_extended: bool = False) -> List[Dict[str, object]]:
     """Rows of Table II: AS name, node count, link count."""
     profiles = ALL_PROFILES if include_extended else TABLE2_PROFILES

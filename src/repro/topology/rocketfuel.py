@@ -1,10 +1,12 @@
-"""Loading Rocketfuel-style topology files.
+"""Parsing Rocketfuel-style topology files.
 
 The paper derives its topologies from the Rocketfuel project and then
 *randomly places the nodes in a 2000 x 2000 area* (§IV-A) — Rocketfuel
 maps carry no usable coordinates.  This module does the same for users
 who have the data files (they are not redistributable, which is why the
-catalog ships synthetic equivalents instead — DESIGN.md §2):
+catalog ships synthetic equivalents instead — DESIGN.md §2); the
+``file:`` spec loads them through :func:`repro.topology.io.load_graph_file`,
+which sniffs the format and calls the parsers here:
 
 * **edge lists** (the widely shared ``weights.intra``-style format):
   one ``<node> <node> [weight]`` triple per line, ``#`` comments;
@@ -21,8 +23,7 @@ from __future__ import annotations
 
 import random
 import re
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import TopologyError
 from ..geometry import Point
@@ -86,7 +87,6 @@ def topology_from_edges(
     edges: List[Tuple[str, str, float]],
     rng: Optional[random.Random] = None,
     name: str = "rocketfuel",
-    area: float = DEFAULT_AREA,
     largest_component_only: bool = True,
 ) -> Topology:
     """Build an embedded topology from parsed edges.
@@ -117,7 +117,9 @@ def topology_from_edges(
 
     topo = Topology(name)
     for _name, nid in ids.items():
-        topo.add_node(nid, Point(rng.uniform(0, area), rng.uniform(0, area)))
+        topo.add_node(
+            nid, Point(rng.uniform(0, DEFAULT_AREA), rng.uniform(0, DEFAULT_AREA))
+        )
     for (u, v), w in unique.items():
         topo.add_link(u, v, cost=w)
 
@@ -140,26 +142,3 @@ def topology_from_edges(
         return restricted
     return topo
 
-
-def load_rocketfuel(
-    path: Union[str, Path],
-    rng: Optional[random.Random] = None,
-    fmt: Optional[str] = None,
-    area: float = DEFAULT_AREA,
-) -> Topology:
-    """Load a Rocketfuel file as an embedded topology.
-
-    ``fmt`` is ``"edges"`` or ``"cch"``; by default ``.cch`` files parse
-    as cch and everything else as an edge list.
-    """
-    target = Path(path)
-    lines = target.read_text().splitlines()
-    if fmt is None:
-        fmt = "cch" if target.suffix == ".cch" else "edges"
-    if fmt == "cch":
-        edges = parse_cch(lines)
-    elif fmt == "edges":
-        edges = parse_edge_list(lines)
-    else:
-        raise TopologyError(f"unknown rocketfuel format {fmt!r}")
-    return topology_from_edges(edges, rng=rng, name=target.stem, area=area)

@@ -1,38 +1,15 @@
-"""Topology validation and statistics.
+"""Topology statistics.
 
-Used by the catalog tests and by the Table II benchmark to check that the
-synthetic ISP topologies are structurally sane before any experiment runs.
+:func:`stats` is the summary row behind ``repro topo stats``; the other
+functions are its columns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from ..errors import TopologyError
 from .csr import cross_rows
 from .graph import Topology
-
-
-def validate(topo: Topology) -> None:
-    """Raise :class:`TopologyError` if ``topo`` violates a basic invariant.
-
-    Checks: at least two nodes and connectivity.  Finite coordinates and
-    positive, finite per-direction costs are enforced by
-    :meth:`Topology.add_node` / :meth:`Topology.add_link` themselves.
-    """
-    if topo.node_count < 2:
-        raise TopologyError(f"{topo.name}: fewer than 2 nodes")
-    if not topo.is_connected():
-        raise TopologyError(f"{topo.name}: not connected")
-
-
-def degree_histogram(topo: Topology) -> Dict[int, int]:
-    """Map degree -> number of nodes with that degree."""
-    histogram: Dict[int, int] = {}
-    for node in topo.nodes():
-        d = topo.degree(node)
-        histogram[d] = histogram.get(d, 0) + 1
-    return histogram
 
 
 def leaf_count(topo: Topology) -> int:
@@ -72,8 +49,3 @@ def stats(topo: Topology) -> Dict[str, object]:
         "average_link_length": round(average_link_length(topo), 1),
         "connected": topo.is_connected(),
     }
-
-
-def summarize_catalog(topologies: Dict[str, Topology]) -> List[Dict[str, object]]:
-    """Stats rows for a whole catalog build."""
-    return [stats(topo) for topo in topologies.values()]

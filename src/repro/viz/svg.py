@@ -116,7 +116,7 @@ def _draw_region(canvas: SvgCanvas, region: FailureRegion) -> None:
         )
     elif isinstance(region, Polygon):
         canvas.polygon(region.vertices, COLOR_REGION)
-    # Unbounded regions (half-planes) are skipped: failed elements are
+    # Other FailureRegion kinds are skipped: failed elements are
     # highlighted individually anyway.
 
 

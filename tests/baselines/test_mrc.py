@@ -7,7 +7,9 @@ import pytest
 from repro.schemes.mrc import MRC, generate_configurations, unprotected_nodes
 from repro.schemes.oracle import Oracle
 from repro.failures import FailureScenario, random_circle
-from repro.topology import Link, geometric_isp, isp_catalog, ring_topology
+from repro.topology import Link, geometric_isp, isp_catalog
+
+from ..conftest import ring_topology, star_topology
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +65,6 @@ class TestConfigurationGeneration:
 
     def test_leaves_cannot_be_isolated(self):
         # Articulation points / leaves are unprotectable (DESIGN.md §4).
-        from repro.topology import star_topology
-
         topo = star_topology(5)
         configs = generate_configurations(topo, seed=0)
         assert 0 in unprotected_nodes(topo, configs)  # the hub

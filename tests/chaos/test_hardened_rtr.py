@@ -14,6 +14,8 @@ from repro.failures import FailureScenario
 from repro.simulator import RecoveryResult, WalkPlan, run_plan
 from repro.topology import Link, grid_topology
 
+from ..conftest import ring_topology
+
 
 @pytest.fixture
 def grid_scenario():
@@ -199,8 +201,6 @@ class TestReconvergenceFallback:
     def test_fallback_to_unreachable_destination_stays_undelivered(self):
         # 0 - 1 - 2 with node 1 dead: nothing can deliver 0 -> 2, not even
         # waiting out convergence.
-        from repro.topology import ring_topology
-
         topo = ring_topology(4)
         scenario = FailureScenario.from_nodes(topo, [1, 3])
         plan = FaultPlan(seed=0, packet_loss_rate=1.0)

@@ -1,21 +1,79 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and test-only builders for the test suite."""
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 
 import pytest
 
+from repro import obs
+from repro.errors import TopologyError
 from repro.failures import FailureScenario
-from repro.geometry import Circle, Point
+from repro.geometry import Circle, Point, Polygon
 from repro.routing import kernels
-from repro.topology import Topology, grid_topology, ring_topology
+from repro.topology import DEFAULT_AREA, Topology, grid_topology
 from repro.topology.examples import (
     PAPER_FAILURE_REGION,
     paper_figure_topology,
     paper_planar_topology,
 )
+
+
+def ring_topology(n: int) -> Topology:
+    """``n`` nodes on a circle, each linked to its two neighbors."""
+    if n < 3:
+        raise TopologyError("a ring needs at least 3 nodes")
+    topo = Topology("ring")
+    for i in range(n):
+        angle = 2 * math.pi * i / n
+        topo.add_node(i, Point(1000 + 500 * math.cos(angle), 1000 + 500 * math.sin(angle)))
+    for i in range(n):
+        topo.add_link(i, (i + 1) % n)
+    return topo
+
+
+def star_topology(n_leaves: int) -> Topology:
+    """A hub (node 0) with ``n_leaves`` spokes — the extreme tree-branch case."""
+    if n_leaves < 1:
+        raise TopologyError("a star needs at least 1 leaf")
+    topo = Topology("star")
+    topo.add_node(0, Point(400, 400))
+    for i in range(1, n_leaves + 1):
+        angle = 2 * math.pi * (i - 1) / n_leaves
+        topo.add_node(i, Point(400 + 400 * math.cos(angle), 400 + 400 * math.sin(angle)))
+        topo.add_link(0, i)
+    return topo
+
+
+def random_polygon(
+    rng: random.Random, mean_radius: float = 200.0, n_vertices: int = 8
+) -> Polygon:
+    """A random star-shaped polygon — an arbitrary-shape failure area.
+
+    Vertices sit at jittered radii around a random center, ordered by
+    angle, so the polygon is simple (non self-intersecting).
+    """
+    center = Point(rng.uniform(0.0, DEFAULT_AREA), rng.uniform(0.0, DEFAULT_AREA))
+    vertices = []
+    for i in range(n_vertices):
+        angle = 2.0 * math.pi * i / n_vertices
+        r = mean_radius * rng.uniform(0.5, 1.5)
+        vertices.append(Point(center.x + r * math.cos(angle), center.y + r * math.sin(angle)))
+    return Polygon(vertices)
+
+
+@pytest.fixture
+def obs_on():
+    """Observability on, registries empty, for one test; then restored."""
+    prior = obs.enabled()
+    obs.reset()
+    obs.enable()
+    yield
+    obs.reset()
+    if not prior:
+        obs.disable()
 
 
 @pytest.fixture

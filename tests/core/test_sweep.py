@@ -1,10 +1,9 @@
 """Tests for repro.core.sweep (the right-hand rule)."""
 
-import math
-
 import pytest
 
-from repro.core import first_hop, neighbor_sweep_order, select_next_hop
+from repro.core import select_next_hop
+from repro.core.sweep import sweep_order
 from repro.errors import UnknownLinkError
 from repro.failures import FailureScenario, LocalView
 from repro.geometry import Point
@@ -36,29 +35,27 @@ def view_with(topo, failed_nodes=(), failed_links=()):
 class TestSweepOrder:
     def test_counterclockwise_from_reference(self):
         topo = plus_topology()
-        order = [nb for _, _, nb in neighbor_sweep_order(topo, 0, 1)]
+        order = sweep_order(topo, 0, 1)
         # Reference east; CCW hits north, west, south, then east itself.
         assert order == [2, 3, 4, 1]
 
     def test_reference_sorts_last(self):
         topo = plus_topology()
-        order = neighbor_sweep_order(topo, 0, 3)
-        assert order[-1][2] == 3
-        assert order[-1][0] == 2 * math.pi
+        assert sweep_order(topo, 0, 3)[-1] == 3
 
     def test_clockwise_mirrors(self):
         topo = plus_topology()
-        order = [nb for _, _, nb in neighbor_sweep_order(topo, 0, 1, clockwise=True)]
+        order = sweep_order(topo, 0, 1, clockwise=True)
         assert order == [4, 3, 2, 1]
 
     def test_non_adjacent_reference_rejected(self, grid5):
         # The sweeping line starts on a link; node 24 is across the grid.
         with pytest.raises(UnknownLinkError):
-            neighbor_sweep_order(grid5, 0, 24)
+            sweep_order(grid5, 0, 24)
 
     def test_self_reference_rejected(self, grid5):
         with pytest.raises(UnknownLinkError):
-            neighbor_sweep_order(grid5, 0, 0)
+            sweep_order(grid5, 0, 0)
 
 
 class TestSelectNextHop:
@@ -96,7 +93,9 @@ class TestSelectNextHop:
 
     def test_first_hop_matches_paper_example(self, paper_topo, paper_scenario):
         view = LocalView(paper_scenario)
-        assert first_hop(paper_topo, view, 6, 11) == 5
+        # Case 1 of §III-B: the sweep starts at the link to the unreachable
+        # default next hop (v11).
+        assert select_next_hop(paper_topo, view, 6, 11) == 5
 
     def test_tree_branch_backtracking(self, tiny_line):
         # At the end of a line the only option is the previous hop.

@@ -11,7 +11,9 @@ from repro.core import RTR, run_phase1
 from repro.failures import FailureScenario, LocalView
 from repro.geometry import Circle, Point
 from repro.simulator import ForwardingEngine, ForwardingTrace
-from repro.topology import Link, Topology, star_topology
+from repro.topology import Link, Topology
+
+from ..conftest import star_topology
 
 
 def star_with_ring() -> Topology:

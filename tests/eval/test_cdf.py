@@ -1,8 +1,6 @@
 """Tests for repro.eval.cdf."""
 
-import pytest
-
-from repro.eval import cdf_at, cdf_points, percentile, sampled_cdf, summarize
+from repro.eval import cdf_points, summarize
 
 
 class TestCdfPoints:
@@ -27,44 +25,6 @@ class TestCdfPoints:
         ps = [p for _, p in pts]
         assert xs == sorted(xs)
         assert ps == sorted(ps)
-
-
-class TestCdfAt:
-    def test_values(self):
-        data = [1, 2, 3, 4]
-        assert cdf_at(data, 0) == 0.0
-        assert cdf_at(data, 2) == 0.5
-        assert cdf_at(data, 10) == 1.0
-
-    def test_empty(self):
-        assert cdf_at([], 5) == 0.0
-
-
-class TestPercentile:
-    def test_median(self):
-        assert percentile([1, 2, 3, 4, 5], 0.5) == 3
-
-    def test_extremes(self):
-        data = list(range(1, 101))
-        assert percentile(data, 0.01) == 1
-        assert percentile(data, 1.0) == 100
-
-    def test_invalid_quantile(self):
-        with pytest.raises(ValueError):
-            percentile([1], 1.5)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            percentile([], 0.5)
-
-
-class TestSampledCdf:
-    def test_alignment(self):
-        pts = sampled_cdf([1, 2, 3, 4], [0, 2.5, 5])
-        assert pts == [(0, 0.0), (2.5, 0.5), (5, 1.0)]
-
-    def test_empty_values(self):
-        assert sampled_cdf([], [1, 2]) == [(1, 0.0), (2, 0.0)]
 
 
 class TestSummarize:

@@ -10,7 +10,6 @@ from repro.eval import (
     generate_cases,
     summarize_resilience,
 )
-from repro.eval.report import format_status_counts
 from repro.topology import isp_catalog
 
 
@@ -106,9 +105,3 @@ class TestChaosSweep:
         ).run(case_set)["FCP"]
         assert [r.delivered for r in chaotic] == [r.delivered for r in clean]
 
-
-def test_format_status_counts():
-    line = format_status_counts(
-        ["delivered", "delivered", "fallback", "dropped", "error"]
-    )
-    assert line == "delivered=2  fallback=1  dropped=1  error=1"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.eval import experiments
-from repro.eval.parallel import parallel_table3, parallel_table4, shard_cases
+from repro.eval.parallel import parallel_table3, shard_cases
 
 TOPOS = ("AS1239", "AS209")
 N = 40
@@ -68,11 +68,3 @@ class TestParallelTable3:
         other = parallel_table3(TOPOS, N, SEED, jobs=2, shards_per_topology=1)
         assert other == parallel_out
 
-
-class TestParallelTable4:
-    def test_bit_identical_to_serial(self):
-        parallel_out = parallel_table4(
-            TOPOS, N, SEED, jobs=2, shards_per_topology=3
-        )
-        serial = experiments.table4_wasted_summary(TOPOS, N, SEED)
-        assert parallel_out == serial

@@ -57,15 +57,13 @@ class TestSigkilledWorker:
         assert results == _expected([0, 1, 2])
         assert os.path.exists(marker), "the kill branch must have run"
 
-    def test_retry_and_rebuild_counters(self, tmp_path):
+    def test_retry_and_rebuild_counters(self, tmp_path, obs_on):
         marker = str(tmp_path / "killed-once")
         tasks = [(0, _ok, (0,)), (1, _kill_once, (marker, 1))]
-        with obs.temporarily_enabled():
-            obs.reset()
-            results = run_sharded(
-                tasks, span_name="test.shard", workers=2, backoff_s=0.0
-            )
-            counters = obs.snapshot()["metrics"]["counters"]
+        results = run_sharded(
+            tasks, span_name="test.shard", workers=2, backoff_s=0.0
+        )
+        counters = obs.snapshot()["metrics"]["counters"]
         assert results == _expected([0, 1])
         assert counters.get(RETRY_COUNTER, 0) >= 1
         assert counters.get(POOL_REBUILD_COUNTER, 0) >= 1
@@ -73,18 +71,16 @@ class TestSigkilledWorker:
 
 
 class TestBoundedRetries:
-    def test_exhausted_shard_runs_in_parent(self):
+    def test_exhausted_shard_runs_in_parent(self, obs_on):
         tasks = [(0, _ok, (0,)), (1, _fail_outside_pid, (os.getpid(), 1))]
-        with obs.temporarily_enabled():
-            obs.reset()
-            results = run_sharded(
-                tasks,
-                span_name="test.shard",
-                workers=2,
-                max_attempts=2,
-                backoff_s=0.0,
-            )
-            counters = obs.snapshot()["metrics"]["counters"]
+        results = run_sharded(
+            tasks,
+            span_name="test.shard",
+            workers=2,
+            max_attempts=2,
+            backoff_s=0.0,
+        )
+        counters = obs.snapshot()["metrics"]["counters"]
         assert results == _expected([0, 1])
         assert counters.get(RETRIES_EXHAUSTED_COUNTER, 0) == 1
         # one requeue into round 2 plus the final parent-serial run
@@ -112,31 +108,27 @@ class TestBoundedRetries:
 
 
 class TestShardDurationHistogram:
-    def test_every_shard_observes_its_duration(self):
+    def test_every_shard_observes_its_duration(self, obs_on):
         from repro.eval.sharding import SHARD_SECONDS_HISTOGRAM
 
         tasks = [(k, _ok, (k,)) for k in range(3)]
-        with obs.temporarily_enabled():
-            obs.reset()
-            results = run_sharded(tasks, span_name="test.shard", workers=2)
-            histograms = obs.snapshot()["metrics"]["histograms"]
+        results = run_sharded(tasks, span_name="test.shard", workers=2)
+        histograms = obs.snapshot()["metrics"]["histograms"]
         assert results == _expected([0, 1, 2])
         assert histograms[SHARD_SECONDS_HISTOGRAM]["count"] == 3
 
-    def test_parent_serial_fallback_also_observes(self):
+    def test_parent_serial_fallback_also_observes(self, obs_on):
         from repro.eval.sharding import SHARD_SECONDS_HISTOGRAM
 
         tasks = [(0, _fail_outside_pid, (os.getpid(), 0))]
-        with obs.temporarily_enabled():
-            obs.reset()
-            results = run_sharded(
-                tasks,
-                span_name="test.shard",
-                workers=1,
-                max_attempts=1,
-                backoff_s=0.0,
-            )
-            histograms = obs.snapshot()["metrics"]["histograms"]
+        results = run_sharded(
+            tasks,
+            span_name="test.shard",
+            workers=1,
+            max_attempts=1,
+            backoff_s=0.0,
+        )
+        histograms = obs.snapshot()["metrics"]["histograms"]
         assert results == _expected([0])
         assert histograms[SHARD_SECONDS_HISTOGRAM]["count"] == 1
 

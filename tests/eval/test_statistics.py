@@ -6,12 +6,7 @@ import pytest
 import scipy.stats
 
 from repro.errors import EvaluationError
-from repro.eval.statistics import (
-    mean_interval,
-    rate_row,
-    rates_overlap,
-    wilson_interval,
-)
+from repro.eval.statistics import wilson_interval
 
 
 class TestWilsonInterval:
@@ -46,36 +41,3 @@ class TestWilsonInterval:
         with pytest.raises(EvaluationError):
             wilson_interval(1, 10, confidence=0.8)
 
-
-class TestMeanInterval:
-    def test_against_scipy_sem(self):
-        values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        mean, lo, hi = mean_interval(values, 0.95)
-        sem = scipy.stats.sem(values)
-        assert mean == pytest.approx(4.5)
-        assert hi - mean == pytest.approx(1.959963984540054 * sem, rel=1e-9)
-
-    def test_single_value_collapses(self):
-        assert mean_interval([3.0]) == (3.0, 3.0, 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EvaluationError):
-            mean_interval([])
-
-    def test_symmetric(self):
-        mean, lo, hi = mean_interval([1, 2, 3, 4])
-        assert mean - lo == pytest.approx(hi - mean)
-
-
-class TestHelpers:
-    def test_rate_row(self):
-        row = rate_row("recovery", 986, 1000)
-        assert row["rate_pct"] == 98.6
-        assert row["ci_lo_pct"] < 98.6 < row["ci_hi_pct"]
-        assert row["n"] == 1000
-
-    def test_rates_overlap_true_for_noise(self):
-        assert rates_overlap(49, 100, 55, 100)
-
-    def test_rates_overlap_false_for_real_gap(self):
-        assert not rates_overlap(986, 1000, 420, 1000)

@@ -5,8 +5,8 @@ The production path tests only what the region's search boxes meet, so
 it must produce the same ``failed_nodes`` and ``failed_links`` — and the
 same iteration order of both — on the regions where a box filter can go
 wrong: circles tangent to lattice nodes and links, zero radii, areas off
-the map, concave and short-edged polygons, unbounded half-planes, unions,
-and a topology mutated between queries.
+the map, concave, short-edged and map-wide polygons, unions, and a
+topology mutated between queries.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 
 from repro.failures import FailureScenario
 from repro.failures.model import region_index
-from repro.geometry import Circle, HalfPlane, Point, Polygon, UnionRegion
+from repro.geometry import Circle, Point, Polygon, UnionRegion
 from repro.topology import Topology, topology_from_spec
 
 from .reference_region import reference_from_region
@@ -68,10 +68,11 @@ SHAPES = [
          Point(150.0, 160.0)]
     ),
     Polygon([Point(1e5, 1e5), Point(1e5 + 1, 1e5), Point(1e5, 1e5 + 1)]),
-    HalfPlane(Point(300.0, 0.0), Point(1.0, 0.0)),
-    HalfPlane(Point(0.0, 500.0), Point(-1.0, 1.0)),
     UnionRegion([Circle(Point(0.0, 0.0), 100.0), Circle(Point(600.0, 500.0), 50.0)]),
-    UnionRegion([Circle(Point(300.0, 200.0), 10.0), HalfPlane(Point(0, 0), Point(0, -1))]),
+    UnionRegion(  # a circle and a band along the map's bottom edge, y <= 0
+        [Circle(Point(300.0, 200.0), 10.0),
+         Polygon([Point(-1e4, -1e4), Point(1e4, -1e4), Point(1e4, 0), Point(-1e4, 0)])]
+    ),
     UnionRegion(
         [Circle(Point(100.0, 100.0), 1.0),
          Polygon([Point(300, 300), Point(420, 300), Point(420, 420)])]

@@ -7,14 +7,48 @@ later link whose box overlaps tested with :func:`segments_cross_raw`.  It
 uses no grid, so it cannot miss a candidate; ``test_planarity_np.py``
 requires the production rows, read as sets by :func:`rows_as_map`, to
 equal this map.
+
+:func:`segments_cross` is the same proper-crossing predicate spelled on
+``Point``/``Segment``; ``test_properties.py`` requires the raw-coordinate
+production predicate to agree with it bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
-from repro.geometry import Segment
+from repro.geometry import Segment, orientation
 from repro.geometry.planarity import segments_cross_raw
+
+
+def segments_cross(s1: Segment, s2: Segment) -> bool:
+    """Whether two segments *properly* cross (interior intersection).
+
+    This is the predicate behind the paper's "link across another link":
+    links that only touch at a shared router do not cross.  Collinear
+    overlapping segments are treated as crossing since their interiors
+    intersect.
+    """
+    if any(p.is_close(q) for p in (s1.a, s1.b) for q in (s2.a, s2.b)):
+        return False  # a shared (numerically common) endpoint
+
+    o1 = orientation(s1.a, s1.b, s2.a)
+    o2 = orientation(s1.a, s1.b, s2.b)
+    o3 = orientation(s2.a, s2.b, s1.a)
+    o4 = orientation(s2.a, s2.b, s1.b)
+
+    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+        return True
+
+    # An endpoint of one segment lying strictly inside the other also makes
+    # the interiors intersect (e.g. a T-junction without a shared router).
+    for p in (s2.a, s2.b):
+        if s1.contains_point(p) and not (p.is_close(s1.a) or p.is_close(s1.b)):
+            return True
+    for p in (s1.a, s1.b):
+        if s2.contains_point(p) and not (p.is_close(s2.a) or p.is_close(s2.b)):
+            return True
+    return False
 
 
 def _bbox(segment: Segment) -> Tuple[float, float, float, float]:

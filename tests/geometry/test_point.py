@@ -2,9 +2,7 @@
 
 import math
 
-import pytest
-
-from repro.geometry import EPSILON, TWO_PI, Point, ccw_angle, centroid, orientation
+from repro.geometry import EPSILON, TWO_PI, Point, ccw_angle, orientation
 
 
 class TestPointArithmetic:
@@ -83,15 +81,3 @@ class TestOrientation:
     def test_near_collinear_uses_epsilon(self):
         assert orientation(Point(0, 0), Point(1, 0), Point(2, EPSILON / 10)) == 0
 
-
-class TestCentroid:
-    def test_single_point(self):
-        assert centroid(iter([Point(3, 4)])) == Point(3, 4)
-
-    def test_square(self):
-        pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-        assert centroid(iter(pts)) == Point(1, 1)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid(iter([]))

@@ -10,10 +10,11 @@ from repro.geometry import (
     Point,
     Segment,
     ccw_angle,
-    segments_cross,
     segments_intersect,
 )
 from repro.geometry.planarity import segments_cross_raw
+
+from .reference_cross_links import segments_cross
 
 coords = st.floats(
     min_value=-1000, max_value=1000, allow_nan=False, allow_infinity=False

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.geometry import Circle, HalfPlane, Point, Polygon, Segment, UnionRegion
+from repro.geometry import Circle, Point, Polygon, Segment, UnionRegion
 
 
 def seg(x1, y1, x2, y2) -> Segment:
@@ -114,36 +114,6 @@ class TestPolygon:
     def test_area_orientation_independent(self):
         cw = Polygon([Point(0, 0), Point(0, 10), Point(10, 10), Point(10, 0)])
         assert cw.area() == 100.0
-
-
-class TestHalfPlane:
-    def test_contains_on_normal_side(self):
-        hp = HalfPlane(Point(0, 0), Point(1, 0))  # x >= 0
-        assert hp.contains(Point(5, 3))
-        assert not hp.contains(Point(-1, 0))
-
-    def test_boundary_counts(self):
-        hp = HalfPlane(Point(0, 0), Point(1, 0))
-        assert hp.contains(Point(0, 100))
-
-    def test_crosses_when_endpoint_inside(self):
-        hp = HalfPlane(Point(0, 0), Point(1, 0))
-        assert hp.crosses(seg(-5, 0, 5, 0))
-        assert not hp.crosses(seg(-5, 0, -1, 0))
-
-    def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError):
-            HalfPlane(Point(0, 0), Point(0, 0))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            HalfPlane(Point(math.inf, 0), Point(1, 0))
-        with pytest.raises(ValueError):
-            HalfPlane(Point(0, 0), Point(math.nan, 1))
-
-    def test_unbounded_bbox(self):
-        box = HalfPlane(Point(0, 0), Point(1, 0)).bounding_box()
-        assert box[0] == -math.inf and box[3] == math.inf
 
 
 class TestUnionRegion:

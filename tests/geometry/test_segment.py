@@ -1,18 +1,17 @@
-"""Tests for repro.geometry.segment."""
+"""Tests for repro.geometry.segment and the proper-crossing predicate."""
 
 import math
 
-from repro.geometry import (
-    Point,
-    Segment,
-    intersection_point,
-    segments_cross,
-    segments_intersect,
-)
+from repro.geometry import Point, Segment, segments_intersect
+from repro.geometry.planarity import segments_cross_raw
 
 
 def seg(x1, y1, x2, y2) -> Segment:
     return Segment(Point(x1, y1), Point(x2, y2))
+
+
+def segments_cross(s1: Segment, s2: Segment) -> bool:
+    return segments_cross_raw(*s1.a, *s1.b, *s2.a, *s2.b)
 
 
 class TestSegmentBasics:
@@ -71,7 +70,7 @@ class TestIntersect:
 
 
 class TestCross:
-    """segments_cross is the paper's 'link across another link'."""
+    """segments_cross_raw is the paper's 'link across another link'."""
 
     def test_proper_crossing(self):
         assert segments_cross(seg(0, 0, 10, 10), seg(0, 10, 10, 0))
@@ -100,26 +99,3 @@ class TestCross:
         a, b = seg(0, 0, 10, 10), seg(0, 10, 10, 0)
         assert segments_cross(a, b) == segments_cross(b, a)
 
-
-class TestIntersectionPoint:
-    def test_crossing_point(self):
-        p = intersection_point(seg(0, 0, 10, 10), seg(0, 10, 10, 0))
-        assert p is not None
-        assert p.is_close(Point(5, 5))
-
-    def test_none_for_disjoint(self):
-        assert intersection_point(seg(0, 0, 1, 1), seg(5, 5, 6, 6)) is None
-
-    def test_parallel_non_collinear(self):
-        assert intersection_point(seg(0, 0, 10, 0), seg(0, 1, 10, 1)) is None
-
-    def test_collinear_overlap_returns_common_point(self):
-        p = intersection_point(seg(0, 0, 10, 0), seg(5, 0, 15, 0))
-        assert p is not None
-        assert seg(0, 0, 10, 0).contains_point(p)
-        assert seg(5, 0, 15, 0).contains_point(p)
-
-    def test_endpoint_touch(self):
-        p = intersection_point(seg(0, 0, 5, 0), seg(5, 0, 5, 5))
-        assert p is not None
-        assert p.is_close(Point(5, 0))

@@ -14,10 +14,12 @@ from repro.schemes.fcp import FCP
 from repro.schemes.mrc import MRC, generate_configurations
 from repro.schemes.oracle import Oracle
 from repro.core import RTR, RTRConfig
-from repro.failures import FailureScenario, LocalView, random_circle, random_polygon
+from repro.failures import FailureScenario, LocalView, random_circle
 from repro.geometry import Point
 from repro.routing import RoutingTable
 from repro.topology import Link, Topology, geometric_isp
+
+from ..conftest import random_polygon
 
 
 def random_world(seed: int, weighted: bool = False):

@@ -49,12 +49,6 @@ class TestGating:
         # The custom event is correlated to its enclosing span.
         assert obs.tracer.events[0]["span_id"] == obs.tracer.events[1]["span_id"]
 
-    def test_temporarily_enabled_restores(self):
-        assert not obs.enabled()
-        with obs.temporarily_enabled():
-            assert obs.enabled()
-        assert not obs.enabled()
-
     def test_reset_clears_everything(self):
         obs.enable()
         obs.inc("c")

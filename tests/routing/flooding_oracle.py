@@ -1,17 +1,12 @@
-"""Packet-level LSA flooding — the IGP convergence process, simulated.
+"""Test-only packetized LSA flooding — the oracle for the analytic timeline.
 
-:mod:`repro.routing.linkstate` computes the convergence *timeline*
-analytically; this module actually runs it: link-state advertisements are
-individual messages moving over surviving links through the event queue,
-with sequence numbers, duplicate suppression, and per-router SPF runs.
-It exists for three reasons:
-
-* it validates the analytic model (with a constant per-hop delay the two
-  must agree exactly — asserted by tests),
-* it counts *messages*, which the analytic model cannot (flooding cost is
-  the classic argument for hold-down timers),
-* it lets examples show the control plane and RTR's data-plane recovery
-  on the same clock.
+:mod:`repro.routing.linkstate` computes the IGP convergence timeline
+analytically.  This module runs it instead: link-state advertisements
+are individual messages moving over surviving links through a small
+discrete-event queue, with duplicate suppression and per-router SPF
+runs.  With a constant per-hop delay the two must agree exactly, which
+``test_flooding.py`` asserts; it also counts messages, which the analytic
+model cannot.
 
 Model: each detector originates one LSA (origin id + sequence number)
 after ``detection_delay + lsa_hold_down``; a router receiving a new LSA
@@ -22,13 +17,76 @@ after the last new LSA it will ever receive.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Set
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from ..simulator.delays import DelayModel, PaperDelayModel
-from ..simulator.events import EventQueue
-from ..topology import Link, Topology
-from .linkstate import ConvergenceConfig
+from repro.errors import SimulationError
+from repro.routing import ConvergenceConfig
+from repro.simulator.delays import DelayModel, PaperDelayModel
+from repro.topology import Link, Topology
+
+Action = Callable[[], None]
+
+
+class EventQueue:
+    """A time-ordered callback queue with stable FIFO tie-breaking."""
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, Action]] = []
+        self._counter = itertools.count()
+        self.now = 0.0
+        self.processed = 0
+
+    def schedule(self, when: float, action: Action) -> None:
+        """Run ``action`` at absolute time ``when`` (>= now)."""
+        if when < self.now - 1e-12:
+            raise SimulationError(
+                f"cannot schedule into the past: {when} < now {self.now}"
+            )
+        heapq.heappush(self._heap, (when, next(self._counter), action))
+
+    def schedule_in(self, delay: float, action: Action) -> None:
+        """Run ``action`` ``delay`` seconds from now."""
+        self.schedule(self.now + delay, action)
+
+    @property
+    def pending(self) -> int:
+        """Number of events waiting."""
+        return len(self._heap)
+
+    def step(self) -> bool:
+        """Process the next event; False when the queue is empty."""
+        if not self._heap:
+            return False
+        when, _seq, action = heapq.heappop(self._heap)
+        self.now = when
+        action()
+        self.processed += 1
+        return True
+
+    def run(
+        self, until: Optional[float] = None, max_events: int = 10_000_000
+    ) -> float:
+        """Drain the queue, optionally stopping at time ``until``.
+
+        Returns the final clock value.  ``max_events`` guards against
+        accidental event storms.
+        """
+        count = 0
+        while self._heap:
+            when = self._heap[0][0]
+            if until is not None and when > until:
+                self.now = until
+                return self.now
+            if count >= max_events:
+                raise SimulationError(f"exceeded max_events={max_events}")
+            self.step()
+            count += 1
+        if until is not None:
+            self.now = max(self.now, until)
+        return self.now
 
 
 class Lsa(NamedTuple):
@@ -137,7 +195,7 @@ class FloodingSimulator:
     def run(self) -> FloodingReport:
         """Flood every detector's LSA and compute convergence times."""
         origin_time = self.config.detection_delay + self.config.lsa_hold_down
-        for i, detector in enumerate(sorted(self.detectors())):
+        for detector in sorted(self.detectors()):
             lsa = Lsa(origin=detector, sequence=1)
             self.queue.schedule(
                 origin_time, lambda d=detector, l=lsa: self._originate(d, l)

@@ -218,18 +218,13 @@ class TestArrayTrees:
             _, dist, parent = tree._arrays
             assert dist.base is None and parent.base is None
 
-    def test_materialized_counter(self):
+    def test_materialized_counter(self, obs_on):
         topo = random_int_topology(5)
-        with obs.temporarily_enabled():
-            obs.reset()
-            try:
-                tree = array_tree(topo, 0, False)
-                tree.cost_to(3), tree.reaches(4), tree.path_from(3)
-                assert "spt.materialized" not in obs.metrics.snapshot()["counters"]
-                tree.dist, tree.parent, tree.dist
-                assert obs.metrics.snapshot()["counters"]["spt.materialized"] == 1
-            finally:
-                obs.reset()
+        tree = array_tree(topo, 0, False)
+        tree.cost_to(3), tree.reaches(4), tree.path_from(3)
+        assert "spt.materialized" not in obs.metrics.snapshot()["counters"]
+        tree.dist, tree.parent, tree.dist
+        assert obs.metrics.snapshot()["counters"]["spt.materialized"] == 1
 
 
 def removal_cases(topo, rng):

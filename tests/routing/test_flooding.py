@@ -1,4 +1,4 @@
-"""Tests for repro.routing.flooding (packetized LSA flooding)."""
+"""The packetized flooding oracle agrees with the analytic LSA timeline."""
 
 import random
 
@@ -6,8 +6,9 @@ import pytest
 
 from repro.failures import FailureScenario, random_circle
 from repro.routing import ConvergenceConfig, LinkStateProtocol
-from repro.routing.flooding import FloodingSimulator
 from repro.topology import Link, isp_catalog
+
+from .flooding_oracle import FloodingSimulator
 
 
 def run_both(topo, failed_nodes, failed_links, config=None):

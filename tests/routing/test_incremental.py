@@ -16,7 +16,6 @@ from repro.routing import (
     shortest_path_tree,
     updated_tree,
 )
-from repro.routing.incremental import incremental_distance
 from repro.topology import Link, geometric_isp, grid_topology
 
 
@@ -76,13 +75,9 @@ class TestBasicRemovals:
 
     def test_incremental_distance_helper(self, ring8):
         tree = shortest_path_tree(ring8, 0)
-        assert incremental_distance(ring8, tree, 1, removed_links=[Link.of(0, 1)]) == 7
-        assert (
-            incremental_distance(
-                ring8, tree, 1, removed_links=[Link.of(0, 1), Link.of(1, 2)]
-            )
-            is None
-        )
+        assert updated_tree(ring8, tree, removed_links=[Link.of(0, 1)]).cost_to(1) == 7
+        cut = updated_tree(ring8, tree, removed_links=[Link.of(0, 1), Link.of(1, 2)])
+        assert cut.cost_to(1) is None
 
 
 class TestAgainstFreshDijkstra:

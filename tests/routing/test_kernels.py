@@ -44,12 +44,13 @@ from repro.topology import (
     Link,
     Topology,
     isp_catalog,
-    ring_topology,
     topology_from_spec,
 )
 from repro.topology import npcsr
 from repro.topology.examples import paper_figure_topology, paper_planar_topology
 from repro.topology.scale import scale_topology
+
+from ..conftest import ring_topology
 
 numpy_missing = npcsr.numpy_or_none() is None
 

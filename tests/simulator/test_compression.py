@@ -1,7 +1,5 @@
 """Tests for repro.simulator.compression (§III-E header mapping)."""
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,13 +9,52 @@ from repro.simulator import RecoveryHeader
 from repro.simulator.compression import (
     compress_links,
     compressed_header_bytes,
-    decode_id_set,
-    decode_varint,
-    decompress_links,
     encode_id_set,
     encode_varint,
     raw_header_bytes,
 )
+
+# The decoders: the library only ever encodes (it charges header bytes),
+# so the inverses live here, where the round trips prove the coding lossless.
+
+
+def decode_varint(data, offset=0):
+    """Decode one varint; returns ``(value, next_offset)``."""
+    value = 0
+    shift = 0
+    while True:
+        if offset >= len(data):
+            raise SimulationError("truncated varint")
+        byte = data[offset]
+        offset += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, offset
+        shift += 7
+        if shift > 63:
+            raise SimulationError("varint too long")
+
+
+def decode_id_set(data):
+    """Inverse of :func:`encode_id_set`."""
+    if not data:
+        raise SimulationError("empty compressed id field")
+    count = data[0]
+    ids = []
+    offset = 1
+    value = 0
+    for i in range(count):
+        delta, offset = decode_varint(data, offset)
+        value = delta if i == 0 else value + delta
+        ids.append(value)
+    if offset != len(data):
+        raise SimulationError("trailing bytes after compressed id field")
+    return ids
+
+
+def decompress_links(topo, data):
+    """Inverse of :func:`compress_links` (sorted by link index)."""
+    return [topo.link_at(index) for index in decode_id_set(data)]
 
 
 class TestVarint:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.simulator import (
-    DistanceDelayModel,
     PaperDelayModel,
     PAPER_PROPAGATION_S,
     ROUTER_DELAY_S,
@@ -28,18 +27,3 @@ class TestPaperDelayModel:
         assert ROUTER_DELAY_S == pytest.approx(100e-6)
         assert PAPER_PROPAGATION_S == pytest.approx(1.7e-3)
 
-
-class TestDistanceDelayModel:
-    def test_longer_link_longer_delay(self, paper_topo):
-        model = DistanceDelayModel()
-        short = model.hop_delay(paper_topo, Link.of(13, 14))
-        long = model.hop_delay(paper_topo, Link.of(2, 13))
-        assert long > short
-
-    def test_calibration_against_paper(self, ring8):
-        # A 500 km link must cost the paper's 1.7 ms propagation.
-        model = DistanceDelayModel(km_per_unit=1.0)
-        link = Link.of(0, 1)
-        km = ring8.euclidean_length(link)
-        expected = ROUTER_DELAY_S + km * (PAPER_PROPAGATION_S / 500.0)
-        assert model.hop_delay(ring8, link) == pytest.approx(expected)

@@ -1,9 +1,10 @@
-"""Tests for repro.simulator.events."""
+"""The flooding oracle's discrete-event queue."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator import EventQueue
+
+from ..routing.flooding_oracle import EventQueue
 
 
 class TestEventQueue:

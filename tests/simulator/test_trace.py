@@ -102,18 +102,16 @@ class TestSpanCorrelation:
         assert trace.events[0].span_id is None
         assert trace.to_rows()[0]["span_id"] is None
 
-    def test_hops_stamped_with_enclosing_span(self, ring8):
+    def test_hops_stamped_with_enclosing_span(self, ring8, obs_on):
         from repro import obs
 
         engine, trace = traced_engine(ring8)
         packet = Packet(source=0, destination=2)
-        with obs.temporarily_enabled():
-            obs.reset()
-            with obs.span("delivery") as span:
-                engine.follow_source_route_outcome(
-                    packet, [0, 1, 2], RecoveryAccounting()
-                )
-            span_id = span.span_id
+        with obs.span("delivery") as span:
+            engine.follow_source_route_outcome(
+                packet, [0, 1, 2], RecoveryAccounting()
+            )
+        span_id = span.span_id
         assert [e.span_id for e in trace.events] == [span_id, span_id]
 
     def test_to_rows_round_trips_hop_events(self, ring8):

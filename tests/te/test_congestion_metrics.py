@@ -9,7 +9,6 @@ from repro.te.metrics import (
     HISTOGRAM_BINS,
     UTILIZATION_BIN_EDGES,
     UTILIZATION_BIN_WIDTH,
-    congestion_free,
     merge_histograms,
     overload_attribution,
     utilization_histogram,
@@ -85,12 +84,6 @@ class TestPercentile:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="quantile"):
                 utilization_percentile([1], bad)
-
-
-class TestCongestionFree:
-    def test_verdicts(self):
-        assert congestion_free(0)
-        assert not congestion_free(3)
 
 
 class TestOverloadAttribution:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import (
-    ConfigurationError,
+    ChaosError,
     EvaluationError,
     ForwardingLoopError,
     NoPathError,
@@ -23,7 +23,7 @@ class TestHierarchy:
             TopologyError,
             RoutingError,
             SimulationError,
-            ConfigurationError,
+            ChaosError,
             EvaluationError,
         ],
     )

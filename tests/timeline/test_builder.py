@@ -9,11 +9,45 @@ from repro.timeline import (
     RepairEvent,
     TimelinePlan,
     build_events,
-    event_from_dict,
     event_to_dict,
     events_digest,
 )
 from repro.topology import grid_topology
+
+
+def event_from_dict(d):
+    """Inverse of :func:`event_to_dict`: the round trip proves the form lossless."""
+    kind = d.get("kind")
+    time = float(d["time"])
+    event_id = int(d["event_id"])
+    if kind == "failure":
+        return FailureEvent(
+            time=time,
+            event_id=event_id,
+            center=tuple(d["center"]),
+            radius=float(d["radius"]),
+            failed_nodes=tuple(d["failed_nodes"]),
+            cut_links=tuple(tuple(l) for l in d["cut_links"]),
+            cause=str(d["cause"]),
+            parent_id=d["parent_id"],
+        )
+    if kind == "repair":
+        link = d.get("link")
+        return RepairEvent(
+            time=time,
+            event_id=event_id,
+            node=d.get("node"),
+            link=None if link is None else tuple(link),
+            parent_id=d.get("parent_id"),
+        )
+    if kind == "flap":
+        return FlapEvent(
+            time=time,
+            event_id=event_id,
+            link=tuple(d["link"]),
+            down=bool(d["down"]),
+        )
+    raise TimelineError(f"unknown event kind {kind!r}")
 
 
 @pytest.fixture(scope="module")

@@ -5,14 +5,10 @@ import random
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import (
-    geometric_isp,
-    grid_topology,
-    random_planar_delaunay_like,
-    ring_topology,
-    star_topology,
-)
+from repro.topology import geometric_isp, grid_topology
 from repro.topology.generators import random_positions
+
+from ..conftest import ring_topology, star_topology
 
 
 class TestGeometricIsp:
@@ -92,6 +88,8 @@ class TestGrid:
             grid_topology(0, 3)
 
 
+# Ring and star are test-only builders (tests/conftest.py); these pin the
+# shapes the fixtures built on them rely on.
 class TestRing:
     def test_counts(self):
         topo = ring_topology(8)
@@ -124,18 +122,6 @@ class TestStar:
     def test_needs_a_leaf(self):
         with pytest.raises(TopologyError):
             star_topology(0)
-
-
-class TestPlanarGenerator:
-    def test_planar_and_connected(self):
-        for seed in range(4):
-            topo = random_planar_delaunay_like(20, random.Random(seed))
-            assert topo.is_connected()
-            assert topo.is_planar_embedding()
-
-    def test_denser_than_tree(self):
-        topo = random_planar_delaunay_like(25, random.Random(9))
-        assert topo.link_count > topo.node_count - 1
 
 
 class TestRandomPositions:

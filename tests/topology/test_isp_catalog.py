@@ -64,10 +64,6 @@ class TestDeterminism:
         t2 = isp_catalog.build("AS209", seed=2)
         assert sorted(t1.links()) != sorted(t2.links())
 
-    def test_build_all(self):
-        topos = isp_catalog.build_all(seed=0)
-        assert set(topos) == set(TABLE2)
-
 
 class TestTreeBranchCharacter:
     def test_as7018_has_many_leaves(self):

@@ -1,12 +1,13 @@
-"""Tests for repro.topology.rocketfuel (data-file loading)."""
+"""Tests for repro.topology.rocketfuel (data-file parsing and loading)."""
 
 import random
 
 import pytest
 
 from repro.errors import TopologyError
+from repro.topology import DEFAULT_AREA
+from repro.topology.io import load_graph_file
 from repro.topology.rocketfuel import (
-    load_rocketfuel,
     parse_cch,
     parse_edge_list,
     topology_from_edges,
@@ -67,12 +68,12 @@ class TestParseCch:
 class TestTopologyFromEdges:
     def test_dense_ids_and_embedding(self):
         edges = parse_edge_list(["a b", "b c", "c a"])
-        topo = topology_from_edges(edges, random.Random(1), area=500)
+        topo = topology_from_edges(edges, random.Random(1))
         assert topo.node_count == 3
         assert topo.link_count == 3
         for node in topo.nodes():
             pos = topo.position(node)
-            assert 0 <= pos.x <= 500 and 0 <= pos.y <= 500
+            assert 0 <= pos.x <= DEFAULT_AREA and 0 <= pos.y <= DEFAULT_AREA
 
     def test_duplicates_and_self_loops_dropped(self):
         edges = parse_edge_list(["a b 2", "b a 9", "a a"])
@@ -100,25 +101,21 @@ class TestTopologyFromEdges:
 
 
 class TestLoadRocketfuel:
+    """Rocketfuel files through the ``file:`` loader, format sniffed by suffix."""
+
     def test_edge_file(self, tmp_path):
         path = tmp_path / "weights.intra"
         path.write_text(EDGE_FILE)
-        topo = load_rocketfuel(path, random.Random(2))
+        topo = load_graph_file(path, seed=2)
         assert topo.is_connected()
         assert topo.node_count == 4  # a b c d (x-y is the minor component)
 
     def test_cch_file(self, tmp_path):
         path = tmp_path / "as1.cch"
         path.write_text(CCH_SNIPPET)
-        topo = load_rocketfuel(path, random.Random(3))
+        topo = load_graph_file(path, seed=3)
         assert topo.node_count == 3
         assert topo.link_count == 3
-
-    def test_unknown_format(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("a b")
-        with pytest.raises(TopologyError):
-            load_rocketfuel(path, fmt="exotic")
 
     def test_loaded_topology_runs_rtr(self, tmp_path):
         # End-to-end: a loaded file is a first-class topology.
@@ -129,7 +126,7 @@ class TestLoadRocketfuel:
                 [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (3, 4), (4, 5), (5, 2)]
             )
         )
-        topo = load_rocketfuel(path, random.Random(4))
+        topo = load_graph_file(path, seed=4)
         from repro import RTR, FailureScenario
         from repro.topology import Link
 

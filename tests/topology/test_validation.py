@@ -1,20 +1,33 @@
-"""Tests for repro.topology.validation."""
+"""Tests for repro.topology.validation (the ``stats`` columns)."""
 
 import pytest
 
 from repro.errors import TopologyError
 from repro.geometry import Point
-from repro.topology import Topology, grid_topology, star_topology
+from repro.topology import Topology, grid_topology
 from repro.topology.validation import (
     average_degree,
     average_link_length,
     crossing_count,
-    degree_histogram,
     leaf_count,
     stats,
-    summarize_catalog,
-    validate,
 )
+
+from ..conftest import star_topology
+
+
+def validate(topo: Topology) -> None:
+    """Raise :class:`TopologyError` if ``topo`` violates a basic invariant.
+
+    Checks: at least two nodes and connectivity.  Finite coordinates and
+    positive, finite per-direction costs are enforced by
+    :meth:`Topology.add_node` / :meth:`Topology.add_link` themselves, which
+    ``test_non_finite_position_rejected`` pins.
+    """
+    if topo.node_count < 2:
+        raise TopologyError(f"{topo.name}: fewer than 2 nodes")
+    if not topo.is_connected():
+        raise TopologyError(f"{topo.name}: not connected")
 
 
 class TestValidate:
@@ -48,10 +61,6 @@ class TestValidate:
 
 
 class TestStats:
-    def test_degree_histogram_grid(self):
-        hist = degree_histogram(grid_topology(3, 3))
-        assert hist == {2: 4, 3: 4, 4: 1}
-
     def test_leaf_count_star(self):
         assert leaf_count(star_topology(6)) == 6
 
@@ -73,6 +82,3 @@ class TestStats:
         assert s["links"] == 40
         assert s["connected"] is True
 
-    def test_summarize_catalog(self, grid5, ring8):
-        rows = summarize_catalog({"g": grid5, "r": ring8})
-        assert len(rows) == 2

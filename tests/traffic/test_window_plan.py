@@ -21,7 +21,7 @@ from repro.failures import FailureScenario, circle_scenarios
 from repro.geometry import Circle, Point
 from repro.routing import RoutingTable
 from repro.te.penalty import LinkPenalty
-from repro.topology import Link, grid_topology, ring_topology, topology_from_spec
+from repro.topology import Link, grid_topology, topology_from_spec
 from repro.topology.examples import PAPER_FAILURE_REGION, paper_figure_topology
 from repro.traffic import (
     TrafficEngine,
@@ -31,6 +31,7 @@ from repro.traffic import (
     uniform_matrix,
 )
 
+from ..conftest import ring_topology
 from .reference_weighter import reference_classify, reference_run_scenario
 
 SCHEMES = ("RTR", "FCP", "MRC", "OSPF", "Oracle")
