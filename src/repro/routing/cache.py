@@ -40,18 +40,21 @@ from .dijkstra import _dijkstra_csr
 from .paths import Path
 from .spt import ShortestPathTree
 
-#: Default LRU capacity.  Trees are O(nodes); at catalog sizes (≤ a few
-#: hundred nodes) this bounds the cache to tens of megabytes.  No sweep
-#: the repo runs evicts at this size — a 2-scenario ``scale:50000``
-#: traffic run takes 172 misses and 0 evictions (EXPERIMENTS.md).
+#: Default LRU capacity.  A tree is its two dense per-node sequences:
+#: about 2.5 KB at the largest catalog AS (115 nodes), so a full cache of
+#: catalog trees holds a few megabytes; numpy trees take 16 bytes a node
+#: (320 KB at 20k nodes).  ``paper_tables`` evicts at this size (13,857
+#: trees, traced at seed 0), yet a census found no cache size buying back
+#: more than 406 of its trees (EXPERIMENTS.md): most are used once.  A
+#: 2-scenario ``scale:50000`` traffic run takes 172 misses and 0 evictions.
 DEFAULT_MAX_ENTRIES = 1024
 
 
 class SPTCache:
     """LRU cache of full shortest-path trees, shared across call sites.
 
-    Returned trees are shared objects — callers must treat them as
-    immutable (``updated_tree`` already copies before mutating).
+    Returned trees are shared objects — callers must treat them, and the
+    dicts ``.dist`` / ``.parent`` build, as immutable.
     """
 
     __slots__ = ("max_entries", "hits", "misses", "evictions", "_entries")

@@ -4,10 +4,12 @@ The recovery algorithms never mutate the topology: they route on
 ``G - failed`` by passing exclusion sets.  This keeps one immutable
 topology shared by thousands of test cases.
 
-The inner loop runs on the flat-array :class:`~repro.topology.csr.CSRView`
-— dense integer node indices, parallel cost arrays, and per-call 0/1
-exclusion flag arrays — instead of dict lookups, ``Link.of`` construction,
-and frozenset probes.  Results are bit-identical to the dict-based
+The inner loop runs on the :class:`~repro.topology.csr.CSRView` — dense
+integer node indices, one row of ``(nbr, lid, wfwd, wrev)`` arc tuples per
+node (``csr.arcs``), and per-call 0/1 exclusion flag arrays — instead of
+dict lookups, ``Link.of`` construction, and frozenset probes.  Each kernel
+hands its dense ``dist`` / ``parent`` lists to the tree as they are.
+Results are bit-identical to the dict-based
 reference implementation (asserted by the golden equivalence tests):
 nodes are interned in sorted id order so index comparisons reproduce the
 deterministic smaller-parent-id tie-break, and arcs keep the adjacency
@@ -90,26 +92,6 @@ def _dijkstra_csr(
         return kernel()
 
 
-def _tree_from_lists(
-    csr, root: int, dist, parent, toward_root: bool
-) -> ShortestPathTree:
-    """The tree of dense ``dist`` / ``parent`` lists (``inf`` / -1 = none).
-
-    Every pure-Python kernel builds its dicts here, in ascending-index
-    (hence ascending-id) order, so their insertion order agrees.
-    """
-    ids = csr.ids
-    dist_map = {}
-    parent_map = {}
-    for i in range(csr.n):
-        d = dist[i]
-        if d != _INF:
-            dist_map[ids[i]] = d
-            p = parent[i]
-            parent_map[ids[i]] = ids[p] if p >= 0 else None
-    return ShortestPathTree(root, dist_map, parent_map, toward_root)
-
-
 def _dijkstra_csr_kernel(
     topo: Topology,
     root: int,
@@ -124,16 +106,17 @@ def _dijkstra_csr_kernel(
     if root_index is None:
         raise UnknownNodeError(root)
     target_index = pos.get(target, -1) if target is not None else -1
-
-    indptr = csr.indptr
-    nbr = csr.nbr
-    weight = csr.wrev if toward_root else csr.wfwd
-    lid = csr.lid
+    arcs = csr.arcs
+    if link_excl is None:
+        link_excl = csr.no_links
 
     n = csr.n
     dist = [_INF] * n
     parent = [-1] * n
-    settled = bytearray(n)
+    # Excluded nodes start out settled, so no arc relaxes into them; the
+    # root is pinned and expanded even when excluded.
+    settled = bytearray(n) if node_excl is None else bytearray(node_excl)
+    settled[root_index] = 0
     dist[root_index] = 0.0
     heap = [(0.0, root_index)]
     while heap:
@@ -143,15 +126,10 @@ def _dijkstra_csr_kernel(
         settled[u] = 1
         if u == target_index:
             break
-        for i in range(indptr[u], indptr[u + 1]):
-            v = nbr[i]
-            if settled[v]:
+        for v, l, wf, wr in arcs[u]:
+            if settled[v] or link_excl[l]:
                 continue
-            if node_excl is not None and node_excl[v]:
-                continue
-            if link_excl is not None and link_excl[lid[i]]:
-                continue
-            candidate = d + weight[i]
+            candidate = d + (wr if toward_root else wf)
             known = dist[v]
             if candidate < known - 1e-12:
                 dist[v] = candidate
@@ -161,7 +139,7 @@ def _dijkstra_csr_kernel(
                 # Deterministic tie-break: keep the smaller parent id
                 # (index order equals id order by construction).
                 parent[v] = u
-    return _tree_from_lists(csr, root, dist, parent, toward_root)
+    return ShortestPathTree(csr, root, dist, parent, toward_root)
 
 
 def _bfs_csr_kernel(
@@ -185,10 +163,9 @@ def _bfs_csr_kernel(
     root_index = csr.pos.get(root)
     if root_index is None:
         raise UnknownNodeError(root)
-
-    indptr = csr.indptr
-    nbr = csr.nbr
-    lid = csr.lid
+    arcs = csr.arcs
+    if link_excl is None:
+        link_excl = csr.no_links
 
     n = csr.n
     dist = [_INF] * n
@@ -204,11 +181,8 @@ def _bfs_csr_kernel(
         level += 1.0
         found = []
         for u in frontier:
-            for i in range(indptr[u], indptr[u + 1]):
-                v = nbr[i]
-                if claimed[v]:
-                    continue
-                if link_excl is not None and link_excl[lid[i]]:
+            for v, l, _, _ in arcs[u]:
+                if claimed[v] or link_excl[l]:
                     continue
                 claimed[v] = 1
                 dist[v] = level
@@ -217,7 +191,7 @@ def _bfs_csr_kernel(
         # Discovery order is not index order; the parent rule needs the latter.
         found.sort()
         frontier = found
-    return _tree_from_lists(csr, root, dist, parent, toward_root)
+    return ShortestPathTree(csr, root, dist, parent, toward_root)
 
 
 def _dijkstra(
@@ -293,11 +267,9 @@ def _penalized_csr_kernel(
     if root_index is None:
         raise UnknownNodeError(root)
     target_index = csr.pos.get(target, -1) if target is not None else -1
-
-    indptr = csr.indptr
-    nbr = csr.nbr
-    weight = csr.wfwd
-    lid = csr.lid
+    arcs = csr.arcs
+    if link_excl is None:
+        link_excl = csr.no_links
 
     n = csr.n
     dist = [_INF] * n
@@ -312,13 +284,10 @@ def _penalized_csr_kernel(
         settled[u] = 1
         if u == target_index:
             break
-        for i in range(indptr[u], indptr[u + 1]):
-            v = nbr[i]
-            if settled[v]:
+        for v, l, wf, _ in arcs[u]:
+            if settled[v] or link_excl[l]:
                 continue
-            if link_excl is not None and link_excl[lid[i]]:
-                continue
-            candidate = d + weight[i] * (quant + link_units[lid[i]])
+            candidate = d + wf * (quant + link_units[l])
             known = dist[v]
             if candidate < known - 1e-12:
                 dist[v] = candidate
@@ -326,7 +295,7 @@ def _penalized_csr_kernel(
                 heappush(heap, (candidate, v))
             elif candidate <= known + 1e-12 and u < parent[v]:
                 parent[v] = u
-    return _tree_from_lists(csr, root, dist, parent, toward_root=False)
+    return ShortestPathTree(csr, root, dist, parent, toward_root=False)
 
 
 def penalized_shortest_path_tree(

@@ -16,21 +16,23 @@ Only deletions can occur during a failure event, and deleting a *non-tree*
 link never changes any distance — so the affected set is precisely the
 subtree hanging below the removed tree edges and removed nodes.
 
-Like the core Dijkstra, the relax loops run on the flat-array CSR view:
-removed links become a 0/1 flag array over interned link ids, removed
-nodes a flag array over dense node indices, and neighbor iteration walks
-the parallel arc arrays instead of re-deriving ``Link`` objects.
+Like the core Dijkstra, the repair runs on the CSR view's dense node
+indices: it copies the tree's ``dist`` / ``parent`` storage, removed links
+become a 0/1 flag array over interned link ids, and neighbor iteration
+walks each node's row of ``csr.arcs`` instead of re-deriving ``Link``
+objects.
 
 Where the numpy kernels serve the graph (:func:`repro.routing.kernels.
 select_backend`), the update is instead the fresh numpy tree of
 ``G - removed`` from the same root: each whole-array pass costs O(arcs)
-however small the damage, and copying and repairing 20k-entry dicts
+however small the damage, and copying and repairing 20k-entry trees
 costs more than that pass.  The heap repair below stays the reference.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import compress
 from typing import Dict, Iterable, List, Set
 
 from .. import obs
@@ -38,13 +40,7 @@ from ..topology import Link, Topology
 from . import kernels
 from .spt import ShortestPathTree
 
-
-def _children_map(tree: ShortestPathTree) -> Dict[int, List[int]]:
-    children: Dict[int, List[int]] = {}
-    for node, parent in tree.parent.items():
-        if parent is not None:
-            children.setdefault(parent, []).append(node)
-    return children
+_INF = float("inf")
 
 
 def updated_tree(
@@ -58,9 +54,8 @@ def updated_tree(
     ``tree`` must be a valid SPT of ``topo`` (forward or reverse); it is not
     modified.  Removed nodes lose all incident links and are dropped from
     the result.  Affected nodes that cannot be reattached become
-    unreachable (absent from ``dist``).  Values are the fresh tree's; the
-    heap repair appends reattached nodes to ``dist`` in settle order,
-    while on numpy views the result is the fresh tree, in id order.
+    unreachable (absent from ``dist``).  Values are the fresh tree's; on
+    numpy views the result is the fresh tree itself.
     """
     if not obs.enabled():
         return _updated_tree_kernel(topo, tree, removed_links, removed_nodes)
@@ -79,7 +74,9 @@ def _updated_tree_kernel(
     removed_node_set: Set[int] = set(removed_nodes)
     if tree.root in removed_node_set:
         # The root itself failed: nothing is reachable.
-        return ShortestPathTree(tree.root, {}, {}, tree.toward_root)
+        return ShortestPathTree(
+            csr, tree.root, [_INF] * csr.n, [-1] * csr.n, tree.toward_root
+        )
     backend, np_view = kernels.select_backend(csr)
     if backend == "numpy":
         # A whole-array kernel touches every arc whatever the damage, so
@@ -94,106 +91,89 @@ def _updated_tree_kernel(
             csr.link_flags(removed_links),
         )
 
-    pos, ids = csr.pos, csr.ids
-    indptr, nbr, lid = csr.indptr, csr.nbr, csr.lid
-    wfwd, wrev = csr.wfwd, csr.wrev
-    pair_lid = csr.pair_lid
-    removed_link_flags = csr.link_flags(removed_links)
-    node_removed = bytearray(csr.n)
+    pos, arcs, links = csr.pos, csr.arcs, csr.links
+    cut = csr.link_flags(removed_links)
+    dist = list(tree.dense_dist)
+    parent = list(tree.dense_parent)
+
+    # 1. Directly affected: reached removed nodes, and the child end of
+    #    every removed tree edge (a removed node's links are all removed).
+    directly_affected = []
     for node in removed_node_set:
         i = pos.get(node)
         if i is None:
             continue
-        node_removed[i] = 1
-        for arc in range(indptr[i], indptr[i + 1]):
-            removed_link_flags[lid[arc]] = 1
-
-    new = tree.copy()
-
-    # 1. Directly affected: nodes whose tree edge to the parent was removed.
-    directly_affected = set(n for n in removed_node_set if n in new.dist)
-    for node, parent in new.parent.items():
-        if parent is None:
-            continue
-        if removed_link_flags[pair_lid[(node, parent)]]:
-            directly_affected.add(node)
+        if dist[i] != _INF:
+            directly_affected.append(i)
+        for _, l, _, _ in arcs[i]:
+            cut[l] = 1
+    for l in compress(range(len(cut)), cut):
+        a, b = links[l]
+        a, b = pos[a], pos[b]
+        if parent[a] == b:
+            directly_affected.append(a)
+        elif parent[b] == a:
+            directly_affected.append(b)
 
     if not directly_affected:
-        return new  # only non-tree links removed: no distance can change
+        return tree.copy()  # only non-tree links removed: no distance can change
 
-    # 2. The full affected set is the union of their subtrees.
-    children = _children_map(new)
-    affected: Set[int] = set()
-    stack = list(directly_affected)
+    # 2. The full affected set is the union of their subtrees; it loses
+    #    its distances and parents, which are rebuilt below.
+    children: Dict[int, List[int]] = {}
+    for v, p in enumerate(parent):
+        if p >= 0:
+            children.setdefault(p, []).append(v)
+    pending = bytearray(csr.n)
+    stack = directly_affected
     while stack:
-        node = stack.pop()
-        if node in affected:
+        u = stack.pop()
+        if pending[u]:
             continue
-        affected.add(node)
-        stack.extend(children.get(node, ()))
+        pending[u] = 1
+        dist[u] = _INF
+        parent[u] = -1
+        stack.extend(children.get(u, ()))
+    affected = list(compress(range(csr.n), pending))
+    for node in removed_node_set:  # failed nodes are gone for good
+        i = pos.get(node)
+        if i is not None:
+            pending[i] = 0
 
-    for node in affected:
-        del new.dist[node]
-        del new.parent[node]
-    affected -= removed_node_set  # failed nodes are gone for good
-
-    # 3. Reattach via a Dijkstra seeded from the intact boundary.
-    toward_root = new.toward_root
+    # 3. Reattach via a Dijkstra seeded from the intact boundary.  ``dist``
+    #    and ``parent`` hold each pending node's best offer so far.
+    toward_root = tree.toward_root
     heap: List[tuple] = []
-    best: Dict[int, float] = {}
-    best_parent: Dict[int, int] = {}
-    intact_dist = new.dist
 
-    def relax(node: int, via: int, candidate: float) -> None:
-        known = best.get(node)
-        if known is None or candidate < known - 1e-12:
-            best[node] = candidate
-            best_parent[node] = via
-            heapq.heappush(heap, (candidate, node))
-        elif abs(candidate - known) <= 1e-12 and via < best_parent[node]:
-            best_parent[node] = via
+    def relax(v: int, via: int, candidate: float) -> None:
+        known = dist[v]
+        if candidate < known - 1e-12:
+            dist[v] = candidate
+            parent[v] = via
+            heapq.heappush(heap, (candidate, v))
+        elif candidate <= known + 1e-12 and via < parent[v]:
+            parent[v] = via
 
-    for node in affected:
-        u = pos[node]
-        for arc in range(indptr[u], indptr[u + 1]):
-            v = nbr[arc]
-            if node_removed[v]:
-                continue
-            via = ids[v]
-            if via in affected:
-                continue
-            if removed_link_flags[lid[arc]]:
-                continue
-            base = intact_dist.get(via)
-            if base is None:
-                continue  # neighbor was already unreachable pre-failure
-            # Arc node -> via: entering cost toward the root is
-            # cost(node, via) = wfwd; away from it cost(via, node) = wrev.
-            step = wfwd[arc] if toward_root else wrev[arc]
-            relax(node, via, base + step)
-
-    settled: Set[int] = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in settled or node not in affected:
+    for u in affected:
+        if not pending[u]:
             continue
-        settled.add(node)
-        new.dist[node] = d
-        new.parent[node] = best_parent[node]
-        u = pos[node]
-        for arc in range(indptr[u], indptr[u + 1]):
-            v = nbr[arc]
-            if node_removed[v]:
+        for v, l, wf, wr in arcs[u]:
+            # An unreached, failed or affected neighbor has no distance.
+            if pending[v] or cut[l] or dist[v] == _INF:
                 continue
-            neighbor = ids[v]
-            if neighbor not in affected or neighbor in settled:
-                continue
-            if removed_link_flags[lid[arc]]:
-                continue
-            # Relaxing neighbor via node: entering cost of the neighbor is
-            # cost(neighbor, node) = wrev of this arc toward the root,
-            # cost(node, neighbor) = wfwd away from it.
-            step = wrev[arc] if toward_root else wfwd[arc]
-            relax(neighbor, node, d + step)
-    return new
+            # Arc u -> v: entering cost toward the root is
+            # cost(u, v) = wfwd; away from it cost(v, u) = wrev.
+            relax(u, v, dist[v] + (wf if toward_root else wr))
 
+    while heap:
+        d, u = heapq.heappop(heap)
+        if not pending[u]:
+            continue
+        pending[u] = 0  # settled: its offer is final
+        for v, l, wf, wr in arcs[u]:
+            if not pending[v] or cut[l]:
+                continue
+            # Relaxing v via u: entering cost of v is cost(v, u) = wrev of
+            # this arc toward the root, cost(u, v) = wfwd away from it.
+            relax(v, u, d + (wr if toward_root else wf))
+    return ShortestPathTree(csr, tree.root, dist, parent, toward_root)

@@ -11,23 +11,26 @@ pointer of every reachable node.  Two orientations exist:
   it handles asymmetric link costs correctly (§II-A allows
   ``c_ij != c_ji``).
 
-Two storages sit behind one interface.  The reference kernels build the
-``dist`` / ``parent`` dicts directly.  The numpy kernels build an *array
-tree* (:meth:`ShortestPathTree.from_arrays`): the CSR view, a dense
-distance array (``inf`` = unreached) and a dense parent-index array
-(``-1`` = none).  Point queries — :meth:`reaches`, :meth:`cost_to`,
-:meth:`distance`, :meth:`next_hop`, :meth:`path_from` — answer from the
-arrays.  The first read of ``.dist`` or ``.parent`` builds exactly the
-dicts the reference kernel returns (same values, ascending-id insertion
-order), keeps them and drops the arrays, so every later read or in-place
-edit sees one source of truth.  At 20k nodes building the two dicts costs
-more than the kernel that produced the arrays, and most trees (FCP,
-Oracle, RTR phase 2) are only ever asked point queries.
+One storage sits behind the interface: the kernel's own dense sequences
+over the CSR view's node indices — ``dense_dist`` (``inf`` = unreached)
+and ``dense_parent`` (a node index, ``-1`` = none).  The pure-Python
+kernels hand over their lists; the numpy kernels hand over their arrays'
+``.data`` memoryviews (:meth:`ShortestPathTree.from_arrays`), which index
+to Python floats and ints just as the lists do, so one query path serves
+both.  Point queries — :meth:`reaches`, :meth:`cost_to`, :meth:`distance`,
+:meth:`next_hop`, :meth:`path_from` — read that storage, and so do the
+traffic layer's whole-tree passes (``csr.pos`` / ``csr.ids`` translate).
+The first read of ``.dist`` or ``.parent`` builds both dicts (reached
+nodes in ascending-id order) and keeps them beside it; the storage is
+never mutated, so trees may share it and the dicts agree with it for
+good.  Building the dicts costs more than the kernel that filled the
+storage, and no sweep the repo runs needs them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .. import obs
 from ..errors import NoPathError
@@ -39,73 +42,71 @@ _INF = float("inf")
 class ShortestPathTree:
     """Distances and parent pointers from/to a single root."""
 
-    __slots__ = ("root", "toward_root", "_dist", "_parent", "_arrays")
+    __slots__ = ("csr", "root", "toward_root", "dense_dist", "dense_parent", "_maps")
 
     def __init__(
         self,
+        csr,
         root: int,
-        dist: Dict[int, float],
-        parent: Dict[int, Optional[int]],
+        dist: Sequence[float],
+        parent: Sequence[int],
         toward_root: bool,
     ) -> None:
+        self.csr = csr
         self.root = root
         self.toward_root = toward_root
-        self._dist = dist
-        self._parent = parent
-        #: ``(csr, dist array, parent array)`` until the dicts are built.
-        self._arrays: Optional[tuple] = None
+        #: Dense index -> distance (``inf`` = unreached); never mutated.
+        self.dense_dist = dist
+        #: Dense index -> parent index (``-1`` = none); never mutated.
+        self.dense_parent = parent
+        #: ``(dist dict, parent dict)`` once ``.dist`` / ``.parent`` is read.
+        self._maps: Optional[Tuple[Dict[int, float], Dict[int, Optional[int]]]] = None
 
     @classmethod
     def from_arrays(
         cls, csr, root: int, dist, parent, toward_root: bool
     ) -> "ShortestPathTree":
-        """An array tree over ``csr`` (``dist``/``parent`` by dense index).
+        """The tree of numpy ``dist`` / ``parent`` arrays over ``csr``.
 
-        The arrays are frozen read-only: copies of the tree share them.
+        The arrays are frozen read-only and the tree reads them through
+        their memoryviews, so copies of the tree share them.
         """
         dist.flags.writeable = False
         parent.flags.writeable = False
-        tree = cls(root, None, None, toward_root)  # type: ignore[arg-type]
-        tree._arrays = (csr, dist, parent)
-        return tree
+        return cls(csr, root, dist.data, parent.data, toward_root)
 
     @property
     def dist(self) -> Dict[int, float]:
         """Distance of every reachable node, in ascending-id order."""
-        if self._arrays is not None:
-            self._materialize()
-        return self._dist
+        return (self._maps or self._materialize())[0]
 
     @property
     def parent(self) -> Dict[int, Optional[int]]:
         """Parent (reverse trees: next hop) of every reachable node."""
-        if self._arrays is not None:
-            self._materialize()
-        return self._parent
+        return (self._maps or self._materialize())[1]
 
-    def _materialize(self) -> None:
-        import numpy as np  # here: array trees exist only where numpy does
-
-        csr, dist, parent = self._arrays
-        # Keys and parents index ``csr.ids``, so every tree shares its int
-        # objects; mapping ids in numpy would allocate 2 x n new ones.
-        ids = csr.ids
-        reach = np.flatnonzero(np.isfinite(dist))
-        keys = [ids[i] for i in reach.tolist()]
-        self._dist = dict(zip(keys, dist[reach].tolist()))
-        self._parent = {
-            k: (ids[p] if p >= 0 else None)
-            for k, p in zip(keys, parent[reach].tolist())
-        }
-        self._arrays = None
+    def _materialize(self) -> Tuple[Dict[int, float], Dict[int, Optional[int]]]:
+        # Keys and parents index ``ids``, so every tree shares its int
+        # objects; ``-1`` (no parent) indexes the appended ``None``.
+        ids = self.csr.ids
+        parent_of = [*ids, None].__getitem__
+        keys, dist, parent = ids, self.dense_dist, self.dense_parent
+        if _INF in dist:
+            reached = list(map(_INF.__ne__, dist))
+            keys = list(compress(ids, reached))
+            dist, parent = compress(dist, reached), compress(parent, reached)
+        self._maps = (
+            dict(zip(keys, dist)),
+            dict(zip(keys, map(parent_of, parent))),
+        )
         if obs.enabled():
             obs.inc("spt.materialized")
+        return self._maps
 
     def _index(self, node: int) -> Optional[int]:
-        """Dense index of ``node`` when the array tree reaches it."""
-        csr, dist, _ = self._arrays
-        i = csr.pos.get(node)
-        if i is None or dist.item(i) == _INF:
+        """Dense index of ``node`` when the tree reaches it."""
+        i = self.csr.pos.get(node)
+        if i is None or self.dense_dist[i] == _INF:
             return None
         return i
 
@@ -116,16 +117,12 @@ class ShortestPathTree:
 
     def reaches(self, node: int) -> bool:
         """Whether ``node`` is connected to the root."""
-        if self._arrays is None:
-            return node in self._dist
         return self._index(node) is not None
 
     def cost_to(self, node: int) -> Optional[float]:
         """Shortest-path cost between the root and ``node``, or ``None``."""
-        if self._arrays is None:
-            return self._dist.get(node)
         i = self._index(node)
-        return None if i is None else self._arrays[1].item(i)
+        return None if i is None else self.dense_dist[i]
 
     def distance(self, node: int) -> float:
         """Shortest-path cost between the root and ``node``."""
@@ -137,13 +134,11 @@ class ShortestPathTree:
     def next_hop(self, node: int) -> Optional[int]:
         """Next hop from ``node`` toward the root (reverse trees only)."""
         assert self.toward_root, "next_hop() is defined on reverse trees"
-        if self._arrays is None:
-            return self._parent.get(node)
         i = self._index(node)
         if i is None:
             return None
-        p = self._arrays[2].item(i)
-        return self._arrays[0].ids[p] if p >= 0 else None
+        p = self.dense_parent[i]
+        return self.csr.ids[p] if p >= 0 else None
 
     def path_from(self, node: int) -> Path:
         """Path ``node -> root`` (reverse tree) or ``root -> node`` (forward).
@@ -151,32 +146,21 @@ class ShortestPathTree:
         Reverse trees chain next hops from ``node`` to the root; forward
         trees chain parents from ``node`` back to the root and then flip.
         """
-        if self._arrays is None:
-            if node not in self._dist:
-                raise self._no_path(node)
-            chain = [node]
-            current = node
-            parent = self._parent
-            while current != self.root:
-                current = parent[current]  # type: ignore[assignment]
-                chain.append(current)
-            cost = self._dist[node]
-        else:
-            i = self._index(node)
-            if i is None:
-                raise self._no_path(node)
-            csr, dist, parent_arr = self._arrays
-            ids = csr.ids
-            root_index = csr.pos[self.root]
-            chain = [node]
-            j = i
-            while j != root_index:
-                j = parent_arr.item(j)
-                chain.append(ids[j])
-            cost = dist.item(i)
+        i = self._index(node)
+        if i is None:
+            raise self._no_path(node)
+        csr = self.csr
+        ids = csr.ids
+        parent = self.dense_parent
+        root_index = csr.pos[self.root]
+        chain = [node]
+        j = i
+        while j != root_index:
+            j = parent[j]
+            chain.append(ids[j])
         if self.toward_root:
-            return Path(tuple(chain), cost)
-        return Path(tuple(reversed(chain)), cost)
+            return Path(tuple(chain), self.dense_dist[i])
+        return Path(tuple(reversed(chain)), self.dense_dist[i])
 
     def reachable_nodes(self) -> Iterator[int]:
         """Every node connected to the root (including the root)."""
@@ -191,12 +175,8 @@ class ShortestPathTree:
         )
 
     def copy(self) -> "ShortestPathTree":
-        """An independent copy (incremental updates mutate in place)."""
-        if self._arrays is not None:
-            csr, dist, parent = self._arrays  # read-only: sharing is safe
-            return ShortestPathTree.from_arrays(
-                csr, self.root, dist, parent, self.toward_root
-            )
+        """An independent copy: it shares the read-only storage, and builds
+        its own dicts if they are read."""
         return ShortestPathTree(
-            self.root, dict(self._dist), dict(self._parent), self.toward_root
+            self.csr, self.root, self.dense_dist, self.dense_parent, self.toward_root
         )

@@ -19,6 +19,8 @@ from .kernels import batched_trees
 from .paths import Path
 from .spt import ShortestPathTree
 
+_INF = float("inf")
+
 
 class RoutingTable:
     """Lazily computed all-pairs next hops over one topology snapshot.
@@ -128,20 +130,23 @@ class RoutingTable:
         sweep in ``tests/routing/reference_edge_loads.py``).
         """
         tree = self.tree_to(destination)
-        dist = tree.dist
-        parent = tree.parent
-        carry: Dict[int, float] = {
-            source: demand
-            for source, demand in demands.items()
-            if source != destination and demand > 0.0 and source in dist
-        }
+        csr = self.topo.csr()
+        pos, ids, pair_lid = csr.pos, csr.ids, csr.pair_lid
+        # The pass runs on dense node indices (index order is id order),
+        # reading the tree's own storage: the tree never builds its dicts.
+        dist, parent = tree.dense_dist, tree.dense_parent
+        root = pos[destination]
+        carry: Dict[int, float] = {}
+        for source, demand in demands.items():
+            i = pos.get(source)
+            if i is not None and i != root and demand > 0.0 and dist[i] != _INF:
+                carry[i] = demand
         touched = set(carry)
         for node in carry:
             node = parent[node]
-            while node != destination and node not in touched:
+            while node != root and node not in touched:
                 touched.add(node)
                 node = parent[node]
-        pair_lid = self.topo.csr().pair_lid
         loads: Dict[int, float] = {}
         # (distance desc, id asc): a stable sort keeps the id order among
         # equal distances, reverse=True included — two C-level sorts, no
@@ -150,7 +155,7 @@ class RoutingTable:
             flow = carry[node]
             nxt = parent[node]
             # A tree edge is an interned adjacency, and no two nodes share one.
-            loads[pair_lid[(node, nxt)]] = flow
-            if nxt != destination:
+            loads[pair_lid[(ids[node], ids[nxt])]] = flow
+            if nxt != root:
                 carry[nxt] = carry.get(nxt, 0.0) + flow
         return loads

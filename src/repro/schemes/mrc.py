@@ -139,7 +139,7 @@ def _weighted_reverse_tree_kernel(
         raise UnknownNodeError(destination)
     weights = config._csr_weights(csr)
     isolated = csr.node_flags(config.isolated_nodes)
-    indptr, nbr, lid, ids = csr.indptr, csr.nbr, csr.lid, csr.ids
+    arcs, ids = csr.arcs, csr.ids
 
     inf = float("inf")
     n = csr.n
@@ -157,11 +157,10 @@ def _weighted_reverse_tree_kernel(
         # the destination or the source, not an intermediate hop.
         if isolated[u] and u != root:
             continue
-        for i in range(indptr[u], indptr[u + 1]):
-            v = nbr[i]
+        for v, l, _, _ in arcs[u]:
             if settled[v]:
                 continue
-            weight = weights[lid[i]]
+            weight = weights[l]
             if weight < 0.0:
                 continue
             candidate = d + weight
@@ -232,20 +231,21 @@ def _backbone_connected(
 ) -> bool:
     """Whether non-isolated nodes stay mutually reachable and isolated
     nodes keep a restricted attachment to the backbone."""
-    backbone = [n for n in topo.nodes() if n not in isolated_nodes]
-    if not backbone:
+    csr = topo.csr()
+    # Isolated nodes start out seen, so the traversal stays on the backbone.
+    seen = csr.node_flags(isolated_nodes)
+    start = seen.find(0)
+    if start < 0:
         return False
-    # BFS over backbone using only links between non-isolated nodes.
-    seen = {backbone[0]}
-    stack = [backbone[0]]
-    while stack:
-        u = stack.pop()
-        for v in topo.neighbors(u):
-            if v in isolated_nodes or v in seen:
-                continue
-            stack.append(v)
-            seen.add(v)
-    if len(seen) != len(backbone):
+    seen[start] = 1
+    queue = [start]
+    arcs = csr.arcs
+    for u in queue:  # grows while it is read: a breadth-first sweep
+        for v, _, _, _ in arcs[u]:
+            if not seen[v]:
+                seen[v] = 1
+                queue.append(v)
+    if 0 in seen:  # a backbone node the traversal never reached
         return False
     # Every isolated node needs a restricted link to a backbone node.
     for node in isolated_nodes:

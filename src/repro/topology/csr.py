@@ -4,7 +4,8 @@ Every paper experiment funnels through Dijkstra on ``G - failed``; the
 dict-of-dicts adjacency and per-edge :class:`~repro.topology.graph.Link`
 construction dominate that hot path.  A :class:`CSRView` interns nodes and
 links to small dense integers once per topology version and exposes the
-adjacency as parallel arrays, so the routing kernels run on integer
+adjacency as parallel arrays (and, for the pure-Python kernels, as one
+row of arc tuples per node), so the routing kernels run on integer
 indices and per-call exclusion *flag arrays* instead of frozenset probes:
 
 * nodes are interned in **sorted id order**, which makes comparisons of
@@ -61,6 +62,13 @@ class CSRView:
     unit:
         Whether every directed cost is exactly 1.0 (hop-count routing):
         shortest-path trees are then level-order BFS trees.
+    arcs:
+        Dense node ``u`` -> tuple of its arcs as ``(nbr, lid, wfwd, wrev)``
+        tuples, in arc order (built on first read): the row every
+        pure-Python kernel loops over.
+    no_links:
+        All-zero link flags (``lid_size`` bytes), what a kernel indexes when
+        no link is excluded.
     """
 
     __slots__ = (
@@ -77,6 +85,8 @@ class CSRView:
         "n",
         "unit",
         "lid_size",
+        "no_links",
+        "_arcs",
         "np_cache",
         "sweep_cache",
         "grid_cache",
@@ -124,6 +134,8 @@ class CSRView:
         #: One past the largest interned link id (retired ids included, so
         #: flag arrays stay indexable by any id ever handed out).
         self.lid_size = len(topo._links)
+        self.no_links = bytes(self.lid_size)
+        self._arcs = None
         #: Lazily built :class:`~repro.topology.npcsr.NumpyCSR` mirror —
         #: populated by ``npcsr.numpy_view``.  ``None`` until first use.
         self.np_cache = None
@@ -137,6 +149,17 @@ class CSRView:
         #: links across it), computed on ``grid_cache`` — populated by
         #: :func:`cross_rows`.
         self.cross_cache = None
+
+    @property
+    def arcs(self) -> Tuple[Tuple[Tuple[int, int, float, float], ...], ...]:
+        arcs = self._arcs
+        if arcs is None:
+            indptr = self.indptr
+            flat = list(zip(self.nbr, self.lid, self.wfwd, self.wrev))
+            arcs = self._arcs = tuple(
+                tuple(flat[indptr[u] : indptr[u + 1]]) for u in range(self.n)
+            )
+        return arcs
 
     # ------------------------------------------------------------------
     # Exclusion flags and signatures

@@ -308,23 +308,17 @@ class Topology:
         if excluded_nodes and start in excluded_nodes:
             return set()
         csr = self.csr()
-        node_excl = csr.node_flags(excluded_nodes) if excluded_nodes else None
-        link_excl = csr.link_flags(excluded_links) if excluded_links else None
-        indptr, nbr, lid, ids = csr.indptr, csr.nbr, csr.lid, csr.ids
-        seen = bytearray(csr.n)
+        # Excluded nodes start out seen, so the traversal never enters them.
+        seen = csr.node_flags(excluded_nodes) if excluded_nodes else bytearray(csr.n)
+        link_excl = csr.link_flags(excluded_links) if excluded_links else csr.no_links
+        arcs, ids = csr.arcs, csr.ids
         root = csr.pos[start]
         seen[root] = 1
         stack = [root]
         members = {start}
         while stack:
-            u = stack.pop()
-            for i in range(indptr[u], indptr[u + 1]):
-                v = nbr[i]
-                if seen[v]:
-                    continue
-                if node_excl is not None and node_excl[v]:
-                    continue
-                if link_excl is not None and link_excl[lid[i]]:
+            for v, l, _, _ in arcs[stack.pop()]:
+                if seen[v] or link_excl[l]:
                     continue
                 seen[v] = 1
                 members.add(ids[v])

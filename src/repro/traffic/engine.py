@@ -46,6 +46,8 @@ from .capacity import DEFAULT_HEADROOM, LinkLoadMap, provision_capacities, route
 from .flows import FlowSet
 from .metrics import TrafficScenarioRecord, check_accounting, safe_div
 
+_INF = float("inf")
+
 log = obs.get_logger(__name__)
 
 
@@ -166,7 +168,8 @@ def classify_pairs(
     # The per-hop probe is two lookups: a (node, next hop) pair is a tree
     # edge, hence an interned adjacency, and ``failed_links`` includes every
     # link of a failed router — one flag answers "can this hop carry traffic".
-    pair_lid = topo.csr().pair_lid
+    csr = topo.csr()
+    pos, ids, pair_lid = csr.pos, csr.ids, csr.pair_lid
     link_failed = scenario.failed_link_flags()
     failed_nodes = scenario.failed_nodes
     disrupted: List[DisruptedPair] = []
@@ -183,12 +186,15 @@ def classify_pairs(
     routing.warm(sorted(by_destination))
 
     for destination in sorted(by_destination):
+        # The walk runs on dense node indices over the tree's own storage,
+        # so the tree never builds its dicts.
         tree = routing.tree_to(destination)
-        parent = tree.parent
-        dist = tree.dist
-        # verdict[v]: None = path from v survives; otherwise the initiator id.
+        parent = tree.dense_parent
+        dist = tree.dense_dist
+        # verdict[i], by node index: None = the path from i survives;
+        # otherwise the initiator id.
         verdict: Dict[int, Optional[int]] = {
-            destination: destination if destination in failed_nodes else None
+            pos[destination]: destination if destination in failed_nodes else None
         }
         # A failed destination never terminates a walk cleanly: every
         # adjacency into it is down, so the last live hop is the
@@ -199,20 +205,20 @@ def classify_pairs(
                 failed_demand.append(demand)
                 failed_flows += flows
                 continue
-            if source not in dist:
+            node = pos.get(source)
+            if node is None or dist[node] == _INF:
                 unrouted.append(demand)
                 continue
             chain: List[int] = []
-            node = source
             outcome: Optional[int] = None
             while node not in verdict:
                 chain.append(node)
-                nxt = parent.get(node)
-                if nxt is None or link_failed[pair_lid[(node, nxt)]]:
-                    # nxt is None only at the tree root, and a live,
-                    # reached destination is pre-seeded — so this is the
-                    # first broken adjacency: ``node`` initiates recovery.
-                    outcome = node
+                nxt = parent[node]
+                if nxt < 0 or link_failed[pair_lid[(ids[node], ids[nxt])]]:
+                    # nxt < 0 only at the tree root, and a live, reached
+                    # destination is pre-seeded — so this is the first
+                    # broken adjacency: ``node`` initiates recovery.
+                    outcome = ids[node]
                     break
                 node = nxt
             else:
@@ -463,21 +469,23 @@ class TrafficEngine:
         by_case: Dict[Tuple[int, int], List[DisruptedPair]] = {}
         for pair in classification.disrupted:
             by_case.setdefault((pair.initiator, pair.destination), []).append(pair)
-        pair_lid = self.topo.csr().pair_lid
+        csr = self.topo.csr()
+        pos, ids, pair_lid = csr.pos, csr.ids, csr.pair_lid
         groups = []
         for key in sorted(by_case):
             initiator, destination = key
-            parent = self.routing.tree_to(destination).parent
+            parent = self.routing.tree_to(destination).dense_parent
+            stop = pos[initiator]
             pairs = tuple(by_case[key])
             prefixes = []
             for pair in pairs:
                 # The surviving default path source -> initiator: the
                 # classification walk got through every hop of it.
                 prefix = []
-                node = pair.source
-                while node != initiator:
+                node = pos[pair.source]
+                while node != stop:
                     nxt = parent[node]
-                    prefix.append(pair_lid[(node, nxt)])
+                    prefix.append(pair_lid[(ids[node], ids[nxt])])
                     node = nxt
                 prefixes.append(tuple(prefix))
             groups.append(

@@ -1,8 +1,8 @@
 """Numpy parity for array-backed trees, the BFS frontier, and phase 2.
 
 The numpy kernels hand out :class:`~repro.routing.spt.ShortestPathTree`
-objects that hold ``(csr, dist array, parent array)`` and build the
-reference dicts only when ``.dist`` / ``.parent`` is read.  This module
+objects that read their ``dist`` / ``parent`` arrays through memoryviews
+and build the reference dicts only when ``.dist`` / ``.parent`` is read.  This module
 pins that behaviour against the pure-Python reference kernel:
 
 * the sort-free ``_bfs_unit`` frontier gives the reference distances on
@@ -181,10 +181,10 @@ class TestArrayTrees:
             ref = _dijkstra_csr_kernel(topo, root, toward_root, node_excl, link_excl)
             tree = array_tree(topo, root, toward_root, node_excl, link_excl)
             assert point_answers(tree, probes) == point_answers(ref, probes)
-            assert tree._arrays is not None  # point queries never build dicts
+            assert tree._maps is None  # point queries never build dicts
             assert hexed(tree.dist.items()) == hexed(ref.dist.items())
             assert list(tree.parent.items()) == list(ref.parent.items())
-            assert tree._arrays is None  # the dicts are now the storage
+            assert tree._maps is not None  # the dicts sit beside the arrays
             assert point_answers(tree, probes) == point_answers(ref, probes)
             assert list(tree.reachable_nodes()) == list(ref.reachable_nodes())
             assert list(tree.tree_links()) == list(ref.tree_links())
@@ -198,7 +198,7 @@ class TestArrayTrees:
         victim = next(n for n in ref.dist if n != root)
         clone.dist[victim] = 12345.0
         del clone.parent[victim]
-        assert tree._arrays is not None  # editing the copy built only its dicts
+        assert tree._maps is None  # editing the copy built only its dicts
         assert tree.cost_to(victim) == ref.dist[victim]
         assert tree.parent == ref.parent
         again = tree.copy()  # a copy of a materialized tree
@@ -207,7 +207,7 @@ class TestArrayTrees:
 
     def test_arrays_are_read_only(self):
         tree = array_tree(random_int_topology(4), 0, True)
-        _, dist, parent = tree._arrays
+        dist, parent = tree.dense_dist.obj, tree.dense_parent.obj
         assert not dist.flags.writeable and not parent.flags.writeable
 
     def test_batched_trees_own_their_rows(self, kernel_backend):
@@ -215,7 +215,7 @@ class TestArrayTrees:
         topo = scale_topology(200, seed=2)
         roots = sorted(topo.nodes())[:5]
         for tree in kernels.batched_trees(topo, roots, toward_root=True):
-            _, dist, parent = tree._arrays
+            dist, parent = tree.dense_dist.obj, tree.dense_parent.obj
             assert dist.base is None and parent.base is None
 
     def test_materialized_counter(self, obs_on):
@@ -284,4 +284,4 @@ class TestUpdatedTreeOnNumpyViews:
         before = kernels.numpy_run_count()
         got = updated_tree(topo, base, removed_links=removed)
         assert kernels.numpy_run_count() == before + 1
-        assert got._arrays is not None
+        assert isinstance(got.dense_dist, memoryview)

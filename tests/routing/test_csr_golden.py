@@ -58,7 +58,19 @@ def reference_dijkstra(
             elif known is not None and abs(candidate - known) <= 1e-12:
                 if u < parent[v]:
                     parent[v] = u
-    return ShortestPathTree(root, dist, parent, toward_root)
+    return as_tree(topo, root, dist, parent, toward_root)
+
+
+def as_tree(topo, root, dist, parent, toward_root):
+    """The reference dicts as a tree over ``topo``'s dense node indices."""
+    csr = topo.csr()
+    dense_dist = [float("inf")] * csr.n
+    dense_parent = [-1] * csr.n
+    for node, d in dist.items():
+        dense_dist[csr.pos[node]] = d
+        if parent[node] is not None:
+            dense_parent[csr.pos[node]] = csr.pos[parent[node]]
+    return ShortestPathTree(csr, root, dense_dist, dense_parent, toward_root)
 
 
 def assert_identical(csr_tree, ref_tree):

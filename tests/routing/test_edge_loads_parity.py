@@ -99,7 +99,7 @@ def test_array_backed_trees(kernel_backend, backend):
     routing = RoutingTable(topo)
     by_destination = demands_by_destination(generate_matrix(topo, "gravity", seed=2))
     for destination in sorted(by_destination)[:6]:
-        array_backed = routing.tree_to(destination)._arrays is not None
+        array_backed = isinstance(routing.tree_to(destination).dense_dist, memoryview)
         assert array_backed == (backend == "numpy")
         assert assert_same_loads(routing, destination, by_destination[destination])
 
