@@ -9,7 +9,8 @@ from repro.chaos import (
     FaultPlan,
     SecondaryFailure,
 )
-from repro.errors import ChaosError
+from repro.core import run_phase1
+from repro.errors import ChaosError, SimulationError
 from repro.failures import FailureScenario, LocalView
 from repro.simulator import (
     ForwardingTrace,
@@ -30,13 +31,15 @@ def make_chaos_engine(topo, plan, failed_links=(), trace=None):
 
 class TestPacketLoss:
     def test_certain_loss_drops_first_hop(self, ring8):
-        engine, runtime = make_chaos_engine(ring8, FaultPlan(packet_loss_rate=1.0))
-        packet = Packet(source=0, destination=4)
+        engine, runtime = make_chaos_engine(
+            ring8, FaultPlan(packet_loss_rate=1.0), failed_links=[Link.of(4, 5)]
+        )
         acc = RecoveryAccounting()
-        outcome = engine.walk_outcome(packet, lambda n, p: (n + 1) % 8, acc)
-        assert outcome.lost and not outcome.completed and not outcome.truncated
-        assert outcome.visited == [0]
-        assert outcome.drop_node == 0
+        result = run_phase1(ring8, engine.view, 4, 5, engine, acc, strict=False)
+        assert not result.complete and result.walk == [4]
+        assert result.incomplete_reason == (
+            "recovery packet lost on link e3,4 (injected loss)"
+        )
         assert runtime.packets_lost == 1
         assert acc.hops_traveled == 0  # the lost transmission never lands
 
@@ -92,7 +95,7 @@ class TestPacketLoss:
         engine, runtime = make_chaos_engine(
             ring8, FaultPlan(seed=2012, packet_loss_rate=0.2)
         )
-        routes, walks = "", ""
+        routes = ""
         for i in range(50):
             start = i % 8
             route = [(start + k) % 8 for k in range(4)]
@@ -100,22 +103,26 @@ class TestPacketLoss:
                 Packet(source=start, destination=route[-1]), route, RecoveryAccounting()
             )
             routes += "1" if outcome.lost else "0"
-        for i in range(50):
-            start = i % 8
-            stop = (start + 5) % 8
-            outcome = engine.walk_outcome(
-                Packet(source=start, destination=stop),
-                lambda n, p, stop=stop: None if n == stop else (n - 1) % 8,
-                RecoveryAccounting(),
-            )
-            walks += "1" if outcome.lost else "0"
         assert routes == "01010110011111111111011001111000111000010101101011"
-        assert walks == "11010101000100001110001110001010011001100000111111"
-        assert (runtime.packets_lost, runtime.hops) == (55, 186)
-        assert outcome.drop_reason == (
-            "recovery packet lost on link e6,7 (injected loss)"
-        )
+        assert (runtime.packets_lost, runtime.hops) == (31, 85)
 
+    def test_phase1_loss_stream_pinned(self, ring8):
+        # The phase-1 half: the hop count of each walk (14 = complete).
+        engine, runtime = make_chaos_engine(
+            ring8, FaultPlan(seed=2012, packet_loss_rate=0.2), failed_links=[Link.of(4, 5)]
+        )
+        walks, reasons = "", []
+        for i in range(50):
+            initiator, trigger = (4, 5) if i % 2 == 0 else (5, 4)
+            result = run_phase1(ring8, engine.view, initiator, trigger, engine, strict=False)
+            walks += format(result.hops, "x")
+            reasons.append(result.incomplete_reason)
+        assert walks == "433071220011211316210921c54155021344ac20b02b46070e"
+        assert (runtime.packets_lost, runtime.hops) == (49, 178)
+        assert reasons[-2:] == [
+            "recovery packet lost on link e3,4 (injected loss)",
+            None,
+        ]
 
 class TestHeaderCorruption:
     def test_collecting_header_truncated(self, ring8):
@@ -183,23 +190,9 @@ class TestSecondaryFailures:
 
 
 class TestStrictEngineOutcomes:
-    def test_walk_truncates_instead_of_raising(self, ring8):
-        engine, _ = make_chaos_engine(ring8, FaultPlan())
-        packet = Packet(source=0, destination=0)
-        outcome = engine.walk_outcome(
-            packet,
-            lambda n, p: (n + 1) % 8,
-            RecoveryAccounting(),
-            max_hops=10,
-            on_overrun="truncate",
-        )
-        assert outcome.truncated and not outcome.completed and not outcome.lost
-        assert len(outcome.visited) == 11
-
     def test_strict_walk_surfaces_injected_loss(self, ring8):
-        from repro.errors import SimulationError
-
-        engine, _ = make_chaos_engine(ring8, FaultPlan(packet_loss_rate=1.0))
-        packet = Packet(source=0, destination=0)
-        with pytest.raises(SimulationError):
-            engine.walk(packet, lambda n, p: (n + 1) % 8, RecoveryAccounting())
+        engine, _ = make_chaos_engine(
+            ring8, FaultPlan(packet_loss_rate=1.0), failed_links=[Link.of(4, 5)]
+        )
+        with pytest.raises(SimulationError, match="phase-1 packet of 4 lost at 4"):
+            run_phase1(ring8, engine.view, 4, 5, engine)

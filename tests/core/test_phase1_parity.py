@@ -4,10 +4,11 @@ Three scenarios on each of the paper's example graph, AS7018 and
 ``scale:2000``; every live router whose view detects an unreachable
 neighbor runs its phase-1 walk, triggered by the smallest such neighbor.
 The sha256 of the stream of :class:`~repro.core.phase1.Phase1Result` fields (floats
-via ``float.hex``) must equal its pin.  The ``chaos`` run adds header
-truncation and detection misses on the two smaller graphs, which exercises
-the ``cross_link`` state after the header has lost entries and the per-hop
-``field_trace``.
+via ``float.hex``) must equal its pin.  The other runs cover the two
+smaller graphs only: ``chaos`` adds header truncation and detection
+misses, which exercises the ``cross_link`` state after the header has lost
+entries and the per-hop ``field_trace``; ``loss`` drops recovery packets,
+so walks end lost and are retried; ``exhaustive`` runs the DFS collector.
 
 To re-pin after a deliberate behaviour change, run this module as a
 script (``PYTHONPATH=src python tests/core/test_phase1_parity.py``) and
@@ -22,7 +23,7 @@ from itertools import islice
 import pytest
 
 from repro.chaos import FaultPlan
-from repro.core import RTR
+from repro.core import RTR, RTRConfig
 from repro.failures import circle_scenarios
 from repro.topology import isp_catalog, topology_from_spec
 from repro.topology.examples import paper_figure_topology
@@ -34,22 +35,36 @@ TOPOLOGIES = {
     "scale2000": (lambda: topology_from_spec("scale:2000", seed=0), 2000),
 }
 
-#: name -> fault plan of one run (``None``: the idealized world).
+#: name -> (fault plan, RTR config) of one run (``None``: the idealized
+#: world, the default config).
 RUNS = {
-    "clean": None,
-    "chaos": FaultPlan(seed=5, header_corruption_rate=0.3, detection_miss_rate=0.25),
+    "clean": (None, None),
+    "chaos": (
+        FaultPlan(seed=5, header_corruption_rate=0.3, detection_miss_rate=0.25),
+        None,
+    ),
+    "loss": (FaultPlan(seed=42, packet_loss_rate=0.2), None),
+    "exhaustive": (None, RTRConfig(collector="exhaustive")),
 }
 
 #: The pinned (topology, run) cells; ``scale2000`` runs clean only.
-CELLS = [(topology, run) for topology in TOPOLOGIES for run in RUNS]
-CELLS.remove(("scale2000", "chaos"))
+CELLS = [
+    (topology, run)
+    for topology in TOPOLOGIES
+    for run in RUNS
+    if run == "clean" or topology != "scale2000"
+]
 
 #: (topology, run) -> sha256 of the Phase1Result stream.
 PINS = {
     ('paper', 'clean'): 'ad4f931704853711a06c01d6ddcf4a2429dcd520dba6b3f850eac11938635e6b',
     ('paper', 'chaos'): '5f5a30db056d8a5913d48816996bb40464342ef8ea9b3746649db317465bb872',
+    ('paper', 'loss'): 'c03dfa1ff82ad5d61f1d387c602ea67a65223c9cf28024ec0a6b9ba461c1700e',
+    ('paper', 'exhaustive'): 'f96d3feb01ffc1b0870920d7eb897c4d96085dd8860db593750a9f33a08df14f',
     ('AS7018', 'clean'): '3e02b26c4cec5930cfeb969edfed8e081d1cfc99aa6c97016b567b450f18153c',
     ('AS7018', 'chaos'): '4d53fc684851b83bbd72bf7fbe64c3ba3f1139680ca0ad2ff1a3e5a7ff0de049',
+    ('AS7018', 'loss'): '5eefcfae894bc131d5143201ffa44ac9e6963b96dc3e176f4a4c058eb991a189',
+    ('AS7018', 'exhaustive'): 'd835cbac081dba060742c8c53c42a4ce6a4198afebfb705e4e9eefb663299696',
     ('scale2000', 'clean'): '196deb99b4e490abccb140e72eab7c8005ab243b89263fb7990d1f4559d28331',
 }
 
@@ -103,7 +118,8 @@ def stream_digest(topology, run):
     topo, scenarios = _scenarios(topology)
     stream = []
     for scenario in scenarios:
-        rtr = RTR(topo, scenario, fault_plan=RUNS[run])
+        fault_plan, config = RUNS[run]
+        rtr = RTR(topo, scenario, config=config, fault_plan=fault_plan)
         for initiator in sorted(scenario.live_nodes()):
             unreachable = rtr.view.unreachable_neighbors(initiator)
             if unreachable:
