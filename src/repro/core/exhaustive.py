@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from ..errors import SimulationError
+from .. import obs
+from ..errors import ForwardingLoopError, SimulationError
 from ..failures import LocalView
 from ..simulator import (
     ForwardingEngine,
@@ -66,36 +67,45 @@ def run_exhaustive_phase1(
         Link.of(initiator, nb) for nb in view.unreachable_neighbors(initiator)
     ]
 
-    visited: Set[int] = {initiator}
+    obs.inc("simulator.walks.executed")
+    seen: Set[int] = {initiator}
     header.source_route.append(initiator)  # visited list, byte-accounted
     stack: List[int] = []  # DFS parent chain (for backtracking hops)
     field_trace: List[tuple] = []
-
-    def decide(current: int, pkt: Packet) -> Optional[int]:
-        _record_failures_at(current, initiator, view, pkt.header)
+    walk = [initiator]
+    budget = walk_hop_budget(topo.link_count)
+    for _ in range(budget):
+        current = packet.at
+        _record_failures_at(current, initiator, view, header)
         field_trace.append(
-            (current, tuple(pkt.header.failed_links), tuple(pkt.header.cross_links))
+            (current, tuple(header.failed_links), tuple(header.cross_links))
         )
         # Deterministic neighbor order: reuse the sweep ordering relative
         # to the previous hop (or the trigger at the very start).
         reference = stack[-1] if stack else trigger_neighbor
         for nb in sweep_order(topo, current, reference):
-            if nb in visited:
-                continue
+            if nb not in seen and view.is_neighbor_reachable(current, nb):
+                seen.add(nb)
+                header.source_route.append(nb)
+                stack.append(current)
+                break
+        else:
+            if not stack:
+                break  # back at the initiator with nothing left
+            # Exhausted: backtrack toward the initiator.
+            nb = stack.pop()
             if not view.is_neighbor_reachable(current, nb):
-                continue
-            visited.add(nb)
-            pkt.header.source_route.append(nb)
-            stack.append(current)
-            return nb
-        # Exhausted: backtrack toward the initiator.
-        if stack:
-            return stack.pop()
-        return None  # back at the initiator with nothing left
-
-    walk = engine.walk(
-        packet, decide, accounting, max_hops=walk_hop_budget(topo.link_count)
-    )
+                raise ForwardingLoopError(
+                    f"DFS backtrack {current} -> {nb} is unreachable", walk
+                )
+        reason = engine.transmit(packet, nb, accounting)
+        if reason is not None:
+            raise SimulationError(f"packet lost mid-walk at {packet.at}: {reason}")
+        walk.append(nb)
+    else:
+        raise ForwardingLoopError(
+            f"walk exceeded {budget} hops without terminating", walk
+        )
     return Phase1Result(
         initiator=initiator,
         walk=walk,

@@ -8,7 +8,8 @@ the packet is back at the initiator and the sweep would re-select the
 first hop.
 
 The walk runs once per initiator and its result serves every affected
-destination (§III-A).
+destination (§III-A).  It is a :class:`SweepWalkSpec`: plain data plus
+one hop loop, run by the walk plane like every other spec.
 """
 
 from __future__ import annotations
@@ -16,16 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..errors import SimulationError
+from .. import obs
+from ..errors import ForwardingLoopError, SimulationError
 from ..failures import LocalView
 from ..simulator import (
-    CallbackWalkSpec,
     ForwardingEngine,
     Mode,
     Packet,
     RecoveryAccounting,
     RecoveryHeader,
     WalkBatch,
+    WalkOutcome,
+    walk_hop_budget,
 )
 from ..topology import Link, Topology
 from .constraints import CrossLinkState
@@ -95,6 +98,103 @@ def _record_failures_at(
         header.record_failed(link)
 
 
+@dataclass
+class SweepWalkSpec:
+    """The phase-1 walk of ``initiator``, whose first hop is ``start_hop``.
+
+    Each hop records the current node's failed links, sweeps from the
+    previous hop (skipping links the ``cross_link`` state excludes, when
+    ``constraints`` is set) and transmits.  The walk is reached when it is
+    back at the initiator and the sweep would re-select ``start_hop``.
+    ``strict`` raises on a lost packet or an exhausted ``budget``;
+    otherwise the outcome reports it.  ``field_trace`` collects the
+    per-hop header snapshots of :attr:`Phase1Result.field_trace`.
+    """
+
+    initiator: int
+    start_hop: int
+    constraints: Optional[CrossLinkState]
+    clockwise: bool
+    budget: int
+    strict: bool = True
+    field_trace: List[tuple] = field(default_factory=list)
+
+    def walk(
+        self, engine: ForwardingEngine, packet: Packet, accounting: RecoveryAccounting
+    ) -> WalkOutcome:
+        obs.inc("simulator.walks.executed")
+        topo, view, header = engine.topo, engine.view, packet.header
+        initiator, constraints = self.initiator, self.constraints
+        exclusion = constraints.is_excluded if constraints is not None else None
+        pair_lid = topo.csr().pair_lid
+        field_trace = self.field_trace
+        # The header fields of the last snapshot: a field whose length and
+        # last entry are unchanged since then is unchanged, so its tuple is
+        # reused.  Between two snapshots a field takes at most one chaos
+        # truncation (one per forwarded hop), and it comes before any
+        # append: equal length then means nothing changed or the popped
+        # entry came back.
+        failed, crossed = (), ()
+
+        def snapshot(node: int) -> None:
+            nonlocal failed, crossed
+            failed = _reuse(header.failed_links, failed)
+            crossed = _reuse(header.cross_links, crossed)
+            field_trace.append((node, failed, crossed))
+
+        visited = [packet.at]
+        previous, next_node = None, self.start_hop
+        for _ in range(self.budget):
+            current = packet.at
+            _record_failures_at(current, initiator, view, header)
+            if previous is not None:
+                next_node = select_next_hop(
+                    topo, view, current, previous, exclusion, self.clockwise
+                )
+                # §III-C item 3: back at the initiator, stop when the sweep
+                # would re-select the first hop; elsewhere keep going so no
+                # node on the cycle is missed.
+                if next_node is None or (
+                    current == initiator and next_node == self.start_hop
+                ):
+                    snapshot(current)
+                    return WalkOutcome(visited=visited, reached=True)
+            if constraints is not None:
+                constraints.after_selection(pair_lid[(current, next_node)])
+            previous = current
+            snapshot(current)
+            reason = engine.transmit(packet, next_node, accounting)
+            if reason is not None:
+                if self.strict:
+                    raise SimulationError(
+                        f"phase-1 packet of {initiator} lost at {packet.at}: {reason}"
+                    )
+                return WalkOutcome(
+                    visited=visited,
+                    reached=False,
+                    lost=True,
+                    drop_node=packet.at,
+                    drop_reason=reason,
+                )
+            visited.append(next_node)
+        reason = f"walk exceeded {self.budget} hops without terminating"
+        if self.strict:
+            raise ForwardingLoopError(reason, visited)
+        return WalkOutcome(
+            visited=visited,
+            reached=False,
+            truncated=True,
+            drop_node=packet.at,
+            drop_reason=reason,
+        )
+
+
+def _reuse(entries: List[Link], before: tuple) -> tuple:
+    if len(entries) == len(before) and (not entries or entries[-1] == before[-1]):
+        return before
+    return tuple(entries)
+
+
 def run_phase1(
     topo: Topology,
     view: LocalView,
@@ -125,10 +225,12 @@ def run_phase1(
 
     header = RecoveryHeader(mode=Mode.COLLECTING, rec_init=initiator)
     packet = Packet(source=initiator, destination=initiator, header=header)
-    constraints = CrossLinkState(topo, header)
+    constraints = None
+    exclusion = None
     if use_constraints:
+        constraints = CrossLinkState(topo, header)
         constraints.seed_initiator_links(view, initiator)
-    exclusion = constraints.is_excluded if use_constraints else None
+        exclusion = constraints.is_excluded
 
     local_failed = [Link.of(initiator, nb) for nb in view.unreachable_neighbors(initiator)]
 
@@ -147,73 +249,17 @@ def run_phase1(
             duration=0.0,
         )
 
-    previous = {"node": initiator}
-    done = {"flag": False}
-    pair_lid = topo.csr().pair_lid
-    field_trace: List[tuple] = []
-    # The header fields of the last snapshot: a field whose length and last
-    # entry are unchanged since then is unchanged, so its tuple is reused.
-    # Between two snapshots a field takes at most one chaos truncation
-    # (one per forwarded hop), and it comes before any append: equal
-    # length then means nothing changed or the popped entry came back.
-    last = [(), ()]
-
-    def reuse(entries: List[Link], before: tuple) -> tuple:
-        if len(entries) == len(before) and (not entries or entries[-1] == before[-1]):
-            return before
-        return tuple(entries)
-
-    def snapshot(node: int) -> None:
-        last[0] = failed = reuse(header.failed_links, last[0])
-        last[1] = crossed = reuse(header.cross_links, last[1])
-        field_trace.append((node, failed, crossed))
-
-    def decide(current: int, pkt: Packet) -> Optional[int]:
-        if done["flag"]:
-            return None
-        _record_failures_at(current, initiator, view, pkt.header)
-        if current == initiator and pkt.recovery_hops == 0:
-            # Initial transmission toward the already-selected first hop.
-            if use_constraints:
-                constraints.after_selection(pair_lid[(initiator, start_hop)])
-            previous["node"] = current
-            snapshot(current)
-            return start_hop
-        next_node = select_next_hop(
-            topo, view, current, previous["node"], exclusion, clockwise
-        )
-        if next_node is None:
-            # Unreachable in theory (previous hop always qualifies); be safe.
-            snapshot(current)
-            return None
-        if current == initiator:
-            # §III-C item 3: back at the initiator — stop when the sweep
-            # would re-select the first hop, otherwise keep going so no
-            # node on the cycle is missed.
-            if next_node == start_hop:
-                done["flag"] = True
-                snapshot(current)
-                return None
-        if use_constraints:
-            constraints.after_selection(pair_lid[(current, next_node)])
-        previous["node"] = current
-        snapshot(current)
-        return next_node
-
-    # The sweep mutates header/constraint state every hop, so it compiles
-    # to an opaque callback spec.
-    batch = WalkBatch(engine)
-    handle = batch.add(
-        CallbackWalkSpec(decide=decide, on_overrun="raise" if strict else "truncate"),
-        packet,
-        accounting,
+    spec = SweepWalkSpec(
+        initiator=initiator,
+        start_hop=start_hop,
+        constraints=constraints,
+        clockwise=clockwise,
+        budget=walk_hop_budget(topo.link_count),
+        strict=strict,
     )
-    outcome = batch.execute().result(handle)
-    if strict and outcome.lost:
-        raise SimulationError(
-            f"phase-1 packet of {initiator} lost at {outcome.drop_node}: "
-            f"{outcome.drop_reason}"
-        )
+    batch = WalkBatch(engine)
+    batch.add(spec, packet, accounting)
+    outcome = batch.execute()
     return Phase1Result(
         initiator=initiator,
         walk=outcome.visited,
@@ -223,7 +269,7 @@ def run_phase1(
         hops=len(outcome.visited) - 1,
         duration=accounting.clock,
         header_timeline=list(accounting.header_timeline),
-        field_trace=field_trace,
-        complete=outcome.completed,
+        field_trace=spec.field_trace,
+        complete=outcome.reached,
         incomplete_reason=outcome.drop_reason,
     )

@@ -350,9 +350,9 @@ class RTR:
         hops_before = accounting.hops_traveled
         config = self.config
 
-        def finish(walk_outcome):
+        def finish(route_outcome):
             outcome = phase2_result_from_outcome(
-                route, header, hops_before, accounting, walk_outcome
+                route, header, hops_before, accounting, route_outcome
             )
             if outcome.lost:
                 if resends < config.max_phase2_resends:

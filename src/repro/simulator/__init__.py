@@ -17,27 +17,16 @@ from .delays import (
 )
 from .stats import RecoveryAccounting, RecoveryResult
 from .trace import DropEvent, ForwardingTrace, HopEvent
-from .engine import (
-    ForwardingEngine,
-    NextHopFn,
-    RouteOutcome,
-    WalkOutcome,
-)
+from .engine import ForwardingEngine, RouteOutcome
 from .budget import (
     HOP_BUDGET_FACTOR,
     HOP_BUDGET_SLACK,
     table_walk_hop_budget,
     walk_hop_budget,
 )
-from .walkspec import (
-    CallbackWalkSpec,
-    SourceRouteSpec,
-    TableWalkOutcome,
-    TableWalkSpec,
-    WalkPlan,
-)
+from .walkspec import SourceRouteSpec, TableWalkSpec, WalkOutcome, WalkPlan
 
-from .batch import WalkBatch, run_plan, run_table_walk
+from .batch import WalkBatch, run_plan
 
 __all__ = [
     "BYTES_PER_ID",
@@ -57,19 +46,15 @@ __all__ = [
     "ForwardingTrace",
     "HopEvent",
     "ForwardingEngine",
-    "NextHopFn",
     "RouteOutcome",
-    "WalkOutcome",
     "HOP_BUDGET_FACTOR",
     "HOP_BUDGET_SLACK",
     "table_walk_hop_budget",
     "walk_hop_budget",
-    "CallbackWalkSpec",
     "SourceRouteSpec",
-    "TableWalkOutcome",
     "TableWalkSpec",
+    "WalkOutcome",
     "WalkPlan",
     "WalkBatch",
     "run_plan",
-    "run_table_walk",
 ]

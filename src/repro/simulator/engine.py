@@ -1,55 +1,30 @@
 """Hop-by-hop forwarding engine.
 
-The protocols (RTR phase 1, FCP wandering, MRC configuration switching,
-source-routed delivery) all reduce to the same mechanical loop: ask a
-per-node decision function for the next hop, check local reachability,
-move the packet, account the hop.  The engine owns that loop so every
-protocol pays delays and header bytes identically.
+The engine moves packets: :meth:`ForwardingEngine.transmit` makes one
+transmission (a loss draw, then the hop), and
+:meth:`ForwardingEngine.forward_one_hop` moves and accounts it, so every
+protocol pays delays and header bytes identically.  Each walk spec
+(:mod:`repro.simulator.walkspec`, RTR phase 1 in :mod:`repro.core.phase1`)
+runs its own hop loop on these two calls.
 
-Walks and source-routed deliveries report through :class:`WalkOutcome`
-and :class:`RouteOutcome` so degraded-mode callers (``repro.chaos``) can
-distinguish a completed walk from a truncated or lost one without
-catching exceptions; the strict :meth:`ForwardingEngine.walk` raises on
-any anomaly instead.
+Source-routed deliveries report through :class:`RouteOutcome` so
+degraded-mode callers (``repro.chaos``) can tell a missed failure from a
+lost packet without catching exceptions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from .. import obs
 from ..errors import ForwardingLoopError, SimulationError
 from ..failures import LocalView
 from ..topology import Link, Topology
-from .budget import walk_hop_budget
 from .delays import DEFAULT_DELAY_MODEL, DelayModel
 from .packet import Packet
 from .stats import RecoveryAccounting
 from .trace import DropEvent, ForwardingTrace, HopEvent
-
-#: A decision function: given the current node and the packet, return the
-#: next hop, or ``None`` to stop the walk at the current node.
-NextHopFn = Callable[[int, Packet], Optional[int]]
-
-
-@dataclass
-class WalkOutcome:
-    """Result of one :meth:`ForwardingEngine.walk_outcome` drive.
-
-    Exactly one of the three terminal conditions holds: ``completed``
-    (the decision function returned ``None``), ``truncated`` (the hop
-    budget ran out in non-strict mode), or ``lost`` (a fault injector
-    dropped the packet mid-walk).
-    """
-
-    visited: List[int]
-    completed: bool
-    truncated: bool = False
-    lost: bool = False
-    #: Node holding the packet when it was truncated or lost.
-    drop_node: Optional[int] = None
-    drop_reason: Optional[str] = None
 
 
 @dataclass
@@ -118,88 +93,30 @@ class ForwardingEngine:
         packet.at = next_node
         packet.recovery_hops += 1
 
-    def walk_outcome(
-        self,
-        packet: Packet,
-        decide: NextHopFn,
-        accounting: RecoveryAccounting,
-        max_hops: Optional[int] = None,
-        on_overrun: str = "raise",
-    ) -> WalkOutcome:
-        """Drive ``packet`` until ``decide`` returns ``None``.
+    def transmit(
+        self, packet: Packet, next_node: int, accounting: RecoveryAccounting
+    ) -> Optional[str]:
+        """Send ``packet`` to ``next_node``: the drop reason, or ``None``.
 
-        The hop budget defaults to ``walk_hop_budget(link_count)``
-        (:mod:`repro.simulator.budget`): Theorem 1 bounds
-        a correct phase-1 walk by twice the links (each traversed at most
-        once per direction), so exceeding four times is an implementation
-        error.  ``on_overrun`` selects what an exhausted budget means:
-        ``"raise"`` (the strict default) raises
-        :class:`ForwardingLoopError` with the partial walk, while
-        ``"truncate"`` returns a non-fatal :class:`WalkOutcome` with
-        ``truncated=True`` so degraded-mode callers can retry or fall back
-        instead of aborting a whole experiment sweep.
+        One loss draw (:meth:`_chaos_check`) per transmission; a dropped
+        packet stays where it is and is logged in the trace, otherwise it
+        moves through :meth:`forward_one_hop`.
         """
-        obs.inc("simulator.walks.executed")
-        if on_overrun not in ("raise", "truncate"):
-            raise ValueError(f"unknown on_overrun mode {on_overrun!r}")
-        budget = (
-            max_hops if max_hops is not None else walk_hop_budget(self.topo.link_count)
-        )
-        visited = [packet.at]
-        for _ in range(budget):
-            next_node = decide(packet.at, packet)
-            if next_node is None:
-                return WalkOutcome(visited=visited, completed=True)
-            if not self.view.is_neighbor_reachable(packet.at, next_node):
-                raise ForwardingLoopError(
-                    f"decision function chose unreachable neighbor {next_node} "
-                    f"from {packet.at}",
-                    visited,
-                )
-            drop_reason = self._chaos_check(packet, next_node)
-            if drop_reason is not None:
-                self._record_drop(packet, accounting, drop_reason)
-                return WalkOutcome(
-                    visited=visited,
-                    completed=False,
-                    lost=True,
-                    drop_node=packet.at,
-                    drop_reason=drop_reason,
-                )
+        reason = self._chaos_check(packet, next_node)
+        if reason is None:
             self.forward_one_hop(packet, next_node, accounting)
-            visited.append(next_node)
-        if on_overrun == "truncate":
-            return WalkOutcome(
-                visited=visited,
-                completed=False,
-                truncated=True,
-                drop_node=packet.at,
-                drop_reason=f"walk exceeded {budget} hops without terminating",
+        elif self.trace is not None:
+            self.trace.record_drop(
+                DropEvent(
+                    time=accounting.clock,
+                    node=packet.at,
+                    mode=packet.header.mode,
+                    packet_id=packet.packet_id,
+                    reason=reason,
+                    span_id=obs.current_span_id(),
+                )
             )
-        raise ForwardingLoopError(
-            f"walk exceeded {budget} hops without terminating", visited
-        )
-
-    def walk(
-        self,
-        packet: Packet,
-        decide: NextHopFn,
-        accounting: RecoveryAccounting,
-        max_hops: Optional[int] = None,
-    ) -> List[int]:
-        """Strict walk: returns the visited nodes, raising on any anomaly."""
-        outcome = self.walk_outcome(
-            packet, decide, accounting, max_hops=max_hops, on_overrun="raise"
-        )
-        if outcome.lost:
-            # Only possible with a chaos engine driven through the strict
-            # entry point; surface it rather than silently returning a
-            # partial walk.
-            raise SimulationError(
-                f"packet lost mid-walk at {outcome.drop_node}: "
-                f"{outcome.drop_reason}"
-            )
-        return outcome.visited
+        return reason
 
     def follow_source_route_outcome(
         self,
@@ -235,33 +152,12 @@ class ForwardingEngine:
                         f"(failure missed by phase 1)"
                     ),
                 )
-            drop_reason = self._chaos_check(packet, next_node)
+            drop_reason = self.transmit(packet, next_node, accounting)
             if drop_reason is not None:
-                self._record_drop(packet, accounting, drop_reason)
                 return RouteOutcome(
                     delivered=False,
                     drop_node=packet.at,
                     lost=True,
                     drop_reason=drop_reason,
                 )
-            self.forward_one_hop(packet, next_node, accounting)
         return RouteOutcome(delivered=True, drop_node=None)
-
-    def _record_drop(
-        self,
-        packet: Packet,
-        accounting: RecoveryAccounting,
-        reason: str,
-    ) -> None:
-        """Log a packet drop into the trace, if one is attached."""
-        if self.trace is not None:
-            self.trace.record_drop(
-                DropEvent(
-                    time=accounting.clock,
-                    node=packet.at,
-                    mode=packet.header.mode,
-                    packet_id=packet.packet_id,
-                    reason=reason,
-                    span_id=obs.current_span_id(),
-                )
-            )

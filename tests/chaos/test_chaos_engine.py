@@ -21,6 +21,8 @@ from repro.simulator import (
 )
 from repro.topology import Link
 
+from ..conftest import ring_sweep
+
 
 def make_chaos_engine(topo, plan, failed_links=(), trace=None):
     scenario = FailureScenario(topo, failed_links=failed_links)
@@ -190,6 +192,13 @@ class TestSecondaryFailures:
 
 
 class TestStrictEngineOutcomes:
+    def test_walk_truncates_instead_of_raising(self, ring8):
+        engine, _ = make_chaos_engine(ring8, FaultPlan(), failed_links=[Link.of(4, 5)])
+        spec, packet = ring_sweep(budget=10, strict=False)
+        outcome = spec.walk(engine, packet, RecoveryAccounting())
+        assert outcome.truncated and not outcome.reached and not outcome.lost
+        assert len(outcome.visited) == 11
+
     def test_strict_walk_surfaces_injected_loss(self, ring8):
         engine, _ = make_chaos_engine(
             ring8, FaultPlan(packet_loss_rate=1.0), failed_links=[Link.of(4, 5)]

@@ -34,6 +34,28 @@ def ring_topology(n: int) -> Topology:
     return topo
 
 
+def ring_sweep(budget: int = 40, strict: bool = True):
+    """Node 4's phase-1 walk on the 8-ring with link 4-5 failed.
+
+    Returns the spec (first hop 3, no constraints: the ring is planar) and
+    a fresh collecting packet at 4.  Run it on an engine whose view has
+    the link failed: the full walk is 14 hops, 4-3-...-5-...-3-4.
+    """
+    from repro.core.phase1 import SweepWalkSpec
+    from repro.simulator import Mode, Packet, RecoveryHeader
+
+    spec = SweepWalkSpec(
+        initiator=4,
+        start_hop=3,
+        constraints=None,
+        clockwise=False,
+        budget=budget,
+        strict=strict,
+    )
+    header = RecoveryHeader(mode=Mode.COLLECTING, rec_init=4)
+    return spec, Packet(source=4, destination=4, header=header)
+
+
 def star_topology(n_leaves: int) -> Topology:
     """A hub (node 0) with ``n_leaves`` spokes — the extreme tree-branch case."""
     if n_leaves < 1:

@@ -1,8 +1,8 @@
 """Unit tests for the walk plane (repro.simulator.batch).
 
-Batch lifecycle, insertion-order execution, per-request error capture,
-the table-walk semantics (clocks compared bit-exactly via ``float.hex``),
-``run_plan`` and its continuations, and the observability surface.
+Walks run in the order they are asked for, each spec with its own outcome
+type, the table-walk semantics, ``run_plan`` and its continuations, the
+observability surface, and source scans pinning the removed walk engines.
 """
 
 import re
@@ -12,10 +12,9 @@ import pytest
 
 from repro import obs
 from repro.chaos import ChaosForwardingEngine, ChaosRuntime, FaultPlan
-from repro.errors import SimulationError, UnknownLinkError
+from repro.errors import UnknownLinkError
 from repro.failures import FailureScenario, LocalView
 from repro.simulator import (
-    CallbackWalkSpec,
     ForwardingEngine,
     Packet,
     RecoveryAccounting,
@@ -29,6 +28,8 @@ from repro.simulator import (
 from repro.simulator.batch import batched_walk_count
 from repro.topology import Link
 
+from ..conftest import ring_sweep
+
 ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -37,146 +38,70 @@ def make_engine(topo, failed_nodes=(), failed_links=()):
     return ForwardingEngine(topo, LocalView(scenario))
 
 
+def walk(engine, spec, packet, acc):
+    """One walk through the walk plane."""
+    batch = WalkBatch(engine)
+    batch.add(spec, packet, acc)
+    return batch.execute()
+
+
 def run_table(engine, start, table, destination, budget):
     packet = Packet(source=start, destination=destination)
     acc = RecoveryAccounting()
-    batch = WalkBatch(engine)
-    handle = batch.add(TableWalkSpec(table, destination, budget), packet, acc)
-    return packet, acc, batch.execute().result(handle)
+    return packet, acc, walk(engine, TableWalkSpec(table, destination, budget), packet, acc)
 
 
 class TestLifecycle:
-    def test_result_before_execute_raises(self, ring8):
-        batch = WalkBatch(make_engine(ring8))
-        handle = batch.add(
-            SourceRouteSpec([0, 1]),
-            Packet(source=0, destination=1),
-            RecoveryAccounting(),
-        )
-        with pytest.raises(SimulationError):
-            batch.result(handle)
-
-    def test_add_after_execute_raises(self, ring8):
-        batch = WalkBatch(make_engine(ring8))
-        batch.execute()
-        with pytest.raises(SimulationError):
-            batch.add(
-                SourceRouteSpec([0, 1]),
-                Packet(source=0, destination=1),
-                RecoveryAccounting(),
-            )
-
-    def test_double_execute_raises(self, ring8):
-        batch = WalkBatch(make_engine(ring8))
-        batch.execute()
-        with pytest.raises(SimulationError):
-            batch.execute()
-
-    def test_add_without_engine_raises(self):
-        batch = WalkBatch(None)
-        with pytest.raises(SimulationError):
-            batch.add(
-                SourceRouteSpec([0, 1]),
-                Packet(source=0, destination=1),
-                RecoveryAccounting(),
-            )
-
-    def test_exceptions_are_captured_per_request(self, ring8):
-        batch = WalkBatch(make_engine(ring8))
-
-        def exploding(node, pkt):
-            raise RuntimeError("synthetic walk crash")
-
-        bad = batch.add(
-            CallbackWalkSpec(exploding),
-            Packet(source=0, destination=0),
-            RecoveryAccounting(),
-        )
-        good = batch.add(
-            SourceRouteSpec([0, 1, 2]),
-            Packet(source=0, destination=2),
-            RecoveryAccounting(),
-        )
-        batch.execute()
-        assert batch.result(good).delivered
-        with pytest.raises(RuntimeError, match="synthetic walk crash"):
-            batch.result(bad)
-
     def test_requests_execute_in_insertion_order(self, ring8):
         # A chaos engine draws its seeded loss stream once per prospective
-        # hop, so one batch must lose exactly the packets the same walks
-        # lose when driven one by one in the order they were added.
+        # hop, so walks through the walk plane must lose exactly the
+        # packets the same walks lose when driven directly, in order.
         def chaos_engine():
-            scenario = FailureScenario(ring8)
-            runtime = ChaosRuntime(FaultPlan(seed=3, packet_loss_rate=0.3), scenario)
+            scenario = FailureScenario(ring8, failed_links=[Link.of(4, 5)])
+            runtime = ChaosRuntime(FaultPlan(seed=3, packet_loss_rate=0.1), scenario)
             return ChaosForwardingEngine(ring8, LocalView(scenario), runtime)
 
         routes = [[(s + k) % 8 for k in range(4)] for s in range(8)]
 
-        def circle(node, pkt):
-            return None if node == pkt.destination else (node + 1) % 8
+        def requests():
+            for route in routes:
+                packet = Packet(source=route[0], destination=route[-1])
+                yield SourceRouteSpec(route), packet
+                yield ring_sweep(strict=False)
 
         engine = chaos_engine()
-        one_by_one = []
-        for route in routes:
-            start, end = route[0], route[-1]
-            one_by_one.append(
-                engine.follow_source_route_outcome(
-                    Packet(source=start, destination=end), route, RecoveryAccounting()
-                ).lost
-            )
-            one_by_one.append(
-                engine.walk_outcome(
-                    Packet(source=start, destination=end), circle, RecoveryAccounting()
-                ).lost
-            )
-
-        batch = WalkBatch(chaos_engine())
-        handles = []
-        for route in routes:
-            start, end = route[0], route[-1]
-            handles.append(
-                batch.add(
-                    SourceRouteSpec(route),
-                    Packet(source=start, destination=end),
-                    RecoveryAccounting(),
-                )
-            )
-            handles.append(
-                batch.add(
-                    CallbackWalkSpec(circle),
-                    Packet(source=start, destination=end),
-                    RecoveryAccounting(),
-                )
-            )
-        batch.execute()
-        batched = [batch.result(h).lost for h in handles]
-        assert batched == one_by_one
-        assert any(batched) and not all(batched)
+        direct = [
+            spec.walk(engine, packet, RecoveryAccounting()).lost
+            for spec, packet in requests()
+        ]
+        engine = chaos_engine()
+        planned = [
+            walk(engine, spec, packet, RecoveryAccounting()).lost
+            for spec, packet in requests()
+        ]
+        assert planned == direct
+        assert any(planned[1::2]) and not all(planned[1::2])
 
     def test_mixed_batch(self, ring8):
-        # Routes, a table and a callback in one batch: each request gets
-        # its own outcome type and its own accounting.
+        # Routes, a table and a phase-1 sweep: each walk gets its own
+        # outcome type and its own accounting.
         engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
-        batch = WalkBatch(engine)
         p1, a1 = Packet(source=0, destination=3), RecoveryAccounting()
-        h1 = batch.add(SourceRouteSpec([0, 1, 2, 3]), p1, a1)
+        o1 = walk(engine, SourceRouteSpec([0, 1, 2, 3]), p1, a1)
         p2, a2 = Packet(source=3, destination=6), RecoveryAccounting()
-        h2 = batch.add(SourceRouteSpec([3, 4, 5, 6]), p2, a2)
+        blocked = walk(engine, SourceRouteSpec([3, 4, 5, 6]), p2, a2)
         p3, a3 = Packet(source=0, destination=4), RecoveryAccounting()
-        h3 = batch.add(TableWalkSpec({i: i + 1 for i in range(4)}, 4, 40), p3, a3)
-        p4, a4 = Packet(source=7, destination=7), RecoveryAccounting()
-        h4 = batch.add(CallbackWalkSpec(lambda node, pkt: None), p4, a4)
-        batch.execute()
+        table = walk(engine, TableWalkSpec({i: i + 1 for i in range(4)}, 4, 40), p3, a3)
+        (spec, p4), a4 = ring_sweep(), RecoveryAccounting()
+        sweep = walk(engine, spec, p4, a4)
 
-        assert batch.result(h1).delivered and (p1.at, a1.hops_traveled) == (3, 3)
-        blocked = batch.result(h2)
+        assert o1.delivered and (p1.at, a1.hops_traveled) == (3, 3)
         assert not blocked.delivered and blocked.drop_node == 4
         assert (p2.at, a2.hops_traveled) == (4, 1)
-        table = batch.result(h3)
         assert table.reached and table.visited == [0, 1, 2, 3, 4]
-        assert 0.0 < a2.clock < a1.clock < a3.clock  # 1, 3 and 4 hops
-        assert batch.result(h4).visited == [7] and a4.hops_traveled == 0
+        assert 0.0 < a2.clock < a1.clock < a3.clock < a4.clock  # 1, 3, 4, 14 hops
+        assert sweep.reached and sweep.visited[::7] == [4, 5, 4]
+        assert a4.hops_traveled == 14 and len(spec.field_trace) == 15
 
 
 class TestTableWalk:
@@ -303,14 +228,14 @@ class TestObservability:
             obs.disable()
 
     def test_executed_counter_counts_every_walk(self, ring8):
-        batch = WalkBatch(make_engine(ring8))
+        engine = make_engine(ring8)
         for _ in range(3):
-            batch.add(
+            walk(
+                engine,
                 SourceRouteSpec([0, 1, 2]),
                 Packet(source=0, destination=2),
                 RecoveryAccounting(),
             )
-        batch.execute()
         metrics = obs.snapshot()["metrics"]
         assert metrics["counters"]["simulator.walks.executed"] == 3
         # Every case's walks run one by one: no batch-size histogram.
@@ -319,13 +244,12 @@ class TestObservability:
     def test_counters_visible_in_obs_report(self, ring8):
         # The `repro obs report` rendering must surface the walk-plane
         # counter.
-        batch = WalkBatch(make_engine(ring8))
-        batch.add(
+        walk(
+            make_engine(ring8),
             SourceRouteSpec([0, 1, 2]),
             Packet(source=0, destination=2),
             RecoveryAccounting(),
         )
-        batch.execute()
         run = {
             "manifest": {"name": "walkplane-test", "seed": 0},
             "span_aggregates": {},
@@ -337,7 +261,7 @@ class TestObservability:
 
 
 class TestOneWalkEngine:
-    """Source scans: the removed second engine and its knob stay removed."""
+    """Source scans: the removed walk engines and the knob stay removed."""
 
     def test_walk_and_chaos_layers_do_not_import_numpy(self):
         pattern = re.compile(r"^\s*(from|import)\s.*\b(numpy|npcsr)\b", re.MULTILINE)
@@ -363,5 +287,23 @@ class TestOneWalkEngine:
             )
         offenders = [
             str(path.relative_to(ROOT)) for path in scanned if "REPRO_WALK" in path.read_text()
+        ]
+        assert offenders == []
+
+    def test_callback_engine_is_gone(self):
+        # Every spec runs its own loop: no callback walk, no batch handle
+        # protocol, no dispatch on the spec's type.
+        removed = (
+            "CallbackWalkSpec",
+            "walk_outcome",
+            "NextHopFn",
+            "_CapturedError",
+            "isinstance(spec",
+        )
+        offenders = [
+            (str(path.relative_to(ROOT)), name)
+            for path in (ROOT / "src").rglob("*.py")
+            for name in removed
+            if name in path.read_text()
         ]
         assert offenders == []

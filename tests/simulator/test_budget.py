@@ -1,7 +1,7 @@
 """Regression tests pinning every walk caller to the budget helpers.
 
 The ``4 * x + 8`` hop-budget formula used to be duplicated across the
-engine default, the exhaustive search, and the MRC walk loop; it now
+phase-1 walk, the exhaustive search, and the MRC walk loop; it now
 lives only in :mod:`repro.simulator.budget`.  These tests pin the
 formula itself, the behaviour of each caller, and — via a source scan —
 that no caller grows its own inline copy again.
@@ -10,19 +10,17 @@ that no caller grows its own inline copy again.
 import re
 from pathlib import Path
 
-import pytest
-
-from repro.errors import ForwardingLoopError
+from repro.core import run_phase1
+from repro.core.phase1 import SweepWalkSpec
 from repro.failures import FailureScenario, LocalView
 from repro.simulator import (
     HOP_BUDGET_FACTOR,
     HOP_BUDGET_SLACK,
     ForwardingEngine,
-    Packet,
-    RecoveryAccounting,
     table_walk_hop_budget,
     walk_hop_budget,
 )
+from repro.topology import Link
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -39,15 +37,19 @@ class TestFormula:
 
 
 class TestCallers:
-    def test_engine_default_budget_is_helper(self, ring8):
-        # An endless walk on the 8-ring (8 links) must be cut off after
-        # exactly walk_hop_budget(8) hops by the engine's default.
-        scenario = FailureScenario(ring8)
-        engine = ForwardingEngine(ring8, LocalView(scenario))
-        packet = Packet(source=0, destination=0)
-        with pytest.raises(ForwardingLoopError) as exc:
-            engine.walk(packet, lambda n, p: (n + 1) % 8, RecoveryAccounting())
-        assert len(exc.value.walk) == walk_hop_budget(ring8.link_count) + 1
+    def test_engine_default_budget_is_helper(self, ring8, monkeypatch):
+        # run_phase1 gives its sweep walk_hop_budget(link count) hops.
+        budgets = []
+        real_walk = SweepWalkSpec.walk
+
+        def spy(spec, engine, packet, accounting):
+            budgets.append(spec.budget)
+            return real_walk(spec, engine, packet, accounting)
+
+        monkeypatch.setattr(SweepWalkSpec, "walk", spy)
+        view = LocalView(FailureScenario(ring8, failed_links=[Link.of(4, 5)]))
+        result = run_phase1(ring8, view, 4, 5, ForwardingEngine(ring8, view))
+        assert result.complete and budgets == [walk_hop_budget(ring8.link_count)]
 
     def test_mrc_spec_budget_is_helper(self, ring8):
         from repro.schemes.mrc import MRC

@@ -7,6 +7,8 @@ from repro.failures import FailureScenario, LocalView
 from repro.simulator import ForwardingEngine, Packet, RecoveryAccounting
 from repro.topology import Link
 
+from ..conftest import ring_sweep
+
 
 def make_engine(topo, failed_nodes=(), failed_links=()):
     scenario = FailureScenario(topo, failed_nodes, failed_links)
@@ -26,38 +28,32 @@ class TestForwardOneHop:
 
 
 class TestWalk:
+    """The phase-1 sweep is the one walk with a loop of its own here."""
+
     def test_walk_until_none(self, ring8):
-        engine = make_engine(ring8)
-        packet = Packet(source=0, destination=0)
-
-        def decide(node, pkt):
-            return (node + 1) if node < 3 else None
-
+        # The walk stops itself: back at 4, the sweep re-selects 3.
+        engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
+        spec, packet = ring_sweep()
         acc = RecoveryAccounting()
-        visited = engine.walk(packet, decide, acc)
-        assert visited == [0, 1, 2, 3]
-        assert acc.hops_traveled == 3
-
-    def test_walk_rejects_unreachable_choice(self, ring8):
-        engine = make_engine(ring8, failed_links=[Link.of(0, 1)])
-        packet = Packet(source=0, destination=0)
-        with pytest.raises(ForwardingLoopError):
-            engine.walk(packet, lambda n, p: 1, RecoveryAccounting())
+        outcome = spec.walk(engine, packet, acc)
+        assert outcome.reached and not outcome.truncated and not outcome.lost
+        assert outcome.visited == [4, 3, 2, 1, 0, 7, 6, 5, 6, 7, 0, 1, 2, 3, 4]
+        assert acc.hops_traveled == 14 and outcome.drop_reason is None
 
     def test_walk_hop_budget(self, ring8):
-        engine = make_engine(ring8)
-        packet = Packet(source=0, destination=0)
+        engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
+        spec, packet = ring_sweep(budget=10)
         with pytest.raises(ForwardingLoopError) as exc:
-            engine.walk(
-                packet, lambda n, p: (n + 1) % 8, RecoveryAccounting(), max_hops=20
-            )
-        assert len(exc.value.walk) == 21
+            spec.walk(engine, packet, RecoveryAccounting())
+        assert len(exc.value.walk) == 11
 
     def test_immediate_stop(self, ring8):
-        engine = make_engine(ring8)
-        packet = Packet(source=5, destination=5)
-        visited = engine.walk(packet, lambda n, p: None, RecoveryAccounting())
-        assert visited == [5]
+        # A zero budget truncates before the first transmission.
+        engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
+        spec, packet = ring_sweep(budget=0, strict=False)
+        outcome = spec.walk(engine, packet, RecoveryAccounting())
+        assert outcome.truncated and outcome.visited == [4]
+        assert packet.recovery_hops == 0 and spec.field_trace == []
 
 
 class TestFollowSourceRoute:
@@ -114,34 +110,11 @@ class TestFollowSourceRoute:
 
 
 class TestWalkOutcome:
-    def test_completed_outcome(self, ring8):
-        engine = make_engine(ring8)
-        packet = Packet(source=0, destination=0)
-        outcome = engine.walk_outcome(
-            packet, lambda n, p: (n + 1) if n < 2 else None, RecoveryAccounting()
-        )
-        assert outcome.completed and not outcome.truncated and not outcome.lost
-        assert outcome.visited == [0, 1, 2]
-
     def test_truncate_mode_returns_partial_walk(self, ring8):
-        engine = make_engine(ring8)
-        packet = Packet(source=0, destination=0)
-        outcome = engine.walk_outcome(
-            packet,
-            lambda n, p: (n + 1) % 8,
-            RecoveryAccounting(),
-            max_hops=20,
-            on_overrun="truncate",
-        )
-        assert outcome.truncated and not outcome.completed
-        assert len(outcome.visited) == 21
-        assert outcome.drop_node == outcome.visited[-1]
-        assert "exceeded" in outcome.drop_reason
-
-    def test_unknown_overrun_mode_rejected(self, ring8):
-        engine = make_engine(ring8)
-        packet = Packet(source=0, destination=0)
-        with pytest.raises(ValueError):
-            engine.walk_outcome(
-                packet, lambda n, p: None, RecoveryAccounting(), on_overrun="ignore"
-            )
+        engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
+        spec, packet = ring_sweep(budget=10, strict=False)
+        outcome = spec.walk(engine, packet, RecoveryAccounting())
+        assert outcome.truncated and not outcome.reached and not outcome.lost
+        assert len(outcome.visited) == 11
+        assert outcome.drop_node == outcome.visited[-1] == packet.at
+        assert outcome.drop_reason == "walk exceeded 10 hops without terminating"
