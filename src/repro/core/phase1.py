@@ -154,11 +154,26 @@ class SweepWalkSpec:
                 # §III-C item 3: back at the initiator, stop when the sweep
                 # would re-select the first hop; elsewhere keep going so no
                 # node on the cycle is missed.
-                if next_node is None or (
-                    current == initiator and next_node == self.start_hop
-                ):
+                if current == initiator and next_node == self.start_hop:
                     snapshot(current)
                     return WalkOutcome(visited=visited, reached=True)
+                if next_node is None:
+                    # Every link out of here failed after the packet came
+                    # in (a sender that missed a failure forwarded into it,
+                    # or a secondary failure): the walk cannot go on.
+                    snapshot(current)
+                    reason = (
+                        f"phase-1 walk of {initiator} stranded at {current}: "
+                        f"no live, non-excluded neighbor"
+                    )
+                    if self.strict:
+                        raise SimulationError(reason)
+                    return WalkOutcome(
+                        visited=visited,
+                        reached=False,
+                        drop_node=current,
+                        drop_reason=reason,
+                    )
             if constraints is not None:
                 constraints.after_selection(pair_lid[(current, next_node)])
             previous = current

@@ -131,3 +131,44 @@ class TestClockwiseAblation:
         ccw = phase1(paper_topo, paper_scenario, 6, 11)
         cw = phase1(paper_topo, paper_scenario, 6, 11, clockwise=True)
         assert ccw.walk != cw.walk
+
+
+class TestStrandedWalk:
+    """A walk that cannot go on is incomplete, not complete."""
+
+    @staticmethod
+    def star_world():
+        # Hub 0 with leaves 1 (east), 2 (west) and 3 (north); link 0-3 is
+        # down, and 0-1 and 0-2 fail right after the first hop leaves 0.
+        from repro.chaos import FaultPlan, SecondaryFailure, forwarding_world
+        from repro.geometry import Point
+        from repro.topology import Topology
+
+        topo = Topology("star")
+        for node, (x, y) in enumerate([(0, 0), (1, 0), (-1, 0), (0, 1)]):
+            topo.add_node(node, Point(x, y))
+        for leaf in (1, 2, 3):
+            topo.add_link(0, leaf)
+        scenario = FailureScenario(topo, failed_links=[Link.of(0, 3)])
+        plan = FaultPlan(
+            secondary_failures=(
+                SecondaryFailure(at_hop=1, link=(0, 1)),
+                SecondaryFailure(at_hop=1, link=(0, 2)),
+            )
+        )
+        view, engine = forwarding_world(topo, scenario, plan)
+        return topo, view, engine
+
+    def test_stranded_walk_is_incomplete(self):
+        topo, view, engine = self.star_world()
+        result = run_phase1(topo, view, 0, 3, engine, strict=False)
+        assert result.walk == [0, 2]
+        assert not result.complete
+        assert result.incomplete_reason == (
+            "phase-1 walk of 0 stranded at 2: no live, non-excluded neighbor"
+        )
+
+    def test_strict_stranded_walk_raises(self):
+        topo, view, engine = self.star_world()
+        with pytest.raises(SimulationError, match="stranded at 2"):
+            run_phase1(topo, view, 0, 3, engine)

@@ -58,11 +58,11 @@ CELLS = [
 #: (topology, run) -> sha256 of the Phase1Result stream.
 PINS = {
     ('paper', 'clean'): 'ad4f931704853711a06c01d6ddcf4a2429dcd520dba6b3f850eac11938635e6b',
-    ('paper', 'chaos'): '5f5a30db056d8a5913d48816996bb40464342ef8ea9b3746649db317465bb872',
+    ('paper', 'chaos'): '3a9b195dfef9d96a57e67d4001245e0230bf1e2b72effad065ffa5976849666a',
     ('paper', 'loss'): 'c03dfa1ff82ad5d61f1d387c602ea67a65223c9cf28024ec0a6b9ba461c1700e',
     ('paper', 'exhaustive'): 'f96d3feb01ffc1b0870920d7eb897c4d96085dd8860db593750a9f33a08df14f',
     ('AS7018', 'clean'): '3e02b26c4cec5930cfeb969edfed8e081d1cfc99aa6c97016b567b450f18153c',
-    ('AS7018', 'chaos'): '4d53fc684851b83bbd72bf7fbe64c3ba3f1139680ca0ad2ff1a3e5a7ff0de049',
+    ('AS7018', 'chaos'): '8a6a682f9a737dafa2c1435d575313ac6e07d6841c0a7ff552f7de30f0c56c36',
     ('AS7018', 'loss'): '5eefcfae894bc131d5143201ffa44ac9e6963b96dc3e176f4a4c058eb991a189',
     ('AS7018', 'exhaustive'): 'd835cbac081dba060742c8c53c42a4ce6a4198afebfb705e4e9eefb663299696',
     ('scale2000', 'clean'): '196deb99b4e490abccb140e72eab7c8005ab243b89263fb7990d1f4559d28331',
