@@ -83,25 +83,25 @@ def run_exhaustive_phase1(
         # Deterministic neighbor order: reuse the sweep ordering relative
         # to the previous hop (or the trigger at the very start).
         reference = stack[-1] if stack else trigger_neighbor
-        for nb in sweep_order(topo, current, reference):
-            if nb not in seen and view.is_neighbor_reachable(current, nb):
-                seen.add(nb)
-                header.source_route.append(nb)
+        for next_node in sweep_order(topo, current, reference):
+            if next_node not in seen and view.is_neighbor_reachable(current, next_node):
+                seen.add(next_node)
+                header.source_route.append(next_node)
                 stack.append(current)
                 break
         else:
             if not stack:
                 break  # back at the initiator with nothing left
             # Exhausted: backtrack toward the initiator.
-            nb = stack.pop()
-            if not view.is_neighbor_reachable(current, nb):
+            next_node = stack.pop()
+            if not view.is_neighbor_reachable(current, next_node):
                 raise ForwardingLoopError(
-                    f"DFS backtrack {current} -> {nb} is unreachable", walk
+                    f"DFS backtrack {current} -> {next_node} is unreachable", walk
                 )
-        reason = engine.transmit(packet, nb, accounting)
+        reason = engine.transmit(packet, next_node, accounting)
         if reason is not None:
             raise SimulationError(f"packet lost mid-walk at {packet.at}: {reason}")
-        walk.append(nb)
+        walk.append(next_node)
     else:
         raise ForwardingLoopError(
             f"walk exceeded {budget} hops without terminating", walk

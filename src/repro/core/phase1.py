@@ -61,8 +61,9 @@ class Phase1Result:
     #: Table I tabulates them.
     field_trace: List[tuple] = field(default_factory=list)
     #: Whether the walk ran to completion.  False only in degraded mode:
-    #: the packet was lost in flight or the walk was truncated at its hop
-    #: budget, so the collected set may be arbitrarily incomplete.
+    #: the packet was lost in flight, stranded at a node with no live,
+    #: non-excluded neighbor, or truncated at its hop budget, so the
+    #: collected set may be arbitrarily incomplete.
     complete: bool = True
     #: Why an incomplete walk ended (``None`` when complete).
     incomplete_reason: Optional[str] = None
@@ -104,10 +105,11 @@ class SweepWalkSpec:
 
     Each hop records the current node's failed links, sweeps from the
     previous hop (skipping links the ``cross_link`` state excludes, when
-    ``constraints`` is set) and transmits.  The walk is reached when it is
-    back at the initiator and the sweep would re-select ``start_hop``.
-    ``strict`` raises on a lost packet or an exhausted ``budget``;
-    otherwise the outcome reports it.  ``field_trace`` collects the
+    ``constraints`` is set) and transmits.  The walk has ``reached`` its
+    end when it is back at the initiator and the sweep would re-select
+    ``start_hop``; a lost packet, an exhausted ``budget`` or a node with no
+    live, non-excluded neighbor ends it short.  ``strict`` raises on those;
+    otherwise the outcome reports them.  ``field_trace`` collects the
     per-hop header snapshots of :attr:`Phase1Result.field_trace`.
     """
 

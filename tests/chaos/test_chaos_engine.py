@@ -111,12 +111,16 @@ class TestPacketLoss:
     def test_phase1_loss_stream_pinned(self, ring8):
         # The phase-1 half: the hop count of each walk (14 = complete).
         engine, runtime = make_chaos_engine(
-            ring8, FaultPlan(seed=2012, packet_loss_rate=0.2), failed_links=[Link.of(4, 5)]
+            ring8,
+            FaultPlan(seed=2012, packet_loss_rate=0.2),
+            failed_links=[Link.of(4, 5)],
         )
         walks, reasons = "", []
         for i in range(50):
             initiator, trigger = (4, 5) if i % 2 == 0 else (5, 4)
-            result = run_phase1(ring8, engine.view, initiator, trigger, engine, strict=False)
+            result = run_phase1(
+                ring8, engine.view, initiator, trigger, engine, strict=False
+            )
             walks += format(result.hops, "x")
             reasons.append(result.incomplete_reason)
         assert walks == "433071220011211316210921c54155021344ac20b02b46070e"
@@ -125,6 +129,7 @@ class TestPacketLoss:
             "recovery packet lost on link e3,4 (injected loss)",
             None,
         ]
+
 
 class TestHeaderCorruption:
     def test_collecting_header_truncated(self, ring8):

@@ -48,7 +48,8 @@ def walk(engine, spec, packet, acc):
 def run_table(engine, start, table, destination, budget):
     packet = Packet(source=start, destination=destination)
     acc = RecoveryAccounting()
-    return packet, acc, walk(engine, TableWalkSpec(table, destination, budget), packet, acc)
+    spec = TableWalkSpec(table, destination, budget)
+    return packet, acc, walk(engine, spec, packet, acc)
 
 
 class TestLifecycle:

@@ -110,6 +110,14 @@ class TestFollowSourceRoute:
 
 
 class TestWalkOutcome:
+    def test_completed_outcome(self, ring8):
+        engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
+        spec, packet = ring_sweep()
+        outcome = spec.walk(engine, packet, RecoveryAccounting())
+        assert outcome.reached and outcome.drop_node is None
+        # One header snapshot per visited node, the stop included.
+        assert [node for node, _, _ in spec.field_trace] == outcome.visited
+
     def test_truncate_mode_returns_partial_walk(self, ring8):
         engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
         spec, packet = ring_sweep(budget=10, strict=False)
