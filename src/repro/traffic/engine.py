@@ -40,10 +40,11 @@ from ..failures import FailureScenario
 from ..routing import RoutingTable, SPTCache
 from ..simulator import RecoveryResult
 from ..topology import Link, Topology
+from ..topology.csr import CSRView
 from ..te.metrics import overload_attribution
 from ..te.penalty import LinkPenalty
 from .capacity import DEFAULT_HEADROOM, LinkLoadMap, provision_capacities, routed_loads
-from .flows import FlowSet
+from .flows import FlowBatch, FlowSet
 from .metrics import TrafficScenarioRecord, check_accounting, safe_div
 
 _INF = float("inf")
@@ -151,6 +152,92 @@ class _LiveLoad(NamedTuple):
     delivered: List[Tuple[int, ...]]
 
 
+class _Rooted(NamedTuple):
+    """One destination's slice of a :class:`DemandIndex`.
+
+    The union of the sources' next-hop chains in the destination's tree,
+    in preorder: ``pre`` maps a node index to its position; per position,
+    ``end`` is one past its subtree, ``up`` its next hop's link id (-1 at
+    the root) and ``rank`` the index in ``batches`` of the batch sourced
+    there (-1: none).  ``base`` is every reached source's demand.
+    """
+
+    parent: Sequence[int]  # the tree's dense_parent
+    pre: Dict[int, int]
+    end: List[int]
+    up: List[int]
+    rank: List[int]
+    batches: List[FlowBatch]  # in FlowSet.batches() order
+    base: Dict[int, float]
+    unreached: List[FlowBatch]  # sourced where the tree does not reach
+
+
+class DemandIndex(NamedTuple):
+    """A flow set's sources laid out on one routing table's trees, per destination."""
+
+    routing: RoutingTable
+    csr: CSRView
+    rooted: Dict[int, _Rooted]
+
+
+def demand_index(topo: Topology, routing: RoutingTable, flow_set: FlowSet) -> DemandIndex:
+    """``flow_set``'s :class:`DemandIndex` over ``routing``, kept on the flow set.
+
+    Shared by every window and candidate area; a different routing table,
+    or a topology mutation (a new CSR view), builds a new one.
+    """
+    csr = topo.csr()
+    index = flow_set.demand_index
+    if index is not None and index.routing is routing and index.csr is csr:
+        return index
+    obs.inc("traffic.demand_index.builds")
+    by_destination: Dict[int, List[FlowBatch]] = {}
+    for batch in flow_set.batches():
+        by_destination.setdefault(batch.destination, []).append(batch)
+    # One batched kernel call computes every destination tree up front.
+    routing.warm(sorted(by_destination))
+    pos, ids, pair_lid = csr.pos, csr.ids, csr.pair_lid
+    rooted: Dict[int, _Rooted] = {}
+    for destination in sorted(by_destination):
+        tree = routing.tree_to(destination)
+        parent, dist = tree.dense_parent, tree.dense_dist
+        root = pos[destination]
+        children: Dict[int, List[int]] = {root: []}
+        ranks: Dict[int, int] = {}
+        base: Dict[int, float] = {}
+        unreached: List[FlowBatch] = []
+        batches = by_destination[destination]
+        for rank, batch in enumerate(batches):
+            node = pos.get(batch.source)
+            if node is None or dist[node] == _INF:
+                unreached.append(batch)
+                continue
+            base[batch.source] = batch.demand
+            ranks[node] = rank
+            while node not in children:
+                children[node] = []
+                node = parent[node]
+        for node in children:
+            if node != root:
+                children[parent[node]].append(node)
+        order: List[int] = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(children[node])
+        pre = {node: i for i, node in enumerate(order)}
+        end = list(range(1, len(order) + 1))
+        for i in range(len(order) - 1, 0, -1):
+            above = pre[parent[order[i]]]
+            end[above] = max(end[above], end[i])
+        up = [-1] + [pair_lid[(ids[node], ids[parent[node]])] for node in order[1:]]
+        rank_at = [ranks.get(node, -1) for node in order]
+        rooted[destination] = _Rooted(parent, pre, end, up, rank_at, batches, base, unreached)
+    flow_set.demand_index = index = DemandIndex(routing, csr, rooted)
+    return index
+
+
 def classify_pairs(
     topo: Topology,
     routing: RoutingTable,
@@ -161,83 +248,60 @@ def classify_pairs(
 
     A pair is *disrupted* when its source is live and its default
     next-hop chain crosses a failed adjacency; the first router with the
-    broken next hop is its recovery initiator.  The walk is memoized per
-    destination (a node's verdict settles every pair routed through it),
-    mirroring :func:`repro.eval.cases.count_failed_routing_paths`.
+    broken next hop is its recovery initiator.  A failed tree edge cuts
+    off exactly the subtree below it, so only the :class:`DemandIndex`
+    ranges below those cut nodes are visited.
     """
-    # The per-hop probe is two lookups: a (node, next hop) pair is a tree
-    # edge, hence an interned adjacency, and ``failed_links`` includes every
-    # link of a failed router — one flag answers "can this hop carry traffic".
-    csr = topo.csr()
-    pos, ids, pair_lid = csr.pos, csr.ids, csr.pair_lid
-    link_failed = scenario.failed_link_flags()
+    index = demand_index(topo, routing, flow_set)
+    pos, ids = index.csr.pos, index.csr.ids
     failed_nodes = scenario.failed_nodes
+    # E2 includes every link of a failed router, so a failed router is a
+    # cut node of every tree it is in, and so is each child below it.
+    failed_pairs = [(pos[link.u], pos[link.v]) for link in scenario.failed_links]
     disrupted: List[DisruptedPair] = []
     intact: Dict[int, Dict[int, float]] = {}
-    failed_demand: List[float] = []
-    failed_flows = 0
+    # A failed source is lost before it is unreached; ``fsum`` is order-free.
+    lost: List[FlowBatch] = []
     unrouted: List[float] = []
-
-    by_destination = flow_set.by_destination()
-
-    # One batched multi-source kernel call computes every destination
-    # tree the loop below would otherwise solve one heap run at a time
-    # (bit-identical results; a no-op for already-cached trees).
-    routing.warm(sorted(by_destination))
-
-    for destination in sorted(by_destination):
-        # The walk runs on dense node indices over the tree's own storage,
-        # so the tree never builds its dicts.
-        tree = routing.tree_to(destination)
-        parent = tree.dense_parent
-        dist = tree.dense_dist
-        # verdict[i], by node index: None = the path from i survives;
-        # otherwise the initiator id.
-        verdict: Dict[int, Optional[int]] = {
-            pos[destination]: destination if destination in failed_nodes else None
-        }
-        # A failed destination never terminates a walk cleanly: every
-        # adjacency into it is down, so the last live hop is the
-        # initiator.  The sentinel above is never consulted in that case.
-        intact_here: Dict[int, float] = {}
-        for source, demand, flows in by_destination[destination]:
+    for destination, rooted in index.rooted.items():
+        parent, pre, end, rank_at = rooted.parent, rooted.pre, rooted.end, rooted.rank
+        cuts: List[Tuple[int, int]] = []
+        for a, b in failed_pairs:
+            cut = a if parent[a] == b else b if parent[b] == a else -1
+            at = pre.get(cut)  # None: no tree edge, or no source below it
+            if at is not None:
+                cuts.append((at, ids[cut]))
+        here = rooted.base.copy()
+        # rank -> initiator of every batch sourced below a cut.  Subtree
+        # ranges nest, and ancestors come first in preorder, so the
+        # deepest cut above a position writes it last.
+        labels: Dict[int, int] = {}
+        for at, initiator in sorted(cuts):
+            for i in range(at, end[at]):
+                labels[rank_at[i]] = initiator
+        labels.pop(-1, None)  # positions no batch is sourced at
+        for rank in sorted(labels):
+            batch = rooted.batches[rank]
+            source = batch.source
+            del here[source]
             if source in failed_nodes:
-                failed_demand.append(demand)
-                failed_flows += flows
-                continue
-            node = pos.get(source)
-            if node is None or dist[node] == _INF:
-                unrouted.append(demand)
-                continue
-            chain: List[int] = []
-            outcome: Optional[int] = None
-            while node not in verdict:
-                chain.append(node)
-                nxt = parent[node]
-                if nxt < 0 or link_failed[pair_lid[(ids[node], ids[nxt])]]:
-                    # nxt < 0 only at the tree root, and a live, reached
-                    # destination is pre-seeded — so this is the first
-                    # broken adjacency: ``node`` initiates recovery.
-                    outcome = ids[node]
-                    break
-                node = nxt
-            else:
-                outcome = verdict[node]
-            for visited in chain:
-                verdict[visited] = outcome
-            if outcome is None:
-                intact_here[source] = demand
+                lost.append(batch)
             else:
                 disrupted.append(
-                    DisruptedPair(source, destination, outcome, demand, flows)
+                    DisruptedPair(source, destination, labels[rank], batch.demand, batch.flows)
                 )
-        if intact_here:
-            intact[destination] = intact_here
+        for batch in rooted.unreached:
+            if batch.source in failed_nodes:
+                lost.append(batch)
+            else:
+                unrouted.append(batch.demand)
+        if here:
+            intact[destination] = here
     return PairClassification(
         disrupted=disrupted,
         intact_by_destination=intact,
-        failed_source_demand=math.fsum(failed_demand),
-        failed_source_flows=failed_flows,
+        failed_source_demand=math.fsum(batch.demand for batch in lost),
+        failed_source_flows=sum(batch.flows for batch in lost),
         unrouted_demand=math.fsum(unrouted),
     )
 
@@ -469,24 +533,24 @@ class TrafficEngine:
         by_case: Dict[Tuple[int, int], List[DisruptedPair]] = {}
         for pair in classification.disrupted:
             by_case.setdefault((pair.initiator, pair.destination), []).append(pair)
-        csr = self.topo.csr()
-        pos, ids, pair_lid = csr.pos, csr.ids, csr.pair_lid
+        pos = self.topo.csr().pos
+        index = demand_index(self.topo, self.routing, self.flow_set)
         groups = []
         for key in sorted(by_case):
             initiator, destination = key
-            parent = self.routing.tree_to(destination).dense_parent
+            rooted = index.rooted[destination]
+            parent, pre, up = rooted.parent, rooted.pre, rooted.up
             stop = pos[initiator]
             pairs = tuple(by_case[key])
             prefixes = []
             for pair in pairs:
-                # The surviving default path source -> initiator: the
-                # classification walk got through every hop of it.
+                # The surviving default path source -> initiator: every
+                # hop of it is in the index, read off the up-link ids.
                 prefix = []
                 node = pos[pair.source]
                 while node != stop:
-                    nxt = parent[node]
-                    prefix.append(pair_lid[(ids[node], ids[nxt])])
-                    node = nxt
+                    prefix.append(up[pre[node]])
+                    node = parent[node]
                 prefixes.append(tuple(prefix))
             groups.append(
                 _GroupPlan(

@@ -40,7 +40,11 @@ Groups = Dict[Tuple[int, int], List[DisruptedPair]]
 
 
 def reference_classify(engine: TrafficEngine, scenario: FailureScenario) -> PairClassification:
-    """Pair classification with one ``LocalView`` probe per hop."""
+    """Pair classification with one ``LocalView`` probe per hop.
+
+    The memoized next-hop chain walk per source, the spec of
+    ``classify_pairs``'s cut-subtree labelling.
+    """
     view = LocalView(scenario)
     routing = engine.routing
     disrupted: List[DisruptedPair] = []
@@ -97,6 +101,26 @@ def reference_classify(engine: TrafficEngine, scenario: FailureScenario) -> Pair
         failed_source_demand=math.fsum(failed_demand),
         failed_source_flows=failed_flows,
         unrouted_demand=math.fsum(unrouted),
+    )
+
+
+def classification_fields(classification: PairClassification) -> Tuple:
+    """Every field of ``classification`` as comparable data, orders kept.
+
+    The disrupted pairs in order, each destination's intact sources in
+    order, and the three sums (lost, unrouted and disrupted demand) by
+    ``float.hex``.
+    """
+    return (
+        classification.disrupted,
+        [
+            (destination, list(intact.items()))
+            for destination, intact in classification.intact_by_destination.items()
+        ],
+        classification.failed_source_demand.hex(),
+        classification.unrouted_demand.hex(),
+        math.fsum(pair.demand for pair in classification.disrupted).hex(),
+        classification.failed_source_flows,
     )
 
 

@@ -37,14 +37,6 @@ def test_fewer_flows_than_pairs():
     assert all(b.flows in (0, 1) for b in flow_set.batches())
 
 
-def test_absent_pair_is_zero_batch():
-    matrix = TrafficMatrix({(0, 1): 1.0})
-    flow_set = aggregate_flows(matrix, 10)
-    empty = flow_set.batch(5, 6)
-    assert empty.flows == 0
-    assert empty.demand == 0.0
-
-
 def test_negative_flows_rejected():
     matrix = TrafficMatrix({(0, 1): 1.0})
     with pytest.raises(EvaluationError):
@@ -55,17 +47,3 @@ def test_empty_matrix_rejected():
     with pytest.raises(EvaluationError, match="empty matrix"):
         aggregate_flows(TrafficMatrix({}), 10)
 
-
-def test_by_destination_keeps_batches_order_and_is_built_once():
-    matrix = gravity_matrix(grid_topology(4, 4), seed=2)
-    flow_set = aggregate_flows(matrix, 10_000)
-    index = flow_set.by_destination()
-    expected = {}
-    for batch in flow_set.batches():
-        expected.setdefault(batch.destination, []).append(
-            (batch.source, batch.demand, batch.flows)
-        )
-    assert index == expected
-    assert list(index) == list(expected)  # first-seen destination order too
-    assert sum(len(rows) for rows in index.values()) == len(flow_set)
-    assert flow_set.by_destination() is index

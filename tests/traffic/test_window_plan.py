@@ -32,7 +32,11 @@ from repro.traffic import (
 )
 
 from ..conftest import ring_topology
-from .reference_weighter import reference_classify, reference_run_scenario
+from .reference_weighter import (
+    classification_fields,
+    reference_classify,
+    reference_run_scenario,
+)
 
 SCHEMES = ("RTR", "FCP", "MRC", "OSPF", "Oracle")
 MODES = {
@@ -225,7 +229,8 @@ def test_classification_equals_local_view_reference():
     engine = TrafficEngine(topo, flow_set, approaches=("RTR",))
     for scenario in scenarios:
         got = classify_pairs(topo, engine.routing, scenario, flow_set)
-        assert got == reference_classify(engine, scenario)
+        want = reference_classify(engine, scenario)
+        assert classification_fields(got) == classification_fields(want)
 
 
 def test_classification_on_failed_endpoints_and_a_disconnected_snapshot():
@@ -244,8 +249,7 @@ def test_classification_on_failed_endpoints_and_a_disconnected_snapshot():
     scenario = FailureScenario.from_nodes(topo, [5, 6])
     got = classify_pairs(topo, engine.routing, scenario, flow_set)
     want = reference_classify(engine, scenario)
-    assert got == want
-    assert list(got.intact_by_destination) == list(want.intact_by_destination)
+    assert classification_fields(got) == classification_fields(want)
     assert got.unrouted_demand > 0.0
     assert got.failed_source_demand > 0.0 and got.failed_source_flows > 0
     to_failed = [p for p in got.disrupted if p.destination in (5, 6)]
