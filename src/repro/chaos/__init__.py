@@ -13,7 +13,7 @@ detection, mid-walk secondary link failures, and truncated recovery
 headers — all seeded, so every chaotic run is exactly reproducible.
 """
 
-from .plan import FaultPlan, SecondaryFailure, SecondaryRepair
+from .plan import FaultPlan, SecondaryFailure
 from .runtime import ChaosRuntime
 from .degraded import DegradedLocalView
 from .engine import ChaosForwardingEngine
@@ -22,7 +22,6 @@ from .world import forwarding_world
 __all__ = [
     "FaultPlan",
     "SecondaryFailure",
-    "SecondaryRepair",
     "ChaosRuntime",
     "DegradedLocalView",
     "ChaosForwardingEngine",

@@ -13,10 +13,7 @@ its view is ideal or degraded:
   network-wide hop clock passes ``detection_delay_hops``;
 * **secondary failures** — links flapped down mid-recovery by the shared
   :class:`~repro.chaos.runtime.ChaosRuntime` read unreachable from the
-  instant they activate (both ends detect a flap immediately);
-* **secondary repairs** — scenario-failed links the runtime restores
-  mid-recovery read reachable again from the instant the repair
-  activates, letting a packet race the repair crew.
+  instant they activate (both ends detect a flap immediately).
 
 Because answers change as the runtime clock advances, this view never
 caches neighbor lists.
@@ -68,10 +65,6 @@ class DegradedLocalView(LocalView):
         ):
             return False
         if truly_reachable:
-            return True
-        if self.runtime.repaired_lids and self.runtime.is_link_id_repaired(
-            self.topo.csr().pair_lid[(node, neighbor)]
-        ):
             return True
         key = (node, neighbor)
         if key in self._missed:

@@ -13,10 +13,6 @@ experiment departs from that world:
   driving the wireless-RRR and multiple-failure-MRC lines of work;
 * **secondary failures** — links that flap mid-recovery, after a given
   number of network-wide forwarded hops (:class:`SecondaryFailure`);
-* **secondary repairs** — failed links coming back up mid-recovery
-  (:class:`SecondaryRepair`), the other half of the flap oscillation and
-  the mechanism :mod:`repro.timeline` uses to let a packet race a repair
-  crew;
 * **header corruption** — recovery headers that lose their most recent
   entries in flight with probability ``header_corruption_rate``.
 
@@ -65,28 +61,6 @@ class SecondaryFailure:
 
 
 @dataclass(frozen=True)
-class SecondaryRepair:
-    """One down link coming back up *during* recovery (a mid-walk repair).
-
-    The repair activates once the network has forwarded ``at_hop``
-    recovery hops in total.  ``link`` names the endpoints explicitly, or
-    is ``None`` to pick a seeded-random repairable failed link of the
-    scenario (a cut link between two live routers).  A repair may also
-    target a link this plan's :class:`SecondaryFailure` takes down first
-    — that pairing is exactly one flap oscillation.
-    """
-
-    at_hop: int = 1
-    link: Optional[Tuple[int, int]] = None
-
-    def __post_init__(self) -> None:
-        if self.at_hop < 1:
-            raise ChaosError(
-                f"secondary repair must activate at hop >= 1, got {self.at_hop}"
-            )
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A seeded, composable description of injected faults."""
 
@@ -103,8 +77,6 @@ class FaultPlan:
     header_corruption_rate: float = 0.0
     #: Links flapping mid-recovery, in activation order.
     secondary_failures: Tuple[SecondaryFailure, ...] = field(default_factory=tuple)
-    #: Down links repaired mid-recovery, in activation order.
-    secondary_repairs: Tuple[SecondaryRepair, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         for name in _RATE_FIELDS:
@@ -128,9 +100,6 @@ class FaultPlan:
         object.__setattr__(
             self, "secondary_failures", tuple(self.secondary_failures)
         )
-        object.__setattr__(
-            self, "secondary_repairs", tuple(self.secondary_repairs)
-        )
 
     def rng(self, stream: str) -> random.Random:
         """An independent deterministic RNG for one injector ``stream``."""
@@ -142,5 +111,4 @@ class FaultPlan:
         return (
             all(getattr(self, name) == 0.0 for name in _RATE_FIELDS)
             and not self.secondary_failures
-            and not self.secondary_repairs
         )

@@ -31,23 +31,14 @@ class ChaosRuntime:
         self.packets_lost = 0
         #: Headers truncated in flight.
         self.headers_corrupted = 0
-        #: Secondary repairs activated so far.
-        self.repairs_activated = 0
         #: Secondary-failure links currently active (flapped down).
         self.flapped_links: Set[Link] = set()
         #: The same set as interned link ids — the degraded view's hot
         #: probe checks ids instead of constructing ``Link`` objects.
         self.flapped_lids: Set[int] = set()
-        #: Scenario-failed links physically restored mid-recovery.
-        self.repaired_links: Set[Link] = set()
-        #: The same set as interned link ids.
-        self.repaired_lids: Set[int] = set()
         self._loss_rng = plan.rng("packet-loss")
         self._corruption_rng = plan.rng("header-corruption")
         self._pending: List[Tuple[int, Link]] = self._resolve_secondary(plan, scenario)
-        self._pending_repairs: List[Tuple[int, Link]] = self._resolve_repairs(
-            plan, scenario
-        )
 
     @staticmethod
     def _resolve_secondary(
@@ -89,88 +80,18 @@ class ChaosRuntime:
         resolved.sort(key=lambda pair: pair[0])
         return resolved
 
-    def _resolve_repairs(
-        self, plan: FaultPlan, scenario: FailureScenario
-    ) -> List[Tuple[int, Link]]:
-        """Bind each secondary-repair spec to a concrete down link.
-
-        A repair may target a scenario-failed cut link between two live
-        routers (the repair crew fixed the fiber) or a link this plan's
-        secondary failures flap down first (the up half of an
-        oscillation).  Links incident to a failed *router* are not
-        repairable — the router is still dead.
-        """
-        if not plan.secondary_repairs:
-            return []
-        topo = scenario.topo
-        rng = plan.rng("secondary-repairs")
-        flap_targets = {link for _, link in self._pending}
-        candidates = sorted(scenario.cut_links_between_live_nodes() | flap_targets)
-        chosen: Set[Link] = set()
-        resolved: List[Tuple[int, Link]] = []
-        for spec in plan.secondary_repairs:
-            if spec.link is not None:
-                u, v = spec.link
-                if not topo.has_link(u, v):
-                    raise ChaosError(
-                        f"secondary repair names missing link {u}-{v}"
-                    )
-                link = Link.of(u, v)
-                if not (
-                    scenario.is_node_live(link.u) and scenario.is_node_live(link.v)
-                ):
-                    raise ChaosError(
-                        f"secondary repair targets link {link} of a failed router"
-                    )
-                if scenario.is_link_live(link) and link not in flap_targets:
-                    raise ChaosError(
-                        f"secondary repair targets live link {link} that no "
-                        "secondary failure takes down first"
-                    )
-            else:
-                pool = [l for l in candidates if l not in chosen]
-                if not pool:
-                    raise ChaosError(
-                        "no repairable down link left to assign to a "
-                        "secondary repair"
-                    )
-                link = pool[rng.randrange(len(pool))]
-            chosen.add(link)
-            resolved.append((spec.at_hop, link))
-        resolved.sort(key=lambda pair: pair[0])
-        return resolved
-
     # ------------------------------------------------------------------
 
     def on_hop(self) -> None:
-        """Advance the network hop clock; activate due failures/repairs."""
+        """Advance the network hop clock; activate due failures."""
         self.hops += 1
         while self._pending and self._pending[0][0] <= self.hops:
             _, link = self._pending.pop(0)
             self.flapped_links.add(link)
             obs.inc("chaos.secondary_activated")
             lid = self.scenario.topo.csr().pair_lid.get((link.u, link.v))
-            # A repair that activated *before* this failure is overridden:
-            # the link is down again.
-            self.repaired_links.discard(link)
             if lid is not None:
                 self.flapped_lids.add(lid)
-                self.repaired_lids.discard(lid)
-        while self._pending_repairs and self._pending_repairs[0][0] <= self.hops:
-            _, link = self._pending_repairs.pop(0)
-            self.repairs_activated += 1
-            obs.inc("chaos.repairs_activated")
-            lid = self.scenario.topo.csr().pair_lid.get((link.u, link.v))
-            if link in self.flapped_links:
-                # The up half of a flap oscillation: the link is simply
-                # no longer flapped down.
-                self.flapped_links.discard(link)
-                if lid is not None:
-                    self.flapped_lids.discard(lid)
-                continue
-            self.repaired_links.add(link)
-            if lid is not None:
-                self.repaired_lids.add(lid)
 
     def is_link_flapped(self, link: Link) -> bool:
         """Whether ``link`` has been taken down by a secondary failure."""
@@ -179,14 +100,6 @@ class ChaosRuntime:
     def is_link_id_flapped(self, lid: int) -> bool:
         """Interned-id variant of :meth:`is_link_flapped`."""
         return lid in self.flapped_lids
-
-    def is_link_repaired(self, link: Link) -> bool:
-        """Whether a scenario-failed ``link`` has been restored mid-walk."""
-        return link in self.repaired_links
-
-    def is_link_id_repaired(self, lid: int) -> bool:
-        """Interned-id variant of :meth:`is_link_repaired`."""
-        return lid in self.repaired_lids
 
     def sample_packet_loss(self) -> bool:
         """Draw one per-hop loss decision (counts the drop when taken)."""

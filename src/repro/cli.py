@@ -15,12 +15,6 @@ Subcommands:
   population over a seeded demand matrix and weight recovery quality by
   the demand each disrupted pair carries (``--model gravity --flows
   1000000 --parallel``);
-* ``soak`` — a crash-recoverable long-horizon run: replay a seeded
-  failure timeline (cascades, repairs, flaps) through the scheme
-  registry for hours of simulated time, checkpointing after every
-  batch; ``--resume <run-dir>`` continues after a kill with a final
-  summary byte-identical to an uninterrupted run (exit 3 = interrupted
-  with checkpoint);
 * ``obs report`` — render the manifest/metrics/span breakdown of an
   instrumented run (``REPRO_OBS=1 repro eval ...`` writes one); add
   ``--json`` for the machine-readable document;
@@ -32,7 +26,7 @@ Subcommands:
 * ``render`` — draw a topology/failure/recovery episode as SVG.
 
 Error hygiene: usage-level failures (unknown topology or scheme, bad
-scenario seed, malformed soak config) print one ``error:`` line to
+scenario seed, malformed topology spec) print one ``error:`` line to
 stderr and exit 2 — never a traceback.
 
 Logging: the ``repro`` logger hierarchy is silent by default; ``--log``
@@ -360,77 +354,6 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_soak(args: argparse.Namespace) -> int:
-    from .soak import SoakConfig, SoakService
-    from .timeline import TimelinePlan
-
-    try:
-        if args.resume:
-            service = SoakService.resume(Path(args.resume))
-        else:
-            plan = TimelinePlan(
-                seed=args.seed,
-                duration_s=args.duration,
-                n_failures=args.failures,
-                cascade_probability=args.cascade_probability,
-                cascade_mode=args.cascade_mode,
-                n_flapping_links=args.flapping_links,
-                flap_period_s=args.flap_period,
-                flap_cycles=args.flap_cycles,
-            )
-            config = SoakConfig(
-                topology=args.topology,
-                approaches=_parse_approaches(args.approaches) or ("RTR", "OSPF"),
-                model=args.model,
-                total_demand=args.demand,
-                traffic_seed=args.seed,
-                n_flows=args.flows,
-                checkpoint_every=args.checkpoint_every,
-                workers=args.workers,
-                timeline=plan,
-            )
-            run_dir = (
-                Path(args.run_dir)
-                if args.run_dir
-                else obs.default_run_dir()
-                / f"soak-{obs.config_hash(config.to_dict())}"
-            )
-            service = SoakService.start(config, run_dir)
-    except (ReproError, FileNotFoundError, ValueError) as exc:
-        return _usage_error(exc)
-
-    print(f"soak run: {service.run_dir}", file=sys.stderr)
-    print(
-        f"timeline: {len(service.events)} events across "
-        f"{len(service.windows)} convergence windows "
-        f"(starting at window {service.cursor})",
-        file=sys.stderr,
-    )
-    status, summary = service.run()
-    if status == "interrupted":
-        print(
-            "interrupted — checkpoint written; resume with "
-            f"`repro soak --resume {service.run_dir}`",
-            file=sys.stderr,
-        )
-        return 3
-    assert summary is not None
-    print(
-        f"{'approach':10s} {'delivered':>10s} {'recovery':>9s} "
-        f"{'stretch':>8s} {'p1 loss':>9s}"
-    )
-    for name in service.config.approaches:
-        row = summary["approaches"][name]
-        print(
-            f"{name:10s} {row['demand_delivered_fraction']:10.4f} "
-            f"{row['demand_recovery_rate']:9.4f} "
-            f"{row['demand_weighted_stretch']:8.3f} "
-            f"{row['phase1_loss']:9.3f}"
-        )
-    print(f"summary: {service.run_dir / 'summary.json'}", file=sys.stderr)
-    return 0
-
-
 def cmd_obs(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -719,72 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
         "past this utilization (requires --congestion-aware)",
     )
     traffic.set_defaults(func=cmd_traffic)
-
-    soak = sub.add_parser(
-        "soak", help="crash-recoverable long-horizon timeline run"
-    )
-    soak.add_argument(
-        "--resume",
-        metavar="RUN_DIR",
-        help="continue a journaled run (all other flags are ignored)",
-    )
-    soak.add_argument(
-        "--topology",
-        default="grid:6x6:400",
-        help="grid:RxC[:SPACING], AS name, or topology JSON path",
-    )
-    soak.add_argument("--seed", type=int, default=0, help="timeline + traffic seed")
-    soak.add_argument(
-        "--duration", type=float, default=3600.0, help="simulated seconds"
-    )
-    soak.add_argument(
-        "--failures", type=int, default=3, help="primary failure regions"
-    )
-    soak.add_argument(
-        "--flapping-links", type=int, default=1, help="oscillating links"
-    )
-    soak.add_argument(
-        "--flap-period", type=float, default=60.0, help="flap period (s)"
-    )
-    soak.add_argument(
-        "--flap-cycles", type=int, default=3, help="down/up cycles per flapping link"
-    )
-    soak.add_argument(
-        "--cascade-probability",
-        type=float,
-        default=0.35,
-        help="chance each failure triggers a secondary region",
-    )
-    soak.add_argument(
-        "--cascade-mode",
-        choices=["proximity", "load"],
-        default="proximity",
-        help="where secondary regions strike",
-    )
-    soak.add_argument(
-        "--approaches", default="RTR,OSPF", help="comma-separated scheme names"
-    )
-    soak.add_argument(
-        "--model", default="gravity", help="traffic model: gravity, uniform, hotspot"
-    )
-    soak.add_argument(
-        "--flows", type=int, default=100_000, help="synthetic flow population"
-    )
-    soak.add_argument(
-        "--demand", type=float, default=1000.0, help="aggregate matrix demand"
-    )
-    soak.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=4,
-        help="windows per checkpointed batch",
-    )
-    soak.add_argument("--workers", type=int, default=2, help="shard pool size")
-    soak.add_argument(
-        "--run-dir",
-        help="run directory (default: obs runs dir / soak-<config-hash>)",
-    )
-    soak.set_defaults(func=cmd_soak)
 
     obs_p = sub.add_parser("obs", help="observability artifacts")
     obs_sub = obs_p.add_subparsers(dest="obs_command", required=True)

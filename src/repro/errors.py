@@ -71,13 +71,5 @@ class EvaluationError(ReproError):
     """An experiment driver was invoked with unusable parameters."""
 
 
-class TimelineError(ReproError):
-    """A failure timeline is malformed or cannot be built."""
-
-
-class SoakError(ReproError):
-    """A soak run configuration or checkpoint journal is unusable."""
-
-
 class StoreError(ReproError):
     """The persistent run store is missing, incompatible, or corrupt."""

@@ -9,8 +9,8 @@ shards with bounded retry + exponential backoff (rebuilding the pool
 when a worker death broke it), and fold worker snapshots into one
 registry in sorted key order so float sums are reproducible.  That
 scaffolding lives here, once; the drivers supply only their work
-function and task keys, and any registered recovery scheme — and the
-hour-scale :mod:`repro.soak` batches — run through it unchanged.
+function and task keys, and any registered recovery scheme runs
+through it unchanged.
 
 Because each work function is deterministic in its arguments, a shard
 rerun after a ``SIGKILL``-ed worker produces records bit-identical to an

@@ -1,13 +1,14 @@
 """Torn-write-proof file emission.
 
-Soak runs checkpoint for hours and may die at any instant — a ``kill
--9`` mid-``write_text`` must never leave a truncated ``manifest.json``
-or checkpoint journal behind, because resume reads whatever is on disk.
-The cure is the classic same-directory temp file + ``fsync`` +
-``os.replace`` dance: the visible path always holds either the previous
-complete version or the new complete version, never a prefix.
+An instrumented run may die at any instant — a ``kill -9``
+mid-``write_text`` must never leave a truncated ``manifest.json``
+behind, because ``repro obs report`` and ``repro query ingest`` read
+whatever is on disk.  The cure is the classic same-directory temp file
++ ``fsync`` + ``os.replace`` dance: the visible path always holds either
+the previous complete version or the new complete version, never a
+prefix.
 
-Used by every obs artifact writer and by the :mod:`repro.soak` journal.
+Used by every obs artifact writer (:mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ def atomic_write_json(
 
     Keys are sorted and floats round-trip exactly (``json`` emits
     ``repr``-exact doubles), so identical objects always produce
-    byte-identical files — the soak resume parity guarantee leans on
-    this.
+    byte-identical files.
     """
     text = json.dumps(obj, indent=indent, sort_keys=True) + "\n"
     return atomic_write_text(path, text, sync=sync)

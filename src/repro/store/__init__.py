@@ -14,10 +14,9 @@ RunManifest`, with
 
 Live wiring: when :data:`STORE_ENV` (``REPRO_STORE``) points at a store
 path, every instrumented run is recorded at
-:func:`repro.obs.write_run_artifacts` time, every
-``benchmarks/_bench_utils.record_bench`` row is mirrored, and soak runs
-stream per-window records.  With the variable unset nothing happens —
-sweeps stay bit-identical.
+:func:`repro.obs.write_run_artifacts` time and every
+``benchmarks/_bench_utils.record_bench`` row is mirrored.  With the
+variable unset nothing happens — sweeps stay bit-identical.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ __all__ = [
 ]
 
 #: Environment variable naming the store path; set it and every result
-#: producer (obs runs, bench rows, soak windows) records automatically.
+#: producer (obs runs, bench rows) records automatically.
 STORE_ENV = "REPRO_STORE"
 
 

@@ -2,8 +2,8 @@
 
 One :class:`RunStore` owns a single sqlite file in WAL mode.  Everything
 that produces results — instrumented ``repro.obs`` runs, the
-``benchmarks/BENCH_*.json`` trajectories, soak windows, checked-in
-result artifacts — lands in a handful of versioned tables:
+``benchmarks/BENCH_*.json`` trajectories, checked-in result artifacts —
+lands in a handful of versioned tables:
 
 * ``runs`` — one row per instrumented run: the normalized manifest
   columns for filtering plus the *full* manifest/metrics JSON for
@@ -18,7 +18,8 @@ result artifacts — lands in a handful of versioned tables:
   same entry re-ingested is a no-op (payload-sha dedup) while a changed
   entry appends, so row order per bench name is the perf trajectory
   ``repro query trend`` plots;
-* ``windows`` — per-window soak records (v2);
+* ``windows`` — a v2 table that nothing writes; it stays only so that
+  stores written at v2 open with no migration;
 * ``artifacts`` — checked-in ``benchmarks/results/`` text outputs,
   content-addressed.
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sqlite3
-import time
 import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -147,7 +147,7 @@ def _run_script(conn: sqlite3.Connection, script: str) -> None:
 
 
 def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
-    """v1 → v2: wall-clock provenance columns + soak window records."""
+    """v1 → v2: wall-clock provenance columns + the ``windows`` table."""
     _run_script(conn, _SCHEMA_V2_DELTA)
 
 
@@ -280,6 +280,8 @@ class RunStore:
         The dedup key is ``(name, config_hash, started_unix)`` — writing
         the same run twice (live auto-record followed by an ``obs-runs``
         ingest, say) returns the existing row id without touching it.
+        ``source`` is ``live`` for an auto-recorded run and ``ingest``
+        for one read back from disk.
         """
         name = str(manifest.get("name", ""))
         chash = str(manifest.get("config_hash", ""))
@@ -365,109 +367,6 @@ class RunStore:
                 "INSERT INTO metrics (run_id, kind, name, value) VALUES (?, ?, ?, ?)",
                 rows,
             )
-
-    def ensure_run(
-        self,
-        name: str,
-        config_hash: str,
-        manifest: Optional[Dict[str, object]] = None,
-    ) -> int:
-        """Select-or-create a run row keyed by ``(name, config_hash)``.
-
-        The anchor the soak service hangs per-window records on —
-        resuming a run reuses the same row.
-        """
-        conn = self._conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = conn.execute(
-                "SELECT id FROM runs WHERE name = ? AND config_hash = ? "
-                "ORDER BY id DESC LIMIT 1",
-                (name, config_hash),
-            ).fetchone()
-            if row is not None:
-                conn.execute("COMMIT")
-                return int(row["id"])
-            doc = dict(manifest or {})
-            doc.setdefault("name", name)
-            doc.setdefault("config_hash", config_hash)
-            cursor = conn.execute(
-                "INSERT INTO runs (name, config_hash, seed, git_sha, python, "
-                "started_unix, topologies, source, run_dir, manifest_json, "
-                "metrics_json, started_at, hostname) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    name,
-                    config_hash,
-                    doc.get("seed"),
-                    doc.get("git_sha"),
-                    doc.get("python"),
-                    doc.get("started_unix"),
-                    _canonical(doc.get("topologies", [])),
-                    str(doc.get("source", "soak")),
-                    doc.get("run_dir"),
-                    json.dumps(doc, sort_keys=True),
-                    "{}",
-                    doc.get("started_at"),
-                    doc.get("hostname"),
-                ),
-            )
-            conn.execute("COMMIT")
-            return int(cursor.lastrowid)
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-
-    def record_window(self, run_id: int, window_index: int, payload: dict) -> None:
-        """Upsert one soak window record (idempotent across resumes)."""
-        conn = self._conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            conn.execute(
-                "INSERT OR REPLACE INTO windows (run_id, window_index, payload) "
-                "VALUES (?, ?, ?)",
-                (run_id, window_index, json.dumps(payload, sort_keys=True)),
-            )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-
-    def finalize_run(
-        self, run_id: int, summary: Optional[dict] = None
-    ) -> None:
-        """Stamp a run finished now; optionally attach a summary doc."""
-        conn = self._conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = conn.execute(
-                "SELECT manifest_json, started_unix FROM runs WHERE id = ?",
-                (run_id,),
-            ).fetchone()
-            if row is None:
-                raise StoreError(f"no run with id {run_id}")
-            manifest = json.loads(row["manifest_json"])
-            finished_unix = time.time()
-            manifest["finished_at"] = _iso_utc(finished_unix)
-            if summary is not None:
-                manifest["summary"] = summary
-            duration = None
-            if row["started_unix"] is not None:
-                duration = round(finished_unix - float(row["started_unix"]), 6)
-            conn.execute(
-                "UPDATE runs SET manifest_json = ?, finished_at = ?, "
-                "duration_s = COALESCE(?, duration_s) WHERE id = ?",
-                (
-                    json.dumps(manifest, sort_keys=True),
-                    manifest["finished_at"],
-                    duration,
-                    run_id,
-                ),
-            )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     # -- bench rows -----------------------------------------------------
 
@@ -689,17 +588,6 @@ class RunStore:
         ).fetchall()
         return [dict(r) for r in rows]
 
-    def windows(self, run_id: int) -> List[Dict[str, object]]:
-        rows = self._conn.execute(
-            "SELECT window_index, payload FROM windows WHERE run_id = ? "
-            "ORDER BY window_index",
-            (run_id,),
-        ).fetchall()
-        return [
-            {"window_index": r["window_index"], "payload": json.loads(r["payload"])}
-            for r in rows
-        ]
-
     def artifacts(self) -> List[Dict[str, object]]:
         rows = self._conn.execute(
             "SELECT id, name, source_path, sha256, n_bytes FROM artifacts ORDER BY id"
@@ -714,12 +602,6 @@ class RunStore:
                 self._conn.execute(f"SELECT COUNT(*) AS n FROM {table}").fetchone()["n"]
             )
         return out
-
-
-def _iso_utc(ts: float) -> str:
-    from datetime import datetime, timezone
-
-    return datetime.fromtimestamp(ts, timezone.utc).isoformat(timespec="milliseconds")
 
 
 def _run_summary(row: sqlite3.Row) -> Dict[str, object]:

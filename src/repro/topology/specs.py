@@ -1,10 +1,10 @@
-"""One-string topology specs shared by the CLI, eval, and soak layers.
+"""One-string topology specs shared by the CLI and eval layers.
 
 A spec is resolved in order:
 
 * ``grid:RxC`` or ``grid:RxC:SPACING`` — a synthetic grid
   (:func:`~repro.topology.generators.grid_topology`), the fast option
-  for soak smoke runs and tests;
+  for smoke runs and tests;
 * ``scale:N`` (``N`` supports a ``k`` suffix: ``scale:50k``) — an
   ``N``-node hierarchical backbone/PoP/access ISP topology
   (:func:`~repro.topology.scale.scale_topology`), the internet-scale

@@ -1,6 +1,6 @@
 """Hardened run_sharded: requeue, pool rebuild, bounded retry, fallback.
 
-The soak service streams hour-scale batches through this machinery, so
+Every parallel table and traffic sweep runs through this machinery, so
 the contract under test is brutal: a worker SIGKILLed mid-shard must not
 change a single byte of the sweep's results, a flaky-once shard must
 succeed on requeue, and a deterministically-failing shard must surface

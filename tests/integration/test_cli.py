@@ -103,60 +103,6 @@ class TestErrorHygiene:
         assert "9" in capsys.readouterr().out
 
 
-class TestSoakCommand:
-    _FLAGS = [
-        "soak",
-        "--topology", "grid:4x4:400",
-        "--duration", "300",
-        "--failures", "1",
-        "--flapping-links", "1",
-        "--flap-period", "30",
-        "--flap-cycles", "1",
-        "--flows", "1000",
-        "--workers", "1",
-    ]
-
-    def test_run_and_resume(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        assert main(self._FLAGS + ["--run-dir", str(run_dir)]) == 0
-        captured = capsys.readouterr()
-        assert "RTR" in captured.out and "OSPF" in captured.out
-        assert "convergence windows" in captured.err
-        summary = (run_dir / "summary.json").read_bytes()
-        # Resuming a completed run re-summarizes byte-identically.
-        assert main(["soak", "--resume", str(run_dir)]) == 0
-        assert (run_dir / "summary.json").read_bytes() == summary
-
-    def test_start_refuses_existing_journal(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        assert main(self._FLAGS + ["--run-dir", str(run_dir)]) == 0
-        capsys.readouterr()
-        assert main(self._FLAGS + ["--run-dir", str(run_dir)]) == 2
-        assert "already holds a soak journal" in capsys.readouterr().err
-
-    def test_resume_missing_dir(self, capsys, tmp_path):
-        assert main(["soak", "--resume", str(tmp_path / "nope")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "not a soak run" in err
-
-    def test_bad_config_rejected(self, capsys, tmp_path):
-        code = main(
-            ["soak", "--checkpoint-every", "0",
-             "--run-dir", str(tmp_path / "x")]
-        )
-        assert code == 2
-        assert "checkpoint_every" in capsys.readouterr().err
-
-    def test_unknown_approach_rejected(self, capsys, tmp_path):
-        code = main(
-            self._FLAGS
-            + ["--approaches", "rtr", "--run-dir", str(tmp_path / "x")]
-        )
-        assert code == 2
-        assert "unknown recovery scheme" in capsys.readouterr().err
-
-
 class TestEvalCommand:
     def test_table2(self, capsys):
         assert main(["eval", "table2"]) == 0

@@ -123,40 +123,6 @@ class TestRecordRun:
             assert len(one) == 1
 
 
-class TestSoakAnchors:
-    def test_ensure_run_selects_or_creates(self, tmp_path):
-        with RunStore(tmp_path / "s.sqlite") as store:
-            a = store.ensure_run("soak-x", "deadbeef", {"seed": 3})
-            b = store.ensure_run("soak-x", "deadbeef")
-            assert a == b
-            assert store.counts()["runs"] == 1
-            assert store.runs()[0]["source"] == "soak"
-
-    def test_windows_upsert_and_read_in_order(self, tmp_path):
-        with RunStore(tmp_path / "s.sqlite") as store:
-            run_id = store.ensure_run("soak-x", "deadbeef")
-            store.record_window(run_id, 1, {"salt": 1})
-            store.record_window(run_id, 0, {"salt": 0})
-            store.record_window(run_id, 1, {"salt": 99})  # resume overwrite
-            windows = store.windows(run_id)
-        assert [w["window_index"] for w in windows] == [0, 1]
-        assert windows[1]["payload"] == {"salt": 99}
-
-    def test_finalize_attaches_summary_and_stamps(self, tmp_path):
-        with RunStore(tmp_path / "s.sqlite") as store:
-            run_id = store.ensure_run("soak-x", "deadbeef")
-            store.finalize_run(run_id, {"windows_done": 4})
-            doc = store.run_doc(run_id)
-            row = store.runs()[0]
-        assert doc["manifest"]["summary"] == {"windows_done": 4}
-        assert row["finished_at"] is not None
-
-    def test_finalize_unknown_run_raises(self, tmp_path):
-        with RunStore(tmp_path / "s.sqlite") as store:
-            with pytest.raises(StoreError, match="no run with id"):
-                store.finalize_run(999)
-
-
 class TestBenchRows:
     ENTRY = {"wall_s": 1.0, "cases": 10, "sp_computations": 5}
 

@@ -19,7 +19,6 @@ KNOBS = {
     "REPRO_OBS",
     "REPRO_OBS_DIR",
     "REPRO_SCHEME_MODULES",
-    "REPRO_SOAK_CHAOS_KILL",
     "REPRO_STORE",
 }
 
