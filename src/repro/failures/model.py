@@ -101,18 +101,6 @@ class FailureScenario:
         """All surviving nodes."""
         return {n for n in self.topo.nodes() if n not in self.failed_nodes}
 
-    def cut_links_between_live_nodes(self) -> Set[Link]:
-        """Failed links whose both endpoints are live.
-
-        These are the failures that *two* live routers can each locally
-        detect — the information RTR's first phase goes out to collect.
-        """
-        return {
-            link
-            for link in self.failed_links
-            if link.u not in self.failed_nodes and link.v not in self.failed_nodes
-        }
-
     def reachable(self, source: int, destination: int) -> bool:
         """Whether ``destination`` is reachable from ``source`` in G - E2."""
         if not (self.is_node_live(source) and self.is_node_live(destination)):

@@ -10,11 +10,15 @@ the relation of the reference sweep in
 rows over input positions (the topology's are link ids, cached per CSR
 view by :func:`repro.topology.csr.cross_rows`).
 
-With numpy, blocks of at most ``_CHUNK`` pairs run through :func:`_cross_mask`,
-which compares *squared* distances with ``EPSILON**2`` where
-:func:`segments_cross_raw` compares ``hypot`` with ``EPSILON`` — equal
-except within one rounding ulp of the tolerance, i.e. for adversarial
-coordinates only.  Without numpy the same cells are paired in Python and
+The links' coordinates are read from the grid
+(:attr:`~repro.geometry.spatial.SpatialGrid.segment_coords`), which is built
+as arrays when numpy imports.  With numpy, blocks of at most ``_CHUNK``
+pairs run through :func:`_cross_mask`, which compares *squared* distances
+with ``EPSILON**2`` where :func:`segments_cross_raw` compares ``hypot``
+with ``EPSILON`` — equal except within one rounding ulp of the tolerance,
+i.e. for adversarial coordinates only.  It runs the touch test only on the
+few pairs with an endpoint near the other link's line (763 of 3,034,102 on
+``scale:20000``).  Without numpy the same cells are paired in Python and
 the same rows come back.
 """
 
@@ -26,7 +30,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from .point import EPSILON
 from .segment import Segment
-from .spatial import SpatialGrid
+from .spatial import SpatialGrid, quads
 
 try:  # optional [fast] extra; the Python pairing computes the same rows
     import numpy as _np
@@ -36,6 +40,9 @@ except Exception:  # pragma: no cover - exercised by no-numpy CI job
 LinkKey = TypeVar("LinkKey", bound=Hashable)
 
 _EPS_SQ = EPSILON * EPSILON
+
+#: The least normal float: the near-line bound's floor (see :func:`_cross_mask`).
+_TINY = 2.0 ** -1022
 
 #: Candidate pairs per block of cells (their temporaries take ≈ 170 B a pair).
 _CHUNK = 1 << 14
@@ -105,12 +112,34 @@ def segments_cross_raw(
     return False
 
 
-def _cross_mask(np, a, b):
+def _cross_mask(np, a, b, margin):
     """Vectorized :func:`segments_cross_raw` over two coordinate bundles.
 
     ``a`` and ``b`` are ``(ax, ay, bx, by)`` tuples of equal-length
     arrays.  Same arithmetic as the scalar predicate, with tolerance
     checks on squared distances (see module docstring).
+
+    The four orientation cross products are computed once, and ``proper``
+    is their sign test against ``EPSILON``.  The touch test (the four
+    ``contains``) runs only on the pairs that are neither ``shared`` nor
+    ``proper`` and have an endpoint ``r`` near the other link ``pq``'s
+    line: ``|cross(p, q, r)| <= |pq|·margin + 2**-1022``, with ``|pq|`` read
+    as ``|qx - px| + |qy - py|`` (at least the length).  No touch is
+    skipped.  With ``u`` the unit roundoff and ``M`` the largest finite
+    coordinate (a NaN or inf coordinate never touches):
+
+    * ``contains`` accepting ``r`` puts it within ``EPSILON·(1 + 3u)`` of
+      a computed point at most ``10u·M`` off the segment;
+    * the exact cross product is ``|pq|`` times ``r``'s distance to the
+      line, which is at most its distance to the segment;
+    * rounding moves the cross product by at most ``4u·|pq|·|pr| <=
+      12u·|pq|·M``.
+
+    So ``|cross| <= |pq|·(EPSILON·(1 + 3u) + 22u·M)``.  ``margin =
+    2·EPSILON + 1e-12·(1 + M)`` covers that with room for the rounding of
+    the bound itself, and the ``2**-1022`` floor covers products that
+    underflow.  Like :attr:`SpatialGrid.slack`, the margin grows with the
+    coordinates' magnitude, because cross-product rounding does.
     """
     ax, ay, bx, by = a
     cx, cy, dx, dy = b
@@ -126,39 +155,54 @@ def _cross_mask(np, a, b):
         | (dist_sq(bx, by, dx, dy) <= _EPS_SQ)
     )
 
-    def orient(px, py, qx, qy, rx, ry):
-        cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-        return np.where(cross > EPSILON, 1, np.where(cross < -EPSILON, -1, 0))
+    def cross(px, py, qx, qy, rx, ry):
+        return (qx - px) * (ry - py) - (qy - py) * (rx - px)
 
-    o1 = orient(ax, ay, bx, by, cx, cy)
-    o2 = orient(ax, ay, bx, by, dx, dy)
-    o3 = orient(cx, cy, dx, dy, ax, ay)
-    o4 = orient(cx, cy, dx, dy, bx, by)
-    proper = (
-        (o1 != o2) & (o3 != o4) & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
+    c1 = cross(ax, ay, bx, by, cx, cy)
+    c2 = cross(ax, ay, bx, by, dx, dy)
+    c3 = cross(cx, cy, dx, dy, ax, ay)
+    c4 = cross(cx, cy, dx, dy, bx, by)
+
+    def apart(u, v):
+        """``_orient_raw`` gives ``u`` and ``v`` opposite non-zero signs."""
+        return ((u > EPSILON) & (v < -EPSILON)) | ((u < -EPSILON) & (v > EPSILON))
+
+    proper = apart(c1, c2) & apart(c3, c4)
+    crosses = ~shared & proper
+    near_ab = (np.abs(bx - ax) + np.abs(by - ay)) * margin + _TINY
+    near_cd = (np.abs(dx - cx) + np.abs(dy - cy)) * margin + _TINY
+    near = ~(shared | proper) & (
+        (np.abs(c1) <= near_ab)
+        | (np.abs(c2) <= near_ab)
+        | (np.abs(c3) <= near_cd)
+        | (np.abs(c4) <= near_cd)
     )
+    at = np.flatnonzero(near)
+    if len(at):
+        ax, ay, bx, by, cx, cy, dx, dy = (v[at] for v in (ax, ay, bx, by, cx, cy, dx, dy))
 
-    def contains(px, py, qx, qy, rx, ry):
-        ex, ey = qx - px, qy - py
-        length_sq = ex * ex + ey * ey
-        degenerate = length_sq <= _EPS_SQ
-        t = ((rx - px) * ex + (ry - py) * ey) / np.where(degenerate, 1.0, length_sq)
-        t = np.clip(t, 0.0, 1.0)
-        nx = np.where(degenerate, px, px + ex * t)
-        ny = np.where(degenerate, py, py + ey * t)
-        return dist_sq(rx, ry, nx, ny) <= _EPS_SQ
+        def contains(px, py, qx, qy, rx, ry):
+            ex, ey = qx - px, qy - py
+            length_sq = ex * ex + ey * ey
+            degenerate = length_sq <= _EPS_SQ
+            t = ((rx - px) * ex + (ry - py) * ey) / np.where(degenerate, 1.0, length_sq)
+            t = np.clip(t, 0.0, 1.0)
+            nx = np.where(degenerate, px, px + ex * t)
+            ny = np.where(degenerate, py, py + ey * t)
+            return dist_sq(rx, ry, nx, ny) <= _EPS_SQ
 
-    touching = (
-        contains(ax, ay, bx, by, cx, cy)
-        | contains(ax, ay, bx, by, dx, dy)
-        | contains(cx, cy, dx, dy, ax, ay)
-        | contains(cx, cy, dx, dy, bx, by)
-    )
-    return ~shared & (proper | touching)
+        crosses[at] = (
+            contains(ax, ay, bx, by, cx, cy)
+            | contains(ax, ay, bx, by, dx, dy)
+            | contains(cx, cy, dx, dy, ax, ay)
+            | contains(cx, cy, dx, dy, bx, by)
+        )
+    return crosses
 
 
 def _rows_python(coords, start, items):
     """Crossing rows, pairing the links of each cell in Python."""
+    coords = list(quads(coords))
     boxes = [(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)) for ax, ay, bx, by in coords]
     rows = [[] for _ in coords]
     tested = set()
@@ -188,8 +232,10 @@ def _rows_numpy(coords, start, items):
     from ..topology.npcsr import expand_ranges
 
     np = _np
-    m = len(coords)
-    xy = np.array(coords, dtype=np.float64).reshape(-1, 4).T.copy()  # rows ax, ay, bx, by
+    m = len(coords) // 4
+    xy = np.frombuffer(coords, np.float64).reshape(m, 4).T.copy()  # rows ax, ay, bx, by
+    finite = np.abs(xy[np.isfinite(xy)])
+    margin = 2 * EPSILON + 1e-12 * (1.0 + (float(finite.max()) if len(finite) else 0.0))
     lo_x, hi_x = np.minimum(xy[0], xy[2]), np.maximum(xy[0], xy[2])
     lo_y, hi_y = np.minimum(xy[1], xy[3]), np.maximum(xy[1], xy[3])
     start_a = np.asarray(start, dtype=np.int64)
@@ -218,7 +264,7 @@ def _rows_numpy(coords, start, items):
             & (lo_y[right] <= hi_y[left])
         )
         left, right = left[keep], right[keep]
-        mask = _cross_mask(np, xy.take(left, axis=1), xy.take(right, axis=1))
+        mask = _cross_mask(np, xy.take(left, axis=1), xy.take(right, axis=1), margin)
         left, right = left[mask], right[mask]
         found += [left * m + right, right * m + left]
     codes = np.sort(np.concatenate(found))
@@ -230,7 +276,7 @@ def _rows_numpy(coords, start, items):
 
 
 def compute_cross_links(
-    links: Sequence[Tuple[Hashable, Segment]],
+    links: Optional[Sequence[Tuple[Hashable, Segment]]] = None,
     grid: Optional[SpatialGrid] = None,
 ) -> List[Tuple[int, ...]]:
     """The crossing relation of ``links`` as one row per input position.
@@ -239,18 +285,20 @@ def compute_cross_links(
     sorted tuple of the positions of the links that properly cross link
     ``i``; the relation is symmetric (``j in rows[i]`` iff ``i in
     rows[j]``).  Links sharing an endpoint never cross (see
-    :func:`segments_cross_raw`).  ``grid``, if given,
-    must hold ``links`` as its segments, in order; otherwise one is built
-    over the links' endpoints.
+    :func:`segments_cross_raw`).  ``grid``, if given, must hold ``links``
+    as its segments, in order, and its coordinates are the ones read;
+    ``links`` may then be left out.  Without a grid one is built over the
+    links' endpoints.
     """
     if grid is None:
+        if links is None:
+            raise ValueError("compute_cross_links needs links or a grid")
         ends = dict.fromkeys(end for _, segment in links for end in segment)
         grid = SpatialGrid([(end, end) for end in ends], links)
-    elif grid.segment_keys != [key for key, _ in links]:
+    elif links is not None and grid.segment_keys != [key for key, _ in links]:
         raise ValueError("grid segments are not these links")
-    coords = [(s.a.x, s.a.y, s.b.x, s.b.y) for _, s in links]
     rows = _rows_python if _np is None else _rows_numpy
-    return rows(coords, *grid.segment_cells())
+    return rows(grid.segment_coords, *grid.segment_cells())
 
 
 def is_planar_embedding(links: Sequence[Tuple[Hashable, Segment]]) -> bool:

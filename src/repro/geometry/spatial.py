@@ -17,15 +17,28 @@ not occupy every cell of its bounding box.  Paths are padded by the
 touch tolerance ``EPSILON``: two segments that cross, or touch within
 it, share a cell.  Keys come back in the order they were added: callers
 that build sets from them insert in the same order as a full scan would.
+
+When numpy imports, the cells are computed as arrays, step for step the
+Python loop's (which stays for platforms without numpy), and packed into
+the same lists.  The grid keeps its segments' coordinates in one flat
+array (:attr:`SpatialGrid.segment_coords`), which the cross-link
+precompute reads instead of the segments.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import chain
 from typing import Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .point import EPSILON, Point
 from .segment import Segment
+
+try:  # optional [fast] extra; the Python loop builds the same cells
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised by no-numpy CI job
+    _np = None
 
 #: ``(min_x, min_y, max_x, max_y)``.
 Box = Tuple[float, float, float, float]
@@ -46,6 +59,11 @@ class SpatialGrid:
     ) -> None:
         self.point_keys = [key for key, _p in points]
         self.segment_keys = [key for key, _s in segments]
+        #: Segment ``i``'s ``ax, ay, bx, by`` at ``[4 * i : 4 * i + 4]`` —
+        #: the one copy of the coordinates the cross-link precompute reads.
+        self.segment_coords = array(
+            "d", chain.from_iterable(chain.from_iterable(s for _key, s in segments))
+        )
         xs = [p.x for _key, p in points if math.isfinite(p.x)] or [0.0]
         ys = [p.y for _key, p in points if math.isfinite(p.y)] or [0.0]
         self.x0, self.y0 = min(xs), min(ys)
@@ -60,16 +78,19 @@ class SpatialGrid:
         #: magnitude above a few ulps of it).
         self.slack = EPSILON + 1e-12 * (1.0 + max(map(abs, xs + ys)))
 
-        point_cells: List[List[int]] = [[] for _ in range(self.cols * self.rows)]
-        for index, (_key, p) in enumerate(points):
-            point_cells[self._cell(p.y, self.y0, self.rows) * self.cols
-                        + self._cell(p.x, self.x0, self.cols)].append(index)
-        segment_cells: List[List[int]] = [[] for _ in range(self.cols * self.rows)]
-        for index, (_key, segment) in enumerate(segments):
-            for cell in self._segment_cells(segment):
-                segment_cells[cell].append(index)
-        self._point_start, self._point_items = _pack(point_cells)
-        self._segment_start, self._segment_items = _pack(segment_cells)
+        if _np is None:
+            point_cells: List[List[int]] = [[] for _ in range(self.cols * self.rows)]
+            for index, (_key, p) in enumerate(points):
+                point_cells[self._cell(p.y, self.y0, self.rows) * self.cols
+                            + self._cell(p.x, self.x0, self.cols)].append(index)
+            segment_cells: List[List[int]] = [[] for _ in range(self.cols * self.rows)]
+            for index, coords in enumerate(quads(self.segment_coords)):
+                for cell in self._segment_cells(*coords):
+                    segment_cells[cell].append(index)
+            self._point_start, self._point_items = _pack(point_cells)
+            self._segment_start, self._segment_items = _pack(segment_cells)
+        else:
+            self._build_arrays(_np, points)
 
     def _cell(self, v: float, origin: float, count: int) -> int:
         """The cell index of coordinate ``v`` along one axis (clamped)."""
@@ -92,8 +113,7 @@ class SpatialGrid:
         for r in range(r0, r1 + 1):
             yield r * cols + c0, r * cols + c1 + 1
 
-    def _segment_cells(self, segment: Segment) -> List[int]:
-        (ax, ay), (bx, by) = segment
+    def _segment_cells(self, ax: float, ay: float, bx: float, by: float) -> List[int]:
         dx, dy = bx - ax, by - ay
         x0, y0, width, cols, rows = self.x0, self.y0, self.width, self.cols, self.rows
         c0, c1 = self._span(min(ax, bx), max(ax, bx), x0, cols)
@@ -124,6 +144,69 @@ class SpatialGrid:
                 first, last = self._span(min(ya, yb), max(ya, yb), y0, rows)
                 cells.extend(range(first * cols + c, last * cols + c + 1, cols))
         return cells
+
+    def _cells(self, np, v, origin: float, count: int):
+        """:meth:`_cell` over an array of coordinates."""
+        c = (v - origin) / self.width
+        c = np.where(c > 0, c, 0.0)
+        return np.where(c >= count, count - 1, c).astype(np.int64)
+
+    def _build_arrays(self, np, points: Sequence[Tuple[Hashable, Point]]) -> None:
+        """The packed cells of :meth:`_cell` and :meth:`_segment_cells`, as arrays.
+
+        Every step is the Python loop's, element for element: ``min(a, b)``
+        is ``where(b < a, b, a)`` and ``max(a, b)`` is ``where(b > a, b, a)``
+        (not ``np.minimum``), so NaN, ±inf and ±0 land where the loop puts
+        them.  Each segment becomes strips holding one run of cells each —
+        its box's rows, or the strips of its walk — and a sort on ``(cell,
+        segment)`` packs them.
+        """
+        x0, y0, width, cols, rows, slack = (
+            self.x0, self.y0, self.width, self.cols, self.rows, self.slack
+        )
+        inf = math.inf
+        n = len(points)
+        xy = np.fromiter(chain.from_iterable(p for _key, p in points), np.float64, 2 * n)
+        cell = self._cells(np, xy[1::2], y0, rows) * cols + self._cells(np, xy[0::2], x0, cols)
+        self._point_start, self._point_items = _pack_arrays(np, cell, np.arange(n), cols * rows)
+
+        ax, ay, bx, by = np.frombuffer(self.segment_coords, np.float64).reshape(-1, 4).T
+        with np.errstate(all="ignore"):  # NaN and inf run through as in the loop
+            dx, dy = bx - ax, by - ay
+            c0 = self._cells(np, np.where(bx < ax, bx, ax) - slack, x0, cols)
+            c1 = self._cells(np, np.where(bx > ax, bx, ax) + slack, x0, cols)
+            r0 = self._cells(np, np.where(by < ay, by, ay) - slack, y0, rows)
+            r1 = self._cells(np, np.where(by > ay, by, ay) + slack, y0, rows)
+            whole = (c0 == c1) | (r0 == r1) | ~((dx != 0) & (dy != 0) & np.isfinite(dx * dy))
+            by_rows = whole | (r1 - r0 <= c1 - c0)
+
+            def strips(walk, lo, hi, edge0, edges, a, d, b, e):
+                """Per walked strip: its segment, index, and the run along the other axis."""
+                seg = np.flatnonzero(walk)
+                counts = hi[seg] - lo[seg] + 1
+                seg = np.repeat(seg, counts)
+                k = lo[seg] + _offsets(np, counts)
+                t0 = (np.where(k > 0, edge0 + k * width - slack, -inf) - a[seg]) / d[seg]
+                t1 = (np.where(k < edges - 1, edge0 + (k + 1) * width + slack, inf) - a[seg]) / d[seg]
+                t_lo, t_hi = np.where(t1 < t0, t1, t0), np.where(t1 > t0, t1, t0)
+                ua = b[seg] + np.where(t_lo > 0.0, t_lo, 0.0) * e[seg]
+                ub = b[seg] + np.where(t_hi < 1.0, t_hi, 1.0) * e[seg]
+                return seg, k, np.where(ub < ua, ub, ua), np.where(ub > ua, ub, ua)
+
+            seg_r, r, xa, xb = strips(by_rows, r0, r1, y0, rows, ay, dy, ax, dx)
+            keep = whole[seg_r]
+            first_r = np.where(keep, c0[seg_r], self._cells(np, xa - slack, x0, cols))
+            last_r = np.where(keep, c1[seg_r], self._cells(np, xb + slack, x0, cols))
+            seg_c, c, ya, yb = strips(~by_rows, c0, c1, x0, cols, ax, dx, ay, dy)
+            first_c = self._cells(np, ya - slack, y0, rows)
+            last_c = self._cells(np, yb + slack, y0, rows)
+        seg = np.concatenate((seg_r, seg_c))
+        base = np.concatenate((r * cols + first_r, first_c * cols + c))
+        counts = np.concatenate((last_r - first_r, last_c - first_c)) + 1
+        step = np.concatenate((np.ones_like(r), np.full_like(c, cols)))
+        seg, base, step = np.repeat(seg, counts), np.repeat(base, counts), np.repeat(step, counts)
+        cell = base + _offsets(np, counts) * step
+        self._segment_start, self._segment_items = _pack_arrays(np, cell, seg, cols * rows)
 
     def query(self, boxes: Iterable[Box]) -> Tuple[List[Hashable], List[Hashable]]:
         """Keys of the points and of the segments any of ``boxes`` may touch.
@@ -173,3 +256,21 @@ def _pack(cells: List[List[int]]) -> Tuple[List[int], List[int]]:
         items.extend(bucket)
         start[cell + 1] = len(items)
     return start, items
+
+
+def quads(coords: array) -> Iterator[Tuple[float, float, float, float]]:
+    """:attr:`SpatialGrid.segment_coords` as one ``(ax, ay, bx, by)`` per segment."""
+    return zip(coords[0::4], coords[1::4], coords[2::4], coords[3::4])
+
+
+def _pack_arrays(np, cell, items, count: int) -> Tuple[List[int], List[int]]:
+    """:func:`_pack` of ``count`` cells from parallel arrays: ``items[i]`` is in ``cell[i]``."""
+    start = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=count), out=start[1:])
+    return start.tolist(), items[np.lexsort((items, cell))].tolist()
+
+
+def _offsets(np, counts):
+    """``0, 1, …, counts[i] - 1`` for every ``i``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)

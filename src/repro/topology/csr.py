@@ -245,9 +245,7 @@ def cross_rows(topo: "Topology") -> Tuple[Tuple[int, ...], ...]:
     rows = csr.cross_cache
     if rows is None:
         grid = region_index(topo)
-        rows = compute_cross_links(
-            [(link, topo.segment(link)) for link in grid.segment_keys], grid
-        )
+        rows = compute_cross_links(grid=grid)
         if len(rows) < csr.lid_size:
             # Retired ids are not in the grid: move positions onto ids.
             lids = [csr.pair_lid[link] for link in grid.segment_keys]

@@ -60,10 +60,6 @@ class TestQueries:
         scenario = FailureScenario.from_nodes(ring8, [3])
         assert scenario.live_nodes() == set(range(8)) - {3}
 
-    def test_cut_links_between_live_nodes(self, paper_scenario):
-        cut = paper_scenario.cut_links_between_live_nodes()
-        assert cut == {Link.of(6, 11), Link.of(4, 11)}
-
     def test_reachable_in_survivor_graph(self, ring8):
         scenario = FailureScenario.from_nodes(ring8, [3])
         assert scenario.reachable(2, 4)  # the long way around

@@ -7,23 +7,25 @@ otherwise — so both, read as sets, must equal the reference on the
 inputs where a cell filter can go wrong: the catalog, ``scale:2000``
 (long backbone uplinks), ``grid:6x7`` (collinear lattice links), random
 soups of mixed lengths, hypothesis soups of collinear overlaps,
-T-touches, shared endpoints and zero-length segments, a touch within
-``EPSILON`` across a cell border, and a topology with retired link ids.
-``TestVectorizedParity`` is the numpy half and is skipped without numpy;
-``TestPythonParity`` runs the same inputs with numpy hidden.
+T-touches, shared endpoints, zero-length segments and near-touches on
+long links far from the origin, a touch within ``EPSILON`` across a cell
+border, and a topology with retired link ids.  ``TestVectorizedParity``
+is the numpy half and is skipped without numpy; ``TestPythonParity`` runs
+the same inputs with numpy hidden from the grid and the pairing.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import UnknownLinkError
-from repro.geometry import planarity
+from repro.geometry import planarity, spatial
 from repro.geometry.planarity import compute_cross_links
 from repro.geometry.point import EPSILON, Point
 from repro.geometry.segment import Segment
@@ -90,9 +92,23 @@ def near_touch_topology() -> Topology:
 
 
 lattice = st.builds(Point, st.integers(0, 6).map(float), st.integers(0, 6).map(float))
+#: Near-touches: a point at ``t`` along a lattice link (its far end raised
+#: by ``tilt``), moved ``offset`` EPSILONs off its line, starts a second
+#: link to a lattice point.  On long links far from the origin they sit at
+#: the near-line bound of ``_cross_mask``, where rounding grows with the
+#: coordinates' magnitude.
+near_touches = st.tuples(
+    st.tuples(lattice, lattice),
+    st.sampled_from([0.0, 1e-6, 1e-3]),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999, 1.1, 1.5, 3.0, 1e3]),
+    lattice,
+)
 soups = st.tuples(
     st.lists(st.tuples(lattice, lattice), max_size=25),
-    st.sampled_from([1.0, 0.01, 137.0]),
+    st.sampled_from([1.0, 0.01, 137.0, 1e5]),
+    st.lists(near_touches, max_size=4),
+    st.sampled_from([(0.0, 0.0), (3e4, -1e4), (-2e6, 5e5)]),
 )
 
 
@@ -190,12 +206,20 @@ class TestVectorizedParity(_Parity):
         assert cross_rows(topo) is rows is topo.csr().cross_cache
 
 
-def without_numpy(links, grid=None):
-    saved, planarity._np = planarity._np, None
+@contextmanager
+def numpy_hidden():
+    """The grid and the pairing as on a platform without numpy."""
+    saved = planarity._np, spatial._np
+    planarity._np = spatial._np = None
     try:
-        return compute_cross_links(links, grid)
+        yield
     finally:
-        planarity._np = saved
+        planarity._np, spatial._np = saved
+
+
+def without_numpy(links, grid=None):
+    with numpy_hidden():
+        return compute_cross_links(links, grid)
 
 
 class TestPythonParity(_Parity):
@@ -203,11 +227,8 @@ class TestPythonParity(_Parity):
         return rows_as_map(links, without_numpy(links, grid))
 
     def rows(self, topo):
-        saved, planarity._np = planarity._np, None
-        try:
+        with numpy_hidden():
             return cross_rows(topo)
-        finally:
-            planarity._np = saved
 
 
 @pytest.mark.parametrize(
@@ -219,12 +240,24 @@ class TestPythonParity(_Parity):
 )
 @settings(max_examples=60, deadline=None)
 @given(soups)
+@example(  # a touch that a near-line bound without the magnitude term skips
+    ([], 1.0, [((Point(3.0, 3.0), Point(0.0, 3.0)), 1e-3, 0.5, 0.99, Point(1.0, 3.0))],
+     (-2e6, 5e5))
+)
 def test_segment_soups(cross, soup):
-    ends, scale = soup
-    links = [
-        (i, Segment(Point(p.x * scale, p.y * scale), Point(q.x * scale, q.y * scale)))
-        for i, (p, q) in enumerate(ends)
-    ]
+    ends, scale, touches, (ox, oy) = soup
+
+    def at(p):
+        return Point(ox + p.x * scale, oy + p.y * scale)
+
+    segments = [Segment(at(p), at(q)) for p, q in ends]
+    for (p, q), tilt, t, offset, far in touches:
+        a, b = at(p), at(Point(q.x, q.y + tilt))
+        d = b - a
+        length = d.norm() or 1.0
+        off_line = Point(-d.y, d.x) * (offset * EPSILON / length)
+        segments += [Segment(a, b), Segment(a + d * t + off_line, at(far))]
+    links = list(enumerate(segments))
     assert rows_as_map(links, cross(links)) == reference_cross_links(links)
 
 
@@ -242,3 +275,10 @@ class TestDispatch:
         links = topology_links(topo)
         with pytest.raises(ValueError):
             compute_cross_links(links[1:], region_index(topo))
+
+    def test_the_grid_alone_gives_the_same_rows(self):
+        topo = shared("AS3549")
+        grid = region_index(topo)
+        assert compute_cross_links(grid=grid) == compute_cross_links(topology_links(topo), grid)
+        with pytest.raises(ValueError):
+            compute_cross_links()
