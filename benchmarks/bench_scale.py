@@ -1,13 +1,11 @@
 """Internet-scale curves — the numpy kernel and `scale:` acceptance bench.
 
-Times three workloads on `scale:` topologies of growing size (1k / 10k /
+Times two workloads on `scale:` topologies of growing size (1k / 10k /
 50k nodes by default):
 
 * **single-source Dijkstra** on the heap reference ``_dijkstra_csr_kernel``
   and the vectorized ``dijkstra_numpy``, called directly and
   parity-checked per root;
-* **batched multi-source Dijkstra** (`batched_dijkstra_arrays`), the
-  array-level path the traffic engine's `RoutingTable.warm` rides;
 * **traffic-weighted Table III** (`scale:50000` only) — the end-to-end
   sweep: demand matrix, 1M flows, circular failures, RTR/FCP recovery.
 
@@ -19,8 +17,6 @@ former in-script speedup and wall-clock bars are retired — the perf gate
 is ``repro query regress``, run by CI against the checked-in trajectory
 after this bench records its measurements (to the ``REPRO_STORE`` run
 store in gate mode; into ``BENCH_scale.json`` itself with ``--update``).
-The measured batched-vs-python speedup is still printed and recorded on
-every row.
 
 Rows are merged into ``benchmarks/BENCH_scale.json`` keyed by
 ``workload@nodes``, each carrying the kernel backend, node/link counts,
@@ -48,11 +44,7 @@ from _bench_utils import emit, record_bench
 from repro.obs import config_hash
 from repro.routing import dijkstra_run_count
 from repro.routing.dijkstra import _bfs_csr_kernel, _dijkstra_csr_kernel
-from repro.routing.kernels import (
-    batched_dijkstra_arrays,
-    dijkstra_numpy,
-    numpy_available,
-)
+from repro.routing.kernels import dijkstra_numpy, numpy_available
 from repro.topology.npcsr import numpy_view
 from repro.topology.scale import scale_topology
 
@@ -158,31 +150,10 @@ def main(argv: list) -> int:
                 extra=dict(base_extra, kernel="numpy"),
                 write_file=write,
             )
-
-            t0 = time.perf_counter()
-            batched_dijkstra_arrays(topo, roots)
-            wall_batch = time.perf_counter() - t0
-            speedup = (wall_py / len(roots)) / (wall_batch / len(roots))
-            record_bench(
-                f"dijkstra_batched@{n}",
-                wall_batch,
-                len(roots),
-                len(roots),
-                config_hash=config_hash(dict(params, backend="numpy-batched")),
-                path=BENCH_SCALE_JSON,
-                extra=dict(
-                    base_extra,
-                    kernel="numpy-batched",
-                    speedup_vs_python=round(speedup, 2),
-                ),
-                write_file=write,
-            )
             lines.append(
                 f"{n:>7} nodes  build {build_s:6.2f}s  "
                 f"python {wall_py / len(roots) * 1e3:8.2f} ms/root  "
-                f"numpy {wall_np / len(roots) * 1e3:8.2f} ms/root  "
-                f"batched {wall_batch / len(roots) * 1e3:8.2f} ms/root  "
-                f"({speedup:.1f}x)"
+                f"numpy {wall_np / len(roots) * 1e3:8.2f} ms/root"
             )
         else:
             lines.append(

@@ -25,7 +25,7 @@ the same rows come back.
 from __future__ import annotations
 
 from itertools import combinations
-from math import hypot
+from math import hypot, isfinite
 from typing import Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from .point import EPSILON
@@ -234,8 +234,7 @@ def _rows_numpy(coords, start, items):
     np = _np
     m = len(coords) // 4
     xy = np.frombuffer(coords, np.float64).reshape(m, 4).T.copy()  # rows ax, ay, bx, by
-    finite = np.abs(xy[np.isfinite(xy)])
-    margin = 2 * EPSILON + 1e-12 * (1.0 + (float(finite.max()) if len(finite) else 0.0))
+    margin = 2 * EPSILON + 1e-12 * (1.0 + (float(np.abs(xy).max()) if m else 0.0))
     lo_x, hi_x = np.minimum(xy[0], xy[2]), np.maximum(xy[0], xy[2])
     lo_y, hi_y = np.minimum(xy[1], xy[3]), np.maximum(xy[1], xy[3])
     start_a = np.asarray(start, dtype=np.int64)
@@ -288,7 +287,8 @@ def compute_cross_links(
     :func:`segments_cross_raw`).  ``grid``, if given, must hold ``links``
     as its segments, in order, and its coordinates are the ones read;
     ``links`` may then be left out.  Without a grid one is built over the
-    links' endpoints.
+    links' endpoints.  A NaN or infinite coordinate raises ``ValueError``:
+    the predicates order no such pair, so the two pairings would disagree.
     """
     if grid is None:
         if links is None:
@@ -297,8 +297,15 @@ def compute_cross_links(
         grid = SpatialGrid([(end, end) for end in ends], links)
     elif links is not None and grid.segment_keys != [key for key, _ in links]:
         raise ValueError("grid segments are not these links")
+    coords = grid.segment_coords
+    if _np is None:
+        finite = all(map(isfinite, coords))
+    else:
+        finite = bool(_np.isfinite(_np.frombuffer(coords, _np.float64)).all())
+    if not finite:
+        raise ValueError("compute_cross_links needs finite link coordinates")
     rows = _rows_python if _np is None else _rows_numpy
-    return rows(grid.segment_coords, *grid.segment_cells())
+    return rows(coords, *grid.segment_cells())
 
 
 def is_planar_embedding(links: Sequence[Tuple[Hashable, Segment]]) -> bool:

@@ -191,34 +191,6 @@ class SPTCache:
         except NoPathError:
             return None
 
-    def seed_tree(
-        self,
-        topo: Topology,
-        root: int,
-        tree: ShortestPathTree,
-        toward_root: bool = True,
-    ) -> None:
-        """Register an externally computed *exclusion-free* tree.
-
-        Batched warmers (:meth:`repro.routing.tables.RoutingTable.warm`)
-        compute many trees in one kernel call; seeding them here lets
-        every later cache probe hit instead of recomputing.  The tree
-        must be exactly what :meth:`forward_tree` / :meth:`reverse_tree`
-        would have produced with no exclusions — the batched kernels
-        guarantee that.  Counts neither a hit nor a miss.
-        """
-        csr = topo.csr()
-        key = (id(topo), csr.version, toward_root, root, 0, 0)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return
-        self._entries[key] = (topo, tree)
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            obs.inc("spt_cache.evictions")
-            obs.inc("routing.sptcache.evictions")
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------

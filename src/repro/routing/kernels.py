@@ -41,10 +41,10 @@ reference-shaped dicts are built only if a caller reads them.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .. import obs
-from ..errors import RoutingError, UnknownNodeError
+from ..errors import UnknownNodeError
 from ..topology.npcsr import NumpyCSR, expand_ranges, numpy_or_none, numpy_view
 from .spt import ShortestPathTree
 
@@ -54,14 +54,14 @@ AUTO_MIN_NODES = 1024
 
 _INF = float("inf")
 
-#: Vectorized kernel executions in this process (single-source trees count
-#: 1, batched calls count one per root) — lets tests assert the numpy path
-#: actually ran, symmetric with ``dijkstra.dijkstra_run_count``.
+#: Vectorized kernel executions in this process, one per tree — lets tests
+#: assert the numpy path actually ran, symmetric with
+#: ``dijkstra.dijkstra_run_count``.
 _NUMPY_RUNS = 0
 
 
 def numpy_run_count() -> int:
-    """Number of numpy kernel runs (per-root) performed by this process."""
+    """Number of numpy kernel runs (one per tree) performed by this process."""
     return _NUMPY_RUNS
 
 
@@ -337,134 +337,3 @@ def penalized_numpy(
     parent = _parent_pass(np, view, dist, weights, usable)
     parent[root_index] = -1
     return ShortestPathTree.from_arrays(csr, root, dist, parent, toward_root=False)
-
-
-# ----------------------------------------------------------------------
-# Batched multi-source
-# ----------------------------------------------------------------------
-
-#: Roots per dense-sweep chunk — bounds the (chunk x arcs) temporaries to a
-#: few tens of MB even on 100k-node graphs.
-BATCH_CHUNK = 32
-
-
-def batched_dijkstra_arrays(
-    topo,
-    roots: Sequence[int],
-    toward_root: bool = False,
-    node_excl: Optional[bytearray] = None,
-    link_excl: Optional[bytearray] = None,
-    view: Optional[NumpyCSR] = None,
-):
-    """(R, n) ``dist`` and ``parent`` matrices for many roots in one call.
-
-    Rows follow ``roots`` order; columns are dense node indices
-    (``topo.csr().ids`` maps them back to node ids).  ``parent`` holds
-    dense indices, -1 for roots/unreached.  Unit-cost graphs run one
-    O(arcs) BFS per root into the preallocated output; general integer
-    graphs run dense chunked sweeps (:data:`BATCH_CHUNK` roots at a time)
-    so the per-sweep work is one (chunk x arcs) gather.  Requires numpy
-    and exact costs (:func:`batched_trees` falls back to per-root
-    pure-Python trees otherwise).
-    """
-    global _NUMPY_RUNS
-    np = numpy_or_none()
-    if np is None:
-        raise RoutingError("batched_dijkstra requires numpy (install the [fast] extra)")
-    csr = topo.csr()
-    if view is None:
-        view = _eligible_view(csr)
-        if view is None:
-            raise RoutingError(
-                "batched_dijkstra requires exact (positive integer) link costs"
-            )
-    root_idx = []
-    for root in roots:
-        i = csr.pos.get(root)
-        if i is None:
-            raise UnknownNodeError(root)
-        root_idx.append(i)
-    n, r = view.n, len(root_idx)
-    dist_mat = np.full((r, n), _INF)
-    parent_mat = np.full((r, n), -1, dtype=np.int64)
-    weights = _gather_weights(view, toward_root)
-    usable = _gather_usable(view, node_excl, link_excl)
-    _NUMPY_RUNS += r
-    if obs.enabled():
-        obs.inc("dijkstra.numpy_runs", r)
-        obs.inc("dijkstra.batched_roots", r)
-
-    if view.unit:
-        for row, root_index in enumerate(root_idx):
-            dist = _bfs_unit(np, view, root_index, node_excl, link_excl)
-            dist_mat[row] = dist
-            parent = _parent_pass(np, view, dist, weights, usable)
-            parent[root_index] = -1
-            parent_mat[row] = parent
-        return dist_mat, parent_mat
-
-    masked = weights if usable is None else np.where(usable, weights, _INF)
-    extended_indptr = view.indptr[:-1]
-    for lo in range(0, r, BATCH_CHUNK):
-        hi = min(lo + BATCH_CHUNK, r)
-        chunk = root_idx[lo:hi]
-        block = dist_mat[lo:hi]
-        rows = np.arange(len(chunk))
-        block[rows, chunk] = 0.0
-        pad = np.full((len(chunk), 1), _INF)
-        for _ in range(n + 1):
-            gathered = block[:, view.nbr] + masked[None, :]
-            gathered = np.concatenate([gathered, pad], axis=1)
-            reduced = np.minimum.reduceat(gathered, extended_indptr, axis=1)
-            reduced[:, view.deg == 0] = _INF
-            new = np.minimum(block, reduced)
-            new[rows, chunk] = 0.0
-            if np.array_equal(new, block):
-                break
-            block = new
-        else:  # pragma: no cover - positive costs always converge
-            raise AssertionError("batched sweep failed to converge")
-        dist_mat[lo:hi] = block
-        for row, root_index in zip(range(lo, hi), chunk):
-            parent = _parent_pass(np, view, dist_mat[row], weights, usable)
-            parent[root_index] = -1
-            parent_mat[row] = parent
-    return dist_mat, parent_mat
-
-
-def batched_trees(
-    topo,
-    roots: Sequence[int],
-    toward_root: bool = False,
-    excluded_nodes: Iterable[int] = (),
-    excluded_links: Iterable = (),
-) -> List[ShortestPathTree]:
-    """Many single-source trees in one call, bit-identical to the reference.
-
-    Uses the batched numpy kernel when eligible; otherwise falls back to
-    per-root pure-Python trees, each on the kernel :func:`select_backend`
-    picks (same results, just not batched).
-    """
-    from . import dijkstra as _dijkstra_mod
-
-    csr = topo.csr()
-    node_excl = csr.node_flags(excluded_nodes) if excluded_nodes else None
-    link_excl = csr.link_flags(excluded_links) if excluded_links else None
-    backend, view = select_backend(csr)
-    if backend == "numpy":
-        dist_mat, parent_mat = batched_dijkstra_arrays(
-            topo, roots, toward_root, node_excl, link_excl, view=view
-        )
-        # Row copies: a row view would keep the whole (R, n) matrix alive
-        # for as long as any one tree lives.
-        return [
-            ShortestPathTree.from_arrays(
-                csr, root, dist_mat[i].copy(), parent_mat[i].copy(), toward_root
-            )
-            for i, root in enumerate(roots)
-        ]
-    return [
-        _dijkstra_mod._dijkstra_csr(topo, root, toward_root, node_excl, link_excl)
-        for root in roots
-    ]
-

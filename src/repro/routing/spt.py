@@ -30,7 +30,7 @@ storage, and no sweep the repo runs needs them.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .. import obs
 from ..errors import NoPathError
@@ -161,18 +161,6 @@ class ShortestPathTree:
         if self.toward_root:
             return Path(tuple(chain), self.dense_dist[i])
         return Path(tuple(reversed(chain)), self.dense_dist[i])
-
-    def reachable_nodes(self) -> Iterator[int]:
-        """Every node connected to the root (including the root)."""
-        return iter(self.dist)
-
-    def tree_links(self) -> Iterator[Tuple[int, int]]:
-        """The ``(child, parent)`` pairs forming the tree."""
-        return (
-            (node, parent)
-            for node, parent in self.parent.items()
-            if parent is not None
-        )
 
     def copy(self) -> "ShortestPathTree":
         """An independent copy: it shares the read-only storage, and builds

@@ -10,12 +10,11 @@ next hop is unreachable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional
 
 from ..errors import UnknownNodeError
 from ..topology import Topology
 from .cache import SPTCache
-from .kernels import batched_trees
 from .paths import Path
 from .spt import ShortestPathTree
 
@@ -73,33 +72,6 @@ class RoutingTable:
     def destinations(self) -> Iterator[int]:
         """All possible destinations (every node)."""
         return self.topo.nodes()
-
-    def warm(self, destinations: Iterable[int]) -> int:
-        """Precompute the trees for ``destinations`` in one batched pass.
-
-        Uses the batched multi-source kernel
-        (:func:`~repro.routing.kernels.batched_trees`) — on eligible
-        graphs all roots are solved over contiguous buffers instead of
-        one heap run per destination, which is how a traffic sweep warms
-        the table for its demand-matrix destination set before touching
-        per-flow queries.  Results are bit-identical to the lazy path.
-        Returns the number of trees actually computed (already-cached
-        destinations are skipped).
-        """
-        missing = []
-        for dst in destinations:
-            if not self.topo.has_node(dst):
-                raise UnknownNodeError(dst)
-            if dst not in self._trees and dst not in missing:
-                missing.append(dst)
-        if not missing:
-            return 0
-        # Warmed trees are registered in the cache as well, so later
-        # exclusion-free probes of a shared pool hit.
-        for dst, tree in zip(missing, batched_trees(self.topo, missing, toward_root=True)):
-            self._trees[dst] = tree
-            self.cache.seed_tree(self.topo, dst, tree, toward_root=True)
-        return len(missing)
 
     def precompute_all(self) -> None:
         """Force computation of every per-destination tree."""

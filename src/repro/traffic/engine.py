@@ -194,8 +194,6 @@ def demand_index(topo: Topology, routing: RoutingTable, flow_set: FlowSet) -> De
     by_destination: Dict[int, List[FlowBatch]] = {}
     for batch in flow_set.batches():
         by_destination.setdefault(batch.destination, []).append(batch)
-    # One batched kernel call computes every destination tree up front.
-    routing.warm(sorted(by_destination))
     pos, ids, pair_lid = csr.pos, csr.ids, csr.pair_lid
     rooted: Dict[int, _Rooted] = {}
     for destination in sorted(by_destination):

@@ -9,13 +9,15 @@ inputs where a cell filter can go wrong: the catalog, ``scale:2000``
 soups of mixed lengths, hypothesis soups of collinear overlaps,
 T-touches, shared endpoints, zero-length segments and near-touches on
 long links far from the origin, a touch within ``EPSILON`` across a cell
-border, and a topology with retired link ids.  ``TestVectorizedParity``
+border, and a topology with retired link ids; both refuse NaN and
+infinite coordinates.  ``TestVectorizedParity``
 is the numpy half and is skipped without numpy; ``TestPythonParity`` runs
 the same inputs with numpy hidden from the grid and the pairing.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from functools import lru_cache
@@ -231,13 +233,13 @@ class TestPythonParity(_Parity):
             return cross_rows(topo)
 
 
-@pytest.mark.parametrize(
-    "cross",
-    [
-        pytest.param(compute_cross_links, id="numpy", marks=needs_numpy),
-        pytest.param(without_numpy, id="python"),
-    ],
-)
+BACKENDS = [
+    pytest.param(compute_cross_links, id="numpy", marks=needs_numpy),
+    pytest.param(without_numpy, id="python"),
+]
+
+
+@pytest.mark.parametrize("cross", BACKENDS)
 @settings(max_examples=60, deadline=None)
 @given(soups)
 @example(  # a touch that a near-line bound without the magnitude term skips
@@ -259,6 +261,21 @@ def test_segment_soups(cross, soup):
         segments += [Segment(a, b), Segment(a + d * t + off_line, at(far))]
     links = list(enumerate(segments))
     assert rows_as_map(links, cross(links)) == reference_cross_links(links)
+
+
+@pytest.mark.parametrize("cross", BACKENDS)
+@pytest.mark.parametrize(
+    "bad, slot", [(math.nan, 0), (math.inf, 3), (-math.inf, 1)], ids=["nan", "inf", "-inf"]
+)
+def test_non_finite_coordinates_are_refused(cross, bad, slot):
+    """A soup with one NaN or infinite coordinate gets no rows from either pairing."""
+    links = random_links(slot, 30)
+    key, segment = links[11]
+    coords = [segment.a.x, segment.a.y, segment.b.x, segment.b.y]
+    coords[slot] = bad
+    links[11] = (key, Segment(Point(*coords[:2]), Point(*coords[2:])))
+    with pytest.raises(ValueError, match="finite"):
+        cross(links)
 
 
 class TestDispatch:

@@ -194,22 +194,6 @@ class TestCapacityPlumbing:
             if not prior:
                 obs.disable()
 
-    def test_seed_tree_serves_later_probes(self, topo):
-        cache = SPTCache()
-        root = next(iter(topo.nodes()))
-        fresh = reverse_shortest_path_tree(topo, root)
-        cache.seed_tree(topo, root, fresh, toward_root=True)
-        assert cache.reverse_tree(topo, root) is fresh
-        assert cache.hits == 1 and cache.misses == 0
-
-    def test_seed_tree_respects_capacity(self, topo):
-        cache = SPTCache(max_entries=2)
-        nodes = sorted(topo.nodes())
-        for root in nodes[:4]:
-            cache.seed_tree(topo, root, reverse_shortest_path_tree(topo, root))
-        assert cache.stats()["size"] == 2
-        assert cache.stats()["evictions"] == 2
-
 
 class TestEveryTreeThroughCache:
     """Routing tables, phase 2 and multi-area chains fetch every tree from a cache."""

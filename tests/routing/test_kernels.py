@@ -39,7 +39,6 @@ from repro.routing import (
 )
 from repro.routing import dijkstra, kernels
 from repro.routing.incremental import updated_tree
-from repro.routing.kernels import batched_trees
 from repro.topology import (
     Link,
     Topology,
@@ -419,68 +418,6 @@ class TestPropertyParity:
 
         reference, vectorized = both_backends(kernel_backend, run)
         assert reference == vectorized
-
-
-@needs_numpy
-class TestBatchedKernel:
-    def test_batched_matches_per_root(self, kernel_backend):
-        topo = random_int_topology(11, n=60, extra=80)
-        roots = sorted(topo.nodes())[::7]
-        kernel_backend.use("numpy")
-        batched = [tree_fingerprint(t) for t in batched_trees(topo, roots, toward_root=True)]
-        kernel_backend.use("python")
-        serial = [
-            tree_fingerprint(reverse_shortest_path_tree(topo, r)) for r in roots
-        ]
-        assert batched == serial
-
-    def test_batched_with_exclusions(self, kernel_backend):
-        topo = scale_topology(300, seed=9)
-        rng = random.Random(5)
-        nodes = sorted(topo.nodes())
-        links = list(topo.links())
-        roots = rng.sample(nodes, 5)
-        en = tuple(v for v in rng.sample(nodes, 3) if v not in roots)
-        el = tuple(rng.sample(links, 4))
-        kernel_backend.use("numpy")
-        batched = [
-            tree_fingerprint(t)
-            for t in batched_trees(
-                topo, roots, toward_root=False, excluded_nodes=en, excluded_links=el
-            )
-        ]
-        kernel_backend.use("python")
-        serial = [
-            tree_fingerprint(
-                shortest_path_tree(
-                    topo, r, excluded_nodes=set(en), excluded_links=set(el)
-                )
-            )
-            for r in roots
-        ]
-        assert batched == serial
-
-    def test_batched_falls_back_without_numpy(self, monkeypatch, kernel_backend):
-        kernel_backend.use("numpy")
-        monkeypatch.setattr(npcsr, "_np", None)
-        topo = scale_topology(64, seed=3)
-        roots = sorted(topo.nodes())[:4]
-        trees = batched_trees(topo, roots, toward_root=True)
-        assert [t.root for t in trees] == roots
-
-    def test_routing_table_warm_parity(self, kernel_backend):
-        topo = scale_topology(400, seed=6)
-        dsts = sorted(topo.nodes())[::37][:8]
-        kernel_backend.use("numpy")
-        warmed = RoutingTable(topo)
-        assert warmed.warm(dsts) == len(dsts)
-        assert warmed.warm(dsts) == 0  # idempotent
-        kernel_backend.use("python")
-        lazy = RoutingTable(topo)
-        for d in dsts:
-            assert tree_fingerprint(warmed.tree_to(d)) == tree_fingerprint(
-                lazy.tree_to(d)
-            )
 
 
 @needs_numpy

@@ -7,17 +7,6 @@ from repro.routing import reverse_shortest_path_tree, shortest_path_tree
 
 
 class TestForwardTreeApi:
-    def test_reachable_nodes(self, ring8):
-        tree = shortest_path_tree(ring8, 0)
-        assert set(tree.reachable_nodes()) == set(range(8))
-
-    def test_tree_links_form_a_tree(self, grid5):
-        tree = shortest_path_tree(grid5, 0)
-        links = list(tree.tree_links())
-        assert len(links) == grid5.node_count - 1
-        children = {child for child, _parent in links}
-        assert 0 not in children  # the root has no parent
-
     def test_path_from_root_is_trivial(self, ring8):
         tree = shortest_path_tree(ring8, 3)
         path = tree.path_from(3)

@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.eval.experiments import traffic_scenario_list
 from repro.failures import FailureScenario, circle_scenarios
-from repro.routing import RoutingTable
+from repro.routing import RoutingTable, dijkstra_run_count, kernels
 from repro.topology import Link, grid_topology, npcsr, topology_from_spec
 from repro.topology.examples import PAPER_FAILURE_REGION, paper_figure_topology
 from repro.traffic import (
@@ -28,6 +28,7 @@ from repro.traffic import (
     provision_capacities,
     uniform_matrix,
 )
+from repro.traffic.engine import demand_index
 
 from .reference_weighter import (
     classification_fields,
@@ -174,3 +175,18 @@ def test_demand_index_is_built_once_per_table_and_view(obs_on):
     scenarios = [FailureScenario.from_region(topo, PAPER_FAILURE_REGION)]
     assert_windows_match(engine)
     assert builds() == 4
+
+
+def test_demand_index_reuses_the_provisioning_trees():
+    """Provisioning builds every destination's tree; the index build computes none."""
+    topo = topology_from_spec("AS7018", seed=0)
+    matrix = generate_matrix(topo, "gravity", seed=0)
+    flow_set = aggregate_flows(matrix, 10_000)
+    routing = RoutingTable(topo)
+    runs = dijkstra_run_count()
+    provision_capacities(topo, matrix, routing)
+    assert dijkstra_run_count() > runs
+    before = dijkstra_run_count(), kernels.numpy_run_count()
+    index = demand_index(topo, routing, flow_set)
+    assert (dijkstra_run_count(), kernels.numpy_run_count()) == before
+    assert set(index.rooted) == {batch.destination for batch in flow_set.batches()}
