@@ -55,30 +55,31 @@ class DegradedLocalView(LocalView):
 
     # ------------------------------------------------------------------
 
-    def is_neighbor_reachable(self, node: int, neighbor: int) -> bool:
+    def link_reachable(self, node: int, neighbor: int, lid: int) -> bool:
         """Reachability as *this* degraded router currently believes it."""
-        truly_reachable = super().is_neighbor_reachable(node, neighbor)
-        # super() proved the adjacency exists, so the interned id is present;
-        # probe it instead of constructing a Link per call.
-        if self.runtime.flapped_lids and self.runtime.is_link_id_flapped(
-            self.topo.csr().pair_lid[(node, neighbor)]
-        ):
+        runtime = self.runtime
+        if runtime.flapped_lids and runtime.is_link_id_flapped(lid):
             return False
-        if truly_reachable:
+        if super().link_reachable(node, neighbor, lid):
             return True
         key = (node, neighbor)
         if key in self._missed:
             return True
-        if key in self._delayed and self.runtime.hops < self.plan.detection_delay_hops:
+        if key in self._delayed and runtime.hops < self.plan.detection_delay_hops:
             return True
         return False
 
     def unreachable_neighbors(self, node: int) -> List[int]:
-        """Recomputed on every call — degraded answers drift with the clock."""
+        """Recomputed on every call — degraded answers drift with the clock.
+
+        ``node``'s CSR row probed by id, in adjacency order.
+        """
+        csr = self._csr
+        ids, nbr, lids = csr.ids, csr.nbr, csr.lid
         return [
-            nb
-            for nb in self.topo.neighbors(node)
-            if not self.is_neighbor_reachable(node, nb)
+            ids[nbr[i]]
+            for i in self._arcs_of(node)
+            if not self.link_reachable(node, ids[nbr[i]], lids[i])
         ]
 
     def missed_adjacencies(self) -> Set[Tuple[int, int]]:

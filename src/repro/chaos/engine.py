@@ -48,19 +48,20 @@ class ChaosForwardingEngine(ForwardingEngine):
         super().__init__(topo, view, delay_model, trace)
         self.runtime = runtime
 
-    def _chaos_check(self, packet: Packet, next_node: int) -> Optional[str]:
+    def _chaos_check(self, packet: Packet, link: Link) -> Optional[str]:
         # One seeded loss draw per prospective transmission, in walk order.
         if self.runtime.sample_packet_loss():
-            return (
-                f"recovery packet lost on link "
-                f"{Link.of(packet.at, next_node)} (injected loss)"
-            )
+            return f"recovery packet lost on link {link} (injected loss)"
         return None
 
     def forward_one_hop(
-        self, packet: Packet, next_node: int, accounting: RecoveryAccounting
+        self,
+        packet: Packet,
+        next_node: int,
+        link: Link,
+        accounting: RecoveryAccounting,
     ) -> None:
-        super().forward_one_hop(packet, next_node, accounting)
+        super().forward_one_hop(packet, next_node, link, accounting)
         self.runtime.on_hop()
         if (
             packet.header.mode == Mode.COLLECTING

@@ -39,7 +39,8 @@ class CrossLinkState:
     ``barred`` (crosses a recorded link).  Crossing is symmetric, so
     "candidate crosses some recorded link" is exactly "candidate is in the
     union of the recorded links' crossing rows"; keeping that union as
-    flags makes an exclusion check one index.  The header list only ever
+    flags makes an exclusion check one index, ``barred[lid]``, which the
+    sweep step reads directly.  The header list only ever
     grows here, and the flags never clear: a chaos-truncated entry stays
     in force for the rest of the walk and is not recorded again.
     """
@@ -68,10 +69,6 @@ class CrossLinkState:
         self._mark(lid)
         self.header.record_cross(self._links[lid])
         return True
-
-    def is_excluded(self, lid: int) -> bool:
-        """Whether link ``lid`` crosses any recorded link (and so is barred)."""
-        return self.barred[lid] == 1
 
     def seed_initiator_links(self, view: LocalView, initiator: int) -> List[Link]:
         """Constraint 1 seeding at the recovery initiator.

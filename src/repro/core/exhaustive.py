@@ -74,9 +74,10 @@ def run_exhaustive_phase1(
     field_trace: List[tuple] = []
     walk = [initiator]
     budget = walk_hop_budget(topo.link_count)
+    csr = topo.csr()
     for _ in range(budget):
         current = packet.at
-        _record_failures_at(current, initiator, view, header)
+        _record_failures_at(current, initiator, view, header, csr)
         field_trace.append(
             (current, tuple(header.failed_links), tuple(header.cross_links))
         )
@@ -98,7 +99,8 @@ def run_exhaustive_phase1(
                 raise ForwardingLoopError(
                     f"DFS backtrack {current} -> {next_node} is unreachable", walk
                 )
-        reason = engine.transmit(packet, next_node, accounting)
+        link = csr.links[csr.pair_lid[(current, next_node)]]
+        reason = engine.transmit(packet, next_node, link, accounting)
         if reason is not None:
             raise SimulationError(f"packet lost mid-walk at {packet.at}: {reason}")
         walk.append(next_node)

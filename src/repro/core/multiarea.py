@@ -82,12 +82,14 @@ class MultiAreaRTR:
         if default_path is None:
             return MultiAreaResult(False, traveled, initiators, accounting, known_failed)
         pending_trigger: Optional[int] = None
+        links = self.topo.csr().links
         for node, nxt in default_path.hops():
-            if not self.view.is_neighbor_reachable(node, nxt):
+            lid = self.view.link_id(node, nxt)
+            if not self.view.link_reachable(node, nxt, lid):
                 current, pending_trigger = node, nxt
                 break
             self.engine.forward_one_hop(
-                _probe_packet(node, destination), nxt, accounting
+                _probe_packet(node, destination), nxt, links[lid], accounting
             )
             traveled.append(nxt)
             current = nxt
@@ -125,14 +127,15 @@ class MultiAreaRTR:
             # Source-route until delivery or the next undiscovered failure.
             hit_failure = False
             for node, nxt in route.hops():
-                if not self.view.is_neighbor_reachable(node, nxt):
+                lid = self.view.link_id(node, nxt)
+                if not self.view.link_reachable(node, nxt, lid):
                     # New failure area: this node takes over (§III-E).
-                    known_failed.add(Link.of(node, nxt))
+                    known_failed.add(links[lid])
                     current, pending_trigger = node, nxt
                     hit_failure = True
                     break
                 self.engine.forward_one_hop(
-                    _probe_packet(node, destination), nxt, accounting
+                    _probe_packet(node, destination), nxt, links[lid], accounting
                 )
                 traveled.append(nxt)
             if not hit_failure:

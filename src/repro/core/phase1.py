@@ -31,8 +31,9 @@ from ..simulator import (
     walk_hop_budget,
 )
 from ..topology import Link, Topology
+from ..topology.csr import CSRView
 from .constraints import CrossLinkState
-from .sweep import select_next_hop
+from .sweep import select_next_hop, sweep_table
 
 
 @dataclass
@@ -84,6 +85,7 @@ def _record_failures_at(
     initiator: int,
     view: LocalView,
     header: RecoveryHeader,
+    csr: CSRView,
 ) -> None:
     """§III-C item 2: record this node's locally detected failed links.
 
@@ -93,10 +95,8 @@ def _record_failures_at(
     if node == initiator:
         return
     for neighbor in view.unreachable_neighbors(node):
-        link = Link.of(node, neighbor)
-        if initiator in (link.u, link.v):
-            continue
-        header.record_failed(link)
+        if neighbor != initiator:
+            header.record_failed(csr.links[csr.pair_lid[(node, neighbor)]])
 
 
 @dataclass
@@ -125,10 +125,16 @@ class SweepWalkSpec:
         self, engine: ForwardingEngine, packet: Packet, accounting: RecoveryAccounting
     ) -> WalkOutcome:
         obs.inc("simulator.walks.executed")
-        topo, view, header = engine.topo, engine.view, packet.header
-        initiator, constraints = self.initiator, self.constraints
-        exclusion = constraints.is_excluded if constraints is not None else None
-        pair_lid = topo.csr().pair_lid
+        view, header = engine.view, packet.header
+        initiator, start_hop, clockwise = self.initiator, self.start_hop, self.clockwise
+        constraints = self.constraints
+        table = sweep_table(engine.topo)
+        csr = table.csr
+        step, links = table.step, csr.links
+        if constraints is not None:
+            barred, after_selection = constraints.barred, constraints.after_selection
+        else:
+            barred, after_selection = csr.no_links, None
         field_trace = self.field_trace
         # The header fields of the last snapshot: a field whose length and
         # last entry are unchanged since then is unchanged, so its tuple is
@@ -145,21 +151,16 @@ class SweepWalkSpec:
             field_trace.append((node, failed, crossed))
 
         visited = [packet.at]
-        previous, next_node = None, self.start_hop
+        # Each hop sweeps from the link the packet arrived on, so the link
+        # id travels with the walk: only the first hop looks its id up.
+        previous, next_node = None, start_hop
+        lid = csr.pair_lid[(packet.at, start_hop)]
         for _ in range(self.budget):
             current = packet.at
-            _record_failures_at(current, initiator, view, header)
+            _record_failures_at(current, initiator, view, header, csr)
             if previous is not None:
-                next_node = select_next_hop(
-                    topo, view, current, previous, exclusion, self.clockwise
-                )
-                # §III-C item 3: back at the initiator, stop when the sweep
-                # would re-select the first hop; elsewhere keep going so no
-                # node on the cycle is missed.
-                if current == initiator and next_node == self.start_hop:
-                    snapshot(current)
-                    return WalkOutcome(visited=visited, reached=True)
-                if next_node is None:
+                hit = step(view, current, previous, lid, barred, clockwise)
+                if hit is None:
                     # Every link out of here failed after the packet came
                     # in (a sender that missed a failure forwarded into it,
                     # or a secondary failure): the walk cannot go on.
@@ -176,11 +177,18 @@ class SweepWalkSpec:
                         drop_node=current,
                         drop_reason=reason,
                     )
-            if constraints is not None:
-                constraints.after_selection(pair_lid[(current, next_node)])
+                next_node, lid = hit
+                # §III-C item 3: back at the initiator, stop when the sweep
+                # would re-select the first hop; elsewhere keep going so no
+                # node on the cycle is missed.
+                if current == initiator and next_node == start_hop:
+                    snapshot(current)
+                    return WalkOutcome(visited=visited, reached=True)
+            if after_selection is not None:
+                after_selection(lid)
             previous = current
             snapshot(current)
-            reason = engine.transmit(packet, next_node, accounting)
+            reason = engine.transmit(packet, next_node, links[lid], accounting)
             if reason is not None:
                 if self.strict:
                     raise SimulationError(
@@ -243,16 +251,16 @@ def run_phase1(
     header = RecoveryHeader(mode=Mode.COLLECTING, rec_init=initiator)
     packet = Packet(source=initiator, destination=initiator, header=header)
     constraints = None
-    exclusion = None
+    barred = None
     if use_constraints:
         constraints = CrossLinkState(topo, header)
         constraints.seed_initiator_links(view, initiator)
-        exclusion = constraints.is_excluded
+        barred = constraints.barred
 
     local_failed = [Link.of(initiator, nb) for nb in view.unreachable_neighbors(initiator)]
 
     start_hop = select_next_hop(
-        topo, view, initiator, trigger_neighbor, exclusion, clockwise
+        topo, view, initiator, trigger_neighbor, barred, clockwise
     )
     if start_hop is None:
         # Isolated initiator: nothing to collect, the walk is empty.

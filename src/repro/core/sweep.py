@@ -17,24 +17,20 @@ The previous hop itself is a valid candidate but sorts *last* (angle
 
 The cyclic order of a node's neighbors is a property of the embedding,
 not of the failure, so it is computed once per CSR view
-(:class:`SweepTable`); a sweep from any reference link then starts after
-the reference and steps around the ring.
+(:class:`SweepTable`); a sweep then starts from the reference link's id
+and steps around the ring in link-id space (:meth:`SweepTable.step`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import UnknownLinkError, UnknownNodeError
 from ..failures import LocalView
-from ..geometry import TWO_PI, ccw_angle
+from ..geometry import TWO_PI, Point, ccw_angle
 from ..topology import Link, Topology
 from ..topology.csr import CSRView
-
-#: Predicate deciding, by link id (``topo.csr().pair_lid``), whether the
-#: link from the current node to a candidate neighbor is excluded by the
-#: cross-link constraints.
-ExclusionFn = Callable[[int], bool]
 
 #: Bearings at one node closer than this (to each other, or across the
 #: 0 / 2*pi wrap) make it keep the per-hop key sort.  Anything wider is far
@@ -47,61 +43,113 @@ class SweepTable:
     """Every node's neighbors in counterclockwise order of absolute bearing.
 
     ``ring[indptr[u]:indptr[u + 1]]`` holds the neighbor ids of dense node
-    ``u`` sorted by ``(position(nb) - position(node)).angle()`` — the
-    floats ``ccw_angle`` subtracts.  ``slot[2 * lid + (node > nb)]`` is
-    where ``nb`` sits in ``node``'s ring, so a reference link locates its
-    start in O(1).  Nodes flagged in ``key_sort`` have near-equal bearings
-    and are swept by the ``(ccw_angle, id)`` sort instead; the flag is a
-    property of the embedding, set once here.
+    ``u`` sorted by ``atan2(dy, dx) % TWO_PI`` — the floats
+    ``Point.angle`` gives the vector to the neighbor, and so the floats
+    ``ccw_angle`` subtracts — and ``ring_lid`` the ids of the links to
+    them.  ``slot[2 * lid + (node > nb)]`` is where ``nb`` sits in
+    ``node``'s ring, so a reference link locates its start in O(1).  Nodes
+    flagged in ``key_sort`` have near-equal bearings and are swept by the
+    ``(ccw_angle, id)`` sort instead, of the vectors to their neighbors
+    kept in ``key_vectors``; the flag is a property of the embedding, set
+    once here.
     """
 
-    __slots__ = ("csr", "ring", "slot", "key_sort")
+    __slots__ = ("csr", "ring", "ring_lid", "slot", "key_sort", "key_vectors")
 
     def __init__(self, topo: Topology, csr: CSRView) -> None:
-        ids, indptr, nbr, lid = csr.ids, csr.indptr, csr.nbr, csr.lid
-        position = topo.position
+        ids, indptr, nbr, lids = csr.ids, csr.indptr, csr.nbr, csr.lid
+        points = [topo.position(node) for node in ids]
+        xs = [p.x for p in points]
+        ys = [p.y for p in points]
+        atan2 = math.atan2
         self.csr = csr
         self.ring: List[int] = [0] * len(nbr)
+        self.ring_lid: List[int] = [0] * len(nbr)
         self.slot: List[int] = [0] * (2 * csr.lid_size)
         self.key_sort = bytearray(csr.n)
+        self.key_vectors: Dict[int, List[Point]] = {}
+        ring, ring_lid, slot = self.ring, self.ring_lid, self.slot
         for u, node in enumerate(ids):
-            lo = indptr[u]
-            origin = position(node)
-            bearings = []
-            for i in range(lo, indptr[u + 1]):
-                nb = ids[nbr[i]]
-                bearings.append(((position(nb) - origin).angle(), nb, lid[i]))
-            bearings.sort()
-            previous = bearings[-1][0] - TWO_PI if bearings else 0.0
-            for k, (bearing, nb, link_id) in enumerate(bearings):
-                self.ring[lo + k] = nb
-                self.slot[2 * link_id + (node > nb)] = lo + k
+            lo, hi = indptr[u], indptr[u + 1]
+            if lo == hi:
+                continue
+            x, y = xs[u], ys[u]
+            # Neighbor ids are distinct: the sort never compares past them.
+            bearings = sorted(
+                (atan2(ys[v] - y, xs[v] - x) % TWO_PI, ids[v], lid, v)
+                for v, lid in zip(nbr[lo:hi], lids[lo:hi])
+            )
+            previous = bearings[-1][0] - TWO_PI
+            for k, (bearing, nb, lid, _v) in enumerate(bearings, lo):
+                ring[k] = nb
+                ring_lid[k] = lid
+                slot[2 * lid + (node > nb)] = k
                 if bearing - previous <= BEARING_GAP:
                     self.key_sort[u] = 1
                 previous = bearing
+            if self.key_sort[u]:
+                self.key_vectors[u] = [Point(xs[v] - x, ys[v] - y) for *_, v in bearings]
 
-    def order(
-        self, topo: Topology, current: int, reference: int, clockwise: bool
-    ) -> List[int]:
-        """Neighbors of ``current`` in sweep order, ``reference`` last."""
-        csr = self.csr
-        link_id = csr.pair_lid.get((current, reference))
-        if link_id is None:
-            for node in (current, reference):
-                if not topo.has_node(node):
-                    raise UnknownNodeError(node)
-            raise UnknownLinkError(Link(min(current, reference), max(current, reference)))
-        u = csr.pos[current]
+    def step(
+        self,
+        view: LocalView,
+        current: int,
+        reference: int,
+        lid: int,
+        barred: Sequence[int],
+        clockwise: bool,
+    ) -> Optional[Tuple[int, int]]:
+        """The first ``(neighbor, link id)`` the sweep from ``reference`` accepts.
+
+        ``lid`` is the id of the link ``current``-``reference`` (the caller
+        holds it: the link the packet arrived on, or the initiator's
+        trigger link).  Candidates come in sweep order, ``reference`` last;
+        one is accepted when ``barred[lid]`` is 0 and
+        ``view.link_reachable(current, neighbor, lid)`` holds, asked in that
+        order.  ``None`` when none is.
+        """
+        u = self.csr.pos[current]
+        at = self.slot[2 * lid + (current > reference)]
         if self.key_sort[u]:
-            entries = _sweep_angles(topo, current, reference, clockwise)
-            entries.sort(key=lambda e: (e[0], e[1]))  # by angle, id breaks exact ties
-            return [nb for _angle, nb, _node in entries]
-        at = self.slot[2 * link_id + (current > reference)]
-        rest = self.ring[at + 1 : csr.indptr[u + 1]] + self.ring[csr.indptr[u] : at]
-        if clockwise:
-            rest.reverse()
-        rest.append(reference)
-        return rest
+            for _angle, nb, nb_lid in self._key_sorted(u, at, clockwise):
+                if not barred[nb_lid] and view.link_reachable(current, nb, nb_lid):
+                    return nb, nb_lid
+            return None
+        ring, ring_lid, indptr = self.ring, self.ring_lid, self.csr.indptr
+        lo, hi = indptr[u], indptr[u + 1]
+        k = at
+        for _ in range(hi - lo):
+            if clockwise:
+                k = (k if k > lo else hi) - 1
+            else:
+                k += 1
+                if k == hi:
+                    k = lo
+            nb_lid = ring_lid[k]
+            if not barred[nb_lid] and view.link_reachable(current, ring[k], nb_lid):
+                return ring[k], nb_lid
+        return None
+
+    def _key_sorted(
+        self, u: int, at: int, clockwise: bool
+    ) -> List[Tuple[float, int, int]]:
+        """``(sweep angle, neighbor, lid)`` of dense node ``u``'s ring, sorted.
+
+        The angle is ``ccw_angle`` from the reference (ring slot ``at``); a
+        clockwise sweep mirrors every angle below ``2*pi``.  Node ids break
+        exact ties.
+        """
+        lo = self.csr.indptr[u]
+        vectors = self.key_vectors[u]
+        reference = vectors[at - lo]
+        entries = []
+        for k, vector in enumerate(vectors, lo):
+            angle = ccw_angle(reference, vector)
+            if clockwise and angle < TWO_PI:
+                angle = TWO_PI - angle
+            entries.append((angle, self.ring[k], self.ring_lid[k]))
+        entries.sort()
+        return entries
 
 
 def sweep_table(topo: Topology) -> SweepTable:
@@ -113,6 +161,25 @@ def sweep_table(topo: Topology) -> SweepTable:
     return table
 
 
+def _link_id(topo: Topology, csr: CSRView, current: int, reference: int) -> int:
+    """Id of the link ``current``-``reference``, or the error naming what is wrong."""
+    lid = csr.pair_lid.get((current, reference))
+    if lid is None:
+        for node in (current, reference):
+            if not topo.has_node(node):
+                raise UnknownNodeError(node)
+        raise UnknownLinkError(Link(min(current, reference), max(current, reference)))
+    return lid
+
+
+class _Candidates(list):
+    """A view that reachable-tests nothing: it lists every neighbor probed."""
+
+    def link_reachable(self, node: int, neighbor: int, lid: int) -> bool:
+        self.append(neighbor)
+        return False
+
+
 def sweep_order(
     topo: Topology, current: int, reference_neighbor: int, clockwise: bool = False
 ) -> List[int]:
@@ -121,23 +188,11 @@ def sweep_order(
     The sweeping line starts on a link: raises :class:`UnknownLinkError`
     when ``reference_neighbor`` is not adjacent to ``current``.
     """
-    return sweep_table(topo).order(topo, current, reference_neighbor, clockwise)
-
-
-def _sweep_angles(
-    topo: Topology, current: int, reference_neighbor: int, clockwise: bool
-) -> List[Tuple[float, int, int]]:
-    """``(angle, node_id, node)`` of every neighbor, in adjacency order."""
-    origin = topo.position(current)
-    reference_dir = topo.position(reference_neighbor) - origin
-    entries: List[Tuple[float, int, int]] = []
-    for nb in topo.neighbors(current):
-        angle = ccw_angle(reference_dir, topo.position(nb) - origin)
-        if clockwise and angle < TWO_PI:
-            # Mirror the sweep; the reference stays at the end of the order.
-            angle = TWO_PI - angle
-        entries.append((angle, nb, nb))
-    return entries
+    table = sweep_table(topo)
+    lid = _link_id(topo, table.csr, current, reference_neighbor)
+    order = _Candidates()
+    table.step(order, current, reference_neighbor, lid, table.csr.no_links, clockwise)
+    return list(order)
 
 
 def select_next_hop(
@@ -145,22 +200,26 @@ def select_next_hop(
     view: LocalView,
     current: int,
     reference_neighbor: int,
-    is_excluded: Optional[ExclusionFn] = None,
+    barred: Optional[Sequence[int]] = None,
     clockwise: bool = False,
 ) -> Optional[int]:
-    """The live, non-excluded neighbor the sweeping rule selects.
+    """The live, non-barred neighbor the sweeping rule selects.
 
-    ``is_excluded`` is asked about the link id of each live candidate's
-    link.  ``None`` when every neighbor is unreachable or excluded — only
-    possible at an isolated initiator; §III-C notes an interior node can
-    always fall back to its previous hop.
+    ``barred`` flags link ids (``topo.csr().pair_lid``) the cross-link
+    constraints exclude — :attr:`CrossLinkState.barred
+    <repro.core.constraints.CrossLinkState.barred>`; ``None`` bars none.
+    ``None`` when every neighbor is unreachable or barred — only possible
+    at an isolated initiator; §III-C notes an interior node can always
+    fall back to its previous hop.
     """
     table = sweep_table(topo)
-    pair_lid = table.csr.pair_lid
-    for nb in table.order(topo, current, reference_neighbor, clockwise):
-        if not view.is_neighbor_reachable(current, nb):
-            continue
-        if is_excluded is not None and is_excluded(pair_lid[(current, nb)]):
-            continue
-        return nb
-    return None
+    csr = table.csr
+    hit = table.step(
+        view,
+        current,
+        reference_neighbor,
+        _link_id(topo, csr, current, reference_neighbor),
+        csr.no_links if barred is None else barred,
+        clockwise,
+    )
+    return None if hit is None else hit[0]

@@ -21,45 +21,78 @@ from .model import FailureScenario
 
 
 class LocalView:
-    """Per-router neighbor reachability derived from the ground truth."""
+    """Per-router neighbor reachability derived from the ground truth.
+
+    The view reads the scenario's failed-link flags once, against the
+    topology's CSR view at construction: link ids (``topo.csr().pair_lid``)
+    it is asked about are that view's.
+    """
 
     def __init__(self, scenario: FailureScenario) -> None:
         self.scenario = scenario
         self.topo = scenario.topo
+        failed = scenario.exclusion()
+        self._csr = failed.csr
+        #: Because ``failed_links`` includes every link of a failed router,
+        #: ``flags[lid]`` alone answers "can this adjacency carry traffic".
+        self._failed = failed.link_flags
         self._unreachable: Dict[int, List[int]] = {}
 
-    def is_neighbor_reachable(self, node: int, neighbor: int) -> bool:
-        """Whether router ``node`` can currently reach its ``neighbor``.
+    def link_reachable(self, node: int, neighbor: int, lid: int) -> bool:
+        """Whether ``node`` can reach ``neighbor`` over link ``lid``.
+
+        The by-id probe every reachability question ends in: ``lid`` must
+        be the id of the link ``node``-``neighbor`` (the caller holds it),
+        which is not checked.
+        """
+        return not self._failed[lid]
+
+    def link_id(self, node: int, neighbor: int) -> int:
+        """Id of the link ``node``-``neighbor`` (``topo.csr().pair_lid``).
 
         Raises :class:`UnknownNodeError` when either id is not in the
         topology, and :class:`UnknownLinkError` when both nodes exist but
         are not adjacent — the two mistakes need different fixes at the
         call site, so they get different exceptions.
         """
-        # Hot path: a present (node, neighbor) pair proves both nodes exist
-        # and are adjacent, and the scenario's failed links include every
-        # link of a failed router — one interned-id probe answers it all.
-        failed = self.scenario.exclusion()
-        lid = failed.csr.pair_lid.get((node, neighbor))
+        lid = self._csr.pair_lid.get((node, neighbor))
         if lid is not None:
-            return not failed.link_flags[lid]
+            return lid
         if not self.topo.has_node(node):
             raise UnknownNodeError(node)
         if not self.topo.has_node(neighbor):
             raise UnknownNodeError(neighbor)
         raise UnknownLinkError(Link.of(node, neighbor))
 
+    def is_neighbor_reachable(self, node: int, neighbor: int) -> bool:
+        """Whether router ``node`` can currently reach its ``neighbor``.
+
+        Raises as :meth:`link_id` does when the two are not adjacent.
+        """
+        return self.link_reachable(node, neighbor, self.link_id(node, neighbor))
+
     def unreachable_neighbors(self, node: int) -> List[int]:
-        """Neighbors ``node`` has locally detected as unreachable (cached)."""
+        """Neighbors ``node`` has locally detected as unreachable (cached).
+
+        ``node``'s CSR row read against the failed-link flags, in
+        adjacency order.
+        """
         cached = self._unreachable.get(node)
         if cached is None:
-            cached = [
-                nb
-                for nb in self.topo.neighbors(node)
-                if not self.is_neighbor_reachable(node, nb)
+            csr, failed = self._csr, self._failed
+            ids, nbr, lids = csr.ids, csr.nbr, csr.lid
+            cached = self._unreachable[node] = [
+                ids[nbr[i]] for i in self._arcs_of(node) if failed[lids[i]]
             ]
-            self._unreachable[node] = cached
         return cached
+
+    def _arcs_of(self, node: int) -> range:
+        """The CSR arc indices of ``node``'s row."""
+        csr = self._csr
+        u = csr.pos.get(node)
+        if u is None:
+            raise UnknownNodeError(node)
+        return range(csr.indptr[u], csr.indptr[u + 1])
 
     def reachable_neighbors(self, node: int) -> List[int]:
         """Neighbors ``node`` can still forward to."""

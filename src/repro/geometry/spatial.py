@@ -33,7 +33,6 @@ from itertools import chain
 from typing import Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .point import EPSILON, Point
-from .segment import Segment
 
 try:  # optional [fast] extra; the Python loop builds the same cells
     import numpy as _np
@@ -47,15 +46,17 @@ Box = Tuple[float, float, float, float]
 class SpatialGrid:
     """Points and segments bucketed into square cells.
 
-    ``points`` and ``segments`` are ``(key, geometry)`` pairs.  A query
-    reports the keys of every item a box may touch — a superset, which
-    the caller filters with its exact predicate.
+    ``points`` and ``segments`` are ``(key, geometry)`` pairs; a segment's
+    geometry is its two endpoints (a :class:`~repro.geometry.segment.Segment`
+    or any ``(Point, Point)`` pair).  A query reports the keys of every item
+    a box may touch — a superset, which the caller filters with its exact
+    predicate.
     """
 
     def __init__(
         self,
         points: Sequence[Tuple[Hashable, Point]],
-        segments: Sequence[Tuple[Hashable, Segment]],
+        segments: Sequence[Tuple[Hashable, Tuple[Point, Point]]],
     ) -> None:
         self.point_keys = [key for key, _p in points]
         self.segment_keys = [key for key, _s in segments]

@@ -57,8 +57,8 @@ class ForwardingEngine:
         #: Optional structured trace of every hop (see simulator.trace).
         self.trace = trace
 
-    def _chaos_check(self, packet: Packet, next_node: int) -> Optional[str]:
-        """Hook: reason the next transmission is dropped, or ``None``.
+    def _chaos_check(self, packet: Packet, link: Link) -> Optional[str]:
+        """Hook: reason the transmission over ``link`` is dropped, or ``None``.
 
         The base engine never drops packets; :mod:`repro.chaos` overrides
         this to inject per-hop recovery-packet loss.
@@ -66,14 +66,19 @@ class ForwardingEngine:
         return None
 
     def forward_one_hop(
-        self, packet: Packet, next_node: int, accounting: RecoveryAccounting
+        self,
+        packet: Packet,
+        next_node: int,
+        link: Link,
+        accounting: RecoveryAccounting,
     ) -> None:
-        """Transmit ``packet`` from its current node to ``next_node``.
+        """Transmit ``packet`` from its current node to ``next_node`` over ``link``.
 
-        The caller must have verified reachability; this only moves and
-        accounts.  Header bytes are sampled *as transmitted* on this hop.
+        ``link`` is the link between the two (the caller holds it, from
+        ``topo.csr().links``).  The caller must have verified reachability;
+        this only moves and accounts.  Header bytes are sampled *as
+        transmitted* on this hop.
         """
-        link = Link.of(packet.at, next_node)
         delay = self.delay_model.hop_delay(self.topo, link)
         header_bytes = packet.header.recovery_bytes()
         accounting.record_hop(delay, header_bytes)
@@ -94,17 +99,21 @@ class ForwardingEngine:
         packet.recovery_hops += 1
 
     def transmit(
-        self, packet: Packet, next_node: int, accounting: RecoveryAccounting
+        self,
+        packet: Packet,
+        next_node: int,
+        link: Link,
+        accounting: RecoveryAccounting,
     ) -> Optional[str]:
-        """Send ``packet`` to ``next_node``: the drop reason, or ``None``.
+        """Send ``packet`` to ``next_node`` over ``link``: the drop reason, or ``None``.
 
         One loss draw (:meth:`_chaos_check`) per transmission; a dropped
         packet stays where it is and is logged in the trace, otherwise it
         moves through :meth:`forward_one_hop`.
         """
-        reason = self._chaos_check(packet, next_node)
+        reason = self._chaos_check(packet, link)
         if reason is None:
-            self.forward_one_hop(packet, next_node, accounting)
+            self.forward_one_hop(packet, next_node, link, accounting)
         elif self.trace is not None:
             self.trace.record_drop(
                 DropEvent(
@@ -142,8 +151,10 @@ class ForwardingEngine:
                 f"source route starts at {route[0]} but packet is at {packet.at}",
                 [packet.at],
             )
+        view, links = self.view, self.topo.csr().links
         for next_node in route[1:]:
-            if not self.view.is_neighbor_reachable(packet.at, next_node):
+            lid = view.link_id(packet.at, next_node)
+            if not view.link_reachable(packet.at, next_node, lid):
                 return RouteOutcome(
                     delivered=False,
                     drop_node=packet.at,
@@ -152,7 +163,7 @@ class ForwardingEngine:
                         f"(failure missed by phase 1)"
                     ),
                 )
-            drop_reason = self.transmit(packet, next_node, accounting)
+            drop_reason = self.transmit(packet, next_node, links[lid], accounting)
             if drop_reason is not None:
                 return RouteOutcome(
                     delivered=False,

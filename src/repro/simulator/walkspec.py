@@ -93,7 +93,7 @@ class TableWalkSpec:
         """
         obs.inc("simulator.walks.executed")
         visited = [packet.at]
-        view = engine.view
+        view, links = engine.view, engine.topo.csr().links
         for _ in range(self.budget):
             current = packet.at
             if current == self.destination:
@@ -106,14 +106,15 @@ class TableWalkSpec:
                     drop_node=current,
                     drop_reason=f"no table next hop at {current}",
                 )
-            if not view.is_neighbor_reachable(current, nxt):
+            lid = view.link_id(current, nxt)
+            if not view.link_reachable(current, nxt, lid):
                 return WalkOutcome(
                     visited=visited,
                     reached=False,
                     drop_node=current,
                     drop_reason=f"table hop {current} -> {nxt} is unreachable",
                 )
-            engine.forward_one_hop(packet, nxt, accounting)
+            engine.forward_one_hop(packet, nxt, links[lid], accounting)
             visited.append(nxt)
         return WalkOutcome(
             visited=visited,

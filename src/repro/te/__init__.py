@@ -33,7 +33,6 @@ from .metrics import (
     UTILIZATION_BIN_EDGES,
     merge_histograms,
     overload_attribution,
-    utilization_histogram,
     utilization_percentile,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "UTILIZATION_BIN_EDGES",
     "merge_histograms",
     "overload_attribution",
-    "utilization_histogram",
     "utilization_percentile",
 ]

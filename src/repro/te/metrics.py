@@ -6,8 +6,11 @@ module provides the load-side measurement kit consumed by
 :mod:`repro.traffic.metrics`:
 
 * fixed-bin **utilization histograms** — per-scenario counts over every
-  topology link, elementwise-mergeable across scenarios and process
-  shards (ints only, so serial == parallel aggregation is exact);
+  topology link (counted by
+  :meth:`LinkLoadMap.summary <repro.traffic.capacity.LinkLoadMap.summary>`:
+  bin ``i`` covers ``[i·w, (i+1)·w)``, the last bin everything at or
+  above the last edge), elementwise-mergeable across scenarios and
+  process shards (ints only, so serial == parallel aggregation is exact);
 * **percentiles** read off the merged histogram (p50/p95/p99 of the
   utilization CDF; the exact maximum is tracked separately);
 * **top-k overload attribution** — for each overloaded link, which
@@ -36,23 +39,6 @@ UTILIZATION_BIN_EDGES: Tuple[float, ...] = tuple(
 
 #: Histogram length: one count per finite bin plus the overflow bin.
 HISTOGRAM_BINS = len(UTILIZATION_BIN_EDGES) + 1
-
-
-def utilization_histogram(load_map) -> Tuple[int, ...]:
-    """Bin every topology link's utilization (idle links count in bin 0).
-
-    ``load_map`` is a :class:`~repro.traffic.capacity.LinkLoadMap` (duck
-    typed: needs ``.utilizations()``, one value per topology link).  Bin
-    ``i`` covers the half-open interval ``[i·w, (i+1)·w)``; the final bin
-    absorbs everything at or above the last edge.
-    """
-    counts = [0] * HISTOGRAM_BINS
-    nbins = len(UTILIZATION_BIN_EDGES)
-    width = UTILIZATION_BIN_WIDTH
-    for utilization in load_map.utilizations():
-        index = int(utilization / width)
-        counts[index if index < nbins else nbins] += 1
-    return tuple(counts)
 
 
 def merge_histograms(histograms: Iterable[Sequence[int]]) -> Tuple[int, ...]:
@@ -96,22 +82,23 @@ AttributionEntry = Tuple[int, int, float, Tuple[Tuple[int, int, float], ...]]
 
 
 def overload_attribution(
-    load_map,
+    overloaded: Sequence[Tuple[Link, float]],
     contributions: Dict[Link, Dict[Tuple[int, int], float]],
-    threshold: float = 1.0,
     top_links: int = 3,
     top_demands: int = 3,
 ) -> Tuple[AttributionEntry, ...]:
     """Who overloaded what: the top rerouted demands per overloaded link.
 
-    ``contributions`` maps each link to the recovery-attributed demand
-    per OD pair (the engine records them while weighting disrupted
-    groups; intact background load is in the utilization but is not a
-    rerouting decision, so it is not attributed).  Plain nested tuples —
-    records carrying them cross process boundaries.
+    ``overloaded`` is ``(link, utilization)`` worst first, as
+    :meth:`LinkLoadMap.summary <repro.traffic.capacity.LinkLoadMap.summary>`
+    returns it.  ``contributions`` maps each link to the
+    recovery-attributed demand per OD pair (the engine records them while
+    weighting disrupted groups; intact background load is in the
+    utilization but is not a rerouting decision, so it is not attributed).
+    Plain nested tuples — records carrying them cross process boundaries.
     """
     entries: List[AttributionEntry] = []
-    for link, utilization in load_map.overloaded_links(threshold)[:top_links]:
+    for link, utilization in overloaded[:top_links]:
         per_pair = contributions.get(link, {})
         ranked = sorted(per_pair.items(), key=lambda kv: (-kv[1], kv[0]))
         entries.append(
@@ -133,9 +120,7 @@ __all__ = [
     "UTILIZATION_BIN_EDGES",
     "HISTOGRAM_BINS",
     "AttributionEntry",
-    "congestion_free",
     "merge_histograms",
     "overload_attribution",
-    "utilization_histogram",
     "utilization_percentile",
 ]

@@ -227,9 +227,16 @@ def region_index(topo: "Topology") -> SpatialGrid:
     csr = topo.csr()
     grid = csr.grid_cache
     if grid is None:
+        # A link's endpoints stand in for its ``Segment``: the grid only
+        # flattens them into coordinates.
+        coords = topo._coords
         grid = csr.grid_cache = SpatialGrid(
-            [(node, topo.position(node)) for node in topo.nodes()],
-            [(link, topo.segment(link)) for link in topo.links()],
+            list(coords.items()),
+            [
+                (link, (coords[link.u], coords[link.v]))
+                for link in csr.links
+                if link is not None
+            ],
         )
     return grid
 

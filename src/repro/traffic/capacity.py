@@ -15,16 +15,17 @@ module provides
   destination (:func:`routed_loads`);
 * :class:`LinkLoadMap` — a link-id-indexed accumulator for post-recovery
   loads with utilization and overload queries against the annotated
-  capacities.
+  capacities (:meth:`LinkLoadMap.summary` reads them all in one pass).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..errors import UnknownLinkError
 from ..routing import Path, RoutingTable
+from ..te.metrics import HISTOGRAM_BINS, UTILIZATION_BIN_WIDTH
 from ..topology import Link, Topology
 from .matrix import TrafficMatrix
 
@@ -93,6 +94,19 @@ def provision_capacities(
         capacities[link] = capacity
         topo.set_link_capacity(link, capacity)
     return capacities
+
+
+class LoadSummary(NamedTuple):
+    """One pass of utilization statistics over a :class:`LinkLoadMap`."""
+
+    #: Fixed-bin utilization counts over every topology link.
+    histogram: Tuple[int, ...]
+    #: The highest utilization over all links (0.0 with none loaded).
+    max_utilization: float
+    #: ``(link, utilization)`` of the overloaded links, worst first.
+    overloaded: List[Tuple[Link, float]]
+    #: Total demand above the threshold capacity (congestion mass).
+    overload_demand: float
 
 
 class LinkLoadMap:
@@ -175,54 +189,44 @@ class LinkLoadMap:
         capacity = self.topo.lid_capacities()[lid]
         return self._loads[lid] / capacity if capacity else 0.0
 
-    def utilizations(self) -> List[float]:
-        """The utilization of every topology link, in lid order (idle: 0.0)."""
-        return [
-            load / capacity if load and capacity else 0.0
-            for link, load, capacity in zip(
-                self._csr.links, self._loads, self.topo.lid_capacities()
-            )
-            if link is not None
-        ]
+    def summary(self, threshold: float = 1.0) -> LoadSummary:
+        """Every utilization statistic of the map, in one pass over its links.
 
-    def max_utilization(self) -> float:
-        """The highest utilization over all links."""
-        return max(self.utilizations(), default=0.0)
-
-    def overloaded_links(
-        self, threshold: float = 1.0
-    ) -> List[Tuple[Link, float]]:
-        """Links with utilization > ``threshold``, worst first.
-
-        Ordered by (utilization desc, link asc) — deterministic.
+        A link with load and capacity has utilization ``load / capacity``;
+        one without either has 0.0.  The histogram bins every topology
+        link's utilization (idle links in bin 0; see
+        :mod:`repro.te.metrics`) and the maximum is over the same values.
+        A link is overloaded when its utilization is ``> threshold``
+        (ordered by utilization desc, link asc — deterministic); the
+        overload demand sums ``load - threshold * capacity`` over the links
+        with ``load > threshold * capacity``, in lid order, with
+        ``math.fsum``.
         """
-        over = [
-            (link, util)
-            for link, load, capacity in zip(
-                self._csr.links, self._loads, self.topo.lid_capacities()
-            )
-            if load and capacity and (util := load / capacity) > threshold
-        ]
+        counts = [0] * HISTOGRAM_BINS
+        last = HISTOGRAM_BINS - 1
+        width = UTILIZATION_BIN_WIDTH
+        peak = 0.0
+        over: List[Tuple[Link, float]] = []
+        excess: List[float] = []
+        for link, load, capacity in zip(
+            self._csr.links, self._loads, self.topo.lid_capacities()
+        ):
+            if not (load and capacity):
+                if link is not None:
+                    counts[0] += 1
+                continue
+            util = load / capacity
+            if link is not None:
+                index = int(util / width)
+                counts[index if index < last else last] += 1
+                if util > peak:
+                    peak = util
+            if util > threshold:
+                over.append((link, util))
+            if load > threshold * capacity:
+                excess.append(load - threshold * capacity)
         over.sort(key=lambda item: (-item[1], item[0]))
-        return over
-
-    def overload_demand(self, threshold: float = 1.0) -> float:
-        """Total demand above capacity on overloaded links (congestion mass)."""
-        return math.fsum(
-            load - threshold * capacity
-            for load, capacity in zip(self._loads, self.topo.lid_capacities())
-            if load and capacity and load > threshold * capacity
-        )
-
-    def utilization_cdf(self) -> Tuple[int, ...]:
-        """Fixed-bin utilization histogram over *every* topology link.
-
-        Delegates to :func:`repro.te.metrics.utilization_histogram`;
-        integer counts merge exactly across scenarios and shards.
-        """
-        from ..te.metrics import utilization_histogram
-
-        return utilization_histogram(self)
+        return LoadSummary(tuple(counts), peak, over, math.fsum(excess))
 
     def __len__(self) -> int:
         """How many links carry load."""

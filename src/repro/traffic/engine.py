@@ -655,13 +655,11 @@ class TrafficEngine:
                 phase1_loss.append(group_demand * result.phase1_duration)
 
         # Surviving pairs keep their default paths.
-        loads = plan.loads_after(delivered)
-        overloaded = loads.overloaded_links()
+        summary = plan.loads_after(delivered).summary()
+        overloaded = summary.overloaded
         record = TrafficScenarioRecord(
-            utilization_hist=loads.utilization_cdf(),
-            overload_attribution=self._attribute_overloads(
-                loads, overloaded, plan, delivered
-            ),
+            utilization_hist=summary.histogram,
+            overload_attribution=self._attribute_overloads(overloaded, plan, delivered),
             approach=approach,
             scenario_index=scenario_index,
             total_demand=self.matrix.total_demand,
@@ -683,9 +681,9 @@ class TrafficEngine:
             phase1_loss=math.fsum(phase1_loss),
             fallback_demand=math.fsum(fallback_demand),
             error_demand=math.fsum(error_demand),
-            max_utilization=loads.max_utilization(),
+            max_utilization=summary.max_utilization,
             overloaded_links=len(overloaded),
-            overload_demand=loads.overload_demand(),
+            overload_demand=summary.overload_demand,
             admission_dropped_demand=math.fsum(admission_dropped),
         )
         check_accounting(record)
@@ -701,7 +699,6 @@ class TrafficEngine:
 
     def _attribute_overloads(
         self,
-        loads: LinkLoadMap,
         overloaded: Sequence[Tuple[Link, float]],
         plan: _WindowPlan,
         delivered: Sequence[Tuple[int, ...]],
@@ -739,6 +736,6 @@ class TrafficEngine:
                     for pair in group.pairs:
                         charge(per_pair, pair)
         return overload_attribution(
-            loads, {csr.links[lid]: per_pair for lid, per_pair in top.items()}
+            overloaded, {csr.links[lid]: per_pair for lid, per_pair in top.items()}
         )
 

@@ -139,7 +139,7 @@ class TestHeaderCorruption:
         header = RecoveryHeader(mode=Mode.COLLECTING, rec_init=0)
         header.record_failed(Link.of(6, 7))
         packet = Packet(source=0, destination=0, header=header)
-        engine.forward_one_hop(packet, 1, RecoveryAccounting())
+        engine.forward_one_hop(packet, 1, Link.of(0, 1), RecoveryAccounting())
         assert header.failed_links == []  # the freshest entry was eaten
         assert runtime.headers_corrupted == 1
 
@@ -151,7 +151,7 @@ class TestHeaderCorruption:
             mode=Mode.SOURCE_ROUTED, rec_init=0, source_route=[0, 1]
         )
         packet = Packet(source=0, destination=1, header=header)
-        engine.forward_one_hop(packet, 1, RecoveryAccounting())
+        engine.forward_one_hop(packet, 1, Link.of(0, 1), RecoveryAccounting())
         assert header.source_route == [0, 1]
         assert runtime.headers_corrupted == 0
 
@@ -164,9 +164,9 @@ class TestSecondaryFailures:
         engine, runtime = make_chaos_engine(ring8, plan)
         assert runtime.pending_secondary_failures() == [(2, Link.of(4, 5))]
         packet = Packet(source=0, destination=3)
-        engine.forward_one_hop(packet, 1, RecoveryAccounting())
+        engine.forward_one_hop(packet, 1, Link.of(0, 1), RecoveryAccounting())
         assert not runtime.is_link_flapped(Link.of(4, 5))
-        engine.forward_one_hop(packet, 2, RecoveryAccounting())
+        engine.forward_one_hop(packet, 2, Link.of(1, 2), RecoveryAccounting())
         assert runtime.is_link_flapped(Link.of(4, 5))
         assert runtime.pending_secondary_failures() == []
 

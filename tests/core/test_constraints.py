@@ -31,24 +31,24 @@ class TestRecording:
         # initiator; the state must honour its contents.
         header = RecoveryHeader(cross_links=[Link.of(6, 11)])
         state = make_state(paper_topo, header)
-        assert state.is_excluded(lid(paper_topo, 5, 12))
+        assert state.barred[lid(paper_topo, 5, 12)]
 
 
 class TestExclusion:
     def test_crossing_link_excluded(self, paper_topo):
         state = make_state(paper_topo)
         state.record(lid(paper_topo, 6, 11))
-        assert state.is_excluded(lid(paper_topo, 5, 12))
+        assert state.barred[lid(paper_topo, 5, 12)]
 
     def test_non_crossing_link_allowed(self, paper_topo):
         state = make_state(paper_topo)
         state.record(lid(paper_topo, 6, 11))
-        assert not state.is_excluded(lid(paper_topo, 5, 4))
+        assert not state.barred[lid(paper_topo, 5, 4)]
 
     def test_empty_state_excludes_nothing(self, paper_topo):
         state = make_state(paper_topo)
         for link in paper_topo.links():
-            assert not state.is_excluded(paper_topo.link_index(link))
+            assert not state.barred[paper_topo.link_index(link)]
 
 
 class TestConstraint1Seeding:

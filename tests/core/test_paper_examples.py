@@ -107,7 +107,7 @@ class TestFig4Disorder:
         view = LocalView(paper_scenario)
         state = CrossLinkState(paper_topo, RecoveryHeader())
         state.seed_initiator_links(view, 6)
-        chosen = select_next_hop(paper_topo, view, 5, 6, state.is_excluded)
+        chosen = select_next_hop(paper_topo, view, 5, 6, state.barred)
         assert chosen == 4
 
     def test_without_constraint_the_disorder_occurs(

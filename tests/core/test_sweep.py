@@ -72,10 +72,10 @@ class TestSelectNextHop:
     def test_skips_excluded(self):
         topo = plus_topology()
         view = view_with(topo)
-        blocked = {topo.link_index(Link.of(0, 2)), topo.link_index(Link.of(0, 3))}
-        chosen = select_next_hop(
-            topo, view, 0, 1, is_excluded=lambda lid: lid in blocked
-        )
+        barred = bytearray(topo.csr().lid_size)
+        for link in (Link.of(0, 2), Link.of(0, 3)):
+            barred[topo.link_index(link)] = 1
+        chosen = select_next_hop(topo, view, 0, 1, barred=barred)
         assert chosen == 4
 
     def test_falls_back_to_previous_hop(self):
@@ -109,11 +109,11 @@ class TestSweepGeometry:
         # the sweep lands on v4 (the Fig. 4 fix).
         view = LocalView(paper_scenario)
         blocked_by = Link.of(6, 11)
-
-        def excluded(lid):
-            return blocked_by in paper_topo.cross_links(paper_topo.link_at(lid))
-
-        assert select_next_hop(paper_topo, view, 5, 6, excluded) == 4
+        barred = bytearray(
+            blocked_by in paper_topo.cross_links(link) if link is not None else 0
+            for link in paper_topo.csr().links
+        )
+        assert select_next_hop(paper_topo, view, 5, 6, barred) == 4
 
     def test_paper_hop_v5_without_constraint(self, paper_topo, paper_scenario):
         # Without Constraint 1 the sweep would pick v12 — the forwarding

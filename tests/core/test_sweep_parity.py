@@ -1,8 +1,8 @@
 """The rotation table sweeps exactly like the per-hop sort it replaced.
 
 ``reference_sweep.py`` recomputes and sorts every neighbor's angle at
-every call.  :func:`~repro.core.sweep.sweep_table` reads the order from
-the per-view :class:`~repro.core.sweep.SweepTable`; both must return the
+every call.  :func:`~repro.core.sweep.sweep_order` steps the per-view
+:class:`~repro.core.sweep.SweepTable`'s ring; both must return the
 same neighbor order for every (node, reference neighbor, direction) — on
 the catalog, on generated graphs, and on stars built to put bearings on
 top of each other, one ulp apart and across the 0 / 2*pi wrap, where a
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sweep import sweep_table
+from repro.core.sweep import sweep_order, sweep_table
 from repro.geometry import Point
 from repro.topology import Topology, isp_catalog, topology_from_spec
 
@@ -28,7 +28,7 @@ def assert_every_arc_matches(topo: Topology) -> None:
     for node in topo.nodes():
         for reference in topo.neighbors(node):
             for clockwise in (False, True):
-                assert sweep_table(topo).order(
+                assert sweep_order(
                     topo, node, reference, clockwise
                 ) == reference_sweep_order(topo, node, reference, clockwise), (
                     node,
@@ -46,10 +46,10 @@ def test_table_rebuilt_after_mutation(grid5):
     before = sweep_table(grid5)
     grid5.add_link(0, 6)  # a diagonal at node 0, between east and north
     assert sweep_table(grid5) is not before
-    assert sweep_table(grid5).order(grid5, 0, 1, False) == [6, 5, 1]
+    assert sweep_order(grid5, 0, 1) == [6, 5, 1]
     assert_every_arc_matches(grid5)
     grid5.remove_link(0, 6)
-    assert sweep_table(grid5).order(grid5, 0, 1, False) == [5, 1]
+    assert sweep_order(grid5, 0, 1) == [5, 1]
 
 
 # Offsets from the star's center.  Each draw starts from a direction and

@@ -20,7 +20,7 @@ class TestForwardOneHop:
         engine = make_engine(ring8)
         packet = Packet(source=0, destination=4)
         acc = RecoveryAccounting()
-        engine.forward_one_hop(packet, 1, acc)
+        engine.forward_one_hop(packet, 1, Link.of(0, 1), acc)
         assert packet.at == 1
         assert packet.recovery_hops == 1
         assert acc.hops_traveled == 1

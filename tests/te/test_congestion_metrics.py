@@ -11,7 +11,6 @@ from repro.te.metrics import (
     UTILIZATION_BIN_WIDTH,
     merge_histograms,
     overload_attribution,
-    utilization_histogram,
     utilization_percentile,
 )
 from repro.topology import Link
@@ -29,18 +28,18 @@ def loaded_line(tiny_line):
 
 class TestHistogram:
     def test_bins_cover_every_topology_link(self, loaded_line):
-        hist = loaded_line.utilization_cdf()
+        hist = loaded_line.summary().histogram
         assert len(hist) == HISTOGRAM_BINS
         assert sum(hist) == len(list(loaded_line.topo.links()))
 
     def test_bin_placement(self, loaded_line):
-        hist = utilization_histogram(loaded_line)
+        hist = loaded_line.summary().histogram
         # util 0.8 lands in bin [0.80, 0.85); util 2.0 in [2.00, 2.05).
         assert hist[int(0.8 / UTILIZATION_BIN_WIDTH)] == 1
         assert hist[int(2.0 / UTILIZATION_BIN_WIDTH)] == 1
 
     def test_idle_links_count_in_bin_zero(self, grid5):
-        hist = utilization_histogram(LinkLoadMap(grid5))
+        hist = LinkLoadMap(grid5).summary().histogram
         assert hist[0] == len(list(grid5.links()))
         assert sum(hist[1:]) == 0
 
@@ -48,7 +47,7 @@ class TestHistogram:
         tiny_line.set_link_capacity(Link.of(0, 1), 1.0)
         loads = LinkLoadMap(tiny_line)
         loads.add_link(Link.of(0, 1), 100.0)  # util 100 > last edge 3.0
-        hist = utilization_histogram(loads)
+        hist = loads.summary().histogram
         assert hist[-1] == 1
 
 
@@ -93,7 +92,7 @@ class TestOverloadAttribution:
             hot: {(0, 2): 5.0, (2, 0): 3.0, (0, 1): 1.0, (1, 2): 0.5}
         }
         entries = overload_attribution(
-            loaded_line, contributions, top_demands=2
+            loaded_line.summary().overloaded, contributions, top_demands=2
         )
         assert len(entries) == 1  # only (1,2) is overloaded
         u, v, utilization, demands = entries[0]
@@ -103,8 +102,8 @@ class TestOverloadAttribution:
         assert demands == ((0, 2, 5.0), (2, 0, 3.0))
 
     def test_unattributed_overload_is_empty_tuple(self, loaded_line):
-        entries = overload_attribution(loaded_line, {})
+        entries = overload_attribution(loaded_line.summary().overloaded, {})
         assert entries[0][3] == ()
 
     def test_no_overload_no_entries(self, grid5):
-        assert overload_attribution(LinkLoadMap(grid5), {}) == ()
+        assert overload_attribution(LinkLoadMap(grid5).summary().overloaded, {}) == ()

@@ -36,6 +36,8 @@ from repro.traffic.capacity import LinkLoadMap
 from repro.traffic.engine import DisruptedPair, PairClassification
 from repro.traffic.metrics import TrafficScenarioRecord
 
+from . import reference_loads
+
 Groups = Dict[Tuple[int, int], List[DisruptedPair]]
 
 
@@ -303,10 +305,10 @@ def _weight(
         if result.delivered and result.path is not None:
             loads.add_path(result.path, group_demand)
 
-    overloaded = loads.overloaded_links()
+    overloaded = reference_loads.overloaded_links(loads)
     return TrafficScenarioRecord(
-        utilization_hist=loads.utilization_cdf(),
-        overload_attribution=_attribute(engine, loads, overloaded, groups, by_case),
+        utilization_hist=reference_loads.utilization_histogram(loads),
+        overload_attribution=_attribute(engine, overloaded, groups, by_case),
         approach=approach,
         scenario_index=scenario_index,
         total_demand=engine.matrix.total_demand,
@@ -328,16 +330,15 @@ def _weight(
         phase1_loss=math.fsum(sums["phase1_loss"]),
         fallback_demand=math.fsum(sums["fallback"]),
         error_demand=math.fsum(sums["error"]),
-        max_utilization=loads.max_utilization(),
+        max_utilization=reference_loads.max_utilization(loads),
         overloaded_links=len(overloaded),
-        overload_demand=loads.overload_demand(),
+        overload_demand=reference_loads.overload_demand(loads),
         admission_dropped_demand=math.fsum(sums["admission_dropped"]),
     )
 
 
 def _attribute(
     engine: TrafficEngine,
-    loads: LinkLoadMap,
     overloaded: Sequence[Tuple[Link, float]],
     groups: Groups,
     by_case: Dict[Tuple[int, int], CaseRecord],
@@ -365,4 +366,4 @@ def _attribute(
                 if link in top:
                     for pair in group:
                         charge(link, pair)
-    return overload_attribution(loads, contributions)
+    return overload_attribution(overloaded, contributions)

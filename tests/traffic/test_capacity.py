@@ -74,9 +74,9 @@ class TestProvisioning:
         matrix = gravity_matrix(grid5, seed=1)
         routing = RoutingTable(grid5)
         provision_capacities(grid5, matrix, routing)
-        loads = baseline_loads(grid5, matrix, routing)
-        assert loads.max_utilization() <= 1.0 / DEFAULT_HEADROOM + 1e-9
-        assert loads.overloaded_links() == []
+        summary = baseline_loads(grid5, matrix, routing).summary()
+        assert summary.max_utilization <= 1.0 / DEFAULT_HEADROOM + 1e-9
+        assert summary.overloaded == []
 
 
 class TestLinkLoadMap:
@@ -87,16 +87,16 @@ class TestLinkLoadMap:
         loads.add_path(Path((0, 1, 2), 2.0), 8.0)
         assert loads.load(Link.of(0, 1)) == 8.0
         assert loads.utilization(Link.of(0, 1)) == pytest.approx(0.8)
-        assert loads.max_utilization() == pytest.approx(2.0)
+        assert loads.summary().max_utilization == pytest.approx(2.0)
 
     def test_overload_queries(self, tiny_line):
         tiny_line.set_link_capacity(Link.of(0, 1), 10.0)
         tiny_line.set_link_capacity(Link.of(1, 2), 4.0)
         loads = LinkLoadMap(tiny_line)
         loads.add_path(Path((0, 1, 2), 2.0), 8.0)
-        over = loads.overloaded_links()
-        assert [link for link, _ in over] == [Link.of(1, 2)]
-        assert loads.overload_demand() == pytest.approx(4.0)
+        summary = loads.summary()
+        assert [link for link, _ in summary.overloaded] == [Link.of(1, 2)]
+        assert summary.overload_demand == pytest.approx(4.0)
 
     def test_zero_demand_ignored(self, tiny_line):
         loads = LinkLoadMap(tiny_line)
@@ -124,19 +124,18 @@ class TestLinkLoadMap:
         """Capacities are read live: a later ``set_link_capacity`` moves every query."""
         loads = LinkLoadMap(tiny_line)
         loads.add_path(Path((0, 1, 2), 2.0), 8.0)
-        assert loads.max_utilization() == 0.0  # nothing provisioned yet
-        assert loads.overloaded_links() == [] and loads.overload_demand() == 0.0
+        assert loads.summary()[1:] == (0.0, [], 0.0)  # nothing provisioned yet
         tiny_line.set_link_capacity(Link.of(1, 2), 4.0)
         assert loads.utilization(Link.of(1, 2)) == 2.0
-        assert loads.max_utilization() == 2.0
-        assert loads.overloaded_links() == [(Link.of(1, 2), 2.0)]
-        assert loads.overload_demand() == 4.0
+        assert loads.summary()[1:] == (2.0, [(Link.of(1, 2), 2.0)], 4.0)
         tiny_line.set_link_capacity(Link.of(1, 2), 16.0)
         tiny_line.set_link_capacity(Link.of(0, 1), 2.0)
-        assert loads.overloaded_links() == [(Link.of(0, 1), 4.0)]
-        assert loads.utilizations() == [4.0, 0.5]
+        summary = loads.summary()
+        assert summary.overloaded == [(Link.of(0, 1), 4.0)]
+        assert summary.max_utilization == 4.0
+        assert sum(summary.histogram) == 2 and summary.histogram[10] == 1  # 0.5
         tiny_line.clear_link_capacities()
-        assert loads.utilizations() == [0.0, 0.0]
+        assert loads.summary().histogram[0] == 2
 
 
 class TestCapacityMetadata:
