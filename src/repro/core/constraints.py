@@ -42,7 +42,8 @@ class CrossLinkState:
     flags makes an exclusion check one index, ``barred[lid]``, which the
     sweep step reads directly.  The header list only ever
     grows here, and the flags never clear: a chaos-truncated entry stays
-    in force for the rest of the walk and is not recorded again.
+    in force for the rest of the walk and is not recorded again.  The
+    rows are :func:`~repro.topology.csr.cross_rows`' sequences of ids.
     """
 
     def __init__(self, topo: Topology, header: RecoveryHeader) -> None:
@@ -67,7 +68,8 @@ class CrossLinkState:
         if self.recorded[lid]:
             return False
         self._mark(lid)
-        self.header.record_cross(self._links[lid])
+        # Not flagged, so not in the field: append without a scan.
+        self.header.cross_links.append(self._links[lid])
         return True
 
     def seed_initiator_links(self, view: LocalView, initiator: int) -> List[Link]:

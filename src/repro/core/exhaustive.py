@@ -75,9 +75,12 @@ def run_exhaustive_phase1(
     walk = [initiator]
     budget = walk_hop_budget(topo.link_count)
     csr = topo.csr()
+    failed_flags, failed_order = bytearray(csr.lid_size), []
     for _ in range(budget):
         current = packet.at
-        _record_failures_at(current, initiator, view, header, csr)
+        _record_failures_at(
+            current, initiator, view, header, csr, failed_flags, failed_order
+        )
         field_trace.append(
             (current, tuple(header.failed_links), tuple(header.cross_links))
         )

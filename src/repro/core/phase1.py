@@ -86,17 +86,33 @@ def _record_failures_at(
     view: LocalView,
     header: RecoveryHeader,
     csr: CSRView,
+    recorded: bytearray,
+    order: List[int],
 ) -> None:
     """§III-C item 2: record this node's locally detected failed links.
 
     The initiator's own incident failures are skipped — the initiator
     already knows them, so carrying them would waste header bytes.
+    ``recorded`` flags, by link id, the links in the ``failed_link``
+    field, and ``order`` lists them in field order, so a link is checked
+    in O(1) instead of by a scan of the field.  A chaos truncation pops
+    the field's last entries, so entries of ``order`` past the field's
+    length are cleared first: those links may be recorded again, as the
+    scan would allow.
     """
     if node == initiator:
         return
+    entries = header.failed_links
+    while len(order) > len(entries):
+        recorded[order.pop()] = 0
+    pair_lid, links = csr.pair_lid, csr.links
     for neighbor in view.unreachable_neighbors(node):
         if neighbor != initiator:
-            header.record_failed(csr.links[csr.pair_lid[(node, neighbor)]])
+            lid = pair_lid[(node, neighbor)]
+            if not recorded[lid]:
+                recorded[lid] = 1
+                order.append(lid)
+                entries.append(links[lid])
 
 
 @dataclass
@@ -150,6 +166,12 @@ class SweepWalkSpec:
             crossed = _reuse(header.cross_links, crossed)
             field_trace.append((node, failed, crossed))
 
+        # The ``failed_link`` field by link id (see _record_failures_at).
+        failed_order = [csr.pair_lid[link] for link in header.failed_links]
+        failed_flags = bytearray(csr.lid_size)
+        for failed_lid in failed_order:
+            failed_flags[failed_lid] = 1
+
         visited = [packet.at]
         # Each hop sweeps from the link the packet arrived on, so the link
         # id travels with the walk: only the first hop looks its id up.
@@ -157,7 +179,9 @@ class SweepWalkSpec:
         lid = csr.pair_lid[(packet.at, start_hop)]
         for _ in range(self.budget):
             current = packet.at
-            _record_failures_at(current, initiator, view, header, csr)
+            _record_failures_at(
+                current, initiator, view, header, csr, failed_flags, failed_order
+            )
             if previous is not None:
                 hit = step(view, current, previous, lid, barred, clockwise)
                 if hit is None:

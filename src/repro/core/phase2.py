@@ -21,11 +21,13 @@ discarded at the node that detects it (§III-D).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Set
 
 from .. import obs
 from ..routing import (
     Path,
+    PreFailureTree,
     ShortestPathTree,
     SPTCache,
     penalized_shortest_path_tree,
@@ -109,8 +111,10 @@ class Phase2Engine:
         if self.use_incremental:
             # The initiator already has its pre-failure SPT from normal
             # link-state operation; only the incremental update is the
-            # on-demand recovery computation.
-            pre_failure = self.cache.forward_tree(self.topo, self.initiator)
+            # on-demand recovery computation.  The update builds that tree
+            # only where it reads it (not on numpy views).
+            build = partial(self.cache.forward_tree, self.topo, self.initiator)
+            pre_failure = PreFailureTree(self.initiator, False, build)
             return updated_tree(self.topo, pre_failure, removed_links=self.known_failed)
         return self.cache.forward_tree(
             self.topo, self.initiator, excluded_links=self.known_failed

@@ -10,7 +10,7 @@ precomputation of per-link crossing sets.
 from .point import EPSILON, TWO_PI, Point, ccw_angle, orientation
 from .segment import Segment, segments_intersect
 from .region import Circle, FailureRegion, Polygon, UnionRegion
-from .planarity import compute_cross_links, crossing_pairs, is_planar_embedding
+from .planarity import CrossRows, compute_cross_links, crossing_pairs, is_planar_embedding
 from .spatial import SpatialGrid
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "Polygon",
     "UnionRegion",
     "SpatialGrid",
+    "CrossRows",
     "compute_cross_links",
     "crossing_pairs",
     "is_planar_embedding",

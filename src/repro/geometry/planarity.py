@@ -7,8 +7,9 @@ links that cross or touch share a cell.  Pairs within a cell whose bounding
 boxes overlap go to the exact predicate, and any grid over the links gives
 the relation of the reference sweep in
 ``tests/geometry/reference_cross_links.py``.  The relation comes back as
-rows over input positions (the topology's are link ids, cached per CSR
-view by :func:`repro.topology.csr.cross_rows`).
+one :class:`CrossRows` over input positions (the topology's are link ids,
+cached per CSR view by :func:`repro.topology.csr.cross_rows`): every row's
+positions in one buffer of 4-byte ints, plus the row bounds.
 
 The links' coordinates are read from the grid
 (:attr:`~repro.geometry.spatial.SpatialGrid.segment_coords`), which is built
@@ -18,15 +19,17 @@ with ``EPSILON**2`` where :func:`segments_cross_raw` compares ``hypot``
 with ``EPSILON`` — equal except within one rounding ulp of the tolerance,
 i.e. for adversarial coordinates only.  It runs the touch test only on the
 few pairs with an endpoint near the other link's line (763 of 3,034,102 on
-``scale:20000``).  Without numpy the same cells are paired in Python and
-the same rows come back.
+``scale:20000``).  Each crossing pair is kept as one integer code, so no
+per-pair Python object exists on that path.  Without numpy the same cells
+are paired in Python and equal rows come back.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations
 from math import hypot, isfinite
-from typing import Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .point import EPSILON
 from .segment import Segment
@@ -46,6 +49,55 @@ _TINY = 2.0 ** -1022
 
 #: Candidate pairs per block of cells (their temporaries take ≈ 170 B a pair).
 _CHUNK = 1 << 14
+
+
+class CrossRows:
+    """The crossing relation as rows: row ``i`` lists what crosses item ``i``.
+
+    Every row's entries sit in one buffer of 4-byte ints, ``ids``; row
+    ``i`` is ``ids[bounds[i] : bounds[i + 1]]``, ascending, and indexing
+    returns that slice (an ``array('i')``).  Both pairings of
+    :func:`compute_cross_links` build one, so equal relations compare
+    equal.  Read the rows, do not mutate the buffers.
+    """
+
+    __slots__ = ("ids", "bounds")
+
+    def __init__(self, ids: array, bounds: array) -> None:
+        #: Every row's entries, row after row (``array('i')``).
+        self.ids = ids
+        #: ``len(self) + 1`` row offsets into :attr:`ids` (``array('q')``).
+        self.bounds = bounds
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "CrossRows":
+        """The relation of ``rows``, each already ascending."""
+        ids, bounds = array("i"), array("q", [0])
+        for row in rows:
+            ids.extend(row)
+            bounds.append(len(ids))
+        return cls(ids, bounds)
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i: int) -> array:
+        bounds = self.bounds
+        if i < 0:
+            i += len(bounds) - 1
+        return self.ids[bounds[i] : bounds[i + 1]]
+
+    def __iter__(self) -> Iterator[array]:
+        ids, bounds = self.ids, self.bounds
+        return (ids[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CrossRows):
+            return NotImplemented
+        return self.bounds == other.bounds and self.ids == other.ids
+
+    def __repr__(self) -> str:
+        return f"CrossRows(rows={len(self)}, entries={len(self.ids)})"
 
 
 def _orient_raw(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> int:
@@ -216,17 +268,19 @@ def _rows_python(coords, start, items):
             if segments_cross_raw(*coords[i], *coords[j]):
                 rows[i].append(j)
                 rows[j].append(i)
-    return [tuple(sorted(row)) for row in rows]
+    return CrossRows.from_rows(map(sorted, rows))
 
 
 def _rows_numpy(coords, start, items):
     """Crossing rows from blocks of cells paired as arrays.
 
-    A pair found in several shared cells is found once per cell: every
-    found pair is encoded in both directions as ``i * m + j``, and one sort
-    plus a neighbour-difference mask drops the repeats (``np.unique`` costs
-    more here, see EXPERIMENTS.md).  Row ``i`` is then the code range
-    ``[i * m, (i + 1) * m)``.
+    Within a cell the entries ascend, so every found pair ``i < j`` is
+    encoded once, as ``i * m + j``.  A pair found in several shared cells
+    is found once per cell: one in-place sort plus a neighbour-difference
+    mask drops the repeats (``np.unique`` costs more here, see
+    EXPERIMENTS.md).  The reversed codes ``j * m + i`` join them, one more
+    in-place sort puts row ``i`` at the code range ``[i * m, (i + 1) * m)``,
+    and the codes modulo ``m`` are the rows' entries.
     """
     # Imported here: repro.topology imports this package at load time.
     from ..topology.npcsr import expand_ranges
@@ -264,26 +318,43 @@ def _rows_numpy(coords, start, items):
         )
         left, right = left[keep], right[keep]
         mask = _cross_mask(np, xy.take(left, axis=1), xy.take(right, axis=1), margin)
-        left, right = left[mask], right[mask]
-        found += [left * m + right, right * m + left]
-    codes = np.sort(np.concatenate(found))
+        found.append(left[mask] * m + right[mask])
+    codes = np.concatenate(found)
+    del found
+    codes.sort()
     if len(codes):
         codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-    bounds = np.searchsorted(codes, np.arange(m + 1, dtype=np.int64) * m).tolist()
-    others = (codes % m).tolist()
-    return [tuple(others[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    pairs = len(codes)
+    both = np.empty(2 * pairs, dtype=np.int64)
+    both[:pairs] = codes
+    upper = codes % m
+    upper *= m
+    codes //= m
+    np.add(upper, codes, out=both[pairs:])
+    del codes, upper
+    both.sort()
+    bounds = np.searchsorted(both, np.arange(m + 1, dtype=np.int64) * m)
+    np.remainder(both, m, out=both)
+    return CrossRows(_packed("i", both.astype(np.int32)), _packed("q", bounds))
+
+
+def _packed(typecode: str, values) -> array:
+    """The numpy array ``values`` copied into an ``array`` of the same item size."""
+    out = array(typecode)
+    out.frombytes(values.view(_np.uint8))
+    return out
 
 
 def compute_cross_links(
     links: Optional[Sequence[Tuple[Hashable, Segment]]] = None,
     grid: Optional[SpatialGrid] = None,
-) -> List[Tuple[int, ...]]:
+) -> CrossRows:
     """The crossing relation of ``links`` as one row per input position.
 
-    ``links`` is a sequence of ``(key, segment)`` pairs.  Row ``i`` is the
-    sorted tuple of the positions of the links that properly cross link
-    ``i``; the relation is symmetric (``j in rows[i]`` iff ``i in
-    rows[j]``).  Links sharing an endpoint never cross (see
+    ``links`` is a sequence of ``(key, segment)`` pairs.  Row ``i`` of the
+    :class:`CrossRows` holds, ascending, the positions of the links that
+    properly cross link ``i``; the relation is symmetric (``j in
+    rows[i]`` iff ``i in rows[j]``).  Links sharing an endpoint never cross (see
     :func:`segments_cross_raw`).  ``grid``, if given, must hold ``links``
     as its segments, in order, and its coordinates are the ones read;
     ``links`` may then be left out.  Without a grid one is built over the
@@ -310,7 +381,7 @@ def compute_cross_links(
 
 def is_planar_embedding(links: Sequence[Tuple[Hashable, Segment]]) -> bool:
     """Whether no two links properly cross (a plane embedding)."""
-    return not any(compute_cross_links(links))
+    return not compute_cross_links(links).ids
 
 
 def crossing_pairs(

@@ -162,6 +162,9 @@ class SpatialGrid:
         its box's rows, or the strips of its walk — and a sort on ``(cell,
         segment)`` packs them.
         """
+        # Imported here: repro.topology imports this package at load time.
+        from ..topology.npcsr import expand_ranges
+
         x0, y0, width, cols, rows, slack = (
             self.x0, self.y0, self.width, self.cols, self.rows, self.slack
         )
@@ -186,7 +189,7 @@ class SpatialGrid:
                 seg = np.flatnonzero(walk)
                 counts = hi[seg] - lo[seg] + 1
                 seg = np.repeat(seg, counts)
-                k = lo[seg] + _offsets(np, counts)
+                k = lo[seg] + expand_ranges(0, counts)
                 t0 = (np.where(k > 0, edge0 + k * width - slack, -inf) - a[seg]) / d[seg]
                 t1 = (np.where(k < edges - 1, edge0 + (k + 1) * width + slack, inf) - a[seg]) / d[seg]
                 t_lo, t_hi = np.where(t1 < t0, t1, t0), np.where(t1 > t0, t1, t0)
@@ -206,7 +209,7 @@ class SpatialGrid:
         counts = np.concatenate((last_r - first_r, last_c - first_c)) + 1
         step = np.concatenate((np.ones_like(r), np.full_like(c, cols)))
         seg, base, step = np.repeat(seg, counts), np.repeat(base, counts), np.repeat(step, counts)
-        cell = base + _offsets(np, counts) * step
+        cell = base + expand_ranges(0, counts) * step
         self._segment_start, self._segment_items = _pack_arrays(np, cell, seg, cols * rows)
 
     def query(self, boxes: Iterable[Box]) -> Tuple[List[Hashable], List[Hashable]]:
@@ -269,9 +272,3 @@ def _pack_arrays(np, cell, items, count: int) -> Tuple[List[int], List[int]]:
     start = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(np.bincount(cell, minlength=count), out=start[1:])
     return start.tolist(), items[np.lexsort((items, cell))].tolist()
-
-
-def _offsets(np, counts):
-    """``0, 1, …, counts[i] - 1`` for every ``i``, concatenated."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)

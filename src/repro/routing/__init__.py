@@ -11,7 +11,7 @@ from .dijkstra import (
     shortest_path_tree,
 )
 from .cache import SPTCache
-from .incremental import updated_tree
+from .incremental import PreFailureTree, updated_tree
 from .tables import RoutingTable
 from .linkstate import ConvergenceConfig, ConvergenceReport, LinkStateProtocol
 
@@ -25,6 +25,7 @@ __all__ = [
     "shortest_path",
     "shortest_path_or_none",
     "shortest_path_tree",
+    "PreFailureTree",
     "updated_tree",
     "RoutingTable",
     "ConvergenceConfig",

@@ -42,11 +42,11 @@ from .spt import ShortestPathTree
 
 #: Default LRU capacity.  A tree is its two dense per-node sequences:
 #: about 2.5 KB at the largest catalog AS (115 nodes), so a full cache of
-#: catalog trees holds a few megabytes; numpy trees take 16 bytes a node
-#: (320 KB at 20k nodes).  ``paper_tables`` evicts at this size (13,857
+#: catalog trees holds a few megabytes; numpy trees take 12 bytes a node
+#: (240 KB at 20k nodes).  ``paper_tables`` evicts at this size (13,857
 #: trees, traced at seed 0), yet a census found no cache size buying back
 #: more than 406 of its trees (EXPERIMENTS.md): most are used once.  A
-#: 2-scenario ``scale:50000`` traffic run takes 172 misses and 0 evictions.
+#: 2-scenario ``scale:50000`` traffic run takes 144 misses and 0 evictions.
 DEFAULT_MAX_ENTRIES = 1024
 
 

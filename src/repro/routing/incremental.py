@@ -27,13 +27,16 @@ select_backend`), the update is instead the fresh numpy tree of
 ``G - removed`` from the same root: each whole-array pass costs O(arcs)
 however small the damage, and copying and repairing 20k-entry trees
 costs more than that pass.  The heap repair below stays the reference.
+Since that fresh tree reads only the old tree's root and orientation, a
+caller may name the old tree by a :class:`PreFailureTree`, which is built
+only where the repair reads it.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import compress
-from typing import Dict, Iterable, List, Set
+from typing import Callable, Dict, Iterable, List, NamedTuple, Set, Union
 
 from .. import obs
 from ..topology import Link, Topology
@@ -43,19 +46,29 @@ from .spt import ShortestPathTree
 _INF = float("inf")
 
 
+class PreFailureTree(NamedTuple):
+    """An SPT of ``root`` not built yet: ``build()`` returns it."""
+
+    root: int
+    toward_root: bool
+    build: Callable[[], ShortestPathTree]
+
+
 def updated_tree(
     topo: Topology,
-    tree: ShortestPathTree,
+    tree: Union[ShortestPathTree, PreFailureTree],
     removed_links: Iterable[Link] = (),
     removed_nodes: Iterable[int] = (),
 ) -> ShortestPathTree:
     """A new SPT equal to Dijkstra on ``G - removed``, computed incrementally.
 
-    ``tree`` must be a valid SPT of ``topo`` (forward or reverse); it is not
-    modified.  Removed nodes lose all incident links and are dropped from
-    the result.  Affected nodes that cannot be reattached become
-    unreachable (absent from ``dist``).  Values are the fresh tree's; on
-    numpy views the result is the fresh tree itself.
+    ``tree`` must be a valid SPT of ``topo`` (forward or reverse), or a
+    :class:`PreFailureTree` that builds one; it is not modified.  Removed
+    nodes lose all incident links and are dropped from the result.
+    Affected nodes that cannot be reattached become unreachable (absent
+    from ``dist``).  Values are the fresh tree's; on numpy views the
+    result is the fresh tree itself, and a :class:`PreFailureTree` is
+    never built there.
     """
     if not obs.enabled():
         return _updated_tree_kernel(topo, tree, removed_links, removed_nodes)
@@ -66,7 +79,7 @@ def updated_tree(
 
 def _updated_tree_kernel(
     topo: Topology,
-    tree: ShortestPathTree,
+    tree: Union[ShortestPathTree, PreFailureTree],
     removed_links: Iterable[Link] = (),
     removed_nodes: Iterable[int] = (),
 ) -> ShortestPathTree:
@@ -91,6 +104,8 @@ def _updated_tree_kernel(
             csr.link_flags(removed_links),
         )
 
+    if isinstance(tree, PreFailureTree):
+        tree = tree.build()
     pos, arcs, links = csr.pos, csr.arcs, csr.links
     cut = csr.link_flags(removed_links)
     dist = list(tree.dense_dist)

@@ -29,12 +29,14 @@ kernel's ``1e-12`` tolerance window collapses to exact comparisons, its
 final distances equal the Bellman–Ford fixpoint, and its deterministic
 tie-break yields ``parent[v] = min{u : dist[u] + w(u, v) == dist[v]}``.
 Both quantities are computed here with whole-array sweeps: distances by
-iterating a gather + ``np.minimum.reduceat`` relaxation to fixpoint
-(or an O(arcs) frontier BFS when every cost is 1), parents by a single
-arg-min pass over the converged distances.  DESIGN.md §12 spells out the
-argument; the golden and property tests enforce it.
+iterating a gather + ``np.minimum.reduceat`` relaxation to fixpoint,
+parents by a single arg-min pass over the converged distances — or,
+when every cost is 1, both in one O(arcs) frontier BFS that gives each
+node the smallest-index parent of the wave that reaches it.  DESIGN.md
+§12 spells out the argument; the golden and property tests enforce it.
 
-Trees leave these kernels as arrays
+Trees leave these kernels as arrays — float64 distances and int32
+parents, 12 bytes a node
 (:meth:`~repro.routing.spt.ShortestPathTree.from_arrays`); the
 reference-shaped dicts are built only if a caller reads them.
 """
@@ -160,7 +162,7 @@ def _segment_min(np, values, view: NumpyCSR):
 
 
 def _parent_pass(np, view: NumpyCSR, dist, weights, usable):
-    """``parent[v] = min{u : dist[u] + w(u, v) == dist[v]}`` (else -1).
+    """``parent[v] = min{u : dist[u] + w(u, v) == dist[v]}`` (else -1), as int32.
 
     Exact float comparisons are sound here because the caller only runs
     this on *exact* views (integer distances).
@@ -173,11 +175,11 @@ def _parent_pass(np, view: NumpyCSR, dist, weights, usable):
     extended = np.append(candidates, np.int64(view.n))
     best = np.minimum.reduceat(extended, view.indptr[:-1])
     best[view.deg == 0] = view.n
-    return np.where(best < view.n, best, -1)
+    return np.where(best < view.n, best, -1).astype(np.int32)
 
 
 def _bfs_unit(np, view: NumpyCSR, root_index: int, node_excl, link_excl):
-    """Distances by frontier-wave BFS — valid only when every cost is 1.
+    """Distances and int32 parents by frontier-wave BFS — only when every cost is 1.
 
     O(arcs) total work: each wave expands only the arcs *out of* the
     frontier (scatter direction), so the wave masks differ from the
@@ -185,9 +187,16 @@ def _bfs_unit(np, view: NumpyCSR, root_index: int, node_excl, link_excl):
     The next frontier is the unvisited targets scattered into a boolean
     mark array and read back with ``flatnonzero``: sorted and unique, as
     ``np.unique`` would give, without a sort per wave.
+
+    A node's parent is set in the wave that first reaches it, to the
+    smallest-index frontier node with a usable arc to it
+    (``np.minimum.at``).  That is :func:`_parent_pass`'s rule: the nodes
+    one level closer to the root are exactly that wave's frontier.
     """
     n = view.n
     dist = np.full(n, _INF)
+    # int64 like the arc arrays: ``np.minimum.at`` with a cast is slow.
+    parent = np.full(n, n, dtype=np.int64)
     if node_excl is None:
         unvisited = np.ones(n, dtype=bool)
     else:
@@ -210,13 +219,16 @@ def _bfs_unit(np, view: NumpyCSR, root_index: int, node_excl, link_excl):
         if link_bad is not None:
             arcs = arcs[~link_bad[arcs]]
         targets = view.nbr[arcs]
-        mark[targets[unvisited[targets]]] = True
+        fresh = unvisited[targets]
+        targets = targets[fresh]
+        np.minimum.at(parent, targets, view.node_arc[arcs[fresh]])
+        mark[targets] = True
         frontier = np.flatnonzero(mark)
         mark[frontier] = False
         level += 1.0
         dist[frontier] = level
         unvisited[frontier] = False
-    return dist
+    return dist, np.where(parent < n, parent, -1).astype(np.int32)
 
 
 def _sweep(np, view: NumpyCSR, dist, weights, usable, pin):
@@ -245,14 +257,13 @@ def _sweep(np, view: NumpyCSR, dist, weights, usable, pin):
 
 def _solve_arrays(np, view: NumpyCSR, root_index: int, toward_root, node_excl, link_excl):
     """Converged (dist, parent) arrays for one root."""
+    if view.unit:
+        return _bfs_unit(np, view, root_index, node_excl, link_excl)
     weights = _gather_weights(view, toward_root)
     usable = _gather_usable(view, node_excl, link_excl)
-    if view.unit:
-        dist = _bfs_unit(np, view, root_index, node_excl, link_excl)
-    else:
-        dist = np.full(view.n, _INF)
-        dist[root_index] = 0.0
-        dist = _sweep(np, view, dist, weights, usable, pin=root_index)
+    dist = np.full(view.n, _INF)
+    dist[root_index] = 0.0
+    dist = _sweep(np, view, dist, weights, usable, pin=root_index)
     parent = _parent_pass(np, view, dist, weights, usable)
     parent[root_index] = -1
     return dist, parent

@@ -68,8 +68,10 @@ class ShortestPathTree:
     ) -> "ShortestPathTree":
         """The tree of numpy ``dist`` / ``parent`` arrays over ``csr``.
 
-        The arrays are frozen read-only and the tree reads them through
-        their memoryviews, so copies of the tree share them.
+        The kernels pass float64 distances and int32 parents, 12 bytes a
+        node.  The arrays are frozen read-only and the tree reads them
+        through their memoryviews, which index to Python floats and ints,
+        so copies of the tree share them.
         """
         dist.flags.writeable = False
         parent.flags.writeable = False

@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Iterable, List, Tuple, TYPE_CHECKING
 
-from ..geometry import SpatialGrid, compute_cross_links
+from ..geometry import CrossRows, SpatialGrid, compute_cross_links
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import Link, Topology
@@ -145,9 +145,9 @@ class CSRView:
         #: Lazily built :class:`~repro.geometry.spatial.SpatialGrid` over
         #: node points and link segments — populated by :func:`region_index`.
         self.grid_cache = None
-        #: Lazily built §III-C crossing rows (link id -> sorted ids of the
-        #: links across it), computed on ``grid_cache`` — populated by
-        #: :func:`cross_rows`.
+        #: Lazily built §III-C :class:`~repro.geometry.CrossRows` (link id
+        #: -> ascending ids of the links across it), computed on
+        #: ``grid_cache`` — populated by :func:`cross_rows`.
         self.cross_cache = None
 
     @property
@@ -241,11 +241,11 @@ def region_index(topo: "Topology") -> SpatialGrid:
     return grid
 
 
-def cross_rows(topo: "Topology") -> Tuple[Tuple[int, ...], ...]:
+def cross_rows(topo: "Topology") -> CrossRows:
     """The §III-C crossing relation of ``topo`` by link id (once per CSR view).
 
-    ``rows[lid]`` is the sorted tuple of the ids of the links that properly
-    cross link ``lid``; a retired id gets ``()``.  Computed on
+    ``rows[lid]`` holds, ascending, the ids of the links that properly
+    cross link ``lid``; a retired id gets an empty row.  Computed on
     :func:`region_index`, the grid failure areas query.
     """
     csr = topo.csr()
@@ -254,13 +254,14 @@ def cross_rows(topo: "Topology") -> Tuple[Tuple[int, ...], ...]:
         grid = region_index(topo)
         rows = compute_cross_links(grid=grid)
         if len(rows) < csr.lid_size:
-            # Retired ids are not in the grid: move positions onto ids.
+            # Retired ids are not in the grid: move positions onto ids
+            # (ascending with the positions, so rows stay sorted).
             lids = [csr.pair_lid[link] for link in grid.segment_keys]
-            by_lid: List[Tuple[int, ...]] = [()] * csr.lid_size
+            by_lid: List[List[int]] = [[] for _ in range(csr.lid_size)]
             for lid, row in zip(lids, rows):
-                by_lid[lid] = tuple(lids[j] for j in row)
-            rows = by_lid
-        rows = csr.cross_cache = tuple(rows)
+                by_lid[lid] = [lids[j] for j in row]
+            rows = CrossRows.from_rows(by_lid)
+        csr.cross_cache = rows
     return rows
 
 

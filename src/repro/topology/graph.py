@@ -290,7 +290,7 @@ class Topology:
         """Whether no two links cross in this embedding."""
         from .csr import cross_rows
 
-        return not any(cross_rows(self))
+        return not cross_rows(self).ids
 
     # ------------------------------------------------------------------
     # Connectivity

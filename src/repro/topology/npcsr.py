@@ -47,19 +47,14 @@ def numpy_or_none():
 def expand_ranges(starts, counts):
     """Concatenate ``arange(starts[i], starts[i] + counts[i])``, vectorized.
 
-    Zero-length ranges are dropped up front — with them present the
-    difference-scatter below would write twice to one boundary slot.
+    One ``arange`` over the output plus each range's shift, repeated over
+    its length: a zero-length range repeats nothing, so it needs no guard.
+    ``starts`` may be a scalar (``0`` gives each range's offsets).
     """
     np = _np
-    keep = counts > 0
-    starts, counts = starts[keep], counts[keep]
-    if len(starts) == 0:
-        return np.empty(0, dtype=np.int64)
     ends = np.cumsum(counts)
-    out = np.ones(int(ends[-1]), dtype=np.int64)
-    out[0] = starts[0]
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(out)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
 
 
 class NumpyCSR:

@@ -15,9 +15,9 @@ production predicate to agree with it bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Set, Tuple
+from typing import Dict, Hashable, Sequence, Set, Tuple
 
-from repro.geometry import Segment, orientation
+from repro.geometry import CrossRows, Segment, orientation
 from repro.geometry.planarity import segments_cross_raw
 
 
@@ -61,16 +61,18 @@ def _bbox(segment: Segment) -> Tuple[float, float, float, float]:
 
 
 def rows_as_map(
-    links: Sequence[Tuple[Hashable, Segment]], rows: List[Tuple[int, ...]]
+    links: Sequence[Tuple[Hashable, Segment]], rows: CrossRows
 ) -> Dict[Hashable, Set[Hashable]]:
     """Crossing rows over positions as the key -> set-of-keys map.
 
-    Asserts the row shape on the way: one row per link, each a sorted
-    tuple of distinct positions.
+    Asserts the row shape on the way: one :class:`CrossRows` whose ids sit
+    in one buffer of 4-byte ints, one row per link, each ascending and
+    distinct.
     """
+    assert isinstance(rows, CrossRows) and rows.ids.itemsize == 4
     assert len(rows) == len(links)
     for row in rows:
-        assert isinstance(row, tuple) and list(row) == sorted(set(row))
+        assert list(row) == sorted(set(row))
     return {links[i][0]: {links[j][0] for j in row} for i, row in enumerate(rows)}
 
 

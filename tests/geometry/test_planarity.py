@@ -1,6 +1,7 @@
 """Tests for repro.geometry.planarity (cross-link precomputation)."""
 
 from repro.geometry import (
+    CrossRows,
     Point,
     Segment,
     compute_cross_links,
@@ -25,12 +26,12 @@ def crossing_map(links):
 class TestComputeCrossLinks:
     def test_simple_x(self):
         links = [("a", seg(0, 0, 10, 10)), ("b", seg(0, 10, 10, 0))]
-        assert compute_cross_links(links) == [(1,), (0,)]
+        assert compute_cross_links(links) == CrossRows.from_rows([(1,), (0,)])
         assert crossing_map(links) == {"a": {"b"}, "b": {"a"}}
 
     def test_no_crossings(self):
         links = [("a", seg(0, 0, 1, 0)), ("b", seg(0, 1, 1, 1))]
-        assert compute_cross_links(links) == [(), ()]
+        assert compute_cross_links(links) == CrossRows.from_rows([(), ()])
         assert crossing_map(links) == {"a": set(), "b": set()}
 
     def test_shared_endpoints_dont_cross(self):
@@ -43,7 +44,7 @@ class TestComputeCrossLinks:
         links = [("h", seg(0, 5, 30, 5))] + [
             (f"v{i}", seg(10 * i + 5, 0, 10 * i + 5, 10)) for i in range(3)
         ]
-        assert compute_cross_links(links)[0] == (1, 2, 3)
+        assert list(compute_cross_links(links)[0]) == [1, 2, 3]
         crossings = crossing_map(links)
         assert crossings["h"] == {"v0", "v1", "v2"}
         for i in range(3):
@@ -68,7 +69,7 @@ class TestComputeCrossLinks:
         assert all(not s for s in crossings.values())
 
     def test_empty_input(self):
-        assert compute_cross_links([]) == []
+        assert compute_cross_links([]) == CrossRows.from_rows([])
 
 
 class TestPlanarityPredicates:

@@ -13,6 +13,8 @@ border, and a topology with retired link ids; both refuse NaN and
 infinite coordinates.  ``TestVectorizedParity``
 is the numpy half and is skipped without numpy; ``TestPythonParity`` runs
 the same inputs with numpy hidden from the grid and the pairing.
+``TestPairingsAgree`` requires the two pairings to return equal
+``CrossRows`` on the catalog, ``scale:2000`` and the segment soups.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import UnknownLinkError
-from repro.geometry import planarity, spatial
+from repro.geometry import CrossRows, planarity, spatial
 from repro.geometry.planarity import compute_cross_links
 from repro.geometry.point import EPSILON, Point
 from repro.geometry.segment import Segment
@@ -114,6 +116,23 @@ soups = st.tuples(
 )
 
 
+def soup_links(soup):
+    """The links of one ``soups`` draw, keyed by position."""
+    ends, scale, touches, (ox, oy) = soup
+
+    def at(p):
+        return Point(ox + p.x * scale, oy + p.y * scale)
+
+    segments = [Segment(at(p), at(q)) for p, q in ends]
+    for (p, q), tilt, t, offset, far in touches:
+        a, b = at(p), at(Point(q.x, q.y + tilt))
+        d = b - a
+        length = d.norm() or 1.0
+        off_line = Point(-d.y, d.x) * (offset * EPSILON / length)
+        segments += [Segment(a, b), Segment(a + d * t + off_line, at(far))]
+    return list(enumerate(segments))
+
+
 class _Parity:
     """Every parity input; a subclass says how the rows are computed."""
 
@@ -186,7 +205,7 @@ class _Parity:
             topo.remove_link(link.u, link.v)
         rows = self.rows(topo)
         assert len(rows) == topo.csr().lid_size
-        assert all(rows[lid] == () for lid in retired)
+        assert all(len(rows[lid]) == 0 for lid in retired)
         assert all(list(row) == sorted(set(row)) for row in rows)
         got = {
             topo.link_at(lid): {topo.link_at(other) for other in row}
@@ -247,19 +266,7 @@ BACKENDS = [
      (-2e6, 5e5))
 )
 def test_segment_soups(cross, soup):
-    ends, scale, touches, (ox, oy) = soup
-
-    def at(p):
-        return Point(ox + p.x * scale, oy + p.y * scale)
-
-    segments = [Segment(at(p), at(q)) for p, q in ends]
-    for (p, q), tilt, t, offset, far in touches:
-        a, b = at(p), at(Point(q.x, q.y + tilt))
-        d = b - a
-        length = d.norm() or 1.0
-        off_line = Point(-d.y, d.x) * (offset * EPSILON / length)
-        segments += [Segment(a, b), Segment(a + d * t + off_line, at(far))]
-    links = list(enumerate(segments))
+    links = soup_links(soup)
     assert rows_as_map(links, cross(links)) == reference_cross_links(links)
 
 
@@ -276,6 +283,37 @@ def test_non_finite_coordinates_are_refused(cross, bad, slot):
     links[11] = (key, Segment(Point(*coords[:2]), Point(*coords[2:])))
     with pytest.raises(ValueError, match="finite"):
         cross(links)
+
+
+@needs_numpy
+class TestPairingsAgree:
+    """Both pairings return one equal ``CrossRows``, ids in a 4-byte buffer."""
+
+    @pytest.mark.parametrize("name", isp_catalog.names())
+    def test_catalog(self, name):
+        topo = shared(name)
+        links, grid = topology_links(topo), region_index(topo)
+        assert compute_cross_links(links, grid) == without_numpy(links, grid)
+
+    def test_scale_2000(self):
+        topo = shared("scale:2000")
+        links, grid = topology_links(topo), region_index(topo)
+        rows = compute_cross_links(links, grid)
+        assert rows == without_numpy(links, grid) == without_numpy(links)
+        assert isinstance(rows, CrossRows)
+        assert rows.ids.typecode == "i" and rows.ids.itemsize == 4
+        assert len(rows.ids) == rows.bounds[-1] == 2 * 30172
+        assert cross_rows(topo) == rows  # no retired ids: positions are link ids
+        # Every row is a slice of that one buffer.
+        assert [list(row) for row in rows] == [
+            list(rows.ids[lo:hi]) for lo, hi in zip(rows.bounds, rows.bounds[1:])
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(soups)
+    def test_segment_soups(self, soup):
+        links = soup_links(soup)
+        assert compute_cross_links(links) == without_numpy(links)
 
 
 class TestDispatch:

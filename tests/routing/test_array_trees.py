@@ -5,13 +5,16 @@ objects that read their ``dist`` / ``parent`` arrays through memoryviews
 and build the reference dicts only when ``.dist`` / ``.parent`` is read.  This module
 pins that behaviour against the pure-Python reference kernel:
 
-* the sort-free ``_bfs_unit`` frontier gives the reference distances on
-  ``scale:2000`` with random exclusions and on small unit graphs whose
-  frontier nodes share neighbours;
+* the sort-free ``_bfs_unit`` frontier gives the reference distances and
+  parents (each set in the wave that reaches its node) on ``scale:2000``
+  with random exclusions and on small unit graphs whose frontier nodes
+  share neighbours;
 * every point query of an array tree answers as the reference tree does,
   the materialized dicts equal the reference dicts in insertion order, and
   copies are independent;
-* ``updated_tree`` on a numpy view is the fresh tree of ``G - removed``.
+* ``updated_tree`` on a numpy view is the fresh tree of ``G - removed``,
+  and builds no :class:`PreFailureTree` it is handed — so RTR phase 2 on
+  a numpy view builds no exclusion-free forward tree.
 
 Skipped as a whole when numpy is not importable.
 """
@@ -27,7 +30,9 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.errors import NoPathError
 from repro.geometry import Point
-from repro.routing import kernels
+from repro.core import Phase2Engine
+from repro.core.phase1 import Phase1Result
+from repro.routing import PreFailureTree, SPTCache, dijkstra_run_count, kernels
 from repro.routing.dijkstra import _dijkstra_csr_kernel
 from repro.routing.incremental import updated_tree
 from repro.topology import Link, Topology, npcsr
@@ -63,6 +68,22 @@ def reference_dist_array(topo, tree):
     for node, d in tree.dist.items():
         out[csr.pos[node]] = d
     return out
+
+
+def reference_parent_array(topo, tree):
+    csr = topo.csr()
+    out = np.full(csr.n, -1, dtype=np.int32)
+    for node, p in tree.parent.items():
+        out[csr.pos[node]] = -1 if p is None else csr.pos[p]
+    return out
+
+
+def assert_bfs_matches(topo, got, ref):
+    """``_bfs_unit``'s (dist, parent) pair equals the reference tree's arrays."""
+    dist, parent = got
+    assert parent.dtype == np.int32
+    assert np.array_equal(dist, reference_dist_array(topo, ref))
+    assert np.array_equal(parent, reference_parent_array(topo, ref))
 
 
 def hexed(items):
@@ -115,8 +136,9 @@ class TestBfsFrontier:
             root = rng.choice(nodes)
             node_excl, link_excl = random_flags(topo, rng, n_nodes, n_links)
             got = kernels._bfs_unit(np, view, csr.pos[root], node_excl, link_excl)
-            ref = _dijkstra_csr_kernel(topo, root, False, node_excl, link_excl)
-            assert np.array_equal(got, reference_dist_array(topo, ref))
+            for toward_root in (False, True):
+                ref = _dijkstra_csr_kernel(topo, root, toward_root, node_excl, link_excl)
+                assert_bfs_matches(topo, got, ref)
 
     def test_excluded_root_still_expands(self, scale2000):
         csr = scale2000.csr()
@@ -126,7 +148,7 @@ class TestBfsFrontier:
             np, npcsr.numpy_view(csr), csr.pos[root], node_excl, None
         )
         ref = _dijkstra_csr_kernel(scale2000, root, False, node_excl, None)
-        assert np.array_equal(got, reference_dist_array(scale2000, ref))
+        assert_bfs_matches(scale2000, got, ref)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -275,3 +297,47 @@ class TestUpdatedTreeOnNumpyViews:
         got = updated_tree(topo, base, removed_links=removed)
         assert kernels.numpy_run_count() == before + 1
         assert isinstance(got.dense_dist, memoryview)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_a_pre_failure_tree_is_built_only_where_read(self, kernel_backend, backend):
+        topo = scale_topology(400, seed=8)
+        root = sorted(topo.nodes())[5]
+        removed = sorted(topo.links())[::40]
+        kernel_backend.use("python")
+        base = _dijkstra_csr_kernel(topo, root, False, None, None)
+        kernel_backend.use(backend)
+        builds = []
+
+        def build():
+            builds.append(root)
+            return base
+
+        got = updated_tree(topo, PreFailureTree(root, False, build), removed_links=removed)
+        assert builds == ([] if backend == "numpy" else [root])
+        want = updated_tree(topo, base, removed_links=removed)
+        assert hexed(got.dist.items()) == hexed(want.dist.items())
+        assert list(got.parent.items()) == list(want.parent.items())
+
+    def test_phase2_builds_no_exclusion_free_tree(self):
+        topo = scale_topology(kernels.AUTO_MIN_NODES + 100, seed=1)
+        initiator = sorted(topo.nodes())[3]
+        failed = sorted(topo.links())[::50]
+        phase1 = Phase1Result(
+            initiator=initiator,
+            walk=[initiator],
+            collected_failed_links=failed,
+            cross_links=[],
+            local_failed_links=[],
+            hops=0,
+            duration=0.0,
+        )
+        cache = SPTCache()
+        engine = Phase2Engine(topo, initiator, phase1, cache=cache)
+        runs, numpy_runs = dijkstra_run_count(), kernels.numpy_run_count()
+        tree = engine.tree()
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert dijkstra_run_count() == runs
+        assert kernels.numpy_run_count() == numpy_runs + 1
+        fresh = cache.forward_tree(topo, initiator, excluded_links=set(failed))
+        assert hexed(tree.dist.items()) == hexed(fresh.dist.items())
+        assert list(tree.parent.items()) == list(fresh.parent.items())
