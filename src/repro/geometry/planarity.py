@@ -37,7 +37,7 @@ from .spatial import SpatialGrid, quads
 
 try:  # optional [fast] extra; the Python pairing computes the same rows
     import numpy as _np
-except Exception:  # pragma: no cover - exercised by no-numpy CI job
+except Exception:  # pragma: no cover - exercised by the numpy-less CI legs
     _np = None
 
 LinkKey = TypeVar("LinkKey", bound=Hashable)

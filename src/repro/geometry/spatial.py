@@ -36,7 +36,7 @@ from .point import EPSILON, Point
 
 try:  # optional [fast] extra; the Python loop builds the same cells
     import numpy as _np
-except Exception:  # pragma: no cover - exercised by no-numpy CI job
+except Exception:  # pragma: no cover - exercised by the numpy-less CI legs
     _np = None
 
 #: ``(min_x, min_y, max_x, max_y)``.

@@ -62,13 +62,6 @@ class RecoveryHeader:
         self.failed_links.append(link)
         return True
 
-    def record_cross(self, link: Link) -> bool:
-        """Record ``link`` in ``cross_link`` if absent; True when added."""
-        if link in self.cross_links:
-            return False
-        self.cross_links.append(link)
-        return True
-
     def recovery_bytes(self) -> int:
         """Bytes of recovery information currently in the header."""
         total = 0

@@ -48,7 +48,6 @@ def clean_obs_state():
         obs.disable()
 
 
-@pytest.mark.obs
 class TestNoopFastPath:
     def test_sweep_bit_identical_with_obs_on_and_off(self):
         off = table3_recoverable(TOPOS, N, SEED)
@@ -59,7 +58,7 @@ class TestNoopFastPath:
 
     @pytest.mark.skipif(
         os.environ.get("REPRO_OBS_PERF") != "1",
-        reason="wall-clock assertion; set REPRO_OBS_PERF=1 (CI obs job) to run",
+        reason="wall-clock assertion; set REPRO_OBS_PERF=1 (the numpy CI legs do) to run",
     )
     def test_enabled_overhead_under_ten_percent(self):
         def best_of(n):
@@ -82,7 +81,6 @@ class TestNoopFastPath:
         )
 
 
-@pytest.mark.obs
 class TestInstrumentedSweep:
     def test_every_layer_reports_nonzero_span_time(self):
         obs.enable()
@@ -112,7 +110,6 @@ class TestInstrumentedSweep:
         assert snap["gauges"].get("spt_cache.hit_rate.AS209", 0.0) > 0.0
 
 
-@pytest.mark.obs
 class TestParallelMerge:
     def test_merged_shard_counters_equal_serial_exactly(self, monkeypatch):
         # Spawn-safe: fresh worker processes re-read REPRO_OBS at import.
@@ -133,7 +130,6 @@ class TestParallelMerge:
             assert merged.get(key) == serial.get(key), key
 
 
-@pytest.mark.obs
 class TestTrafficWindowSpans:
     """Demand weighting reports where a traffic window's time goes."""
 

@@ -34,11 +34,6 @@ class TestRecoveryHeader:
         assert not header.record_failed(Link.of(2, 1))
         assert len(header.failed_links) == 1
 
-    def test_record_cross_deduplicates(self):
-        header = RecoveryHeader()
-        assert header.record_cross(Link.of(1, 2))
-        assert not header.record_cross(Link.of(1, 2))
-
     def test_insertion_order_preserved(self):
         # Table I depends on the recording order.
         header = RecoveryHeader()
