@@ -67,7 +67,6 @@ from .failures import (
 from .simulator import (
     ForwardingEngine,
     Packet,
-    PaperDelayModel,
     RecoveryAccounting,
     RecoveryHeader,
     RecoveryResult,
@@ -116,7 +115,6 @@ __all__ = [
     "random_circle",
     "ForwardingEngine",
     "Packet",
-    "PaperDelayModel",
     "RecoveryAccounting",
     "RecoveryHeader",
     "RecoveryResult",

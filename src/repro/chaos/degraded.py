@@ -16,12 +16,12 @@ its view is ideal or degraded:
   instant they activate (both ends detect a flap immediately).
 
 Because answers change as the runtime clock advances, this view never
-caches neighbor lists.
+caches failed-link ids.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..failures import FailureScenario, LocalView
 from .plan import FaultPlan
@@ -69,18 +69,24 @@ class DegradedLocalView(LocalView):
             return True
         return False
 
-    def unreachable_neighbors(self, node: int) -> List[int]:
+    def failed_lids(self, node: int) -> Tuple[int, ...]:
         """Recomputed on every call — degraded answers drift with the clock.
 
-        ``node``'s CSR row probed by id, in adjacency order.
+        ``node``'s links probed by id, in adjacency order: all of them once
+        a secondary failure has flapped a link, else only the truly failed
+        ones, since a live link reads reachable until it flaps.
         """
         csr = self._csr
-        ids, nbr, lids = csr.ids, csr.nbr, csr.lid
-        return [
-            ids[nbr[i]]
-            for i in self._arcs_of(node)
-            if not self.link_reachable(node, ids[nbr[i]], lids[i])
-        ]
+        if self.runtime.flapped_lids:
+            candidates = [csr.lid[i] for i in self._arcs_of(node)]
+        else:
+            candidates = super().failed_lids(node)
+        links = csr.links
+        return tuple(
+            lid
+            for lid in candidates
+            if not self.link_reachable(node, links[lid].other(node), lid)
+        )
 
     def missed_adjacencies(self) -> Set[Tuple[int, int]]:
         """Directed adjacencies whose failure is never locally detected."""

@@ -23,11 +23,10 @@ from typing import Optional
 
 from .. import obs
 from ..failures import LocalView
-from ..simulator import DEFAULT_DELAY_MODEL, Mode, Packet
-from ..simulator.delays import DelayModel
+from ..simulator import Mode, Packet
 from ..simulator.engine import ForwardingEngine
 from ..simulator.stats import RecoveryAccounting
-from ..simulator.trace import ForwardingTrace
+from ..simulator.trace import DropEvent, ForwardingTrace
 from ..topology import Link, Topology
 from .runtime import ChaosRuntime
 
@@ -35,42 +34,55 @@ log = obs.get_logger(__name__)
 
 
 class ChaosForwardingEngine(ForwardingEngine):
-    """A forwarding engine whose links misbehave per a fault plan."""
+    """A forwarding engine whose links misbehave per a fault plan.
+
+    It fills the base engine's two hooks: ``lose`` before a recovery
+    transmission, ``after_hop`` after every hop.
+    """
 
     def __init__(
         self,
         topo: Topology,
         view: LocalView,
         runtime: ChaosRuntime,
-        delay_model: DelayModel = DEFAULT_DELAY_MODEL,
         trace: Optional[ForwardingTrace] = None,
     ) -> None:
-        super().__init__(topo, view, delay_model, trace)
+        super().__init__(topo, view, trace)
         self.runtime = runtime
 
-    def _chaos_check(self, packet: Packet, link: Link) -> Optional[str]:
-        # One seeded loss draw per prospective transmission, in walk order.
-        if self.runtime.sample_packet_loss():
-            return f"recovery packet lost on link {link} (injected loss)"
-        return None
+    def lose(  # type: ignore[override]
+        self, packet: Packet, link: Link, accounting: RecoveryAccounting
+    ) -> Optional[str]:
+        """One seeded loss draw per prospective transmission, in walk order."""
+        if not self.runtime.sample_packet_loss():
+            return None
+        reason = f"recovery packet lost on link {link} (injected loss)"
+        if self.trace is not None:
+            self.trace.record_drop(
+                DropEvent(
+                    time=accounting.clock,
+                    node=packet.at,
+                    mode=packet.header.mode,
+                    packet_id=packet.packet_id,
+                    reason=reason,
+                    span_id=obs.current_span_id(),
+                )
+            )
+        return reason
 
-    def forward_one_hop(
-        self,
-        packet: Packet,
-        next_node: int,
-        link: Link,
-        accounting: RecoveryAccounting,
+    def after_hop(  # type: ignore[override]
+        self, packet: Packet, accounting: RecoveryAccounting
     ) -> None:
-        super().forward_one_hop(packet, next_node, link, accounting)
+        """Advance the network hop clock, then maybe truncate the header."""
         self.runtime.on_hop()
         if (
             packet.header.mode == Mode.COLLECTING
             and self.runtime.sample_header_corruption()
         ):
-            _truncate_header(packet)
+            _truncate_header(packet, accounting)
 
 
-def _truncate_header(packet: Packet) -> None:
+def _truncate_header(packet: Packet, accounting: RecoveryAccounting) -> None:
     """Drop the most recently recorded variable header entry, if any.
 
     Failed-link entries are the freshest (and most valuable) information,
@@ -79,13 +91,13 @@ def _truncate_header(packet: Packet) -> None:
     """
     header = packet.header
     if header.failed_links:
-        dropped = header.failed_links.pop()
-        kind = "failed-link"
+        field_name, kind = "failed_links", "failed-link"
     elif header.cross_links:
-        dropped = header.cross_links.pop()
-        kind = "cross-link"
+        field_name, kind = "cross_links", "cross-link"
     else:
         return
+    dropped = getattr(header, field_name).pop()
+    accounting.carry(header.recovery_bytes(), (field_name, None))
     log.warning(
         "chaos truncated %s entry %s from recovery header at node %s "
         "(packet %s -> %s)",

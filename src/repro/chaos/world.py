@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..failures import FailureScenario, LocalView
-from ..simulator import DEFAULT_DELAY_MODEL, DelayModel, ForwardingEngine
+from ..simulator import ForwardingEngine
 from ..topology import Topology
 from .degraded import DegradedLocalView
 from .engine import ChaosForwardingEngine
@@ -25,7 +25,6 @@ def forwarding_world(
     topo: Topology,
     scenario: FailureScenario,
     fault_plan: Optional[FaultPlan] = None,
-    delay_model: DelayModel = DEFAULT_DELAY_MODEL,
 ) -> Tuple[LocalView, ForwardingEngine]:
     """The ``(view, engine)`` pair of one convergence window.
 
@@ -38,7 +37,7 @@ def forwarding_world(
     """
     if fault_plan is None or fault_plan.is_null():
         view = LocalView(scenario)
-        return view, ForwardingEngine(topo, view, delay_model)
+        return view, ForwardingEngine(topo, view)
     runtime = ChaosRuntime(fault_plan, scenario)
     degraded = DegradedLocalView(scenario, fault_plan, runtime)
-    return degraded, ChaosForwardingEngine(topo, degraded, runtime, delay_model)
+    return degraded, ChaosForwardingEngine(topo, degraded, runtime)

@@ -40,10 +40,11 @@ class CrossLinkState:
     "candidate crosses some recorded link" is exactly "candidate is in the
     union of the recorded links' crossing rows"; keeping that union as
     flags makes an exclusion check one index, ``barred[lid]``, which the
-    sweep step reads directly.  The header list only ever
-    grows here, and the flags never clear: a chaos-truncated entry stays
-    in force for the rest of the walk and is not recorded again.  The
-    rows are :func:`~repro.topology.csr.cross_rows`' sequences of ids.
+    sweep step reads directly.  The header list only ever grows here, and
+    the flags never clear: a chaos-truncated entry stays in force for the
+    rest of the walk, and Constraint 2's answer for a link is final once
+    asked (``checked``), so a walk scans each crossing row at most once.
+    The rows are :func:`~repro.topology.csr.cross_rows`' sequences of ids.
     """
 
     def __init__(self, topo: Topology, header: RecoveryHeader) -> None:
@@ -51,14 +52,14 @@ class CrossLinkState:
         self.header = header
         self._rows = cross_rows(topo)
         self._links = csr.links
-        self._pair_lid = csr.pair_lid
         self.recorded = bytearray(csr.lid_size)
         self.barred = bytearray(csr.lid_size)
+        self.checked = bytearray(csr.lid_size)
         for link in header.cross_links:
             self._mark(topo.link_index(link))
 
     def _mark(self, lid: int) -> None:
-        self.recorded[lid] = 1
+        self.recorded[lid] = self.checked[lid] = 1
         barred = self.barred
         for other in self._rows[lid]:
             barred[other] = 1
@@ -80,8 +81,7 @@ class CrossLinkState:
         the links recorded.
         """
         recorded: List[Link] = []
-        for neighbor in view.unreachable_neighbors(initiator):
-            lid = self._pair_lid[(initiator, neighbor)]
+        for lid in view.failed_lids(initiator):
             if self._rows[lid] and self.record(lid):
                 recorded.append(self._links[lid])
         return recorded
@@ -91,10 +91,17 @@ class CrossLinkState:
 
         If a link crosses the selected one and is not already barred by the
         recorded set, record the selected link so that crossing link can
-        never be chosen later.  Returns True when it was recorded.
+        never be chosen later.  Returns True when it was recorded.  A
+        ``checked`` link answers False at once; otherwise its row is
+        scanned in place in the relation's id buffer.
         """
-        barred = self.barred
-        for crosser in self._rows[lid]:
+        checked = self.checked
+        if checked[lid]:
+            return False
+        checked[lid] = 1
+        rows, barred = self._rows, self.barred
+        bounds = rows.bounds
+        for crosser in rows.ids[bounds[lid] : bounds[lid + 1]]:
             if not barred[crosser]:
                 return self.record(lid)
         return False

@@ -34,8 +34,8 @@ from ..simulator import (
     RecoveryHeader,
     walk_hop_budget,
 )
-from ..topology import Link, Topology
-from .phase1 import Phase1Result, _record_failures_at
+from ..topology import Topology
+from .phase1 import Phase1Result, _FailedLinkField
 from .sweep import sweep_order
 
 
@@ -63,27 +63,24 @@ def run_exhaustive_phase1(
     header = RecoveryHeader(mode=Mode.COLLECTING, rec_init=initiator)
     packet = Packet(source=initiator, destination=initiator, header=header)
 
-    local_failed = [
-        Link.of(initiator, nb) for nb in view.unreachable_neighbors(initiator)
-    ]
+    local_failed = view.locally_failed_links(initiator)
 
     obs.inc("simulator.walks.executed")
     seen: Set[int] = {initiator}
     header.source_route.append(initiator)  # visited list, byte-accounted
     stack: List[int] = []  # DFS parent chain (for backtracking hops)
-    field_trace: List[tuple] = []
     walk = [initiator]
     budget = walk_hop_budget(topo.link_count)
     csr = topo.csr()
-    failed_flags, failed_order = bytearray(csr.lid_size), []
+    failed = _FailedLinkField(csr, initiator, header, accounting)
+    accounting.carry(header.recovery_bytes())
+    origin = (len(accounting.header_log), accounting.hops_traveled, (), ())
+    lose = engine.lose
     for _ in range(budget):
         current = packet.at
-        _record_failures_at(
-            current, initiator, view, header, csr, failed_flags, failed_order
-        )
-        field_trace.append(
-            (current, tuple(header.failed_links), tuple(header.cross_links))
-        )
+        for failed_lid in view.failed_lids(current):
+            if not failed.flags[failed_lid]:
+                failed.record(failed_lid)
         # Deterministic neighbor order: reuse the sweep ordering relative
         # to the previous hop (or the trigger at the very start).
         reference = stack[-1] if stack else trigger_neighbor
@@ -91,6 +88,7 @@ def run_exhaustive_phase1(
             if next_node not in seen and view.is_neighbor_reachable(current, next_node):
                 seen.add(next_node)
                 header.source_route.append(next_node)
+                accounting.carry(header.recovery_bytes())
                 stack.append(current)
                 break
         else:
@@ -103,9 +101,11 @@ def run_exhaustive_phase1(
                     f"DFS backtrack {current} -> {next_node} is unreachable", walk
                 )
         link = csr.links[csr.pair_lid[(current, next_node)]]
-        reason = engine.transmit(packet, next_node, link, accounting)
+        reason = None if lose is None else lose(packet, link, accounting)
         if reason is not None:
             raise SimulationError(f"packet lost mid-walk at {packet.at}: {reason}")
+        engine.forward_one_hop(packet, next_node, link, accounting)
+        failed.sync()
         walk.append(next_node)
     else:
         raise ForwardingLoopError(
@@ -119,6 +119,6 @@ def run_exhaustive_phase1(
         local_failed_links=local_failed,
         hops=len(walk) - 1,
         duration=accounting.clock,
-        header_timeline=list(accounting.header_timeline),
-        field_trace=field_trace,
+        accounting=accounting.copy(),
+        field_origin=origin + (len(walk),),
     )

@@ -60,7 +60,7 @@ class MultiAreaRTR:
         self.view = LocalView(scenario)
         self.routing = routing if routing is not None else RoutingTable(topo)
         self.config = config or RTRConfig()
-        self.engine = ForwardingEngine(topo, self.view, self.config.delay_model)
+        self.engine = ForwardingEngine(topo, self.view)
         self.max_recoveries = max_recoveries
 
     def deliver(self, source: int, destination: int) -> MultiAreaResult:
@@ -125,6 +125,7 @@ class MultiAreaRTR:
                 )
 
             # Source-route until delivery or the next undiscovered failure.
+            accounting.carry(0)  # the probe packets' empty header
             hit_failure = False
             for node, nxt in route.hops():
                 lid = self.view.link_id(node, nxt)

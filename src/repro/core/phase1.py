@@ -15,7 +15,7 @@ one hop loop, run by the walk plane like every other spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .. import obs
 from ..errors import ForwardingLoopError, SimulationError
@@ -53,14 +53,8 @@ class Phase1Result:
     local_failed_links: List[Link]
     #: Hop count of the walk.
     hops: int
-    #: Wall-clock duration of the walk under the delay model (seconds).
+    #: Wall-clock duration of the walk under the §IV-B hop clock (seconds).
     duration: float
-    #: Per-hop ``(time, recovery_header_bytes)`` samples.
-    header_timeline: List[tuple] = field(default_factory=list)
-    #: Per-hop header snapshots ``(node, failed_links, cross_links)`` —
-    #: the contents of the two fields at each hop, exactly as the paper's
-    #: Table I tabulates them.
-    field_trace: List[tuple] = field(default_factory=list)
     #: Whether the walk ran to completion.  False only in degraded mode:
     #: the packet was lost in flight, stranded at a node with no live,
     #: non-excluded neighbor, or truncated at its hop budget, so the
@@ -70,6 +64,23 @@ class Phase1Result:
     incomplete_reason: Optional[str] = None
     #: Packet retransmissions spent before this result was obtained.
     retries: int = 0
+    #: The accounting the walk ran on, as it stood when the walk ended.
+    accounting: RecoveryAccounting = field(default_factory=RecoveryAccounting)
+    #: Where :attr:`field_trace` starts (see :func:`rebuild_field_trace`).
+    field_origin: Tuple[int, int, tuple, tuple, int] = (0, 0, (), (), 0)
+
+    @property
+    def header_timeline(self) -> List[Tuple[float, int]]:
+        """Per-hop ``(time, recovery_header_bytes)`` samples."""
+        return self.accounting.header_timeline
+
+    @property
+    def field_trace(self) -> List[tuple]:
+        """Per-hop header snapshots ``(node, failed_links, cross_links)`` —
+        the two fields at each hop, as the paper's Table I tabulates them."""
+        return rebuild_field_trace(
+            self.accounting.header_log, self.field_origin, self.walk
+        )
 
     def all_known_failed_links(self) -> List[Link]:
         """Collected plus locally known failed links — the set ``E1``."""
@@ -80,39 +91,71 @@ class Phase1Result:
         ]
 
 
-def _record_failures_at(
-    node: int,
-    initiator: int,
-    view: LocalView,
-    header: RecoveryHeader,
-    csr: CSRView,
-    recorded: bytearray,
-    order: List[int],
-) -> None:
-    """§III-C item 2: record this node's locally detected failed links.
+def rebuild_field_trace(
+    header_log: List[tuple], origin: Tuple[int, int, tuple, tuple, int], walk: List[int]
+) -> List[tuple]:
+    """Replay a walk's header log into one ``(node, failed, crossed)`` per snapshot.
 
-    The initiator's own incident failures are skipped — the initiator
-    already knows them, so carrying them would waste header bytes.
-    ``recorded`` flags, by link id, the links in the ``failed_link``
-    field, and ``order`` lists them in field order, so a link is checked
-    in O(1) instead of by a scan of the field.  A chaos truncation pops
-    the field's last entries, so entries of ``order`` past the field's
-    length are cleared first: those links may be recorded again, as the
-    scan would allow.
+    ``origin`` is the ``(log index, hop count, failed_link field,
+    cross_link field)`` of the walk's start and its snapshot count; a change
+    logged at hop count ``first_hop + i`` is in the snapshot at ``walk[i]``.
     """
-    if node == initiator:
-        return
-    entries = header.failed_links
-    while len(order) > len(entries):
-        recorded[order.pop()] = 0
-    pair_lid, links = csr.pair_lid, csr.links
-    for neighbor in view.unreachable_neighbors(node):
-        if neighbor != initiator:
-            lid = pair_lid[(node, neighbor)]
-            if not recorded[lid]:
-                recorded[lid] = 1
-                order.append(lid)
-                entries.append(links[lid])
+    start, first_hop, failed, crossed, snapshots = origin
+    fields = {"failed_links": list(failed), "cross_links": list(crossed)}
+    trace: List[tuple] = []
+    k, end = start, len(header_log)
+    for i, node in enumerate(walk[:snapshots]):
+        changed = False
+        while k < end and header_log[k][0] - first_hop <= i:
+            change = header_log[k][3]
+            k += 1
+            entries = change and fields.get(change[0])
+            if entries is not None:
+                changed = True
+                if change[1] is None:
+                    entries.pop()
+                else:
+                    entries.append(change[1])
+        if changed:
+            failed = tuple(fields["failed_links"])
+            crossed = tuple(fields["cross_links"])
+        trace.append((node, failed, crossed))
+    return trace
+
+
+class _FailedLinkField:
+    """The ``failed_link`` header field of one walk, by link id (§III-C item 2).
+
+    ``flags`` marks the field's links and the initiator's own, which it
+    already knows; ``order`` lists the field's ids, so :meth:`sync` can
+    clear the flags of entries a chaos truncation popped.
+    """
+
+    __slots__ = ("flags", "order", "header", "links", "accounting")
+
+    def __init__(self, csr: CSRView, initiator: int, header, accounting) -> None:
+        flags = self.flags = bytearray(csr.lid_size)
+        u = csr.pos[initiator]
+        for lid in csr.lid[csr.indptr[u] : csr.indptr[u + 1]]:
+            flags[lid] = 1
+        self.order = [csr.pair_lid[link] for link in header.failed_links]
+        for lid in self.order:
+            flags[lid] = 1
+        self.header, self.links, self.accounting = header, csr.links, accounting
+
+    def record(self, lid: int) -> None:
+        """Append link ``lid`` (not flagged) to the field."""
+        self.flags[lid] = 1
+        self.order.append(lid)
+        link = self.links[lid]
+        self.header.failed_links.append(link)
+        self.accounting.carry(self.header.recovery_bytes(), ("failed_links", link))
+
+    def sync(self) -> None:
+        """Clear the flags of the entries a truncation removed."""
+        order, flags = self.order, self.flags
+        while len(order) > len(self.header.failed_links):
+            flags[order.pop()] = 0
 
 
 @dataclass
@@ -125,8 +168,10 @@ class SweepWalkSpec:
     end when it is back at the initiator and the sweep would re-select
     ``start_hop``; a lost packet, an exhausted ``budget`` or a node with no
     live, non-excluded neighbor ends it short.  ``strict`` raises on those;
-    otherwise the outcome reports them.  ``field_trace`` collects the
-    per-hop header snapshots of :attr:`Phase1Result.field_trace`.
+    otherwise the outcome reports them.
+
+    A hop pays for the sweep step, the Constraint 2 check and the move;
+    header entries go to the accounting's log as they are appended.
     """
 
     initiator: int
@@ -135,7 +180,9 @@ class SweepWalkSpec:
     clockwise: bool
     budget: int
     strict: bool = True
-    field_trace: List[tuple] = field(default_factory=list)
+    #: ``(log index, hop count, failed_link field, cross_link field)`` when
+    #: the last walk began (set by :meth:`walk`; see :func:`rebuild_field_trace`).
+    origin: Tuple[int, int, tuple, tuple] = (0, 0, (), ())
 
     def walk(
         self, engine: ForwardingEngine, packet: Packet, accounting: RecoveryAccounting
@@ -151,26 +198,17 @@ class SweepWalkSpec:
             barred, after_selection = constraints.barred, constraints.after_selection
         else:
             barred, after_selection = csr.no_links, None
-        field_trace = self.field_trace
-        # The header fields of the last snapshot: a field whose length and
-        # last entry are unchanged since then is unchanged, so its tuple is
-        # reused.  Between two snapshots a field takes at most one chaos
-        # truncation (one per forwarded hop), and it comes before any
-        # append: equal length then means nothing changed or the popped
-        # entry came back.
-        failed, crossed = (), ()
-
-        def snapshot(node: int) -> None:
-            nonlocal failed, crossed
-            failed = _reuse(header.failed_links, failed)
-            crossed = _reuse(header.cross_links, crossed)
-            field_trace.append((node, failed, crossed))
-
-        # The ``failed_link`` field by link id (see _record_failures_at).
-        failed_order = [csr.pair_lid[link] for link in header.failed_links]
-        failed_flags = bytearray(csr.lid_size)
-        for failed_lid in failed_order:
-            failed_flags[failed_lid] = 1
+        failed_lids, lose, hop = view.failed_lids, engine.lose, engine.forward_one_hop
+        truncating = engine.after_hop is not None
+        failed = _FailedLinkField(csr, initiator, header, accounting)
+        recorded = failed.flags
+        accounting.carry(header.recovery_bytes())
+        self.origin = (
+            len(accounting.header_log),
+            accounting.hops_traveled,
+            tuple(header.failed_links),
+            tuple(header.cross_links),
+        )
 
         visited = [packet.at]
         # Each hop sweeps from the link the packet arrived on, so the link
@@ -179,16 +217,15 @@ class SweepWalkSpec:
         lid = csr.pair_lid[(packet.at, start_hop)]
         for _ in range(self.budget):
             current = packet.at
-            _record_failures_at(
-                current, initiator, view, header, csr, failed_flags, failed_order
-            )
+            for failed_lid in failed_lids(current):
+                if not recorded[failed_lid]:
+                    failed.record(failed_lid)
             if previous is not None:
                 hit = step(view, current, previous, lid, barred, clockwise)
                 if hit is None:
                     # Every link out of here failed after the packet came
                     # in (a sender that missed a failure forwarded into it,
                     # or a secondary failure): the walk cannot go on.
-                    snapshot(current)
                     reason = (
                         f"phase-1 walk of {initiator} stranded at {current}: "
                         f"no live, non-excluded neighbor"
@@ -206,25 +243,28 @@ class SweepWalkSpec:
                 # would re-select the first hop; elsewhere keep going so no
                 # node on the cycle is missed.
                 if current == initiator and next_node == start_hop:
-                    snapshot(current)
                     return WalkOutcome(visited=visited, reached=True)
-            if after_selection is not None:
-                after_selection(lid)
+            link = links[lid]
+            if after_selection is not None and after_selection(lid):
+                accounting.carry(header.recovery_bytes(), ("cross_links", link))
             previous = current
-            snapshot(current)
-            reason = engine.transmit(packet, next_node, links[lid], accounting)
-            if reason is not None:
-                if self.strict:
-                    raise SimulationError(
-                        f"phase-1 packet of {initiator} lost at {packet.at}: {reason}"
+            if lose is not None:
+                reason = lose(packet, link, accounting)
+                if reason is not None:
+                    if self.strict:
+                        raise SimulationError(
+                            f"phase-1 packet of {initiator} lost at {current}: {reason}"
+                        )
+                    return WalkOutcome(
+                        visited=visited,
+                        reached=False,
+                        lost=True,
+                        drop_node=current,
+                        drop_reason=reason,
                     )
-                return WalkOutcome(
-                    visited=visited,
-                    reached=False,
-                    lost=True,
-                    drop_node=packet.at,
-                    drop_reason=reason,
-                )
+            hop(packet, next_node, link, accounting)
+            if truncating:
+                failed.sync()
             visited.append(next_node)
         reason = f"walk exceeded {self.budget} hops without terminating"
         if self.strict:
@@ -236,12 +276,6 @@ class SweepWalkSpec:
             drop_node=packet.at,
             drop_reason=reason,
         )
-
-
-def _reuse(entries: List[Link], before: tuple) -> tuple:
-    if len(entries) == len(before) and (not entries or entries[-1] == before[-1]):
-        return before
-    return tuple(entries)
 
 
 def run_phase1(
@@ -281,7 +315,7 @@ def run_phase1(
         constraints.seed_initiator_links(view, initiator)
         barred = constraints.barred
 
-    local_failed = [Link.of(initiator, nb) for nb in view.unreachable_neighbors(initiator)]
+    local_failed = view.locally_failed_links(initiator)
 
     start_hop = select_next_hop(
         topo, view, initiator, trigger_neighbor, barred, clockwise
@@ -317,8 +351,9 @@ def run_phase1(
         local_failed_links=local_failed,
         hops=len(outcome.visited) - 1,
         duration=accounting.clock,
-        header_timeline=list(accounting.header_timeline),
-        field_trace=spec.field_trace,
         complete=outcome.reached,
         incomplete_reason=outcome.drop_reason,
+        accounting=accounting.copy(),
+        # Every visited node has a snapshot but the last of a budget cut.
+        field_origin=spec.origin + (len(outcome.visited) - outcome.truncated,),
     )

@@ -48,9 +48,7 @@ from ..errors import SimulationError
 from ..failures import FailureScenario, LocalView, find_initiator
 from ..routing import LinkStateProtocol, RoutingTable, SPTCache
 from ..simulator import (
-    DEFAULT_DELAY_MODEL,
     DEFAULT_PAYLOAD_BYTES,
-    DelayModel,
     RecoveryAccounting,
     RecoveryResult,
     SourceRouteSpec,
@@ -90,8 +88,6 @@ class RTRConfig:
     #: ``"exhaustive"`` (the complete-but-costly DFS alternative §III-C
     #: rejects — see :mod:`repro.core.exhaustive`).
     collector: str = "sweep"
-    #: Per-hop delay model (default: the paper's fixed 1.8 ms).
-    delay_model: DelayModel = None  # type: ignore[assignment]
     #: Retransmissions of a lost/truncated phase-1 walk (degraded mode
     #: only — without injected faults a walk cannot be lost).
     max_phase1_retries: int = 3
@@ -108,8 +104,6 @@ class RTRConfig:
     fallback_to_reconvergence: bool = False
 
     def __post_init__(self) -> None:
-        if self.delay_model is None:
-            self.delay_model = DEFAULT_DELAY_MODEL
         if self.collector not in ("sweep", "exhaustive"):
             raise ValueError(f"unknown collector {self.collector!r}")
         for name in (
@@ -169,9 +163,7 @@ class RTR:
         self.routing = routing if routing is not None else RoutingTable(topo)
         faulted = fault_plan is not None and not fault_plan.is_null()
         self.config = config or (RTRConfig.hardened() if faulted else RTRConfig())
-        self.view, self.engine = forwarding_world(
-            topo, scenario, fault_plan, self.config.delay_model
-        )
+        self.view, self.engine = forwarding_world(topo, scenario, fault_plan)
         #: The injectors' shared runtime (``None`` in the idealized world).
         self.chaos: Optional[ChaosRuntime] = (
             self.engine.runtime if faulted else None  # type: ignore[attr-defined]
@@ -247,7 +239,7 @@ class RTR:
         assert result is not None
         result.hops = accounting.hops_traveled
         result.duration = accounting.clock
-        result.header_timeline = list(accounting.header_timeline)
+        result.accounting = accounting
         result.retries = accounting.retransmissions
         return result
 
@@ -426,11 +418,7 @@ class RTR:
         """Per-test-case accounting (§IV): the walk is attributed to every
         test case of this initiator, and each case counts one SP
         calculation regardless of tree caching."""
-        accounting = RecoveryAccounting()
-        accounting.clock = phase1.duration
-        accounting.hops_traveled = phase1.hops
-        accounting.header_timeline = list(phase1.header_timeline)
-        accounting.retransmissions = phase1.retries
+        accounting = phase1.accounting.copy()
         accounting.count_sp(1)
         return accounting
 
@@ -616,8 +604,8 @@ def _missed_link(outcome: Phase2Result) -> Optional[Link]:
 
 def _phase1_final_header_bytes(phase1: Phase1Result) -> int:
     """Recovery header size at the end of the phase-1 walk."""
-    if phase1.header_timeline:
-        return phase1.header_timeline[-1][1]
+    if phase1.accounting.hops_traveled:
+        return phase1.accounting.final_header_bytes()
     # Isolated initiator: the packet never left, only fixed fields existed.
     from ..simulator import FIXED_RTR_HEADER_BYTES
 

@@ -50,45 +50,53 @@ class SweepTable:
     ``node``'s ring, so a reference link locates its start in O(1).  Nodes
     flagged in ``key_sort`` have near-equal bearings and are swept by the
     ``(ccw_angle, id)`` sort instead, of the vectors to their neighbors
-    kept in ``key_vectors``; the flag is a property of the embedding, set
-    once here.
+    kept in ``key_vectors``; the flag is a property of the embedding.  All
+    of it is per row, and a row is filled by :meth:`build` on the first
+    step at its node.
     """
 
-    __slots__ = ("csr", "ring", "ring_lid", "slot", "key_sort", "key_vectors")
+    __slots__ = (
+        "csr", "ring", "ring_lid", "slot", "key_sort", "key_vectors", "built", "_xy"
+    )
 
     def __init__(self, topo: Topology, csr: CSRView) -> None:
-        ids, indptr, nbr, lids = csr.ids, csr.indptr, csr.nbr, csr.lid
-        points = [topo.position(node) for node in ids]
-        xs = [p.x for p in points]
-        ys = [p.y for p in points]
-        atan2 = math.atan2
+        points = [topo.position(node) for node in csr.ids]
+        self._xy = ([p.x for p in points], [p.y for p in points])
         self.csr = csr
-        self.ring: List[int] = [0] * len(nbr)
-        self.ring_lid: List[int] = [0] * len(nbr)
+        self.ring: List[int] = [0] * len(csr.nbr)
+        self.ring_lid: List[int] = [0] * len(csr.nbr)
         self.slot: List[int] = [0] * (2 * csr.lid_size)
         self.key_sort = bytearray(csr.n)
         self.key_vectors: Dict[int, List[Point]] = {}
+        #: Dense nodes whose row is sorted: a row is sorted by the first
+        #: step at its node, so walks pay only for the nodes they visit.
+        self.built = bytearray(csr.n)
+
+    def build(self, u: int) -> None:
+        """Sort dense node ``u``'s row (and set its ``slot``s and flag)."""
+        csr, (xs, ys), atan2 = self.csr, self._xy, math.atan2
+        ids, nbr, lids = csr.ids, csr.nbr, csr.lid
         ring, ring_lid, slot = self.ring, self.ring_lid, self.slot
-        for u, node in enumerate(ids):
-            lo, hi = indptr[u], indptr[u + 1]
-            if lo == hi:
-                continue
-            x, y = xs[u], ys[u]
-            # Neighbor ids are distinct: the sort never compares past them.
-            bearings = sorted(
-                (atan2(ys[v] - y, xs[v] - x) % TWO_PI, ids[v], lid, v)
-                for v, lid in zip(nbr[lo:hi], lids[lo:hi])
-            )
-            previous = bearings[-1][0] - TWO_PI
-            for k, (bearing, nb, lid, _v) in enumerate(bearings, lo):
-                ring[k] = nb
-                ring_lid[k] = lid
-                slot[2 * lid + (node > nb)] = k
-                if bearing - previous <= BEARING_GAP:
-                    self.key_sort[u] = 1
-                previous = bearing
-            if self.key_sort[u]:
-                self.key_vectors[u] = [Point(xs[v] - x, ys[v] - y) for *_, v in bearings]
+        self.built[u] = 1
+        lo, hi = csr.indptr[u], csr.indptr[u + 1]
+        if lo == hi:
+            return
+        node, x, y = ids[u], xs[u], ys[u]
+        # Neighbor ids are distinct: the sort never compares past them.
+        bearings = sorted(
+            (atan2(ys[v] - y, xs[v] - x) % TWO_PI, ids[v], lid, v)
+            for v, lid in zip(nbr[lo:hi], lids[lo:hi])
+        )
+        previous = bearings[-1][0] - TWO_PI
+        for k, (bearing, nb, lid, _v) in enumerate(bearings, lo):
+            ring[k] = nb
+            ring_lid[k] = lid
+            slot[2 * lid + (node > nb)] = k
+            if bearing - previous <= BEARING_GAP:
+                self.key_sort[u] = 1
+            previous = bearing
+        if self.key_sort[u]:
+            self.key_vectors[u] = [Point(xs[v] - x, ys[v] - y) for *_, v in bearings]
 
     def step(
         self,
@@ -109,6 +117,8 @@ class SweepTable:
         order.  ``None`` when none is.
         """
         u = self.csr.pos[current]
+        if not self.built[u]:
+            self.build(u)
         at = self.slot[2 * lid + (current > reference)]
         if self.key_sort[u]:
             for _angle, nb, nb_lid in self._key_sorted(u, at, clockwise):

@@ -306,15 +306,15 @@ def fig9_sp_computations(
 # ----------------------------------------------------------------------
 
 
-def _overhead_at(record: CaseRecord, t: float) -> float:
+def _overhead_at(record: CaseRecord, timeline: list, t: float) -> float:
     """Recovery header bytes on the wire at time ``t`` for one case.
 
-    During the recorded per-hop timeline the in-flight hop's header size
-    applies; afterwards the steady state is the phase-2 source route (RTR)
-    or the final header (FCP) for delivered cases, and 0 for dropped ones
-    (packets toward unreachable destinations die at the initiator).
+    During the per-hop ``timeline`` (``header_timeline``) the in-flight
+    hop's header size applies; afterwards the steady state is the phase-2
+    source route (RTR) or the final header (FCP) for delivered cases, and 0
+    for dropped ones (packets toward unreachable destinations die at the
+    initiator).
     """
-    timeline = record.result.accounting.header_timeline
     for when, header_bytes in timeline:
         if t < when:
             return float(header_bytes)
@@ -353,9 +353,10 @@ def fig10_transmission_timeline(
         series: Dict[str, List[Tuple[float, float]]] = {}
         for a in approaches:
             recs = rec[a]
+            timelines = [r.result.accounting.header_timeline for r in recs]
             pts = []
             for t in times:
-                total = sum(_overhead_at(r, t) for r in recs)
+                total = sum(map(_overhead_at, recs, timelines, [t] * len(recs)))
                 pts.append((t, total / len(recs) if recs else 0.0))
             series[a] = pts
         out[name] = series

@@ -36,7 +36,9 @@ class LocalView:
         #: Because ``failed_links`` includes every link of a failed router,
         #: ``flags[lid]`` alone answers "can this adjacency carry traffic".
         self._failed = failed.link_flags
-        self._unreachable: Dict[int, List[int]] = {}
+        self._failed_lids: Dict[int, Tuple[int, ...]] = {}
+        #: Endpoints of failed links: any other node detects no failure.
+        self._touched = {node for link in scenario.failed_links for node in link}
 
     def link_reachable(self, node: int, neighbor: int, lid: int) -> bool:
         """Whether ``node`` can reach ``neighbor`` over link ``lid``.
@@ -71,20 +73,26 @@ class LocalView:
         """
         return self.link_reachable(node, neighbor, self.link_id(node, neighbor))
 
-    def unreachable_neighbors(self, node: int) -> List[int]:
-        """Neighbors ``node`` has locally detected as unreachable (cached).
+    def failed_lids(self, node: int) -> Tuple[int, ...]:
+        """Ids of the links ``node`` detects as failed, in adjacency order (cached).
 
-        ``node``'s CSR row read against the failed-link flags, in
-        adjacency order.
+        Phase 1 asks this at every hop; a node that is no endpoint of a
+        failed link answers ``()`` at once.
         """
-        cached = self._unreachable.get(node)
+        if node not in self._touched:
+            return ()
+        cached = self._failed_lids.get(node)
         if cached is None:
-            csr, failed = self._csr, self._failed
-            ids, nbr, lids = csr.ids, csr.nbr, csr.lid
-            cached = self._unreachable[node] = [
-                ids[nbr[i]] for i in self._arcs_of(node) if failed[lids[i]]
-            ]
+            lids, failed = self._csr.lid, self._failed
+            cached = self._failed_lids[node] = tuple(
+                lids[i] for i in self._arcs_of(node) if failed[lids[i]]
+            )
         return cached
+
+    def unreachable_neighbors(self, node: int) -> List[int]:
+        """Neighbors ``node`` has locally detected as unreachable, in adjacency order."""
+        links = self._csr.links
+        return [links[lid].other(node) for lid in self.failed_lids(node)]
 
     def _arcs_of(self, node: int) -> range:
         """The CSR arc indices of ``node``'s row."""
@@ -94,11 +102,6 @@ class LocalView:
             raise UnknownNodeError(node)
         return range(csr.indptr[u], csr.indptr[u + 1])
 
-    def reachable_neighbors(self, node: int) -> List[int]:
-        """Neighbors ``node`` can still forward to."""
-        unreachable = set(self.unreachable_neighbors(node))
-        return [nb for nb in self.topo.neighbors(node) if nb not in unreachable]
-
     def locally_failed_links(self, node: int) -> List[Link]:
         """The links ``node`` locally considers failed.
 
@@ -107,11 +110,7 @@ class LocalView:
         may be intact — ``u`` cannot tell the difference, and for routing
         purposes the link is unusable either way.
         """
-        return [Link.of(node, nb) for nb in self.unreachable_neighbors(node)]
-
-    def is_isolated(self, node: int) -> bool:
-        """Whether ``node`` has no reachable neighbor left."""
-        return not self.reachable_neighbors(node)
+        return [self._csr.links[lid] for lid in self.failed_lids(node)]
 
 
 def find_initiator(

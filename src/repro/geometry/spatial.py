@@ -71,7 +71,8 @@ class SpatialGrid:
         span_x, span_y = max(xs) - self.x0, max(ys) - self.y0
         span = max(span_x, span_y)
         side = math.ceil(math.sqrt(max(1, len(points)) / 4))
-        self.width = span / side if span > 0 else 1.0
+        # A subnormal span can divide to 0: such a map is one cell wide.
+        self.width = span / side if span / side > 0 else 1.0
         self.cols = int(span_x / self.width) + 1
         self.rows = int(span_y / self.width) + 1
         #: The predicates' touch tolerance plus a margin for float rounding

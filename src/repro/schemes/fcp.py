@@ -25,9 +25,7 @@ from ..errors import SimulationError
 from ..failures import FailureScenario, find_initiator
 from ..routing import Path, RoutingTable, SPTCache
 from ..simulator import (
-    DEFAULT_DELAY_MODEL,
     DEFAULT_PAYLOAD_BYTES,
-    DelayModel,
     Mode,
     Packet,
     RecoveryAccounting,
@@ -50,7 +48,6 @@ class FCP:
         topo: Topology,
         scenario: FailureScenario,
         routing: Optional[RoutingTable] = None,
-        delay_model: DelayModel = DEFAULT_DELAY_MODEL,
         max_recomputations: int = 10_000,
         cache: Optional[SPTCache] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -58,9 +55,7 @@ class FCP:
         self.topo = topo
         self.scenario = scenario
         self.routing = routing if routing is not None else RoutingTable(topo)
-        self.view, self.engine = forwarding_world(
-            topo, scenario, fault_plan, delay_model
-        )
+        self.view, self.engine = forwarding_world(topo, scenario, fault_plan)
         self.max_recomputations = max_recomputations
         # Recomputations from the same node with the same carried failure
         # set recur across destinations of one scenario; the cached tree is

@@ -25,9 +25,7 @@ from ..errors import SimulationError, UnknownNodeError
 from ..failures import FailureScenario, find_initiator
 from ..routing import Path, RoutingTable
 from ..simulator import (
-    DEFAULT_DELAY_MODEL,
     DEFAULT_PAYLOAD_BYTES,
-    DelayModel,
     Packet,
     RecoveryAccounting,
     RecoveryResult,
@@ -301,7 +299,6 @@ class MRC:
         scenario: FailureScenario,
         configurations: Optional[List[BackupConfiguration]] = None,
         routing: Optional[RoutingTable] = None,
-        delay_model: DelayModel = DEFAULT_DELAY_MODEL,
         seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
@@ -313,9 +310,7 @@ class MRC:
             if configurations is not None
             else generate_configurations(topo, seed=seed)
         )
-        self.view, self.engine = forwarding_world(
-            topo, scenario, fault_plan, delay_model
-        )
+        self.view, self.engine = forwarding_world(topo, scenario, fault_plan)
 
     def _config_isolating(self, node: int) -> Optional[BackupConfiguration]:
         for config in self.configurations:

@@ -1,4 +1,4 @@
-"""Packet-level simulation substrate: packets, delays, events, accounting."""
+"""Packet-level simulation substrate: packets, the hop clock, events, accounting."""
 
 from .packet import (
     BYTES_PER_ID,
@@ -8,14 +8,13 @@ from .packet import (
     Packet,
     RecoveryHeader,
 )
-from .delays import (
-    DEFAULT_DELAY_MODEL,
+from .stats import (
+    HOP_DELAY_S,
     PAPER_PROPAGATION_S,
     ROUTER_DELAY_S,
-    DelayModel,
-    PaperDelayModel,
+    RecoveryAccounting,
+    RecoveryResult,
 )
-from .stats import RecoveryAccounting, RecoveryResult
 from .trace import DropEvent, ForwardingTrace, HopEvent
 from .engine import ForwardingEngine, RouteOutcome
 from .budget import (
@@ -35,11 +34,9 @@ __all__ = [
     "Mode",
     "Packet",
     "RecoveryHeader",
-    "DEFAULT_DELAY_MODEL",
+    "HOP_DELAY_S",
     "PAPER_PROPAGATION_S",
     "ROUTER_DELAY_S",
-    "DelayModel",
-    "PaperDelayModel",
     "RecoveryAccounting",
     "RecoveryResult",
     "DropEvent",

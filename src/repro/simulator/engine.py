@@ -1,11 +1,13 @@
 """Hop-by-hop forwarding engine.
 
-The engine moves packets: :meth:`ForwardingEngine.transmit` makes one
-transmission (a loss draw, then the hop), and
-:meth:`ForwardingEngine.forward_one_hop` moves and accounts it, so every
-protocol pays delays and header bytes identically.  Each walk spec
+:meth:`ForwardingEngine.forward_one_hop` moves a packet and accounts the
+hop, so every protocol pays delays identically.  Each walk spec
 (:mod:`repro.simulator.walkspec`, RTR phase 1 in :mod:`repro.core.phase1`)
-runs its own hop loop on these two calls.
+runs its own hop loop on it: a recovery transmission first asks the
+engine's ``lose`` hook, then moves.  The hooks a fault injector needs
+(``lose``, ``after_hop``) and an attached :class:`ForwardingTrace` are
+``None`` on this engine, and the loops test for ``None`` instead of
+calling into it.
 
 Source-routed deliveries report through :class:`RouteOutcome` so
 degraded-mode callers (``repro.chaos``) can tell a missed failure from a
@@ -15,16 +17,15 @@ lost packet without catching exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .. import obs
 from ..errors import ForwardingLoopError, SimulationError
 from ..failures import LocalView
 from ..topology import Link, Topology
-from .delays import DEFAULT_DELAY_MODEL, DelayModel
 from .packet import Packet
-from .stats import RecoveryAccounting
-from .trace import DropEvent, ForwardingTrace, HopEvent
+from .stats import HOP_DELAY_S, RecoveryAccounting
+from .trace import ForwardingTrace, HopEvent
 
 
 @dataclass
@@ -44,26 +45,24 @@ class RouteOutcome:
 class ForwardingEngine:
     """Moves packets over the surviving topology."""
 
+    #: Fault-injection hook of a recovery transmission:
+    #: ``lose(packet, link, accounting)`` is the drop reason or ``None``.
+    #: ``None`` here: the ideal engine never drops (see :mod:`repro.chaos`).
+    lose: Optional[Callable[[Packet, Link, RecoveryAccounting], Optional[str]]] = None
+    #: Fault-injection hook run after every hop: ``after_hop(packet,
+    #: accounting)``, which logs any header change it makes.  ``None`` here.
+    after_hop: Optional[Callable[[Packet, RecoveryAccounting], None]] = None
+
     def __init__(
         self,
         topo: Topology,
         view: LocalView,
-        delay_model: DelayModel = DEFAULT_DELAY_MODEL,
         trace: Optional[ForwardingTrace] = None,
     ) -> None:
         self.topo = topo
         self.view = view
-        self.delay_model = delay_model
         #: Optional structured trace of every hop (see simulator.trace).
         self.trace = trace
-
-    def _chaos_check(self, packet: Packet, link: Link) -> Optional[str]:
-        """Hook: reason the transmission over ``link`` is dropped, or ``None``.
-
-        The base engine never drops packets; :mod:`repro.chaos` overrides
-        this to inject per-hop recovery-packet loss.
-        """
-        return None
 
     def forward_one_hop(
         self,
@@ -72,16 +71,16 @@ class ForwardingEngine:
         link: Link,
         accounting: RecoveryAccounting,
     ) -> None:
-        """Transmit ``packet`` from its current node to ``next_node`` over ``link``.
+        """Move ``packet`` from its current node to ``next_node`` over ``link``.
 
         ``link`` is the link between the two (the caller holds it, from
-        ``topo.csr().links``).  The caller must have verified reachability;
-        this only moves and accounts.  Header bytes are sampled *as
-        transmitted* on this hop.
+        ``topo.csr().links``).  The caller must have verified reachability
+        and made any loss draw; this moves the packet and adds one hop and
+        :data:`~repro.simulator.stats.HOP_DELAY_S` to the accounting.  The
+        walk logs the header's size itself (``accounting.carry``).
         """
-        delay = self.delay_model.hop_delay(self.topo, link)
-        header_bytes = packet.header.recovery_bytes()
-        accounting.record_hop(delay, header_bytes)
+        accounting.clock += HOP_DELAY_S
+        accounting.hops_traveled += 1
         if self.trace is not None:
             self.trace.record(
                 HopEvent(
@@ -90,42 +89,14 @@ class ForwardingEngine:
                     receiver=next_node,
                     link=link,
                     mode=packet.header.mode,
-                    header_bytes=header_bytes,
+                    header_bytes=packet.header.recovery_bytes(),
                     packet_id=packet.packet_id,
                     span_id=obs.current_span_id(),
                 )
             )
         packet.at = next_node
-        packet.recovery_hops += 1
-
-    def transmit(
-        self,
-        packet: Packet,
-        next_node: int,
-        link: Link,
-        accounting: RecoveryAccounting,
-    ) -> Optional[str]:
-        """Send ``packet`` to ``next_node`` over ``link``: the drop reason, or ``None``.
-
-        One loss draw (:meth:`_chaos_check`) per transmission; a dropped
-        packet stays where it is and is logged in the trace, otherwise it
-        moves through :meth:`forward_one_hop`.
-        """
-        reason = self._chaos_check(packet, link)
-        if reason is None:
-            self.forward_one_hop(packet, next_node, link, accounting)
-        elif self.trace is not None:
-            self.trace.record_drop(
-                DropEvent(
-                    time=accounting.clock,
-                    node=packet.at,
-                    mode=packet.header.mode,
-                    packet_id=packet.packet_id,
-                    reason=reason,
-                    span_id=obs.current_span_id(),
-                )
-            )
-        return reason
+        if self.after_hop is not None:
+            self.after_hop(packet, accounting)
 
     def follow_source_route_outcome(
         self,
@@ -152,23 +123,29 @@ class ForwardingEngine:
                 [packet.at],
             )
         view, links = self.view, self.topo.csr().links
+        lose, hop = self.lose, self.forward_one_hop
+        accounting.carry(packet.header.recovery_bytes())
         for next_node in route[1:]:
-            lid = view.link_id(packet.at, next_node)
-            if not view.link_reachable(packet.at, next_node, lid):
+            current = packet.at
+            lid = view.link_id(current, next_node)
+            if not view.link_reachable(current, next_node, lid):
                 return RouteOutcome(
                     delivered=False,
-                    drop_node=packet.at,
+                    drop_node=current,
                     drop_reason=(
-                        f"route hop {packet.at} -> {next_node} is unreachable "
+                        f"route hop {current} -> {next_node} is unreachable "
                         f"(failure missed by phase 1)"
                     ),
                 )
-            drop_reason = self.transmit(packet, next_node, links[lid], accounting)
-            if drop_reason is not None:
-                return RouteOutcome(
-                    delivered=False,
-                    drop_node=packet.at,
-                    lost=True,
-                    drop_reason=drop_reason,
-                )
+            link = links[lid]
+            if lose is not None:
+                drop_reason = lose(packet, link, accounting)
+                if drop_reason is not None:
+                    return RouteOutcome(
+                        delivered=False,
+                        drop_node=current,
+                        lost=True,
+                        drop_reason=drop_reason,
+                    )
+            hop(packet, next_node, link, accounting)
         return RouteOutcome(delivered=True, drop_node=None)

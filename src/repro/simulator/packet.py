@@ -94,8 +94,6 @@ class Packet:
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     #: Node the packet currently sits at.
     at: Optional[int] = None
-    #: Hops traveled since the recovery initiator took charge.
-    recovery_hops: int = 0
 
     def __post_init__(self) -> None:
         if self.at is None:

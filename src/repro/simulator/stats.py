@@ -13,31 +13,46 @@ The evaluation compares approaches on four cost axes (§IV-C, §IV-D):
 
 Protocol implementations report into a :class:`RecoveryAccounting` as they
 run; the evaluation layer reads the totals.  The header-byte *timeline*
-(``(time, bytes)`` samples at each hop) feeds the Fig. 10 reproduction.
+(``(time, bytes)`` after each hop) feeds the Fig. 10 reproduction; it is
+rebuilt on read from a log of header changes, never kept per hop.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from ..routing import Path
 
+#: §IV-B: 100 µs through a router (99th-percentile single-hop delay on an
+#: OC-12 backbone, Papagiannaki et al.) ...
+ROUTER_DELAY_S = 100e-6
+#: ... plus 1.7 ms propagation on an average 500 km link ...
+PAPER_PROPAGATION_S = 1.7e-3
+#: ... is one hop on the clock: Fig. 7's 1.8 ms.
+HOP_DELAY_S = ROUTER_DELAY_S + PAPER_PROPAGATION_S
+
 
 @dataclass
 class RecoveryAccounting:
-    """Counters one protocol run reports into."""
+    """Counters one protocol run reports into.
+
+    A hop adds one to ``hops_traveled`` and :data:`HOP_DELAY_S` to
+    ``clock``, nothing else; header sizes are logged when they change.
+    """
 
     sp_computations: int = 0
-    #: ``(time_seconds, recovery_header_bytes)`` after each hop transmission.
-    header_timeline: List[Tuple[float, int]] = field(default_factory=list)
     #: Hops traveled by the (first) packet since the recovery initiator.
     hops_traveled: int = 0
-    #: Clock of the run, advanced by the delay model.
+    #: Clock of the run: a running sum of hop delays and clock jumps.
     clock: float = 0.0
     #: Recovery packets retransmitted after an injected loss or truncation.
     retransmissions: int = 0
+    #: ``(hops_traveled, header_bytes, clock, change)`` per change: from the
+    #: next hop on, packets carry ``header_bytes`` and the clock runs on from
+    #: ``clock``.  ``change`` is ``(field, entry)`` when the header's
+    #: ``field`` list gained ``entry`` (``None``: lost its last entry).
+    header_log: List[tuple] = field(default_factory=list)
 
     def count_sp(self, n: int = 1) -> None:
         """Record ``n`` on-demand shortest-path computations."""
@@ -52,32 +67,42 @@ class RecoveryAccounting:
         if delay < 0:
             raise ValueError(f"cannot advance the clock backwards ({delay})")
         self.clock += delay
+        self.carry(self.header_log[-1][1] if self.header_log else 0)
 
-    def record_hop(self, delay: float, header_bytes: int) -> None:
-        """Record one hop transmission carrying ``header_bytes`` of recovery data."""
-        self.clock += delay
-        self.hops_traveled += 1
-        self.header_timeline.append((self.clock, header_bytes))
+    def carry(self, header_bytes: int, change: Optional[tuple] = None) -> None:
+        """From the next hop on, packets carry ``header_bytes`` of recovery data."""
+        self.header_log.append((self.hops_traveled, header_bytes, self.clock, change))
 
-    def peak_header_bytes(self) -> int:
-        """Largest recovery header carried on any hop."""
-        if not self.header_timeline:
-            return 0
-        return max(b for _, b in self.header_timeline)
+    def copy(self) -> "RecoveryAccounting":
+        """An independent copy (the log is short, so this is cheap)."""
+        return replace(self, header_log=list(self.header_log))
 
     def final_header_bytes(self) -> int:
-        """Recovery header size on the last recorded hop."""
-        if not self.header_timeline:
-            return 0
-        return self.header_timeline[-1][1]
+        """Recovery header bytes the last hop carried (0 before any hop)."""
+        carried = 0
+        for at, header_bytes, _clock, _change in self.header_log:
+            if at >= self.hops_traveled:
+                break
+            carried = header_bytes
+        return carried
 
-    def mean_header_bytes(self) -> float:
-        """Mean recovery-header size over all hops (0.0 with no hops)."""
-        if not self.header_timeline:
-            return 0.0
-        return math.fsum(b for _, b in self.header_timeline) / len(
-            self.header_timeline
-        )
+    @property
+    def header_timeline(self) -> List[Tuple[float, int]]:
+        """``(clock, recovery header bytes)`` after each hop, rebuilt from the log.
+
+        The clock is re-summed hop by hop, bit for bit the running clock.
+        """
+        timeline: List[Tuple[float, int]] = []
+        clock, carried, hop = 0.0, 0, 0
+        for at, header_bytes, at_clock, _change in self.header_log + [
+            (self.hops_traveled, 0, 0.0, None)
+        ]:
+            while hop < at:
+                hop += 1
+                clock += HOP_DELAY_S
+                timeline.append((clock, carried))
+            carried, clock = header_bytes, at_clock
+        return timeline
 
 
 @dataclass

@@ -94,6 +94,7 @@ class TableWalkSpec:
         obs.inc("simulator.walks.executed")
         visited = [packet.at]
         view, links = engine.view, engine.topo.csr().links
+        accounting.carry(packet.header.recovery_bytes())
         for _ in range(self.budget):
             current = packet.at
             if current == self.destination:

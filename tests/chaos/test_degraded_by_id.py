@@ -1,9 +1,10 @@
 """The degraded view's by-id probe against its detection rules.
 
 :class:`~repro.chaos.degraded.DegradedLocalView` overrides only
-``link_reachable(node, neighbor, lid)``; ``is_neighbor_reachable`` and
-``unreachable_neighbors`` reach it through the base view.  Every directed
-adjacency must read the same through all three and through the rules
+``link_reachable(node, neighbor, lid)`` for reachability;
+``is_neighbor_reachable`` reaches it through the base view, and
+``unreachable_neighbors`` and ``failed_lids`` probe it uncached.  Every
+directed adjacency must read the same through all four and through the rules
 written out here — flapped links down, truly live links up, missed
 failures up, delayed failures up until the hop clock reaches the delay —
 before the delay runs out, after it and after secondary failures flap.
@@ -45,6 +46,9 @@ def assert_view_matches_rules(view, truth):
             if not reachable:
                 unreachable.append(neighbor)
         assert view.unreachable_neighbors(node) == unreachable
+        assert view.failed_lids(node) == tuple(
+            csr.pair_lid[(node, neighbor)] for neighbor in unreachable
+        )
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -56,6 +56,16 @@ def ring_sweep(budget: int = 40, strict: bool = True):
     return spec, Packet(source=4, destination=4, header=header)
 
 
+def sweep_field_trace(spec, accounting, outcome):
+    """The header snapshots of ``spec``'s last walk, which ran on ``accounting``."""
+    from repro.core.phase1 import rebuild_field_trace
+
+    snapshots = len(outcome.visited) - outcome.truncated
+    return rebuild_field_trace(
+        accounting.header_log, spec.origin + (snapshots,), outcome.visited
+    )
+
+
 def star_topology(n_leaves: int) -> Topology:
     """A hub (node 0) with ``n_leaves`` spokes — the extreme tree-branch case."""
     if n_leaves < 1:

@@ -90,12 +90,6 @@ class TestConfig:
         assert a.delivered == b.delivered
         assert a.path.cost == b.path.cost
 
-    def test_default_delay_model_injected(self):
-        config = RTRConfig()
-        from repro.simulator import PaperDelayModel
-
-        assert isinstance(config.delay_model, PaperDelayModel)
-
     def test_clockwise_config_runs(self, paper_topo, paper_scenario):
         rtr = RTR(paper_topo, paper_scenario, config=RTRConfig(clockwise=True))
         result = rtr.recover(6, 17, 11)

@@ -31,6 +31,8 @@ from .test_sweep_parity import stars
 
 def assert_table_matches(topo: Topology) -> None:
     table = SweepTable(topo, topo.csr())
+    for u in range(topo.csr().n):
+        table.build(u)
     ring, ring_lid, slot, key_sort = reference_sweep_table(topo)
     assert table.ring == ring
     assert table.ring_lid == ring_lid

@@ -63,7 +63,11 @@ class TestLocalView:
         view = LocalView(paper_scenario)
         topo = paper_scenario.topo
         for node in paper_scenario.live_nodes():
-            reach = set(view.reachable_neighbors(node))
+            reach = {
+                nb
+                for nb in topo.neighbors(node)
+                if view.is_neighbor_reachable(node, nb)
+            }
             unreach = set(view.unreachable_neighbors(node))
             assert reach | unreach == set(topo.neighbors(node))
             assert not reach & unreach
@@ -72,17 +76,20 @@ class TestLocalView:
         view = LocalView(paper_scenario)
         assert view.locally_failed_links(6) == [Link.of(6, 11)]
 
-    def test_is_isolated(self, tiny_line):
-        scenario = FailureScenario.from_nodes(tiny_line, [1])
-        view = LocalView(scenario)
-        assert view.is_isolated(0)
-        assert view.is_isolated(2)
-
     def test_caching_returns_same_answer(self, paper_scenario):
         view = LocalView(paper_scenario)
         first = view.unreachable_neighbors(11)
         second = view.unreachable_neighbors(11)
         assert first == second
+        assert view.failed_lids(11) is view.failed_lids(11)
+
+    def test_failed_lids_match_unreachable_neighbors(self, paper_scenario):
+        view = LocalView(paper_scenario)
+        csr = paper_scenario.topo.csr()
+        for node in paper_scenario.live_nodes():
+            assert view.failed_lids(node) == tuple(
+                csr.pair_lid[(node, nb)] for nb in view.unreachable_neighbors(node)
+            )
 
 
 def _paper_with_island():

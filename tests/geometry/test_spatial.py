@@ -142,6 +142,9 @@ class TestArrayParity:
         ([Point(10.0 * i, 7.0 * i % 50) for i in range(20)],
          [Segment(Point(150.0, 20.0), Point(math.nan, 30.0))])
     )
+    @example(  # a subnormal span: the cell width divides to 0
+        ([Point(0.0, 0.0)] * 4 + [Point(0.0, 5e-324)], [])
+    )
     def test_soups(self, soup):
         pts, segments = soup
         assert_same_cells(list(enumerate(pts)), list(enumerate(segments)))

@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.routing import ConvergenceConfig
-from repro.simulator.delays import DelayModel, PaperDelayModel
 from repro.topology import Link, Topology
 
 Action = Callable[[], None]
@@ -121,17 +120,14 @@ class FloodingSimulator:
         failed_nodes: Set[int],
         failed_links: Set[Link],
         config: Optional[ConvergenceConfig] = None,
-        delay_model: Optional[DelayModel] = None,
     ) -> None:
         self.topo = topo
         self.failed_nodes = set(failed_nodes)
         self.failed_links = set(failed_links)
         self.config = config or ConvergenceConfig()
-        # The analytic model charges flood_hop_delay per hop; default to a
-        # delay model reproducing exactly that so the two agree.
-        self.delay_model = delay_model or PaperDelayModel(
-            router_delay=0.0, propagation=self.config.flood_hop_delay
-        )
+        # The analytic model charges flood_hop_delay per hop, so every LSA
+        # transmission takes exactly that long and the two agree.
+        self.hop_delay = self.config.flood_hop_delay
         self.queue = EventQueue()
         self._live_nodes = {
             n for n in topo.nodes() if n not in self.failed_nodes
@@ -168,9 +164,8 @@ class FloodingSimulator:
         )
 
     def _transmit(self, sender: int, receiver: int, lsa: Lsa) -> None:
-        delay = self.delay_model.hop_delay(self.topo, Link.of(sender, receiver))
         self.messages_sent += 1
-        self.queue.schedule_in(delay, lambda: self._receive(receiver, sender, lsa))
+        self.queue.schedule_in(self.hop_delay, lambda: self._receive(receiver, sender, lsa))
 
     def _receive(self, router: int, sender: int, lsa: Lsa) -> None:
         if lsa in self._seen[router]:

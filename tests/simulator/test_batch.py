@@ -28,7 +28,7 @@ from repro.simulator import (
 from repro.simulator.batch import batched_walk_count
 from repro.topology import Link
 
-from ..conftest import ring_sweep
+from ..conftest import ring_sweep, sweep_field_trace
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -102,7 +102,7 @@ class TestLifecycle:
         assert table.reached and table.visited == [0, 1, 2, 3, 4]
         assert 0.0 < a2.clock < a1.clock < a3.clock < a4.clock  # 1, 3, 4, 14 hops
         assert sweep.reached and sweep.visited[::7] == [4, 5, 4]
-        assert a4.hops_traveled == 14 and len(spec.field_trace) == 15
+        assert a4.hops_traveled == 14 and len(sweep_field_trace(spec, a4, sweep)) == 15
 
 
 class TestTableWalk:

@@ -7,7 +7,7 @@ from repro.failures import FailureScenario, LocalView
 from repro.simulator import ForwardingEngine, Packet, RecoveryAccounting
 from repro.topology import Link
 
-from ..conftest import ring_sweep
+from ..conftest import ring_sweep, sweep_field_trace
 
 
 def make_engine(topo, failed_nodes=(), failed_links=()):
@@ -22,7 +22,6 @@ class TestForwardOneHop:
         acc = RecoveryAccounting()
         engine.forward_one_hop(packet, 1, Link.of(0, 1), acc)
         assert packet.at == 1
-        assert packet.recovery_hops == 1
         assert acc.hops_traveled == 1
         assert acc.clock == pytest.approx(1.8e-3)
 
@@ -51,9 +50,11 @@ class TestWalk:
         # A zero budget truncates before the first transmission.
         engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
         spec, packet = ring_sweep(budget=0, strict=False)
-        outcome = spec.walk(engine, packet, RecoveryAccounting())
+        acc = RecoveryAccounting()
+        outcome = spec.walk(engine, packet, acc)
         assert outcome.truncated and outcome.visited == [4]
-        assert packet.recovery_hops == 0 and spec.field_trace == []
+        assert acc.hops_traveled == 0
+        assert sweep_field_trace(spec, acc, outcome) == []
 
 
 class TestFollowSourceRoute:
@@ -113,10 +114,12 @@ class TestWalkOutcome:
     def test_completed_outcome(self, ring8):
         engine = make_engine(ring8, failed_links=[Link.of(4, 5)])
         spec, packet = ring_sweep()
-        outcome = spec.walk(engine, packet, RecoveryAccounting())
+        acc = RecoveryAccounting()
+        outcome = spec.walk(engine, packet, acc)
         assert outcome.reached and outcome.drop_node is None
         # One header snapshot per visited node, the stop included.
-        assert [node for node, _, _ in spec.field_trace] == outcome.visited
+        trace = sweep_field_trace(spec, acc, outcome)
+        assert [node for node, _, _ in trace] == outcome.visited
 
     def test_truncate_mode_returns_partial_walk(self, ring8):
         engine = make_engine(ring8, failed_links=[Link.of(4, 5)])

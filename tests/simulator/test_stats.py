@@ -1,7 +1,7 @@
 """Tests for repro.simulator.stats."""
 
 from repro.routing import Path
-from repro.simulator import RecoveryAccounting, RecoveryResult
+from repro.simulator import HOP_DELAY_S, RecoveryAccounting, RecoveryResult
 
 
 class TestRecoveryAccounting:
@@ -11,25 +11,59 @@ class TestRecoveryAccounting:
         acc.count_sp(2)
         assert acc.sp_computations == 3
 
-    def test_record_hop_advances_clock(self):
+    def test_hops_advance_running_clock(self):
+        # The clock is a running sum, one HOP_DELAY_S per hop: not the hop
+        # count times the delay, which differs in the last bits.
         acc = RecoveryAccounting()
-        acc.record_hop(0.0018, 10)
-        acc.record_hop(0.0018, 12)
-        assert acc.hops_traveled == 2
-        assert acc.clock == 0.0036
-        assert acc.header_timeline == [(0.0018, 10), (0.0036, 12)]
+        clocks = []
+        for _ in range(6):
+            hop(acc)
+            clocks.append(acc.clock)
+        assert acc.hops_traveled == 6
+        assert acc.clock != 6 * HOP_DELAY_S
+        assert [t for t, _ in acc.header_timeline] == clocks
 
     def test_peak_and_final_bytes(self):
+        # Header bytes are logged on change; the timeline carries them on.
         acc = RecoveryAccounting()
-        for size in (5, 20, 8):
-            acc.record_hop(0.001, size)
-        assert acc.peak_header_bytes() == 20
-        assert acc.final_header_bytes() == 8
+        acc.carry(5)
+        hop(acc)
+        acc.carry(7, ("failed_links", "e1"))
+        acc.carry(9, ("cross_links", "e2"))
+        hop(acc)
+        hop(acc)
+        acc.carry(7, ("cross_links", None))
+        hop(acc)
+        sizes = [b for _, b in acc.header_timeline]
+        assert sizes == [5, 9, 9, 7]
+        assert (max(sizes), sizes[-1]) == (9, 7)
+        assert acc.final_header_bytes() == 7
+
+    def test_clock_jumps_and_copies(self):
+        acc = RecoveryAccounting()
+        acc.carry(3)
+        hop(acc)
+        acc.advance_clock(0.5)
+        hop(acc)
+        copy = acc.copy()
+        hop(acc)
+        assert copy.header_timeline == [
+            (HOP_DELAY_S, 3),
+            (HOP_DELAY_S + 0.5 + HOP_DELAY_S, 3),
+        ]
+        assert len(acc.header_timeline) == 3 and copy.hops_traveled == 2
 
     def test_empty_accounting(self):
         acc = RecoveryAccounting()
-        assert acc.peak_header_bytes() == 0
+        assert acc.header_timeline == []
         assert acc.final_header_bytes() == 0
+        assert (acc.clock, acc.hops_traveled) == (0.0, 0)
+
+
+def hop(acc):
+    """What the forwarding engine does to the accounting on one hop."""
+    acc.clock += HOP_DELAY_S
+    acc.hops_traveled += 1
 
 
 class TestRecoveryResult:
@@ -63,14 +97,3 @@ class TestRecoveryResult:
             approach="FCP", delivered=False, path=None, accounting=acc
         )
         assert result.sp_computations == 4
-
-
-class TestAggregateResults:
-    """Regression: guarded denominators in the accounting's aggregates."""
-
-    def test_mean_header_bytes_guarded(self):
-        acc = RecoveryAccounting()
-        assert acc.mean_header_bytes() == 0.0
-        acc.record_hop(0.001, 100)
-        acc.record_hop(0.001, 300)
-        assert acc.mean_header_bytes() == 200.0
