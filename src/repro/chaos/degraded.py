@@ -40,8 +40,10 @@ class DegradedLocalView(LocalView):
         super().__init__(scenario)
         self.plan = plan
         self.runtime = runtime if runtime is not None else ChaosRuntime(plan, scenario)
-        self._missed: Set[Tuple[int, int]] = set()
-        self._delayed: Set[Tuple[int, int]] = set()
+        #: Directed adjacencies whose failure is never locally detected.
+        self.missed: Set[Tuple[int, int]] = set()
+        #: Directed adjacencies whose failure is detected late.
+        self.delayed: Set[Tuple[int, int]] = set()
         if plan.detection_miss_rate > 0 or plan.detection_delay_rate > 0:
             rng = plan.rng("detection")
             truth = LocalView(scenario)
@@ -49,9 +51,9 @@ class DegradedLocalView(LocalView):
                 for neighbor in sorted(truth.unreachable_neighbors(node)):
                     draw = rng.random()
                     if draw < plan.detection_miss_rate:
-                        self._missed.add((node, neighbor))
+                        self.missed.add((node, neighbor))
                     elif draw < plan.detection_miss_rate + plan.detection_delay_rate:
-                        self._delayed.add((node, neighbor))
+                        self.delayed.add((node, neighbor))
 
     # ------------------------------------------------------------------
 
@@ -63,9 +65,9 @@ class DegradedLocalView(LocalView):
         if super().link_reachable(node, neighbor, lid):
             return True
         key = (node, neighbor)
-        if key in self._missed:
+        if key in self.missed:
             return True
-        if key in self._delayed and runtime.hops < self.plan.detection_delay_hops:
+        if key in self.delayed and runtime.hops < self.plan.detection_delay_hops:
             return True
         return False
 
@@ -87,11 +89,3 @@ class DegradedLocalView(LocalView):
             for lid in candidates
             if not self.link_reachable(node, links[lid].other(node), lid)
         )
-
-    def missed_adjacencies(self) -> Set[Tuple[int, int]]:
-        """Directed adjacencies whose failure is never locally detected."""
-        return set(self._missed)
-
-    def delayed_adjacencies(self) -> Set[Tuple[int, int]]:
-        """Directed adjacencies whose failure is detected late."""
-        return set(self._delayed)

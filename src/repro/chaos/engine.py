@@ -30,8 +30,6 @@ from ..simulator.trace import DropEvent, ForwardingTrace
 from ..topology import Link, Topology
 from .runtime import ChaosRuntime
 
-log = obs.get_logger(__name__)
-
 
 class ChaosForwardingEngine(ForwardingEngine):
     """A forwarding engine whose links misbehave per a fault plan.
@@ -91,19 +89,10 @@ def _truncate_header(packet: Packet, accounting: RecoveryAccounting) -> None:
     """
     header = packet.header
     if header.failed_links:
-        field_name, kind = "failed_links", "failed-link"
+        field_name = "failed_links"
     elif header.cross_links:
-        field_name, kind = "cross_links", "cross-link"
+        field_name = "cross_links"
     else:
         return
-    dropped = getattr(header, field_name).pop()
+    getattr(header, field_name).pop()
     accounting.carry(header.recovery_bytes(), (field_name, None))
-    log.warning(
-        "chaos truncated %s entry %s from recovery header at node %s "
-        "(packet %s -> %s)",
-        kind,
-        dropped,
-        packet.at,
-        packet.source,
-        packet.destination,
-    )

@@ -31,10 +31,7 @@ class ChaosRuntime:
         self.packets_lost = 0
         #: Headers truncated in flight.
         self.headers_corrupted = 0
-        #: Secondary-failure links currently active (flapped down).
-        self.flapped_links: Set[Link] = set()
-        #: The same set as interned link ids — the degraded view's hot
-        #: probe checks ids instead of constructing ``Link`` objects.
+        #: Link ids of the secondary failures currently active (flapped down).
         self.flapped_lids: Set[int] = set()
         self._loss_rng = plan.rng("packet-loss")
         self._corruption_rng = plan.rng("header-corruption")
@@ -87,18 +84,13 @@ class ChaosRuntime:
         self.hops += 1
         while self._pending and self._pending[0][0] <= self.hops:
             _, link = self._pending.pop(0)
-            self.flapped_links.add(link)
             obs.inc("chaos.secondary_activated")
             lid = self.scenario.topo.csr().pair_lid.get((link.u, link.v))
             if lid is not None:
                 self.flapped_lids.add(lid)
 
-    def is_link_flapped(self, link: Link) -> bool:
-        """Whether ``link`` has been taken down by a secondary failure."""
-        return link in self.flapped_links
-
     def is_link_id_flapped(self, lid: int) -> bool:
-        """Interned-id variant of :meth:`is_link_flapped`."""
+        """Whether link ``lid`` has been taken down by a secondary failure."""
         return lid in self.flapped_lids
 
     def sample_packet_loss(self) -> bool:
@@ -122,7 +114,3 @@ class ChaosRuntime:
             self.headers_corrupted += 1
             obs.inc("chaos.headers_corrupted")
         return corrupted
-
-    def pending_secondary_failures(self) -> List[Tuple[int, Link]]:
-        """Secondary failures not yet activated, in activation order."""
-        return list(self._pending)

@@ -23,7 +23,7 @@ rules:
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List
 
 from ..failures import LocalView
 from ..simulator import RecoveryHeader
@@ -105,7 +105,3 @@ class CrossLinkState:
             if not barred[crosser]:
                 return self.record(lid)
         return False
-
-    def recorded_links(self) -> Set[Link]:
-        """Every link ever recorded in ``cross_link``, as a set."""
-        return {self._links[lid] for lid, flag in enumerate(self.recorded) if flag}

@@ -51,14 +51,6 @@ class CaseSet:
     scenarios: List[FailureScenario] = field(default_factory=list)
     cases: List[TestCase] = field(default_factory=list)
 
-    def recoverable_cases(self) -> List[TestCase]:
-        """Cases whose destination is reachable (§IV-C's population)."""
-        return [c for c in self.cases if c.recoverable]
-
-    def irrecoverable_cases(self) -> List[TestCase]:
-        """Cases whose destination is unreachable (§IV-D's population)."""
-        return [c for c in self.cases if not c.recoverable]
-
     def by_scenario(self) -> Dict[int, List[TestCase]]:
         """Cases keyed by their scenario index."""
         grouped: Dict[int, List[TestCase]] = {}

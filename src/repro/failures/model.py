@@ -54,16 +54,6 @@ class FailureScenario:
         cut_links = {link for link in links if region.crosses(topo.segment(link))}
         return cls(topo, failed_nodes, cut_links, region=region)
 
-    @classmethod
-    def single_link(cls, topo: Topology, link: Link) -> "FailureScenario":
-        """The sporadic single-link-failure case of Theorem 3."""
-        return cls(topo, failed_links=[link])
-
-    @classmethod
-    def from_nodes(cls, topo: Topology, nodes: Iterable[int]) -> "FailureScenario":
-        """Router failures without a geometric region (e.g. power loss)."""
-        return cls(topo, failed_nodes=nodes)
-
     # ------------------------------------------------------------------
 
     def is_node_live(self, node: int) -> bool:
@@ -88,15 +78,6 @@ class FailureScenario:
             self._exclusion = cached
         return cached
 
-    def failed_link_flags(self) -> bytearray:
-        """0/1 flags over interned link ids, 1 = failed (cached per CSR view).
-
-        Because ``failed_links`` includes every link incident to a failed
-        router, ``flags[lid]`` alone answers "can this adjacency carry
-        traffic" — the hot probe of local failure detection.
-        """
-        return self.exclusion().link_flags
-
     def live_nodes(self) -> Set[int]:
         """All surviving nodes."""
         return {n for n in self.topo.nodes() if n not in self.failed_nodes}
@@ -111,20 +92,6 @@ class FailureScenario:
             excluded_links=set(self.failed_links),
         )
         return destination in component
-
-    def merged_with(self, other: "FailureScenario") -> "FailureScenario":
-        """The union of two failure events (multiple failure areas, §III-E)."""
-        if other.topo is not self.topo:
-            raise TopologyError("cannot merge scenarios over different topologies")
-        region = None
-        if self.region is not None and other.region is not None:
-            region = self.region.union(other.region)
-        return FailureScenario(
-            self.topo,
-            self.failed_nodes | other.failed_nodes,
-            self.failed_links | other.failed_links,
-            region=region,
-        )
 
     def __repr__(self) -> str:
         return (

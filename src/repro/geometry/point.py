@@ -51,10 +51,6 @@ class Point(NamedTuple):
         """Z-component of the cross product (positive when ``other`` is CCW)."""
         return self.x * other.y - self.y * other.x
 
-    def norm(self) -> float:
-        """Euclidean length of this point treated as a vector."""
-        return math.hypot(self.x, self.y)
-
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -62,10 +58,6 @@ class Point(NamedTuple):
     def angle(self) -> float:
         """Direction of this vector in radians, in ``[0, 2*pi)``."""
         return math.atan2(self.y, self.x) % TWO_PI
-
-    def is_close(self, other: "Point", tol: float = EPSILON) -> bool:
-        """Whether ``other`` lies within ``tol`` of this point."""
-        return self.distance_to(other) <= tol
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:

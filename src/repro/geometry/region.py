@@ -37,10 +37,6 @@ class FailureRegion(ABC):
     def crosses(self, segment: Segment) -> bool:
         """Whether any part of ``segment`` lies inside the region."""
 
-    @abstractmethod
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """``(min_x, min_y, max_x, max_y)``; infinite for unbounded regions."""
-
     def search_boxes(self) -> List[Tuple[float, float, float, float]]:
         """Boxes outside which neither ``contains`` nor ``crosses`` holds.
 
@@ -50,10 +46,6 @@ class FailureRegion(ABC):
         """
         inf = math.inf
         return [(-inf, -inf, inf, inf)]
-
-    def union(self, other: "FailureRegion") -> "UnionRegion":
-        """The union of this region and ``other``."""
-        return UnionRegion([self, other])
 
 
 class Circle(FailureRegion):
@@ -81,10 +73,6 @@ class Circle(FailureRegion):
 
     def crosses(self, segment: Segment) -> bool:
         return segment.distance_to_point(self.center) <= self.radius + EPSILON
-
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        cx, cy, r = self.center.x, self.center.y, self.radius
-        return (cx - r, cy - r, cx + r, cy + r)
 
     def search_boxes(self) -> List[Tuple[float, float, float, float]]:
         # Both predicates accept a distance up to r + EPSILON, and a link
@@ -141,11 +129,6 @@ class Polygon(FailureRegion):
             return True
         return any(segments_intersect(segment, edge) for edge in self.edges())
 
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
-
     def area(self) -> float:
         """Unsigned area via the shoelace formula."""
         total = 0.0
@@ -178,15 +161,6 @@ class UnionRegion(FailureRegion):
 
     def crosses(self, segment: Segment) -> bool:
         return any(r.crosses(segment) for r in self.regions)
-
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        boxes = [r.bounding_box() for r in self.regions]
-        return (
-            min(b[0] for b in boxes),
-            min(b[1] for b in boxes),
-            max(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
 
     def search_boxes(self) -> List[Tuple[float, float, float, float]]:
         return [box for r in self.regions for box in r.search_boxes()]

@@ -31,10 +31,6 @@ class Segment(NamedTuple):
         """Euclidean length of the segment."""
         return self.a.distance_to(self.b)
 
-    def midpoint(self) -> Point:
-        """The point halfway between the endpoints."""
-        return Point((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
-
     def direction(self) -> Point:
         """The (unnormalised) vector from ``a`` to ``b``."""
         return self.b - self.a

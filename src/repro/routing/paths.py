@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Tuple
 
-from ..errors import RoutingError
-
 
 class Path(NamedTuple):
     """An explicit routing path with its total cost.
@@ -31,21 +29,9 @@ class Path(NamedTuple):
         """Last node of the path."""
         return self.nodes[-1]
 
-    @property
-    def hop_count(self) -> int:
-        """Number of links traversed."""
-        return len(self.nodes) - 1
-
     def hops(self) -> Iterator[Tuple[int, int]]:
         """Consecutive ``(from, to)`` node pairs along the path."""
         return zip(self.nodes[:-1], self.nodes[1:])
-
-    def validate(self) -> None:
-        """Raise if the path is structurally malformed."""
-        if not self.nodes:
-            raise RoutingError("empty path")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise RoutingError(f"path revisits a node: {self.nodes}")
 
     def __str__(self) -> str:
         return " -> ".join(f"v{n}" for n in self.nodes) + f" (cost {self.cost:g})"

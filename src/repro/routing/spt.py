@@ -126,13 +126,6 @@ class ShortestPathTree:
         i = self._index(node)
         return None if i is None else self.dense_dist[i]
 
-    def distance(self, node: int) -> float:
-        """Shortest-path cost between the root and ``node``."""
-        cost = self.cost_to(node)
-        if cost is None:
-            raise self._no_path(node)
-        return cost
-
     def next_hop(self, node: int) -> Optional[int]:
         """Next hop from ``node`` toward the root (reverse trees only)."""
         assert self.toward_root, "next_hop() is defined on reverse trees"

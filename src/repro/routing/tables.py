@@ -65,10 +65,6 @@ class RoutingTable:
             return None
         return tree.path_from(source)
 
-    def distance(self, source: int, destination: int) -> Optional[float]:
-        """Shortest-path cost, or ``None`` if unreachable."""
-        return self.tree_to(destination).cost_to(source)
-
     def destinations(self) -> Iterator[int]:
         """All possible destinations (every node)."""
         return self.topo.nodes()

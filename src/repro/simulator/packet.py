@@ -90,7 +90,6 @@ class Packet:
     source: int
     destination: int
     header: RecoveryHeader = field(default_factory=RecoveryHeader)
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     #: Node the packet currently sits at.
     at: Optional[int] = None
@@ -98,7 +97,3 @@ class Packet:
     def __post_init__(self) -> None:
         if self.at is None:
             self.at = self.source
-
-    def total_bytes(self) -> int:
-        """Payload plus recovery header — the ``s`` of the §IV-D metric."""
-        return self.payload_bytes + self.header.recovery_bytes()

@@ -5,13 +5,13 @@ When a :class:`~repro.simulator.engine.ForwardingEngine` is given a
 event — who sent what to whom, when, in which header mode, carrying how
 many recovery bytes.  Traces answer the debugging questions the aggregate
 accounting cannot ("where exactly did the walk double back?", "when did
-the header peak?") and export to plain rows for analysis.
+the header peak?").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..topology import Link
 
@@ -66,56 +66,6 @@ class ForwardingTrace:
     def __len__(self) -> int:
         return len(self.events)
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def hops_of_packet(self, packet_id: int) -> List[HopEvent]:
-        """All hops of one packet, in order."""
-        return [e for e in self.events if e.packet_id == packet_id]
-
-    def links_traversed(self) -> Dict[Link, int]:
-        """Traversal counts per link (both directions pooled)."""
-        counts: Dict[Link, int] = {}
-        for event in self.events:
-            counts[event.link] = counts.get(event.link, 0) + 1
-        return counts
-
-    def double_traversed_links(self) -> List[Link]:
-        """Links crossed more than once — the tree-branch signature of
-        §IV-B and the Fig. 5 disorder's symptom."""
-        return [link for link, n in self.links_traversed().items() if n > 1]
-
-    def drop_count(self) -> int:
-        """Number of packets the trace saw discarded."""
-        return len(self.drops)
-
-    def peak_header(self) -> Optional[HopEvent]:
-        """The event carrying the largest recovery header."""
-        if not self.events:
-            return None
-        return max(self.events, key=lambda e: e.header_bytes)
-
-    def total_recovery_bytes(self) -> int:
-        """Sum of recovery-header bytes over all transmissions."""
-        return sum(e.header_bytes for e in self.events)
-
     def duration(self) -> float:
         """Time of the last event (the trace starts at 0)."""
         return self.events[-1].time if self.events else 0.0
-
-    def to_rows(self) -> List[Dict[str, object]]:
-        """Plain dict rows (for reports or CSV export)."""
-        return [
-            {
-                "time_ms": round(e.time * 1000.0, 3),
-                "from": e.sender,
-                "to": e.receiver,
-                "link": str(e.link),
-                "mode": e.mode,
-                "header_bytes": e.header_bytes,
-                "packet": e.packet_id,
-                "span_id": e.span_id,
-            }
-            for e in self.events
-        ]

@@ -250,14 +250,6 @@ class Topology:
         """Capacity of ``link``, or ``None`` when not provisioned."""
         return self._capacities[self.link_index(link)]
 
-    def link_capacities(self) -> Dict[Link, float]:
-        """Every provisioned capacity, keyed by link (a copy, index order)."""
-        return {
-            link: capacity
-            for link, capacity in zip(self._links, self._capacities)
-            if capacity is not None
-        }
-
     def lid_capacities(self) -> List[Optional[float]]:
         """Capacity per link index (``None`` = not provisioned or retired).
 
@@ -265,10 +257,6 @@ class Topology:
         :meth:`set_link_capacity`.  Read it, do not mutate or keep it.
         """
         return self._capacities
-
-    def clear_link_capacities(self) -> None:
-        """Drop every capacity annotation."""
-        self._capacities[:] = [None] * len(self._links)
 
     # ------------------------------------------------------------------
     # Cross links (precomputed per §III-C)

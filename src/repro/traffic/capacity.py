@@ -24,7 +24,7 @@ import math
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..errors import UnknownLinkError
-from ..routing import Path, RoutingTable
+from ..routing import RoutingTable
 from ..te.metrics import HISTOGRAM_BINS, UTILIZATION_BIN_WIDTH
 from ..topology import Link, Topology
 from .matrix import TrafficMatrix
@@ -134,10 +134,6 @@ class LinkLoadMap:
         if lid is None:
             raise UnknownLinkError(Link.of(a, b))
         return lid
-
-    def add_path(self, path: Path, demand: float) -> None:
-        """Route ``demand`` along every link of ``path``."""
-        self.add_lids([self._lid(a, b) for a, b in path.hops()], demand)
 
     def add_link(self, link: Link, demand: float) -> None:
         """Add ``demand`` to one link."""

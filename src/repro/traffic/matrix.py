@@ -16,7 +16,6 @@ a matrix has a fixed order regardless of insertion history or
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, Iterator, List, Tuple
 
@@ -62,11 +61,6 @@ class TrafficMatrix:
         """Aggregate demand over every pair (fixed-order ``fsum``)."""
         return self._total
 
-    @property
-    def pair_count(self) -> int:
-        """Number of pairs with strictly positive demand."""
-        return len(self._pairs)
-
     def demand(self, source: int, destination: int) -> float:
         """Demand rate of one ordered pair (0.0 when absent)."""
         return self._demands.get((source, destination), 0.0)
@@ -83,39 +77,9 @@ class TrafficMatrix:
         """Distinct sources with positive outbound demand, sorted."""
         return sorted({s for s, _ in self._pairs})
 
-    def destinations_of(self, source: int) -> List[int]:
-        """Destinations ``source`` sends to, sorted."""
-        return [d for s, d in self._pairs if s == source]
-
     # ------------------------------------------------------------------
-    # Transforms
+    # Fingerprinting
     # ------------------------------------------------------------------
-
-    def scaled(self, factor: float, name: str = "") -> "TrafficMatrix":
-        """A copy with every demand multiplied by ``factor`` (>= 0)."""
-        if factor < 0:
-            raise EvaluationError(f"scale factor must be >= 0, got {factor}")
-        return TrafficMatrix(
-            {p: v * factor for p, v in self.items()},
-            name=name or f"{self.name}*{factor:g}",
-        )
-
-    def normalized(self, total: float, name: str = "") -> "TrafficMatrix":
-        """A copy rescaled so the aggregate demand equals ``total``."""
-        if self._total <= 0.0:
-            raise EvaluationError(f"cannot normalize empty matrix {self.name!r}")
-        return self.scaled(total / self._total, name=name or self.name)
-
-    # ------------------------------------------------------------------
-    # Serialization / fingerprinting
-    # ------------------------------------------------------------------
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """Plain rows (``source``, ``destination``, ``demand``), sorted."""
-        return [
-            {"source": s, "destination": d, "demand": self._demands[(s, d)]}
-            for s, d in self._pairs
-        ]
 
     def digest(self) -> str:
         """Process-independent fingerprint of the exact float contents.
@@ -130,22 +94,6 @@ class TrafficMatrix:
         for (s, d), v in self.items():
             h.update(f"{s},{d},{v.hex()};".encode())
         return h.hexdigest()[:16]
-
-    def to_json(self) -> str:
-        """JSON document round-tripped by :meth:`from_json`."""
-        return json.dumps(
-            {"name": self.name, "rows": self.as_rows()}, sort_keys=True
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrafficMatrix":
-        """Inverse of :meth:`to_json`."""
-        doc = json.loads(text)
-        demands = {
-            (int(r["source"]), int(r["destination"])): float(r["demand"])
-            for r in doc["rows"]
-        }
-        return cls(demands, name=str(doc.get("name", "traffic")))
 
     def __len__(self) -> int:
         return len(self._pairs)

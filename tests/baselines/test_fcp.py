@@ -76,7 +76,7 @@ class TestCompleteness:
                     return
 
     def test_drops_only_when_truly_unreachable(self, tiny_line):
-        scenario = FailureScenario.single_link(tiny_line, Link.of(1, 2))
+        scenario = FailureScenario(tiny_line, failed_links=[Link.of(1, 2)])
         fcp = FCP(tiny_line, scenario)
         result = fcp.recover(1, 2, 2)
         assert not result.delivered

@@ -100,20 +100,20 @@ class TestLinkWeights:
 class TestForwarding:
     def test_single_node_failure_recovered(self, biconnected, ring_configs):
         # MRC's design case: one failed node, the rest intact.
-        scenario = FailureScenario.from_nodes(biconnected, [3])
+        scenario = FailureScenario(biconnected, failed_nodes=[3])
         mrc = MRC(biconnected, scenario, configurations=ring_configs)
         result = mrc.recover(2, 5, 3)
         assert result.delivered
 
     def test_single_link_failure_recovered(self, biconnected, ring_configs):
-        scenario = FailureScenario.single_link(biconnected, Link.of(2, 3))
+        scenario = FailureScenario(biconnected, failed_links=[Link.of(2, 3)])
         mrc = MRC(biconnected, scenario, configurations=ring_configs)
         result = mrc.recover(2, 3, 3)
         assert result.delivered
 
     def test_zero_sp_computations(self, biconnected, ring_configs):
         # MRC is proactive: no on-demand shortest-path calculations.
-        scenario = FailureScenario.from_nodes(biconnected, [3])
+        scenario = FailureScenario(biconnected, failed_nodes=[3])
         mrc = MRC(biconnected, scenario, configurations=ring_configs)
         result = mrc.recover(2, 5, 3)
         assert result.sp_computations == 0
@@ -152,7 +152,7 @@ class TestForwarding:
         assert delivered > 0, "MRC should still recover some cases"
 
     def test_delivered_paths_are_live(self, biconnected, ring_configs):
-        scenario = FailureScenario.from_nodes(biconnected, [3])
+        scenario = FailureScenario(biconnected, failed_nodes=[3])
         mrc = MRC(biconnected, scenario, configurations=ring_configs)
         result = mrc.recover(2, 7, 3)
         if result.delivered:

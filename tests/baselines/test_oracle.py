@@ -25,7 +25,7 @@ class TestOracle:
         assert oracle.optimal_cost(6, 10) is None
 
     def test_partitioned_destination_irrecoverable(self, tiny_line):
-        scenario = FailureScenario.single_link(tiny_line, Link.of(1, 2))
+        scenario = FailureScenario(tiny_line, failed_links=[Link.of(1, 2)])
         oracle = Oracle(tiny_line, scenario)
         assert not oracle.is_recoverable(0, 2)
         assert oracle.is_recoverable(0, 1)

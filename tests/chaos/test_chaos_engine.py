@@ -69,7 +69,7 @@ class TestPacketLoss:
         )
         packet = Packet(source=0, destination=3)
         engine.follow_source_route_outcome(packet, [0, 1, 2, 3], RecoveryAccounting())
-        assert trace.drop_count() == 1
+        assert len(trace.drops) == 1
         assert trace.drops[0].node == 0
         assert "loss" in trace.drops[0].reason
 
@@ -162,23 +162,24 @@ class TestSecondaryFailures:
             secondary_failures=(SecondaryFailure(at_hop=2, link=(4, 5)),)
         )
         engine, runtime = make_chaos_engine(ring8, plan)
-        assert runtime.pending_secondary_failures() == [(2, Link.of(4, 5))]
+        lid = ring8.csr().pair_lid[(4, 5)]
         packet = Packet(source=0, destination=3)
         engine.forward_one_hop(packet, 1, Link.of(0, 1), RecoveryAccounting())
-        assert not runtime.is_link_flapped(Link.of(4, 5))
+        assert not runtime.is_link_id_flapped(lid)
         engine.forward_one_hop(packet, 2, Link.of(1, 2), RecoveryAccounting())
-        assert runtime.is_link_flapped(Link.of(4, 5))
-        assert runtime.pending_secondary_failures() == []
+        assert runtime.flapped_lids == {lid}
 
     def test_unseeded_link_is_deterministic_and_live(self, ring8):
         plan = FaultPlan(seed=9, secondary_failures=(SecondaryFailure(at_hop=1),))
         scenario = FailureScenario(ring8, failed_links=[Link.of(0, 1)])
-        picks = [
-            ChaosRuntime(plan, scenario).pending_secondary_failures()[0][1]
-            for _ in range(2)
-        ]
-        assert picks[0] == picks[1]
-        assert picks[0] != Link.of(0, 1)  # never targets an already-dead link
+        picks = []
+        for _ in range(2):
+            runtime = ChaosRuntime(plan, scenario)
+            runtime.on_hop()
+            picks.append(runtime.flapped_lids)
+        assert picks[0] == picks[1] and len(picks[0]) == 1
+        # never targets an already-dead link
+        assert ring8.csr().pair_lid[(0, 1)] not in picks[0]
 
     def test_missing_link_rejected(self, ring8):
         plan = FaultPlan(

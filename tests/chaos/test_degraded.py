@@ -18,8 +18,8 @@ def test_missed_adjacencies_read_reachable_forever(paper_scenario):
     plan = FaultPlan(seed=3, detection_miss_rate=1.0)
     view = DegradedLocalView(paper_scenario, plan)
     ideal = LocalView(paper_scenario)
-    assert view.missed_adjacencies()
-    for node, neighbor in view.missed_adjacencies():
+    assert view.missed
+    for node, neighbor in view.missed:
         assert not ideal.is_neighbor_reachable(node, neighbor)
         assert view.is_neighbor_reachable(node, neighbor)
     # No failed adjacency is detected anywhere: phase 1 has nothing to see.
@@ -31,7 +31,7 @@ def test_delayed_detection_flips_with_hop_clock(paper_scenario):
     plan = FaultPlan(seed=3, detection_delay_rate=1.0, detection_delay_hops=4)
     runtime = ChaosRuntime(plan, paper_scenario)
     view = DegradedLocalView(paper_scenario, plan, runtime)
-    delayed = view.delayed_adjacencies()
+    delayed = view.delayed
     assert delayed
     node, neighbor = sorted(delayed)[0]
     assert view.is_neighbor_reachable(node, neighbor)  # not yet detected
@@ -45,8 +45,8 @@ def test_miss_and_delay_sampling_is_deterministic(paper_scenario):
                      detection_delay_rate=0.3, detection_delay_hops=2)
     a = DegradedLocalView(paper_scenario, plan)
     b = DegradedLocalView(paper_scenario, plan)
-    assert a.missed_adjacencies() == b.missed_adjacencies()
-    assert a.delayed_adjacencies() == b.delayed_adjacencies()
+    assert a.missed == b.missed
+    assert a.delayed == b.delayed
 
 
 def test_flapped_link_reads_unreachable_immediately(ring8):

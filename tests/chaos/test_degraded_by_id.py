@@ -27,9 +27,9 @@ def expected_reachable(view, truth, node, neighbor, lid):
         return False
     if truth.is_neighbor_reachable(node, neighbor):
         return True
-    if (node, neighbor) in view.missed_adjacencies():
+    if (node, neighbor) in view.missed:
         return True
-    return (node, neighbor) in view.delayed_adjacencies() and (
+    return (node, neighbor) in view.delayed and (
         view.runtime.hops < view.plan.detection_delay_hops
     )
 
@@ -74,7 +74,7 @@ def test_missed_delayed_and_flapped_links_read_alike(seed):
     )
     view = DegradedLocalView(scenario, plan, ChaosRuntime(plan, scenario))
     truth = LocalView(scenario)
-    assert view.missed_adjacencies() and view.delayed_adjacencies()
+    assert view.missed and view.delayed
     for _ in range(8):  # before the delay, after it, and past every flap
         assert_view_matches_rules(view, truth)
         view.runtime.on_hop()

@@ -202,7 +202,7 @@ class TestReconvergenceFallback:
         # 0 - 1 - 2 with node 1 dead: nothing can deliver 0 -> 2, not even
         # waiting out convergence.
         topo = ring_topology(4)
-        scenario = FailureScenario.from_nodes(topo, [1, 3])
+        scenario = FailureScenario(topo, failed_nodes=[1, 3])
         plan = FaultPlan(seed=0, packet_loss_rate=1.0)
         rtr = RTR(topo, scenario, fault_plan=plan)
         result = rtr.recover(0, 2, 1)

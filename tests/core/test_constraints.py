@@ -81,7 +81,7 @@ class TestConstraint2AfterSelection:
         state = make_state(paper_topo)
         # e12,14 is crossed by e11,15/e11,16, neither excluded yet.
         assert state.after_selection(lid(paper_topo, 12, 14))
-        assert Link.of(12, 14) in state.recorded_links()
+        assert Link.of(12, 14) in state.header.cross_links
 
     def test_no_record_when_crossers_already_excluded(self):
         # Links: A = 0-1, B = 2-3 (crosses A and C), C = 4-5 (crosses only
@@ -100,9 +100,9 @@ class TestConstraint2AfterSelection:
         state = make_state(topo)
         state.record(topo.link_index(a))
         assert not state.after_selection(topo.link_index(c))
-        assert state.recorded_links() == {a}
+        assert state.header.cross_links == [a]
 
     def test_no_record_for_crossing_free_link(self, paper_topo):
         state = make_state(paper_topo)
         assert not state.after_selection(lid(paper_topo, 7, 8))
-        assert state.recorded_links() == set()
+        assert state.header.cross_links == []

@@ -31,7 +31,7 @@ class TestWalkStructure:
             phase1(paper_topo, paper_scenario, 6, 7)
 
     def test_isolated_initiator_empty_walk(self, tiny_line):
-        scenario = FailureScenario.from_nodes(tiny_line, [1])
+        scenario = FailureScenario(tiny_line, failed_nodes=[1])
         result = phase1(tiny_line, scenario, 0, 1)
         assert result.walk == [0]
         assert result.hops == 0
@@ -41,7 +41,7 @@ class TestWalkStructure:
     def test_single_live_neighbor_out_and_back(self, ring8):
         # With e0,1 cut the ring is a line; node 1 cannot close the loop,
         # so the packet walks to the far end and retraces: 2 * 7 hops.
-        scenario = FailureScenario.single_link(ring8, Link.of(0, 1))
+        scenario = FailureScenario(ring8, failed_links=[Link.of(0, 1)])
         result = phase1(ring8, scenario, 0, 1)
         assert result.walk[0] == result.walk[-1] == 0
         assert result.walk == [0, 7, 6, 5, 4, 3, 2, 1, 2, 3, 4, 5, 6, 7, 0]

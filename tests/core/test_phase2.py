@@ -53,7 +53,7 @@ class TestPhase2Engine:
                 assert a.cost == b.cost
 
     def test_unreachable_destination_none(self, tiny_line):
-        scenario = FailureScenario.single_link(tiny_line, Link.of(1, 2))
+        scenario = FailureScenario(tiny_line, failed_links=[Link.of(1, 2)])
         view = LocalView(scenario)
         engine = ForwardingEngine(tiny_line, view)
         phase1 = run_phase1(tiny_line, view, 1, 2, engine)
@@ -83,7 +83,7 @@ class TestRunPhase2:
         assert outcome.route_header_bytes > 0
 
     def test_drop_at_initiator_when_no_route(self, tiny_line):
-        scenario = FailureScenario.single_link(tiny_line, Link.of(1, 2))
+        scenario = FailureScenario(tiny_line, failed_links=[Link.of(1, 2)])
         view = LocalView(scenario)
         engine = ForwardingEngine(tiny_line, view)
         phase1 = run_phase1(tiny_line, view, 1, 2, engine)

@@ -23,7 +23,7 @@ class TestRecover:
         assert result.delivered
 
     def test_failed_initiator_rejected(self, ring8):
-        scenario = FailureScenario.from_nodes(ring8, [3])
+        scenario = FailureScenario(ring8, failed_nodes=[3])
         rtr = RTR(ring8, scenario)
         with pytest.raises(SimulationError):
             rtr.recover(3, 0)
@@ -50,7 +50,7 @@ class TestRecover:
         assert r2.sp_computations == 1
 
     def test_unreachable_destination_dropped_at_initiator(self, tiny_line):
-        scenario = FailureScenario.single_link(tiny_line, Link.of(1, 2))
+        scenario = FailureScenario(tiny_line, failed_links=[Link.of(1, 2)])
         rtr = RTR(tiny_line, scenario)
         result = rtr.recover(1, 2, 2)
         assert not result.delivered
@@ -102,7 +102,7 @@ class TestAccountingShape:
         rtr = RTR(paper_topo, paper_scenario)
         result = rtr.recover(6, 17, 11)
         acc = result.accounting
-        assert acc.hops_traveled == result.phase1_hops + result.path.hop_count
+        assert acc.hops_traveled == result.phase1_hops + len(result.path.nodes) - 1
         assert len(acc.header_timeline) == acc.hops_traveled
 
     def test_phase1_duration_reported(self, paper_topo, paper_scenario):

@@ -111,7 +111,7 @@ def test_theorem3_single_link_failure_always_recovers(seed):
     link = links[rng.randrange(len(links))]
     # Skip bridges: with the only path gone, the destination is genuinely
     # unreachable and Theorem 3's premise (recoverable) does not hold.
-    scenario = FailureScenario.single_link(topo, link)
+    scenario = FailureScenario(topo, failed_links=[link])
     rtr = RTR(topo, scenario)
     oracle = Oracle(topo, scenario)
     for initiator, destination, trigger in failed_cases(topo, scenario, limit=8):

@@ -44,23 +44,21 @@ class TestBranchDoubleTraversal:
         topo = star_with_ring()
         # Fail the ring link 0-1: the walk from 0 tours the ring but the
         # sweep also dives down the branch and back.
-        scenario = FailureScenario.single_link(topo, Link.of(0, 1))
+        scenario = FailureScenario(topo, failed_links=[Link.of(0, 1)])
         view = LocalView(scenario)
         trace = ForwardingTrace()
         engine = ForwardingEngine(topo, view, trace=trace)
         result = run_phase1(topo, view, 0, 1, engine)
-        counts = trace.links_traversed()
-        branch_links = [Link.of(0, 10), Link.of(10, 11), Link.of(11, 12)]
-        for link in branch_links:
-            if counts.get(link):
-                assert counts[link] == 2, f"{link} must be out-and-back"
+        links = [event.link for event in trace.events]
+        for link in (Link.of(0, 10), Link.of(10, 11), Link.of(11, 12)):
+            assert links.count(link) == 2, f"{link} must be out-and-back"
         assert result.walk[0] == result.walk[-1] == 0
 
     def test_pure_star_walk_visits_all_leaves(self):
         # The extreme case: a hub loses one spoke; the walk from the hub
         # must bounce through every remaining leaf and return.
         topo = star_topology(6)
-        scenario = FailureScenario.single_link(topo, Link.of(0, 1))
+        scenario = FailureScenario(topo, failed_links=[Link.of(0, 1)])
         view = LocalView(scenario)
         engine = ForwardingEngine(topo, view)
         result = run_phase1(topo, view, 0, 1, engine)
@@ -73,7 +71,7 @@ class TestBranchDoubleTraversal:
         # A leaf losing its only link is isolated: empty walk, and the
         # destination is correctly declared unreachable.
         topo = star_topology(4)
-        scenario = FailureScenario.single_link(topo, Link.of(0, 1))
+        scenario = FailureScenario(topo, failed_links=[Link.of(0, 1)])
         rtr = RTR(topo, scenario)
         result = rtr.recover(1, 3, 0)
         assert not result.delivered

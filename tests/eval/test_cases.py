@@ -77,8 +77,8 @@ class TestEnumerateScenarioCases:
 class TestGenerateCases:
     def test_quotas_met(self, topo):
         case_set = generate_cases(topo, random.Random(1), 50, 30)
-        assert len(case_set.recoverable_cases()) == 50
-        assert len(case_set.irrecoverable_cases()) == 30
+        assert sum(c.recoverable for c in case_set.cases) == 50
+        assert len(case_set.cases) == 80
 
     def test_scenario_indices_valid(self, topo):
         case_set = generate_cases(topo, random.Random(2), 30, 20)
@@ -99,5 +99,4 @@ class TestGenerateCases:
 
     def test_zero_quota(self, topo):
         case_set = generate_cases(topo, random.Random(5), 10, 0)
-        assert len(case_set.irrecoverable_cases()) == 0
-        assert len(case_set.recoverable_cases()) == 10
+        assert [c.recoverable for c in case_set.cases] == [True] * 10

@@ -67,7 +67,7 @@ class TestEdgeCases:
         assert count_failed_routing_paths(grid5, routing, scenario) == (0, 0)
 
     def test_partition_all_irrecoverable(self, tiny_line):
-        scenario = FailureScenario.single_link(tiny_line, Link.of(1, 2))
+        scenario = FailureScenario(tiny_line, failed_links=[Link.of(1, 2)])
         routing = RoutingTable(tiny_line)
         rec, irr = count_failed_routing_paths(tiny_line, routing, scenario)
         # Failed paths: 0->2, 1->2, 2->0, 2->1 — all cross the cut.
@@ -75,7 +75,7 @@ class TestEdgeCases:
         assert irr == 4
 
     def test_failed_destination_counts_per_live_source(self, ring8):
-        scenario = FailureScenario.from_nodes(ring8, [3])
+        scenario = FailureScenario(ring8, failed_nodes=[3])
         routing = RoutingTable(ring8)
         rec, irr = count_failed_routing_paths(ring8, routing, scenario)
         # Toward the dead node: 7 live sources, all irrecoverable.

@@ -50,7 +50,7 @@ class TestRunner:
 
     def test_subset_run(self, topo, case_set):
         runner = EvaluationRunner(topo, routing=case_set.routing, approaches=("RTR",))
-        subset = case_set.recoverable_cases()[:5]
+        subset = [c for c in case_set.cases if c.recoverable][:5]
         records = runner.run_cases(case_set, subset)
         assert len(records["RTR"]) == 5
 

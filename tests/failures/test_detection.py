@@ -14,13 +14,13 @@ from repro.topology.examples import PAPER_FAILURE_REGION, paper_figure_topology
 
 class TestLocalView:
     def test_neighbor_of_failed_node_unreachable(self, ring8):
-        scenario = FailureScenario.from_nodes(ring8, [3])
+        scenario = FailureScenario(ring8, failed_nodes=[3])
         view = LocalView(scenario)
         assert not view.is_neighbor_reachable(2, 3)
         assert view.is_neighbor_reachable(2, 1)
 
     def test_failed_link_unreachable_from_both_ends(self, ring8):
-        scenario = FailureScenario.single_link(ring8, Link.of(0, 1))
+        scenario = FailureScenario(ring8, failed_links=[Link.of(0, 1)])
         view = LocalView(scenario)
         assert not view.is_neighbor_reachable(0, 1)
         assert not view.is_neighbor_reachable(1, 0)
@@ -29,13 +29,13 @@ class TestLocalView:
         # 0 and 4 both exist in ring8 but are not adjacent: that is a
         # missing *link*, not a missing node, and the error must say so
         # (and name both endpoints).
-        view = LocalView(FailureScenario.from_nodes(ring8, []))
+        view = LocalView(FailureScenario(ring8))
         with pytest.raises(UnknownLinkError) as exc:
             view.is_neighbor_reachable(0, 4)
         assert exc.value.link == Link.of(0, 4)
 
     def test_unknown_node_still_rejected_as_unknown_node(self, ring8):
-        view = LocalView(FailureScenario.from_nodes(ring8, []))
+        view = LocalView(FailureScenario(ring8))
         with pytest.raises(UnknownNodeError):
             view.is_neighbor_reachable(0, 99)
         with pytest.raises(UnknownNodeError):
@@ -44,7 +44,7 @@ class TestLocalView:
     def test_cannot_distinguish_node_from_link_failure(self, ring8):
         # The information asymmetry of §II-A: from node 2's view, a failed
         # neighbor 3 and a failed link 2-3 look identical.
-        node_fail = LocalView(FailureScenario.from_nodes(ring8, [3]))
+        node_fail = LocalView(FailureScenario(ring8, failed_nodes=[3]))
         link_fail = LocalView(
             FailureScenario(
                 ring8, failed_links=[Link.of(2, 3), Link.of(3, 4)]

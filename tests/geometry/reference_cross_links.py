@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Sequence, Set, Tuple
 
-from repro.geometry import CrossRows, Segment, orientation
+from repro.geometry import EPSILON, CrossRows, Segment, orientation
 from repro.geometry.planarity import segments_cross_raw
 
 
@@ -29,7 +29,7 @@ def segments_cross(s1: Segment, s2: Segment) -> bool:
     overlapping segments are treated as crossing since their interiors
     intersect.
     """
-    if any(p.is_close(q) for p in (s1.a, s1.b) for q in (s2.a, s2.b)):
+    if any(p.distance_to(q) <= EPSILON for p in (s1.a, s1.b) for q in (s2.a, s2.b)):
         return False  # a shared (numerically common) endpoint
 
     o1 = orientation(s1.a, s1.b, s2.a)
@@ -43,10 +43,10 @@ def segments_cross(s1: Segment, s2: Segment) -> bool:
     # An endpoint of one segment lying strictly inside the other also makes
     # the interiors intersect (e.g. a T-junction without a shared router).
     for p in (s2.a, s2.b):
-        if s1.contains_point(p) and not (p.is_close(s1.a) or p.is_close(s1.b)):
+        if s1.contains_point(p) and min(p.distance_to(s1.a), p.distance_to(s1.b)) > EPSILON:
             return True
     for p in (s1.a, s1.b):
-        if s2.contains_point(p) and not (p.is_close(s2.a) or p.is_close(s2.b)):
+        if s2.contains_point(p) and min(p.distance_to(s2.a), p.distance_to(s2.b)) > EPSILON:
             return True
     return False
 

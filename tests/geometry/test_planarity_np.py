@@ -127,7 +127,7 @@ def soup_links(soup):
     for (p, q), tilt, t, offset, far in touches:
         a, b = at(p), at(Point(q.x, q.y + tilt))
         d = b - a
-        length = d.norm() or 1.0
+        length = math.hypot(*d) or 1.0
         off_line = Point(-d.y, d.x) * (offset * EPSILON / length)
         segments += [Segment(a, b), Segment(a + d * t + off_line, at(far))]
     return list(enumerate(segments))

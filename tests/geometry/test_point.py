@@ -28,15 +28,8 @@ class TestPointArithmetic:
         assert Point(1, 0).cross(Point(0, 1)) == 1.0
         assert Point(0, 1).cross(Point(1, 0)) == -1.0
 
-    def test_norm(self):
-        assert Point(3, 4).norm() == 5.0
-
     def test_distance(self):
         assert Point(0, 0).distance_to(Point(3, 4)) == 5.0
-
-    def test_is_close(self):
-        assert Point(0, 0).is_close(Point(1e-12, 0))
-        assert not Point(0, 0).is_close(Point(1, 0))
 
 
 class TestAngles:

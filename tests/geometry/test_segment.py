@@ -18,9 +18,6 @@ class TestSegmentBasics:
     def test_length(self):
         assert seg(0, 0, 3, 4).length() == 5.0
 
-    def test_midpoint(self):
-        assert seg(0, 0, 4, 2).midpoint() == Point(2, 1)
-
     def test_contains_endpoint(self):
         s = seg(0, 0, 10, 0)
         assert s.contains_point(Point(0, 0))

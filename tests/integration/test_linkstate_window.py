@@ -62,7 +62,7 @@ class TestRecoveryWindow:
             for dst in live[-10:]:
                 if src == dst:
                     continue
-                after = proto.after.distance(src, dst)
+                after = proto.after.tree_to(dst).cost_to(src)
                 optimal = oracle.optimal_cost(src, dst)
                 if optimal is None:
                     assert after is None

@@ -36,7 +36,7 @@ def reference_edge_loads_to(
     # id asc) order a full-tree sweep would — identical float
     # accumulation order at a fraction of the work when demand
     # touches few of the tree's nodes (sampled matrices at scale).
-    heap = [(-tree.distance(node), node) for node in carry]
+    heap = [(-tree.cost_to(node), node) for node in carry]
     heapq.heapify(heap)
     queued = {node for _, node in heap}
     while heap:
@@ -53,5 +53,5 @@ def reference_edge_loads_to(
             carry[nxt] = carry.get(nxt, 0.0) + flow
             if nxt not in queued:
                 queued.add(nxt)
-                heapq.heappush(heap, (-tree.distance(nxt), nxt))
+                heapq.heappush(heap, (-tree.cost_to(nxt), nxt))
     return loads

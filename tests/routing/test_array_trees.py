@@ -110,12 +110,10 @@ def point_answers(tree, probes):
         path = answer(tree.path_from, node)
         if not isinstance(path, tuple):
             path = (path.nodes, float(path.cost).hex())
-        distance = answer(tree.distance, node)
         out.append(
             (
                 tree.reaches(node),
                 None if cost is None else float(cost).hex(),
-                distance if isinstance(distance, tuple) else float(distance).hex(),
                 tree.next_hop(node) if tree.toward_root else None,
                 path,
             )

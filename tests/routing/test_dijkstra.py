@@ -32,7 +32,7 @@ class TestShortestPath:
 
     def test_source_equals_destination(self, tiny_line):
         path = shortest_path(tiny_line, 1, 1)
-        assert path.hop_count == 0
+        assert len(path.nodes) == 1
         assert path.cost == 0.0
 
     def test_source_equals_destination_excluded_raises(self, tiny_line):
@@ -42,7 +42,7 @@ class TestShortestPath:
             shortest_path(tiny_line, 1, 1, excluded_nodes={1})
         assert shortest_path_or_none(tiny_line, 1, 1, excluded_nodes={1}) is None
         # A non-excluded source keeps the zero-hop path.
-        assert shortest_path(tiny_line, 1, 1, excluded_nodes={0}).hop_count == 0
+        assert len(shortest_path(tiny_line, 1, 1, excluded_nodes={0}).nodes) == 1
 
     def test_no_path_raises(self, tiny_line):
         tiny_line.remove_link(0, 1)
@@ -55,13 +55,13 @@ class TestShortestPath:
 
     def test_excluded_link_forces_detour(self, ring8):
         direct = shortest_path(ring8, 0, 1)
-        assert direct.hop_count == 1
+        assert len(direct.nodes) == 2
         detour = shortest_path(ring8, 0, 1, excluded_links={Link.of(0, 1)})
-        assert detour.hop_count == 7
+        assert len(detour.nodes) == 8
 
     def test_excluded_node_forces_detour(self, ring8):
         detour = shortest_path(ring8, 0, 2, excluded_nodes={1})
-        assert detour.hop_count == 6
+        assert len(detour.nodes) == 7
 
     def test_deterministic_tie_break(self, grid5):
         # Many equal-cost paths exist in a grid; repeated runs must agree.
@@ -90,7 +90,7 @@ class TestAgainstNetworkx:
         for src in topo.nodes():
             tree = shortest_path_tree(topo, src)
             for dst in topo.nodes():
-                assert tree.distance(dst) == pytest.approx(nx_dist[src][dst])
+                assert tree.cost_to(dst) == pytest.approx(nx_dist[src][dst])
 
     def test_asymmetric_random_costs_match(self):
         rng = random.Random(11)
@@ -110,23 +110,23 @@ class TestAgainstNetworkx:
             tree = shortest_path_tree(mutated, src)
             lengths = nx.single_source_dijkstra_path_length(g, src)
             for dst, d in lengths.items():
-                assert tree.distance(dst) == pytest.approx(d)
+                assert tree.cost_to(dst) == pytest.approx(d)
 
 
 class TestForwardTree:
     def test_distances_and_paths(self, grid5):
         tree = shortest_path_tree(grid5, 0)
-        assert tree.distance(24) == 8
+        assert tree.cost_to(24) == 8
         path = tree.path_from(24)
         assert path.source == 0 and path.destination == 24
-        assert path.hop_count == 8
+        assert len(path.nodes) == 9
 
     def test_unreachable_raises(self, tiny_line):
         tiny_line.remove_link(1, 2)
         tree = shortest_path_tree(tiny_line, 0)
         assert not tree.reaches(2)
         with pytest.raises(NoPathError):
-            tree.distance(2)
+            tree.path_from(2)
 
 
 class TestReverseTree:
@@ -147,13 +147,13 @@ class TestReverseTree:
         topo.add_link(0, 1, cost=3, reverse_cost=7)
         tree = reverse_shortest_path_tree(topo, 1)
         # Distance of node 0 toward root 1 must use cost(0 -> 1) = 3.
-        assert tree.distance(0) == 3
+        assert tree.cost_to(0) == 3
 
     def test_path_from_matches_forward(self, grid5):
         forward = shortest_path_tree(grid5, 7)
         reverse = reverse_shortest_path_tree(grid5, 7)
         for node in grid5.nodes():
-            assert forward.distance(node) == reverse.distance(node)
+            assert forward.cost_to(node) == reverse.cost_to(node)
             assert reverse.path_from(node).destination == 7
 
     def test_hop_by_hop_consistency(self, grid5):
@@ -166,4 +166,4 @@ class TestReverseTree:
             while node != 12:
                 node = tree.next_hop(node)
                 walked.append(node)
-            assert len(walked) - 1 == tree.distance(start)
+            assert len(walked) - 1 == tree.cost_to(start)

@@ -62,13 +62,13 @@ class TestBeforeAfterViews:
         proto.apply_failure(set(), {Link.of(0, 1)})
         path = proto.after.path(0, 1)
         assert path is not None
-        assert path.hop_count == 7
+        assert len(path.nodes) == 8
 
     def test_after_drops_failed_node_routes(self, ring8):
         proto = LinkStateProtocol(ring8)
         proto.apply_failure({1}, set())
         assert proto.after.path(0, 2) is not None
-        assert proto.after.path(0, 2).hop_count == 6
+        assert len(proto.after.path(0, 2).nodes) == 7
 
     def test_after_reflects_partition(self, tiny_line):
         proto = LinkStateProtocol(tiny_line)

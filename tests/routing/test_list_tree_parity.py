@@ -11,7 +11,7 @@ tentative nodes are in the tree), the penalized kernel and the
 incremental repair, in both orientations where the kernel has two, with
 node and link exclusions:
 
-* every point query — ``reaches``, ``cost_to``, ``distance``, ``next_hop``,
+* every point query — ``reaches``, ``cost_to``, ``next_hop``,
   ``path_from``, ``NoPathError`` included — equals the answer read off the
   reference dicts;
 * the materialized ``.dist`` / ``.parent`` equal the reference dicts in
@@ -72,10 +72,6 @@ def tree_answers(tree, probes):
     out = []
     for node in probes:
         try:
-            distance = hexed(tree.distance(node))
-        except NoPathError as exc:
-            distance = no_path(exc)
-        try:
             path = tree.path_from(node)
             path = (path.nodes, hexed(path.cost))
         except NoPathError as exc:
@@ -84,7 +80,6 @@ def tree_answers(tree, probes):
             (
                 tree.reaches(node),
                 hexed(tree.cost_to(node)),
-                distance,
                 tree.next_hop(node) if tree.toward_root else None,
                 path,
             )
@@ -98,7 +93,7 @@ def reference_answers(root, toward_root, dist, parent, probes):
     for node in probes:
         if node not in dist:
             missing = ("no-path", node, root) if toward_root else ("no-path", root, node)
-            out.append((False, None, missing, None, missing))
+            out.append((False, None, None, missing))
             continue
         chain = [node]
         while chain[-1] != root:
@@ -107,7 +102,6 @@ def reference_answers(root, toward_root, dist, parent, probes):
         out.append(
             (
                 True,
-                hexed(dist[node]),
                 hexed(dist[node]),
                 parent[node] if toward_root else None,
                 (nodes, hexed(dist[node])),

@@ -1,8 +1,5 @@
 """Tests for repro.routing.paths."""
 
-import pytest
-
-from repro.errors import RoutingError
 from repro.routing import Path
 
 
@@ -12,27 +9,13 @@ class TestPath:
         assert p.source == 1
         assert p.destination == 3
 
-    def test_hop_count(self):
-        assert Path((1, 2, 3), 2.0).hop_count == 2
-
     def test_zero_hop_path(self):
         p = Path((5,), 0.0)
-        assert p.hop_count == 0
+        assert list(p.hops()) == []
         assert p.source == p.destination == 5
 
     def test_hops_pairs(self):
         assert list(Path((1, 2, 3), 2.0).hops()) == [(1, 2), (2, 3)]
-
-    def test_validate_ok(self):
-        Path((1, 2, 3), 2.0).validate()
-
-    def test_validate_empty(self):
-        with pytest.raises(RoutingError):
-            Path((), 0.0).validate()
-
-    def test_validate_revisit(self):
-        with pytest.raises(RoutingError):
-            Path((1, 2, 1), 2.0).validate()
 
     def test_str(self):
         assert str(Path((1, 2), 1.0)) == "v1 -> v2 (cost 1)"

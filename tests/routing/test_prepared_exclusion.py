@@ -1,7 +1,7 @@
 """The prepared exclusion: one translation of ``E`` per CSR view.
 
 ``FailureScenario.exclusion()`` caches the :class:`Exclusion` of its
-``E2`` per CSR view (``failed_link_flags()`` is a field of it), and
+``E2`` per CSR view (its ``link_flags`` are the failed-link flags), and
 ``SPTCache`` takes either that object or plain sets.  These tests pin
 the invalidation after a topology mutation and that the two spellings of
 one exclusion are the same cache key.
@@ -37,10 +37,9 @@ class TestScenarioExclusionInvalidation:
     def test_cached_per_view_and_rebuilt_after_mutation(self):
         topo = fresh_topology()
         nodes = sorted(topo.nodes())
-        scenario = FailureScenario.from_nodes(topo, nodes[:2])
+        scenario = FailureScenario(topo, failed_nodes=nodes[:2])
         first = scenario.exclusion()
         assert scenario.exclusion() is first
-        assert scenario.failed_link_flags() is first.link_flags
         assert first.csr is topo.csr()
 
         # A new link gets a new interned id: the old flag array is too
@@ -54,8 +53,7 @@ class TestScenarioExclusionInvalidation:
         assert rebuilt is not first
         assert rebuilt.csr is csr
         assert scenario.exclusion() is rebuilt
-        flags = scenario.failed_link_flags()
-        assert flags is rebuilt.link_flags
+        flags = rebuilt.link_flags
         assert len(flags) == csr.lid_size == len(first.link_flags) + 1
         assert flags == csr.link_flags(scenario.failed_links)
         assert rebuilt.node_flags == csr.node_flags(scenario.failed_nodes)
@@ -65,7 +63,7 @@ class TestScenarioExclusionInvalidation:
     def test_stale_prepared_exclusion_is_translated_again(self):
         topo = fresh_topology()
         nodes = sorted(topo.nodes())
-        scenario = FailureScenario.from_nodes(topo, nodes[:2])
+        scenario = FailureScenario(topo, failed_nodes=nodes[:2])
         stale = scenario.exclusion()
         topo.add_link(*unlinked_pair(topo, avoid=scenario.failed_nodes))
         tree = SPTCache().forward_tree(topo, nodes[5], exclusion=stale)
@@ -78,7 +76,7 @@ class TestScenarioExclusionInvalidation:
     def test_oracle_tree_follows_the_mutation(self):
         topo = fresh_topology()
         nodes = sorted(topo.nodes())
-        scenario = FailureScenario.from_nodes(topo, nodes[:2])
+        scenario = FailureScenario(topo, failed_nodes=nodes[:2])
         oracle = Oracle(topo, scenario)
         root = nodes[5]
         before = oracle.tree_from(root)

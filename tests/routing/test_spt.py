@@ -35,7 +35,7 @@ class TestReverseTreeApi:
         tiny_line.remove_link(0, 1)
         tree = reverse_shortest_path_tree(tiny_line, 2)
         with pytest.raises(NoPathError) as exc:
-            tree.distance(0)
+            tree.path_from(0)
         # The reverse tree reports node -> root unreachability.
         assert exc.value.source == 0
         assert exc.value.destination == 2

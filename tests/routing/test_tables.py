@@ -25,14 +25,14 @@ class TestRoutingTable:
         path = table.path(0, 24)
         assert path is not None
         assert path.source == 0 and path.destination == 24
-        assert path.hop_count == 8
+        assert len(path.nodes) == 9
 
     def test_distance(self, grid5):
-        assert RoutingTable(grid5).distance(0, 12) == 4
+        assert RoutingTable(grid5).tree_to(12).cost_to(0) == 4
 
     def test_distance_unreachable(self, tiny_line):
         tiny_line.remove_link(0, 1)
-        assert RoutingTable(tiny_line).distance(0, 2) is None
+        assert RoutingTable(tiny_line).tree_to(2).cost_to(0) is None
 
     def test_unknown_destination(self, tiny_line):
         with pytest.raises(UnknownNodeError):

@@ -2,7 +2,6 @@
 
 from repro.simulator import (
     BYTES_PER_ID,
-    DEFAULT_PAYLOAD_BYTES,
     FIXED_RTR_HEADER_BYTES,
     Mode,
     Packet,
@@ -63,12 +62,6 @@ class TestPacket:
     def test_starts_at_source(self):
         packet = Packet(source=3, destination=9)
         assert packet.at == 3
-
-    def test_total_bytes_is_s_of_the_paper(self):
-        header = RecoveryHeader(mode=Mode.COLLECTING, rec_init=1)
-        header.record_failed(Link.of(1, 2))
-        packet = Packet(source=1, destination=2, header=header)
-        assert packet.total_bytes() == DEFAULT_PAYLOAD_BYTES + FIXED_RTR_HEADER_BYTES + BYTES_PER_ID
 
     def test_unique_ids(self):
         a = Packet(source=0, destination=1)

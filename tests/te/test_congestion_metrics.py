@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.routing import Path
 from repro.te.metrics import (
     HISTOGRAM_BINS,
     UTILIZATION_BIN_EDGES,
@@ -22,7 +21,7 @@ def loaded_line(tiny_line):
     tiny_line.set_link_capacity(Link.of(0, 1), 10.0)
     tiny_line.set_link_capacity(Link.of(1, 2), 4.0)
     loads = LinkLoadMap(tiny_line)
-    loads.add_path(Path((0, 1, 2), 2.0), 8.0)  # util 0.8 and 2.0
+    loads.add_links([Link.of(0, 1), Link.of(1, 2)], 8.0)  # util 0.8 and 2.0
     return loads
 
 

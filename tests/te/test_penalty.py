@@ -146,7 +146,7 @@ class TestLivePenalty:
             loaded.add_link(diagonal, 50.0)
         assert err.value.link == diagonal
         with pytest.raises(UnknownLinkError) as err:
-            loaded.add_path(Path((1, 0, 2), 2.0), 50.0)
+            loaded.add_links([Link.of(1, 0), diagonal], 50.0)
         assert err.value.link == diagonal
         assert loaded.loads() == before, "a refused add leaves the loads alone"
         with pytest.raises(UnknownLinkError):

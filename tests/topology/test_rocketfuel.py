@@ -131,7 +131,7 @@ class TestLoadRocketfuel:
         from repro.topology import Link
 
         link = next(iter(topo.links()))
-        scenario = FailureScenario.single_link(topo, link)
+        scenario = FailureScenario(topo, failed_links=[link])
         rtr = RTR(topo, scenario)
         # Recover the flow crossing the failed link, if routing used it.
         from repro.failures import LocalView

@@ -240,7 +240,7 @@ def _run_congestion_aware(
                 for link in _prefix_links(engine, pair):
                     loads.add_link(link, pair.demand)
             if result.delivered and result.path is not None:
-                loads.add_path(result.path, group_demand)
+                loads.add_links([Link.of(*hop) for hop in result.path.hops()], group_demand)
         records[name] = out
     return records
 
@@ -303,7 +303,7 @@ def _weight(
             for link in _prefix_links(engine, pair):
                 loads.add_link(link, pair.demand)
         if result.delivered and result.path is not None:
-            loads.add_path(result.path, group_demand)
+            loads.add_links([Link.of(*hop) for hop in result.path.hops()], group_demand)
 
     overloaded = reference_loads.overloaded_links(loads)
     return TrafficScenarioRecord(

@@ -71,7 +71,7 @@ def test_random_three_router_failures_with_a_failed_destination():
     for _ in range(15):
         target = rng.choice(destinations)
         others = rng.sample([n for n in sorted(topo.nodes()) if n != target], 2)
-        scenario = FailureScenario.from_nodes(topo, [target, *others])
+        scenario = FailureScenario(topo, failed_nodes=[target, *others])
         got = assert_matches_reference(engine, scenario)
         stopped = [p for p in got.disrupted if p.destination == target]
         assert stopped and all(p.initiator != target for p in stopped)
@@ -104,8 +104,8 @@ def test_failed_source_the_tree_does_not_reach():
         topo.remove_link(15, neighbor)
     flow_set = aggregate_flows(uniform_matrix(topo, total_demand=240.0), 24_000)
     engine = TrafficEngine(topo, flow_set, approaches=("RTR",))
-    alive = FailureScenario.from_nodes(topo, [5])
-    dead = FailureScenario.from_nodes(topo, [5, 15])
+    alive = FailureScenario(topo, failed_nodes=[5])
+    dead = FailureScenario(topo, failed_nodes=[5, 15])
     before = assert_matches_reference(engine, alive)
     after = assert_matches_reference(engine, dead)
     from_15 = [b for b in flow_set.batches() if b.source == 15]
@@ -141,7 +141,7 @@ def test_demand_index_is_built_once_per_table_and_view(obs_on):
     engine = TrafficEngine(topo, flow_set, approaches=("RTR", "OSPF"))
     scenarios = [
         FailureScenario.from_region(topo, PAPER_FAILURE_REGION),
-        FailureScenario.from_nodes(topo, [10]),
+        FailureScenario(topo, failed_nodes=[10]),
     ]
 
     def assert_windows_match(engine):

@@ -34,34 +34,9 @@ class TestQueries:
     def test_sources_and_destinations(self):
         m = TrafficMatrix({(0, 1): 1.0, (0, 2): 1.0, (3, 1): 1.0})
         assert m.sources() == [0, 3]
-        assert m.destinations_of(0) == [1, 2]
-
-
-class TestTransforms:
-    def test_scaled(self):
-        m = TrafficMatrix({(0, 1): 2.0}).scaled(3.0)
-        assert m.demand(0, 1) == 6.0
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(EvaluationError):
-            TrafficMatrix({(0, 1): 2.0}).scaled(-1.0)
-
-    def test_normalized(self):
-        m = TrafficMatrix({(0, 1): 1.0, (1, 0): 3.0}).normalized(100.0)
-        assert m.total_demand == pytest.approx(100.0, rel=1e-12)
-
-    def test_normalize_empty_rejected(self):
-        with pytest.raises(EvaluationError, match="empty"):
-            TrafficMatrix({}).normalized(1.0)
 
 
 class TestSerialization:
-    def test_json_round_trip_bit_identical(self):
-        m = TrafficMatrix({(0, 1): 1.0 / 3.0, (5, 2): 0.1}, name="t")
-        again = TrafficMatrix.from_json(m.to_json())
-        assert again.digest() == m.digest()
-        assert again.name == "t"
-
     def test_digest_distinguishes_contents(self):
         a = TrafficMatrix({(0, 1): 1.0})
         b = TrafficMatrix({(0, 1): 1.0 + 1e-15})

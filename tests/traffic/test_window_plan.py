@@ -64,7 +64,7 @@ def paper_inputs():
     scenarios = [
         FailureScenario.from_region(topo, PAPER_FAILURE_REGION),
         FailureScenario.from_region(topo, Circle(Point(300.0, 300.0), 120.0)),
-        FailureScenario.from_nodes(topo, [10]),
+        FailureScenario(topo, failed_nodes=[10]),
     ]
     return topo, flow_set, scenarios
 
@@ -167,7 +167,7 @@ def test_live_penalty_from_a_blind_start(monkeypatch):
         topo, flow_set, approaches=("RTR",), congestion_aware=True, headroom=40.0
     )
     refreshes = checked_penalty(monkeypatch)
-    scenario = FailureScenario.from_nodes(topo, [14, 15, 20, 21])
+    scenario = FailureScenario(topo, failed_nodes=[14, 15, 20, 21])
     got = engine.run_scenario(scenario)
     want = reference_run_scenario(spec, scenario)
     assert record_hex(got["RTR"]) == record_hex(want["RTR"])
@@ -246,7 +246,7 @@ def test_classification_on_failed_endpoints_and_a_disconnected_snapshot():
         topo.remove_link(15, neighbor)
     flow_set = aggregate_flows(uniform_matrix(topo, total_demand=240.0), 24_000)
     engine = TrafficEngine(topo, flow_set, approaches=("RTR",))
-    scenario = FailureScenario.from_nodes(topo, [5, 6])
+    scenario = FailureScenario(topo, failed_nodes=[5, 6])
     got = classify_pairs(topo, engine.routing, scenario, flow_set)
     want = reference_classify(engine, scenario)
     assert classification_fields(got) == classification_fields(want)
@@ -293,8 +293,8 @@ def test_plan_does_not_outlive_its_window():
     a, d = 0, 3
     _, b, c, _ = routing.path(a, d).nodes
     windows = [
-        FailureScenario.single_link(topo, Link.of(c, d)),
-        FailureScenario.single_link(topo, Link.of(a, b)),
+        FailureScenario(topo, failed_links=[Link.of(c, d)]),
+        FailureScenario(topo, failed_links=[Link.of(a, b)]),
     ]
     initiators = []
     for scenario in windows:
