@@ -3,7 +3,7 @@
 One :class:`ChaosRuntime` binds a :class:`~repro.chaos.plan.FaultPlan` to
 one failure scenario: it owns the network-wide hop clock that paces
 secondary failures and delayed detections, the per-injector random
-streams, and the tallies the resilience metrics read back out.  The
+streams, and the links secondary failures have taken down.  The
 degraded view and the chaos engine of one RTR instance share a single
 runtime so all injectors observe one consistent timeline.
 """
@@ -20,17 +20,17 @@ from .plan import FaultPlan
 
 
 class ChaosRuntime:
-    """Mutable clock, activation state, and counters of one experiment."""
+    """Mutable clock, activation state, and random streams of one experiment.
+
+    Losses and truncations are counted as ``chaos.packets_lost`` and
+    ``chaos.headers_corrupted`` (:mod:`repro.obs`).
+    """
 
     def __init__(self, plan: FaultPlan, scenario: FailureScenario) -> None:
         self.plan = plan
         self.scenario = scenario
         #: Total recovery hops forwarded anywhere in the network.
         self.hops = 0
-        #: Packets lost to injected per-hop loss.
-        self.packets_lost = 0
-        #: Headers truncated in flight.
-        self.headers_corrupted = 0
         #: Link ids of the secondary failures currently active (flapped down).
         self.flapped_lids: Set[int] = set()
         self._loss_rng = plan.rng("packet-loss")
@@ -100,7 +100,6 @@ class ChaosRuntime:
             return False
         lost = self._loss_rng.random() < rate
         if lost:
-            self.packets_lost += 1
             obs.inc("chaos.packets_lost")
         return lost
 
@@ -111,6 +110,5 @@ class ChaosRuntime:
             return False
         corrupted = self._corruption_rng.random() < rate
         if corrupted:
-            self.headers_corrupted += 1
             obs.inc("chaos.headers_corrupted")
         return corrupted

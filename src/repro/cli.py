@@ -1,36 +1,37 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Subcommands:
+Subcommands (``python -m repro <command> --help`` lists every option):
 
-* ``topo list`` — the Table II catalog;
-* ``topo build AS1239 -o t.json`` — build and save a catalog topology;
-* ``topo stats t.json`` / ``topo stats AS1239`` — structural statistics;
+* ``topo list`` / ``topo build AS1239 -o t.json`` / ``topo stats SPEC`` —
+  the Table II catalog, a saved catalog topology, structural statistics;
 * ``recover`` — run one recovery episode and print the trace;
 * ``eval <experiment>`` — regenerate one table/figure (table2, fig7,
-  table3, fig8, fig9, fig10, fig11, fig12, fig13, table4), with
-  ``--approaches`` accepting any registered scheme name;
+  table3, fig8, fig9, fig10, fig11, fig12, fig13, table4);
 * ``schemes`` — list the registered recovery schemes (built-ins plus
-  plugins from ``REPRO_SCHEME_MODULES``);
-* ``traffic`` — traffic-weighted Table III: apportion a synthetic flow
-  population over a seeded demand matrix and weight recovery quality by
-  the demand each disrupted pair carries (``--model gravity --flows
-  1000000 --parallel``);
-* ``obs report`` — render the manifest/metrics/span breakdown of an
-  instrumented run (``REPRO_OBS=1 repro eval ...`` writes one); add
-  ``--json`` for the machine-readable document;
-* ``query`` — the persistent run store (``repro.store``): ``ingest``
-  obs-runs/BENCH json/results dirs into a sqlite store, then ``list`` /
-  ``show`` / ``diff`` / ``trend`` / ``regress`` across every recorded
-  run; ``regress`` compares the latest stored rows against pinned
-  ``BENCH_*.json`` baselines and exits nonzero on a regression;
+  plugins from ``REPRO_SCHEME_MODULES``), the names ``--approaches``
+  takes;
+* ``traffic`` — traffic-weighted Table III: a synthetic flow population
+  over a seeded demand matrix (``--model gravity --flows 1000000
+  --parallel``); ``--congestion-aware`` recovers under the load-penalized
+  metric, ``--headroom H`` sizes capacities and ``--utilization-cap C``
+  adds admission control (it requires the flag; both must be positive);
+* ``obs report [run_dir] [--json]`` — the manifest/metrics/span breakdown
+  of an instrumented run (``REPRO_OBS=1 repro eval ...`` writes one);
+* ``query [--store PATH]`` — the run store (``repro.store``): ``ingest``
+  run dirs, BENCH json and results dirs, then ``list`` / ``show`` /
+  ``diff`` / ``trend`` / ``regress``, which exits nonzero when the
+  latest rows regress past the pinned ``BENCH_*.json`` baselines;
 * ``render`` — draw a topology/failure/recovery episode as SVG.
 
-Error hygiene: usage-level failures (unknown topology or scheme, bad
-scenario seed, malformed topology spec) print one ``error:`` line to
-stderr and exit 2 — never a traceback.
+Topology arguments (``--topology``, ``topo stats``, ``--topos``) are
+:func:`~repro.topology.topology_from_spec` specs: ``grid:RxC[:SPACING]``,
+Table II AS names, ``scale:N`` (``scale:50k``), ``file:PATH`` (GraphML,
+edge list, ``.cch``, JSON) or a topology JSON path.
 
-Logging: the ``repro`` logger hierarchy is silent by default; ``--log``
-(or ``REPRO_LOG=INFO``) attaches a stderr handler at the given level.
+Usage errors (unknown topology or scheme, bad scenario seed, malformed
+spec) print one ``error:`` line to stderr and exit 2, never a traceback.
+The ``repro`` loggers are silent unless the global ``--log LEVEL`` (or
+``REPRO_LOG=INFO``) attaches a stderr handler at that level.
 """
 
 from __future__ import annotations

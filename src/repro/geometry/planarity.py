@@ -356,7 +356,8 @@ def compute_cross_links(
     properly cross link ``i``; the relation is symmetric (``j in
     rows[i]`` iff ``i in rows[j]``).  Links sharing an endpoint never cross (see
     :func:`segments_cross_raw`).  ``grid``, if given, must hold ``links``
-    as its segments, in order, and its coordinates are the ones read;
+    as its segments, in order (``ValueError`` otherwise), and its
+    coordinates are the ones read;
     ``links`` may then be left out.  Without a grid one is built over the
     links' endpoints.  A NaN or infinite coordinate raises ``ValueError``:
     the predicates order no such pair, so the two pairings would disagree.

@@ -55,7 +55,11 @@ class Segment(NamedTuple):
 
 
 def segments_intersect(s1: Segment, s2: Segment) -> bool:
-    """Whether the two closed segments intersect at all (including endpoints)."""
+    """Whether the two closed segments intersect at all (including endpoints).
+
+    The *proper* crossing behind the ``cross_link`` sets, where shared
+    endpoints never cross, is :func:`~repro.geometry.planarity.segments_cross_raw`.
+    """
     o1 = orientation(s1.a, s1.b, s2.a)
     o2 = orientation(s1.a, s1.b, s2.b)
     o3 = orientation(s2.a, s2.b, s1.a)

@@ -1,4 +1,4 @@
-"""``repro.obs`` — zero-dependency instrumentation for the RTR pipeline.
+"""Zero-dependency instrumentation for the RTR pipeline.
 
 One module is the single observability surface of the whole system:
 
@@ -110,11 +110,13 @@ def enabled() -> bool:
 
 
 def enable() -> None:
+    """Turn instrumentation on in this process (as ``REPRO_OBS=1`` does at import)."""
     global _enabled
     _enabled = True
 
 
 def disable() -> None:
+    """Turn instrumentation off: every facade call is a no-op again."""
     global _enabled
     _enabled = False
 

@@ -54,7 +54,9 @@ class SPTCache:
     """LRU cache of full shortest-path trees, shared across call sites.
 
     Returned trees are shared objects — callers must treat them, and the
-    dicts ``.dist`` / ``.parent`` build, as immutable.
+    dicts ``.dist`` / ``.parent`` build, as immutable.  ``max_entries``
+    must be at least 1 (``ValueError``); evictions are counted as
+    ``routing.sptcache.evictions``.
     """
 
     __slots__ = ("max_entries", "hits", "misses", "evictions", "_entries")

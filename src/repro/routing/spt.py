@@ -140,6 +140,7 @@ class ShortestPathTree:
 
         Reverse trees chain next hops from ``node`` to the root; forward
         trees chain parents from ``node`` back to the root and then flip.
+        An unreached ``node`` raises :class:`NoPathError`.
         """
         i = self._index(node)
         if i is None:

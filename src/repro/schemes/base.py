@@ -68,7 +68,11 @@ class SchemeInstance:
         self.engine = getattr(protocol, "engine", None)
 
     def recover(self, case: "TestCase") -> "RecoveryResult":
-        """Run one recovery attempt for ``case``: plan, walk, finish."""
+        """Run one recovery attempt for ``case``: plan, walk, finish.
+
+        A failed initiator raises :class:`SimulationError` in every
+        built-in scheme.
+        """
         return run_plan(
             self.engine,
             self.protocol.plan_recovery(  # type: ignore[attr-defined]
@@ -140,8 +144,8 @@ class RecoveryScheme:
         the base metric); its holder refreshes it in place between cases.
         A scheme whose protocol has no chaos engine under a non-null
         :attr:`fault_plan` (the oracle and OSPF have no forwarding
-        surface) runs unperturbed — loudly: counted and logged, never
-        silently.
+        surface) runs unperturbed — loudly: counted as
+        ``chaos.degrade.unsupported.<name>`` and logged, never silently.
         """
         if not self._prepared:
             raise SchemeLifecycleError(

@@ -12,7 +12,7 @@ delay plus the traffic lost during the window).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..errors import SimulationError
 from ..routing import LinkStateProtocol

@@ -1,4 +1,4 @@
-"""``repro.store`` — the persistent, queryable run store.
+"""The persistent, queryable run store.
 
 Results used to be scattered across ``obs-runs/`` directories,
 ``benchmarks/results/`` text tables, and the ``BENCH_*.json``

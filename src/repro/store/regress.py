@@ -235,6 +235,7 @@ def run_regress(
 
 
 def summary_line(verdicts: List[Verdict]) -> str:
+    """The tally of ``verdicts``: ``regress: N ok, N regressed, N skipped``."""
     counts = {STATUS_OK: 0, STATUS_REGRESSION: 0, STATUS_SKIP: 0}
     for verdict in verdicts:
         counts[verdict.status] += 1

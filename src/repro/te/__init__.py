@@ -1,4 +1,4 @@
-"""``repro.te`` — the traffic-engineering layer (congestion-aware recovery).
+"""The traffic-engineering layer (congestion-aware recovery).
 
 The paper's objective is reachability: recover as many disrupted pairs
 as possible.  ``BENCH_traffic.json`` shows what that objective ignores —

@@ -149,7 +149,10 @@ class LinkPenalty:
         obs.inc("te.penalty.links_refreshed", len(lids))
 
     def check_against(self, load_map: "LinkLoadMap") -> None:
-        """Raise unless a from-scratch build of ``load_map`` equals this penalty."""
+        """Raise unless a from-scratch build of ``load_map`` equals this penalty.
+
+        The :class:`SimulationError` names the first link that differs.
+        """
         topo = load_map.topo
         fresh = LinkPenalty.from_loads(topo, load_map.loads(), *self._shape, self.quant)
         for link in sorted(fresh.units.keys() | self.units.keys()):

@@ -84,7 +84,10 @@ class Topology:
     # ------------------------------------------------------------------
 
     def add_node(self, node: int, position: Point) -> None:
-        """Add a node at ``position``; re-adding an existing node moves it."""
+        """Add a node at ``position``; re-adding an existing node moves it.
+
+        A non-finite coordinate raises :class:`TopologyError`.
+        """
         if node in self._coords and self._adjacency[node]:
             # Moving a connected node would silently invalidate the embedding.
             raise TopologyError(f"node {node} already exists with incident links")
@@ -100,7 +103,8 @@ class Topology:
         """Add an undirected link with per-direction costs.
 
         ``cost`` applies to direction ``a -> b``; ``reverse_cost`` defaults to
-        ``cost`` (symmetric link).  Returns the canonical :class:`Link`.
+        ``cost`` (symmetric link).  Both must be positive and finite
+        (:class:`TopologyError` otherwise).  Returns the canonical :class:`Link`.
         """
         for node in (a, b):
             if node not in self._coords:
@@ -267,7 +271,8 @@ class Topology:
 
         Built from the link's row of :func:`~repro.topology.csr.cross_rows`
         (computed once per CSR view); editing the set leaves the relation
-        alone.
+        alone.  A link the topology does not have raises
+        :class:`UnknownLinkError`.
         """
         from .csr import cross_rows
 

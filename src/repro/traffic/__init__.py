@@ -1,4 +1,4 @@
-"""``repro.traffic`` — demand-driven workload engine.
+"""Demand-driven workload engine.
 
 The paper's evaluation probes each disrupted (source, destination) pair
 once; this subsystem weights recovery by the *traffic* those pairs

@@ -140,7 +140,10 @@ class LinkLoadMap:
         self.add_links((link,), demand)
 
     def add_links(self, links: Iterable[Link], demand: float) -> None:
-        """Add ``demand`` to every link of ``links``, in order."""
+        """Add ``demand`` to every link of ``links``, in order.
+
+        Every link is checked before any load is added.
+        """
         self.add_lids([self._lid(link.u, link.v) for link in links], demand)
 
     def add_lids(self, lids: Iterable[int], demand: float) -> None:

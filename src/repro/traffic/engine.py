@@ -311,6 +311,12 @@ class TrafficEngine:
     provisioned capacities) exactly like
     :class:`~repro.eval.runner.EvaluationRunner` owns the unweighted
     equivalent — one engine serves every scenario of a sweep.
+
+    ``congestion_aware=True`` runs the disrupted groups one at a time
+    under the load-penalized metric (DESIGN.md §14), with admission
+    control when ``utilization_cap`` is set; the cap requires the flag and
+    must be positive (``ValueError`` otherwise).  Off by default, so the
+    pinned sweeps stay byte-identical.
     """
 
     def __init__(

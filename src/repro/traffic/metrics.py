@@ -108,8 +108,10 @@ def check_accounting(record: TrafficScenarioRecord) -> None:
     Disrupted demand splits exactly into recoverable and irrecoverable;
     a scheme cannot deliver more recoverable demand than exists; and
     delivered and admission-shed groups are disjoint subsets of the
-    disrupted ones.  A record breaking any of these would otherwise
-    surface as a plausible-looking rate in a published row.
+    disrupted ones, each within :data:`ACCOUNTING_TOLERANCE` (relative).
+    A record breaking any of these would otherwise surface as a
+    plausible-looking rate in a published row; the engine checks every
+    record it emits.
     """
     disrupted = record.disrupted_demand
     slack = ACCOUNTING_TOLERANCE * max(1.0, disrupted)

@@ -7,7 +7,7 @@ import pytest
 from repro.schemes.mrc import MRC, generate_configurations, unprotected_nodes
 from repro.schemes.oracle import Oracle
 from repro.failures import FailureScenario, random_circle
-from repro.topology import Link, geometric_isp, isp_catalog
+from repro.topology import Link, isp_catalog
 
 from ..conftest import ring_topology, star_topology
 

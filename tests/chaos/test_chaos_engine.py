@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.chaos import (
     ChaosForwardingEngine,
     ChaosRuntime,
@@ -11,7 +12,7 @@ from repro.chaos import (
 )
 from repro.core import run_phase1
 from repro.errors import ChaosError, SimulationError
-from repro.failures import FailureScenario, LocalView
+from repro.failures import FailureScenario
 from repro.simulator import (
     ForwardingTrace,
     Mode,
@@ -24,6 +25,22 @@ from repro.topology import Link
 from ..conftest import ring_sweep
 
 
+@pytest.fixture(autouse=True)
+def counting_obs():
+    """Losses and truncations are read from the obs counters of each test."""
+    prior = obs.enabled()
+    obs.enable()
+    obs.reset()
+    yield
+    obs.reset()
+    if not prior:
+        obs.disable()
+
+
+def counted(name):
+    return obs.metrics.counters.get(f"chaos.{name}", 0)
+
+
 def make_chaos_engine(topo, plan, failed_links=(), trace=None):
     scenario = FailureScenario(topo, failed_links=failed_links)
     runtime = ChaosRuntime(plan, scenario)
@@ -33,7 +50,7 @@ def make_chaos_engine(topo, plan, failed_links=(), trace=None):
 
 class TestPacketLoss:
     def test_certain_loss_drops_first_hop(self, ring8):
-        engine, runtime = make_chaos_engine(
+        engine, _ = make_chaos_engine(
             ring8, FaultPlan(packet_loss_rate=1.0), failed_links=[Link.of(4, 5)]
         )
         acc = RecoveryAccounting()
@@ -42,16 +59,16 @@ class TestPacketLoss:
         assert result.incomplete_reason == (
             "recovery packet lost on link e3,4 (injected loss)"
         )
-        assert runtime.packets_lost == 1
+        assert counted("packets_lost") == 1
         assert acc.hops_traveled == 0  # the lost transmission never lands
 
     def test_zero_rate_never_loses(self, ring8):
-        engine, runtime = make_chaos_engine(ring8, FaultPlan(packet_loss_rate=0.0))
+        engine, _ = make_chaos_engine(ring8, FaultPlan(packet_loss_rate=0.0))
         packet = Packet(source=0, destination=3)
         outcome = engine.follow_source_route_outcome(
             packet, [0, 1, 2, 3], RecoveryAccounting()
         )
-        assert outcome.delivered and runtime.packets_lost == 0
+        assert outcome.delivered and counted("packets_lost") == 0
 
     def test_source_route_loss_reports_lost_not_missed_failure(self, ring8):
         engine, _ = make_chaos_engine(ring8, FaultPlan(packet_loss_rate=1.0))
@@ -76,7 +93,8 @@ class TestPacketLoss:
     def test_loss_sequence_is_deterministic(self, ring8):
         counts = []
         for _ in range(2):
-            engine, runtime = make_chaos_engine(
+            obs.reset()
+            engine, _ = make_chaos_engine(
                 ring8, FaultPlan(seed=5, packet_loss_rate=0.3)
             )
             lost = 0
@@ -87,7 +105,7 @@ class TestPacketLoss:
                     packet, route, RecoveryAccounting()
                 )
                 lost += int(outcome.lost)
-            counts.append((lost, runtime.packets_lost))
+            counts.append((lost, counted("packets_lost")))
         assert counts[0] == counts[1]
 
 
@@ -106,7 +124,7 @@ class TestPacketLoss:
             )
             routes += "1" if outcome.lost else "0"
         assert routes == "01010110011111111111011001111000111000010101101011"
-        assert (runtime.packets_lost, runtime.hops) == (31, 85)
+        assert (counted("packets_lost"), runtime.hops) == (31, 85)
 
     def test_phase1_loss_stream_pinned(self, ring8):
         # The phase-1 half: the hop count of each walk (14 = complete).
@@ -124,7 +142,7 @@ class TestPacketLoss:
             walks += format(result.hops, "x")
             reasons.append(result.incomplete_reason)
         assert walks == "433071220011211316210921c54155021344ac20b02b46070e"
-        assert (runtime.packets_lost, runtime.hops) == (49, 178)
+        assert (counted("packets_lost"), runtime.hops) == (49, 178)
         assert reasons[-2:] == [
             "recovery packet lost on link e3,4 (injected loss)",
             None,
@@ -133,7 +151,7 @@ class TestPacketLoss:
 
 class TestHeaderCorruption:
     def test_collecting_header_truncated(self, ring8):
-        engine, runtime = make_chaos_engine(
+        engine, _ = make_chaos_engine(
             ring8, FaultPlan(header_corruption_rate=1.0)
         )
         header = RecoveryHeader(mode=Mode.COLLECTING, rec_init=0)
@@ -141,10 +159,10 @@ class TestHeaderCorruption:
         packet = Packet(source=0, destination=0, header=header)
         engine.forward_one_hop(packet, 1, Link.of(0, 1), RecoveryAccounting())
         assert header.failed_links == []  # the freshest entry was eaten
-        assert runtime.headers_corrupted == 1
+        assert counted("headers_corrupted") == 1
 
     def test_source_routed_header_untouched(self, ring8):
-        engine, runtime = make_chaos_engine(
+        engine, _ = make_chaos_engine(
             ring8, FaultPlan(header_corruption_rate=1.0)
         )
         header = RecoveryHeader(
@@ -153,7 +171,7 @@ class TestHeaderCorruption:
         packet = Packet(source=0, destination=1, header=header)
         engine.forward_one_hop(packet, 1, Link.of(0, 1), RecoveryAccounting())
         assert header.source_route == [0, 1]
-        assert runtime.headers_corrupted == 0
+        assert counted("headers_corrupted") == 0
 
 
 class TestSecondaryFailures:

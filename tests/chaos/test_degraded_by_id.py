@@ -18,7 +18,7 @@ import pytest
 
 from repro.chaos import ChaosRuntime, DegradedLocalView, FaultPlan
 from repro.chaos.plan import SecondaryFailure
-from repro.failures import FailureScenario, LocalView, circle_scenarios
+from repro.failures import LocalView, circle_scenarios
 from repro.topology import isp_catalog
 
 

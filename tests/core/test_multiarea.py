@@ -6,8 +6,7 @@ import pytest
 
 from repro.core import MultiAreaRTR
 from repro.errors import SimulationError
-from repro.failures import FailureScenario, multi_area_scenario
-from repro.geometry import Circle, Point, UnionRegion
+from repro.failures import multi_area_scenario
 from repro.topology import isp_catalog
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core import run_phase1
 from repro.errors import SimulationError
 from repro.failures import FailureScenario, LocalView
-from repro.simulator import ForwardingEngine, RecoveryAccounting
+from repro.simulator import ForwardingEngine
 from repro.topology import Link
 
 

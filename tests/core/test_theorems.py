@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from repro.schemes.oracle import Oracle
 from repro.core import RTR
 from repro.failures import FailureScenario, LocalView, random_circle
-from repro.geometry import Circle, Point
-from repro.topology import Link, geometric_isp
+from repro.topology import geometric_isp
 
 
 def random_topo(seed: int):

@@ -5,8 +5,6 @@ link on a tree branch may be traversed twice".  These tests pin that
 mechanism on purpose-built topologies.
 """
 
-import pytest
-
 from repro.core import RTR, run_phase1
 from repro.failures import FailureScenario, LocalView
 from repro.geometry import Circle, Point

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.eval import enumerate_scenario_cases, generate_cases
-from repro.failures import FailureScenario, LocalView
+from repro.failures import LocalView
 from repro.routing import RoutingTable
 from repro.topology import isp_catalog
 

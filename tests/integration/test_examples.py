@@ -8,8 +8,6 @@ import runpy
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from repro.schemes.fcp import FCP
 from repro.schemes.mrc import MRC, generate_configurations
 from repro.schemes.oracle import Oracle
-from repro.core import RTR, RTRConfig
+from repro.core import RTR
 from repro.failures import FailureScenario, LocalView, random_circle
-from repro.geometry import Point
 from repro.routing import RoutingTable
 from repro.topology import Link, Topology, geometric_isp
 

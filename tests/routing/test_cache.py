@@ -16,7 +16,7 @@ from repro.routing import (
     shortest_path_tree,
 )
 from repro.routing.cache import DEFAULT_MAX_ENTRIES
-from repro.topology import Link, geometric_isp
+from repro.topology import geometric_isp
 
 
 @pytest.fixture

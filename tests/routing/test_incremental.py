@@ -16,7 +16,7 @@ from repro.routing import (
     shortest_path_tree,
     updated_tree,
 )
-from repro.topology import Link, geometric_isp, grid_topology
+from repro.topology import Link, geometric_isp
 
 
 def assert_trees_equivalent(topo, new_tree, root, removed_links, removed_nodes, toward_root):

@@ -6,8 +6,6 @@ for a sweep that includes the OSPF-reconvergence baseline — a scheme the
 sharding/traffic code never mentions by name.
 """
 
-import pytest
-
 from repro import obs
 from repro.eval.experiments import table3_recoverable, traffic_weighted_table3
 from repro.eval.parallel import parallel_table3, parallel_traffic

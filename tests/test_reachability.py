@@ -20,19 +20,17 @@ method counts only once it is reached, so the helpers of dead code are
 flagged with it.  Code that only tests reach belongs under ``tests/``.
 ``test_the_pass_on_a_synthetic_package`` pins these rules.
 
-The last test keeps ``docs/API.md`` honest: every identifier in the
-first column of its tables must still exist.
+``test_no_unused_imports`` is the same idea at the scale of one file: no
+module of ``src/repro`` (bar the package ``__init__`` re-exports) or of
+``tests/`` imports a name it never uses.
 """
 
 from __future__ import annotations
 
 import ast
-import keyword
 import re
 from functools import lru_cache
 from pathlib import Path
-
-from .test_knobs import KNOBS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -43,30 +41,23 @@ ENTRY_DIRS = ("examples", "benchmarks")
 ALLOWED: dict = {}
 
 _IDENT = re.compile(r"[A-Za-z_]\w*")
+_ANNOTATION = re.compile(r"[A-Za-z_][\w.\[\], ]*")
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = _FUNCS + (ast.ClassDef,)
 
 
-def _references(node: ast.AST, known: set) -> set:
-    """Names ``node`` refers to; what it defines, at any depth, goes to ``known``."""
+def _references(node: ast.AST) -> set:
+    """Names ``node`` refers to."""
     found = set()
     for sub in ast.walk(node):
         kind = type(sub)
         if kind is ast.Name:
             found.add(sub.id)
-            if type(sub.ctx) is ast.Store:
-                known.add(sub.id)
         elif kind is ast.Attribute:
             found.add(sub.attr)
-            if type(sub.ctx) is ast.Store:
-                known.add(sub.attr)
         elif kind is ast.Constant:
             if type(sub.value) is str and _IDENT.fullmatch(sub.value):
                 found.add(sub.value)
-        elif kind is ast.arg:
-            known.add(sub.arg)
-        elif kind in _DEFS:
-            known.add(sub.name)
     return found
 
 
@@ -87,21 +78,16 @@ def _is_method(stmt: ast.stmt) -> bool:
 
 
 @lru_cache(maxsize=None)
-def scan(src: Path = SRC, entries: tuple = tuple(ROOT / d for d in ENTRY_DIRS)) -> tuple:
-    """``(unreached, known)``, from one pass over ``src`` and the ``entries`` folders.
+def scan(src: Path = SRC, entries: tuple = tuple(ROOT / d for d in ENTRY_DIRS)) -> dict:
+    """What no entry point reaches, from one pass over ``src`` and ``entries``.
 
-    ``unreached`` maps ``"path:name"`` (``"path:Class.method"`` for a
-    method) to the line of everything no entry point reaches; ``known``
-    holds every identifier ``src`` defines at any depth (names, arguments,
-    stored attributes), its module names and the knobs.
+    Maps ``"path:name"`` (``"path:Class.method"`` for a method) to its line.
     """
-    known = set(KNOBS) | {src.name}
     by_name = {}  # name -> [(path, line, references of its statement)]
     methods = {}  # (class, method) -> [(path, line, references of its body)]
     reached = set()
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src.parent).as_posix()
-        known.update(Path(rel).with_suffix("").parts)
         for stmt in ast.parse(path.read_text("utf-8")).body:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue
@@ -109,20 +95,19 @@ def scan(src: Path = SRC, entries: tuple = tuple(ROOT / d for d in ENTRY_DIRS)) 
             if names == ["__all__"]:
                 continue
             if isinstance(stmt, ast.ClassDef):
-                known.add(stmt.name)
                 refs = set()
                 for part in stmt.bases + stmt.keywords + stmt.decorator_list + stmt.body:
                     if _is_method(part):
                         methods.setdefault((stmt.name, part.name), []).append(
-                            (rel, part.lineno, _references(part, known))
+                            (rel, part.lineno, _references(part))
                         )
                     else:
-                        refs |= _references(part, known)
+                        refs |= _references(part)
             else:
-                refs = _references(stmt, known)
+                refs = _references(stmt)
             if not names or (
                 isinstance(stmt, ast.ClassDef)
-                and any("register_scheme" in _references(d, set()) for d in stmt.decorator_list)
+                and any("register_scheme" in _references(d) for d in stmt.decorator_list)
             ):
                 reached |= refs | set(names)
             for name in names:
@@ -131,7 +116,7 @@ def scan(src: Path = SRC, entries: tuple = tuple(ROOT / d for d in ENTRY_DIRS)) 
         for path in sorted(folder.rglob("*.py")):
             for stmt in ast.parse(path.read_text("utf-8")).body:
                 if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                    reached |= _references(stmt, set())
+                    reached |= _references(stmt)
     # A method wakes when both its class and its name are reached, so it
     # waits under each of the two.
     waiting = {}
@@ -150,19 +135,18 @@ def scan(src: Path = SRC, entries: tuple = tuple(ROOT / d for d in ENTRY_DIRS)) 
             reached |= new
             pending.extend(new)
     left = [*by_name.items(), *((".".join(key), defs) for key, defs in methods.items())]
-    unreached = {f"{rel}:{name}": line for name, defs in left for rel, line, _refs in defs}
-    return unreached, known
+    return {f"{rel}:{name}": line for name, defs in left for rel, line, _refs in defs}
 
 
 def test_every_src_name_is_reached():
     flagged = sorted(
-        f"{key} (line {line})" for key, line in scan()[0].items() if key not in ALLOWED
+        f"{key} (line {line})" for key, line in scan().items() if key not in ALLOWED
     )
     assert not flagged, f"names only tests reach — delete or move under tests/: {flagged}"
 
 
 def test_allowlist_entries_are_still_needed():
-    stale = set(ALLOWED) - set(scan()[0])
+    stale = set(ALLOWED) - set(scan())
     assert not stale, f"allowlisted names that are reached now: {stale}"
 
 
@@ -205,7 +189,7 @@ TARGETS = (("pkg.mod", "Live", "by_string"),)
     # ``prop`` and ``build`` are read by attribute; ``method`` is referenced
     # but its class is not reached, and only the dead ``dead`` calls the
     # helper.
-    assert set(scan(pkg, (entry,))[0]) == {
+    assert set(scan(pkg, (entry,))) == {
         "pkg/mod.py:Live.dead",
         "pkg/mod.py:Unreached",
         "pkg/mod.py:Unreached.method",
@@ -213,17 +197,29 @@ TARGETS = (("pkg.mod", "Live", "by_string"),)
     }
 
 
-def test_api_doc_names_exist():
-    known = scan()[1]
-    stale = []
-    for lineno, line in enumerate((ROOT / "docs" / "API.md").read_text("utf-8").splitlines(), 1):
-        if not line.startswith("|"):
-            continue
-        first_column = line.split("|")[1]
-        for span in re.findall(r"`([^`]*)`", first_column):
-            stale += [
-                f"API.md:{lineno} {name}"
-                for name in _IDENT.findall(span.removesuffix(".py"))
-                if name not in known and not keyword.iskeyword(name)
-            ]
-    assert not stale, f"docs/API.md names that no longer exist: {stale}"
+
+def _unused_imports(path: Path) -> list:
+    """Names ``path`` imports, at any depth, and never uses.
+
+    A use is an ``ast.Name``, or an identifier in a string shaped like a
+    quoted annotation (``"Optional[Tuple[int, Link]]"``).
+    """
+    bound, used = {}, set()
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and type(node.value) is str:
+            if _ANNOTATION.fullmatch(node.value):
+                used.update(_IDENT.findall(node.value))
+    rel = path.relative_to(ROOT).as_posix()
+    return [f"{rel}:{line} {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+    unused = [hit for p in modules + sorted((ROOT / "tests").rglob("*.py")) for hit in _unused_imports(p)]
+    assert not unused, f"imported and never used: {unused}"

@@ -128,7 +128,6 @@ class TestLoadRocketfuel:
         )
         topo = load_graph_file(path, seed=4)
         from repro import RTR, FailureScenario
-        from repro.topology import Link
 
         link = next(iter(topo.links()))
         scenario = FailureScenario(topo, failed_links=[link])
