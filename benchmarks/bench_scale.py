@@ -4,8 +4,8 @@ Times two workloads on `scale:` topologies of growing size (1k / 10k /
 50k nodes by default):
 
 * **single-source Dijkstra** on the heap reference ``_dijkstra_csr_kernel``
-  and the vectorized ``dijkstra_numpy``, called directly and
-  parity-checked per root;
+  and the vectorized ``dijkstra_numpy``, called directly; a row is the
+  fastest of :data:`RUNS` runs, each parity-checked per root;
 * **traffic-weighted Table III** (`scale:50000` only) — the end-to-end
   sweep: demand matrix, 1M flows, circular failures, RTR/FCP recovery.
 
@@ -59,6 +59,10 @@ SIZES = tuple(
 #: Roots per size for the per-tree timings (spread over the node range).
 N_ROOTS = 8
 
+#: Runs per kernel row: the row records the fastest, every run is
+#: fingerprinted.  One run's wall time moves with the machine's state.
+RUNS = 3
+
 TRAFFIC_PINNED = dict(
     topologies=("scale:50000",),
     n_scenarios=2,
@@ -83,19 +87,30 @@ def spread_roots(topo, count: int) -> list:
 
 
 def time_single_source(topo, roots, backend: str) -> tuple:
-    """(wall seconds, fingerprints) for one kernel over ``roots``.
+    """(best wall seconds of :data:`RUNS`, fingerprints, every run equal).
 
-    The numpy timing includes building the graph's numpy mirror, which the
-    first numpy tree on a graph pays.
+    Each run is fingerprinted and compared with the first; only the
+    first run's fingerprints are kept.  Every numpy run includes building
+    the graph's numpy mirror, which the first numpy tree on a graph pays:
+    the cached mirror is dropped first.
     """
-    t0 = time.perf_counter()
-    if backend == "numpy":
-        view = numpy_view(topo.csr())
-        trees = [dijkstra_numpy(topo, view, r, False, None, None) for r in roots]
-    else:
-        trees = [_dijkstra_csr_kernel(topo, r, False, None, None) for r in roots]
-    wall = time.perf_counter() - t0
-    return wall, [fingerprint(t) for t in trees]
+    walls, prints, stable = [], None, True
+    for _ in range(RUNS):
+        t0 = time.perf_counter()
+        if backend == "numpy":
+            csr = topo.csr()
+            csr.np_cache = None
+            view = numpy_view(csr)
+            trees = [dijkstra_numpy(topo, view, r, False, None, None) for r in roots]
+        else:
+            trees = [_dijkstra_csr_kernel(topo, r, False, None, None) for r in roots]
+        walls.append(time.perf_counter() - t0)
+        run_prints = [fingerprint(t) for t in trees]
+        if prints is None:
+            prints = run_prints
+        elif run_prints != prints:
+            stable = False
+    return min(walls), prints, stable
 
 
 def main(argv: list) -> int:
@@ -117,7 +132,10 @@ def main(argv: list) -> int:
             build_s=round(build_s, 4),
         )
 
-        wall_py, prints_py = time_single_source(topo, roots, "python")
+        wall_py, prints_py, stable = time_single_source(topo, roots, "python")
+        if not stable:
+            print(f"scale-bench: FAIL — heap kernel differs between runs at {n} nodes")
+            failed = True
         prints_bfs = [
             fingerprint(_bfs_csr_kernel(topo, r, False, None, None)) for r in roots
         ]
@@ -136,8 +154,8 @@ def main(argv: list) -> int:
         )
 
         if numpy_available():
-            wall_np, prints_np = time_single_source(topo, roots, "numpy")
-            if prints_np != prints_py:
+            wall_np, prints_np, stable = time_single_source(topo, roots, "numpy")
+            if not stable or prints_np != prints_py:
                 print(f"scale-bench: FAIL — backend mismatch at {n} nodes")
                 failed = True
             record_bench(

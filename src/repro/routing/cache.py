@@ -56,7 +56,7 @@ class SPTCache:
     Returned trees are shared objects — callers must treat them, and the
     dicts ``.dist`` / ``.parent`` build, as immutable.  ``max_entries``
     must be at least 1 (``ValueError``); evictions are counted as
-    ``routing.sptcache.evictions``.
+    ``spt_cache.evictions``.
     """
 
     __slots__ = ("max_entries", "hits", "misses", "evictions", "_entries")
@@ -117,10 +117,8 @@ class SPTCache:
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
+            # Sustained growth on a large sweep means the pool is thrashing.
             obs.inc("spt_cache.evictions")
-            # Canonical eviction-pressure counter: sustained growth on a
-            # large sweep means the pool is thrashing.
-            obs.inc("routing.sptcache.evictions")
         return tree
 
     # ------------------------------------------------------------------

@@ -265,24 +265,22 @@ def _try_generate(
     restricted_in: List[Set[Link]] = [set() for _ in range(count)]
 
     for i, node in enumerate(nodes):
-        placed = False
         for offset in range(count):
             c = (i + offset) % count
             candidate_isolated = isolated_in[c] | {node}
             # Choose a restricted attachment to a non-isolated neighbor.
-            attachments = [
-                nb
-                for nb in topo.neighbors(node)
-                if nb not in candidate_isolated
-            ]
-            for attach in attachments:
-                candidate_restricted = restricted_in[c] | {Link.of(node, attach)}
-                if _backbone_connected(topo, candidate_isolated, candidate_restricted):
-                    isolated_in[c] = candidate_isolated
-                    restricted_in[c] = candidate_restricted
-                    placed = True
-                    break
-            if placed:
+            # The check's answer does not depend on which one: the new
+            # link attaches only ``node``, and attaches it to the backbone.
+            attach = next(
+                (nb for nb in topo.neighbors(node) if nb not in candidate_isolated),
+                None,
+            )
+            if attach is None:
+                continue
+            candidate_restricted = restricted_in[c] | {Link.of(node, attach)}
+            if _backbone_connected(topo, candidate_isolated, candidate_restricted):
+                isolated_in[c] = candidate_isolated
+                restricted_in[c] = candidate_restricted
                 break
     return [
         BackupConfiguration(topo, c, isolated_in[c], restricted_in[c])

@@ -23,6 +23,7 @@ consumers); everything here speaks plain dicts, tuples, and the
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..topology import Link
@@ -96,11 +97,17 @@ def overload_attribution(
     weighting disrupted groups; intact background load is in the
     utilization but is not a rerouting decision, so it is not attributed).
     Plain nested tuples — records carrying them cross process boundaries.
+    Pairs rank by demand desc, then pair asc; only those at or above the
+    ``top_demands``-th largest demand are sorted.
     """
     entries: List[AttributionEntry] = []
     for link, utilization in overloaded[:top_links]:
         per_pair = contributions.get(link, {})
-        ranked = sorted(per_pair.items(), key=lambda kv: (-kv[1], kv[0]))
+        items: Iterable[Tuple[Tuple[int, int], float]] = per_pair.items()
+        if len(per_pair) > top_demands > 0:
+            floor = heapq.nlargest(top_demands, per_pair.values())[-1]
+            items = [kv for kv in items if kv[1] >= floor]
+        ranked = sorted(items, key=lambda kv: (-kv[1], kv[0]))
         entries.append(
             (
                 link.u,

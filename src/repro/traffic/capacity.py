@@ -169,7 +169,11 @@ class LinkLoadMap:
         return clone
 
     def lid_loads(self) -> List[float]:
-        """The load per link id — the map's own list: read it, do not keep it."""
+        """The load per link id — the map's own list: do not keep it.
+
+        The traffic engine writes a fresh map's intact background straight
+        into it; everything else reads it.
+        """
         return self._loads
 
     def load(self, link: Link) -> float:

@@ -26,7 +26,8 @@ the same shortest-path work as the unweighted evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .. import obs
@@ -43,7 +44,7 @@ from ..topology import Link, Topology
 from ..topology.csr import CSRView
 from ..te.metrics import overload_attribution
 from ..te.penalty import LinkPenalty
-from .capacity import DEFAULT_HEADROOM, LinkLoadMap, provision_capacities, routed_loads
+from .capacity import DEFAULT_HEADROOM, LinkLoadMap, provision_capacities
 from .flows import FlowBatch, FlowSet
 from .metrics import TrafficScenarioRecord, check_accounting, safe_div
 
@@ -129,10 +130,17 @@ class _WindowPlan:
     ``groups`` is sorted by key; ``intact`` is the background load of the
     pairs the failure left alone and is never written to — each consumer
     starts from ``intact.copy()`` and replays ``groups`` in order.
+    ``crossing`` maps a link id to the disrupted pairs whose surviving
+    prefix crosses it (once each: a prefix is a tree path), in group order.
     """
 
     intact: LinkLoadMap
     groups: Tuple[_GroupPlan, ...]
+    crossing: Dict[int, List[DisruptedPair]]
+    #: lid -> :meth:`prefix_charges` answer, filled on first ask.
+    charged: Dict[int, Dict[Tuple[int, int], float]] = field(
+        default_factory=dict, compare=False
+    )
 
     def loads_after(self, delivered: Sequence[Tuple[int, ...]]) -> LinkLoadMap:
         """The window's post-recovery loads, group ``i`` delivered on ``delivered[i]``."""
@@ -140,6 +148,21 @@ class _WindowPlan:
         for group, path_lids in zip(self.groups, delivered):
             group.add_load(loads, path_lids)
         return loads
+
+    def prefix_charges(self, lid: int) -> Dict[Tuple[int, int], float]:
+        """``(source, destination) -> demand`` of the prefixes crossing ``lid``.
+
+        Computed once per window and shared by every approach: copy it
+        before adding the delivered paths' charges.  A pair crosses a
+        link at most once on its prefix, so its charge is its demand.
+        """
+        charges = self.charged.get(lid)
+        if charges is None:
+            charges = self.charged[lid] = {
+                (pair.source, pair.destination): pair.demand
+                for pair in self.crossing.get(lid, ())
+            }
+        return charges
 
 
 class _LiveLoad(NamedTuple):
@@ -160,6 +183,12 @@ class _Rooted(NamedTuple):
     ``end`` is one past its subtree, ``up`` its next hop's link id (-1 at
     the root) and ``rank`` the index in ``batches`` of the batch sourced
     there (-1: none).  ``base`` is every reached source's demand.
+
+    The same nodes but the root, in ``edge_loads_to``'s (distance desc,
+    id asc) order, give the ``flow_*`` lists: per place, ``flow_up`` is
+    its next hop's link id, ``flow_next`` the next hop's place (the root's
+    is ``len(flow_up)``) and ``flow_source`` the id of the node when a
+    batch is sourced there (-1: none).
     """
 
     parent: Sequence[int]  # the tree's dense_parent
@@ -170,6 +199,9 @@ class _Rooted(NamedTuple):
     batches: List[FlowBatch]  # in FlowSet.batches() order
     base: Dict[int, float]
     unreached: List[FlowBatch]  # sourced where the tree does not reach
+    flow_up: List[int]
+    flow_next: List[int]
+    flow_source: List[int]
 
 
 class DemandIndex(NamedTuple):
@@ -231,7 +263,24 @@ def demand_index(topo: Topology, routing: RoutingTable, flow_set: FlowSet) -> De
             end[above] = max(end[above], end[i])
         up = [-1] + [pair_lid[(ids[node], ids[parent[node]])] for node in order[1:]]
         rank_at = [ranks.get(node, -1) for node in order]
-        rooted[destination] = _Rooted(parent, pre, end, up, rank_at, batches, base, unreached)
+        # Node index order is id order; a stable sort keeps it among equal
+        # distances, reverse=True included.
+        flow = sorted(sorted(order[1:]), key=dist.__getitem__, reverse=True)
+        place = {node: k for k, node in enumerate(flow)}
+        place[root] = len(flow)
+        rooted[destination] = _Rooted(
+            parent,
+            pre,
+            end,
+            up,
+            rank_at,
+            batches,
+            base,
+            unreached,
+            flow_up=[up[pre[node]] for node in flow],
+            flow_next=[place[parent[node]] for node in flow],
+            flow_source=[ids[node] if node in ranks else -1 for node in flow],
+        )
     flow_set.demand_index = index = DemandIndex(routing, csr, rooted)
     return index
 
@@ -424,11 +473,14 @@ class TrafficEngine:
                     case_records = records[approach]
                     held = live.get(approach)
                     if held is not None:
-                        delivered = held.delivered
+                        # The live loads made the same adds in the same
+                        # order as a replay of the plan would.
+                        delivered, loads = held.delivered, held.loads
                     else:
                         delivered = [
                             _delivered_lids(r.result, pair_lid) for r in case_records
                         ]
+                        loads = plan.loads_after(delivered)
                     out[approach] = self._weight_records(
                         approach,
                         scenario_index,
@@ -436,6 +488,7 @@ class TrafficEngine:
                         plan,
                         case_records,
                         delivered,
+                        loads,
                     )
         return out
 
@@ -539,6 +592,9 @@ class TrafficEngine:
             by_case.setdefault((pair.initiator, pair.destination), []).append(pair)
         pos = self.topo.csr().pos
         index = demand_index(self.topo, self.routing, self.flow_set)
+        with obs.span("traffic.intact"):
+            intact = _intact_loads(self.topo, index, classification.intact_by_destination)
+        crossing: Dict[int, List[DisruptedPair]] = defaultdict(list)
         groups = []
         for key in sorted(by_case):
             initiator, destination = key
@@ -556,6 +612,8 @@ class TrafficEngine:
                     prefix.append(up[pre[node]])
                     node = parent[node]
                 prefixes.append(tuple(prefix))
+                for lid in prefix:
+                    crossing[lid].append(pair)
             groups.append(
                 _GroupPlan(
                     key=key,
@@ -568,12 +626,7 @@ class TrafficEngine:
                     flows=sum(p.flows for p in pairs),
                 )
             )
-        return _WindowPlan(
-            intact=routed_loads(
-                self.topo, self.routing, classification.intact_by_destination
-            ),
-            groups=tuple(groups),
-        )
+        return _WindowPlan(intact=intact, groups=tuple(groups), crossing=crossing)
 
     def _cases_for_groups(
         self, scenario: FailureScenario, groups: Sequence[_GroupPlan]
@@ -606,11 +659,13 @@ class TrafficEngine:
         plan: _WindowPlan,
         case_records: Sequence[CaseRecord],
         delivered: Sequence[Tuple[int, ...]],
+        loads: LinkLoadMap,
     ) -> TrafficScenarioRecord:
         """Multiply per-case outcomes by their member pairs' traffic.
 
         ``case_records[i]`` is group ``i``'s outcome and ``delivered[i]``
-        the link ids it delivered on.
+        the link ids it delivered on; ``loads`` is the window's
+        post-recovery load (``plan.loads_after(delivered)``).
         """
         disrupted_demand: List[float] = []
         recoverable_demand: List[float] = []
@@ -661,11 +716,13 @@ class TrafficEngine:
                 phase1_loss.append(group_demand * result.phase1_duration)
 
         # Surviving pairs keep their default paths.
-        summary = plan.loads_after(delivered).summary()
+        summary = loads.summary()
         overloaded = summary.overloaded
+        with obs.span("traffic.attribute"):
+            attribution = self._attribute_overloads(overloaded, plan, delivered)
         record = TrafficScenarioRecord(
             utilization_hist=summary.histogram,
-            overload_attribution=self._attribute_overloads(overloaded, plan, delivered),
+            overload_attribution=attribution,
             approach=approach,
             scenario_index=scenario_index,
             total_demand=self.matrix.total_demand,
@@ -711,37 +768,57 @@ class TrafficEngine:
     ) -> Tuple:
         """Top-k overload attribution (empty when nothing is overloaded).
 
-        A second pass over the disrupted groups charges each top
-        overloaded link with the rerouted OD demands that crossed it —
-        surviving prefixes and delivered recovery paths; intact
-        background load is not a rerouting decision, so it is not
-        attributed.
+        Each top overloaded link is charged with the rerouted OD demands
+        that crossed it: the surviving prefixes (``plan.prefix_charges``,
+        shared by every approach of the window) and then the delivered
+        recovery paths.  Every charge to a pair adds its same demand, so
+        the order of the charges cannot change a sum.  Intact background
+        load is not a rerouting decision, so it is not attributed.
         """
         if not overloaded:
             return ()
         csr = self.topo.csr()
         # lid -> {(source, destination): demand} of the top links.
-        top: Dict[int, Dict[Tuple[int, int], float]] = {
-            csr.pair_lid[link]: {} for link, _ in overloaded[:3]
-        }
-
-        def charge(per_pair: Dict[Tuple[int, int], float], pair: DisruptedPair) -> None:
-            key = (pair.source, pair.destination)
-            per_pair[key] = per_pair.get(key, 0.0) + pair.demand
-
+        top: Dict[int, Dict[Tuple[int, int], float]] = {}
+        for link, _ in overloaded[:3]:
+            lid = csr.pair_lid[link]
+            top[lid] = plan.prefix_charges(lid).copy()
         for group, path_lids in zip(plan.groups, delivered):
-            if not top.keys().isdisjoint(group.prefix_lids):
-                for pair, prefix in zip(group.pairs, group.prefixes):
-                    for lid in prefix:
-                        per_pair = top.get(lid)
-                        if per_pair is not None:
-                            charge(per_pair, pair)
+            if top.keys().isdisjoint(path_lids):
+                continue
             for lid in path_lids:
                 per_pair = top.get(lid)
                 if per_pair is not None:
                     for pair in group.pairs:
-                        charge(per_pair, pair)
+                        key = (pair.source, pair.destination)
+                        per_pair[key] = per_pair.get(key, 0.0) + pair.demand
         return overload_attribution(
             overloaded, {csr.links[lid]: per_pair for lid, per_pair in top.items()}
         )
 
+
+def _intact_loads(
+    topo: Topology, index: DemandIndex, by_destination: Mapping[int, Mapping[int, float]]
+) -> LinkLoadMap:
+    """Loads of ``destination -> {source: demand}`` on the default paths.
+
+    Equal, float for float, to :func:`~repro.traffic.capacity.routed_loads`
+    on the same input: each destination forwards every place's inflow in
+    the index's ``flow_*`` order, which is ``edge_loads_to``'s, and adds
+    it straight into the map, destinations in sorted order.  The index
+    holds every reached source's chain; one with no intact demand carries
+    ``0.0``, and adding ``+0.0`` to a non-negative float changes nothing.
+    """
+    loads = LinkLoadMap(topo)
+    own = loads.lid_loads()
+    for destination in sorted(by_destination):
+        rooted = index.rooted[destination]
+        demands = by_destination[destination]
+        carry = [demands.get(source, 0.0) for source in rooted.flow_source]
+        carry.append(0.0)  # the root's place: a sink
+        flow_next = rooted.flow_next
+        for k, lid in enumerate(rooted.flow_up):
+            flow = carry[k]
+            own[lid] += flow
+            carry[flow_next[k]] += flow
+    return loads

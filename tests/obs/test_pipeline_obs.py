@@ -150,18 +150,24 @@ class TestTrafficWindowSpans:
         )
         assert on == off
         counts = {}
+        # The plan's intact background and the weighting's attribution
+        # are sub-spans; every other traffic span sits in the window.
+        inside = {"traffic.intact": "traffic.plan", "traffic.attribute": "traffic.weight"}
         for path, data in obs.tracer.aggregate_snapshot().items():
             parent, _, leaf = path.rpartition("/")
             if leaf.startswith("traffic.") and leaf != "traffic.scenario":
-                assert parent.endswith("traffic.scenario"), path
+                assert parent.endswith(inside.get(leaf, "traffic.scenario")), path
                 assert data["total_s"] > 0.0
                 counts[leaf] = counts.get(leaf, 0) + data["count"]
-        # Two windows: one classification and one plan each, one weighting
-        # pass per approach — nothing per pair or per hop.
+        # Two windows: one classification and one plan (with its intact
+        # background) each, one weighting pass (with its attribution) per
+        # approach — nothing per pair or per hop.
         assert counts == {
             "traffic.classify": 2,
             "traffic.plan": 2,
+            "traffic.intact": 2,
             "traffic.weight": 2 * len(approaches),
+            "traffic.attribute": 2 * len(approaches),
         }
 
     def test_live_penalty_useful_over_attempted(self, paper_topo, paper_scenario):

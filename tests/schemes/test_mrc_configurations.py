@@ -3,10 +3,10 @@
 ``generate_configurations`` is a greedy search whose every step asks
 ``_backbone_connected``; a change to that check's traversal must not move
 a single placement.  For each Table II AS (built at seed 0, generated at
-seed 0) the sha256 of every configuration's ``isolated_nodes`` and
-``restricted_links`` plus the ``unprotected_nodes`` set must equal its
-pin; the configuration and unprotected counts are pinned in the clear so
-a failure says roughly what moved.
+seed 0) the sha256 of every configuration's ``isolated_nodes``,
+``restricted_links`` and ``isolated_links`` plus the ``unprotected_nodes``
+set must equal its pin; the configuration and unprotected counts are
+pinned in the clear so a failure says roughly what moved.
 
 To re-pin after a deliberate behaviour change, run this module as a
 script (``PYTHONPATH=src python tests/schemes/test_mrc_configurations.py``)
@@ -22,14 +22,14 @@ from repro.topology import isp_catalog
 
 #: AS name -> (configurations, unprotected nodes, sha256 of the fingerprint).
 PINS = {
-    'AS209': (4, 2, 'cea775b9aca2d0653c29260702cbc8bf3d336f72631dcbb661dcfd903228c00c'),
-    'AS701': (4, 2, '3a5fc5bb745c202ac35a89a361aea95b6256bd5184fdf006d349f05eabb33d04'),
-    'AS1239': (5, 3, 'dcf01f3dd82f2041743b75f2e8970a03f3bdcfb6d6c060a33876c8be4bbb68dc'),
-    'AS3320': (4, 0, '396c1aeda01df3361f0b01fe321ad1c678658293ec0bfff8f6fe37000faa62aa'),
-    'AS3549': (4, 0, 'ecff157e83f3ebba1a49470b7bec57adca518c555f7479fb546dd7ed2dc835e4'),
-    'AS3561': (4, 0, '71356a94a4abc92cd247d6d739906db331629d214cd4ca02b208b5295c6c374c'),
-    'AS4323': (4, 1, 'cd658491a46ad3d92f81fd1caad49bb33310121b844173b83e9524d1019282eb'),
-    'AS7018': (8, 28, '3851279f5977582c08a8f54fdbe882782eb9df5b82da940fa5a80eacd3b3c4ac'),
+    'AS209': (4, 2, 'a17e3e4bf663194c2d77264615646b30da686585982bad95d81cbb44bcbad88d'),
+    'AS701': (4, 2, 'c8b70abe514ba106da7bda9f582e7e8c4a6094a76a1d973753e30ec20240deff'),
+    'AS1239': (5, 3, '60d9990dcefe87dd0ac2c97af92f935d90c2aa3e9b95be9db5d6d474a70bab84'),
+    'AS3320': (4, 0, '05a0d2b882f20b93c5d10801ab84d3a88f5d76e15dd834a71c17426afd653850'),
+    'AS3549': (4, 0, '8761430f2408236909f27cc73f4c456be0a7a13a0a671346aba3f165f4c860e2'),
+    'AS3561': (4, 0, '423207fc61060414f6aa75429ce8645f3494a68662af988c97b565512fb669bf'),
+    'AS4323': (4, 1, '498d2c30846d810e808fd3391b79de567f7a35c945a688f11837f4295c542235'),
+    'AS7018': (8, 28, 'e734cf9e8cbfeaf4175e2e4f82ea8bdc77208405ead2e09ba9578c10dc910d92'),
 }
 
 
@@ -40,7 +40,8 @@ def fingerprint(name):
     unprotected = sorted(unprotected_nodes(topo, configs))
     lines = [
         f"{config.index} isolated={sorted(config.isolated_nodes)} "
-        f"restricted={sorted(tuple(link) for link in config.restricted_links)}"
+        f"restricted={sorted(tuple(link) for link in config.restricted_links)} "
+        f"isolated_links={sorted(tuple(link) for link in config.isolated_links)}"
         for config in configs
     ]
     lines.append(f"unprotected={unprotected}")

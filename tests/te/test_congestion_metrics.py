@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.te.metrics import (
     HISTOGRAM_BINS,
@@ -106,3 +108,19 @@ class TestOverloadAttribution:
 
     def test_no_overload_no_entries(self, grid5):
         assert overload_attribution(LinkLoadMap(grid5).summary().overloaded, {}) == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        per_pair=st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            # Few distinct demands: most draws tie at the k-th place.
+            st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0]),
+            max_size=20,
+        ),
+        k=st.integers(0, 6),
+    )
+    def test_top_demands_equal_a_full_sort_under_ties(self, per_pair, k):
+        hot = Link.of(1, 2)
+        entries = overload_attribution([(hot, 2.0)], {hot: per_pair}, top_demands=k)
+        ranked = sorted(per_pair.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        assert entries == ((1, 2, 2.0, tuple((s, d, x) for (s, d), x in ranked)),)

@@ -5,12 +5,14 @@ and, congestion-aware, a fresh instance and ``LinkPenalty`` per case; the
 engine shares one scheme-independent plan per window and keeps one live
 penalty per (window, approach).  These tests pin that the sharing is
 invisible (bit-identical records; the live penalty equal to a rebuild
-after every group), that it happens (one ``edge_loads_to`` pass per
-intact destination, however many schemes), and that the plan cannot
-leak between windows.
+after every group; the intact background equal to ``routed_loads``; the
+live loads equal to a replay of the plan), that the background comes
+off the demand index with no ``edge_loads_to`` pass, and that the plan
+cannot leak between windows.
 """
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -30,6 +32,7 @@ from repro.traffic import (
     generate_matrix,
     uniform_matrix,
 )
+from repro.traffic.capacity import routed_loads
 
 from ..conftest import ring_topology
 from .reference_weighter import (
@@ -76,14 +79,14 @@ def as7018_inputs():
     return topo, flow_set, [next(stream) for _ in range(3)]
 
 
-def scale_inputs():
+def scale_inputs(nodes=1500):
     """Sampled demand on a 1,500-node graph: most link ids stay idle all window.
 
     The ``traffic_scale`` regime (64 x 64 sampled endpoints, small failure
     areas) at a size the parity test can afford; MRC's configuration
     search and RTR's phase 1 in large areas would dominate it otherwise.
     """
-    topo = topology_from_spec("scale:1500", seed=3)
+    topo = topology_from_spec(f"scale:{nodes}", seed=3)
     flow_set = aggregate_flows(generate_matrix(topo, "gravity", seed=3), 100_000)
     stream = circle_scenarios(topo, random.Random(11), radius_range=(10.0, 30.0))
     return topo, flow_set, [next(stream) for _ in range(3)]
@@ -233,6 +236,15 @@ def test_classification_equals_local_view_reference():
         assert classification_fields(got) == classification_fields(want)
 
 
+def grid_inputs():
+    """A 4x4 grid with node 15 cut off before any failure, then routers 5 and 6 failed."""
+    topo = grid_topology(4, 4)
+    for neighbor in list(topo.neighbors(15)):
+        topo.remove_link(15, neighbor)
+    flow_set = aggregate_flows(uniform_matrix(topo, total_demand=240.0), 24_000)
+    return topo, flow_set, [FailureScenario(topo, failed_nodes=[5, 6])]
+
+
 def test_classification_on_failed_endpoints_and_a_disconnected_snapshot():
     """The branches the AS7018 circles never take, against the same reference.
 
@@ -241,12 +253,8 @@ def test_classification_on_failed_endpoints_and_a_disconnected_snapshot():
     6 fail — every pair sourced at one is lost with its source, every pair
     destined to one is stopped at the last live hop.
     """
-    topo = grid_topology(4, 4)
-    for neighbor in list(topo.neighbors(15)):
-        topo.remove_link(15, neighbor)
-    flow_set = aggregate_flows(uniform_matrix(topo, total_demand=240.0), 24_000)
+    topo, flow_set, (scenario,) = grid_inputs()
     engine = TrafficEngine(topo, flow_set, approaches=("RTR",))
-    scenario = FailureScenario(topo, failed_nodes=[5, 6])
     got = classify_pairs(topo, engine.routing, scenario, flow_set)
     want = reference_classify(engine, scenario)
     assert classification_fields(got) == classification_fields(want)
@@ -258,12 +266,27 @@ def test_classification_on_failed_endpoints_and_a_disconnected_snapshot():
     assert not any(d in (5, 6) for d in got.intact_by_destination)
 
 
-@pytest.mark.parametrize("approaches", [("RTR",), ("RTR", "FCP"), SCHEMES])
+#: Inputs of the background test: ``scale2000`` runs on numpy trees
+#: (memoryview storage) when numpy is installed.
+BACKGROUND_INPUTS = {
+    "paper": paper_inputs,
+    "AS7018": as7018_inputs,
+    "scale2000": functools.partial(scale_inputs, 2000),
+    "grid": grid_inputs,
+}
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_one_edge_loads_pass_per_intact_destination(monkeypatch, approaches, mode):
-    """``edge_loads_to`` calls per window do not depend on ``len(approaches)``."""
-    topo, flow_set, scenarios = paper_inputs()
-    engine = TrafficEngine(topo, flow_set, approaches=approaches, **MODES[mode])
+@pytest.mark.parametrize("network", sorted(BACKGROUND_INPUTS))
+def test_intact_background_equals_routed_loads(monkeypatch, network, mode):
+    """The plan's background is ``routed_loads``' float for float, off the index.
+
+    ``routed_loads`` is one ``edge_loads_to`` pass per intact destination;
+    the plan builds the same sums from the demand index, so a window makes
+    no ``edge_loads_to`` call at all.
+    """
+    topo, flow_set, scenarios = BACKGROUND_INPUTS[network]()
+    engine = TrafficEngine(topo, flow_set, approaches=("RTR", "OSPF"), **MODES[mode])
     calls = []
     original = RoutingTable.edge_loads_to
 
@@ -272,12 +295,47 @@ def test_one_edge_loads_pass_per_intact_destination(monkeypatch, approaches, mod
         return original(self, destination, demands)
 
     monkeypatch.setattr(RoutingTable, "edge_loads_to", counting)
+    disrupted = 0
     for scenario in scenarios:
-        intact = classify_pairs(topo, engine.routing, scenario, flow_set).intact_by_destination
-        assert intact, "every scenario must leave some pair intact"
+        classification = classify_pairs(topo, engine.routing, scenario, flow_set)
+        disrupted += len(classification.disrupted)
+        want = routed_loads(topo, engine.routing, classification.intact_by_destination)
+        assert calls == sorted(classification.intact_by_destination)
         del calls[:]
+        got = engine._plan_window(classification).intact
+        assert [x.hex() for x in got.lid_loads()] == [x.hex() for x in want.lid_loads()]
+        assert len(got) > 0
         engine.run_scenario(scenario)
-        assert calls == sorted(intact)
+        assert calls == []
+    assert disrupted > 0, "some source must be cut off its default path"
+
+
+@pytest.mark.parametrize("network", ["AS7018", "paper"])
+def test_live_loads_equal_a_replay_of_the_plan(monkeypatch, network):
+    """Congestion-aware weighting reads ``held.loads``: it must be the plan's replay."""
+    topo, flow_set, scenarios = INPUTS[network]()
+    engine = TrafficEngine(
+        topo, flow_set, approaches=("RTR", "OSPF"), **MODES["congestion-aware"]
+    )
+    windows = []
+    load_hook = engine._load_hook
+
+    def keeping(plan, live):
+        windows.append((plan, live))
+        return load_hook(plan, live)
+
+    monkeypatch.setattr(engine, "_load_hook", keeping)
+    for scenario in scenarios:
+        engine.run_scenario(scenario)
+    assert len(windows) == len(scenarios)
+    for plan, live in windows:
+        assert list(live) == ["RTR", "OSPF"]
+        for held in live.values():
+            assert len(held.delivered) == len(plan.groups)
+            replay = plan.loads_after(held.delivered)
+            assert [x.hex() for x in held.loads.lid_loads()] == [
+                x.hex() for x in replay.lid_loads()
+            ]
 
 
 def test_plan_does_not_outlive_its_window():
