@@ -7,7 +7,8 @@ penalty per (window, approach).  These tests pin that the sharing is
 invisible (bit-identical records; the live penalty equal to a rebuild
 after every group; the intact background equal to ``routed_loads``; the
 live loads equal to a replay of the plan), that the background comes
-off the demand index with no ``edge_loads_to`` pass, and that the plan
+off the demand index with no ``edge_loads_to`` pass, once per intact
+destination per window however many schemes run, and that the plan
 cannot leak between windows.
 """
 
@@ -32,6 +33,7 @@ from repro.traffic import (
     generate_matrix,
     uniform_matrix,
 )
+from repro.traffic import engine as engine_module
 from repro.traffic.capacity import routed_loads
 
 from ..conftest import ring_topology
@@ -308,6 +310,40 @@ def test_intact_background_equals_routed_loads(monkeypatch, network, mode):
         engine.run_scenario(scenario)
         assert calls == []
     assert disrupted > 0, "some source must be cut off its default path"
+
+
+@pytest.mark.parametrize("approaches", [("RTR",), ("RTR", "FCP"), SCHEMES])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_one_edge_loads_pass_per_intact_destination(monkeypatch, approaches, mode):
+    """Background passes per window do not depend on ``len(approaches)``.
+
+    Each window walks every intact destination once, in the demand
+    index, and never through ``edge_loads_to``.
+    """
+    topo, flow_set, scenarios = paper_inputs()
+    engine = TrafficEngine(topo, flow_set, approaches=approaches, **MODES[mode])
+    calls = []
+    passes = []
+    original = RoutingTable.edge_loads_to
+    original_intact = engine_module._intact_loads
+
+    def counting(self, destination, demands):
+        calls.append(destination)
+        return original(self, destination, demands)
+
+    def counting_intact(topo, index, by_destination):
+        passes.append(sorted(by_destination))
+        return original_intact(topo, index, by_destination)
+
+    monkeypatch.setattr(RoutingTable, "edge_loads_to", counting)
+    monkeypatch.setattr(engine_module, "_intact_loads", counting_intact)
+    for scenario in scenarios:
+        intact = classify_pairs(topo, engine.routing, scenario, flow_set).intact_by_destination
+        assert intact, "every scenario must leave some pair intact"
+        del calls[:], passes[:]
+        engine.run_scenario(scenario)
+        assert passes == [sorted(intact)]
+        assert calls == []
 
 
 @pytest.mark.parametrize("network", ["AS7018", "paper"])
